@@ -92,19 +92,12 @@ def _cmd_build(args) -> int:
     corpus = read_corpus_dir(args.corpus)
     if not corpus:
         raise FzError(f"no keywords found under {args.corpus}")
-    if args.kind == "listing":
-        index = build_listing_index(corpus, args.d, km, args.method)
-        entries = len(index.table)
-    elif args.kind == "trie":
-        index = build_trie_index(corpus, args.d, km, args.method)
-        entries = sum(1 for _ in index.leaves())
-    else:
-        index = build_auth_trie(corpus, args.d, km, args.method)
-        entries = sum(1 for n in index.nodes() if n.records)
+    build = {"listing": build_listing_index, "trie": build_trie_index, "auth": build_auth_trie}
+    index = build[args.kind](corpus, args.d, km, args.method)
     save_index(index, args.out)
     print(
         f"wrote {args.out}: {args.kind} index, method={args.method}, d={args.d}, "
-        f"{len(corpus)} keywords, {entries} entries"
+        f"{len(corpus)} keywords, {len(index.table)} entries"
     )
     return 0
 

@@ -1,20 +1,23 @@
-"""Server-side index structures and search over them.
+"""Server-side index: one trapdoor -> records map and the search over it.
 
-Two layouts share one entry map: the listing index is a flat table from
-trapdoor to encrypted records; the trie splits each trapdoor into n-bit
-symbols and files it root-to-leaf, so trapdoors sharing a prefix share
-nodes.  Both answer the same requests with the same records — the trie is
-an access structure, not a semantics change.
+Every kind holds the same state (each fuzzy variant's trapdoor mapped to its
+encrypted records, plus the trapdoors of keywords' own zero-edit variants)
+and answers a request with the same records, by map lookup.  The listing
+index is the flat table; the trie files each trapdoor root-to-leaf as n-bit
+symbols, its nodes derived from the sorted trapdoors; the authenticated trie
+(``verifiable``) adds a digest per node.
 
 Requests put the exact word's trapdoor first; a search that matches it
 returns only that entry's records (the exact hit short-circuits the fuzzy
-walk, mirroring the search definition's exact-match rule).
+lookups, mirroring the search definition's exact-match rule).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import cached_property
+from typing import ClassVar, Iterator
 
 from .crypto import KeyMaterial, EncryptedRecord, encrypt_record, record_nonce, trapdoor
 from .errors import BadParameter, EditBoundExceeded
@@ -44,52 +47,124 @@ def symbols_to_bytes(symbols: tuple[int, ...], n: int) -> bytes:
 
 
 @dataclass
-class TrieNode:
-    children: dict[int, "TrieNode"] = field(default_factory=dict)
-    records: list[EncryptedRecord] = field(default_factory=list)
-    # True when this leaf's entry is some keyword's own zero-edit variant, so a
-    # hit on the request's first trapdoor really means "the query is indexed".
-    # Gram variants are concrete words, so without the marker a query could
-    # collide with another keyword's variant and wrongly short-circuit.
-    exact: bool = False
+class Index:
+    """One trapdoor -> records map, immutable once built; ``kind`` names its access structure."""
 
-
-def iter_leaves(root) -> Iterator[tuple[tuple[int, ...], TrieNode]]:
-    """(path, leaf) pairs in sorted-symbol order; works for plain and auth nodes."""
-    stack = [((), root)]
-    while stack:
-        path, node = stack.pop()
-        if not node.children:
-            yield path, node
-            continue
-        for sym in sorted(node.children, reverse=True):
-            stack.append((path + (sym,), node.children[sym]))
-
-
-@dataclass
-class TrieIndex:
-    root: TrieNode
-    trapdoor_bits: int
-    symbol_bits: int
-    d: int
-    method: str = "wildcard"
-
-    @property
-    def depth(self) -> int:
-        return self.trapdoor_bits // self.symbol_bits
-
-    def leaves(self) -> Iterator[tuple[tuple[int, ...], TrieNode]]:
-        return iter_leaves(self.root)
-
-
-@dataclass
-class ListingIndex:
+    kind: ClassVar[str]
     table: dict[bytes, list[EncryptedRecord]]
     trapdoor_bits: int
     symbol_bits: int
     d: int
     method: str = "wildcard"
-    exact: set[bytes] = field(default_factory=set)  # trapdoors of zero-edit variants
+    # Trapdoors of keywords' own zero-edit variants, so a hit on the request's
+    # first trapdoor really means "the query is indexed".  Gram variants are
+    # concrete words, so without the marker a query could collide with another
+    # keyword's variant and wrongly short-circuit.
+    exact: set[bytes] = field(default_factory=set)
+
+    @classmethod
+    def build(cls, corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"):
+        entries, exact = build_entries(corpus, d, km, method)
+        return cls(entries, km.trapdoor_bits, km.symbol_bits, d, method, exact)
+
+
+class ListingIndex(Index):
+    kind = "listing"
+
+
+class TrieIndex(Index):
+    """Each trapdoor filed root-to-leaf as ``depth`` n-bit symbols, records at the leaf.
+
+    The nodes are derived from the sorted trapdoors: a node is named by its
+    depth and its path read as an integer (``prefix``).
+    """
+
+    kind = "trie"
+
+    @property
+    def depth(self) -> int:
+        return self.trapdoor_bits // self.symbol_bits
+
+    @cached_property
+    def ordered(self) -> list[int]:
+        """The trapdoors as big-endian integers, ascending: the leaves in trie order."""
+        return sorted(int.from_bytes(t, "big") for t in self.table)
+
+    def matched_len(self, depth: int, prefix: int) -> int:
+        """How many symbols of the ``depth``-symbol path ``prefix`` the trie holds.
+
+        That is its longest common prefix with its predecessor or successor.
+        """
+        v = prefix << (self.trapdoor_bits - depth * self.symbol_bits)
+        pos = bisect_left(self.ordered, v)
+        near = self.ordered[max(pos - 1, 0) : pos + 1]
+        diff = min((v ^ u for u in near), default=(1 << self.trapdoor_bits) - 1)
+        return min(depth, (self.trapdoor_bits - diff.bit_length()) // self.symbol_bits)
+
+    def node_keys(self) -> Iterator[tuple[int, int]]:
+        """(depth, prefix) of every node in pre-order; each trapdoor adds those
+        below its common prefix with the one before."""
+        n, bits = self.symbol_bits, self.trapdoor_bits
+        yield 0, 0
+        prev = None
+        for v in self.ordered:
+            shared = 0 if prev is None else (bits - (v ^ prev).bit_length()) // n
+            for depth in range(shared + 1, self.depth + 1):
+                yield depth, v >> (bits - depth * n)
+            prev = v
+
+    @property
+    def root(self) -> "NodeView":
+        return NodeView(self, 0, 0)
+
+    def nodes(self) -> Iterator["NodeView"]:
+        return (NodeView(self, depth, prefix) for depth, prefix in self.node_keys())
+
+    def leaves(self) -> Iterator[tuple[tuple[int, ...], "NodeView"]]:
+        """(path, leaf) pairs in sorted-symbol order."""
+        for t in sorted(self.table):
+            yield symbolize(t, self.symbol_bits), NodeView(self, self.depth, int.from_bytes(t, "big"))
+
+
+class NodeView:
+    """Read-only view of the trie node at ``depth`` on the path ``prefix``.
+
+    ``r1`` and ``tag`` exist on authenticated tries only.
+    """
+
+    __slots__ = ("index", "depth", "prefix", "trapdoor")
+
+    def __init__(self, index: TrieIndex, depth: int, prefix: int):
+        self.index, self.depth, self.prefix = index, depth, prefix
+        at_leaf = depth == index.depth
+        self.trapdoor = prefix.to_bytes(index.trapdoor_bits // 8, "big") if at_leaf else None
+
+    @property
+    def children(self) -> dict[int, "NodeView"]:
+        index, n, depth = self.index, self.index.symbol_bits, self.depth + 1
+        if depth > index.depth:
+            return {}
+        shift = index.trapdoor_bits - depth * n  # bits below a child's path
+        lo = bisect_left(index.ordered, self.prefix << (shift + n))
+        hi = bisect_left(index.ordered, (self.prefix + 1) << (shift + n))
+        paths = dict.fromkeys(v >> shift for v in index.ordered[lo:hi])
+        return {p & ((1 << n) - 1): NodeView(index, depth, p) for p in paths}
+
+    @property
+    def records(self) -> list[EncryptedRecord]:
+        return self.index.table.get(self.trapdoor, [])
+
+    @property
+    def exact(self) -> bool:
+        return self.trapdoor in self.index.exact
+
+    @property
+    def r1(self) -> bytes:
+        return self.index.r1[self.depth, self.prefix]
+
+    @property
+    def tag(self) -> bytes | None:
+        return self.index.tags.get(self.trapdoor)
 
 
 @dataclass(frozen=True)
@@ -109,7 +184,7 @@ class ResultSet:
 def build_entries(
     corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"
 ) -> tuple[dict[bytes, list[EncryptedRecord]], set[bytes]]:
-    """Trapdoor -> records map shared by both index layouts.
+    """Trapdoor -> records map shared by every index kind.
 
     Keywords are processed in sorted order and every (entry, keyword, fid)
     triple is encrypted with a nonce derived from those inputs, so two builds
@@ -123,6 +198,8 @@ def build_entries(
     exact: set[bytes] = set()
     for keyword in sorted(corpus):
         fids = list(dict.fromkeys(corpus[keyword]))
+        if not fids:
+            continue  # nothing to find: an entry without records is never a hit
         exact.add(trapdoor(km, keyword))
         for variant in fuzzy_set(keyword, d, method):
             t = trapdoor(km, variant)
@@ -133,38 +210,8 @@ def build_entries(
     return entries, exact
 
 
-def build_listing_index(
-    corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"
-) -> ListingIndex:
-    entries, exact = build_entries(corpus, d, km, method)
-    return ListingIndex(
-        table=entries,
-        trapdoor_bits=km.trapdoor_bits,
-        symbol_bits=km.symbol_bits,
-        d=d,
-        method=method,
-        exact=exact,
-    )
-
-
-def build_trie_index(
-    corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"
-) -> TrieIndex:
-    root = TrieNode()
-    entries, exact = build_entries(corpus, d, km, method)
-    for t, records in entries.items():
-        node = root
-        for sym in symbolize(t, km.symbol_bits):
-            node = node.children.setdefault(sym, TrieNode())
-        node.records.extend(records)
-        node.exact = t in exact
-    return TrieIndex(
-        root=root,
-        trapdoor_bits=km.trapdoor_bits,
-        symbol_bits=km.symbol_bits,
-        d=d,
-        method=method,
-    )
+build_listing_index = ListingIndex.build
+build_trie_index = TrieIndex.build
 
 
 def make_request(word: str, k: int, km: KeyMaterial, method: str = "wildcard") -> SearchRequest:
@@ -187,33 +234,24 @@ def _dedup(records: list[EncryptedRecord]) -> list[EncryptedRecord]:
     return out
 
 
-def walk_trie(root: TrieNode, symbols: tuple[int, ...]) -> TrieNode | None:
+def walk_trie(root: NodeView, symbols: tuple[int, ...]) -> NodeView | None:
     """Follow ``symbols`` from ``root``; None as soon as an edge is missing."""
-    node = root
+    index = root.index
+    depth = root.depth + len(symbols)
+    prefix = root.prefix
     for sym in symbols:
-        node = node.children.get(sym)
-        if node is None:
-            return None
-    return node
+        prefix = (prefix << index.symbol_bits) | sym
+    if depth > index.depth or index.matched_len(depth, prefix) < depth:
+        return None
+    return NodeView(index, depth, prefix)
 
 
-def search_trie(index: TrieIndex, req: SearchRequest) -> ResultSet:
-    """Walk each trapdoor's symbols; exact-first short-circuit, dedup the rest."""
-    if req.k > index.d:
-        raise EditBoundExceeded(f"request k={req.k} exceeds index d={index.d}")
-    gathered: list[EncryptedRecord] = []
-    for i, t in enumerate(req.trapdoors):
-        node = walk_trie(index.root, symbolize(t, index.symbol_bits))
-        if node is None or not node.records:
-            continue
-        if i == 0 and node.exact:
-            return ResultSet(records=_dedup(node.records), exact_hit=True)
-        gathered.extend(node.records)
-    return ResultSet(records=_dedup(gathered), exact_hit=False)
+def search_listing(index: Index, req: SearchRequest) -> ResultSet:
+    """Look up each trapdoor; exact-first short-circuit, dedup the rest.
 
-
-def search_listing(index: ListingIndex, req: SearchRequest) -> ResultSet:
-    """Same contract as ``search_trie`` over the flat table."""
+    Serves every kind: a trie holds records only at full depth, so walking a
+    trapdoor's symbols reaches records exactly when the map holds it.
+    """
     if req.k > index.d:
         raise EditBoundExceeded(f"request k={req.k} exceeds index d={index.d}")
     gathered: list[EncryptedRecord] = []
@@ -225,3 +263,6 @@ def search_listing(index: ListingIndex, req: SearchRequest) -> ResultSet:
             return ResultSet(records=_dedup(records), exact_hit=True)
         gathered.extend(records)
     return ResultSet(records=_dedup(gathered), exact_hit=False)
+
+
+search_trie = search_listing

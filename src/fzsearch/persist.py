@@ -19,6 +19,9 @@ All integers are big-endian.  Layouts:
     by symbol byte + child subtree.  Verifiable tries add the 32-byte
     r1 before each node's record count and the 32-byte leaf tag after
     a leaf's records.  Builds are byte-deterministic.
+    Tries are written from and read into the same entry map, so records
+    sit only on childless full-depth nodes, and every other node but an
+    empty root has children.
 
 ``FZUD`` directory file
     magic "FZUD", version byte, epoch (8), entry count (4), then
@@ -30,12 +33,13 @@ from __future__ import annotations
 
 import io
 import os
+import re
 
 from .crypto import EncryptedRecord, KeyMaterial, check_geometry
 from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
-from .index import ListingIndex, TrieIndex, TrieNode
+from .index import ListingIndex, TrieIndex
 from .multiuser import UserDirectory
-from .verifiable import AuthTrieIndex, AuthTrieNode, R1_BYTES
+from .verifiable import AuthTrieIndex, R1_BYTES
 
 KEY_MAGIC = b"FZKY"
 INDEX_MAGIC = b"FZIX"
@@ -45,6 +49,8 @@ VERSION = 1
 FLAG_TRIE = 0x01
 FLAG_VERIFIABLE = 0x02
 FLAG_GRAM = 0x04
+KIND_FLAGS = {"listing": 0, "trie": FLAG_TRIE, "auth_trie": FLAG_TRIE | FLAG_VERIFIABLE}
+KIND_CLASSES = {KIND_FLAGS[cls.kind]: cls for cls in (ListingIndex, TrieIndex, AuthTrieIndex)}
 
 
 class _Reader:
@@ -70,6 +76,12 @@ class _Reader:
 
     def u64(self) -> int:
         return int.from_bytes(self.take(8), "big")
+
+    def match(self, pattern: re.Pattern) -> bytes:
+        """Consume and return what ``pattern`` matches here (possibly nothing)."""
+        m = pattern.match(self._view, self._pos)
+        self._pos = m.end()
+        return m.group()
 
     def done(self) -> bool:
         return self._pos == len(self._view)
@@ -133,60 +145,101 @@ def load_keys(path: str) -> KeyMaterial:
 
 # -- indexes ---------------------------------------------------------------
 
-def _write_records(out: io.BytesIO, records: list[EncryptedRecord]) -> None:
-    out.write(len(records).to_bytes(2, "big"))
+def _records_bytes(records: list[EncryptedRecord]) -> bytes:
+    if len(records) > 0xFFFF:  # the count is a u16
+        raise BadParameter(f"{len(records)} records under one trapdoor; the limit is 65535")
+    parts = [len(records).to_bytes(2, "big")]
     for rec in records:
         blob = rec.blob
-        out.write(len(blob).to_bytes(4, "big"))
-        out.write(blob)
+        parts.append(len(blob).to_bytes(4, "big"))
+        parts.append(blob)
+    return b"".join(parts)
 
 
 def _read_records(r: _Reader) -> list[EncryptedRecord]:
     return [EncryptedRecord.from_blob(r.take(r.u32())) for _ in range(r.u16())]
 
 
-def _write_trie_node(out: io.BytesIO, node, verifiable: bool) -> None:
-    out.write(bytes([1 if node.exact else 0]))
-    if verifiable:
-        out.write(node.r1)
-    _write_records(out, node.records)
-    if verifiable and node.records:
-        out.write(node.tag)
-    out.write(len(node.children).to_bytes(2, "big"))
-    for sym in sorted(node.children):
-        out.write(bytes([sym]))
-        _write_trie_node(out, node.children[sym], verifiable)
+def _write_trie(out: io.BytesIO, index) -> None:
+    """The pre-order node stream from the sorted trapdoors; child counts are
+    rewritten as the children are met."""
+    verifiable = index.kind == "auth_trie"
+    n, bits, leaf_depth = index.symbol_bits, index.trapdoor_bits, index.depth
+    mask = (1 << n) - 1
+    chunks: list[bytes] = []
+    count_at = [0] * leaf_depth  # chunk position of the open node's child count, per depth
+    counts = [0] * leaf_depth
+    for depth, prefix in index.node_keys():
+        if depth:
+            counts[depth - 1] += 1
+            chunks[count_at[depth - 1]] = counts[depth - 1].to_bytes(2, "big")
+            chunks.append(bytes([prefix & mask]))
+        r1 = index.r1[depth, prefix] if verifiable else b""
+        if depth < leaf_depth:
+            chunks.append(b"\x00" + r1 + b"\x00\x00")
+            count_at[depth] = len(chunks)
+            counts[depth] = 0
+            chunks.append(b"\x00\x00")
+        else:
+            t = prefix.to_bytes(bits // 8, "big")
+            tag = index.tags[t] if verifiable else b""
+            chunks.append(bytes([t in index.exact]) + r1 + _records_bytes(index.table[t]) + tag)
+            chunks.append(b"\x00\x00")
+    out.write(b"".join(chunks))
 
 
-def _read_trie_node(r: _Reader, verifiable: bool, parent_sym: int | None):
-    node = AuthTrieNode(r0=parent_sym) if verifiable else TrieNode()
-    node.exact = bool(r.u8() & 0x01)
-    if verifiable:
-        node.r1 = r.take(R1_BYTES)
-    node.records = _read_records(r)
-    if verifiable and node.records:
-        node.tag = r.take(R1_BYTES)
-    for _ in range(r.u16()):
-        sym = r.u8()
-        node.children[sym] = _read_trie_node(r, verifiable, sym)
-    return node
+def _read_trie(r: _Reader, index) -> None:
+    """Stream the pre-order node stream into ``index``'s map (and r1 and tag tables)."""
+    verifiable = index.kind == "auth_trie"
+    n, leaf_depth = index.symbol_bits, index.depth
+    r1_len = R1_BYTES if verifiable else 0
+    # Most nodes have one child and no records.  A run of them, each followed
+    # by its child's symbol, is matched in one step.
+    stride = 6 + r1_len
+    unary = re.compile(
+        b"(?:\\x00" + b"." * r1_len + b"\\x00\\x00\\x00\\x01[\\x00-"
+        + re.escape(bytes([(1 << n) - 1])) + b"])*",
+        re.DOTALL,
+    )
 
+    def subtree(depth: int, prefix: int) -> None:
+        run = r.match(unary)
+        for i in range(0, len(run), stride):
+            if verifiable:
+                index.r1[depth, prefix] = run[i + 1 : i + 1 + R1_BYTES]
+            depth, prefix = depth + 1, (prefix << n) | run[i + stride - 1]
+        exact = r.u8() & 0x01
+        if verifiable:
+            index.r1[depth, prefix] = r.take(R1_BYTES)
+        records = _read_records(r)
+        tag = r.take(R1_BYTES) if verifiable and records else None
+        children = r.u16()
+        leaf = depth == leaf_depth
+        # Leaves hold records and no children; other nodes, bar an empty root, the reverse.
+        if depth > leaf_depth or leaf != bool(records) or (leaf == bool(children) and depth):
+            raise BadParameter(f"trie node at depth {depth} breaks the {leaf_depth}-deep shape")
+        if leaf:
+            t = prefix.to_bytes(index.trapdoor_bits // 8, "big")
+            index.table[t] = records
+            if exact:
+                index.exact.add(t)
+            if tag:
+                index.tags[t] = tag
+        last = -1
+        for _ in range(children):
+            sym = r.u8()
+            if sym >> n or sym <= last:
+                raise BadParameter(f"trie child symbol {sym} out of range or order")
+            last = sym
+            subtree(depth + 1, (prefix << n) | sym)
 
-def _count_leaves(node) -> int:
-    if not node.children:
-        return 1 if node.records else 0
-    return sum(_count_leaves(c) for c in node.children.values())
+    subtree(0, 0)
 
 
 def dumps_index(index) -> bytes:
-    if isinstance(index, ListingIndex):
-        flags = 0
-    elif isinstance(index, AuthTrieIndex):
-        flags = FLAG_TRIE | FLAG_VERIFIABLE
-    elif isinstance(index, TrieIndex):
-        flags = FLAG_TRIE
-    else:
+    if getattr(index, "kind", None) not in KIND_FLAGS:
         raise BadParameter(f"cannot serialize {type(index).__name__}")
+    flags = KIND_FLAGS[index.kind]
     if index.method == "gram":
         flags |= FLAG_GRAM
     if index.symbol_bits > 8:
@@ -196,15 +249,14 @@ def dumps_index(index) -> bytes:
     out.write(bytes([VERSION, flags, index.symbol_bits]))
     out.write(index.trapdoor_bits.to_bytes(2, "big"))
     out.write(bytes([index.d]))
+    out.write(len(index.table).to_bytes(8, "big"))
     if flags & FLAG_TRIE:
-        out.write(_count_leaves(index.root).to_bytes(8, "big"))
-        _write_trie_node(out, index.root, bool(flags & FLAG_VERIFIABLE))
+        _write_trie(out, index)
     else:
-        out.write(len(index.table).to_bytes(8, "big"))
         for t in sorted(index.table):
             out.write(t)
             out.write(bytes([1 if t in index.exact else 0]))
-            _write_records(out, index.table[t])
+            out.write(_records_bytes(index.table[t]))
     return out.getvalue()
 
 
@@ -222,35 +274,19 @@ def loads_index(data: bytes):
     check_geometry(trapdoor_bits, symbol_bits)
     count = r.u64()
     method = "gram" if flags & FLAG_GRAM else "wildcard"
+    index = KIND_CLASSES[flags & ~FLAG_GRAM]({}, trapdoor_bits, symbol_bits, d, method)
     if flags & FLAG_TRIE:
-        verifiable = bool(flags & FLAG_VERIFIABLE)
-        root = _read_trie_node(r, verifiable, None)
-        if not r.done():
-            raise Truncated("trailing bytes after trie")
-        cls = AuthTrieIndex if verifiable else TrieIndex
-        index = cls(
-            root=root, trapdoor_bits=trapdoor_bits, symbol_bits=symbol_bits, d=d, method=method
-        )
-        if _count_leaves(root) != count:
-            raise Truncated("leaf count does not match header")
+        _read_trie(r, index)
     else:
-        table: dict[bytes, list[EncryptedRecord]] = {}
-        exact: set[bytes] = set()
         for _ in range(count):
             t = r.take(trapdoor_bits // 8)
             if r.u8() & 0x01:
-                exact.add(t)
-            table[t] = _read_records(r)
-        if not r.done():
-            raise Truncated("trailing bytes after listing")
-        index = ListingIndex(
-            table=table,
-            trapdoor_bits=trapdoor_bits,
-            symbol_bits=symbol_bits,
-            d=d,
-            method=method,
-            exact=exact,
-        )
+                index.exact.add(t)
+            index.table[t] = _read_records(r)
+    if not r.done():
+        raise Truncated(f"trailing bytes after the {index.kind} body")
+    if len(index.table) != count:
+        raise Truncated("entry count does not match header")
     return index
 
 

@@ -33,16 +33,9 @@ import threading
 from dataclasses import dataclass, field
 
 from .crypto import EncryptedRecord
-from .index import (
-    ListingIndex,
-    ResultSet,
-    SearchRequest,
-    TrieIndex,
-    search_listing,
-    search_trie,
-)
+from .index import Index, ResultSet, SearchRequest, search_listing
 from .multiuser import unblind_request
-from .verifiable import AuthTrieIndex, encode_proof, search_with_proof
+from .verifiable import encode_proof, search_with_proof
 
 DEFAULT_PORT = 7090
 
@@ -61,9 +54,9 @@ class ServerConfig:
 
 @dataclass
 class ServerState:
-    """Immutable while serving; (xi, epoch) swapped atomically on rotation."""
+    """Immutable while serving."""
 
-    index: ListingIndex | TrieIndex | AuthTrieIndex
+    index: Index
     xi: bytes | None = None  # unblinding key; None = single-user mode
     epoch: int = 0
     config: ServerConfig = field(default_factory=ServerConfig)
@@ -77,26 +70,20 @@ def _error(state: ServerState, code: str, message: str) -> dict:
     return {"type": "ErrorResp", "epoch": state.epoch, "code": code, "message": message}
 
 
-def _index_kind(index) -> str:
-    if isinstance(index, AuthTrieIndex):
-        return "auth_trie"
-    if isinstance(index, TrieIndex):
-        return "trie"
-    return "listing"
-
-
 def _parse_trapdoors(state: ServerState, raw) -> tuple[bytes, ...] | None:
-    width = 2 * (state.index.trapdoor_bits // 8)
+    width = state.index.trapdoor_bits // 8
     if not isinstance(raw, list) or not raw:
         return None
     out = []
     for item in raw:
-        if not isinstance(item, str) or len(item) != width or item.lower() != item:
-            return None
         try:
-            out.append(bytes.fromhex(item))
-        except ValueError:
+            t = bytes.fromhex(item)
+        except (TypeError, ValueError):
             return None
+        # the round trip rejects upper case and the whitespace fromhex skips
+        if len(t) != width or t.hex() != item:
+            return None
+        out.append(t)
     if len(set(out)) != len(out):
         return None
     return tuple(out)
@@ -110,12 +97,12 @@ def handle_message(state: ServerState, msg: dict) -> dict:
             return {
                 "type": "HelloAck",
                 "epoch": state.epoch,
-                "kind": _index_kind(state.index),
+                "kind": state.index.kind,
                 "method": state.index.method,
                 "d": state.index.d,
                 "trapdoor_bits": state.index.trapdoor_bits,
                 "symbol_bits": state.index.symbol_bits,
-                "verifiable": isinstance(state.index, AuthTrieIndex),
+                "verifiable": state.index.kind == "auth_trie",
                 "blinded": state.xi is not None,
                 "max_trapdoors": state.config.max_request_trapdoors,
             }
@@ -143,13 +130,11 @@ def handle_message(state: ServerState, msg: dict) -> dict:
         if req.k > state.index.d:
             return _error(state, EDIT_BOUND, f"k={req.k} exceeds index bound d={state.index.d}")
         proofs = None
-        if isinstance(state.index, AuthTrieIndex) and want_proof:
+        if want_proof and state.index.kind == "auth_trie":
             result, proof_list = search_with_proof(state.index, req)
             proofs = [encode_proof(p).hex() for p in proof_list]
-        elif isinstance(state.index, ListingIndex):
-            result = search_listing(state.index, req)
         else:
-            result = search_trie(state.index, req)
+            result = search_listing(state.index, req)
         resp = {
             "type": "SearchResp",
             "epoch": state.epoch,

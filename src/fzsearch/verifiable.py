@@ -1,10 +1,12 @@
 """Verifiable search: an authenticated trie, per-trapdoor proofs, and Verify.
 
-Every node carries a chain digest ``r1 = PRF(sk0, depth || symbol || parent_r1)``
-(root: ``PRF(sk0, "root")``), so anyone holding ``sk0`` can recompute the r1
-of the node a trapdoor's own symbols lead to — a proof cannot borrow the r1
-of a different node.  Leaves additionally carry
-``leaf_tag = PRF(sk0, r1 || digest(records))`` binding the exact record list.
+The authenticated trie is the trie over the same entry map plus two tables.
+``r1`` holds every node's chain digest, keyed by (depth, prefix):
+``r1 = PRF(sk0, depth || symbol || parent_r1)``, and ``PRF(sk0, "root")`` at
+the root.  So anyone holding ``sk0`` can recompute the r1 of the node a
+trapdoor's own symbols lead to, and a proof cannot borrow the r1 of a
+different node.  ``tags`` holds, per entry,
+``leaf_tag = PRF(sk0, r1 || digest(records))``, binding the exact record list.
 
 A proof per trapdoor reports the matched prefix length as a bit sequence
 (all ones on a full match, ones then a single zero on a mismatch), the
@@ -26,11 +28,10 @@ import hmac as _hmac
 import random
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Iterator
 
-from .crypto import EncryptedRecord, KeyMaterial, prf_bytes, record_digest
-from .errors import EditBoundExceeded, Truncated
-from .index import ResultSet, SearchRequest, _dedup, build_entries, iter_leaves, symbolize
+from .crypto import KeyMaterial, prf_bytes, record_digest
+from .errors import Truncated
+from .index import ResultSet, SearchRequest, TrieIndex, search_listing, symbolize
 
 R1_BYTES = 32
 
@@ -48,36 +49,25 @@ def leaf_tag(record_key: bytes, r1: bytes, digest: bytes) -> bytes:
 
 
 @dataclass
-class AuthTrieNode:
-    children: dict[int, "AuthTrieNode"] = field(default_factory=dict)
-    records: list[EncryptedRecord] = field(default_factory=list)
-    r0: int | None = None  # symbol on the edge from the parent; None at the root
-    r1: bytes = b""
-    tag: bytes | None = None  # populated at leaves only
-    exact: bool = False  # leaf is some keyword's zero-edit variant
+class AuthTrieIndex(TrieIndex):
+    kind = "auth_trie"
+    r1: dict[tuple[int, int], bytes] = field(default_factory=dict)  # (depth, prefix) -> r1
+    tags: dict[bytes, bytes] = field(default_factory=dict)  # trapdoor -> leaf tag
 
-
-@dataclass
-class AuthTrieIndex:
-    root: AuthTrieNode
-    trapdoor_bits: int
-    symbol_bits: int
-    d: int
-    method: str = "wildcard"
-
-    @property
-    def depth(self) -> int:
-        return self.trapdoor_bits // self.symbol_bits
-
-    def nodes(self) -> Iterator[AuthTrieNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
-
-    def leaves(self) -> Iterator[tuple[tuple[int, ...], AuthTrieNode]]:
-        return iter_leaves(self.root)
+    @classmethod
+    def build(cls, corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"):
+        """Trie build plus an r1 for every node, parents first, and a tag per entry."""
+        index = super().build(corpus, d, km, method)
+        key, n = km.record_key, index.symbol_bits
+        index.r1[0, 0] = root_r1(key)
+        for depth, prefix in index.node_keys():
+            if depth:
+                parent = index.r1[depth - 1, prefix >> n]
+                index.r1[depth, prefix] = chain_r1(key, depth, prefix & ((1 << n) - 1), parent)
+        for t, records in index.table.items():
+            leaf_r1 = index.r1[index.depth, int.from_bytes(t, "big")]
+            index.tags[t] = leaf_tag(key, leaf_r1, record_digest(records))
+        return index
 
 
 @dataclass(frozen=True)
@@ -104,78 +94,28 @@ class Verdict:
     failing_index: int | None = None
 
 
-def build_auth_trie(
-    corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"
-) -> AuthTrieIndex:
-    """Trie build plus (r0, r1) on every node and a tag on every leaf."""
-    root = AuthTrieNode(r1=root_r1(km.record_key))
-    entries, exact = build_entries(corpus, d, km, method)
-    for t, records in entries.items():
-        node = root
-        for depth, sym in enumerate(symbolize(t, km.symbol_bits), start=1):
-            child = node.children.get(sym)
-            if child is None:
-                child = AuthTrieNode(r0=sym, r1=chain_r1(km.record_key, depth, sym, node.r1))
-                node.children[sym] = child
-            node = child
-        node.records.extend(records)
-        node.exact = t in exact
-    index = AuthTrieIndex(
-        root=root,
-        trapdoor_bits=km.trapdoor_bits,
-        symbol_bits=km.symbol_bits,
-        d=d,
-        method=method,
-    )
-    for node in index.nodes():
-        if node.records:
-            node.tag = leaf_tag(km.record_key, node.r1, record_digest(node.records))
-    return index
+build_auth_trie = AuthTrieIndex.build
 
 
 def search_with_proof(index: AuthTrieIndex, req: SearchRequest) -> tuple[ResultSet, list[Proof]]:
     """Search plus one proof per trapdoor.
 
     The record list short-circuits on an exact hit exactly like the plain
-    trie search, but proofs are still produced for every trapdoor — the
+    search, but proofs are still produced for every trapdoor — the
     verifier's first check is that none went missing.
     """
-    if req.k > index.d:
-        raise EditBoundExceeded(f"request k={req.k} exceeds index d={index.d}")
-    depth = index.depth
-    proofs: list[Proof] = []
-    gathered: list[EncryptedRecord] = []
-    exact: list[EncryptedRecord] | None = None
-    for i, t in enumerate(req.trapdoors):
-        node = index.root
-        matched = 0
-        for sym in symbolize(t, index.symbol_bits):
-            child = node.children.get(sym)
-            if child is None:
-                break
-            node = child
-            matched += 1
-        if matched == depth:
-            proofs.append(
-                Proof(
-                    matched_len=matched,
-                    match_bits=(1,) * matched,
-                    last_r1=node.r1,
-                    leaf_tag=node.tag,
-                    record_digest=record_digest(node.records),
-                )
-            )
-            if i == 0 and node.exact:
-                exact = list(node.records)
-            elif exact is None:
-                gathered.extend(node.records)
+    result = search_listing(index, req)
+    depth, proofs = index.depth, []
+    for t in req.trapdoors:
+        v = int.from_bytes(t, "big")
+        matched = index.matched_len(depth, v)
+        if matched < depth:
+            r1 = index.r1[matched, v >> (index.trapdoor_bits - matched * index.symbol_bits)]
+            proofs.append(Proof(matched, (1,) * matched + (0,), r1))
         else:
-            proofs.append(
-                Proof(matched_len=matched, match_bits=(1,) * matched + (0,), last_r1=node.r1)
-            )
-    if exact is not None:
-        return ResultSet(records=_dedup(exact), exact_hit=True), proofs
-    return ResultSet(records=_dedup(gathered), exact_hit=False), proofs
+            digest = record_digest(index.table[t])
+            proofs.append(Proof(depth, (1,) * depth, index.r1[depth, v], index.tags[t], digest))
+    return result, proofs
 
 
 def _shape_ok(proof: Proof, depth: int) -> bool:

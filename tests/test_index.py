@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,19 +7,25 @@ from conftest import mutate, random_corpus, random_word
 from fzsearch import (
     BadParameter,
     EditBoundExceeded,
+    Truncated,
+    build_auth_trie,
     build_listing_index,
     build_trie_index,
     decrypt_record,
     edit_distance,
     enumeration_fuzzy_set,
+    keygen,
     make_request,
     search_listing,
     search_trie,
+    search_with_proof,
     symbolize,
     symbols_to_bytes,
     trapdoor,
     wildcard_fuzzy_set,
 )
+from fzsearch.persist import dumps_index, loads_index
+from fzsearch.verifiable import encode_proof
 
 
 class TestSymbolize:
@@ -218,3 +225,99 @@ class TestSearch:
         blobs = [r.blob for r in result.records]
         assert len(blobs) == len(set(blobs))
         assert {decrypt_record(km, r)[0] for r in result.records} == {b"F1", b"F2"}
+
+
+GOLDEN_BUILDERS = {"listing": build_listing_index, "trie": build_trie_index, "auth": build_auth_trie}
+
+# sha256 of dumps_index on the golden corpus; pins the FZIX v1 bytes of every kind.
+GOLDEN_FZIX = {
+    ("auth", "wildcard"): "bbc72deaa7199f3da5940134f76567d3d2f1fd73f8b07fc2f83322f3e35205dc",
+    ("auth", "gram"): "228f1355a4f1e587791c006c980303917660a9a0cac9a7319858e98ec3565111",
+    ("listing", "wildcard"): "ad8eb140570d0104936fe42ec93534939c770a72ef370db5dd063e593f0f548f",
+    ("listing", "gram"): "60a60e14b80ed726f31ed13407a5664702e27b712250acdc88954263549f0ff9",
+    ("trie", "wildcard"): "9ace40aa6b4988415a20647138426bf27bd87661852f46bf81164eece3480365",
+    ("trie", "gram"): "66d5b3bbe5c54a2abf9e4d9f462b8fe08ae8a4cf85c75fb312d295932f45c1e7",
+}
+
+# sha256 over the encoded proofs, exact flags and record blobs of the golden
+# requests against the authenticated trie.
+GOLDEN_PROOFS = {
+    "wildcard": "83ee02e0e3c14fcb5231cf8b183222248cfbc4f78d06fcd6cb023e6c24c447c5",
+    "gram": "e5c4e2cd1f9f99e139bde0415aa675c684dc827e815dfc688a5cae1373f85433",
+}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    km = keygen(128, seed=b"golden-fzix")
+    rng = random.Random(2012)
+    corpus = random_corpus(rng, size=50, lo=3, hi=7)
+    for i, word in enumerate(sorted(corpus)):
+        if i % 3 == 0:
+            corpus[word].append(b"shared")
+    return km, corpus
+
+
+def _golden_requests(km, corpus, method):
+    rng = random.Random(2013)
+    words = sorted(corpus)
+    reqs = []
+    while len(reqs) < 40:
+        base = rng.choice(words)
+        query = base if rng.random() < 0.3 else mutate(base, rng)
+        if method == "gram" and len(query) < 2:
+            continue
+        reqs.append(make_request(query, rng.choice((0, 1)), km, method))
+    return reqs
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_BUILDERS))
+@pytest.mark.parametrize("method", ["wildcard", "gram"])
+def test_fzix_bytes_match_golden(golden, kind, method):
+    km, corpus = golden
+    blob = dumps_index(GOLDEN_BUILDERS[kind](corpus, 1, km, method))
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_FZIX[kind, method]
+
+
+@pytest.mark.parametrize("method", ["wildcard", "gram"])
+def test_proofs_and_records_match_golden(golden, method):
+    km, corpus = golden
+    index = build_auth_trie(corpus, 1, km, method)
+    digest = hashlib.sha256()
+    for req in _golden_requests(km, corpus, method):
+        result, proofs = search_with_proof(index, req)
+        for proof in proofs:
+            digest.update(encode_proof(proof))
+        digest.update(bytes([result.exact_hit]))
+        for rec in result.records:
+            digest.update(rec.blob)
+    assert digest.hexdigest() == GOLDEN_PROOFS[method]
+
+
+def _trie_file(count: int, body: bytes) -> bytes:
+    """FZIX v1 header of a plain wildcard trie (4-bit symbols, 160-bit trapdoors, d=1)."""
+    return b"FZIX" + bytes([1, 0x01, 4]) + (160).to_bytes(2, "big") + bytes([1]) + (
+        count.to_bytes(8, "big")
+    ) + body
+
+
+def _inner(sym: int) -> bytes:
+    """Symbol byte, then a node with no records and one child."""
+    return bytes([sym]) + b"\x00" + b"\x00\x00" + b"\x00\x01"
+
+
+def test_trie_records_off_full_depth_rejected(km):
+    blob = build_listing_index({"cat": [b"F1"]}, 0, km).table[trapdoor(km, "cat")][0].blob
+    records = b"\x00\x01" + len(blob).to_bytes(4, "big") + blob
+    root = b"\x00" + b"\x00\x00" + b"\x00\x01"
+    depth3 = bytes([3]) + b"\x01" + records + b"\x00\x00"
+    with pytest.raises(BadParameter, match="depth 3"):
+        loads_index(_trie_file(1, root + _inner(1) + _inner(2) + depth3))
+
+
+def test_trie_entry_count_must_match_header(km):
+    blob = dumps_index(build_trie_index({"cat": [b"F1"], "dog": [b"F2"]}, 1, km))
+    assert len(loads_index(blob).table) == 16
+    for count in (15, 17):
+        with pytest.raises(Truncated, match="entry count"):
+            loads_index(blob[:11] + count.to_bytes(8, "big") + blob[19:])

@@ -10,6 +10,9 @@ import pytest
 from conftest import random_corpus
 from fzsearch import (
     BadMagic,
+    BadParameter,
+    EncryptedRecord,
+    ListingIndex,
     Truncated,
     UserDirectory,
     VersionUnsupported,
@@ -113,9 +116,9 @@ class TestHandler:
 
     def test_malformed_fields(self, km, world):
         _, index = world
-        state = ServerState(index=index)
         req = make_request("cat", 1, km)
         good = search_msg(req)
+        width = len(good["trapdoors"][0])
         bad_variants = [
             dict(good, k="1"),
             dict(good, k=-1),
@@ -128,10 +131,16 @@ class TestHandler:
             dict(good, trapdoors=good["trapdoors"] + [good["trapdoors"][0]]),  # duplicate
             dict(good, epoch="0"),
             dict(good, proof="yes"),
+            # bytes.fromhex skips whitespace, which must not pass as hex
+            dict(good, trapdoors=[" " * width]),
+            dict(good, trapdoors=["\t" * width]),
+            dict(good, trapdoors=["\n" * width]),
         ]
-        for msg in bad_variants:
-            out = handle_message(state, msg)
-            assert out["type"] == "ErrorResp" and out["code"] == "MALFORMED", msg
+        for state in (ServerState(index=index), ServerState(index=index, xi=km.blind_key)):
+            for msg in bad_variants:
+                out = handle_message(state, msg)
+                assert out["type"] == "ErrorResp" and out["code"] == "MALFORMED", msg
+                assert not out["message"].startswith("unhandled request error"), msg
 
     def test_edit_bound_error(self, km, world):
         _, index = world
@@ -253,10 +262,16 @@ class TestPersistence:
     def test_unknown_flags(self, km):
         blob = bytearray(dumps_index(build_listing_index({"cat": [b"F"]}, 0, km)))
         blob[5] |= 0x80
-        from fzsearch.errors import BadParameter
-
         with pytest.raises(BadParameter):
             loads_index(bytes(blob))
+
+    def test_record_count_overflow_is_a_parameter_error(self):
+        rec = EncryptedRecord(nonce=bytes(12), ciphertext=bytes(16))
+        index = ListingIndex(
+            table={bytes(20): [rec] * 65536}, trapdoor_bits=160, symbol_bits=4, d=1
+        )
+        with pytest.raises(BadParameter, match="65535"):
+            dumps_index(index)
 
     def test_truncations_never_crash(self, km):
         corpus = {"cat": [b"F1"], "dog": [b"F2"]}
