@@ -36,9 +36,10 @@ from .service import (
     SearchClient,
     SearchServer,
     ServerState,
+    proofs_from_response,
     result_from_response,
 )
-from .verifiable import build_auth_trie, decode_proof, verify
+from .verifiable import build_auth_trie, verify
 
 KEYFILE_ENV = "FZ_KEYFILE"
 
@@ -128,7 +129,7 @@ def _search_common(args, force_verify: bool) -> int:
         if ack.get("type") != "HelloAck":
             raise FzError(f"unexpected hello response: {ack}")
         word = normalize_keyword(args.word)
-        req = make_request(word, args.k, km, ack["method"])
+        req = make_request(word, args.k, km, ack.get("method"))
         epoch = 0
         wire_req = req
         if args.blinded or ack.get("blinded"):
@@ -146,9 +147,7 @@ def _search_common(args, force_verify: bool) -> int:
         raise FzError(f"server error {resp.get('code')}: {resp.get('message')}")
     result = result_from_response(resp)
     if want_proof:
-        if "proofs" not in resp:
-            raise FzError("server returned no proofs; index is not verifiable")
-        proofs = [decode_proof(bytes.fromhex(p), km.depth) for p in resp["proofs"]]
+        proofs = proofs_from_response(resp, km.depth)
         verdict = verify(req, result, proofs, km)
         if not verdict.accepted:
             where = "" if verdict.failing_index is None else f" at proof {verdict.failing_index}"

@@ -5,12 +5,19 @@ variants, 160 bits by default so they split evenly into 4-bit symbols.  File
 identifiers travel inside authenticated ciphertexts under a separate key, and
 a Feistel permutation keyed by the rotating blind key turns trapdoors into
 per-epoch request tokens for the multi-user setting.
+
+Every PRF here (trapdoors, nonces, key derivation, the Feistel rounds) is
+``prf_bytes``: RFC 2104 HMAC, computed from the inner and outer hash states
+left after absorbing the padded key.  Those states are cached per key, so
+they hold key material in process memory for as long as the process lives,
+unless the bounded cache evicts them.  The AES-GCM record cipher is cached
+per key the same way.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import hmac
 import secrets
 from dataclasses import dataclass
 
@@ -23,17 +30,48 @@ NONCE_BYTES = 12
 MAX_FID_BYTES = 64
 
 _FEISTEL_ROUNDS = 4
+_ROUND_TAGS = tuple(b"F:" + bytes([i]) for i in range(_FEISTEL_ROUNDS))
+# Distinct keys in use at once: trapdoor, record and blind key, user keys, seeds.
+_KEY_CACHE_SIZE = 256
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _hmac_pads(key: bytes, digestmod: str):
+    """HMAC's inner and outer hash states after absorbing the padded key."""
+    inner, outer = hashlib.new(digestmod), hashlib.new(digestmod)
+    if len(key) > inner.block_size:
+        key = hashlib.new(digestmod, key).digest()
+    key = key.ljust(inner.block_size, b"\0")
+    inner.update(key.translate(_IPAD))
+    outer.update(key.translate(_OPAD))
+    return inner, outer
+
+
+def _hmac_expand(inner, outer, msg: bytes, n: int) -> bytes:
+    """Counter-mode HMAC blocks from cached pad states, cut to ``n`` bytes."""
+    out = b""
+    counter = 0
+    while True:
+        h = inner.copy()
+        h.update(msg + counter.to_bytes(4, "big"))
+        o = outer.copy()
+        o.update(h.digest())
+        out += o.digest()
+        if len(out) >= n:
+            return out[:n]
+        counter += 1
 
 
 def prf_bytes(key: bytes, msg: bytes, n: int, digestmod: str = "sha256") -> bytes:
-    """Keyed pseudorandom bytes: HMAC expanded in counter mode to ``n`` bytes."""
-    out = b""
-    counter = 0
-    while len(out) < n:
-        block = hmac.new(key, msg + counter.to_bytes(4, "big"), digestmod).digest()
-        out += block
-        counter += 1
-    return out[:n]
+    """Keyed pseudorandom bytes: HMAC expanded in counter mode to ``n`` bytes.
+
+    Byte for byte ``hmac.new(key, msg + counter, digestmod)`` for counters
+    0, 1, ... concatenated; the pad states come from a per-key cache.
+    """
+    inner, outer = _hmac_pads(key, digestmod)
+    return _hmac_expand(inner, outer, msg, n)
 
 
 @dataclass(frozen=True)
@@ -146,6 +184,11 @@ def record_nonce(km: KeyMaterial, variant: str, keyword: str, fid: bytes) -> byt
     return prf_bytes(km.record_key, msg, NONCE_BYTES)
 
 
+@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _record_cipher(record_key: bytes) -> AESGCM:
+    return AESGCM(record_key)
+
+
 def encrypt_record(
     km: KeyMaterial, fid: bytes, keyword: str, nonce: bytes | None = None
 ) -> EncryptedRecord:
@@ -155,14 +198,14 @@ def encrypt_record(
     if nonce is None:
         nonce = secrets.token_bytes(NONCE_BYTES)
     payload = bytes([len(fid)]) + fid + keyword.encode("ascii")
-    ct = AESGCM(km.record_key).encrypt(nonce, payload, None)
+    ct = _record_cipher(km.record_key).encrypt(nonce, payload, None)
     return EncryptedRecord(nonce=nonce, ciphertext=ct)
 
 
 def decrypt_record(km: KeyMaterial, rec: EncryptedRecord) -> tuple[bytes, str]:
     """Recover (fid, keyword); any tamper or wrong key raises AuthFailure."""
     try:
-        payload = AESGCM(km.record_key).decrypt(rec.nonce, rec.ciphertext, None)
+        payload = _record_cipher(km.record_key).decrypt(rec.nonce, rec.ciphertext, None)
     except (InvalidTag, ValueError) as exc:
         raise AuthFailure("record failed authentication") from exc
     if not payload:
@@ -173,31 +216,30 @@ def decrypt_record(km: KeyMaterial, rec: EncryptedRecord) -> tuple[bytes, str]:
     return payload[1 : 1 + n], payload[1 + n :].decode("ascii")
 
 
-def _feistel_f(key: bytes, rnd: int, half: bytes) -> bytes:
-    return prf_bytes(key, b"F:" + bytes([rnd]) + half, len(half))
-
-
 def prp(key: bytes, block: bytes, direction: str = "forward") -> bytes:
     """Keyed bijection on even-byte blocks: a 4-round Feistel network.
 
     ``prp(k, prp(k, b, "forward"), "inverse") == b`` for every block.  Works
     for any even byte length, so a 160-bit trapdoor needs no block-cipher
-    padding.
+    padding.  Round ``i`` XORs one half with ``prf_bytes(key, b"F:" + bytes([i])
+    + other half, half length)``, the halves taken as big-endian integers.
     """
     if direction not in ("forward", "inverse"):
         raise BadParameter(f"unknown direction {direction!r}")
     if not block or len(block) % 2 != 0:
         raise BadLength(f"block must be a positive even number of bytes, got {len(block)}")
     h = len(block) // 2
-    left, right = block[:h], block[h:]
-    rounds = range(_FEISTEL_ROUNDS)
+    inner, outer = _hmac_pads(key, "sha256")
+    left, right = int.from_bytes(block[:h], "big"), int.from_bytes(block[h:], "big")
     if direction == "forward":
-        for i in rounds:
-            left, right = right, bytes(a ^ b for a, b in zip(left, _feistel_f(key, i, right)))
+        for tag in _ROUND_TAGS:
+            f = _hmac_expand(inner, outer, tag + right.to_bytes(h, "big"), h)
+            left, right = right, left ^ int.from_bytes(f, "big")
     else:
-        for i in reversed(rounds):
-            left, right = bytes(a ^ b for a, b in zip(right, _feistel_f(key, i, left))), left
-    return left + right
+        for tag in reversed(_ROUND_TAGS):
+            f = _hmac_expand(inner, outer, tag + left.to_bytes(h, "big"), h)
+            left, right = right ^ int.from_bytes(f, "big"), left
+    return left.to_bytes(h, "big") + right.to_bytes(h, "big")
 
 
 def record_digest(records) -> bytes:

@@ -51,3 +51,7 @@ class VersionUnsupported(FzError):
 
 class Truncated(FzError):
     """Raised when a file ends before its declared content."""
+
+
+class BadResponse(FzError):
+    """Raised when a server reply does not follow the wire protocol."""

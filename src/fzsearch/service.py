@@ -25,7 +25,6 @@ out of contract comes back as an ErrorResp.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import socket
 import socketserver
@@ -33,9 +32,10 @@ import threading
 from dataclasses import dataclass, field
 
 from .crypto import EncryptedRecord
+from .errors import AuthFailure, BadResponse
 from .index import Index, ResultSet, SearchRequest, search_listing
 from .multiuser import unblind_request
-from .verifiable import encode_proof, search_with_proof
+from .verifiable import Proof, decode_proof, encode_proof, search_with_proof
 
 DEFAULT_PORT = 7090
 
@@ -166,17 +166,31 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
 
 def decode_records(resp: dict) -> list[EncryptedRecord]:
     """Client side: records field back into EncryptedRecord values."""
+    items = resp.get("records", [])
+    if not isinstance(items, list):
+        raise BadResponse("records must be a list")
     out = []
-    for item in resp.get("records", []):
+    for item in items:
         try:
             out.append(EncryptedRecord.from_blob(base64.b64decode(item, validate=True)))
-        except (binascii.Error, ValueError) as exc:
-            raise ValueError(f"bad record encoding: {exc}") from exc
+        except (TypeError, ValueError, AuthFailure) as exc:  # binascii.Error is a ValueError
+            raise BadResponse(f"bad record encoding: {exc}") from exc
     return out
 
 
 def result_from_response(resp: dict) -> ResultSet:
     return ResultSet(records=decode_records(resp), exact_hit=bool(resp.get("exact", False)))
+
+
+def proofs_from_response(resp: dict, depth: int) -> list[Proof]:
+    """Client side: proofs field back into Proof values for a tree of ``depth``."""
+    items = resp.get("proofs")
+    if not isinstance(items, list):
+        raise BadResponse("server returned no proofs; index is not verifiable")
+    try:
+        return [decode_proof(bytes.fromhex(item), depth) for item in items]
+    except (TypeError, ValueError) as exc:
+        raise BadResponse(f"bad proof encoding: {exc}") from exc
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -249,7 +263,13 @@ class SearchClient:
         line = self._file.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        return json.loads(line)
+        try:
+            reply = json.loads(line)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise BadResponse("server reply is not JSON") from exc
+        if not isinstance(reply, dict):
+            raise BadResponse("server reply is not a JSON object")
+        return reply
 
     def hello(self) -> dict:
         return self.roundtrip({"type": "Hello"})

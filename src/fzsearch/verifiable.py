@@ -31,7 +31,7 @@ from hashlib import sha256
 
 from .crypto import KeyMaterial, prf_bytes, record_digest
 from .errors import Truncated
-from .index import ResultSet, SearchRequest, TrieIndex, search_listing, symbolize
+from .index import ResultSet, SearchRequest, TrieIndex, search_listing
 
 R1_BYTES = 32
 
@@ -152,7 +152,8 @@ def verify(
     """
     if len(proofs) != len(req.trapdoors):
         return Verdict(False, VerdictReason.COUNT_MISMATCH)
-    depth = km.depth
+    depth, n = km.depth, km.symbol_bits
+    mask = (1 << n) - 1
     rng = rng or random.Random()
     base = root_r1(km.record_key)
     records = results.records
@@ -164,11 +165,12 @@ def verify(
             return Verdict(False, VerdictReason.BIT_PATTERN_INVALID, i)
         sampled = sample_rate >= 1.0 or rng.random() < sample_rate
         if sampled:
+            # the chain over the trapdoor's own first matched_len symbols
+            t = req.trapdoors[i]
+            v, bits = int.from_bytes(t, "big"), len(t) * 8
             r = base
-            for j, sym in enumerate(symbolize(req.trapdoors[i], km.symbol_bits), start=1):
-                if j > proof.matched_len:
-                    break
-                r = chain_r1(km.record_key, j, sym, r)
+            for j in range(1, min(proof.matched_len, bits // n) + 1):
+                r = chain_r1(km.record_key, j, (v >> (bits - j * n)) & mask, r)
             if not _hmac.compare_digest(r, proof.last_r1):
                 return Verdict(False, VerdictReason.CHAIN_MISMATCH, i)
         if proof.matched_len == depth and (not results.exact_hit or i == 0):

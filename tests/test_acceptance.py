@@ -6,9 +6,12 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  Measured artifacts
 
 import csv
 import dataclasses
+import gc
+import hashlib
 import json
 import os
 import random
+import statistics
 import time
 
 import pytest
@@ -217,17 +220,23 @@ def test_criterion_07_storage_reduction_formula():
 
 def test_criterion_08_linear_construction_time():
     start = time.perf_counter()
-    corpora = {count: synth_corpus(count, 7.44, seed=8) for count in (2000, 4000)}
-    times = {count: float("inf") for count in corpora}
-    # Alternating the sizes spreads a slow spell of the host over both.
+    small, large = (synth_corpus(count, 7.44, seed=8) for count in (2000, 4000))
+    ratios = []
+    # Each round times both sizes back to back, so a slow spell of the host
+    # tends to hit both halves of one ratio; the median drops outlier rounds.
     for _ in range(7):
-        for count, corpus in corpora.items():
-            times[count] = min(times[count], time_fuzzyset_build(corpus, 1, "wildcard")[0])
-    ratio = times[4000] / times[2000]
+        gc.disable()
+        try:
+            small_ms = time_fuzzyset_build(small, 1, "wildcard")[0]
+            large_ms = time_fuzzyset_build(large, 1, "wildcard")[0]
+        finally:
+            gc.enable()
+        ratios.append(large_ms / small_ms)
+    ratio = statistics.median(ratios)
     elapsed = time.perf_counter() - start
-    assert 1.6 <= ratio <= 2.6, f"ratio {ratio:.2f}"
+    assert 1.6 <= ratio <= 2.6, f"ratio {ratio:.2f} (rounds {', '.join(f'{r:.2f}' for r in ratios)})"
     assert elapsed < 120.0
-    _report(8, f"2000 -> 4000 keywords: construction time ratio {ratio:.2f} in [1.6, 2.6] ({elapsed:.1f} s)")
+    _report(8, f"2000 -> 4000 keywords: median construction time ratio {ratio:.2f} in [1.6, 2.6] ({elapsed:.1f} s)")
 
 
 def test_criterion_09_trie_storage_exceeds_listing():
@@ -392,6 +401,37 @@ def _scripted_session(seed: bytes) -> bytes:
     return transcript
 
 
+# sha256 of _blinded_session(b"golden-blind"), recorded before the PRF kernel
+# was rewritten; pins the Feistel bytes of blind_request on the wire and the
+# server's unblinded answers with proofs.
+GOLDEN_BLINDED_SESSION = "77a8051be2c01f464bbe2883151591b0d6e716e34d0b9943bf434b4753af0925"
+
+
+def _blinded_session(seed: bytes) -> bytes:
+    """Request and response lines of a blinded, proof-carrying session."""
+    km = keygen(128, seed=seed)
+    corpus = random_corpus(random.Random(13), size=30, lo=3, hi=6)
+    state = ServerState(index=build_auth_trie(corpus, 1, km), xi=km.blind_key, epoch=1)
+    lines = [encode_message({"type": "Hello"})]
+    for word in sorted(corpus)[:5]:
+        req = blind_request(make_request(word, 1, km), km.blind_key)
+        lines.append(
+            encode_message(
+                {
+                    "type": "SearchReq",
+                    "epoch": 1,
+                    "k": req.k,
+                    "trapdoors": [t.hex() for t in req.trapdoors],
+                    "proof": True,
+                }
+            )
+        )
+    transcript = b""
+    for line in lines:
+        transcript += line.encode() + handle_line(state, line).encode()
+    return transcript
+
+
 def test_criterion_13_protocol_robustness():
     rng = random.Random(13)
     km = keygen(128, seed=b"c13")
@@ -418,6 +458,8 @@ def test_criterion_13_protocol_robustness():
     second = _scripted_session(b"golden")
     assert first == second
     assert first  # transcript is not empty
+    blinded = _blinded_session(b"golden-blind")
+    assert hashlib.sha256(blinded).hexdigest() == GOLDEN_BLINDED_SESSION
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    _report(13, f"10^5 fuzzed lines survived ({fuzz_elapsed:.1f} s); golden transcript byte-stable")
+    _report(13, f"10^5 fuzzed lines survived ({fuzz_elapsed:.1f} s); golden transcript byte-stable, blinded session digest pinned")

@@ -1,3 +1,4 @@
+import hmac
 import random
 import secrets
 
@@ -16,7 +17,9 @@ from fzsearch import (
     trapdoor,
     wildcard_fuzzy_set,
 )
-from fzsearch.crypto import prf_bytes
+from fzsearch.cli import derive_user_key
+from fzsearch.crypto import prf_bytes, record_nonce
+from fzsearch.verifiable import chain_r1, leaf_tag, root_r1
 
 
 class TestKeygen:
@@ -165,3 +168,114 @@ def test_prf_bytes_expansion():
     assert out1 == out2[:20]
     assert len(out2) == 64
     assert prf_bytes(b"k", b"m2", 20) != out1
+
+
+def _hmac_reference(key: bytes, msg: bytes, n: int) -> bytes:
+    out = b""
+    counter = 0
+    while len(out) < n:
+        out += hmac.new(key, msg + counter.to_bytes(4, "big"), "sha256").digest()
+        counter += 1
+    return out[:n]
+
+
+def _prp_reference(key: bytes, block: bytes, direction: str) -> bytes:
+    """The Feistel network with byte-wise XOR over the stdlib HMAC reference."""
+    h = len(block) // 2
+    left, right = block[:h], block[h:]
+
+    def f(rnd, half):
+        return _hmac_reference(key, b"F:" + bytes([rnd]) + half, len(half))
+
+    if direction == "forward":
+        for i in range(4):
+            left, right = right, bytes(a ^ b for a, b in zip(left, f(i, right)))
+    else:
+        for i in reversed(range(4)):
+            left, right = bytes(a ^ b for a, b in zip(right, f(i, left))), left
+    return left + right
+
+
+def _kat_key(n: int) -> bytes:
+    return bytes((7 * i + 3) % 256 for i in range(n))
+
+
+# Known answers recorded from the hmac.new implementation: prf_bytes(key, b"kat-msg", 100)
+# for each key length; every shorter output is a prefix (counter mode).
+PRF_KAT = {
+    0: "a7805e00deb213e4f2f96a0adbf65e316a7b939f40c188c81c04d408b0dea6025fa97ff232963e8d2ed5e602f44dcdb4"
+       "69f0e2e8124ab1e9c0a194762214b83ce0e8b5643623c7a373680d61fe4a1dee77257107499ade53fbbbf8ee92d748e7f811a6b2",
+    1: "caf71c57a8a94477cb88c951b818f314a596393a80e0e8c7145fe90ea24636625388a2d57f33d65ee549e31502884ba0"
+       "ac659b6aad39d2b9d16ec41096880579a41373661afd2e165b3a4a21eb30b5ad015df85af35c3213d9a73fd7c9e4ee576bdd86ab",
+    16: "8617fe8f45cf672e864c3b99248e9e00dfa5c06dab5b80eb728b4a50fcd7e3f654ba884cd95d7a72deb2cb3575c24fe2"
+        "1f171b8f4b249b4d5af8053aa046c3507b5ea6a0bdc79e2a9b6fd246d2d8d0888b91af96cac89a184d079a91e6c7fc264df3c5ce",
+    32: "58fe7a045ecedd32c078b4bc14e99090557e6b09f637501db9f43792845ff3545bd6ba52ae3b899ec87ce4e92578a345"
+        "77d7c161787ae92c900e5273d040d30de138fd5659ff7a069ab97fe5b735734966e0e3144aaa7e073cf34f51edfc64b8f23f954b",
+    64: "74360e62c5fe5278e99593305fed044b4c621c42d130b418d19399ba6053cb8fc1cd56334052f0ee16e55bf3fd48ffe7"
+        "2d6048e5a8314fc5d711a8df88151401c1ab5f6158be070380b798080812d2b26311ca1af92b5d374c7457050a59cb60ee0a8bbc",
+    65: "bddbf7150c1fdef806a5349677069f46aabdf4668623e5853687ebc8bfa6dbe31d9cfacf5ebe5ec681426f295c6e0d4e"
+        "605b4fe7e62d03c41abd4e8d9b87777bb14cde0a5b465569fee0a8da7c193f189c100e478cd98f488fad396f5ee211a035fbd19a",
+    200: "377aa22ccbb24a02f3519b145731eff2d091064c9ea0a009e1f1205ad4c5853cbc5c4e0cef5cb8b3c798e0439fdb37b7"
+         "60f6c4cf1d96582daa8841db10b69cb9b688d0d8f55e847b6a42d0cc8fad76c53ce70cad39c16ec49f7ecae1974a2fac4b386537",
+}
+
+# block size -> (prp(_kat_key(16), bytes(range(size)), "forward"), ... "inverse")
+PRP_KAT = {
+    2: ("db34", "6d46"),
+    10: ("c35fc2106c6852015330", "7269ffd72a249604c600"),
+    20: ("28163c369ff39fcc38f3565cf02b691e7cd83e80", "b1852fec1a4c83c2a7bb91ffc3aa5db25b89ac7e"),
+    32: (
+        "5496a833fc01481b5baf38b1a7446d0252b7c6891adf2895f28ad4cd62f680ad",
+        "cccf5f01a1f54d726a196ddbb2254c0ac0d3d46ac025c819740a58a14c6fcc90",
+    ),
+}
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("key_len", sorted(PRF_KAT))
+    def test_prf_bytes(self, key_len):
+        expect = bytes.fromhex(PRF_KAT[key_len])
+        for n in (1, 10, 20, 32, 33, 100):
+            assert prf_bytes(_kat_key(key_len), b"kat-msg", n) == expect[:n], n
+
+    def test_prf_bytes_matches_stdlib_hmac(self):
+        rng = random.Random(2104)
+        for _ in range(500):
+            key = rng.randbytes(rng.randrange(201))
+            msg = rng.randbytes(rng.randrange(80))
+            n = rng.randrange(1, 100)
+            assert prf_bytes(key, msg, n) == _hmac_reference(key, msg, n), (key.hex(), msg.hex(), n)
+
+    def test_prp_matches_reference(self):
+        rng = random.Random(1993)
+        for _ in range(300):
+            key = rng.randbytes(rng.randrange(1, 80))
+            block = rng.randbytes(2 * rng.randrange(1, 100))
+            for direction in ("forward", "inverse"):
+                assert prp(key, block, direction) == _prp_reference(key, block, direction)
+
+    @pytest.mark.parametrize("size", sorted(PRP_KAT))
+    def test_prp(self, size):
+        key, block = _kat_key(16), bytes(range(size))
+        forward, inverse = (bytes.fromhex(h) for h in PRP_KAT[size])
+        assert prp(key, block, "forward") == forward
+        assert prp(key, block, "inverse") == inverse
+        assert prp(key, forward, "inverse") == block
+        assert prp(key, inverse, "forward") == block
+
+    def test_keyed_functions(self):
+        km = keygen(128, seed=b"kat")
+        assert km.trapdoor_key.hex() == "a7bb3e46941ac17193442332b93ea7fd"
+        assert km.record_key.hex() == "a4ba4adeecf19ac1fc16bb2aa3151700"
+        assert km.blind_key.hex() == "eca3fe8dba09b297907d42a01f2b7c63"
+        assert trapdoor(km, "castle").hex() == "e33d3d01445dd2ea8978bd4fc4fd97279b5a828d"
+        assert trapdoor(km, "c*stle").hex() == "9628775b4a2e5f93aa53ffe821923a1fea87fa0b"
+        assert record_nonce(km, "c*stle", "castle", b"file-1").hex() == "83d8a1beb61ea85bd8787eca"
+        root = root_r1(km.record_key)
+        assert root.hex() == "2946324517017ce92d83c74bcc3163771f8cadee39f908b0e9b990256e62b156"
+        r1 = chain_r1(km.record_key, 1, 7, root)
+        assert r1.hex() == "599d432bccccbc872a1be1cc78125c3a330fa80895ad7081eed51bcb46d75504"
+        tag = leaf_tag(km.record_key, r1, bytes(32))
+        assert tag.hex() == "ec5cdf3d300dceddd56ffb0d43de9c6859462ebc8cacc37453b3e3a28c21a67e"
+        user_key = derive_user_key(km.record_key, "alice")
+        assert user_key.hex() == "2fcdeb1944ba673595968ec6ed46cf5ece3e1ddb3deee0fdc0d3b07d433281a5"

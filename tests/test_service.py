@@ -4,6 +4,7 @@ import random
 import socket
 import stat
 import string
+import threading
 
 import pytest
 
@@ -470,3 +471,86 @@ class TestCli:
         indexfile = str(workspace / "env.fzix")
         assert cli_main(["build", "--corpus", str(workspace / "corpus"), "--out", indexfile]) == 0
         capsys.readouterr()
+
+
+class _StubClient:
+    """Stands in for SearchClient: a fixed HelloAck, then ``reply`` to the search."""
+
+    ack = {"type": "HelloAck", "method": "wildcard", "epoch": 0, "blinded": False}
+    reply: dict = {}
+
+    def __init__(self, host, port, timeout=30.0):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def hello(self):
+        return self.ack
+
+    def search(self, req, epoch=0, want_proof=False):
+        return self.reply
+
+
+# a record blob that decodes and is long enough, but is no real ciphertext
+_BLOB = "A" * 40
+
+
+class TestHostileServer:
+    @pytest.mark.parametrize(
+        "command, reply, message",
+        [
+            ("search", {"type": "SearchResp", "records": ["!!notbase64"]}, "bad record encoding"),
+            ("search", {"type": "SearchResp", "records": [17]}, "bad record encoding"),
+            ("search", {"type": "SearchResp", "records": "AAAA"}, "records must be a list"),
+            ("search", {"type": "SearchResp", "records": ["AAAA"]}, "bad record encoding"),
+            ("verify", {"type": "SearchResp", "records": [], "proofs": ["zz"]}, "bad proof encoding"),
+            ("verify", {"type": "SearchResp", "records": [], "proofs": [None]}, "bad proof encoding"),
+            ("verify", {"type": "SearchResp", "records": [], "proofs": ["28ff"]}, "proof encoding ends early"),
+            ("verify", {"type": "SearchResp", "records": []}, "no proofs"),
+            ("verify", {"type": "SearchResp", "records": [_BLOB], "proofs": []}, "CountMismatch"),
+        ],
+    )
+    def test_bad_reply_is_a_clean_error(self, tmp_path, monkeypatch, capsys, command, reply, message):
+        keyfile = str(tmp_path / "k.fzky")
+        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        monkeypatch.setattr("fzsearch.cli.SearchClient", type("Stub", (_StubClient,), {"reply": reply}))
+        capsys.readouterr()
+        assert cli_main([command, "castle", "1", "--keys", keyfile]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_hello_without_method(self, tmp_path, monkeypatch, capsys):
+        keyfile = str(tmp_path / "k.fzky")
+        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        monkeypatch.setattr("fzsearch.cli.SearchClient", type("Stub", (_StubClient,), {"ack": {"type": "HelloAck"}}))
+        capsys.readouterr()
+        assert cli_main(["search", "castle", "1", "--keys", keyfile]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("line", [b"not json\n", b"[1, 2]\n", b"\xff\xfe\n"])
+    def test_non_object_reply(self, tmp_path, capsys, line):
+        keyfile = str(tmp_path / "k.fzky")
+        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.makefile("rb").readline()
+                conn.sendall(line)
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        try:
+            capsys.readouterr()
+            assert cli_main(["search", "castle", "1", "--keys", keyfile, "--server", f"127.0.0.1:{port}"]) == 1
+            assert capsys.readouterr().err.startswith("error: server reply is not")
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
