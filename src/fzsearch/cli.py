@@ -190,8 +190,9 @@ def _cmd_revoke(args) -> int:
     for uid in directory.wrapped:
         directory.user_keys[uid] = derive_user_key(km.record_key, uid)
     directory.revoke(args.user)
-    save_directory(directory, args.directory)
+    # key file first: see the recovery order in persist
     save_keys(dataclasses.replace(km, blind_key=directory.current_xi), keyfile)
+    save_directory(directory, args.directory)
     print(f"revoked {args.user}; directory now at epoch {directory.epoch}")
     print(f"updated blind key in {keyfile}; restart the server with the new epoch")
     return 0

@@ -95,23 +95,33 @@ class TrieIndex(Index):
 
         That is its longest common prefix with its predecessor or successor.
         """
-        v = prefix << (self.trapdoor_bits - depth * self.symbol_bits)
-        pos = bisect_left(self.ordered, v)
-        near = self.ordered[max(pos - 1, 0) : pos + 1]
-        diff = min((v ^ u for u in near), default=(1 << self.trapdoor_bits) - 1)
-        return min(depth, (self.trapdoor_bits - diff.bit_length()) // self.symbol_bits)
+        bits, ordered = self.trapdoor_bits, self.ordered
+        v = prefix << (bits - depth * self.symbol_bits)
+        pos = bisect_left(ordered, v)
+        diff = (1 << bits) - 1
+        if pos:
+            diff = v ^ ordered[pos - 1]
+        if pos < len(ordered):
+            diff = min(diff, v ^ ordered[pos])
+        return min(depth, (bits - diff.bit_length()) // self.symbol_bits)
+
+    def _splits(self) -> Iterator[tuple[int, int]]:
+        """(leaf, shared) in leaf order: ``shared`` is the leaf's common prefix,
+        in symbols, with the leaf before (0 for the first)."""
+        n, bits = self.symbol_bits, self.trapdoor_bits
+        prev = None
+        for v in self.ordered:
+            yield v, 0 if prev is None else (bits - (v ^ prev).bit_length()) // n
+            prev = v
 
     def node_keys(self) -> Iterator[tuple[int, int]]:
         """(depth, prefix) of every node in pre-order; each trapdoor adds those
         below its common prefix with the one before."""
         n, bits = self.symbol_bits, self.trapdoor_bits
         yield 0, 0
-        prev = None
-        for v in self.ordered:
-            shared = 0 if prev is None else (bits - (v ^ prev).bit_length()) // n
+        for v, shared in self._splits():
             for depth in range(shared + 1, self.depth + 1):
                 yield depth, v >> (bits - depth * n)
-            prev = v
 
     @property
     def root(self) -> "NodeView":
@@ -160,11 +170,11 @@ class NodeView:
 
     @property
     def r1(self) -> bytes:
-        return self.index.r1[self.depth, self.prefix]
+        return self.index.r1_at(self.depth, self.prefix)
 
     @property
     def tag(self) -> bytes | None:
-        return self.index.tags.get(self.trapdoor)
+        return None if self.trapdoor is None else self.index.tag_at(self.trapdoor)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,15 @@ All integers are big-endian.  Layouts:
     magic "FZUD", version byte, epoch (8), entry count (4), then
     user id (2-byte length-prefixed UTF-8) || wrapped blob (2-byte
     length-prefixed).  Personal keys are never written.
+
+Every ``save_*`` writes a temporary file in the target's directory, fsyncs
+it, renames it over the target and fsyncs the directory, so a crash leaves
+either the old file or the new one.  Recovery order for revocation: the key
+file (new blind key) is written before the directory.  A crash between the
+two leaves the old directory, still listing the revoked user and wrapping
+the old key, beside the new key file; running ``revoke`` again rotates once
+more and writes both.  Writing the directory first would lose the new blind
+key, and the revoked user would be gone, so a second ``revoke`` could not run.
 """
 
 from __future__ import annotations
@@ -131,11 +140,37 @@ def loads_keys(data: bytes) -> KeyMaterial:
     )
 
 
+def _replace_file(path: str, data: bytes, mode: int = 0o666) -> None:
+    """Put ``data`` at ``path`` through a fsynced temporary file and a rename.
+
+    The temporary file is created with ``mode`` (less the umask) and a name
+    no other writer uses; it is removed if anything fails before the rename.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)  # makes the rename itself durable
+    finally:
+        os.close(dir_fd)
+
+
 def save_keys(km: KeyMaterial, path: str) -> None:
     """Write the key file with owner-only permissions."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(dumps_keys(km))
+    _replace_file(path, dumps_keys(km), 0o600)
 
 
 def load_keys(path: str) -> KeyMaterial:
@@ -169,12 +204,17 @@ def _write_trie(out: io.BytesIO, index) -> None:
     chunks: list[bytes] = []
     count_at = [0] * leaf_depth  # chunk position of the open node's child count, per depth
     counts = [0] * leaf_depth
+    # r1 and tags are laid out in the order the nodes and leaves are written
+    r1 = tag = b""
+    r1_pos = tag_pos = 0
     for depth, prefix in index.node_keys():
         if depth:
             counts[depth - 1] += 1
             chunks[count_at[depth - 1]] = counts[depth - 1].to_bytes(2, "big")
             chunks.append(bytes([prefix & mask]))
-        r1 = index.r1[depth, prefix] if verifiable else b""
+        if verifiable:
+            r1 = index.r1[r1_pos : r1_pos + R1_BYTES]
+            r1_pos += R1_BYTES
         if depth < leaf_depth:
             chunks.append(b"\x00" + r1 + b"\x00\x00")
             count_at[depth] = len(chunks)
@@ -182,14 +222,17 @@ def _write_trie(out: io.BytesIO, index) -> None:
             chunks.append(b"\x00\x00")
         else:
             t = prefix.to_bytes(bits // 8, "big")
-            tag = index.tags[t] if verifiable else b""
+            if verifiable:
+                tag = index.tags[tag_pos : tag_pos + R1_BYTES]
+                tag_pos += R1_BYTES
             chunks.append(bytes([t in index.exact]) + r1 + _records_bytes(index.table[t]) + tag)
             chunks.append(b"\x00\x00")
     out.write(b"".join(chunks))
 
 
 def _read_trie(r: _Reader, index) -> None:
-    """Stream the pre-order node stream into ``index``'s map (and r1 and tag tables)."""
+    """Stream the pre-order node stream into ``index``'s map, appending each
+    r1 and tag to the index's byte strings in the order they are met."""
     verifiable = index.kind == "auth_trie"
     n, leaf_depth = index.symbol_bits, index.depth
     r1_len = R1_BYTES if verifiable else 0
@@ -206,11 +249,11 @@ def _read_trie(r: _Reader, index) -> None:
         run = r.match(unary)
         for i in range(0, len(run), stride):
             if verifiable:
-                index.r1[depth, prefix] = run[i + 1 : i + 1 + R1_BYTES]
+                index.r1 += run[i + 1 : i + 1 + R1_BYTES]
             depth, prefix = depth + 1, (prefix << n) | run[i + stride - 1]
         exact = r.u8() & 0x01
         if verifiable:
-            index.r1[depth, prefix] = r.take(R1_BYTES)
+            index.r1 += r.take(R1_BYTES)
         records = _read_records(r)
         tag = r.take(R1_BYTES) if verifiable and records else None
         children = r.u16()
@@ -224,7 +267,7 @@ def _read_trie(r: _Reader, index) -> None:
             if exact:
                 index.exact.add(t)
             if tag:
-                index.tags[t] = tag
+                index.tags += tag
         last = -1
         for _ in range(children):
             sym = r.u8()
@@ -291,8 +334,7 @@ def loads_index(data: bytes):
 
 
 def save_index(index, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dumps_index(index))
+    _replace_file(path, dumps_index(index))
 
 
 def load_index(path: str):
@@ -333,8 +375,7 @@ def loads_directory(data: bytes, current_xi: bytes = b"") -> UserDirectory:
 
 
 def save_directory(directory: UserDirectory, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dumps_directory(directory))
+    _replace_file(path, dumps_directory(directory))
 
 
 def load_directory(path: str, current_xi: bytes = b"") -> UserDirectory:

@@ -16,7 +16,8 @@ Message types:
     ``{"type": "SearchResp", "epoch": E, "exact": bool,
     "records": [base64(nonce || ciphertext)...], "proofs": [hex...]?}``.
 ``ErrorResp``
-    codes MALFORMED, EDIT_BOUND, STALE_EPOCH, TOO_MANY_TRAPDOORS.
+    codes MALFORMED, EDIT_BOUND, STALE_EPOCH, TOO_MANY_TRAPDOORS, and
+    INTERNAL for a fault of the server's own (an exception no check caught).
 
 The handler never raises on any input line; anything unparseable or
 out of contract comes back as an ErrorResp.
@@ -43,6 +44,7 @@ MALFORMED = "MALFORMED"
 EDIT_BOUND = "EDIT_BOUND"
 STALE_EPOCH = "STALE_EPOCH"
 TOO_MANY_TRAPDOORS = "TOO_MANY_TRAPDOORS"
+INTERNAL = "INTERNAL"
 
 
 @dataclass
@@ -145,7 +147,7 @@ def handle_message(state: ServerState, msg: dict) -> dict:
             resp["proofs"] = proofs
         return resp
     except Exception as exc:  # contract: the server survives anything
-        return _error(state, MALFORMED, f"unhandled request error: {type(exc).__name__}")
+        return _error(state, INTERNAL, f"unhandled request error: {type(exc).__name__}")
 
 
 def handle_line(state: ServerState, line: bytes | str) -> str:

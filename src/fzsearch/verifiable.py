@@ -1,12 +1,20 @@
 """Verifiable search: an authenticated trie, per-trapdoor proofs, and Verify.
 
-The authenticated trie is the trie over the same entry map plus two tables.
-``r1`` holds every node's chain digest, keyed by (depth, prefix):
+The authenticated trie is the trie over the same entry map plus two byte
+strings.  Every node has a chain digest
 ``r1 = PRF(sk0, depth || symbol || parent_r1)``, and ``PRF(sk0, "root")`` at
 the root.  So anyone holding ``sk0`` can recompute the r1 of the node a
 trapdoor's own symbols lead to, and a proof cannot borrow the r1 of a
-different node.  ``tags`` holds, per entry,
-``leaf_tag = PRF(sk0, r1 || digest(records))``, binding the exact record list.
+different node.  Every entry has ``leaf_tag = PRF(sk0, r1 || digest(records))``,
+binding the exact record list.
+
+``r1`` holds the digests, ``R1_BYTES`` each, in the pre-order of
+``node_keys()``: the order the builder makes them and FZIX writes them.  A
+node's place in that order is its address, so no per-node key is stored.
+``r1_at(depth, prefix)`` finds the first leaf under the node by bisecting the
+sorted trapdoors; that leaf's path adds the node to the pre-order, and a
+per-leaf offset list gives where.  ``tags`` holds the leaf tags, ``R1_BYTES``
+each, in sorted-trapdoor order, read by ``tag_at``.
 
 A proof per trapdoor reports the matched prefix length as a bit sequence
 (all ones on a full match, ones then a single zero on a mismatch), the
@@ -26,7 +34,10 @@ from __future__ import annotations
 import enum
 import hmac as _hmac
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from hashlib import sha256
 
 from .crypto import KeyMaterial, prf_bytes, record_digest
@@ -51,23 +62,62 @@ def leaf_tag(record_key: bytes, r1: bytes, digest: bytes) -> bytes:
 @dataclass
 class AuthTrieIndex(TrieIndex):
     kind = "auth_trie"
-    r1: dict[tuple[int, int], bytes] = field(default_factory=dict)  # (depth, prefix) -> r1
-    tags: dict[bytes, bytes] = field(default_factory=dict)  # trapdoor -> leaf tag
+    r1: bytearray = field(default_factory=bytearray)  # R1_BYTES per node, in node_keys() order
+    tags: bytearray = field(default_factory=bytearray)  # R1_BYTES per entry, in ``ordered`` order
 
     @classmethod
     def build(cls, corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"):
         """Trie build plus an r1 for every node, parents first, and a tag per entry."""
         index = super().build(corpus, d, km, method)
-        key, n = km.record_key, index.symbol_bits
-        index.r1[0, 0] = root_r1(key)
+        key, n, leaf_depth = km.record_key, index.symbol_bits, index.depth
+        path = [root_r1(key)] * (leaf_depth + 1)  # r1 of the last node met at each depth
+        index.r1 += path[0]
         for depth, prefix in index.node_keys():
             if depth:
-                parent = index.r1[depth - 1, prefix >> n]
-                index.r1[depth, prefix] = chain_r1(key, depth, prefix & ((1 << n) - 1), parent)
-        for t, records in index.table.items():
-            leaf_r1 = index.r1[index.depth, int.from_bytes(t, "big")]
-            index.tags[t] = leaf_tag(key, leaf_r1, record_digest(records))
+                path[depth] = chain_r1(key, depth, prefix & ((1 << n) - 1), path[depth - 1])
+                index.r1 += path[depth]
+            if depth == leaf_depth:
+                records = index.table[prefix.to_bytes(index.trapdoor_bits // 8, "big")]
+                index.tags += leaf_tag(key, path[depth], record_digest(records))
         return index
+
+    @cached_property
+    def _path_base(self) -> array:
+        """Per leaf, the pre-order number of the nodes its path adds, less their depth.
+
+        Leaf i adds the nodes below its common prefix with leaf i-1, in one
+        pre-order run; the one at depth ``d`` is node ``_path_base[i] + d``.
+        """
+        base, count = array("q"), 1
+        for _, shared in self._splits():
+            base.append(count - shared - 1)
+            count += self.depth - shared
+        return base
+
+    def r1_at(self, depth: int, prefix: int) -> bytes:
+        """The r1 of the node at ``depth`` on the path ``prefix``; KeyError if there is none.
+
+        The first leaf under the node is the one that adds it to the pre-order.
+        """
+        at = 0  # the root's
+        if depth or prefix:
+            shift = self.trapdoor_bits - depth * self.symbol_bits
+            if depth <= 0 or shift < 0:
+                raise KeyError((depth, prefix))
+            ordered = self.ordered
+            pos = bisect_left(ordered, prefix << shift)
+            if pos == len(ordered) or ordered[pos] >> shift != prefix:
+                raise KeyError((depth, prefix))
+            at = (self._path_base[pos] + depth) * R1_BYTES
+        return bytes(self.r1[at : at + R1_BYTES])
+
+    def tag_at(self, t: bytes) -> bytes:
+        """The leaf tag of entry ``t``; KeyError if the index has no such entry."""
+        v, ordered = int.from_bytes(t, "big"), self.ordered
+        pos = bisect_left(ordered, v)
+        if pos == len(ordered) or ordered[pos] != v:
+            raise KeyError(t)
+        return bytes(self.tags[pos * R1_BYTES : (pos + 1) * R1_BYTES])
 
 
 @dataclass(frozen=True)
@@ -110,11 +160,11 @@ def search_with_proof(index: AuthTrieIndex, req: SearchRequest) -> tuple[ResultS
         v = int.from_bytes(t, "big")
         matched = index.matched_len(depth, v)
         if matched < depth:
-            r1 = index.r1[matched, v >> (index.trapdoor_bits - matched * index.symbol_bits)]
+            r1 = index.r1_at(matched, v >> (index.trapdoor_bits - matched * index.symbol_bits))
             proofs.append(Proof(matched, (1,) * matched + (0,), r1))
         else:
             digest = record_digest(index.table[t])
-            proofs.append(Proof(depth, (1,) * depth, index.r1[depth, v], index.tags[t], digest))
+            proofs.append(Proof(depth, (1,) * depth, index.r1_at(depth, v), index.tag_at(t), digest))
     return result, proofs
 
 
@@ -193,16 +243,21 @@ def verify(
     return Verdict(True, VerdictReason.OK)
 
 
+_BIT_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)  # bit value -> ASCII digit
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _pack_bits(bits: tuple[int, ...]) -> bytes:
-    out = bytearray((len(bits) + 7) // 8)
-    for i, b in enumerate(bits):
-        if b:
-            out[i // 8] |= 0x80 >> (i % 8)
-    return bytes(out)
+    """The bits most significant first, zero-padded to whole bytes."""
+    size = (len(bits) + 7) // 8
+    value = int(bytes(bits).translate(_BIT_DIGITS) or b"0", 2)
+    return (value << (8 * size - len(bits))).to_bytes(size, "big")
 
 
 def _unpack_bits(buf: bytes, count: int) -> tuple[int, ...]:
-    return tuple((buf[i // 8] >> (7 - i % 8)) & 1 for i in range(count))
+    """The first ``count`` bits of ``buf``, most significant first."""
+    digits = bin(int.from_bytes(buf, "big") | 1 << 8 * len(buf))  # "0b1" then every bit
+    return tuple(digits[3 : 3 + count].encode().translate(_DIGIT_BITS))
 
 
 def encode_proof(proof: Proof) -> bytes:
@@ -217,26 +272,23 @@ def encode_proof(proof: Proof) -> bytes:
 
 def decode_proof(buf: bytes, depth: int) -> Proof:
     """Inverse of ``encode_proof``; needs the tree depth to size the bitfield."""
-    view = memoryview(buf)
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(view):
-            raise Truncated("proof encoding ends early")
-        chunk = bytes(view[pos : pos + n])
-        pos += n
-        return chunk
-
-    matched_len = take(1)[0]
+    if not buf:
+        raise Truncated("proof encoding ends early")
+    matched_len = buf[0]
     full = matched_len == depth
     nbits = matched_len if full else matched_len + 1
-    bits = _unpack_bits(take((nbits + 7) // 8), nbits)
-    r1 = take(take(1)[0])
-    tag = digest = None
-    if full:
-        tag = take(take(1)[0])
-        digest = take(take(1)[0])
-    if pos != len(view):
+    pos = bits_end = 1 + (nbits + 7) // 8
+    fields = []
+    for _ in range(3 if full else 1):  # r1, then a full match's tag and digest
+        if pos >= len(buf):
+            raise Truncated("proof encoding ends early")
+        end = pos + 1 + buf[pos]
+        fields.append(buf[pos + 1 : end])
+        pos = end
+    if pos > len(buf):
+        raise Truncated("proof encoding ends early")
+    if pos < len(buf):
         raise Truncated("trailing bytes after proof")
+    r1, tag, digest = fields if full else (fields[0], None, None)
+    bits = _unpack_bits(buf[1:bits_end], nbits)
     return Proof(matched_len=matched_len, match_bits=bits, last_r1=r1, leaf_tag=tag, record_digest=digest)

@@ -432,26 +432,56 @@ def _blinded_session(seed: bytes) -> bytes:
     return transcript
 
 
+def _garbage_line(rng: random.Random):
+    printable = "".join(chr(c) for c in range(32, 127))
+    roll = rng.random()
+    if roll < 0.35:
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(0, 60)))
+    if roll < 0.7:
+        return "".join(rng.choice(printable) for _ in range(rng.randrange(0, 80)))
+    if roll < 0.85:
+        return json.dumps({"type": rng.choice(["SearchReq", "Hello", "X", 7]), "k": rng.choice([0, 1, "k", None, 10**12]), "trapdoors": rng.choice([None, [], ["00"], ["0" * 40], 3])})
+    return json.dumps(rng.choice([[], 42, "str", {"a": {"b": {"c": 1}}}]))
+
+
+def _proof_line(rng: random.Random, km, words: list[str]) -> str:
+    """A well-formed blinded proof request: real, mutated or random trapdoors, any k and epoch."""
+    roll = rng.random()
+    if roll < 0.6:
+        word = rng.choice(words) if roll < 0.3 else mutate(rng.choice(words), rng) or "a"
+        trapdoors = blind_request(make_request(word, 1, km), km.blind_key).trapdoors
+    else:
+        trapdoors = {rng.randbytes(km.trapdoor_bits // 8) for _ in range(rng.randint(1, 20))}
+    trapdoors = [t.hex() for t in trapdoors]
+    if rng.random() < 0.1:
+        trapdoors = trapdoors + [trapdoors[0]]  # duplicate
+    msg = {"type": "SearchReq", "epoch": rng.choice([1, 1, 1, 0, "1"]), "k": rng.choice([0, 1, 1, 2]),
+           "trapdoors": trapdoors, "proof": rng.choice([True, True, True, False, 1])}
+    return json.dumps(msg)
+
+
 def test_criterion_13_protocol_robustness():
     rng = random.Random(13)
     km = keygen(128, seed=b"c13")
     corpus = random_corpus(rng, size=30, lo=3, hi=6)
     state = ServerState(index=build_trie_index(corpus, 1, km))
+    # the blinded, verifiable path: unblinding, proofs and the r1 lookups behind them
+    auth_state = ServerState(index=build_auth_trie(corpus, 1, km), xi=km.blind_key, epoch=1)
+    words = sorted(corpus)
     start = time.perf_counter()
-    printable = "".join(chr(c) for c in range(32, 127))
-    for i in range(100_000):
-        roll = rng.random()
-        if roll < 0.35:
-            line = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 60)))
-        elif roll < 0.7:
-            line = "".join(rng.choice(printable) for _ in range(rng.randrange(0, 80)))
-        elif roll < 0.85:
-            line = json.dumps({"type": rng.choice(["SearchReq", "Hello", "X", 7]), "k": rng.choice([0, 1, "k", None, 10**12]), "trapdoors": rng.choice([None, [], ["00"], ["0" * 40], 3])})
-        else:
-            line = json.dumps(rng.choice([[], 42, "str", {"a": {"b": {"c": 1}}}]))
-        out = handle_line(state, line)
+    lines = [(state, _garbage_line(rng)) for _ in range(100_000)]
+    for _ in range(10_000):
+        line = _proof_line(rng, km, words) if rng.random() < 0.5 else _garbage_line(rng)
+        lines.append((auth_state, line))
+    proofs = 0
+    for i, (target, line) in enumerate(lines):
+        out = handle_line(target, line)
         parsed = json.loads(out)
         assert parsed["type"] in ("ErrorResp", "SearchResp", "HelloAck"), (i, line)
+        assert parsed.get("code") != "INTERNAL", (i, line, parsed)
+        assert "unhandled request error" not in parsed.get("message", ""), (i, line)
+        proofs += "proofs" in parsed
+    assert proofs > 1000
     fuzz_elapsed = time.perf_counter() - start
 
     first = _scripted_session(b"golden")
@@ -462,4 +492,4 @@ def test_criterion_13_protocol_robustness():
     assert hashlib.sha256(blinded).hexdigest() == GOLDEN_BLINDED_SESSION
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    _report(13, f"10^5 fuzzed lines survived ({fuzz_elapsed:.1f} s); golden transcript byte-stable, blinded session digest pinned")
+    _report(13, f"1.1 x 10^5 fuzzed lines survived, {proofs} of them answered with proofs ({fuzz_elapsed:.1f} s); golden transcript byte-stable, blinded session digest pinned")

@@ -35,6 +35,7 @@ from fzsearch.persist import (
     loads_directory,
     loads_index,
     loads_keys,
+    save_index,
     save_keys,
 )
 from fzsearch.service import (
@@ -177,6 +178,18 @@ class TestHandler:
         verdict = verify(req, result_from_response(resp), proofs, km)
         assert verdict.accepted
 
+    def test_server_fault_is_internal(self, km, world, monkeypatch):
+        import fzsearch.service as service
+
+        def broken(index, req):
+            raise RuntimeError("boom")
+
+        _, index = world
+        monkeypatch.setattr(service, "search_listing", broken)
+        out = handle_message(ServerState(index=index), search_msg(make_request("cat", 1, km)))
+        assert out["type"] == "ErrorResp" and out["code"] == "INTERNAL"
+        assert out["message"] == "unhandled request error: RuntimeError"
+
     def test_handler_survives_fuzz(self, world):
         _, index = world
         state = ServerState(index=index)
@@ -211,6 +224,28 @@ class TestPersistence:
         assert load_keys(str(path)) == km
         mode = stat.S_IMODE(os.stat(path).st_mode)
         assert mode == 0o600
+        # rewriting a key file that was left readable replaces it with an owner-only one
+        os.chmod(path, 0o644)
+        save_keys(km, str(path))
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+        assert os.listdir(tmp_path) == ["k.fzky"]
+
+    def test_failed_save_keeps_the_old_file(self, km, tmp_path, monkeypatch):
+        import fzsearch.persist as persist
+
+        path = tmp_path / "i.fzix"
+        old = build_listing_index({"cat": [b"F1"]}, 1, km)
+        save_index(old, str(path))
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(persist.os, "replace", crash)
+        with pytest.raises(OSError, match="disk gone"):
+            save_index(build_listing_index({"dog": [b"F2"]}, 1, km), str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["i.fzix"]  # no temporary file left behind
 
     @pytest.mark.parametrize("kind", ["listing", "trie", "auth"])
     @pytest.mark.parametrize("method", ["wildcard", "gram"])
@@ -454,6 +489,34 @@ class TestCli:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_revoke_converges_after_a_crash_between_files(self, workspace, monkeypatch, capsys):
+        import fzsearch.cli as cli
+        from fzsearch.cli import derive_user_key
+        from fzsearch.persist import load_directory
+
+        keyfile = str(workspace / "k.fzky")
+        dirfile = str(workspace / "users.fzud")
+        assert cli_main(["keygen", "--out", keyfile, "--seed", "ef"]) == 0
+        for user in ("alice", "eve"):
+            assert cli_main(["enroll", "--keys", keyfile, "--directory", dirfile, "--user", user]) == 0
+        first_xi = load_keys(keyfile).blind_key
+
+        def crash(directory, path):
+            raise OSError("power cut")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "save_directory", crash)
+            assert cli_main(["revoke", "--keys", keyfile, "--directory", dirfile, "--user", "eve"]) == 1
+        assert load_keys(keyfile).blind_key != first_xi  # the key file was written first
+        assert load_directory(dirfile).epoch == 0 and "eve" in load_directory(dirfile).wrapped
+
+        assert cli_main(["revoke", "--keys", keyfile, "--directory", dirfile, "--user", "eve"]) == 0
+        km = load_keys(keyfile)
+        directory = load_directory(dirfile)
+        assert directory.epoch == 1 and set(directory.wrapped) == {"alice"}
+        assert directory.unwrap("alice", derive_user_key(km.record_key, "alice")) == km.blind_key
+        capsys.readouterr()
 
     def test_exit_codes(self, workspace, monkeypatch, capsys):
         assert cli_main(["bogus-command"]) == 2

@@ -17,7 +17,16 @@ from fzsearch import (
     verify,
 )
 from fzsearch.errors import Truncated
-from fzsearch.verifiable import chain_r1, decode_proof, encode_proof, root_r1
+from fzsearch.persist import dumps_index, loads_index
+from fzsearch.verifiable import (
+    R1_BYTES,
+    _pack_bits,
+    _unpack_bits,
+    chain_r1,
+    decode_proof,
+    encode_proof,
+    root_r1,
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,13 +52,51 @@ def _fuzzy_transcript(km, index, corpus, rng, min_full=2):
 
 class TestChain:
     def test_r1_recomputable_from_path(self, km, small_world):
+        _, built = small_world
+        mask = (1 << km.symbol_bits) - 1
+        for index in (built, loads_index(dumps_index(built))):
+            # every node against the chain recomputed from its own path
+            expect = {(0, 0): root_r1(km.record_key)}
+            count = 0
+            for node in index.nodes():
+                if node.depth:
+                    parent = expect[node.depth - 1, node.prefix >> km.symbol_bits]
+                    expect[node.depth, node.prefix] = chain_r1(
+                        km.record_key, node.depth, node.prefix & mask, parent
+                    )
+                assert node.r1 == expect[node.depth, node.prefix]
+                count += 1
+            assert count == len(expect) > index.depth
+            assert len(index.r1) == R1_BYTES * count
+            assert len(index.tags) == R1_BYTES * len(index.table)
+
+    def test_r1_at_rejects_nodes_outside_the_trie(self, small_world):
         _, index = small_world
-        # spot-check a few root-to-leaf paths against manual recomputation
-        for path, leaf in list(index.leaves())[:10]:
-            r = root_r1(km.record_key)
-            for depth, sym in enumerate(path, start=1):
-                r = chain_r1(km.record_key, depth, sym, r)
-            assert r == leaf.r1
+        n, bits = index.symbol_bits, index.trapdoor_bits
+        present = set(index.node_keys())
+        missing = [(0, 1), (-1, 0), (index.depth + 1, 0), (1, 1 << n)]
+        for depth, prefix in sorted(present)[1::97]:
+            # a neighbour's digest must not stand in for an absent node
+            missing += [(depth, p) for p in (prefix - 1, prefix + 1) if (depth, p) not in present]
+        first = index.ordered[0]
+        missing += [(index.depth, first + 1), (index.depth, first - 1), (index.depth, -1)]
+        missing = [key for key in missing if key not in present]
+        assert len(missing) > 10
+        for depth, prefix in missing:
+            with pytest.raises(KeyError):
+                index.r1_at(depth, prefix)
+        with pytest.raises(KeyError):
+            index.tag_at((first + 1).to_bytes(bits // 8, "big"))
+
+    def test_empty_index_answers_verifiable_proofs(self, km):
+        built = build_auth_trie({}, 1, km)
+        assert len(built.r1) == R1_BYTES and not built.tags
+        for index in (built, loads_index(dumps_index(built))):
+            req = make_request("castle", 1, km)
+            result, proofs = search_with_proof(index, req)
+            assert result.records == [] and not result.exact_hit
+            assert all(p.matched_len == 0 and p.last_r1 == root_r1(km.record_key) for p in proofs)
+            assert verify(req, result, proofs, km).accepted
 
     def test_r1_globally_unique_on_500_keywords(self, km):
         rng = random.Random(109)
@@ -63,8 +110,6 @@ class TestChain:
         assert len(seen) == count
 
     def test_deterministic_serialization(self, km, small_world):
-        from fzsearch.persist import dumps_index
-
         corpus, index = small_world
         again = build_auth_trie(corpus, 1, km)
         assert dumps_index(index) == dumps_index(again)
@@ -285,8 +330,50 @@ class TestProofWire:
 
     def test_truncated_encoding(self, km, small_world):
         corpus, index = small_world
-        _, proofs = search_with_proof(index, make_request(sorted(corpus)[0], 0, km))
-        buf = encode_proof(proofs[0])
-        for n in range(len(buf)):
+        _, full = search_with_proof(index, make_request(sorted(corpus)[0], 0, km))
+        _, mismatch = search_with_proof(index, make_request("zzzzzzzz", 0, km))
+        for proof in full + mismatch:
+            buf = encode_proof(proof)
+            for n in range(len(buf)):
+                with pytest.raises(Truncated):
+                    decode_proof(buf[:n], index.depth)
             with pytest.raises(Truncated):
-                decode_proof(buf[:n], index.depth)
+                decode_proof(buf + b"\x00", index.depth)
+
+    def test_bit_codec_matches_per_bit_reference(self):
+        def pack(bits):
+            out = bytearray((len(bits) + 7) // 8)
+            for i, b in enumerate(bits):
+                if b:
+                    out[i // 8] |= 0x80 >> (i % 8)
+            return bytes(out)
+
+        def unpack(buf, count):
+            return tuple((buf[i // 8] >> (7 - i % 8)) & 1 for i in range(count))
+
+        rng = random.Random(167)
+        for _ in range(2000):
+            count = rng.randint(0, 45)
+            roll = rng.random()
+            if roll < 0.3:  # the canonical shapes
+                ones = rng.randint(0, count)
+                bits = (1,) * ones + (0,) * (count - ones)
+            else:  # any pattern at all
+                bits = tuple(rng.randint(0, 1) for _ in range(count))
+            assert _pack_bits(bits) == pack(bits), bits
+            # padding bits past ``count`` may be set in a received buffer
+            buf = bytes(rng.randrange(256) for _ in range((count + 7) // 8))
+            assert _unpack_bits(buf, count) == unpack(buf, count), (buf, count)
+            assert _unpack_bits(_pack_bits(bits), count) == bits
+
+    def test_decoded_non_canonical_bits_rejected(self, km, small_world):
+        corpus, index = small_world
+        for word, k in ((sorted(corpus)[0], 0), ("zzzzzzzz", 0)):
+            req = make_request(word, k, km)
+            result, proofs = search_with_proof(index, req)
+            buf = bytearray(encode_proof(proofs[0]))
+            buf[1] ^= 0x80  # flip the first match bit
+            decoded = decode_proof(bytes(buf), index.depth)
+            assert decoded.match_bits != proofs[0].match_bits
+            verdict = verify(req, result, [decoded], km)
+            assert verdict.reason is VerdictReason.BIT_PATTERN_INVALID
