@@ -21,15 +21,35 @@ Message types:
 
 The handler never raises on any input line; anything unparseable or
 out of contract comes back as an ErrorResp.
+
+Serving model: ``SearchServer`` runs one thread, a readiness loop over
+non-blocking sockets, so no lock changes hands between connections.  Each
+connection's complete lines are answered in order; a last line without a
+newline is answered at end of input.  A reply the socket does not take at
+once is kept, and that connection is not read again until the peer has taken
+it, so a client that stops reading holds up only itself.  Limits:
+
+* a line longer than ``ServerConfig.max_line_bytes`` gets one MALFORMED
+  "line too long" and the connection is closed;
+* a connection that neither sends nor takes bytes for
+  ``ServerConfig.timeout`` seconds is closed (checked once per poll
+  interval, so up to one interval late);
+* at ``SearchServer.max_connections`` open connections, new ones wait in
+  the listen backlog until one closes; after a failed ``accept`` (say, out
+  of file descriptors) they wait until a close or the next idle check;
+* ``SearchClient`` reads a reply line of at most ``MAX_REPLY_BYTES``; a
+  longer one raises ``BadResponse``.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import selectors
 import socket
-import socketserver
+import sys
 import threading
+import time
 from dataclasses import dataclass, field
 
 from .crypto import EncryptedRecord
@@ -39,6 +59,8 @@ from .multiuser import unblind_request
 from .verifiable import Proof, decode_proof, encode_proof, search_with_proof
 
 DEFAULT_PORT = 7090
+MAX_REPLY_BYTES = 64 << 20  # the longest reply line the client reads
+_RECV_BYTES = 1 << 16  # the most the server reads from one connection per wake-up
 
 MALFORMED = "MALFORMED"
 EDIT_BOUND = "EDIT_BOUND"
@@ -195,49 +217,189 @@ def proofs_from_response(resp: dict, depth: int) -> list[Proof]:
         raise BadResponse(f"bad proof encoding: {exc}") from exc
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self):
-        state: ServerState = self.server.state  # type: ignore[attr-defined]
-        self.connection.settimeout(state.config.timeout)
-        cap = state.config.max_line_bytes
-        while True:
-            try:
-                line = self.rfile.readline(cap + 1)
-            except (socket.timeout, OSError):
-                return
-            if not line:
-                return
-            if len(line) > cap:
-                # oversized line: answer once, then drop the connection
-                reply = encode_message(_error(state, MALFORMED, "line too long"))
-                self._reply(reply)
-                return
-            if not self._reply(handle_line(state, line)):
-                return
+class _Conn:
+    """One client connection: its socket, an unfinished line and an unsent reply tail."""
 
-    def _reply(self, text: str) -> bool:
-        try:
-            self.wfile.write(text.encode("utf-8"))
-            self.wfile.flush()
-            return True
-        except OSError:
-            return False
+    __slots__ = ("sock", "partial", "tail", "last", "closing")
+
+    def __init__(self, sock: socket.socket, now: float):
+        self.sock = sock
+        self.partial = bytearray()  # bytes received after the last newline
+        self.tail = b""  # reply bytes the socket has not taken yet
+        self.last = now  # when the peer last sent or took bytes
+        self.closing = False  # close once the tail is sent
 
 
-class SearchServer(socketserver.ThreadingTCPServer):
-    """Line-protocol server; run with ``serve_forever`` or via ``start()``."""
+class SearchServer:
+    """Line-protocol server: one thread runs a readiness loop over every connection.
 
-    allow_reuse_address = True
-    daemon_threads = True
+    Run it with ``serve_forever`` or in a thread via ``start()``; ``shutdown()``
+    stops the loop from another thread and ``server_close()`` closes every socket.
+    """
+
+    max_connections = 1024  # at the cap, the listening socket is not polled
 
     def __init__(self, state: ServerState, host: str = "127.0.0.1", port: int = DEFAULT_PORT):
-        super().__init__((host, port), _Handler)
         self.state = state
+        self.socket = socket.create_server((host, port))
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._selector = selectors.DefaultSelector()
+        self._conns: set[_Conn] = set()
+        self._listening = False
+        self._now = time.monotonic()
+        self._stop = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until ``shutdown()``; idle connections are closed at most ``poll_interval`` late."""
+        self._stopped.clear()
+        try:
+            self._admit()
+            sweep_at = time.monotonic() + poll_interval
+            while not self._stop:
+                events = self._selector.select(poll_interval)
+                self._now = now = time.monotonic()
+                for key, _ in events:
+                    conn = key.data
+                    try:
+                        if conn is None:
+                            self._accept()
+                        elif conn.tail:
+                            self._send(conn, conn.tail, polled=True)
+                        else:
+                            self._read(conn)
+                    except Exception:  # a fault of the server's own: drop that connection only
+                        sys.excepthook(*sys.exc_info())
+                        if conn is not None:
+                            self._close(conn)
+                if now >= sweep_at:
+                    self._sweep(now)
+                    sweep_at = now + poll_interval
+        finally:
+            self._stop = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop ``serve_forever`` and wait until it has returned."""
+        self._stop = True
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        for conn in self._conns:
+            conn.sock.close()
+        self._conns.clear()
+        self._selector.close()
+        self.socket.close()
 
     def start(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
         return thread
+
+    def _listen(self, on: bool) -> None:
+        if on != self._listening:
+            if on:
+                self._selector.register(self.socket, selectors.EVENT_READ, None)
+            else:
+                self._selector.unregister(self.socket)
+            self._listening = on
+
+    def _admit(self) -> None:
+        """Poll the listening socket while there is room for another connection."""
+        self._listen(len(self._conns) < self.max_connections)
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self.socket.accept()
+        except BlockingIOError:  # the client gave up before we got to it
+            return
+        except OSError:  # e.g. out of file descriptors: retry after a close or the next sweep
+            self._listen(False)
+            return
+        sock.setblocking(False)
+        conn = _Conn(sock, self._now)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self._conns.add(conn)
+        self._admit()
+
+    def _close(self, conn: _Conn) -> None:
+        if conn in self._conns:
+            self._conns.remove(conn)
+            self._selector.unregister(conn.sock)
+            conn.sock.close()
+            self._admit()
+
+    def _sweep(self, now: float) -> None:
+        """Close connections idle past the timeout, with or without a reply tail pending."""
+        deadline = now - self.state.config.timeout
+        for conn in [c for c in self._conns if c.last < deadline]:
+            self._close(conn)
+        self._admit()
+
+    def _read(self, conn: _Conn) -> None:
+        """Answer every complete line one ``recv`` brings, in order, in one ``send``."""
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:  # a spurious wake-up
+            return
+        except OSError:
+            self._close(conn)
+            return
+        conn.last = self._now
+        state = self.state
+        cap = state.config.max_line_bytes
+        partial = conn.partial
+        if not data:  # end of input: a last line without a newline is still answered
+            conn.closing = True
+        if partial:  # the first line began in an earlier recv
+            partial += data
+            if not conn.closing and b"\n" not in data and len(partial) <= cap:
+                return
+            data = bytes(partial)
+            partial.clear()
+        replies, start, size = [], 0, len(data)
+        while start < size:
+            end = data.find(b"\n", start) + 1
+            if not end:
+                if not conn.closing:
+                    break
+                end = size
+            if end - start > cap:
+                break
+            replies.append(handle_line(state, data[start:end]))
+            start = end
+        if size - start > cap:  # oversized line: answer once, then drop the connection
+            replies.append(encode_message(_error(state, MALFORMED, "line too long")))
+            conn.closing = True
+        elif start < size:
+            partial += data[start:]
+        if replies:
+            self._send(conn, "".join(replies).encode("utf-8"))
+        elif conn.closing:
+            self._close(conn)
+
+    def _send(self, conn: _Conn, data, polled: bool = False) -> None:
+        """Send what the socket takes of ``data``; ``polled`` says we wait for writability."""
+        try:
+            sent = conn.sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._close(conn)
+            return
+        if sent:
+            conn.last = self._now
+        if sent < len(data):  # a slow reader: keep the rest, read nothing more until it is sent
+            conn.tail = memoryview(data)[sent:]
+            if not polled:
+                self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+            return
+        conn.tail = b""
+        if conn.closing:
+            self._close(conn)
+        elif polled:
+            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
 
 
 class SearchClient:
@@ -262,9 +424,11 @@ class SearchClient:
     def roundtrip(self, msg: dict) -> dict:
         self._file.write(encode_message(msg).encode("utf-8"))
         self._file.flush()
-        line = self._file.readline()
+        line = self._file.readline(MAX_REPLY_BYTES + 1)
         if not line:
             raise ConnectionError("server closed the connection")
+        if len(line) > MAX_REPLY_BYTES:
+            raise BadResponse(f"server reply exceeds {MAX_REPLY_BYTES} bytes")
         try:
             reply = json.loads(line)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:

@@ -153,18 +153,43 @@ def search_with_proof(index: AuthTrieIndex, req: SearchRequest) -> tuple[ResultS
     The record list short-circuits on an exact hit exactly like the plain
     search, but proofs are still produced for every trapdoor — the
     verifier's first check is that none went missing.
+
+    One bisect places each trapdoor among the sorted leaves.  A full match
+    is leaf ``pos``: its r1 and tag slot follow.  Otherwise the neighbours
+    give the matched length, and the deepest matched node's r1 sits at
+    ``_path_base`` of the first leaf under it: the successor, else the
+    predecessor, unless a leaf before that one is under the node too; only
+    then does a second bisect, over the leaves before, find it.
     """
     result = search_listing(index, req)
-    depth, proofs = index.depth, []
+    depth, n, bits = index.depth, index.symbol_bits, index.trapdoor_bits
+    ordered, base, r1, tags = index.ordered, index._path_base, index.r1, index.tags
+    size, proofs = len(ordered), []
     for t in req.trapdoors:
         v = int.from_bytes(t, "big")
-        matched = index.matched_len(depth, v)
-        if matched < depth:
-            r1 = index.r1_at(matched, v >> (index.trapdoor_bits - matched * index.symbol_bits))
-            proofs.append(Proof(matched, (1,) * matched + (0,), r1))
-        else:
+        pos = bisect_left(ordered, v)
+        if pos < size and ordered[pos] == v:
+            at, slot = (base[pos] + depth) * R1_BYTES, pos * R1_BYTES
             digest = record_digest(index.table[t])
-            proofs.append(Proof(depth, (1,) * depth, index.r1_at(depth, v), index.tag_at(t), digest))
+            tag = bytes(tags[slot : slot + R1_BYTES])
+            proofs.append(Proof(depth, (1,) * depth, bytes(r1[at : at + R1_BYTES]), tag, digest))
+            continue
+        diff = (1 << bits) - 1
+        if pos:
+            diff = v ^ ordered[pos - 1]
+        if pos < size:
+            diff = min(diff, v ^ ordered[pos])
+        matched = (bits - diff.bit_length()) // n  # < depth, as v is no leaf
+        at = 0  # the root's
+        if matched:
+            shift = bits - matched * n
+            prefix, first = v >> shift, pos
+            if pos and ordered[pos - 1] >> shift == prefix:
+                first = pos - 1
+                if first and ordered[first - 1] >> shift == prefix:
+                    first = bisect_left(ordered, prefix << shift, 0, first - 1)
+            at = (base[first] + matched) * R1_BYTES
+        proofs.append(Proof(matched, (1,) * matched + (0,), bytes(r1[at : at + R1_BYTES])))
     return result, proofs
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -64,3 +65,16 @@ def mutate(word: str, rng: random.Random) -> str:
     if op == "sub":
         return word[:i] + rng.choice(ALPHABET) + word[i + 1 :]
     return word[:i] + word[i + 1 :]
+
+
+def garbage_line(rng: random.Random):
+    """A random wire line for the protocol fuzz: raw bytes, printable text or off-contract JSON."""
+    printable = "".join(chr(c) for c in range(32, 127))
+    roll = rng.random()
+    if roll < 0.35:
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(0, 60)))
+    if roll < 0.7:
+        return "".join(rng.choice(printable) for _ in range(rng.randrange(0, 80)))
+    if roll < 0.85:
+        return json.dumps({"type": rng.choice(["SearchReq", "Hello", "X", 7]), "k": rng.choice([0, 1, "k", None, 10**12]), "trapdoors": rng.choice([None, [], ["00"], ["0" * 40], 3])})
+    return json.dumps(rng.choice([[], 42, "str", {"a": {"b": {"c": 1}}}]))

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from conftest import ALPHABET, mutate, random_corpus, random_word
+from conftest import ALPHABET, garbage_line, mutate, random_corpus, random_word
 from fzsearch import (
     VerdictReason,
     build_auth_trie,
@@ -432,18 +432,6 @@ def _blinded_session(seed: bytes) -> bytes:
     return transcript
 
 
-def _garbage_line(rng: random.Random):
-    printable = "".join(chr(c) for c in range(32, 127))
-    roll = rng.random()
-    if roll < 0.35:
-        return bytes(rng.randrange(256) for _ in range(rng.randrange(0, 60)))
-    if roll < 0.7:
-        return "".join(rng.choice(printable) for _ in range(rng.randrange(0, 80)))
-    if roll < 0.85:
-        return json.dumps({"type": rng.choice(["SearchReq", "Hello", "X", 7]), "k": rng.choice([0, 1, "k", None, 10**12]), "trapdoors": rng.choice([None, [], ["00"], ["0" * 40], 3])})
-    return json.dumps(rng.choice([[], 42, "str", {"a": {"b": {"c": 1}}}]))
-
-
 def _proof_line(rng: random.Random, km, words: list[str]) -> str:
     """A well-formed blinded proof request: real, mutated or random trapdoors, any k and epoch."""
     roll = rng.random()
@@ -469,9 +457,9 @@ def test_criterion_13_protocol_robustness():
     auth_state = ServerState(index=build_auth_trie(corpus, 1, km), xi=km.blind_key, epoch=1)
     words = sorted(corpus)
     start = time.perf_counter()
-    lines = [(state, _garbage_line(rng)) for _ in range(100_000)]
+    lines = [(state, garbage_line(rng)) for _ in range(100_000)]
     for _ in range(10_000):
-        line = _proof_line(rng, km, words) if rng.random() < 0.5 else _garbage_line(rng)
+        line = _proof_line(rng, km, words) if rng.random() < 0.5 else garbage_line(rng)
         lines.append((auth_state, line))
     proofs = 0
     for i, (target, line) in enumerate(lines):

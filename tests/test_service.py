@@ -1,14 +1,16 @@
 import json
 import os
 import random
+import select
 import socket
 import stat
 import string
 import threading
+import time
 
 import pytest
 
-from conftest import random_corpus
+from conftest import garbage_line, random_corpus
 from fzsearch import (
     BadMagic,
     BadParameter,
@@ -386,6 +388,194 @@ class TestSocketServer:
             server.server_close()
 
 
+def _serve(state):
+    server = SearchServer(state, port=0)
+    server.start()
+    return server, ("127.0.0.1", server.server_address[1])
+
+
+def _stop(server):
+    server.shutdown()
+    server.server_close()
+
+
+def _read_to_eof(sock) -> bytes:
+    return b"".join(iter(lambda: sock.recv(65536), b""))
+
+
+class TestReadinessLoop:
+    """The one-thread server keeps the per-connection behaviour of a blocking handler."""
+
+    def test_slow_reader_stalls_no_one(self, km):
+        # "cat" and "dog" have 200 files each, so 2,000 replies hold megabytes
+        corpus = {"cat": [b"f%04d" % i for i in range(200)], "dog": [b"g%04d" % i for i in range(200)]}
+        state = ServerState(index=build_listing_index(corpus, 1, km))
+        words = ["cat", "dog", "cta"]
+        lines = [encode_message(search_msg(make_request(words[i % 3], 1, km))).encode() for i in range(2000)]
+        expected = [handle_line(state, line).encode() for line in lines]
+        server, address = _serve(state)
+        slow = socket.socket()
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        slow.settimeout(30)
+        replies = slow.makefile("rb")
+        try:
+            slow.connect(address)
+            sender = threading.Thread(target=slow.sendall, args=(b"".join(lines),), daemon=True)
+            sender.start()
+            assert replies.readline() == expected[0]  # the server is answering, and nobody reads on
+            with SearchClient(*address, timeout=5) as other:
+                assert other.hello()["type"] == "HelloAck"
+            assert [replies.readline() for _ in expected[1:]] == expected[1:]
+            sender.join(timeout=30)
+            assert not sender.is_alive()
+        finally:
+            replies.close()
+            slow.close()  # resets the connection, unread replies and all
+            _stop(server)
+
+    def test_byte_at_a_time(self, km, live_server):
+        port, index = live_server
+        line = encode_message(search_msg(make_request("cat", 1, km))).encode()
+        answers = []
+        for chunk in (1, len(line)):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+                raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for i in range(0, len(line), chunk):
+                    raw.sendall(line[i : i + chunk])
+                answers.append(raw.makefile("rb").readline())
+        assert answers[0] == answers[1] == handle_line(ServerState(index=index), line).encode()
+
+    def test_lines_in_one_send(self, km, live_server):
+        port, index = live_server
+        lines = [b'{"type":"Hello"}\n', b"garbage\n"]
+        lines += [encode_message(search_msg(make_request(w, 1, km))).encode() for w in ("cat", "dog", "owl")]
+        state = ServerState(index=index)
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+            raw.sendall(b"".join(lines))
+            raw.shutdown(socket.SHUT_WR)
+            got = _read_to_eof(raw)
+        assert got == "".join(handle_line(state, line) for line in lines).encode()
+
+    def test_partial_last_line(self, km, live_server):
+        port, index = live_server
+        line = encode_message(search_msg(make_request("cat", 1, km))).encode().rstrip(b"\n")
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+            raw.sendall(line)
+            raw.shutdown(socket.SHUT_WR)
+            got = _read_to_eof(raw)
+        assert got == handle_line(ServerState(index=index), line).encode()
+
+    def test_idle_and_stalled_connections_are_closed(self, km):
+        state = ServerState(
+            index=build_listing_index({"cat": [b"f%04d" % i for i in range(200)]}, 1, km),
+            config=ServerConfig(timeout=0.2),
+        )
+        line = encode_message(search_msg(make_request("cat", 1, km))).encode()
+        server, address = _serve(state)
+        stalled = socket.socket()
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            stalled.connect(address)
+            stalled.setblocking(False)
+            try:  # replies to these fill every buffer on the way, and nobody reads them
+                stalled.send(line * 4000)
+            except BlockingIOError:
+                pass
+            with socket.create_connection(address, timeout=0.05) as idle, SearchClient(*address, timeout=5) as busy:
+                deadline = time.monotonic() + 5
+                idle_closed = stalled_closed = False
+                while not (idle_closed and stalled_closed) and time.monotonic() < deadline:
+                    assert busy.hello()["type"] == "HelloAck"
+                    try:
+                        idle_closed = idle_closed or idle.recv(1) == b""
+                    except socket.timeout:
+                        pass
+                    # closed with requests unread, the server resets the connection
+                    stalled_closed = stalled_closed or stalled.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR) != 0
+                assert idle_closed and stalled_closed
+                assert busy.hello()["type"] == "HelloAck"
+        finally:
+            stalled.close()
+            _stop(server)
+
+    def test_connection_cap(self, world):
+        _, index = world
+        server = SearchServer(ServerState(index=index), port=0)
+        server.max_connections = 4
+        server.start()
+        address = ("127.0.0.1", server.server_address[1])
+        clients = []
+        try:
+            for _ in range(4):
+                clients.append(SearchClient(*address, timeout=5))
+                assert clients[-1].hello()["type"] == "HelloAck"
+            with socket.create_connection(address, timeout=0.3) as fifth:
+                fifth.sendall(b'{"type":"Hello"}\n')
+                with pytest.raises(socket.timeout):
+                    fifth.recv(1)
+                clients.pop().close()
+                fifth.settimeout(5)
+                assert json.loads(fifth.makefile("rb").readline())["type"] == "HelloAck"
+        finally:
+            for client in clients:
+                client.close()
+            _stop(server)
+
+    def test_server_fault_drops_only_that_connection(self, world, monkeypatch):
+        import fzsearch.service as service
+
+        def broken(state, line):
+            raise RuntimeError("boom")
+
+        _, index = world
+        server, address = _serve(ServerState(index=index))
+        try:
+            with SearchClient(*address, timeout=5) as bystander, socket.create_connection(address, timeout=5) as raw:
+                assert bystander.hello()["type"] == "HelloAck"
+                monkeypatch.setattr(service, "handle_line", broken)
+                raw.sendall(b'{"type":"Hello"}\n')
+                assert raw.recv(1) == b""
+                monkeypatch.undo()
+                assert bystander.hello()["type"] == "HelloAck"
+        finally:
+            _stop(server)
+
+    def test_socket_fuzz(self, world):
+        """Criterion 13's garbage lines through a live server, three connections, random chunks."""
+        _, index = world
+        state = ServerState(index=index)
+        rng = random.Random(229)
+        streams = []
+        for _ in range(3):
+            lines = [garbage_line(rng) for _ in range(400)]
+            streams.append(b"".join((x.encode() if isinstance(x, str) else x) + b"\n" for x in lines))
+        server, address = _serve(state)
+        socks = [socket.create_connection(address, timeout=10) for _ in streams]
+        received = [bytearray() for _ in streams]
+        try:
+            sent = [0] * len(streams)
+            while any(sent[i] < len(s) for i, s in enumerate(streams)):
+                i = rng.choice([i for i, s in enumerate(streams) if sent[i] < len(s)])
+                size = rng.randint(1, 300)
+                socks[i].sendall(streams[i][sent[i] : sent[i] + size])
+                sent[i] += size
+                for ready in select.select(socks, [], [], 0)[0]:
+                    received[socks.index(ready)] += ready.recv(65536)
+            for sock, buf in zip(socks, received):
+                sock.shutdown(socket.SHUT_WR)
+                buf += _read_to_eof(sock)
+        finally:
+            for sock in socks:
+                sock.close()
+            _stop(server)
+        for stream, buf in zip(streams, received):
+            wire_lines = [piece + b"\n" for piece in stream.split(b"\n")[:-1]]
+            replies = [piece + "\n" for piece in buf.decode().split("\n")[:-1]]
+            assert buf.endswith(b"\n")
+            assert replies == [handle_line(state, line) for line in wire_lines]
+            assert not any('"code":"INTERNAL"' in reply for reply in replies)
+
+
 class TestCli:
     @pytest.fixture()
     def workspace(self, tmp_path):
@@ -596,6 +786,14 @@ class TestHostileServer:
 
     @pytest.mark.parametrize("line", [b"not json\n", b"[1, 2]\n", b"\xff\xfe\n"])
     def test_non_object_reply(self, tmp_path, capsys, line):
+        self._answer_hello_with(line, tmp_path, capsys, "error: server reply is not")
+
+    def test_reply_longer_than_the_cap(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("fzsearch.service.MAX_REPLY_BYTES", 1024)
+        line = b'{"type":"HelloAck","pad":"' + b"a" * 4096 + b'"}\n'
+        self._answer_hello_with(line, tmp_path, capsys, "error: server reply exceeds 1024 bytes")
+
+    def _answer_hello_with(self, line, tmp_path, capsys, message):
         keyfile = str(tmp_path / "k.fzky")
         assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
         listener = socket.create_server(("127.0.0.1", 0))
@@ -612,7 +810,7 @@ class TestHostileServer:
         try:
             capsys.readouterr()
             assert cli_main(["search", "castle", "1", "--keys", keyfile, "--server", f"127.0.0.1:{port}"]) == 1
-            assert capsys.readouterr().err.startswith("error: server reply is not")
+            assert capsys.readouterr().err.startswith(message)
         finally:
             thread.join(timeout=10)
             listener.close()
