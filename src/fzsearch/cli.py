@@ -19,7 +19,7 @@ import sys
 
 from . import bench as bench_mod
 from .crypto import keygen, decrypt_record, prf_bytes
-from .errors import EmptyKeyword, FzError
+from .errors import EmptyKeyword, FzError, VersionUnsupported
 from .fuzzyset import normalize_keyword
 from .index import build_listing_index, build_trie_index, make_request
 from .multiuser import UserDirectory, blind_request
@@ -104,7 +104,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    index = load_index(args.index)
+    try:
+        index = load_index(args.index)
+    except VersionUnsupported as exc:
+        raise FzError(f"{args.index}: {exc}; rebuild it with `fzsearch build`") from exc
     xi = None
     if args.blinded:
         xi = load_keys(_keyfile(args)).blind_key

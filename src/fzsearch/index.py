@@ -123,6 +123,10 @@ class TrieIndex(Index):
             for depth in range(shared + 1, self.depth + 1):
                 yield depth, v >> (bits - depth * n)
 
+    def node_count(self) -> int:
+        """Nodes in the trie: the root, and per trapdoor those below its common prefix."""
+        return 1 + sum(self.depth - shared for _, shared in self._splits())
+
     @property
     def root(self) -> "NodeView":
         return NodeView(self, 0, 0)

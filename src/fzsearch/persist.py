@@ -2,28 +2,31 @@
 
 All integers are big-endian.  Layouts:
 
-``FZKY`` key file
+``FZKY`` key file (version 1)
     magic "FZKY", version byte, security bits (2), trapdoor bits (2),
     symbol bits (1), then trapdoor key, record key, blind key as 2-byte
     length-prefixed strings.  Written owner-readable only (0600).
 
-``FZIX`` index file
-    magic "FZIX", version byte, flags byte (bit0: 1=trie 0=listing,
-    bit1: verifiable, bit2: 1=gram 0=wildcard), symbol bits (1),
-    trapdoor bits (2), d (1), entry count (8).  Listing body: entries
-    sorted by trapdoor bytes, each trapdoor || entry flag (1, bit0 =
-    exact keyword entry) || record count (2) || 4-byte length-prefixed
-    record blobs.  Trie body: nodes in depth-first pre-order, children
-    sorted by symbol; per node a flag byte (bit0 = exact), a record
-    count (2) with the record blobs, then a child count (2) followed
-    by symbol byte + child subtree.  Verifiable tries add the 32-byte
-    r1 before each node's record count and the 32-byte leaf tag after
-    a leaf's records.  Builds are byte-deterministic.
-    Tries are written from and read into the same entry map, so records
-    sit only on childless full-depth nodes, and every other node but an
-    empty root has children.
+``FZIX`` index file (version 2)
+    Header (18 bytes): magic "FZIX", version byte, flags byte (bit0:
+    1=trie 0=listing, bit1: verifiable, bit2: 1=gram 0=wildcard), symbol
+    bits (1), trapdoor bits (2), d (1), entry count (8).
+    Body, the same for every kind: the entries in ascending trapdoor order,
+    each trapdoor (trapdoor bits / 8) || entry flag (1, bit0 = exact
+    keyword entry, other bits zero) || record count (2, at least 1) ||
+    the record blobs, each 4-byte length-prefixed.
+    An authenticated trie appends two sections: the r1 chain digests,
+    ``R1_BYTES`` per trie node in ``node_keys()`` pre-order, so
+    ``R1_BYTES * (1 + sum(depth - shared))`` bytes, where ``shared`` is an
+    entry's common prefix in symbols with the entry before; then the leaf
+    tags, ``R1_BYTES`` per entry in entry order.  Nothing follows.
+    The trie itself is not written: it is a view over the sorted trapdoors.
+    The reader accepts only what ``dumps_index`` writes, so a file that
+    loads dumps back to the same bytes; builds are byte-deterministic.
+    Version 1 (a pre-order node stream for tries) raises
+    ``VersionUnsupported``; rebuild such an index.
 
-``FZUD`` directory file
+``FZUD`` directory file (version 1)
     magic "FZUD", version byte, epoch (8), entry count (4), then
     user id (2-byte length-prefixed UTF-8) || wrapped blob (2-byte
     length-prefixed).  Personal keys are never written.
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import io
 import os
-import re
 
 from .crypto import EncryptedRecord, KeyMaterial, check_geometry
 from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
@@ -53,7 +55,8 @@ from .verifiable import AuthTrieIndex, R1_BYTES
 KEY_MAGIC = b"FZKY"
 INDEX_MAGIC = b"FZIX"
 DIR_MAGIC = b"FZUD"
-VERSION = 1
+INDEX_VERSION = 2  # FZIX
+VERSION = 1  # FZKY and FZUD
 
 FLAG_TRIE = 0x01
 FLAG_VERIFIABLE = 0x02
@@ -65,13 +68,13 @@ KIND_CLASSES = {KIND_FLAGS[cls.kind]: cls for cls in (ListingIndex, TrieIndex, A
 class _Reader:
     def __init__(self, data: bytes):
         self._view = memoryview(data)
-        self._pos = 0
+        self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._view):
-            raise Truncated(f"need {n} bytes at offset {self._pos}")
-        chunk = bytes(self._view[self._pos : self._pos + n])
-        self._pos += n
+        if self.pos + n > len(self._view):
+            raise Truncated(f"need {n} bytes at offset {self.pos}")
+        chunk = bytes(self._view[self.pos : self.pos + n])
+        self.pos += n
         return chunk
 
     def u8(self) -> int:
@@ -86,23 +89,17 @@ class _Reader:
     def u64(self) -> int:
         return int.from_bytes(self.take(8), "big")
 
-    def match(self, pattern: re.Pattern) -> bytes:
-        """Consume and return what ``pattern`` matches here (possibly nothing)."""
-        m = pattern.match(self._view, self._pos)
-        self._pos = m.end()
-        return m.group()
-
     def done(self) -> bool:
-        return self._pos == len(self._view)
+        return self.pos == len(self._view)
 
 
-def _check_header(r: _Reader, magic: bytes) -> None:
+def _check_header(r: _Reader, magic: bytes, version: int) -> None:
     got = r.take(len(magic))
     if got != magic:
         raise BadMagic(f"expected {magic!r}, found {got!r}")
-    version = r.u8()
-    if version != VERSION:
-        raise VersionUnsupported(f"version {version} not supported")
+    found = r.u8()
+    if found != version:
+        raise VersionUnsupported(f"{magic.decode()} version {found} not supported (expected {version})")
 
 
 # -- keys ------------------------------------------------------------------
@@ -122,7 +119,7 @@ def dumps_keys(km: KeyMaterial) -> bytes:
 
 def loads_keys(data: bytes) -> KeyMaterial:
     r = _Reader(data)
-    _check_header(r, KEY_MAGIC)
+    _check_header(r, KEY_MAGIC, VERSION)
     security_bits = r.u16()
     trapdoor_bits = r.u16()
     symbol_bits = r.u8()
@@ -180,132 +177,74 @@ def load_keys(path: str) -> KeyMaterial:
 
 # -- indexes ---------------------------------------------------------------
 
-def _records_bytes(records: list[EncryptedRecord]) -> bytes:
-    if len(records) > 0xFFFF:  # the count is a u16
-        raise BadParameter(f"{len(records)} records under one trapdoor; the limit is 65535")
-    parts = [len(records).to_bytes(2, "big")]
-    for rec in records:
-        blob = rec.blob
-        parts.append(len(blob).to_bytes(4, "big"))
-        parts.append(blob)
-    return b"".join(parts)
-
-
-def _read_records(r: _Reader) -> list[EncryptedRecord]:
-    return [EncryptedRecord.from_blob(r.take(r.u32())) for _ in range(r.u16())]
-
-
-def _write_trie(out: io.BytesIO, index) -> None:
-    """The pre-order node stream from the sorted trapdoors; child counts are
-    rewritten as the children are met."""
-    verifiable = index.kind == "auth_trie"
-    n, bits, leaf_depth = index.symbol_bits, index.trapdoor_bits, index.depth
-    mask = (1 << n) - 1
-    chunks: list[bytes] = []
-    count_at = [0] * leaf_depth  # chunk position of the open node's child count, per depth
-    counts = [0] * leaf_depth
-    # r1 and tags are laid out in the order the nodes and leaves are written
-    r1 = tag = b""
-    r1_pos = tag_pos = 0
-    for depth, prefix in index.node_keys():
-        if depth:
-            counts[depth - 1] += 1
-            chunks[count_at[depth - 1]] = counts[depth - 1].to_bytes(2, "big")
-            chunks.append(bytes([prefix & mask]))
-        if verifiable:
-            r1 = index.r1[r1_pos : r1_pos + R1_BYTES]
-            r1_pos += R1_BYTES
-        if depth < leaf_depth:
-            chunks.append(b"\x00" + r1 + b"\x00\x00")
-            count_at[depth] = len(chunks)
-            counts[depth] = 0
-            chunks.append(b"\x00\x00")
-        else:
-            t = prefix.to_bytes(bits // 8, "big")
-            if verifiable:
-                tag = index.tags[tag_pos : tag_pos + R1_BYTES]
-                tag_pos += R1_BYTES
-            chunks.append(bytes([t in index.exact]) + r1 + _records_bytes(index.table[t]) + tag)
-            chunks.append(b"\x00\x00")
-    out.write(b"".join(chunks))
-
-
-def _read_trie(r: _Reader, index) -> None:
-    """Stream the pre-order node stream into ``index``'s map, appending each
-    r1 and tag to the index's byte strings in the order they are met."""
-    verifiable = index.kind == "auth_trie"
-    n, leaf_depth = index.symbol_bits, index.depth
-    r1_len = R1_BYTES if verifiable else 0
-    # Most nodes have one child and no records.  A run of them, each followed
-    # by its child's symbol, is matched in one step.
-    stride = 6 + r1_len
-    unary = re.compile(
-        b"(?:\\x00" + b"." * r1_len + b"\\x00\\x00\\x00\\x01[\\x00-"
-        + re.escape(bytes([(1 << n) - 1])) + b"])*",
-        re.DOTALL,
-    )
-
-    def subtree(depth: int, prefix: int) -> None:
-        run = r.match(unary)
-        for i in range(0, len(run), stride):
-            if verifiable:
-                index.r1 += run[i + 1 : i + 1 + R1_BYTES]
-            depth, prefix = depth + 1, (prefix << n) | run[i + stride - 1]
-        exact = r.u8() & 0x01
-        if verifiable:
-            index.r1 += r.take(R1_BYTES)
-        records = _read_records(r)
-        tag = r.take(R1_BYTES) if verifiable and records else None
-        children = r.u16()
-        leaf = depth == leaf_depth
-        # Leaves hold records and no children; other nodes, bar an empty root, the reverse.
-        if depth > leaf_depth or leaf != bool(records) or (leaf == bool(children) and depth):
-            raise BadParameter(f"trie node at depth {depth} breaks the {leaf_depth}-deep shape")
-        if leaf:
-            t = prefix.to_bytes(index.trapdoor_bits // 8, "big")
-            index.table[t] = records
-            if exact:
-                index.exact.add(t)
-            if tag:
-                index.tags += tag
-        last = -1
-        for _ in range(children):
-            sym = r.u8()
-            if sym >> n or sym <= last:
-                raise BadParameter(f"trie child symbol {sym} out of range or order")
-            last = sym
-            subtree(depth + 1, (prefix << n) | sym)
-
-    subtree(0, 0)
-
-
 def dumps_index(index) -> bytes:
     if getattr(index, "kind", None) not in KIND_FLAGS:
         raise BadParameter(f"cannot serialize {type(index).__name__}")
-    flags = KIND_FLAGS[index.kind]
-    if index.method == "gram":
-        flags |= FLAG_GRAM
-    if index.symbol_bits > 8:
-        raise BadParameter("symbol_bits > 8 cannot serialize symbols as bytes")
-    out = io.BytesIO()
-    out.write(INDEX_MAGIC)
-    out.write(bytes([VERSION, flags, index.symbol_bits]))
-    out.write(index.trapdoor_bits.to_bytes(2, "big"))
-    out.write(bytes([index.d]))
-    out.write(len(index.table).to_bytes(8, "big"))
-    if flags & FLAG_TRIE:
-        _write_trie(out, index)
-    else:
-        for t in sorted(index.table):
-            out.write(t)
-            out.write(bytes([1 if t in index.exact else 0]))
-            out.write(_records_bytes(index.table[t]))
-    return out.getvalue()
+    check_geometry(index.trapdoor_bits, index.symbol_bits)
+    flags = KIND_FLAGS[index.kind] | (FLAG_GRAM if index.method == "gram" else 0)
+    parts = [
+        INDEX_MAGIC,
+        bytes([INDEX_VERSION, flags, index.symbol_bits]),
+        index.trapdoor_bits.to_bytes(2, "big"),
+        bytes([index.d]),
+        len(index.table).to_bytes(8, "big"),
+    ]
+    append, exact = parts.append, index.exact
+    for t in sorted(index.table):
+        records = index.table[t]
+        if not 0 < len(records) <= 0xFFFF:  # the count is a u16, and an entry holds records
+            raise BadParameter(f"{len(records)} records under one trapdoor; the limit is 1..65535")
+        append(t + (b"\x01" if t in exact else b"\x00") + len(records).to_bytes(2, "big"))
+        for rec in records:
+            blob = rec.blob
+            append(len(blob).to_bytes(4, "big"))
+            append(blob)
+    if index.kind == "auth_trie":
+        parts += (index.r1, index.tags)
+    return b"".join(parts)
+
+
+def _read_entries(data: bytes, pos: int, count: int, width: int):
+    """The ``count`` entries from offset ``pos``: (map, exact set, end offset).
+
+    Every bound is checked before its slice is taken.
+    """
+    size = len(data)
+    table: dict[bytes, list[EncryptedRecord]] = {}
+    exact: set[bytes] = set()
+    from_blob = EncryptedRecord.from_blob
+    prev = b""
+    for _ in range(count):
+        head = pos + width + 3
+        if head > size:
+            raise Truncated(f"entry {len(table)} ends early")
+        t = data[pos : pos + width]
+        if t <= prev:
+            raise BadParameter(f"entry {len(table)}: trapdoors are not strictly ascending")
+        flag = data[head - 3]
+        if flag > 1:
+            raise BadParameter(f"entry {len(table)}: unknown entry flags {flag:#x}")
+        n = int.from_bytes(data[head - 2 : head], "big")
+        if not n:
+            raise BadParameter(f"entry {len(table)} has no records")
+        pos, records = head, []
+        for _ in range(n):
+            start = pos + 4
+            pos = start + int.from_bytes(data[pos:start], "big")
+            if pos > size:
+                raise Truncated(f"entry {len(table)}: a record ends early")
+            records.append(from_blob(data[start:pos]))
+        table[t] = records
+        if flag:
+            exact.add(t)
+        prev = t
+    return table, exact, pos
 
 
 def loads_index(data: bytes):
+    data = bytes(data)  # slices must be bytes, to key the map
     r = _Reader(data)
-    _check_header(r, INDEX_MAGIC)
+    _check_header(r, INDEX_MAGIC, INDEX_VERSION)
     flags = r.u8()
     if flags & ~(FLAG_TRIE | FLAG_VERIFIABLE | FLAG_GRAM):
         raise BadParameter(f"unknown index flags {flags:#x}")
@@ -316,20 +255,18 @@ def loads_index(data: bytes):
     d = r.u8()
     check_geometry(trapdoor_bits, symbol_bits)
     count = r.u64()
+    table, exact, pos = _read_entries(data, r.pos, count, trapdoor_bits // 8)
     method = "gram" if flags & FLAG_GRAM else "wildcard"
-    index = KIND_CLASSES[flags & ~FLAG_GRAM]({}, trapdoor_bits, symbol_bits, d, method)
-    if flags & FLAG_TRIE:
-        _read_trie(r, index)
-    else:
-        for _ in range(count):
-            t = r.take(trapdoor_bits // 8)
-            if r.u8() & 0x01:
-                index.exact.add(t)
-            index.table[t] = _read_records(r)
-    if not r.done():
-        raise Truncated(f"trailing bytes after the {index.kind} body")
-    if len(index.table) != count:
-        raise Truncated("entry count does not match header")
+    index = KIND_CLASSES[flags & ~FLAG_GRAM](table, trapdoor_bits, symbol_bits, d, method, exact)
+    r1_len = tags_len = 0
+    if index.kind == "auth_trie":
+        r1_len, tags_len = index.node_count() * R1_BYTES, len(table) * R1_BYTES
+    if len(data) - pos != r1_len + tags_len:
+        raise Truncated(f"{len(data) - pos} bytes follow the {index.kind} entries, not {r1_len + tags_len}")
+    if r1_len:  # copied through a view: a bytes slice would be a second copy at peak
+        view = memoryview(data)
+        index.r1 = bytearray(view[pos : pos + r1_len])
+        index.tags = bytearray(view[pos + r1_len :])
     return index
 
 
@@ -363,7 +300,7 @@ def dumps_directory(directory: UserDirectory) -> bytes:
 def loads_directory(data: bytes, current_xi: bytes = b"") -> UserDirectory:
     """Published view: wrapped blobs only; personal keys are not on disk."""
     r = _Reader(data)
-    _check_header(r, DIR_MAGIC)
+    _check_header(r, DIR_MAGIC, VERSION)
     epoch = r.u64()
     wrapped = {}
     for _ in range(r.u32()):

@@ -245,6 +245,10 @@ class SearchServer:
         self.socket.setblocking(False)
         self.server_address = self.socket.getsockname()
         self._selector = selectors.DefaultSelector()
+        # shutdown() writes a byte to _wake_w, so the loop wakes at once
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ, self._wake_r)
         self._conns: set[_Conn] = set()
         self._listening = False
         self._now = time.monotonic()
@@ -265,6 +269,8 @@ class SearchServer:
                     try:
                         if conn is None:
                             self._accept()
+                        elif conn is self._wake_r:
+                            conn.recv(_RECV_BYTES)
                         elif conn.tail:
                             self._send(conn, conn.tail, polled=True)
                         else:
@@ -283,6 +289,7 @@ class SearchServer:
     def shutdown(self) -> None:
         """Stop ``serve_forever`` and wait until it has returned."""
         self._stop = True
+        self._wake_w.send(b"\0")
         self._stopped.wait()
 
     def server_close(self) -> None:
@@ -290,6 +297,8 @@ class SearchServer:
             conn.sock.close()
         self._conns.clear()
         self._selector.close()
+        self._wake_r.close()
+        self._wake_w.close()
         self.socket.close()
 
     def start(self) -> threading.Thread:

@@ -21,6 +21,8 @@ A proof per trapdoor reports the matched prefix length as a bit sequence
 deepest matched node's r1, and for full matches the leaf tag and record
 digest.  The verifier checks the proof count, recomputes each sampled chain,
 and re-derives every full-match digest from the records actually returned.
+No tag binds the exact flag, so on an exact hit the verifier decrypts the
+returned records until one is of the keyword whose trapdoor came first.
 
 Known residual gap (inherited from the protocol): a server that claims a
 SHORTER match than reality presents the r1 of a real ancestor node, which
@@ -40,8 +42,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import sha256
 
-from .crypto import KeyMaterial, prf_bytes, record_digest
-from .errors import Truncated
+from .crypto import KeyMaterial, decrypt_record, prf_bytes, record_digest, trapdoor
+from .errors import AuthFailure, Truncated
 from .index import ResultSet, SearchRequest, TrieIndex, search_listing
 
 R1_BYTES = 32
@@ -135,6 +137,7 @@ class VerdictReason(enum.Enum):
     CHAIN_MISMATCH = "ChainMismatch"
     LEAF_TAG_MISMATCH = "LeafTagMismatch"
     BIT_PATTERN_INVALID = "BitPatternInvalid"
+    EXACT_FLAG_MISMATCH = "ExactFlagMismatch"
 
 
 @dataclass(frozen=True)
@@ -221,9 +224,10 @@ def verify(
 
     Checks, in order: proof count; per-proof bit-pattern shape; for sampled
     proofs the r1 chain recomputed from the trapdoor's own symbols; and for
-    full matches the record digest re-derived from the returned records
-    (consumed in proof order) plus the leaf tag binding that digest.  With an
-    exact hit only the first proof's records are present.
+    full matches the leaf tag binding the claimed digest, and the digest
+    re-derived from the returned records (consumed in proof order).  With an
+    exact hit only the first proof's records are present, and one of them
+    must decrypt to the keyword whose own trapdoor is the request's first.
     """
     if len(proofs) != len(req.trapdoors):
         return Verdict(False, VerdictReason.COUNT_MISMATCH)
@@ -248,24 +252,43 @@ def verify(
                 r = chain_r1(km.record_key, j, (v >> (bits - j * n)) & mask, r)
             if not _hmac.compare_digest(r, proof.last_r1):
                 return Verdict(False, VerdictReason.CHAIN_MISMATCH, i)
-        if proof.matched_len == depth and (not results.exact_hit or i == 0):
-            digest = sha256()
-            found = False
-            while pos < len(records):
-                digest.update(records[pos].blob)
-                pos += 1
-                if digest.digest() == proof.record_digest:
-                    found = True
-                    break
-            if not found:
-                return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
+        if proof.matched_len == depth:
+            if not results.exact_hit or i == 0:
+                digest = sha256()
+                found = False
+                while pos < len(records):
+                    digest.update(records[pos].blob)
+                    pos += 1
+                    if digest.digest() == proof.record_digest:
+                        found = True
+                        break
+                if not found:
+                    return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
             if sampled:
                 expect = leaf_tag(km.record_key, proof.last_r1, proof.record_digest)
                 if not _hmac.compare_digest(expect, proof.leaf_tag):
                     return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
     if pos != len(records):
         return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH)
+    if results.exact_hit and not _holds_query_keyword(req.trapdoors[0], records, km):
+        return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
     return Verdict(True, VerdictReason.OK)
+
+
+def _holds_query_keyword(t: bytes, records, km: KeyMaterial) -> bool:
+    """Whether a record is of the keyword whose own trapdoor is ``t``.
+
+    No tag binds the exact flag, and in gram mode a query can be another
+    keyword's variant; the owner's AEAD vouches for the keyword inside.
+    """
+    for rec in records:
+        try:
+            _, keyword = decrypt_record(km, rec)
+        except AuthFailure:
+            continue
+        if trapdoor(km, keyword) == t:
+            return True
+    return False
 
 
 _BIT_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)  # bit value -> ASCII digit

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +8,10 @@ from conftest import mutate, random_corpus, random_word
 from fzsearch import (
     BadParameter,
     EditBoundExceeded,
+    FzError,
     Truncated,
+    UserDirectory,
+    VersionUnsupported,
     build_auth_trie,
     build_listing_index,
     build_trie_index,
@@ -24,8 +28,8 @@ from fzsearch import (
     trapdoor,
     wildcard_fuzzy_set,
 )
-from fzsearch.persist import dumps_index, loads_index
-from fzsearch.verifiable import encode_proof
+from fzsearch.persist import dumps_directory, dumps_index, dumps_keys, loads_index
+from fzsearch.verifiable import R1_BYTES, encode_proof
 
 
 class TestSymbolize:
@@ -229,14 +233,14 @@ class TestSearch:
 
 GOLDEN_BUILDERS = {"listing": build_listing_index, "trie": build_trie_index, "auth": build_auth_trie}
 
-# sha256 of dumps_index on the golden corpus; pins the FZIX v1 bytes of every kind.
+# sha256 of dumps_index on the golden corpus; pins the FZIX v2 bytes of every kind.
 GOLDEN_FZIX = {
-    ("auth", "wildcard"): "bbc72deaa7199f3da5940134f76567d3d2f1fd73f8b07fc2f83322f3e35205dc",
-    ("auth", "gram"): "228f1355a4f1e587791c006c980303917660a9a0cac9a7319858e98ec3565111",
-    ("listing", "wildcard"): "ad8eb140570d0104936fe42ec93534939c770a72ef370db5dd063e593f0f548f",
-    ("listing", "gram"): "60a60e14b80ed726f31ed13407a5664702e27b712250acdc88954263549f0ff9",
-    ("trie", "wildcard"): "9ace40aa6b4988415a20647138426bf27bd87661852f46bf81164eece3480365",
-    ("trie", "gram"): "66d5b3bbe5c54a2abf9e4d9f462b8fe08ae8a4cf85c75fb312d295932f45c1e7",
+    ("auth", "wildcard"): "b00edb11ca4971d1b2f2a51b80e30dea0622d1bdee24a1afda36216754ef9402",
+    ("auth", "gram"): "d26b6cce742f70169e847dae812a7c4c3b0be91c085a9179e5abba582cb39b37",
+    ("listing", "wildcard"): "7840de8b5ea6bf4b065e47650c1ec4c280e8c2f7b6748bf53a21ebc560e983dd",
+    ("listing", "gram"): "48a66b58b4d6ebbb1c450fa88039ea0e0732663e8aa4a8919b0233c4ddaac340",
+    ("trie", "wildcard"): "5ac08d45574beead11715756c714627202363a927c6b154299d65d36566a69e1",
+    ("trie", "gram"): "43365ef069b0bf96ab6c7c54ce2ead370ccb6d69acc62ec8740768cd6ebd5116",
 }
 
 # sha256 over the encoded proofs, exact flags and record blobs of the golden
@@ -294,30 +298,126 @@ def test_proofs_and_records_match_golden(golden, method):
     assert digest.hexdigest() == GOLDEN_PROOFS[method]
 
 
-def _trie_file(count: int, body: bytes) -> bytes:
-    """FZIX v1 header of a plain wildcard trie (4-bit symbols, 160-bit trapdoors, d=1)."""
-    return b"FZIX" + bytes([1, 0x01, 4]) + (160).to_bytes(2, "big") + bytes([1]) + (
-        count.to_bytes(8, "big")
-    ) + body
+DATA = Path(__file__).parent / "data"
+HEADER_BYTES = 18
 
 
-def _inner(sym: int) -> bytes:
-    """Symbol byte, then a node with no records and one child."""
-    return bytes([sym]) + b"\x00" + b"\x00\x00" + b"\x00\x01"
+def _split_fzix(blob: bytes, width: int = 20) -> tuple[bytes, list[bytes], bytes]:
+    """A v2 file as (header, entries, what follows the entries), each entry whole."""
+    pos, entries = HEADER_BYTES, []
+    for _ in range(int.from_bytes(blob[10:HEADER_BYTES], "big")):
+        start, count = pos, int.from_bytes(blob[pos + width + 1 : pos + width + 3], "big")
+        pos += width + 3
+        for _ in range(count):
+            pos += 4 + int.from_bytes(blob[pos : pos + 4], "big")
+        entries.append(blob[start:pos])
+    return blob[:HEADER_BYTES], entries, blob[pos:]
 
 
-def test_trie_records_off_full_depth_rejected(km):
-    blob = build_listing_index({"cat": [b"F1"]}, 0, km).table[trapdoor(km, "cat")][0].blob
-    records = b"\x00\x01" + len(blob).to_bytes(4, "big") + blob
-    root = b"\x00" + b"\x00\x00" + b"\x00\x01"
-    depth3 = bytes([3]) + b"\x01" + records + b"\x00\x00"
-    with pytest.raises(BadParameter, match="depth 3"):
-        loads_index(_trie_file(1, root + _inner(1) + _inner(2) + depth3))
+def _join_fzix(header: bytes, entries: list[bytes], sections: bytes, count: int | None = None) -> bytes:
+    count = len(entries) if count is None else count
+    return header[:10] + count.to_bytes(8, "big") + b"".join(entries) + sections
 
 
-def test_trie_entry_count_must_match_header(km):
-    blob = dumps_index(build_trie_index({"cat": [b"F1"], "dog": [b"F2"]}, 1, km))
-    assert len(loads_index(blob).table) == 16
-    for count in (15, 17):
-        with pytest.raises(Truncated, match="entry count"):
-            loads_index(blob[:11] + count.to_bytes(8, "big") + blob[19:])
+@pytest.fixture(scope="module")
+def small_files(km):
+    """v2 files of every kind and method over one small corpus."""
+    corpus = {"cat": [b"F1"], "dog": [b"F2", b"F3"], "cart": [b"F4"]}
+    return {
+        (kind, method): dumps_index(GOLDEN_BUILDERS[kind](corpus, 1, km, method))
+        for kind in GOLDEN_BUILDERS
+        for method in ("wildcard", "gram")
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_BUILDERS))
+def test_entry_order_flags_and_counts_are_checked(small_files, kind):
+    header, entries, sections = _split_fzix(small_files[kind, "wildcard"])
+    assert _join_fzix(header, entries, sections) == small_files[kind, "wildcard"]
+    swapped = entries[:3] + [entries[4], entries[3]] + entries[5:]
+    duplicated = entries[:4] + [entries[3]] + entries[5:]  # same count, one trapdoor twice
+    for body in (swapped, duplicated):
+        with pytest.raises(BadParameter, match="strictly ascending"):
+            loads_index(_join_fzix(header, body, sections))
+    empty = entries[:2] + [entries[2][:21] + b"\x00\x00"] + entries[3:]
+    with pytest.raises(BadParameter, match="no records"):
+        loads_index(_join_fzix(header, empty, sections))
+    for flag in (0x02, 0x81):
+        flagged = entries[:2] + [entries[2][:20] + bytes([flag]) + entries[2][21:]] + entries[3:]
+        with pytest.raises(BadParameter, match="unknown entry flags"):
+            loads_index(_join_fzix(header, flagged, sections))
+    # an auth file reads its sections as one entry more or its last entry as sections
+    for count in (len(entries) - 1, len(entries) + 1):
+        with pytest.raises(FzError if kind == "auth" else Truncated):
+            loads_index(_join_fzix(header, entries, sections, count))
+
+
+def test_auth_sections_must_be_exact(small_files, km):
+    blob = small_files["auth", "wildcard"]
+    index = loads_index(blob)
+    header, entries, sections = _split_fzix(blob)
+    r1_len = index.node_count() * R1_BYTES
+    assert len(sections) == r1_len + len(entries) * R1_BYTES
+    assert sections == bytes(index.r1) + bytes(index.tags)
+    r1, tags = sections[:r1_len], sections[r1_len:]
+    for bad in (r1[:-1] + tags, r1 + b"\x00" + tags, r1 + tags[:-1], r1 + tags + b"\x00", r1, tags):
+        with pytest.raises(Truncated, match="follow the auth_trie entries"):
+            loads_index(_join_fzix(header, entries, bad))
+
+
+@pytest.mark.parametrize("kind", ["trie", "auth"])
+def test_v1_index_files_are_refused(kind):
+    """Files written by the FZIX v1 writer (a pre-order node stream)."""
+    blob = (DATA / f"v1_{kind}.fzix").read_bytes()
+    assert blob[:5] == b"FZIX\x01"
+    with pytest.raises(VersionUnsupported, match="FZIX version 1"):
+        loads_index(blob)
+
+
+def test_only_the_index_version_moved(km):
+    assert dumps_index(build_listing_index({"cat": [b"F1"]}, 0, km))[4] == 2
+    assert dumps_keys(km)[4] == 1
+    assert dumps_directory(UserDirectory(current_xi=km.blind_key))[4] == 1
+
+
+def _mutants(blob: bytes, rng: random.Random):
+    """Byte flips, cuts at every section boundary, reordered, doubled and
+    recounted entries of one v2 file."""
+    header, entries, sections = _split_fzix(blob)
+    for _ in range(150):
+        flipped = bytearray(blob)
+        flipped[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+        yield bytes(flipped)
+    bounds = {HEADER_BYTES, len(blob) - len(sections), len(blob)}
+    pos = HEADER_BYTES
+    for entry in entries:
+        pos += len(entry)
+        bounds.add(pos)
+    if sections:
+        bounds.add(len(blob) - len(entries) * R1_BYTES)  # r1 | tags
+    for cut in sorted(bounds):
+        for delta in (-1, 0, 1):
+            yield blob[: cut + delta]
+    for i in range(len(entries) - 1):
+        yield _join_fzix(header, entries[:i] + [entries[i + 1], entries[i]] + entries[i + 2 :], sections)
+    i = rng.randrange(len(entries))
+    for count in (None, len(entries)):
+        yield _join_fzix(header, entries[: i + 1] + entries[i:], sections, count)
+    for count in (0, len(entries) - 1, len(entries) + 1, rng.randrange(1 << 64)):
+        yield _join_fzix(header, entries, sections, count)
+
+
+def test_damaged_files_fail_or_load_canonically(small_files):
+    """A file either raises FzError or loads to an index that dumps back to it."""
+    rng = random.Random(2024)
+    outcomes = {"rejected": 0, "canonical": 0}
+    for key in sorted(small_files):
+        for mutant in _mutants(small_files[key], rng):
+            try:
+                index = loads_index(mutant)
+            except FzError:
+                outcomes["rejected"] += 1
+                continue
+            assert dumps_index(index) == mutant, key
+            outcomes["canonical"] += 1
+    assert outcomes["rejected"] and outcomes["canonical"]

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import garbage_line, random_corpus
+from conftest import garbage_line, mutate, random_corpus
 from fzsearch import (
     BadMagic,
     BadParameter,
@@ -28,6 +28,7 @@ from fzsearch import (
     search_trie,
 )
 from fzsearch.cli import main as cli_main
+from fzsearch.errors import BadResponse
 from fzsearch.multiuser import blind_request
 from fzsearch.persist import (
     dumps_directory,
@@ -48,6 +49,7 @@ from fzsearch.service import (
     encode_message,
     handle_line,
     handle_message,
+    proofs_from_response,
     result_from_response,
 )
 from fzsearch.verifiable import decode_proof, verify
@@ -368,6 +370,21 @@ class TestSocketServer:
         # still answering afterwards
         with SearchClient("127.0.0.1", port) as client:
             assert client.hello()["type"] == "HelloAck"
+
+    def test_shutdown_returns_without_waiting_for_the_poll(self, world):
+        _, index = world
+        server = SearchServer(ServerState(index=index), port=0)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 30}, daemon=True)
+        thread.start()
+        try:
+            with SearchClient("127.0.0.1", server.server_address[1]) as client:
+                assert client.hello()["type"] == "HelloAck"  # the loop is running
+            start = time.monotonic()
+            server.shutdown()
+            thread.join(timeout=5)
+            assert not thread.is_alive() and time.monotonic() - start < 5
+        finally:
+            server.server_close()
 
     def test_oversized_line_dropped(self, km, world):
         _, index = world
@@ -708,6 +725,14 @@ class TestCli:
         assert directory.unwrap("alice", derive_user_key(km.record_key, "alice")) == km.blind_key
         capsys.readouterr()
 
+    @pytest.mark.parametrize("kind", ["trie", "auth"])
+    def test_serve_refuses_a_v1_index(self, capsys, kind):
+        path = os.path.join(os.path.dirname(__file__), "data", f"v1_{kind}.fzix")
+        assert cli_main(["serve", "--index", path, "--port", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "version 1" in err and "fzsearch build" in err
+        assert "Traceback" not in err
+
     def test_exit_codes(self, workspace, monkeypatch, capsys):
         assert cli_main(["bogus-command"]) == 2
         assert cli_main([]) == 2
@@ -815,3 +840,77 @@ class TestHostileServer:
             thread.join(timeout=10)
             listener.close()
         assert not thread.is_alive()
+
+
+def _hostile_variants(resp: dict, rng: random.Random, records_pool: list, proofs_pool: list):
+    """Mutated copies of an honest SearchResp: flags, records and proofs
+    dropped, doubled, reordered, borrowed from other answers or damaged."""
+
+    def edit_list(items: list, pool: list) -> list:
+        items = list(items)
+        op = rng.randrange(5)
+        if op == 0 and items:
+            del items[rng.randrange(len(items))]
+        elif op == 1 and items:
+            items.insert(rng.randrange(len(items) + 1), rng.choice(items))
+        elif op == 2 and len(items) > 1:
+            i = rng.randrange(len(items) - 1)
+            items[i], items[i + 1] = items[i + 1], items[i]
+        elif op == 3:
+            items.insert(rng.randrange(len(items) + 1), rng.choice(pool))
+        elif items and isinstance(items[-1], str) and items[-1]:
+            text = items[-1]
+            j = rng.randrange(len(text))
+            items[-1] = rng.choice([
+                text[:j] + rng.choice(string.hexdigits + "+/=") + text[j + 1 :],
+                text[:-2], text + "0", text.upper(), None, 7,
+            ])
+        return items
+
+    yield {**resp, "exact": not resp["exact"]}
+    for _ in range(40):
+        out = dict(resp)
+        for _ in range(rng.randint(1, 3)):
+            field = rng.choice(["exact", "records", "proofs", "replace"])
+            if field == "exact":
+                out["exact"] = rng.choice([True, False, 1, 0, "no", None])
+            elif field == "replace":
+                out[rng.choice(["records", "proofs"])] = rng.choice([None, "00", {}, [], [[]]])
+            elif isinstance(out[field], list):
+                out[field] = edit_list(out[field], records_pool if field == "records" else proofs_pool)
+        yield out
+
+
+def test_hostile_auth_answers_end_in_a_clean_outcome(km):
+    """Mutated real answers end in BadResponse, Truncated or a rejecting Verdict;
+    an accepted one carries the honest records and proofs."""
+    rng = random.Random(821)
+    corpus = random_corpus(rng, size=25, lo=3, hi=6)
+    corpus.update({"cart": [b"F-cart"], "cat": [b"F-cat"], "bat": [b"F-bat"]})
+    state = ServerState(index=build_auth_trie(corpus, 1, km, "gram"))
+    words = sorted(corpus)
+    answers = []
+    for query in ["cat", "cut", "cart"] + [mutate(rng.choice(words), rng) for _ in range(20)]:
+        if len(query) < 2:
+            continue
+        req = make_request(query, 1, km, "gram")
+        answers.append((req, json.loads(handle_line(state, encode_message(search_msg(req, proof=True))))))
+    records_pool = [r for _, resp in answers for r in resp["records"]]
+    proofs_pool = [p for _, resp in answers for p in resp["proofs"]]
+    outcomes = {"error": 0, "rejected": 0, "accepted": 0}
+    for req, honest in answers:
+        want_records = result_from_response(honest).records
+        want_proofs = proofs_from_response(honest, km.depth)
+        assert verify(req, result_from_response(honest), want_proofs, km).accepted
+        for resp in _hostile_variants(honest, rng, records_pool, proofs_pool):
+            try:
+                result = result_from_response(resp)
+                proofs = proofs_from_response(resp, km.depth)
+            except (BadResponse, Truncated):
+                outcomes["error"] += 1
+                continue
+            verdict = verify(req, result, proofs, km)
+            if verdict.accepted:
+                assert result.records == want_records and proofs == want_proofs, resp
+            outcomes["accepted" if verdict.accepted else "rejected"] += 1
+    assert all(outcomes.values()), outcomes

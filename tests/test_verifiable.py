@@ -8,8 +8,10 @@ from fzsearch import (
     EditBoundExceeded,
     EncryptedRecord,
     Proof,
+    ResultSet,
     VerdictReason,
     build_auth_trie,
+    decrypt_record,
     make_request,
     search_trie,
     search_with_proof,
@@ -300,6 +302,37 @@ class TestVerify:
                 kept.extend(group)
         hidden = dataclasses.replace(result, records=kept)
         assert verify(req, hidden, tampered, km).accepted
+
+    def test_forged_exact_flag_on_another_keywords_variant_rejected(self, km):
+        # "cat" is no keyword here, but its trapdoor is the entry of cart's
+        # deletion variant; claiming an exact hit there would drop bat and cut
+        index = build_auth_trie({"cart": [b"F1"], "bat": [b"F2"], "cut": [b"F3"]}, 1, km, "gram")
+        req = make_request("cat", 1, km, "gram")
+        result, proofs = search_with_proof(index, req)
+        assert not result.exact_hit and verify(req, result, proofs, km).accepted
+        assert {decrypt_record(km, r)[1] for r in result.records} == {"cart", "bat", "cut"}
+        forged = ResultSet(records=list(index.table[req.trapdoors[0]]), exact_hit=True)
+        verdict = verify(req, forged, proofs, km)
+        assert not verdict.accepted
+        assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
+
+    def test_exact_hit_on_an_entry_shared_with_a_variant_accepted(self, km):
+        # the entry of "cat" also holds cart's records (its deletion variant),
+        # sorted first; the exact hit is honest and must verify
+        index = build_auth_trie({"cat": [b"F1"], "cart": [b"F2"]}, 1, km, "gram")
+        req = make_request("cat", 1, km, "gram")
+        result, proofs = search_with_proof(index, req)
+        assert result.exact_hit
+        assert [decrypt_record(km, r)[1] for r in result.records] == ["cart", "cat"]
+        assert verify(req, result, proofs, km).accepted
+        # the full matches whose records an exact hit leaves out keep their tags checked
+        later = [i for i, p in enumerate(proofs) if i and p.matched_len == index.depth]
+        assert later
+        for i in later:
+            tampered = list(proofs)
+            tampered[i] = dataclasses.replace(proofs[i], record_digest=bytes(32))
+            verdict = verify(req, result, tampered, km)
+            assert verdict.reason is VerdictReason.LEAF_TAG_MISMATCH and verdict.failing_index == i
 
     def test_sampling_still_checks_count_and_binding(self, km, small_world):
         corpus, index = small_world
