@@ -150,7 +150,7 @@ def _search_common(args, force_verify: bool) -> int:
         raise FzError(f"server error {resp.get('code')}: {resp.get('message')}")
     result = result_from_response(resp)
     if want_proof:
-        proofs = proofs_from_response(resp, km.depth)
+        proofs = proofs_from_response(resp)
         verdict = verify(req, result, proofs, km)
         if not verdict.accepted:
             where = "" if verdict.failing_index is None else f" at proof {verdict.failing_index}"

@@ -79,7 +79,7 @@ class KeyMaterial:
     """Secret keys plus the trapdoor geometry they were generated for.
 
     ``trapdoor_key`` feeds the trapdoor PRF, ``record_key`` encrypts records
-    and keys the proof chain, ``blind_key`` is the current request-blinding
+    and keys the proof tags, ``blind_key`` is the current request-blinding
     key (rotated on revocation).
     """
 

@@ -5,7 +5,7 @@ encrypted records, plus the trapdoors of keywords' own zero-edit variants)
 and answers a request with the same records, by map lookup.  The listing
 index is the flat table; the trie files each trapdoor root-to-leaf as n-bit
 symbols, its nodes derived from the sorted trapdoors; the authenticated trie
-(``verifiable``) adds a digest per node.
+(``verifiable``) adds a tag per entry and per gap between entries.
 
 Requests put the exact word's trapdoor first; a search that matches it
 returns only that entry's records (the exact hit short-circuits the fuzzy
@@ -123,10 +123,6 @@ class TrieIndex(Index):
             for depth in range(shared + 1, self.depth + 1):
                 yield depth, v >> (bits - depth * n)
 
-    def node_count(self) -> int:
-        """Nodes in the trie: the root, and per trapdoor those below its common prefix."""
-        return 1 + sum(self.depth - shared for _, shared in self._splits())
-
     @property
     def root(self) -> "NodeView":
         return NodeView(self, 0, 0)
@@ -143,7 +139,7 @@ class TrieIndex(Index):
 class NodeView:
     """Read-only view of the trie node at ``depth`` on the path ``prefix``.
 
-    ``r1`` and ``tag`` exist on authenticated tries only.
+    ``tag``, a leaf's tag, exists on authenticated tries only.
     """
 
     __slots__ = ("index", "depth", "prefix", "trapdoor")
@@ -171,10 +167,6 @@ class NodeView:
     @property
     def exact(self) -> bool:
         return self.trapdoor in self.index.exact
-
-    @property
-    def r1(self) -> bytes:
-        return self.index.r1_at(self.depth, self.prefix)
 
     @property
     def tag(self) -> bytes | None:

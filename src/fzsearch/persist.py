@@ -7,7 +7,7 @@ All integers are big-endian.  Layouts:
     symbol bits (1), then trapdoor key, record key, blind key as 2-byte
     length-prefixed strings.  Written owner-readable only (0600).
 
-``FZIX`` index file (version 2)
+``FZIX`` index file (version 3)
     Header (18 bytes): magic "FZIX", version byte, flags byte (bit0:
     1=trie 0=listing, bit1: verifiable, bit2: 1=gram 0=wildcard), symbol
     bits (1), trapdoor bits (2), d (1), entry count (8).
@@ -15,16 +15,15 @@ All integers are big-endian.  Layouts:
     each trapdoor (trapdoor bits / 8) || entry flag (1, bit0 = exact
     keyword entry, other bits zero) || record count (2, at least 1) ||
     the record blobs, each 4-byte length-prefixed.
-    An authenticated trie appends two sections: the r1 chain digests,
-    ``R1_BYTES`` per trie node in ``node_keys()`` pre-order, so
-    ``R1_BYTES * (1 + sum(depth - shared))`` bytes, where ``shared`` is an
-    entry's common prefix in symbols with the entry before; then the leaf
-    tags, ``R1_BYTES`` per entry in entry order.  Nothing follows.
+    An authenticated trie appends its tags: ``TAG_BYTES`` per entry of leaf
+    tags in entry order, then ``TAG_BYTES`` per gap (entries + 1) of gap
+    tags, from the head gap to the tail gap.  Nothing follows.
     The trie itself is not written: it is a view over the sorted trapdoors.
     The reader accepts only what ``dumps_index`` writes, so a file that
     loads dumps back to the same bytes; builds are byte-deterministic.
-    Version 1 (a pre-order node stream for tries) raises
-    ``VersionUnsupported``; rebuild such an index.
+    Versions 1 (a pre-order node stream for tries) and 2 (an authenticated
+    trie's per-node chain digests) raise ``VersionUnsupported``; rebuild
+    such an index.
 
 ``FZUD`` directory file (version 1)
     magic "FZUD", version byte, epoch (8), entry count (4), then
@@ -50,12 +49,12 @@ from .crypto import EncryptedRecord, KeyMaterial, check_geometry
 from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
 from .index import ListingIndex, TrieIndex
 from .multiuser import UserDirectory
-from .verifiable import AuthTrieIndex, R1_BYTES
+from .verifiable import AuthTrieIndex, TAG_BYTES
 
 KEY_MAGIC = b"FZKY"
 INDEX_MAGIC = b"FZIX"
 DIR_MAGIC = b"FZUD"
-INDEX_VERSION = 2  # FZIX
+INDEX_VERSION = 3  # FZIX
 VERSION = 1  # FZKY and FZUD
 
 FLAG_TRIE = 0x01
@@ -200,7 +199,7 @@ def dumps_index(index) -> bytes:
             append(len(blob).to_bytes(4, "big"))
             append(blob)
     if index.kind == "auth_trie":
-        parts += (index.r1, index.tags)
+        parts.append(index.tags)
     return b"".join(parts)
 
 
@@ -258,15 +257,11 @@ def loads_index(data: bytes):
     table, exact, pos = _read_entries(data, r.pos, count, trapdoor_bits // 8)
     method = "gram" if flags & FLAG_GRAM else "wildcard"
     index = KIND_CLASSES[flags & ~FLAG_GRAM](table, trapdoor_bits, symbol_bits, d, method, exact)
-    r1_len = tags_len = 0
-    if index.kind == "auth_trie":
-        r1_len, tags_len = index.node_count() * R1_BYTES, len(table) * R1_BYTES
-    if len(data) - pos != r1_len + tags_len:
-        raise Truncated(f"{len(data) - pos} bytes follow the {index.kind} entries, not {r1_len + tags_len}")
-    if r1_len:  # copied through a view: a bytes slice would be a second copy at peak
-        view = memoryview(data)
-        index.r1 = bytearray(view[pos : pos + r1_len])
-        index.tags = bytearray(view[pos + r1_len :])
+    tags_len = (2 * len(table) + 1) * TAG_BYTES if index.kind == "auth_trie" else 0
+    if len(data) - pos != tags_len:
+        raise Truncated(f"{len(data) - pos} bytes follow the {index.kind} entries, not {tags_len}")
+    if tags_len:
+        index.tags = data[pos:]
     return index
 
 

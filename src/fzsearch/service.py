@@ -206,13 +206,13 @@ def result_from_response(resp: dict) -> ResultSet:
     return ResultSet(records=decode_records(resp), exact_hit=bool(resp.get("exact", False)))
 
 
-def proofs_from_response(resp: dict, depth: int) -> list[Proof]:
-    """Client side: proofs field back into Proof values for a tree of ``depth``."""
+def proofs_from_response(resp: dict) -> list[Proof]:
+    """Client side: proofs field back into Proof values."""
     items = resp.get("proofs")
     if not isinstance(items, list):
         raise BadResponse("server returned no proofs; index is not verifiable")
     try:
-        return [decode_proof(bytes.fromhex(item), depth) for item in items]
+        return [decode_proof(bytes.fromhex(item)) for item in items]
     except (TypeError, ValueError) as exc:
         raise BadResponse(f"bad proof encoding: {exc}") from exc
 

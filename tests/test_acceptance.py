@@ -36,6 +36,7 @@ from fzsearch.bench import BenchConfig, run_bench, synth_corpus, time_fuzzyset_b
 from fzsearch.index import EncryptedRecord
 from fzsearch.multiuser import UserDirectory, blind_request, unblind_request
 from fzsearch.service import ServerState, encode_message, handle_line
+from fzsearch.verifiable import TAG_BYTES
 
 BENCH_OUT = os.path.join(os.path.dirname(__file__), os.pardir, "bench_out")
 
@@ -271,7 +272,7 @@ def test_criterion_10_verifiable_search_completeness():
         for query in _queries(words, rng, 200):
             req = make_request(query, 1, km)
             result, proofs = search_with_proof(index, req)
-            verdict = verify(req, result, proofs, km, sample_rate=1.0)
+            verdict = verify(req, result, proofs, km)
             assert verdict.accepted and verdict.reason is VerdictReason.OK, query
             runs += 1
     elapsed = time.perf_counter() - start
@@ -318,20 +319,25 @@ def test_criterion_11_verifiable_search_tamper_suite():
         trials += 1
         detected += verdict.reason is VerdictReason.LEAF_TAG_MISMATCH
 
-    full_ix = [i for i, p in enumerate(proofs) if p.matched_len == index.depth]
-    all_r1 = [n.r1 for n in index.nodes()]
+    # every proof with foreign tags: leaf tags on hits, gap tags on misses
+    n = len(index.table)
+    tags = [index.tags[i : i + TAG_BYTES] for i in range(0, len(index.tags), TAG_BYTES)]
     substitutions = 0
-    for i in full_ix:
+    for i, proof in enumerate(proofs):
+        if proof.hit:
+            pool, reason = tags[:n], VerdictReason.LEAF_TAG_MISMATCH
+        else:
+            pool, reason = tags[n:], VerdictReason.GAP_TAG_MISMATCH
         for _ in range(5):
-            foreign = rng.choice(all_r1)
-            if foreign == proofs[i].last_r1:
+            foreign = rng.choice(pool)
+            if foreign == proof.tag:
                 continue
             tampered = list(proofs)
-            tampered[i] = dataclasses.replace(proofs[i], last_r1=foreign)
+            tampered[i] = dataclasses.replace(proof, tag=foreign)
             verdict = verify(req, result, tampered, km)
             trials += 1
             substitutions += 1
-            detected += verdict.reason is VerdictReason.CHAIN_MISMATCH
+            detected += verdict.reason is reason
 
     elapsed = time.perf_counter() - start
     assert substitutions > 0
@@ -401,10 +407,10 @@ def _scripted_session(seed: bytes) -> bytes:
     return transcript
 
 
-# sha256 of _blinded_session(b"golden-blind"), recorded before the PRF kernel
-# was rewritten; pins the Feistel bytes of blind_request on the wire and the
-# server's unblinded answers with proofs.
-GOLDEN_BLINDED_SESSION = "77a8051be2c01f464bbe2883151591b0d6e716e34d0b9943bf434b4753af0925"
+# sha256 of _blinded_session(b"golden-blind"); pins the Feistel bytes of
+# blind_request on the wire and the server's unblinded answers with their
+# adjacent-pair proofs (proof type 0xFF).
+GOLDEN_BLINDED_SESSION = "12fe570137ae28077339785741bb31cb11875c3f57079921b85c04390b727952"
 
 
 def _blinded_session(seed: bytes) -> bytes:
@@ -453,7 +459,7 @@ def test_criterion_13_protocol_robustness():
     km = keygen(128, seed=b"c13")
     corpus = random_corpus(rng, size=30, lo=3, hi=6)
     state = ServerState(index=build_trie_index(corpus, 1, km))
-    # the blinded, verifiable path: unblinding, proofs and the r1 lookups behind them
+    # the blinded, verifiable path: unblinding, proofs and the tag lookups behind them
     auth_state = ServerState(index=build_auth_trie(corpus, 1, km), xi=km.blind_key, epoch=1)
     words = sorted(corpus)
     start = time.perf_counter()

@@ -19,7 +19,7 @@ from fzsearch import (
 )
 from fzsearch.cli import derive_user_key
 from fzsearch.crypto import prf_bytes, record_nonce
-from fzsearch.verifiable import chain_r1, leaf_tag, root_r1
+from fzsearch.verifiable import gap_tag, leaf_tag
 
 
 class TestKeygen:
@@ -271,11 +271,12 @@ class TestKnownAnswers:
         assert trapdoor(km, "castle").hex() == "e33d3d01445dd2ea8978bd4fc4fd97279b5a828d"
         assert trapdoor(km, "c*stle").hex() == "9628775b4a2e5f93aa53ffe821923a1fea87fa0b"
         assert record_nonce(km, "c*stle", "castle", b"file-1").hex() == "83d8a1beb61ea85bd8787eca"
-        root = root_r1(km.record_key)
-        assert root.hex() == "2946324517017ce92d83c74bcc3163771f8cadee39f908b0e9b990256e62b156"
-        r1 = chain_r1(km.record_key, 1, 7, root)
-        assert r1.hex() == "599d432bccccbc872a1be1cc78125c3a330fa80895ad7081eed51bcb46d75504"
-        tag = leaf_tag(km.record_key, r1, bytes(32))
-        assert tag.hex() == "ec5cdf3d300dceddd56ffb0d43de9c6859462ebc8cacc37453b3e3a28c21a67e"
+        key, t, u = km.record_key, trapdoor(km, "castle"), trapdoor(km, "c*stle")
+        assert leaf_tag(key, t, 1, bytes(32)).hex() == "34165b7238314bd8ec88705930b6fee9551553af54c538113a2a46f5a891a5e8"
+        assert leaf_tag(key, t, 0, bytes(32)).hex() == "62bb0bd29f2c74aca8976db7d2f98731f5db77260349f3daf94b4456ca5eb403"
+        assert gap_tag(key, u, t).hex() == "cb29089711dd860d0baa4b0e7113a2fff9f8a7140407fe5c05e4957ea85848e6"
+        assert gap_tag(key, b"", t).hex() == "bc5f3f239c117c70d568d457af99024145d3722be0a4d684b91319d5ddfe0e9f"
+        assert gap_tag(key, t, b"").hex() == "91111dbd9fadb8ce193892ddf5280606f84c05c2162bd3a61e641a7e265b11ff"
+        assert gap_tag(key, b"", b"").hex() == "1e86d5848e6007114d97d67e8e71966680f4fddbb26e3c47bef36012ecf984f7"
         user_key = derive_user_key(km.record_key, "alice")
         assert user_key.hex() == "2fcdeb1944ba673595968ec6ed46cf5ece3e1ddb3deee0fdc0d3b07d433281a5"

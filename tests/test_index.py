@@ -29,7 +29,7 @@ from fzsearch import (
     wildcard_fuzzy_set,
 )
 from fzsearch.persist import dumps_directory, dumps_index, dumps_keys, loads_index
-from fzsearch.verifiable import R1_BYTES, encode_proof
+from fzsearch.verifiable import TAG_BYTES, encode_proof
 
 
 class TestSymbolize:
@@ -233,21 +233,21 @@ class TestSearch:
 
 GOLDEN_BUILDERS = {"listing": build_listing_index, "trie": build_trie_index, "auth": build_auth_trie}
 
-# sha256 of dumps_index on the golden corpus; pins the FZIX v2 bytes of every kind.
+# sha256 of dumps_index on the golden corpus; pins the FZIX v3 bytes of every kind.
 GOLDEN_FZIX = {
-    ("auth", "wildcard"): "b00edb11ca4971d1b2f2a51b80e30dea0622d1bdee24a1afda36216754ef9402",
-    ("auth", "gram"): "d26b6cce742f70169e847dae812a7c4c3b0be91c085a9179e5abba582cb39b37",
-    ("listing", "wildcard"): "7840de8b5ea6bf4b065e47650c1ec4c280e8c2f7b6748bf53a21ebc560e983dd",
-    ("listing", "gram"): "48a66b58b4d6ebbb1c450fa88039ea0e0732663e8aa4a8919b0233c4ddaac340",
-    ("trie", "wildcard"): "5ac08d45574beead11715756c714627202363a927c6b154299d65d36566a69e1",
-    ("trie", "gram"): "43365ef069b0bf96ab6c7c54ce2ead370ccb6d69acc62ec8740768cd6ebd5116",
+    ("auth", "wildcard"): "7610efc408476b7c6c577b155a918e02dc4993d7fa3d31bc32ecb9c6666e2c5b",
+    ("auth", "gram"): "5b0b86780d4308fef0b9671d65bc54d49cf79ba01894f0e89754233e2a2a0e56",
+    ("listing", "wildcard"): "86c4fb5ce80258fb2d144626df80fc4aaa2852ca24aff15aad2dc5d9b01b9ac1",
+    ("listing", "gram"): "3710ffacff77839ceef5ad6bf45db9cfbf63f484c242dd0079778fb8cd56353b",
+    ("trie", "wildcard"): "56460545495e5ecfa8ea9cef2acc88d5d54bfb83abe7a677a95df706005ccd53",
+    ("trie", "gram"): "1ff4c4691437d46876e14942dee6e3a9cc229b28bf3a35cead64c6b037d15f64",
 }
 
 # sha256 over the encoded proofs, exact flags and record blobs of the golden
 # requests against the authenticated trie.
 GOLDEN_PROOFS = {
-    "wildcard": "83ee02e0e3c14fcb5231cf8b183222248cfbc4f78d06fcd6cb023e6c24c447c5",
-    "gram": "e5c4e2cd1f9f99e139bde0415aa675c684dc827e815dfc688a5cae1373f85433",
+    "wildcard": "71f71dbe66f617d538d4019decb65a1e2147421415e87b9c881f01fae10faeab",
+    "gram": "a99d0935cc2bfbec4f1f68c5f8f308f1eb217f5b0f33117788f29b8abec83e84",
 }
 
 
@@ -303,7 +303,7 @@ HEADER_BYTES = 18
 
 
 def _split_fzix(blob: bytes, width: int = 20) -> tuple[bytes, list[bytes], bytes]:
-    """A v2 file as (header, entries, what follows the entries), each entry whole."""
+    """A v3 file as (header, entries, what follows the entries), each entry whole."""
     pos, entries = HEADER_BYTES, []
     for _ in range(int.from_bytes(blob[10:HEADER_BYTES], "big")):
         start, count = pos, int.from_bytes(blob[pos + width + 1 : pos + width + 3], "big")
@@ -321,7 +321,7 @@ def _join_fzix(header: bytes, entries: list[bytes], sections: bytes, count: int 
 
 @pytest.fixture(scope="module")
 def small_files(km):
-    """v2 files of every kind and method over one small corpus."""
+    """v3 files of every kind and method over one small corpus."""
     corpus = {"cat": [b"F1"], "dog": [b"F2", b"F3"], "cart": [b"F4"]}
     return {
         (kind, method): dumps_index(GOLDEN_BUILDERS[kind](corpus, 1, km, method))
@@ -356,11 +356,12 @@ def test_auth_sections_must_be_exact(small_files, km):
     blob = small_files["auth", "wildcard"]
     index = loads_index(blob)
     header, entries, sections = _split_fzix(blob)
-    r1_len = index.node_count() * R1_BYTES
-    assert len(sections) == r1_len + len(entries) * R1_BYTES
-    assert sections == bytes(index.r1) + bytes(index.tags)
-    r1, tags = sections[:r1_len], sections[r1_len:]
-    for bad in (r1[:-1] + tags, r1 + b"\x00" + tags, r1 + tags[:-1], r1 + tags + b"\x00", r1, tags):
+    leaves_len = len(entries) * TAG_BYTES
+    assert len(sections) == leaves_len + (len(entries) + 1) * TAG_BYTES
+    assert sections == index.tags
+    leaves, gaps = sections[:leaves_len], sections[leaves_len:]
+    for bad in (leaves[:-1] + gaps, leaves + b"\x00" + gaps, leaves + gaps[:-1], leaves + gaps + b"\x00",
+                leaves + gaps[:-TAG_BYTES], leaves, gaps, b""):
         with pytest.raises(Truncated, match="follow the auth_trie entries"):
             loads_index(_join_fzix(header, entries, bad))
 
@@ -374,15 +375,23 @@ def test_v1_index_files_are_refused(kind):
         loads_index(blob)
 
 
+def test_v2_auth_file_is_refused():
+    """A file written by the FZIX v2 writer: per-node chain digests, then leaf tags."""
+    blob = (DATA / "v2_auth.fzix").read_bytes()
+    assert blob[:6] == b"FZIX\x02\x03"
+    with pytest.raises(VersionUnsupported, match="FZIX version 2 not supported"):
+        loads_index(blob)
+
+
 def test_only_the_index_version_moved(km):
-    assert dumps_index(build_listing_index({"cat": [b"F1"]}, 0, km))[4] == 2
+    assert dumps_index(build_listing_index({"cat": [b"F1"]}, 0, km))[4] == 3
     assert dumps_keys(km)[4] == 1
     assert dumps_directory(UserDirectory(current_xi=km.blind_key))[4] == 1
 
 
 def _mutants(blob: bytes, rng: random.Random):
     """Byte flips, cuts at every section boundary, reordered, doubled and
-    recounted entries of one v2 file."""
+    recounted entries of one v3 file."""
     header, entries, sections = _split_fzix(blob)
     for _ in range(150):
         flipped = bytearray(blob)
@@ -394,7 +403,7 @@ def _mutants(blob: bytes, rng: random.Random):
         pos += len(entry)
         bounds.add(pos)
     if sections:
-        bounds.add(len(blob) - len(entries) * R1_BYTES)  # r1 | tags
+        bounds.add(len(blob) - (len(entries) + 1) * TAG_BYTES)  # leaf tags | gap tags
     for cut in sorted(bounds):
         for delta in (-1, 0, 1):
             yield blob[: cut + delta]

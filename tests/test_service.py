@@ -178,7 +178,7 @@ class TestHandler:
         auth = build_auth_trie(corpus, 1, km)
         resp = handle_message(ServerState(index=auth), search_msg(req, proof=True))
         assert len(resp["proofs"]) == len(req.trapdoors)
-        proofs = [decode_proof(bytes.fromhex(p), auth.depth) for p in resp["proofs"]]
+        proofs = [decode_proof(bytes.fromhex(p)) for p in resp["proofs"]]
         verdict = verify(req, result_from_response(resp), proofs, km)
         assert verdict.accepted
 
@@ -733,6 +733,13 @@ class TestCli:
         assert err.startswith("error: ") and "version 1" in err and "fzsearch build" in err
         assert "Traceback" not in err
 
+    def test_serve_refuses_a_v2_auth_index(self, capsys):
+        path = os.path.join(os.path.dirname(__file__), "data", "v2_auth.fzix")
+        assert cli_main(["serve", "--index", path, "--port", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "FZIX version 2 not supported (expected 3)" in err
+        assert "rebuild it with `fzsearch build`" in err and "Traceback" not in err
+
     def test_exit_codes(self, workspace, monkeypatch, capsys):
         assert cli_main(["bogus-command"]) == 2
         assert cli_main([]) == 2
@@ -787,9 +794,15 @@ class TestHostileServer:
             ("search", {"type": "SearchResp", "records": ["AAAA"]}, "bad record encoding"),
             ("verify", {"type": "SearchResp", "records": [], "proofs": ["zz"]}, "bad proof encoding"),
             ("verify", {"type": "SearchResp", "records": [], "proofs": [None]}, "bad proof encoding"),
-            ("verify", {"type": "SearchResp", "records": [], "proofs": ["28ff"]}, "proof encoding ends early"),
+            ("verify", {"type": "SearchResp", "records": [], "proofs": ["ff02"]}, "proof encoding ends early"),
             ("verify", {"type": "SearchResp", "records": []}, "no proofs"),
             ("verify", {"type": "SearchResp", "records": [_BLOB], "proofs": []}, "CountMismatch"),
+            # a v1 full match (matched_len 40, the match bits, then r1, tag and digest)
+            ("verify", {"type": "SearchResp", "records": [], "proofs": ["28" + "ff" * 5 + ("20" + "00" * 32) * 3] * 14},
+             "unknown proof type 0x28"),
+            ("verify", {"type": "SearchResp", "records": [], "proofs": ["ff03" + "00" * 64]}, "unknown proof form 3"),
+            ("verify", {"type": "SearchResp", "records": [], "proofs": ["ff0200" + "00" * 33] * 14},
+             "verification failed: GapTagMismatch at proof 0"),
         ],
     )
     def test_bad_reply_is_a_clean_error(self, tmp_path, monkeypatch, capsys, command, reply, message):
@@ -800,6 +813,25 @@ class TestHostileServer:
         assert cli_main([command, "castle", "1", "--keys", keyfile]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_random_proofs_are_a_clean_error(self, tmp_path, monkeypatch, capsys):
+        """Seeded random proof bytes, most past the type byte: ``verify`` prints
+        ``error: ...`` and exits 1, never a traceback."""
+        keyfile = str(tmp_path / "k.fzky")
+        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        rng = random.Random(822)
+        for _ in range(100):
+            proofs = []
+            for _ in range(rng.choice([13, 14, 14, 15])):
+                head = rng.choice([b"", b"\xff", b"\xff\x00", b"\xff\x01", b"\xff\x02", b"\xff\x02\x14"])
+                proofs.append((head + rng.randbytes(rng.randrange(80))).hex())
+            reply = {"type": "SearchResp", "records": rng.choice([[], [_BLOB]]), "exact": rng.random() < 0.2,
+                     "proofs": proofs}
+            monkeypatch.setattr("fzsearch.cli.SearchClient", type("Stub", (_StubClient,), {"reply": reply}))
+            capsys.readouterr()
+            assert cli_main(["verify", "castle", "1", "--keys", keyfile]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, err
 
     def test_hello_without_method(self, tmp_path, monkeypatch, capsys):
         keyfile = str(tmp_path / "k.fzky")
@@ -900,12 +932,12 @@ def test_hostile_auth_answers_end_in_a_clean_outcome(km):
     outcomes = {"error": 0, "rejected": 0, "accepted": 0}
     for req, honest in answers:
         want_records = result_from_response(honest).records
-        want_proofs = proofs_from_response(honest, km.depth)
+        want_proofs = proofs_from_response(honest)
         assert verify(req, result_from_response(honest), want_proofs, km).accepted
         for resp in _hostile_variants(honest, rng, records_pool, proofs_pool):
             try:
                 result = result_from_response(resp)
-                proofs = proofs_from_response(resp, km.depth)
+                proofs = proofs_from_response(resp)
             except (BadResponse, Truncated):
                 outcomes["error"] += 1
                 continue

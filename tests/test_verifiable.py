@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -9,26 +11,19 @@ from fzsearch import (
     EncryptedRecord,
     Proof,
     ResultSet,
+    SearchRequest,
     VerdictReason,
     build_auth_trie,
     decrypt_record,
     make_request,
     search_trie,
     search_with_proof,
-    symbolize,
     verify,
 )
+from fzsearch.crypto import record_digest
 from fzsearch.errors import Truncated
 from fzsearch.persist import dumps_index, loads_index
-from fzsearch.verifiable import (
-    R1_BYTES,
-    _pack_bits,
-    _unpack_bits,
-    chain_r1,
-    decode_proof,
-    encode_proof,
-    root_r1,
-)
+from fzsearch.verifiable import TAG_BYTES, decode_proof, encode_proof, gap_tag
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +34,7 @@ def small_world(km):
 
 
 def _fuzzy_transcript(km, index, corpus, rng, min_full=2):
-    """An honest non-exact transcript with at least ``min_full`` full matches."""
+    """An honest non-exact transcript with at least ``min_full`` hits."""
     words = sorted(corpus)
     while True:
         query = mutate(rng.choice(words), rng)
@@ -47,69 +42,117 @@ def _fuzzy_transcript(km, index, corpus, rng, min_full=2):
             continue
         req = make_request(query, 1, km)
         result, proofs = search_with_proof(index, req)
-        full = sum(1 for p in proofs if p.matched_len == index.depth)
+        full = sum(1 for p in proofs if p.hit)
         if not result.exact_hit and full >= min_full and len(result.records) >= 2:
             return req, result, proofs
 
 
-class TestChain:
-    def test_r1_recomputable_from_path(self, km, small_world):
-        _, built = small_world
-        mask = (1 << km.symbol_bits) - 1
-        for index in (built, loads_index(dumps_index(built))):
-            # every node against the chain recomputed from its own path
-            expect = {(0, 0): root_r1(km.record_key)}
-            count = 0
-            for node in index.nodes():
-                if node.depth:
-                    parent = expect[node.depth - 1, node.prefix >> km.symbol_bits]
-                    expect[node.depth, node.prefix] = chain_r1(
-                        km.record_key, node.depth, node.prefix & mask, parent
-                    )
-                assert node.r1 == expect[node.depth, node.prefix]
-                count += 1
-            assert count == len(expect) > index.depth
-            assert len(index.r1) == R1_BYTES * count
-            assert len(index.tags) == R1_BYTES * len(index.table)
+def _hmac_tag(key: bytes, msg: bytes) -> bytes:
+    """The first HMAC-SHA256 block of counter-mode ``prf_bytes``, from the stdlib."""
+    return hmac.new(key, msg + bytes(4), "sha256").digest()
 
-    def test_r1_at_rejects_nodes_outside_the_trie(self, small_world):
+
+def _reference_tags(key: bytes, index) -> bytes:
+    """Leaf tags, then gap tags, computed straight from the definitions."""
+    keys = sorted(index.table)
+    leaves = [
+        _hmac_tag(key, b"L:" + t + bytes([t in index.exact]) + hashlib.sha256(
+            b"".join(r.blob for r in index.table[t])).digest())
+        for t in keys
+    ]
+    ends = [b""] + keys + [b""]
+    gaps = [
+        _hmac_tag(key, b"G:" + bytes([len(a), len(b)]) + a + b)
+        for a, b in zip(ends, ends[1:])
+    ]
+    return b"".join(leaves + gaps)
+
+
+def _reference_proof(tags: bytes, index, t: bytes) -> Proof:
+    """A proof by a linear scan over the sorted entries and reference ``tags``."""
+    keys = sorted(index.table)
+    if t in index.table:
+        i = keys.index(t)
+        tag = tags[i * TAG_BYTES : (i + 1) * TAG_BYTES]
+        return Proof(tag, int(t in index.exact), record_digest(index.table[t]))
+    gap = sum(1 for k in keys if k < t)
+    at = (len(keys) + gap) * TAG_BYTES
+    left = keys[gap - 1] if gap else b""
+    right = keys[gap] if gap < len(keys) else b""
+    return Proof(tags[at : at + TAG_BYTES], left=left, right=right)
+
+
+def _hidden(result: ResultSet, proofs, victim: int) -> ResultSet:
+    """``result`` without the records of hit ``victim``."""
+    kept, pos = [], 0
+    for i, p in enumerate(proofs):
+        if not p.hit:
+            continue
+        digest, group = hashlib.sha256(), []
+        while pos < len(result.records):
+            rec = result.records[pos]
+            digest.update(rec.blob)
+            group.append(rec)
+            pos += 1
+            if digest.digest() == p.record_digest:
+                break
+        if i != victim:
+            kept.extend(group)
+    return dataclasses.replace(result, records=kept)
+
+
+class TestChain:
+    """The gap tags chain each sorted entry to the next; the leaf tags bind each entry."""
+
+    def test_tags_recomputable_from_entries(self, km, small_world):
+        _, built = small_world
+        for index in (built, loads_index(dumps_index(built))):
+            assert index.tags == _reference_tags(km.record_key, index)
+            assert len(index.tags) == TAG_BYTES * (2 * len(index.table) + 1)
+
+    def test_tag_at_rejects_absent_entries(self, small_world):
         _, index = small_world
-        n, bits = index.symbol_bits, index.trapdoor_bits
-        present = set(index.node_keys())
-        missing = [(0, 1), (-1, 0), (index.depth + 1, 0), (1, 1 << n)]
-        for depth, prefix in sorted(present)[1::97]:
-            # a neighbour's digest must not stand in for an absent node
-            missing += [(depth, p) for p in (prefix - 1, prefix + 1) if (depth, p) not in present]
-        first = index.ordered[0]
-        missing += [(index.depth, first + 1), (index.depth, first - 1), (index.depth, -1)]
-        missing = [key for key in missing if key not in present]
-        assert len(missing) > 10
-        for depth, prefix in missing:
-            with pytest.raises(KeyError):
-                index.r1_at(depth, prefix)
-        with pytest.raises(KeyError):
-            index.tag_at((first + 1).to_bytes(bits // 8, "big"))
+        width = index.trapdoor_bits // 8
+        for v in index.ordered[::7]:
+            assert index.tag_at(v.to_bytes(width, "big")) in index.tags
+            for other in (v - 1, v + 1):
+                if other not in index.ordered:
+                    with pytest.raises(KeyError):
+                        index.tag_at(other.to_bytes(width, "big"))
 
     def test_empty_index_answers_verifiable_proofs(self, km):
         built = build_auth_trie({}, 1, km)
-        assert len(built.r1) == R1_BYTES and not built.tags
+        assert built.tags == gap_tag(km.record_key, b"", b"")
         for index in (built, loads_index(dumps_index(built))):
             req = make_request("castle", 1, km)
             result, proofs = search_with_proof(index, req)
             assert result.records == [] and not result.exact_hit
-            assert all(p.matched_len == 0 and p.last_r1 == root_r1(km.record_key) for p in proofs)
+            assert all(p == Proof(built.tags) for p in proofs)
             assert verify(req, result, proofs, km).accepted
 
-    def test_r1_globally_unique_on_500_keywords(self, km):
+    def test_head_and_tail_gaps_accept(self, km, small_world):
+        _, index = small_world
+        width = index.trapdoor_bits // 8
+        first, last = index.ordered[0], index.ordered[-1]
+        below = [(first - 1).to_bytes(width, "big"), bytes(width)]
+        above = [(last + 1).to_bytes(width, "big"), b"\xff" * width]
+        req = SearchRequest(tuple(below + above), 0)
+        result, proofs = search_with_proof(index, req)
+        assert [(p.left, p.right) for p in proofs[:2]] == [(b"", first.to_bytes(width, "big"))] * 2
+        assert [(p.left, p.right) for p in proofs[2:]] == [(last.to_bytes(width, "big"), b"")] * 2
+        assert verify(req, result, proofs, km).accepted
+        # a sentinel gap does not stretch into the list
+        inner = SearchRequest(((first + 1).to_bytes(width, "big"), (last - 1).to_bytes(width, "big")), 0)
+        inner_result, _ = search_with_proof(index, inner)
+        verdict = verify(inner, inner_result, [proofs[0], proofs[2]], km)
+        assert not verdict.accepted and verdict.failing_index == 0
+
+    def test_tags_globally_unique_on_500_keywords(self, km):
         rng = random.Random(109)
         corpus = random_corpus(rng, size=500)
         index = build_auth_trie(corpus, 1, km)
-        seen = set()
-        count = 0
-        for node in index.nodes():
-            seen.add(node.r1)
-            count += 1
-        assert len(seen) == count
+        tags = [index.tags[i : i + TAG_BYTES] for i in range(0, len(index.tags), TAG_BYTES)]
+        assert len(set(tags)) == len(tags) == 2 * len(index.table) + 1
 
     def test_deterministic_serialization(self, km, small_world):
         corpus, index = small_world
@@ -146,23 +189,39 @@ class TestSearchWithProof:
             assert with_proof.exact_hit == plain.exact_hit
             assert [r.blob for r in with_proof.records] == [r.blob for r in plain.records]
 
+    def test_proofs_match_a_linear_scan(self, km, small_world):
+        corpus, index = small_world
+        rng = random.Random(114)
+        keys = sorted(index.table)
+        trapdoors = keys[:3] + keys[-3:] + [rng.randbytes(20) for _ in range(200)]
+        trapdoors += [(int.from_bytes(t, "big") + d).to_bytes(20, "big") for t in keys[::5] for d in (-1, 1)]
+        for word in sorted(corpus)[:10]:
+            trapdoors += make_request(mutate(word, rng), 1, km).trapdoors
+        trapdoors = tuple(dict.fromkeys(trapdoors))
+        _, proofs = search_with_proof(index, SearchRequest(trapdoors, 0))
+        tags = _reference_tags(km.record_key, index)
+        assert proofs == [_reference_proof(tags, index, t) for t in trapdoors]
+        assert sum(p.hit for p in proofs) > 10
+
     def test_unmatched_proof_shape(self, km, small_world):
         _, index = small_world
         req = make_request("zzzzzzzz", 0, km)
         result, proofs = search_with_proof(index, req)
         assert result.records == []
         (proof,) = proofs
-        assert proof.match_bits[-1] == 0
-        assert proof.matched_len == len(proof.match_bits) - 1 < index.depth
-        assert proof.leaf_tag is None and proof.record_digest is None
+        assert not proof.hit and proof.record_digest == b""
+        left, right = (int.from_bytes(end, "big") for end in (proof.left, proof.right))
+        assert index.ordered.index(right) == index.ordered.index(left) + 1
+        assert left < int.from_bytes(req.trapdoors[0], "big") < right
 
     def test_full_match_proof_shape(self, km, small_world):
         corpus, index = small_world
         word = sorted(corpus)[0]
-        _, proofs = search_with_proof(index, make_request(word, 0, km))
+        req = make_request(word, 0, km)
+        _, proofs = search_with_proof(index, req)
         (proof,) = proofs
-        assert proof.match_bits == (1,) * index.depth
-        assert proof.leaf_tag is not None and proof.record_digest is not None
+        assert proof.flag == 1 and proof.left == proof.right == b""
+        assert proof.record_digest == record_digest(index.table[req.trapdoors[0]])
 
     def test_edit_bound(self, km, small_world):
         _, index = small_world
@@ -191,6 +250,18 @@ class TestVerify:
         assert verify(req, result, proofs[:-1], km).reason is VerdictReason.COUNT_MISMATCH
         assert verify(req, result, proofs + [proofs[-1]], km).reason is VerdictReason.COUNT_MISMATCH
 
+    def test_every_proof_is_checked(self, km, small_world):
+        # no sampling: a bad tag on any one proof is found at that proof
+        corpus, index = small_world
+        rng = random.Random(157)
+        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
+        for i, proof in enumerate(proofs):
+            tampered = list(proofs)
+            tampered[i] = dataclasses.replace(proof, tag=bytes([proof.tag[0] ^ 1]) + proof.tag[1:])
+            verdict = verify(req, result, tampered, km)
+            assert not verdict.accepted and verdict.failing_index == i
+            assert verdict.reason is (VerdictReason.LEAF_TAG_MISMATCH if proof.hit else VerdictReason.GAP_TAG_MISMATCH)
+
     def test_every_record_byte_flip_rejected(self, km, small_world):
         corpus, index = small_world
         rng = random.Random(137)
@@ -207,33 +278,32 @@ class TestVerify:
             assert not verdict.accepted
             assert verdict.reason is VerdictReason.LEAF_TAG_MISMATCH, i
 
-    def test_foreign_r1_rejected(self, km, small_world):
+    def test_foreign_tags_rejected(self, km, small_world):
         corpus, index = small_world
         rng = random.Random(139)
         req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        idx = next(i for i, p in enumerate(proofs) if p.matched_len == index.depth)
-        foreign = [n.r1 for n in index.nodes() if n.r1 != proofs[idx].last_r1]
-        tampered = list(proofs)
-        tampered[idx] = dataclasses.replace(proofs[idx], last_r1=rng.choice(foreign))
-        verdict = verify(req, result, tampered, km)
-        assert verdict.reason is VerdictReason.CHAIN_MISMATCH
-        assert verdict.failing_index == idx
+        n = len(index.table)
+        tags = [index.tags[i : i + TAG_BYTES] for i in range(0, len(index.tags), TAG_BYTES)]
+        leaves, gaps = tags[:n], tags[n:]
+        for i, proof in enumerate(proofs):
+            pool = leaves if proof.hit else gaps
+            for foreign in rng.sample([t for t in pool if t != proof.tag], 5):
+                tampered = list(proofs)
+                tampered[i] = dataclasses.replace(proof, tag=foreign)
+                verdict = verify(req, result, tampered, km)
+                expect = VerdictReason.LEAF_TAG_MISMATCH if proof.hit else VerdictReason.GAP_TAG_MISMATCH
+                assert verdict.reason is expect and verdict.failing_index == i
 
     def test_forged_full_match_rejected(self, km, small_world):
-        # claiming a match for a trapdoor whose path does not exist requires a
-        # chain value the server has never seen
-        corpus, index = small_world
+        # claiming a hit for a trapdoor the index lacks needs a tag the server never saw
+        _, index = small_world
         req = make_request("qqqqqqqq", 0, km)
         result, proofs = search_with_proof(index, req)
-        forged = Proof(
-            matched_len=index.depth,
-            match_bits=(1,) * index.depth,
-            last_r1=b"\x00" * 32,
-            leaf_tag=b"\x00" * 32,
-            record_digest=b"\x00" * 32,
-        )
-        verdict = verify(req, result, [forged], km)
-        assert verdict.reason is VerdictReason.CHAIN_MISMATCH
+        assert not proofs[0].hit
+        forged = Proof(bytes(32), 0, bytes(32))
+        assert verify(req, result, [forged], km).reason is VerdictReason.LEAF_TAG_MISMATCH
+        borrowed = Proof(index.tags[:TAG_BYTES], 0, record_digest(index.table[sorted(index.table)[0]]))
+        assert verify(req, result, [borrowed], km).reason is VerdictReason.LEAF_TAG_MISMATCH
 
     def test_record_reorder_truncate_extend_rejected(self, km, small_world):
         corpus, index = small_world
@@ -248,60 +318,143 @@ class TestVerify:
         extended = dataclasses.replace(result, records=records + [extra])
         assert verify(req, extended, proofs, km).reason is VerdictReason.LEAF_TAG_MISMATCH
 
-    def test_malformed_bit_patterns(self, km, small_world):
+    def test_malformed_shapes(self, km, small_world):
         corpus, index = small_world
-        word = sorted(corpus)[0]
-        req = make_request(word, 0, km)
-        result, proofs = search_with_proof(index, req)
-        bad = dataclasses.replace(proofs[0], match_bits=(1,) * (index.depth - 1) + (0,))
-        assert verify(req, result, [bad], km).reason is VerdictReason.BIT_PATTERN_INVALID
-        bad = dataclasses.replace(proofs[0], matched_len=index.depth + 1)
-        assert verify(req, result, [bad], km).reason is VerdictReason.BIT_PATTERN_INVALID
+        rng = random.Random(150)
+        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
+        hit = next(i for i, p in enumerate(proofs) if p.hit)
+        miss = next(i for i, p in enumerate(proofs) if not p.hit and p.left and p.right)
+        t, h, m = req.trapdoors[miss], proofs[hit], proofs[miss]
+        bad = [
+            (hit, dataclasses.replace(h, flag=2)),
+            (hit, dataclasses.replace(h, flag=-1)),
+            (hit, dataclasses.replace(h, record_digest=h.record_digest[:-1])),
+            (hit, dataclasses.replace(h, tag=h.tag + b"\x00")),
+            (hit, dataclasses.replace(h, left=m.left)),
+            (miss, dataclasses.replace(m, record_digest=bytes(32))),
+            (miss, dataclasses.replace(m, tag=m.tag[:-1])),
+            (miss, dataclasses.replace(m, left=t)),  # an end equal to the trapdoor
+            (miss, dataclasses.replace(m, right=t)),
+            (miss, dataclasses.replace(m, left=m.right, right=m.left)),  # reordered
+            (miss, dataclasses.replace(m, left=m.left[:-1])),  # truncated end
+            (miss, dataclasses.replace(m, right=m.right + b"\x00")),
+            (miss, dataclasses.replace(m, left=b"\x00" + m.left)),
+        ]
+        for i, proof in bad:
+            tampered = list(proofs)
+            tampered[i] = proof
+            verdict = verify(req, result, tampered, km)
+            assert verdict.reason is VerdictReason.SHAPE_INVALID and verdict.failing_index == i, proof
 
-    def test_underreported_match_is_the_documented_gap(self, km, small_world):
-        # a server may claim a shorter match using a real ancestor's r1; the
-        # verifier cannot refute it without knowing the trie shape
+    def test_underreported_match_is_rejected(self, km, small_world):
+        # a server that hides a hit must show a gap around a present trapdoor;
+        # none exists, so no gap tag of the index, nor a made-up one, passes
         corpus, index = small_world
         rng = random.Random(151)
         req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        idx = next(i for i, p in enumerate(proofs) if p.matched_len == index.depth)
-        symbols = symbolize(req.trapdoors[idx], km.symbol_bits)
-        shorter = index.depth // 2
-        r = root_r1(km.record_key)
-        for depth, sym in enumerate(symbols[:shorter], start=1):
-            r = chain_r1(km.record_key, depth, sym, r)
-        lying = dataclasses.replace(
-            proofs[idx],
-            matched_len=shorter,
-            match_bits=(1,) * shorter + (0,),
-            last_r1=r,
-            leaf_tag=None,
-            record_digest=None,
-        )
-        tampered = list(proofs)
-        tampered[idx] = lying
-        # drop the hidden leaf's records to stay consistent
-        victim = proofs[idx].record_digest
-        kept = []
-        pos = 0
-        import hashlib
+        idx = next(i for i, p in enumerate(proofs) if p.hit)
+        t = req.trapdoors[idx]
+        hidden = _hidden(result, proofs, idx)
+        keys = sorted(index.table)
+        j = keys.index(t)
+        n = len(keys)
+        ends = [b""] + keys + [b""]
+        lies = [Proof(index.tags[(n + g) * TAG_BYTES : (n + g + 1) * TAG_BYTES], left=ends[g], right=ends[g + 1])
+                for g in range(n + 1)]
+        # the pair the gap would have if t were not stored, with a made-up or a neighbour's tag
+        lies += [Proof(tag, left=ends[j], right=ends[j + 2]) for tag in (bytes(32), lies[j].tag, lies[j + 1].tag)]
+        for lie in lies:
+            tampered = list(proofs)
+            tampered[idx] = lie
+            verdict = verify(req, hidden, tampered, km)
+            assert not verdict.accepted and verdict.failing_index == idx, lie
 
-        for p in proofs:
-            if p.matched_len != index.depth:
-                continue
-            digest = hashlib.sha256()
-            group = []
-            while pos < len(result.records):
-                rec = result.records[pos]
-                digest.update(rec.blob)
-                group.append(rec)
-                pos += 1
-                if digest.digest() == p.record_digest:
-                    break
-            if p.record_digest != victim:
-                kept.extend(group)
-        hidden = dataclasses.replace(result, records=kept)
-        assert verify(req, hidden, tampered, km).accepted
+    def test_no_present_trapdoor_is_absent_through_any_gap(self, km):
+        """Exhaustive over a small index: every entry against every gap tag."""
+        index = build_auth_trie({"cat": [b"F1"], "dog": [b"F2"], "cart": [b"F3"], "bat": [b"F4"]}, 1, km)
+        keys = sorted(index.table)
+        n = len(keys)
+        ends = [b""] + keys + [b""]
+        gaps = [Proof(index.tags[(n + g) * TAG_BYTES : (n + g + 1) * TAG_BYTES], left=ends[g], right=ends[g + 1])
+                for g in range(n + 1)]
+        empty = ResultSet(records=[], exact_hit=False)
+        assert n > 20
+        for t in keys:
+            req = SearchRequest((t,), 0)
+            for gap in gaps:
+                assert not verify(req, empty, [gap], km).accepted
+        # while each gap proves the trapdoors that really lie inside it
+        for gap in gaps:
+            lo = int.from_bytes(gap.left, "big") if gap.left else -1
+            hi = int.from_bytes(gap.right, "big") if gap.right else 1 << 160
+            if hi - lo > 1:
+                inside = SearchRequest(((lo + 1).to_bytes(20, "big"),), 0)
+                assert verify(inside, empty, [gap], km).accepted
+
+    def test_borrowed_swapped_and_truncated_pairs_rejected(self, km, small_world):
+        corpus, index = small_world
+        rng = random.Random(152)
+        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
+        keys = sorted(index.table)
+        misses = [i for i, p in enumerate(proofs) if not p.hit]
+        pairs = [p for p in proofs if not p.hit]
+        for i in misses:
+            m = proofs[i]
+            j = keys.index(m.right) if m.right else len(keys)
+            lies = [q for q in pairs if (q.left, q.right) != (m.left, m.right)]  # borrowed whole
+            lies += [
+                dataclasses.replace(m, left=keys[j - 2]) if j >= 2 else None,  # wider pair, same tag
+                dataclasses.replace(m, right=keys[j + 1]) if j + 1 < len(keys) else None,
+                dataclasses.replace(m, left=b""),  # an empty end mid-list
+                dataclasses.replace(m, right=b""),
+                dataclasses.replace(m, left=m.right, right=m.left),
+                dataclasses.replace(m, tag=m.tag[:16]),
+                dataclasses.replace(m, tag=b""),
+            ]
+            for lie in lies:
+                if lie is None or (lie.left, lie.right, lie.tag) == (m.left, m.right, m.tag):
+                    continue
+                tampered = list(proofs)
+                tampered[i] = lie
+                verdict = verify(req, result, tampered, km)
+                assert not verdict.accepted and verdict.failing_index == i, lie
+
+    def test_flipped_exact_flag_on_a_hit_rejected(self, km, small_world):
+        corpus, index = small_world
+        rng = random.Random(153)
+        words = sorted(corpus)
+        flips = 0
+        for _ in range(30):
+            word = rng.choice(words)
+            req = make_request(word if rng.random() < 0.5 else mutate(word, rng), 1, km)
+            result, proofs = search_with_proof(index, req)
+            for i, proof in enumerate(proofs):
+                if not proof.hit:
+                    continue
+                tampered = list(proofs)
+                tampered[i] = dataclasses.replace(proof, flag=1 - proof.flag)
+                assert not verify(req, result, tampered, km).accepted
+                flips += 1
+        assert flips > 50
+
+    def test_exact_flag_must_match_proof_zero(self, km, small_world):
+        corpus, index = small_world
+        word = sorted(corpus)[3]
+        req = make_request(word, 1, km)
+        result, proofs = search_with_proof(index, req)
+        assert result.exact_hit and proofs[0].flag == 1
+        # flag 1 without an exact hit: the server hides the exact hit and returns the rest
+        everything = ResultSet(records=[r for t in req.trapdoors for r in index.table.get(t, [])], exact_hit=False)
+        verdict = verify(req, everything, proofs, km)
+        assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
+        # an exact hit without flag 1, whatever tag comes with it
+        for proof in (dataclasses.replace(proofs[0], flag=0), Proof(bytes(32), 0, bytes(32))):
+            verdict = verify(req, result, [proof] + proofs[1:], km)
+            assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
+        # an exact hit claimed on a miss
+        fuzzy_req, fuzzy, fuzzy_proofs = _fuzzy_transcript(km, index, corpus, random.Random(154))
+        claimed = dataclasses.replace(fuzzy, exact_hit=True)
+        assert verify(fuzzy_req, claimed, fuzzy_proofs, km).reason is VerdictReason.EXACT_FLAG_MISMATCH
 
     def test_forged_exact_flag_on_another_keywords_variant_rejected(self, km):
         # "cat" is no keyword here, but its trapdoor is the entry of cart's
@@ -310,6 +463,7 @@ class TestVerify:
         req = make_request("cat", 1, km, "gram")
         result, proofs = search_with_proof(index, req)
         assert not result.exact_hit and verify(req, result, proofs, km).accepted
+        assert proofs[0].flag == 0
         assert {decrypt_record(km, r)[1] for r in result.records} == {"cart", "bat", "cut"}
         forged = ResultSet(records=list(index.table[req.trapdoors[0]]), exact_hit=True)
         verdict = verify(req, forged, proofs, km)
@@ -325,8 +479,8 @@ class TestVerify:
         assert result.exact_hit
         assert [decrypt_record(km, r)[1] for r in result.records] == ["cart", "cat"]
         assert verify(req, result, proofs, km).accepted
-        # the full matches whose records an exact hit leaves out keep their tags checked
-        later = [i for i, p in enumerate(proofs) if i and p.matched_len == index.depth]
+        # the hits whose records an exact hit leaves out keep their tags checked
+        later = [i for i, p in enumerate(proofs) if i and p.hit]
         assert later
         for i in later:
             tampered = list(proofs)
@@ -334,19 +488,22 @@ class TestVerify:
             verdict = verify(req, result, tampered, km)
             assert verdict.reason is VerdictReason.LEAF_TAG_MISMATCH and verdict.failing_index == i
 
-    def test_sampling_still_checks_count_and_binding(self, km, small_world):
-        corpus, index = small_world
-        rng = random.Random(157)
-        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        verdict = verify(req, result, proofs, km, sample_rate=0.25, rng=random.Random(1))
-        assert verdict.accepted
-        assert not verify(req, result, proofs[:-1], km, sample_rate=0.25).accepted
-        truncated = dataclasses.replace(result, records=result.records[:-1])
-        assert not verify(req, truncated, proofs, km, sample_rate=0.25).accepted
-
 
 def encrypt_like(rec: EncryptedRecord) -> EncryptedRecord:
     return EncryptedRecord(nonce=rec.nonce, ciphertext=rec.ciphertext[::-1])
+
+
+def _v1_encoding(matched_len: int, depth: int) -> bytes:
+    """A proof as the v1 encoder wrote it: matched_len, packed match bits,
+    then the length-prefixed r1 (and a full match's tag and digest)."""
+    full = matched_len == depth
+    bits = matched_len if full else matched_len + 1
+    value = ((1 << matched_len) - 1) << (bits - matched_len)
+    size = (bits + 7) // 8
+    out = bytes([matched_len]) + (value << (8 * size - bits)).to_bytes(size, "big")
+    for _ in range(3 if full else 1):
+        out += bytes([32]) + bytes(range(32))
+    return out
 
 
 class TestProofWire:
@@ -359,54 +516,86 @@ class TestProofWire:
             req = make_request(query, 1, km)
             _, proofs = search_with_proof(index, req)
             for proof in proofs:
-                assert decode_proof(encode_proof(proof), index.depth) == proof
+                buf = encode_proof(proof)
+                assert len(buf) == (66 if proof.hit else 4 + len(proof.left) + len(proof.right) + TAG_BYTES)
+                assert decode_proof(buf) == decode_proof(buf, index.depth) == proof
 
     def test_truncated_encoding(self, km, small_world):
         corpus, index = small_world
-        _, full = search_with_proof(index, make_request(sorted(corpus)[0], 0, km))
-        _, mismatch = search_with_proof(index, make_request("zzzzzzzz", 0, km))
-        for proof in full + mismatch:
+        _, hits = search_with_proof(index, make_request(sorted(corpus)[0], 0, km))
+        _, misses = search_with_proof(index, make_request("zzzzzzzz", 0, km))
+        width = index.trapdoor_bits // 8
+        head, tail = search_with_proof(index, SearchRequest((bytes(width), b"\xff" * width), 0))[1]
+        for proof in hits + misses + [head, tail]:
             buf = encode_proof(proof)
             for n in range(len(buf)):
                 with pytest.raises(Truncated):
-                    decode_proof(buf[:n], index.depth)
+                    decode_proof(buf[:n])
             with pytest.raises(Truncated):
-                decode_proof(buf + b"\x00", index.depth)
+                decode_proof(buf + b"\x00")
 
-    def test_bit_codec_matches_per_bit_reference(self):
-        def pack(bits):
-            out = bytearray((len(bits) + 7) // 8)
-            for i, b in enumerate(bits):
-                if b:
-                    out[i // 8] |= 0x80 >> (i % 8)
-            return bytes(out)
+    def test_v1_proofs_and_unknown_forms_fail_to_decode(self):
+        for depth in (1, 40, 160, 254):
+            for matched_len in {0, 1, depth // 2, depth - 1, depth}:
+                with pytest.raises(Truncated, match="unknown proof type"):
+                    decode_proof(_v1_encoding(matched_len, depth), depth)
+        for form in range(3, 256):
+            with pytest.raises(Truncated, match="unknown proof form"):
+                decode_proof(bytes([0xFF, form]) + bytes(64))
 
-        def unpack(buf, count):
-            return tuple((buf[i // 8] >> (7 - i % 8)) & 1 for i in range(count))
-
-        rng = random.Random(167)
-        for _ in range(2000):
-            count = rng.randint(0, 45)
-            roll = rng.random()
-            if roll < 0.3:  # the canonical shapes
-                ones = rng.randint(0, count)
-                bits = (1,) * ones + (0,) * (count - ones)
-            else:  # any pattern at all
-                bits = tuple(rng.randint(0, 1) for _ in range(count))
-            assert _pack_bits(bits) == pack(bits), bits
-            # padding bits past ``count`` may be set in a received buffer
-            buf = bytes(rng.randrange(256) for _ in range((count + 7) // 8))
-            assert _unpack_bits(buf, count) == unpack(buf, count), (buf, count)
-            assert _unpack_bits(_pack_bits(bits), count) == bits
-
-    def test_decoded_non_canonical_bits_rejected(self, km, small_world):
+    def test_hostile_bytes_and_proofs_end_in_truncated_or_rejection(self, km, small_world):
+        """2,000 seeded byte strings through decode_proof, and random Proof
+        values through verify: each is Truncated or a rejecting Verdict."""
         corpus, index = small_world
-        for word, k in ((sorted(corpus)[0], 0), ("zzzzzzzz", 0)):
-            req = make_request(word, k, km)
-            result, proofs = search_with_proof(index, req)
-            buf = bytearray(encode_proof(proofs[0]))
-            buf[1] ^= 0x80  # flip the first match bit
-            decoded = decode_proof(bytes(buf), index.depth)
-            assert decoded.match_bits != proofs[0].match_bits
-            verdict = verify(req, result, [decoded], km)
-            assert verdict.reason is VerdictReason.BIT_PATTERN_INVALID
+        rng = random.Random(165)
+        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
+        keys = sorted(index.table)
+        outcomes = {"truncated": 0, "rejected": 0}
+
+        def field():
+            return rng.choice([
+                b"", rng.randbytes(rng.choice([1, 19, 20, 21, 31, 32, 33, 255])),
+                rng.choice(keys), rng.choice(req.trapdoors), rng.choice(proofs).tag,
+            ])
+
+        def check(proof):
+            i = rng.randrange(len(proofs))
+            tampered = list(proofs)
+            tampered[i] = proof
+            verdict = verify(req, result, tampered, km)
+            assert verdict.accepted == (proof == proofs[i]), proof
+            outcomes["rejected"] += not verdict.accepted
+
+        for _ in range(2000):
+            roll = rng.random()
+            if roll < 0.3:
+                buf = rng.randbytes(rng.randrange(100))
+            else:  # past the type byte, with a chosen form and field lengths
+                form = rng.choice([0, 1, 2, 2, 3, 0x80])
+                buf = bytes([0xFF, form])
+                if form == 2:
+                    for _ in range(2):
+                        end = field()
+                        size = len(end) if rng.random() < 0.8 else rng.randrange(256)
+                        buf += bytes([size]) + end
+                    buf += field()
+                else:
+                    buf += field() + field()
+                if rng.random() < 0.2:
+                    buf = buf[: rng.randrange(len(buf) + 1)]
+            try:
+                proof = decode_proof(buf)
+            except Truncated:
+                outcomes["truncated"] += 1
+                continue
+            check(proof)
+        for _ in range(2000):
+            hit = rng.random() < 0.5
+            check(Proof(
+                tag=field(),
+                flag=rng.choice([0, 1, 1, 2, -1, 255, True]) if hit else None,
+                record_digest=field() if hit or rng.random() < 0.1 else b"",
+                left=field() if not hit or rng.random() < 0.1 else b"",
+                right=field() if not hit or rng.random() < 0.1 else b"",
+            ))
+        assert outcomes["truncated"] > 500 and outcomes["rejected"] > 2000
