@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import bench as bench_mod
-from .crypto import keygen, decrypt_record, prf_bytes
+from .crypto import SECURITY_BITS, keygen, decrypt_record, prf_bytes
 from .errors import EmptyKeyword, FzError, VersionUnsupported
 from .fuzzyset import normalize_keyword
 from .index import build_listing_index, build_trie_index, make_request
@@ -155,8 +155,10 @@ def _search_common(args, force_verify: bool) -> int:
         if not verdict.accepted:
             where = "" if verdict.failing_index is None else f" at proof {verdict.failing_index}"
             raise FzError(f"verification failed: {verdict.reason.value}{where}")
-        print("verified: Ok")
+    # decrypt before "verified": verify binds record bytes, not how they split into records
     fids = sorted({decrypt_record(km, rec)[0] for rec in result.records})
+    if want_proof:
+        print("verified: Ok")
     for fid in fids:
         print(fid.decode("utf-8", errors="backslashreplace"))
     if not fids:
@@ -221,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a key file")
     p.add_argument("--out", required=True)
-    p.add_argument("--security-bits", type=int, default=128, choices=(128, 256))
+    p.add_argument("--security-bits", type=int, default=128, choices=SECURITY_BITS)
     p.add_argument("--seed", help="hex seed for reproducible keys (tests only)")
     p.set_defaults(func=_cmd_keygen)
 

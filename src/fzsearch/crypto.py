@@ -28,6 +28,7 @@ from .errors import AuthFailure, BadLength, BadParameter
 
 NONCE_BYTES = 12
 MAX_FID_BYTES = 64
+SECURITY_BITS = (128, 256)  # each key is security_bits // 8 bytes
 
 _FEISTEL_ROUNDS = 4
 _ROUND_TAGS = tuple(b"F:" + bytes([i]) for i in range(_FEISTEL_ROUNDS))
@@ -38,11 +39,11 @@ _OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 @functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _hmac_pads(key: bytes, digestmod: str):
-    """HMAC's inner and outer hash states after absorbing the padded key."""
-    inner, outer = hashlib.new(digestmod), hashlib.new(digestmod)
+def _hmac_pads(key: bytes):
+    """HMAC-SHA256's inner and outer hash states after absorbing the padded key."""
+    inner, outer = hashlib.sha256(), hashlib.sha256()
     if len(key) > inner.block_size:
-        key = hashlib.new(digestmod, key).digest()
+        key = hashlib.sha256(key).digest()
     key = key.ljust(inner.block_size, b"\0")
     inner.update(key.translate(_IPAD))
     outer.update(key.translate(_OPAD))
@@ -64,13 +65,13 @@ def _hmac_expand(inner, outer, msg: bytes, n: int) -> bytes:
         counter += 1
 
 
-def prf_bytes(key: bytes, msg: bytes, n: int, digestmod: str = "sha256") -> bytes:
-    """Keyed pseudorandom bytes: HMAC expanded in counter mode to ``n`` bytes.
+def prf_bytes(key: bytes, msg: bytes, n: int) -> bytes:
+    """Keyed pseudorandom bytes: HMAC-SHA256 expanded in counter mode to ``n`` bytes.
 
-    Byte for byte ``hmac.new(key, msg + counter, digestmod)`` for counters
+    Byte for byte ``hmac.new(key, msg + counter, "sha256")`` for counters
     0, 1, ... concatenated; the pad states come from a per-key cache.
     """
-    inner, outer = _hmac_pads(key, digestmod)
+    inner, outer = _hmac_pads(key)
     return _hmac_expand(inner, outer, msg, n)
 
 
@@ -134,7 +135,7 @@ def keygen(
     symbol_bits: int = 4,
 ) -> KeyMaterial:
     """Generate key material; a seed makes the output reproducible."""
-    if security_bits not in (128, 256):
+    if security_bits not in SECURITY_BITS:
         raise BadParameter(f"unsupported security parameter {security_bits}")
     check_geometry(trapdoor_bits, symbol_bits)
     nb = security_bits // 8
@@ -229,7 +230,7 @@ def prp(key: bytes, block: bytes, direction: str = "forward") -> bytes:
     if not block or len(block) % 2 != 0:
         raise BadLength(f"block must be a positive even number of bytes, got {len(block)}")
     h = len(block) // 2
-    inner, outer = _hmac_pads(key, "sha256")
+    inner, outer = _hmac_pads(key)
     left, right = int.from_bytes(block[:h], "big"), int.from_bytes(block[h:], "big")
     if direction == "forward":
         for tag in _ROUND_TAGS:

@@ -75,8 +75,8 @@ class ListingIndex(Index):
 class TrieIndex(Index):
     """Each trapdoor filed root-to-leaf as ``depth`` n-bit symbols, records at the leaf.
 
-    The nodes are derived from the sorted trapdoors: a node is named by its
-    depth and its path read as an integer (``prefix``).
+    The trie is a view over ``ordered``: the node at ``depth`` on ``prefix`` (its path
+    as an integer) holds the leaves ``span(depth, prefix)`` and exists when that is not empty.
     """
 
     kind = "trie"
@@ -90,57 +90,24 @@ class TrieIndex(Index):
         """The trapdoors as big-endian integers, ascending: the leaves in trie order."""
         return sorted(int.from_bytes(t, "big") for t in self.table)
 
-    def matched_len(self, depth: int, prefix: int) -> int:
-        """How many symbols of the ``depth``-symbol path ``prefix`` the trie holds.
-
-        That is its longest common prefix with its predecessor or successor.
-        """
-        bits, ordered = self.trapdoor_bits, self.ordered
-        v = prefix << (bits - depth * self.symbol_bits)
-        pos = bisect_left(ordered, v)
-        diff = (1 << bits) - 1
-        if pos:
-            diff = v ^ ordered[pos - 1]
-        if pos < len(ordered):
-            diff = min(diff, v ^ ordered[pos])
-        return min(depth, (bits - diff.bit_length()) // self.symbol_bits)
-
-    def _splits(self) -> Iterator[tuple[int, int]]:
-        """(leaf, shared) in leaf order: ``shared`` is the leaf's common prefix,
-        in symbols, with the leaf before (0 for the first)."""
-        n, bits = self.symbol_bits, self.trapdoor_bits
-        prev = None
-        for v in self.ordered:
-            yield v, 0 if prev is None else (bits - (v ^ prev).bit_length()) // n
-            prev = v
-
-    def node_keys(self) -> Iterator[tuple[int, int]]:
-        """(depth, prefix) of every node in pre-order; each trapdoor adds those
-        below its common prefix with the one before."""
-        n, bits = self.symbol_bits, self.trapdoor_bits
-        yield 0, 0
-        for v, shared in self._splits():
-            for depth in range(shared + 1, self.depth + 1):
-                yield depth, v >> (bits - depth * n)
+    def span(self, depth: int, prefix: int) -> tuple[int, int]:
+        """``(lo, hi)``: ``ordered[lo:hi]`` are the leaves below node ``(depth, prefix)``."""
+        shift, ordered = self.trapdoor_bits - depth * self.symbol_bits, self.ordered
+        return bisect_left(ordered, prefix << shift), bisect_left(ordered, (prefix + 1) << shift)
 
     @property
     def root(self) -> "NodeView":
         return NodeView(self, 0, 0)
 
-    def nodes(self) -> Iterator["NodeView"]:
-        return (NodeView(self, depth, prefix) for depth, prefix in self.node_keys())
-
     def leaves(self) -> Iterator[tuple[tuple[int, ...], "NodeView"]]:
-        """(path, leaf) pairs in sorted-symbol order."""
-        for t in sorted(self.table):
-            yield symbolize(t, self.symbol_bits), NodeView(self, self.depth, int.from_bytes(t, "big"))
+        """(path, leaf) pairs in trie order."""
+        for v in self.ordered:
+            leaf = NodeView(self, self.depth, v)
+            yield symbolize(leaf.trapdoor, self.symbol_bits), leaf
 
 
 class NodeView:
-    """Read-only view of the trie node at ``depth`` on the path ``prefix``.
-
-    ``tag``, a leaf's tag, exists on authenticated tries only.
-    """
+    """Read-only view of the trie node at ``depth`` on the path ``prefix``."""
 
     __slots__ = ("index", "depth", "prefix", "trapdoor")
 
@@ -154,9 +121,8 @@ class NodeView:
         index, n, depth = self.index, self.index.symbol_bits, self.depth + 1
         if depth > index.depth:
             return {}
+        lo, hi = index.span(self.depth, self.prefix)
         shift = index.trapdoor_bits - depth * n  # bits below a child's path
-        lo = bisect_left(index.ordered, self.prefix << (shift + n))
-        hi = bisect_left(index.ordered, (self.prefix + 1) << (shift + n))
         paths = dict.fromkeys(v >> shift for v in index.ordered[lo:hi])
         return {p & ((1 << n) - 1): NodeView(index, depth, p) for p in paths}
 
@@ -167,10 +133,6 @@ class NodeView:
     @property
     def exact(self) -> bool:
         return self.trapdoor in self.index.exact
-
-    @property
-    def tag(self) -> bytes | None:
-        return None if self.trapdoor is None else self.index.tag_at(self.trapdoor)
 
 
 @dataclass(frozen=True)
@@ -241,15 +203,15 @@ def _dedup(records: list[EncryptedRecord]) -> list[EncryptedRecord]:
 
 
 def walk_trie(root: NodeView, symbols: tuple[int, ...]) -> NodeView | None:
-    """Follow ``symbols`` from ``root``; None as soon as an edge is missing."""
-    index = root.index
-    depth = root.depth + len(symbols)
-    prefix = root.prefix
-    for sym in symbols:
-        prefix = (prefix << index.symbol_bits) | sym
-    if depth > index.depth or index.matched_len(depth, prefix) < depth:
+    """Follow ``symbols`` from ``root``; None if an edge is missing or a symbol is out of range."""
+    index, n = root.index, root.index.symbol_bits
+    depth, prefix = root.depth + len(symbols), root.prefix
+    if depth > index.depth or not all(0 <= sym < 1 << n for sym in symbols):
         return None
-    return NodeView(index, depth, prefix)
+    for sym in symbols:
+        prefix = (prefix << n) | sym
+    lo, hi = index.span(depth, prefix)
+    return NodeView(index, depth, prefix) if lo < hi or not depth else None
 
 
 def search_listing(index: Index, req: SearchRequest) -> ResultSet:

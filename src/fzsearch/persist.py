@@ -3,9 +3,9 @@
 All integers are big-endian.  Layouts:
 
 ``FZKY`` key file (version 1)
-    magic "FZKY", version byte, security bits (2), trapdoor bits (2),
-    symbol bits (1), then trapdoor key, record key, blind key as 2-byte
-    length-prefixed strings.  Written owner-readable only (0600).
+    magic "FZKY", version byte, security bits (2, 128 or 256), trapdoor bits
+    (2), symbol bits (1), then trapdoor key, record key, blind key as 2-byte
+    length-prefixed strings of security/8 bytes.  Owner-readable only (0600).
 
 ``FZIX`` index file (version 3)
     Header (18 bytes): magic "FZIX", version byte, flags byte (bit0:
@@ -45,7 +45,7 @@ from __future__ import annotations
 import io
 import os
 
-from .crypto import EncryptedRecord, KeyMaterial, check_geometry
+from .crypto import SECURITY_BITS, EncryptedRecord, KeyMaterial, check_geometry
 from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
 from .index import ListingIndex, TrieIndex
 from .multiuser import UserDirectory
@@ -126,6 +126,8 @@ def loads_keys(data: bytes) -> KeyMaterial:
     keys = [r.take(r.u16()) for _ in range(3)]
     if not r.done():
         raise Truncated("trailing bytes after key material")
+    if security_bits not in SECURITY_BITS or any(len(key) != security_bits // 8 for key in keys):
+        raise BadParameter(f"key sizes {[len(k) for k in keys]} do not fit security {security_bits}")
     return KeyMaterial(
         trapdoor_key=keys[0],
         record_key=keys[1],

@@ -75,14 +75,6 @@ class AuthTrieIndex(TrieIndex):
         )
         return index
 
-    def tag_at(self, t: bytes) -> bytes:
-        """The leaf tag of entry ``t``; KeyError if the index has no such entry."""
-        v, ordered = int.from_bytes(t, "big"), self.ordered
-        pos = bisect_left(ordered, v)
-        if pos == len(ordered) or ordered[pos] != v:
-            raise KeyError(t)
-        return self.tags[pos * TAG_BYTES : (pos + 1) * TAG_BYTES]
-
 
 @dataclass(frozen=True)
 class Proof:

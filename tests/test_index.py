@@ -28,6 +28,7 @@ from fzsearch import (
     trapdoor,
     wildcard_fuzzy_set,
 )
+from fzsearch.index import walk_trie
 from fzsearch.persist import dumps_directory, dumps_index, dumps_keys, loads_index
 from fzsearch.verifiable import TAG_BYTES, encode_proof
 
@@ -107,6 +108,101 @@ class TestBuild:
         assert [(t, [r.blob for r in recs]) for t, recs in sorted(a.table.items())] == [
             (t, [r.blob for r in recs]) for t, recs in sorted(b.table.items())
         ]
+
+
+def _prefix_map(index) -> dict[tuple[int, ...], set[int]]:
+    """Reference trie: every symbol-prefix of a trapdoor in ``table``, mapped
+    to the symbols that extend it (none at full depth)."""
+    out: dict[tuple[int, ...], set[int]] = {(): set()}
+    for t in index.table:
+        path = symbolize(t, index.symbol_bits)
+        for i in range(index.depth):
+            out.setdefault(path[:i], set()).add(path[i])
+        out.setdefault(path, set())
+    return out
+
+
+def _path_value(path: tuple[int, ...], n: int) -> int:
+    value = 0
+    for sym in path:
+        value = (value << n) | sym
+    return value
+
+
+class TestTrieView:
+    """``walk_trie``, ``children`` and ``leaves`` agree with the prefix set of
+    ``table``'s trapdoors, on corpora of 0, 1, 7 and 60 keywords."""
+
+    @pytest.fixture(scope="class", params=[0, 1, 7, 60])
+    def trie(self, request, km):
+        corpus = random_corpus(random.Random(401 + request.param), size=request.param)
+        return build_trie_index(corpus, 1, km)
+
+    def test_walk_reaches_every_prefix(self, trie):
+        n, root = trie.symbol_bits, trie.root
+        for path in _prefix_map(trie):
+            node = walk_trie(root, path)
+            assert (node.depth, node.prefix) == (len(path), _path_value(path, n))
+            mid = walk_trie(root, path[: len(path) // 2])
+            again = walk_trie(mid, path[len(path) // 2 :])
+            assert (again.depth, again.prefix) == (node.depth, node.prefix)
+
+    def test_walk_misses_everything_else(self, trie):
+        rng = random.Random(409)
+        ref, root, top = _prefix_map(trie), trie.root, 1 << trie.symbol_bits
+        paths = sorted(ref)
+        assert walk_trie(root, ()) is not None  # the root exists, even in an empty index
+        for path in rng.sample(paths, min(len(paths), 1500)):
+            if path:  # perturbed last symbols
+                for sym in range(top):
+                    probe = path[:-1] + (sym,)
+                    assert (walk_trie(root, probe) is None) == (probe not in ref)
+            if len(path) == trie.depth:  # deeper than a leaf
+                assert walk_trie(root, path + (0,)) is None
+                assert walk_trie(walk_trie(root, path), (rng.randrange(top),)) is None
+        for sym in range(top):
+            assert (walk_trie(root, (sym,)) is None) == ((sym,) not in ref)
+
+    def test_children_walk_from_the_root(self, trie):
+        ref, n = _prefix_map(trie), trie.symbol_bits
+        seen, stack = set(), [((), trie.root)]
+        while stack:
+            path, node = stack.pop()
+            seen.add(path)
+            children = node.children
+            assert set(children) == ref[path]
+            for sym, child in children.items():
+                assert (child.depth, child.prefix) == (len(path) + 1, _path_value(path + (sym,), n))
+                stack.append((path + (sym,), child))
+            if len(path) == trie.depth:
+                assert node.records == trie.table[node.trapdoor]
+            else:
+                assert node.trapdoor is None and node.records == []
+        assert seen == set(ref)
+
+    def test_leaves_are_the_table_in_trie_order(self, trie):
+        got = [(path, leaf.depth, leaf.trapdoor, leaf.records) for path, leaf in trie.leaves()]
+        assert got == [
+            (symbolize(t, trie.symbol_bits), trie.depth, t, trie.table[t]) for t in sorted(trie.table)
+        ]
+
+    def test_out_of_range_symbols_miss(self, km):
+        trie = build_trie_index({"castle": [b"F1"]}, 0, km)
+        path, top, root = next(trie.leaves())[0], 1 << trie.symbol_bits, trie.root
+        assert walk_trie(root, path) is not None
+        probes = [(-1,), (top,), path[:-1] + (path[-1] + top,), path[:-1] + (-1,)]
+        # a zero, then a symbol holding two: the same integer as the real path
+        probes += [
+            path[: i - 1] + (0, path[i - 1] * top + path[i]) + path[i + 1 :]
+            for i in range(1, trie.depth)
+            if path[i - 1]
+        ]
+        assert len(probes) > 4
+        first = walk_trie(root, path[:1])
+        for probe in probes:
+            assert walk_trie(root, probe) is None, probe
+            if len(probe) > 1 and probe[0] == path[0]:  # the same probe from below the root
+                assert walk_trie(first, probe[1:]) is None, probe
 
 
 class TestRequest:

@@ -1,3 +1,5 @@
+import base64
+import dataclasses
 import json
 import os
 import random
@@ -740,6 +742,27 @@ class TestCli:
         assert err.startswith("error: ") and "FZIX version 2 not supported (expected 3)" in err
         assert "rebuild it with `fzsearch build`" in err and "Traceback" not in err
 
+    def test_key_file_with_wrong_key_lengths_is_a_clean_error(self, workspace, capsys):
+        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
+        build = ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]
+        save_keys(keygen(256, seed=b"\x02"), keyfile)
+        assert cli_main(build) == 0
+        km = keygen(128, seed=b"\x01")
+        aes192 = {name: b"\x07" * 24 for name in ("trapdoor_key", "record_key", "blind_key")}
+        for bad in (
+            dataclasses.replace(km, record_key=b"12345"),
+            dataclasses.replace(km, trapdoor_key=km.trapdoor_key * 2),
+            dataclasses.replace(km, blind_key=b""),
+            dataclasses.replace(km, security_bits=256),
+            dataclasses.replace(km, security_bits=192),
+            dataclasses.replace(km, security_bits=192, **aes192),  # AESGCM takes these; keygen does not
+        ):
+            save_keys(bad, keyfile)
+            capsys.readouterr()
+            assert cli_main(build) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, err
+
     def test_exit_codes(self, workspace, monkeypatch, capsys):
         assert cli_main(["bogus-command"]) == 2
         assert cli_main([]) == 2
@@ -832,6 +855,27 @@ class TestHostileServer:
             assert cli_main(["verify", "castle", "1", "--keys", keyfile]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, err
+
+    def test_merged_records_fail_before_verified_is_printed(self, tmp_path, monkeypatch, capsys):
+        """``verify`` accepts one hit's records merged into one blob (the record
+        digest has no length framing); the CLI decrypts every record before it
+        prints ``verified: Ok``, so it reports the failure instead."""
+        keyfile = str(tmp_path / "k.fzky")
+        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        km = load_keys(keyfile)
+        index = build_auth_trie({"castle": [b"F1", b"F2", b"F3"]}, 1, km)
+        reply = handle_message(ServerState(index=index), search_msg(make_request("castle", 1, km), proof=True))
+        merged = b"".join(base64.b64decode(r) for r in reply["records"])
+        for records, code in ((reply["records"], 0), ([base64.b64encode(merged).decode("ascii")], 1)):
+            stub = type("Stub", (_StubClient,), {"reply": dict(reply, records=records)})
+            monkeypatch.setattr("fzsearch.cli.SearchClient", stub)
+            capsys.readouterr()
+            assert cli_main(["verify", "castle", "1", "--keys", keyfile]) == code
+            out, err = capsys.readouterr()
+            if code:
+                assert "verified" not in out and err.startswith("error: record failed authentication")
+            else:
+                assert out.split() == ["verified:", "Ok", "F1", "F2", "F3"]
 
     def test_hello_without_method(self, tmp_path, monkeypatch, capsys):
         keyfile = str(tmp_path / "k.fzky")

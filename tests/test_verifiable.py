@@ -12,6 +12,7 @@ from fzsearch import (
     Proof,
     ResultSet,
     SearchRequest,
+    Verdict,
     VerdictReason,
     build_auth_trie,
     decrypt_record,
@@ -21,7 +22,7 @@ from fzsearch import (
     verify,
 )
 from fzsearch.crypto import record_digest
-from fzsearch.errors import Truncated
+from fzsearch.errors import AuthFailure, Truncated
 from fzsearch.persist import dumps_index, loads_index
 from fzsearch.verifiable import TAG_BYTES, decode_proof, encode_proof, gap_tag
 
@@ -110,16 +111,6 @@ class TestChain:
             assert index.tags == _reference_tags(km.record_key, index)
             assert len(index.tags) == TAG_BYTES * (2 * len(index.table) + 1)
 
-    def test_tag_at_rejects_absent_entries(self, small_world):
-        _, index = small_world
-        width = index.trapdoor_bits // 8
-        for v in index.ordered[::7]:
-            assert index.tag_at(v.to_bytes(width, "big")) in index.tags
-            for other in (v - 1, v + 1):
-                if other not in index.ordered:
-                    with pytest.raises(KeyError):
-                        index.tag_at(other.to_bytes(width, "big"))
-
     def test_empty_index_answers_verifiable_proofs(self, km):
         built = build_auth_trie({}, 1, km)
         assert built.tags == gap_tag(km.record_key, b"", b"")
@@ -158,14 +149,6 @@ class TestChain:
         corpus, index = small_world
         again = build_auth_trie(corpus, 1, km)
         assert dumps_index(index) == dumps_index(again)
-
-    def test_leaves_tagged_internal_nodes_not(self, small_world):
-        _, index = small_world
-        for node in index.nodes():
-            if node.records:
-                assert node.tag is not None and not node.children
-            else:
-                assert node.tag is None
 
 
 class TestSearchWithProof:
@@ -317,6 +300,20 @@ class TestVerify:
         extra = encrypt_like(records[0])
         extended = dataclasses.replace(result, records=records + [extra])
         assert verify(req, extended, proofs, km).reason is VerdictReason.LEAF_TAG_MISMATCH
+
+    def test_record_boundaries_are_the_documented_gap(self, km):
+        """The record digest hashes the blobs without length framing, so one
+        hit's records merged into one blob pass ``verify``; decrypting the
+        merged blob is what rejects it."""
+        index = build_auth_trie({"castle": [b"F1", b"F2", b"F3"]}, 1, km)
+        req = make_request("castle", 1, km)
+        result, proofs = search_with_proof(index, req)
+        assert result.exact_hit and len(result.records) == 3
+        merged = EncryptedRecord.from_blob(b"".join(r.blob for r in result.records))
+        forged = dataclasses.replace(result, records=[merged])
+        assert verify(req, forged, proofs, km) == Verdict(True, VerdictReason.OK)
+        with pytest.raises(AuthFailure):
+            decrypt_record(km, merged)
 
     def test_malformed_shapes(self, km, small_world):
         corpus, index = small_world
