@@ -2,7 +2,6 @@
 
 Owner side: ``keygen``, ``build``, ``serve``, ``enroll``, ``revoke``.
 User side: ``search`` (``verify`` is search with proof checking forced).
-``bench`` runs the measurement harness.
 
 The key file path comes from ``--keys`` or the ``FZ_KEYFILE`` environment
 variable.  Enrollment derives each user's personal key from the record key
@@ -17,7 +16,6 @@ import dataclasses
 import os
 import sys
 
-from . import bench as bench_mod
 from .crypto import SECURITY_BITS, keygen, decrypt_record, prf_bytes
 from .errors import EmptyKeyword, FzError, VersionUnsupported
 from .fuzzyset import normalize_keyword
@@ -51,13 +49,25 @@ def _keyfile(args) -> str:
     return path
 
 
+def _port(text: str) -> int:
+    """argparse type: a TCP port in 0..65535 (0 lets the OS pick one)."""
+    if not (text.isascii() and text.isdigit() and int(text) <= 65535):
+        raise argparse.ArgumentTypeError(f"port {text!r} is not in 0..65535")
+    return int(text)
+
+
+def _server(text: str) -> tuple[str, int]:
+    """argparse type: ``host:port``, either part optional."""
+    host, _, port = text.partition(":")
+    return host or "127.0.0.1", _port(port) if port else DEFAULT_PORT
+
+
 def derive_user_key(record_key: bytes, user_id: str) -> bytes:
     return prf_bytes(record_key, b"U:" + user_id.encode("utf-8"), 32)
 
 
 def _cmd_keygen(args) -> int:
-    seed = bytes.fromhex(args.seed) if args.seed else None
-    km = keygen(args.security_bits, seed=seed)
+    km = keygen(args.security_bits, seed=args.seed or None)
     save_keys(km, args.out)
     print(f"wrote {args.out} (security={km.security_bits}, trapdoor_bits={km.trapdoor_bits})")
     return 0
@@ -70,7 +80,7 @@ def read_corpus_dir(path: str) -> dict[str, list[bytes]]:
         n for n in os.listdir(path) if os.path.isfile(os.path.join(path, n))
     )
     for name in names:
-        fid = name.encode("utf-8")
+        fid = os.fsencode(name)
         if len(fid) > 64:
             raise FzError(f"file name {name!r} exceeds 64 bytes; rename it")
         with open(os.path.join(path, name), errors="replace") as fh:
@@ -126,8 +136,7 @@ def _cmd_serve(args) -> int:
 
 def _search_common(args, force_verify: bool) -> int:
     km = load_keys(_keyfile(args))
-    host, _, port = args.server.partition(":")
-    with SearchClient(host or "127.0.0.1", int(port) if port else DEFAULT_PORT) as client:
+    with SearchClient(*args.server) as client:
         ack = client.hello()
         if ack.get("type") != "HelloAck":
             raise FzError(f"unexpected hello response: {ack}")
@@ -203,20 +212,6 @@ def _cmd_revoke(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    config = bench_mod.BenchConfig(
-        keyword_counts=tuple(int(c) for c in args.counts.split(",")),
-        methods=tuple(args.methods.split(",")),
-        d_values=tuple(int(d) for d in args.d.split(",")),
-        seed=args.seed,
-        csv_path=args.csv,
-        wordlist=args.words,
-    )
-    report = bench_mod.run_bench(config)
-    print(f"wrote {args.csv} ({len(report.rows)} rows)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fzsearch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -224,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="generate a key file")
     p.add_argument("--out", required=True)
     p.add_argument("--security-bits", type=int, default=128, choices=SECURITY_BITS)
-    p.add_argument("--seed", help="hex seed for reproducible keys (tests only)")
+    p.add_argument("--seed", type=bytes.fromhex, help="hex seed for reproducible keys (tests only)")
     p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("build", help="build an index from a corpus directory")
@@ -240,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--keys")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=DEFAULT_PORT)
+    p.add_argument("--port", type=_port, default=DEFAULT_PORT)
     p.add_argument("--blinded", action="store_true", help="unblind requests with the blind key")
     p.add_argument("--epoch", type=int, default=0)
     p.set_defaults(func=_cmd_serve)
@@ -249,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a word against a server")
         p.add_argument("word")
         p.add_argument("k", type=int)
-        p.add_argument("--server", default=f"127.0.0.1:{DEFAULT_PORT}")
+        p.add_argument("--server", type=_server, default=f"127.0.0.1:{DEFAULT_PORT}")
         p.add_argument("--keys")
         p.add_argument("--verify", action="store_true", help="check proofs")
         p.add_argument("--blinded", action="store_true")
@@ -269,15 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directory", required=True)
     p.add_argument("--user", required=True)
     p.set_defaults(func=_cmd_revoke)
-
-    p = sub.add_parser("bench", help="run the measurement harness")
-    p.add_argument("--csv", default="bench.csv")
-    p.add_argument("--counts", default="500,1000")
-    p.add_argument("--methods", default="wildcard,gram")
-    p.add_argument("--d", default="1,2")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--words", help="word list file, one word per line")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -27,8 +27,6 @@ from .errors import BadParameter, BudgetExceeded, DegenerateWord, EmptyKeyword
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 WILDCARD = "*"
 
-_METHODS = ("wildcard", "gram")
-
 
 def normalize_keyword(raw: str) -> str:
     """Lowercase ``raw`` and strip every character outside a-z.

@@ -301,7 +301,10 @@ def loads_directory(data: bytes, current_xi: bytes = b"") -> UserDirectory:
     epoch = r.u64()
     wrapped = {}
     for _ in range(r.u32()):
-        user_id = r.take(r.u16()).decode("utf-8")
+        try:
+            user_id = r.take(r.u16()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise BadParameter("a user id is not UTF-8") from None
         wrapped[user_id] = r.take(r.u16())
     if not r.done():
         raise Truncated("trailing bytes after directory")

@@ -1,10 +1,11 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
-from fzsearch import keygen
+from fzsearch import DegenerateWord, fuzzy_set, keygen
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -25,6 +26,30 @@ def random_corpus(rng: random.Random, size: int = 100, lo: int = 3, hi: int = 8)
         if word not in corpus:
             corpus[word] = [b"f%04d" % len(corpus)]
     return corpus
+
+
+def synth_corpus(count: int, avg_len: float = 7.44, seed: int = 0) -> dict[str, list[bytes]]:
+    """``count`` distinct random words, mean length close to ``avg_len``."""
+    rng = random.Random(seed)
+    corpus: dict[str, list[bytes]] = {}
+    while len(corpus) < count:
+        length = max(3, round(rng.gauss(avg_len, 2.0)))
+        word = "".join(rng.choice(ALPHABET) for _ in range(length))
+        if word not in corpus:
+            corpus[word] = [b"doc%05d" % len(corpus)]
+    return corpus
+
+
+def time_fuzzyset_build(corpus: dict[str, list[bytes]], d: int, method: str) -> tuple[float, int]:
+    """(elapsed ms, total variants) for constructing every keyword's set."""
+    total = 0
+    start = time.perf_counter()
+    for word in corpus:
+        try:
+            total += len(fuzzy_set(word, d, method))
+        except DegenerateWord:
+            pass  # gram sets skip words shorter than d+1
+    return (time.perf_counter() - start) * 1000.0, total
 
 
 def reference_edit_distance(a: str, b: str) -> int:

@@ -16,7 +16,15 @@ import time
 
 import pytest
 
-from conftest import ALPHABET, garbage_line, mutate, random_corpus, random_word
+from conftest import (
+    ALPHABET,
+    garbage_line,
+    mutate,
+    random_corpus,
+    random_word,
+    synth_corpus,
+    time_fuzzyset_build,
+)
 from fzsearch import (
     VerdictReason,
     build_auth_trie,
@@ -32,9 +40,9 @@ from fzsearch import (
     verify,
     wildcard_fuzzy_set,
 )
-from fzsearch.bench import BenchConfig, run_bench, synth_corpus, time_fuzzyset_build
 from fzsearch.index import EncryptedRecord
 from fzsearch.multiuser import UserDirectory, blind_request, unblind_request
+from fzsearch.persist import dumps_index
 from fzsearch.service import ServerState, encode_message, handle_line
 from fzsearch.verifiable import TAG_BYTES
 
@@ -241,23 +249,15 @@ def test_criterion_08_linear_construction_time():
 
 
 def test_criterion_09_trie_storage_exceeds_listing():
-    report = run_bench(
-        BenchConfig(
-            keyword_counts=(200, 400),
-            methods=("wildcard", "gram"),
-            d_values=(1,),
-            query_count=10,
-            seed=9,
-        )
-    )
-    sizes = {}
-    for row in report.rows:
-        if row.experiment.startswith("index_build_"):
-            sizes.setdefault((row.method, row.keyword_count), {})[row.experiment] = row.bytes
-    assert sizes
-    for point, byte_counts in sizes.items():
-        assert byte_counts["index_build_trie"] >= byte_counts["index_build_listing"], point
-    _report(9, f"serialized trie >= listing on all {len(sizes)} benchmarked corpora")
+    km = keygen(128, seed=b"bench-9")
+    points = [(count, method) for count in (200, 400) for method in ("wildcard", "gram")]
+    for count, method in points:
+        corpus = synth_corpus(count, 7.44, seed=9)
+        listing = len(dumps_index(build_listing_index(corpus, 1, km, method)))
+        trie = len(dumps_index(build_trie_index(corpus, 1, km, method)))
+        # equal since FZIX v2; a trie that stores structure again would exceed it
+        assert trie >= listing, (count, method, trie, listing)
+    _report(9, f"serialized trie >= listing on all {len(points)} benchmarked corpora")
 
 
 def test_criterion_10_verifiable_search_completeness():

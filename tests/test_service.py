@@ -323,11 +323,13 @@ class TestPersistence:
             dumps_index(build_listing_index(corpus, 1, km)),
             dumps_index(build_auth_trie(corpus, 0, km)),
             dumps_keys(km),
+            dumps_directory(UserDirectory(current_xi=km.blind_key).enroll("alice", b"ka")),
         ):
+            loads = {b"FZKY": loads_keys, b"FZUD": loads_directory}.get(blob[:4], loads_index)
             cuts = rng.sample(range(len(blob)), min(100, len(blob)))
             for cut in cuts:
                 with pytest.raises(Truncated):
-                    (loads_keys if blob[:4] == b"FZKY" else loads_index)(blob[:cut])
+                    loads(blob[:cut])
 
     def test_directory_round_trip(self, km):
         directory = UserDirectory(current_xi=km.blind_key)
@@ -337,6 +339,12 @@ class TestPersistence:
         assert loaded.epoch == 0 and set(loaded.wrapped) == {"alice", "bob"}
         assert loaded.unwrap("alice", b"ka") == km.blind_key
         assert dumps_directory(loaded) == blob
+
+    def test_directory_with_a_non_utf8_user_id_is_a_parameter_error(self):
+        blob = b"FZUD\x01" + (0).to_bytes(8, "big") + (1).to_bytes(4, "big")
+        blob += b"\x00\x02\xff\xfe" + b"\x00\x01w"
+        with pytest.raises(BadParameter, match="UTF-8"):
+            loads_directory(blob)
 
 
 @pytest.fixture(scope="module")
@@ -660,6 +668,27 @@ class TestCli:
         index = loads_index(open(indexfile, "rb").read())
         assert len(index.table) == len(variants)
 
+    def test_non_utf8_file_name_is_a_file_id(self, workspace, capsys):
+        corpus_dir = workspace / "odd"
+        corpus_dir.mkdir()
+        with open(os.path.join(os.fsencode(corpus_dir), b"\xffbad.txt"), "w") as fh:
+            fh.write("zebra\n")
+        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
+        assert cli_main(["keygen", "--out", keyfile, "--seed", "02"]) == 0
+        assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", indexfile]) == 0
+        from fzsearch.persist import load_index
+
+        server = SearchServer(ServerState(index=load_index(indexfile)), port=0)
+        server.start()
+        try:
+            capsys.readouterr()
+            server_arg = f"127.0.0.1:{server.server_address[1]}"
+            assert cli_main(["search", "zebro", "1", "--server", server_arg, "--keys", keyfile]) == 0
+            assert capsys.readouterr().out == "\\xffbad.txt\n"
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_blinded_flow_with_enroll_and_revoke(self, workspace, capsys):
         keyfile = str(workspace / "k.fzky")
         indexfile = str(workspace / "i.fzix")
@@ -766,6 +795,19 @@ class TestCli:
     def test_exit_codes(self, workspace, monkeypatch, capsys):
         assert cli_main(["bogus-command"]) == 2
         assert cli_main([]) == 2
+        assert cli_main(["bench"]) == 2  # retired; perfbench is the one harness
+        for argv in (
+            ["keygen", "--out", str(workspace / "k"), "--seed", "zz"],
+            ["search", "cat", "1", "--server", "127.0.0.1:abc"],
+            ["search", "cat", "1", "--server", "127.0.0.1:65536"],
+            ["serve", "--index", str(workspace / "i.fzix"), "--port", "70000"],
+            ["serve", "--index", str(workspace / "i.fzix"), "--port", "-1"],
+        ):
+            capsys.readouterr()
+            assert cli_main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "error: " in err and "Traceback" not in err, err
+        assert not os.path.exists(workspace / "k")
         rc = cli_main(["search", "cat", "0"])  # no key file anywhere
         assert rc == 1
         monkeypatch.setenv("FZ_KEYFILE", str(workspace / "missing.fzky"))
