@@ -57,8 +57,18 @@ def _port(text: str) -> int:
 
 
 def _server(text: str) -> tuple[str, int]:
-    """argparse type: ``host:port``, either part optional."""
-    host, _, port = text.partition(":")
+    """argparse type: ``host:port``, or ``[host]:port`` for an IPv6 address; either part optional."""
+    if text.startswith("["):
+        host, bracket, port = text[1:].partition("]")
+        if not bracket or port[:1] not in ("", ":"):
+            raise argparse.ArgumentTypeError(f"server {text!r} is not [host]:port")
+        port = port[1:]
+    elif text.count(":") > 1:
+        raise argparse.ArgumentTypeError(
+            f"server {text!r} has more than one ':'; write an IPv6 address in brackets, as [::1]:{DEFAULT_PORT}"
+        )
+    else:
+        host, _, port = text.partition(":")
     return host or "127.0.0.1", _port(port) if port else DEFAULT_PORT
 
 
@@ -124,7 +134,8 @@ def _cmd_serve(args) -> int:
     state = ServerState(index=index, xi=xi, epoch=args.epoch)
     server = SearchServer(state, host=args.host, port=args.port)
     mode = f"blinded epoch={args.epoch}" if xi else "single-user"
-    print(f"serving {args.index} on {args.host}:{server.server_address[1]} ({mode})")
+    host = f"[{args.host}]" if ":" in args.host else args.host
+    print(f"serving {args.index} on {host}:{server.server_address[1]} ({mode})")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -138,8 +149,6 @@ def _search_common(args, force_verify: bool) -> int:
     km = load_keys(_keyfile(args))
     with SearchClient(*args.server) as client:
         ack = client.hello()
-        if ack.get("type") != "HelloAck":
-            raise FzError(f"unexpected hello response: {ack}")
         word = normalize_keyword(args.word)
         req = make_request(word, args.k, km, ack.get("method"))
         epoch = 0

@@ -6,12 +6,23 @@ identifiers travel inside authenticated ciphertexts under a separate key, and
 a Feistel permutation keyed by the rotating blind key turns trapdoors into
 per-epoch request tokens for the multi-user setting.
 
-Every PRF here (trapdoors, nonces, key derivation, the Feistel rounds) is
-``prf_bytes``: RFC 2104 HMAC, computed from the inner and outer hash states
-left after absorbing the padded key.  Those states are cached per key, so
-they hold key material in process memory for as long as the process lives,
-unless the bounded cache evicts them.  The AES-GCM record cipher is cached
-per key the same way.
+Every PRF for trapdoors, nonces and key derivation is ``prf_bytes``: RFC 2104
+HMAC, computed from the inner and outer hash states left after absorbing the
+padded key.  Those states are cached per key, so they hold key material in
+process memory for as long as the process lives, unless the bounded cache
+evicts them.  The AES-GCM record cipher and the AES-ECB cipher of the
+blinding permutation are cached per key the same way.
+
+The blinding permutation ``prp`` is a 4-round Luby-Rackoff Feistel network
+over the two halves of a trapdoor, the shape of NIST SP 800-38G FF1 with
+fewer rounds.  Its round function is AES under the blind key, truncated to
+the half's length: ``F_i(x) = AES(x || i || len(x) || 0...)[:len(x)]``.
+AES is a pseudorandom permutation, so truncated it is a PRF (the PRP/PRF
+switching term is about ``q^2 / 2^128``), and four rounds over ``n``-bit
+halves give a strong pseudorandom permutation up to about ``q^2 / 2^n`` for
+``q`` queries: ``q^2 / 2^80`` at the default 160-bit trapdoors, the same
+bound as the HMAC rounds it replaces.  A half and its two tag bytes must fit one AES block, so a
+trapdoor is at most ``MAX_PRP_BYTES`` (28 bytes, 224 bits).
 """
 
 from __future__ import annotations
@@ -19,9 +30,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import secrets
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import AuthFailure, BadLength, BadParameter
@@ -30,8 +44,11 @@ NONCE_BYTES = 12
 MAX_FID_BYTES = 64
 SECURITY_BITS = (128, 256)  # each key is security_bits // 8 bytes
 
+MAX_PRP_BYTES = 28  # a half, its round byte and its length byte fill one AES block
+
 _FEISTEL_ROUNDS = 4
-_ROUND_TAGS = tuple(b"F:" + bytes([i]) for i in range(_FEISTEL_ROUNDS))
+# prp lays each block into its own slot of two AES blocks: block, then zeros
+_SLOT = 32
 # Distinct keys in use at once: trapdoor, record and blind key, user keys, seeds.
 _KEY_CACHE_SIZE = 256
 _IPAD = bytes(b ^ 0x36 for b in range(256))
@@ -50,8 +67,13 @@ def _hmac_pads(key: bytes):
     return inner, outer
 
 
-def _hmac_expand(inner, outer, msg: bytes, n: int) -> bytes:
-    """Counter-mode HMAC blocks from cached pad states, cut to ``n`` bytes."""
+def prf_bytes(key: bytes, msg: bytes, n: int) -> bytes:
+    """Keyed pseudorandom bytes: HMAC-SHA256 expanded in counter mode to ``n`` bytes.
+
+    Byte for byte ``hmac.new(key, msg + counter, "sha256")`` for counters
+    0, 1, ... concatenated; the pad states come from a per-key cache.
+    """
+    inner, outer = _hmac_pads(key)
     out = b""
     counter = 0
     while True:
@@ -63,16 +85,6 @@ def _hmac_expand(inner, outer, msg: bytes, n: int) -> bytes:
         if len(out) >= n:
             return out[:n]
         counter += 1
-
-
-def prf_bytes(key: bytes, msg: bytes, n: int) -> bytes:
-    """Keyed pseudorandom bytes: HMAC-SHA256 expanded in counter mode to ``n`` bytes.
-
-    Byte for byte ``hmac.new(key, msg + counter, "sha256")`` for counters
-    0, 1, ... concatenated; the pad states come from a per-key cache.
-    """
-    inner, outer = _hmac_pads(key)
-    return _hmac_expand(inner, outer, msg, n)
 
 
 @dataclass(frozen=True)
@@ -105,6 +117,8 @@ def check_geometry(trapdoor_bits: int, symbol_bits: int) -> None:
     """Validate the trapdoor/symbol split shared by keys and indexes."""
     if trapdoor_bits <= 0 or trapdoor_bits % 16 != 0:
         raise BadParameter("trapdoor_bits must be a positive multiple of 16")
+    if trapdoor_bits > 8 * MAX_PRP_BYTES:
+        raise BadParameter(f"trapdoor_bits must be at most {8 * MAX_PRP_BYTES}, the widest block prp takes")
     if not 1 <= symbol_bits <= 8:
         raise BadParameter("symbol_bits must be in 1..8")
     if trapdoor_bits % symbol_bits != 0:
@@ -160,7 +174,7 @@ def trapdoor(km: KeyMaterial, variant: str) -> bytes:
     return prf_bytes(km.trapdoor_key, b"T:" + variant.encode("ascii"), km.trapdoor_bytes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncryptedRecord:
     """Authenticated ciphertext of one (file id, keyword) pair."""
 
@@ -217,30 +231,59 @@ def decrypt_record(km: KeyMaterial, rec: EncryptedRecord) -> tuple[bytes, str]:
     return payload[1 : 1 + n], payload[1 + n :].decode("ascii")
 
 
-def prp(key: bytes, block: bytes, direction: str = "forward") -> bytes:
-    """Keyed bijection on even-byte blocks: a 4-round Feistel network.
+@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _blind_cipher(key: bytes) -> Cipher:
+    try:
+        return Cipher(algorithms.AES(key), modes.ECB())
+    except ValueError as exc:
+        raise BadParameter(f"blind key must be 16, 24 or 32 bytes, got {len(key)}") from exc
 
-    ``prp(k, prp(k, b, "forward"), "inverse") == b`` for every block.  Works
-    for any even byte length, so a 160-bit trapdoor needs no block-cipher
-    padding.  Round ``i`` XORs one half with ``prf_bytes(key, b"F:" + bytes([i])
-    + other half, half length)``, the halves taken as big-endian integers.
+
+def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tuple[bytes, ...]:
+    """Keyed bijection on every block of a request at once: a 4-round Feistel network.
+
+    ``prp(k, prp(k, bs, "forward"), "inverse") == tuple(bs)``.  All blocks
+    share one even width of at most ``MAX_PRP_BYTES``, so a 160-bit trapdoor
+    needs no padding; ``key`` is an AES key (16, 24 or 32 bytes).  Round
+    ``i`` XORs one half of each block with the first ``h`` bytes of
+    ``AES(key, other half || i || h || zeros)``, ``h`` the half length.
+
+    Each half sits at the front of its own 32-byte slot of one big integer,
+    so a round is one AES-ECB call over every slot of the request (the
+    second AES block of a slot is zeros and its output is masked off), one
+    mask and one XOR.
     """
     if direction not in ("forward", "inverse"):
         raise BadParameter(f"unknown direction {direction!r}")
-    if not block or len(block) % 2 != 0:
-        raise BadLength(f"block must be a positive even number of bytes, got {len(block)}")
-    h = len(block) // 2
-    inner, outer = _hmac_pads(key)
-    left, right = int.from_bytes(block[:h], "big"), int.from_bytes(block[h:], "big")
-    if direction == "forward":
-        for tag in _ROUND_TAGS:
-            f = _hmac_expand(inner, outer, tag + right.to_bytes(h, "big"), h)
-            left, right = right, left ^ int.from_bytes(f, "big")
-    else:
-        for tag in reversed(_ROUND_TAGS):
-            f = _hmac_expand(inner, outer, tag + left.to_bytes(h, "big"), h)
-            left, right = right ^ int.from_bytes(f, "big"), left
-    return left.to_bytes(h, "big") + right.to_bytes(h, "big")
+    cipher = _blind_cipher(key)
+    n = len(blocks)
+    if not n:
+        return ()
+    w = len(blocks[0])
+    h = w // 2
+    if w % 2 or not 2 <= w <= MAX_PRP_BYTES or set(map(len, blocks)) != {w}:
+        raise BadLength(f"blocks must share one even width in 2..{MAX_PRP_BYTES} bytes")
+    size, pad = _SLOT * n, bytes(_SLOT - w)
+    # ``unit`` has a 1 in the last byte of each slot's half, so one product
+    # with it writes the same bytes into every slot: the mask over the half,
+    # and each round's tag bytes (round number, then half length) after it.
+    unit = int.from_bytes((bytes(h - 1) + b"\1").ljust(_SLOT, b"\0") * n, "big")
+    mask = unit * ((1 << 8 * h) - 1)
+    tags = [(unit >> 16) * (i << 8 | h) for i in range(_FEISTEL_ROUNDS)]
+    whole = int.from_bytes(pad.join(blocks) + pad, "big")
+    left = whole & mask
+    right = (whole ^ left) << 8 * h
+    update = cipher.encryptor().update
+    # With an even round count, XORing the halves in place in turn equals the
+    # textbook swap form; the inverse runs the same rounds in reverse order.
+    rounds = range(_FEISTEL_ROUNDS) if direction == "forward" else reversed(range(_FEISTEL_ROUNDS))
+    for i in rounds:
+        if i % 2 == 0:
+            left ^= mask & int.from_bytes(update((right | tags[i]).to_bytes(size, "big")), "big")
+        else:
+            right ^= mask & int.from_bytes(update((left | tags[i]).to_bytes(size, "big")), "big")
+    out = (left | right >> 8 * h).to_bytes(size, "big")
+    return struct.unpack(f"{w}s{_SLOT - w}x" * n, out)
 
 
 def record_digest(records) -> bytes:

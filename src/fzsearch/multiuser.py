@@ -85,14 +85,10 @@ class UserDirectory:
 
 
 def blind_request(req: SearchRequest, xi: bytes) -> SearchRequest:
-    """Permute every trapdoor forward under ``xi``; order and k preserved."""
-    return SearchRequest(
-        trapdoors=tuple(prp(xi, t, "forward") for t in req.trapdoors), k=req.k
-    )
+    """Permute every trapdoor forward under ``xi`` in one ``prp`` call; order and k preserved."""
+    return SearchRequest(trapdoors=prp(xi, req.trapdoors, "forward"), k=req.k)
 
 
 def unblind_request(req: SearchRequest, xi: bytes) -> SearchRequest:
     """Server side: invert the permutation before searching."""
-    return SearchRequest(
-        trapdoors=tuple(prp(xi, t, "inverse") for t in req.trapdoors), k=req.k
-    )
+    return SearchRequest(trapdoors=prp(xi, req.trapdoors, "inverse"), k=req.k)

@@ -6,8 +6,10 @@ One JSON object per line, UTF-8, newline-terminated, canonical encoding
 Message types:
 
 ``Hello`` -> ``HelloAck``
-    Ack carries epoch, index kind/method, d, trapdoor and symbol bits,
-    whether proofs are available, and the request size limit.
+    Ack carries the protocol version (``PROTOCOL``), epoch, index
+    kind/method, d, trapdoor and symbol bits, whether proofs are available,
+    whether requests are blinded, and the request size limit.
+    ``SearchClient.hello`` refuses an ack of any other protocol version.
 ``SearchReq``
     ``{"type": "SearchReq", "epoch": E, "k": K, "trapdoors": [hex...],
     "proof": bool?}``.  Trapdoor hex is lowercase and exactly
@@ -18,6 +20,13 @@ Message types:
 ``ErrorResp``
     codes MALFORMED, EDIT_BOUND, STALE_EPOCH, TOO_MANY_TRAPDOORS, and
     INTERNAL for a fault of the server's own (an exception no check caught).
+
+A blinded server (``ServerState.xi`` set) takes every trapdoor of a request
+as permuted under the blind key by ``crypto.prp``, a 4-round Feistel with
+AES rounds, and inverts the whole request in one call before searching.
+Protocol 2 is that AES Feistel; protocol 1 used HMAC rounds, so the two
+sides would unblind each other's trapdoors to garbage.  The permutation caps
+trapdoors at 224 bits.
 
 The handler never raises on any input line; anything unparseable or
 out of contract comes back as an ErrorResp.
@@ -58,6 +67,7 @@ from .index import Index, ResultSet, SearchRequest, search_listing
 from .multiuser import unblind_request
 from .verifiable import Proof, decode_proof, encode_proof, search_with_proof
 
+PROTOCOL = 2  # HelloAck's "protocol"; bumped when the wire meaning of a request changes
 DEFAULT_PORT = 7090
 MAX_REPLY_BYTES = 64 << 20  # the longest reply line the client reads
 _RECV_BYTES = 1 << 16  # the most the server reads from one connection per wake-up
@@ -120,6 +130,7 @@ def handle_message(state: ServerState, msg: dict) -> dict:
         if mtype == "Hello":
             return {
                 "type": "HelloAck",
+                "protocol": PROTOCOL,
                 "epoch": state.epoch,
                 "kind": state.index.kind,
                 "method": state.index.method,
@@ -241,7 +252,8 @@ class SearchServer:
 
     def __init__(self, state: ServerState, host: str = "127.0.0.1", port: int = DEFAULT_PORT):
         self.state = state
-        self.socket = socket.create_server((host, port))
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self.socket = socket.create_server((host, port), family=family)
         self.socket.setblocking(False)
         self.server_address = self.socket.getsockname()
         self._selector = selectors.DefaultSelector()
@@ -447,7 +459,13 @@ class SearchClient:
         return reply
 
     def hello(self) -> dict:
-        return self.roundtrip({"type": "Hello"})
+        """The server's HelloAck; ``BadResponse`` unless it speaks ``PROTOCOL``."""
+        ack = self.roundtrip({"type": "Hello"})
+        if ack.get("type") != "HelloAck":
+            raise BadResponse(f"unexpected hello response: {ack}")
+        if ack.get("protocol") != PROTOCOL:
+            raise BadResponse(f"server speaks protocol {ack.get('protocol')!r}, this client {PROTOCOL}")
+        return ack
 
     def search(self, req: SearchRequest, epoch: int = 0, want_proof: bool = False) -> dict:
         msg = {

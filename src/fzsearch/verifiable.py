@@ -66,8 +66,8 @@ class AuthTrieIndex(TrieIndex):
     def build(cls, corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"):
         """Trie build plus a leaf tag per entry and a gap tag per gap."""
         index = super().build(corpus, d, km, method)
-        key, table, exact = km.record_key, index.table, index.exact
-        keys = sorted(table)
+        key, table, exact, width = km.record_key, index.table, index.exact, km.trapdoor_bytes
+        keys = [v.to_bytes(width, "big") for v in index.ordered]
         ends = [b"", *keys, b""]
         index.tags = b"".join(
             [leaf_tag(key, t, t in exact, record_digest(table[t])) for t in keys]

@@ -407,10 +407,10 @@ def _scripted_session(seed: bytes) -> bytes:
     return transcript
 
 
-# sha256 of _blinded_session(b"golden-blind"); pins the Feistel bytes of
-# blind_request on the wire and the server's unblinded answers with their
-# adjacent-pair proofs (proof type 0xFF).
-GOLDEN_BLINDED_SESSION = "12fe570137ae28077339785741bb31cb11875c3f57079921b85c04390b727952"
+# sha256 of _blinded_session(b"golden-blind"); pins the HelloAck (protocol 2),
+# the AES Feistel bytes of blind_request on the wire and the server's
+# unblinded answers with their adjacent-pair proofs (proof type 0xFF).
+GOLDEN_BLINDED_SESSION = "96ebb8fd4282a46b31a2e926f6f8f30fcaca70f0df9aac553ad3c79d9d6f6495"
 
 
 def _blinded_session(seed: bytes) -> bytes:

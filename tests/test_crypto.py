@@ -3,6 +3,7 @@ import random
 import secrets
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from conftest import random_corpus
 from fzsearch import (
@@ -49,6 +50,9 @@ class TestKeygen:
             keygen(128, trapdoor_bits=160, symbol_bits=9)  # symbol wider than a byte
         with pytest.raises(BadParameter):
             keygen(128, trapdoor_bits=150)  # not a multiple of 16
+        with pytest.raises(BadParameter):
+            keygen(128, trapdoor_bits=240)  # a half and its two tag bytes overflow an AES block
+        assert keygen(128, trapdoor_bits=224).trapdoor_bytes == 28
         km = keygen(128, trapdoor_bits=160, symbol_bits=8)
         assert km.depth == 20
 
@@ -137,29 +141,37 @@ class TestRecords:
 
 class TestPrp:
     def test_forward_then_inverse_is_identity(self, km):
-        for _ in range(10_000):
-            block = secrets.token_bytes(20)
-            assert prp(km.blind_key, prp(km.blind_key, block, "forward"), "inverse") == block
+        rng = random.Random(1991)
+        for _ in range(500):
+            width = 2 * rng.randrange(1, 15)
+            blocks = tuple(secrets.token_bytes(width) for _ in range(rng.randrange(1, 41)))
+            assert prp(km.blind_key, prp(km.blind_key, blocks, "forward"), "inverse") == blocks
+            assert prp(km.blind_key, prp(km.blind_key, list(blocks), "inverse"), "forward") == blocks
 
     def test_length_preserved(self, km):
-        for size in (2, 10, 20, 32):
-            block = secrets.token_bytes(size)
-            assert len(prp(km.blind_key, block, "forward")) == size
+        for size in (2, 10, 20, 28):
+            blocks = [secrets.token_bytes(size) for _ in range(7)]
+            out = prp(km.blind_key, blocks, "forward")
+            assert isinstance(out, tuple) and [len(b) for b in out] == [size] * 7
+        assert prp(km.blind_key, (), "forward") == ()
 
     def test_injective_on_large_sample(self, km):
         seen = set()
-        for i in range(100_000):
-            block = i.to_bytes(20, "big")
-            seen.add(prp(km.blind_key, block, "forward"))
+        for start in range(0, 100_000, 50):
+            seen.update(prp(km.blind_key, [i.to_bytes(20, "big") for i in range(start, start + 50)], "forward"))
         assert len(seen) == 100_000
 
     def test_bad_lengths(self, km):
-        with pytest.raises(BadLength):
-            prp(km.blind_key, b"", "forward")
-        with pytest.raises(BadLength):
-            prp(km.blind_key, b"odd", "forward")
+        for blocks in ([b""], [b"odd"], [bytes(30)], [bytes(20), bytes(10)], [bytes(10), bytes(20), bytes(10)]):
+            with pytest.raises(BadLength):
+                prp(km.blind_key, blocks, "forward")
         with pytest.raises(BadParameter):
-            prp(km.blind_key, b"ok", "sideways")
+            prp(km.blind_key, [b"ok"], "sideways")
+
+    @pytest.mark.parametrize("key", [b"", b"12345", bytes(20), bytes(33)])
+    def test_key_not_fit_for_aes_is_a_parameter_error(self, key):
+        with pytest.raises(BadParameter):
+            prp(key, [bytes(20)], "forward")
 
 
 def test_prf_bytes_expansion():
@@ -180,12 +192,14 @@ def _hmac_reference(key: bytes, msg: bytes, n: int) -> bytes:
 
 
 def _prp_reference(key: bytes, block: bytes, direction: str) -> bytes:
-    """The Feistel network with byte-wise XOR over the stdlib HMAC reference."""
+    """The textbook Feistel network on one block: a fresh AES-ECB encryptor per
+    round call, its output cut to the half, and byte-wise XOR."""
     h = len(block) // 2
     left, right = block[:h], block[h:]
 
     def f(rnd, half):
-        return _hmac_reference(key, b"F:" + bytes([rnd]) + half, len(half))
+        encryptor = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        return encryptor.update(half + bytes([rnd, h]) + bytes(14 - h))[:h]
 
     if direction == "forward":
         for i in range(4):
@@ -219,14 +233,14 @@ PRF_KAT = {
          "60f6c4cf1d96582daa8841db10b69cb9b688d0d8f55e847b6a42d0cc8fad76c53ce70cad39c16ec49f7ecae1974a2fac4b386537",
 }
 
-# block size -> (prp(_kat_key(16), bytes(range(size)), "forward"), ... "inverse")
+# block size -> (prp(_kat_key(16), [bytes(range(size))], "forward")[0], ... "inverse")
 PRP_KAT = {
-    2: ("db34", "6d46"),
-    10: ("c35fc2106c6852015330", "7269ffd72a249604c600"),
-    20: ("28163c369ff39fcc38f3565cf02b691e7cd83e80", "b1852fec1a4c83c2a7bb91ffc3aa5db25b89ac7e"),
-    32: (
-        "5496a833fc01481b5baf38b1a7446d0252b7c6891adf2895f28ad4cd62f680ad",
-        "cccf5f01a1f54d726a196ddbb2254c0ac0d3d46ac025c819740a58a14c6fcc90",
+    2: ("f3cf", "262f"),
+    10: ("ae0366c22b46bbaee5b5", "c5d87ab28e4940ee80f9"),
+    20: ("a476b0967d0b41c1eae73d79df99f20b55b6bf04", "f5cb21282b480a57b950d767cc48c807ab03d080"),
+    28: (
+        "8091b6a241086baab3bf835415c81a65074f2b60128a31473fd9b8c7",
+        "23971ebeeaba5353b8d542a2dee2f01e93ad346b2fd5f3f2de674709",
     ),
 }
 
@@ -248,20 +262,24 @@ class TestKnownAnswers:
 
     def test_prp_matches_reference(self):
         rng = random.Random(1993)
-        for _ in range(300):
-            key = rng.randbytes(rng.randrange(1, 80))
-            block = rng.randbytes(2 * rng.randrange(1, 100))
+        for i in range(300):
+            key = rng.randbytes((16, 24, 32)[i % 3])
+            width = 2 * rng.randrange(1, 15)
+            blocks = [rng.randbytes(width) for _ in range(rng.randrange(65))]
             for direction in ("forward", "inverse"):
-                assert prp(key, block, direction) == _prp_reference(key, block, direction)
+                expect = tuple(_prp_reference(key, b, direction) for b in blocks)
+                assert prp(key, blocks, direction) == expect, (key.hex(), width, len(blocks), direction)
 
     @pytest.mark.parametrize("size", sorted(PRP_KAT))
     def test_prp(self, size):
         key, block = _kat_key(16), bytes(range(size))
         forward, inverse = (bytes.fromhex(h) for h in PRP_KAT[size])
-        assert prp(key, block, "forward") == forward
-        assert prp(key, block, "inverse") == inverse
-        assert prp(key, forward, "inverse") == block
-        assert prp(key, inverse, "forward") == block
+        assert prp(key, [block], "forward") == (forward,)
+        assert prp(key, [block], "inverse") == (inverse,)
+        assert prp(key, [forward], "inverse") == (block,)
+        assert prp(key, [inverse], "forward") == (block,)
+        # a block's image does not depend on the rest of the request
+        assert prp(key, [bytes(size), block, forward], "forward")[1] == forward
 
     def test_keyed_functions(self):
         km = keygen(128, seed=b"kat")

@@ -29,6 +29,7 @@ from fzsearch import (
     make_request,
     search_trie,
 )
+from fzsearch.cli import _server
 from fzsearch.cli import main as cli_main
 from fzsearch.errors import BadResponse
 from fzsearch.multiuser import blind_request
@@ -44,6 +45,7 @@ from fzsearch.persist import (
     save_keys,
 )
 from fzsearch.service import (
+    PROTOCOL,
     SearchClient,
     SearchServer,
     ServerConfig,
@@ -83,6 +85,7 @@ class TestHandler:
         assert ack["kind"] == "trie" and ack["method"] == "wildcard"
         assert ack["d"] == 1 and ack["trapdoor_bits"] == 160 and ack["symbol_bits"] == 4
         assert ack["verifiable"] is False and ack["blinded"] is False
+        assert ack["protocol"] == PROTOCOL == 2
 
     def test_wire_layer_adds_and_removes_nothing(self, km, world):
         corpus, index = world
@@ -800,6 +803,11 @@ class TestCli:
             ["keygen", "--out", str(workspace / "k"), "--seed", "zz"],
             ["search", "cat", "1", "--server", "127.0.0.1:abc"],
             ["search", "cat", "1", "--server", "127.0.0.1:65536"],
+            ["search", "cat", "1", "--server", "::1:7090"],
+            ["search", "cat", "1", "--server", "::1"],
+            ["search", "cat", "1", "--server", "[::1"],
+            ["search", "cat", "1", "--server", "[::1]7090"],
+            ["search", "cat", "1", "--server", "[::1]:abc"],
             ["serve", "--index", str(workspace / "i.fzix"), "--port", "70000"],
             ["serve", "--index", str(workspace / "i.fzix"), "--port", "-1"],
         ):
@@ -807,12 +815,38 @@ class TestCli:
             assert cli_main(argv) == 2, argv
             err = capsys.readouterr().err
             assert "error: " in err and "Traceback" not in err, err
+            if argv[-1].startswith("::1"):
+                assert "[::1]:7090" in err, err  # names the bracket form
+        assert _server("[::1]:7091") == ("::1", 7091)
+        assert _server("[::1]") == _server("[::1]:") == ("::1", 7090)
+        assert _server("example.org") == ("example.org", 7090) and _server(":7091") == ("127.0.0.1", 7091)
         assert not os.path.exists(workspace / "k")
         rc = cli_main(["search", "cat", "0"])  # no key file anywhere
         assert rc == 1
         monkeypatch.setenv("FZ_KEYFILE", str(workspace / "missing.fzky"))
         assert cli_main(["search", "cat", "0"]) == 1
         capsys.readouterr()
+
+    def test_ipv6_server_round_trip(self, workspace, capsys):
+        try:
+            socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+        except OSError:
+            pytest.skip("this host has no IPv6 loopback")
+        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
+        assert cli_main(["keygen", "--out", keyfile, "--seed", "06"]) == 0
+        assert cli_main(["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]) == 0
+        from fzsearch.persist import load_index
+
+        server = SearchServer(ServerState(index=load_index(indexfile)), host="::1", port=0)
+        server.start()
+        try:
+            capsys.readouterr()
+            server_arg = f"[::1]:{server.server_address[1]}"
+            assert cli_main(["search", "cot", "1", "--server", server_arg, "--keys", keyfile]) == 0
+            assert capsys.readouterr().out.split() == ["two.txt"]
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_keyfile_env_fallback(self, workspace, monkeypatch, capsys):
         keyfile = str(workspace / "env.fzky")
@@ -927,6 +961,19 @@ class TestHostileServer:
         assert cli_main(["search", "castle", "1", "--keys", keyfile]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true}\n', "protocol None"),
+            (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true,"protocol":1}\n', "protocol 1"),
+            (b'{"type":"ErrorResp","code":"MALFORMED","message":"?"}\n', "unexpected hello response"),
+        ],
+    )
+    def test_hello_from_another_protocol(self, tmp_path, capsys, line, message):
+        """A server without protocol 2 (a protocol 1 server inverts HMAC Feistel
+        rounds) gets no request: the client stops at the HelloAck."""
+        self._answer_hello_with(line, tmp_path, capsys, "error: ", message)
+
     @pytest.mark.parametrize("line", [b"not json\n", b"[1, 2]\n", b"\xff\xfe\n"])
     def test_non_object_reply(self, tmp_path, capsys, line):
         self._answer_hello_with(line, tmp_path, capsys, "error: server reply is not")
@@ -936,7 +983,7 @@ class TestHostileServer:
         line = b'{"type":"HelloAck","pad":"' + b"a" * 4096 + b'"}\n'
         self._answer_hello_with(line, tmp_path, capsys, "error: server reply exceeds 1024 bytes")
 
-    def _answer_hello_with(self, line, tmp_path, capsys, message):
+    def _answer_hello_with(self, line, tmp_path, capsys, message, detail=""):
         keyfile = str(tmp_path / "k.fzky")
         assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
         listener = socket.create_server(("127.0.0.1", 0))
@@ -953,7 +1000,8 @@ class TestHostileServer:
         try:
             capsys.readouterr()
             assert cli_main(["search", "castle", "1", "--keys", keyfile, "--server", f"127.0.0.1:{port}"]) == 1
-            assert capsys.readouterr().err.startswith(message)
+            err = capsys.readouterr().err
+            assert err.startswith(message) and detail in err and "Traceback" not in err, err
         finally:
             thread.join(timeout=10)
             listener.close()
