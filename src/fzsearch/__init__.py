@@ -7,7 +7,6 @@ recover the matching encrypted file identifiers.
 """
 
 from .crypto import (
-    EncryptedRecord,
     KeyMaterial,
     decrypt_record,
     encrypt_record,

@@ -2,6 +2,8 @@
 
 Owner side: ``keygen``, ``build``, ``serve``, ``enroll``, ``revoke``.
 User side: ``search`` (``verify`` is search with proof checking forced).
+Both print the file ids whose decrypted keyword is within ``k`` edits of
+the normalized query, so a gram index's farther results are dropped.
 
 The key file path comes from ``--keys`` or the ``FZ_KEYFILE`` environment
 variable.  Enrollment derives each user's personal key from the record key
@@ -18,7 +20,7 @@ import sys
 
 from .crypto import SECURITY_BITS, keygen, decrypt_record, prf_bytes
 from .errors import EmptyKeyword, FzError, VersionUnsupported
-from .fuzzyset import normalize_keyword
+from .fuzzyset import edit_distance, normalize_keyword
 from .index import build_listing_index, build_trie_index, make_request
 from .multiuser import UserDirectory, blind_request
 from .persist import (
@@ -174,7 +176,9 @@ def _search_common(args, force_verify: bool) -> int:
             where = "" if verdict.failing_index is None else f" at proof {verdict.failing_index}"
             raise FzError(f"verification failed: {verdict.reason.value}{where}")
     # decrypt before "verified": verify binds record bytes, not how they split into records
-    fids = sorted({decrypt_record(km, rec)[0] for rec in result.records})
+    found = [decrypt_record(km, rec) for rec in result.records]
+    # a gram index also returns keywords more than k edits away; print only real matches
+    fids = sorted({fid for fid, keyword in found if edit_distance(word, keyword) <= args.k})
     if want_proof:
         print("verified: Ok")
     for fid in fids:

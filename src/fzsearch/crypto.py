@@ -2,9 +2,12 @@
 
 The server only ever sees trapdoors: keyed pseudorandom digests of keyword
 variants, 160 bits by default so they split evenly into 4-bit symbols.  File
-identifiers travel inside authenticated ciphertexts under a separate key, and
-a Feistel permutation keyed by the rotating blind key turns trapdoors into
-per-epoch request tokens for the multi-user setting.
+identifiers travel inside authenticated ciphertexts under a separate key: a
+record is the bytes ``nonce || ciphertext``, a 12-byte nonce and the AES-GCM
+ciphertext with its 16-byte tag, from ``encrypt_record`` through the index,
+its file and the wire to ``decrypt_record``.  A Feistel permutation keyed by
+the rotating blind key turns trapdoors into per-epoch request tokens for the
+multi-user setting.
 
 Every PRF for trapdoors, nonces and key derivation is ``prf_bytes``: RFC 2104
 HMAC, computed from the inner and outer hash states left after absorbing the
@@ -41,6 +44,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .errors import AuthFailure, BadLength, BadParameter
 
 NONCE_BYTES = 12
+RECORD_MIN_BYTES = NONCE_BYTES + 16  # a record's nonce, then at least the 16-byte GCM tag
 MAX_FID_BYTES = 64
 SECURITY_BITS = (128, 256)  # each key is security_bits // 8 bytes
 
@@ -174,25 +178,6 @@ def trapdoor(km: KeyMaterial, variant: str) -> bytes:
     return prf_bytes(km.trapdoor_key, b"T:" + variant.encode("ascii"), km.trapdoor_bytes)
 
 
-@dataclass(frozen=True, slots=True)
-class EncryptedRecord:
-    """Authenticated ciphertext of one (file id, keyword) pair."""
-
-    nonce: bytes
-    ciphertext: bytes
-
-    @property
-    def blob(self) -> bytes:
-        """Wire/storage form: nonce followed by ciphertext."""
-        return self.nonce + self.ciphertext
-
-    @classmethod
-    def from_blob(cls, blob: bytes) -> "EncryptedRecord":
-        if len(blob) < NONCE_BYTES + 16:
-            raise AuthFailure("record blob too short")
-        return cls(nonce=blob[:NONCE_BYTES], ciphertext=blob[NONCE_BYTES:])
-
-
 def record_nonce(km: KeyMaterial, variant: str, keyword: str, fid: bytes) -> bytes:
     """Deterministic nonce for index builds; unique per (variant, keyword, fid)."""
     msg = b"N:" + variant.encode("ascii") + b"\x00" + keyword.encode("ascii") + b"\x00" + fid
@@ -204,23 +189,29 @@ def _record_cipher(record_key: bytes) -> AESGCM:
     return AESGCM(record_key)
 
 
-def encrypt_record(
-    km: KeyMaterial, fid: bytes, keyword: str, nonce: bytes | None = None
-) -> EncryptedRecord:
-    """Encrypt ``fid`` together with its keyword; fresh nonce unless one is given."""
+def encrypt_record(km: KeyMaterial, fid: bytes, keyword: str, nonce: bytes | None = None) -> bytes:
+    """Encrypt ``fid`` together with its keyword into a record, ``nonce || ciphertext``.
+
+    The nonce is fresh unless one is given.
+    """
     if not fid or len(fid) > MAX_FID_BYTES:
         raise BadParameter(f"fid must be 1..{MAX_FID_BYTES} bytes")
     if nonce is None:
         nonce = secrets.token_bytes(NONCE_BYTES)
     payload = bytes([len(fid)]) + fid + keyword.encode("ascii")
-    ct = _record_cipher(km.record_key).encrypt(nonce, payload, None)
-    return EncryptedRecord(nonce=nonce, ciphertext=ct)
+    return nonce + _record_cipher(km.record_key).encrypt(nonce, payload, None)
 
 
-def decrypt_record(km: KeyMaterial, rec: EncryptedRecord) -> tuple[bytes, str]:
-    """Recover (fid, keyword); any tamper or wrong key raises AuthFailure."""
+def decrypt_record(km: KeyMaterial, blob: bytes) -> tuple[bytes, str]:
+    """Recover (fid, keyword) from ``nonce || ciphertext``.
+
+    A record shorter than a nonce and a tag, any tamper or a wrong key
+    raises AuthFailure.
+    """
+    if len(blob) < RECORD_MIN_BYTES:
+        raise AuthFailure("record blob too short")
     try:
-        payload = _record_cipher(km.record_key).decrypt(rec.nonce, rec.ciphertext, None)
+        payload = _record_cipher(km.record_key).decrypt(blob[:NONCE_BYTES], blob[NONCE_BYTES:], None)
     except (InvalidTag, ValueError) as exc:
         raise AuthFailure("record failed authentication") from exc
     if not payload:
@@ -287,8 +278,5 @@ def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tupl
 
 
 def record_digest(records) -> bytes:
-    """Plain digest of record blobs in order; bound to a key via the leaf tag."""
-    h = hashlib.sha256()
-    for rec in records:
-        h.update(rec.blob)
-    return h.digest()
+    """Plain digest of the records' bytes in order; bound to a key via the leaf tag."""
+    return hashlib.sha256(b"".join(records)).digest()

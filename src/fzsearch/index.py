@@ -1,8 +1,10 @@
 """Server-side index: one trapdoor -> records map and the search over it.
 
-Every kind holds the same state (each fuzzy variant's trapdoor mapped to its
-encrypted records, plus the trapdoors of keywords' own zero-edit variants)
-and answers a request with the same records, by map lookup.  The listing
+Every kind holds the same state (each fuzzy variant's trapdoor mapped to a
+tuple of its encrypted records, plus the trapdoors of keywords' own
+zero-edit variants) and answers a request with the same records, by map
+lookup.  A record is the bytes ``nonce || ciphertext`` that
+``crypto.encrypt_record`` returns; nothing here looks inside one.  The listing
 index is the flat table; the trie files each trapdoor root-to-leaf as n-bit
 symbols, its nodes derived from the sorted trapdoors; the authenticated trie
 (``verifiable``) adds a tag per entry and per gap between entries.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Iterator
 
-from .crypto import KeyMaterial, EncryptedRecord, encrypt_record, record_nonce, trapdoor
+from .crypto import KeyMaterial, encrypt_record, record_nonce, trapdoor
 from .errors import BadParameter, EditBoundExceeded
 from .fuzzyset import fuzzy_set
 
@@ -51,7 +53,7 @@ class Index:
     """One trapdoor -> records map, immutable once built; ``kind`` names its access structure."""
 
     kind: ClassVar[str]
-    table: dict[bytes, list[EncryptedRecord]]
+    table: dict[bytes, tuple[bytes, ...]]  # trapdoor -> its records, each nonce || ciphertext
     trapdoor_bits: int
     symbol_bits: int
     d: int
@@ -127,8 +129,8 @@ class NodeView:
         return {p & ((1 << n) - 1): NodeView(index, depth, p) for p in paths}
 
     @property
-    def records(self) -> list[EncryptedRecord]:
-        return self.index.table.get(self.trapdoor, [])
+    def records(self) -> tuple[bytes, ...]:
+        return self.index.table.get(self.trapdoor, ())
 
     @property
     def exact(self) -> bool:
@@ -145,13 +147,13 @@ class SearchRequest:
 
 @dataclass
 class ResultSet:
-    records: list[EncryptedRecord]
+    records: list[bytes]
     exact_hit: bool
 
 
 def build_entries(
     corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"
-) -> tuple[dict[bytes, list[EncryptedRecord]], set[bytes]]:
+) -> tuple[dict[bytes, tuple[bytes, ...]], set[bytes]]:
     """Trapdoor -> records map shared by every index kind.
 
     Keywords are processed in sorted order and every (entry, keyword, fid)
@@ -162,7 +164,7 @@ def build_entries(
     Also returns the set of canonical trapdoors (each keyword's own zero-edit
     variant); only those entries terminate a search as an exact hit.
     """
-    entries: dict[bytes, list[EncryptedRecord]] = {}
+    entries: dict[bytes, list[bytes]] = {}
     exact: set[bytes] = set()
     for keyword in sorted(corpus):
         fids = list(dict.fromkeys(corpus[keyword]))
@@ -175,7 +177,7 @@ def build_entries(
             for fid in fids:
                 nonce = record_nonce(km, variant, keyword, fid)
                 bucket.append(encrypt_record(km, fid, keyword, nonce=nonce))
-    return entries, exact
+    return {t: tuple(records) for t, records in entries.items()}, exact
 
 
 build_listing_index = ListingIndex.build
@@ -191,15 +193,8 @@ def make_request(word: str, k: int, km: KeyMaterial, method: str = "wildcard") -
     return SearchRequest(trapdoors=tuple(trapdoor(km, v) for v in ordered), k=k)
 
 
-def _dedup(records: list[EncryptedRecord]) -> list[EncryptedRecord]:
-    seen: set[bytes] = set()
-    out = []
-    for rec in records:
-        key = rec.blob
-        if key not in seen:
-            seen.add(key)
-            out.append(rec)
-    return out
+def _dedup(records) -> list[bytes]:
+    return list(dict.fromkeys(records))
 
 
 def walk_trie(root: NodeView, symbols: tuple[int, ...]) -> NodeView | None:
@@ -222,7 +217,7 @@ def search_listing(index: Index, req: SearchRequest) -> ResultSet:
     """
     if req.k > index.d:
         raise EditBoundExceeded(f"request k={req.k} exceeds index d={index.d}")
-    gathered: list[EncryptedRecord] = []
+    gathered: list[bytes] = []
     for i, t in enumerate(req.trapdoors):
         records = index.table.get(t)
         if not records:

@@ -14,7 +14,9 @@ All integers are big-endian.  Layouts:
     Body, the same for every kind: the entries in ascending trapdoor order,
     each trapdoor (trapdoor bits / 8) || entry flag (1, bit0 = exact
     keyword entry, other bits zero) || record count (2, at least 1) ||
-    the record blobs, each 4-byte length-prefixed.
+    the records, each 4-byte length-prefixed.  A record is the bytes
+    ``nonce || ciphertext`` (``crypto.encrypt_record``), at least
+    ``RECORD_MIN_BYTES`` (28) long; the reader keeps them as they are.
     An authenticated trie appends its tags: ``TAG_BYTES`` per entry of leaf
     tags in entry order, then ``TAG_BYTES`` per gap (entries + 1) of gap
     tags, from the head gap to the tail gap.  Nothing follows.
@@ -43,10 +45,12 @@ key, and the revoked user would be gone, so a second ``revoke`` could not run.
 from __future__ import annotations
 
 import io
+import operator
 import os
+import struct
 
-from .crypto import SECURITY_BITS, EncryptedRecord, KeyMaterial, check_geometry
-from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
+from .crypto import RECORD_MIN_BYTES, SECURITY_BITS, KeyMaterial, check_geometry
+from .errors import AuthFailure, BadMagic, BadParameter, Truncated, VersionUnsupported
 from .index import ListingIndex, TrieIndex
 from .multiuser import UserDirectory
 from .verifiable import AuthTrieIndex, TAG_BYTES
@@ -190,14 +194,18 @@ def dumps_index(index) -> bytes:
         bytes([index.d]),
         len(index.table).to_bytes(8, "big"),
     ]
-    append, exact = parts.append, index.exact
+    width, append, exact = index.trapdoor_bits // 8, parts.append, index.exact
+    head = _entry_head(width).pack
     for t in sorted(index.table):
         records = index.table[t]
         if not 0 < len(records) <= 0xFFFF:  # the count is a u16, and an entry holds records
             raise BadParameter(f"{len(records)} records under one trapdoor; the limit is 1..65535")
-        append(t + (b"\x01" if t in exact else b"\x00") + len(records).to_bytes(2, "big"))
-        for rec in records:
-            blob = rec.blob
+        if len(t) != width:
+            raise BadParameter(f"a {len(t)}-byte trapdoor in a {index.trapdoor_bits}-bit index")
+        first = records[0]
+        append(head(t, t in exact, len(records), len(first)))
+        append(first)
+        for blob in records[1:]:
             append(len(blob).to_bytes(4, "big"))
             append(blob)
     if index.kind == "auth_trie":
@@ -205,41 +213,58 @@ def dumps_index(index) -> bytes:
     return b"".join(parts)
 
 
+def _entry_head(width: int) -> struct.Struct:
+    """An entry's head: trapdoor, entry flag, record count, the first record's length."""
+    return struct.Struct(f">{width}sBHI")
+
+
 def _read_entries(data: bytes, pos: int, count: int, width: int):
     """The ``count`` entries from offset ``pos``: (map, exact set, end offset).
 
-    Every bound is checked before its slice is taken.
+    Every bound is checked before its slice is taken.  The ascending order of
+    the trapdoors is checked once, over all of them, after the last entry.
     """
-    size = len(data)
-    table: dict[bytes, list[EncryptedRecord]] = {}
-    exact: set[bytes] = set()
-    from_blob = EncryptedRecord.from_blob
-    prev = b""
-    for _ in range(count):
-        head = pos + width + 3
-        if head > size:
-            raise Truncated(f"entry {len(table)} ends early")
-        t = data[pos : pos + width]
-        if t <= prev:
-            raise BadParameter(f"entry {len(table)}: trapdoors are not strictly ascending")
-        flag = data[head - 3]
+    size, head = len(data), _entry_head(width)
+    unpack, head_size = head.unpack_from, head.size
+    keys, values, exact = [], [], set()
+    for i in range(count):
+        start = pos + head_size
+        if start > size:
+            raise Truncated(f"entry {i} ends early")
+        t, flag, n, length = unpack(data, pos)
         if flag > 1:
-            raise BadParameter(f"entry {len(table)}: unknown entry flags {flag:#x}")
-        n = int.from_bytes(data[head - 2 : head], "big")
+            raise BadParameter(f"entry {i}: unknown entry flags {flag:#x}")
         if not n:
-            raise BadParameter(f"entry {len(table)} has no records")
-        pos, records = head, []
-        for _ in range(n):
-            start = pos + 4
-            pos = start + int.from_bytes(data[pos:start], "big")
-            if pos > size:
-                raise Truncated(f"entry {len(table)}: a record ends early")
-            records.append(from_blob(data[start:pos]))
-        table[t] = records
+            raise BadParameter(f"entry {i} has no records")
+        pos = start + length
+        if pos > size:
+            raise Truncated(f"entry {i}: a record ends early")
+        if length < RECORD_MIN_BYTES:
+            raise AuthFailure("record blob too short")
+        if n == 1:
+            records = (data[start:pos],)
+        else:
+            records = [data[start:pos]]
+            for _ in range(n - 1):
+                start = pos + 4
+                if start > size:
+                    raise Truncated(f"entry {i}: a record ends early")
+                length = int.from_bytes(data[pos:start], "big")
+                pos = start + length
+                if pos > size:
+                    raise Truncated(f"entry {i}: a record ends early")
+                if length < RECORD_MIN_BYTES:
+                    raise AuthFailure("record blob too short")
+                records.append(data[start:pos])
+            records = tuple(records)
+        keys.append(t)
+        values.append(records)
         if flag:
             exact.add(t)
-        prev = t
-    return table, exact, pos
+    if not all(map(operator.lt, keys, keys[1:])):
+        i = next(i for i in range(1, len(keys)) if keys[i - 1] >= keys[i])
+        raise BadParameter(f"entry {i}: trapdoors are not strictly ascending")
+    return dict(zip(keys, values)), exact, pos
 
 
 def loads_index(data: bytes):

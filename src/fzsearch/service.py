@@ -17,6 +17,8 @@ Message types:
 ``SearchResp``
     ``{"type": "SearchResp", "epoch": E, "exact": bool,
     "records": [base64(nonce || ciphertext)...], "proofs": [hex...]?}``.
+    Each record is the bytes ``crypto.encrypt_record`` returned, as the
+    index holds them; the server never looks inside one.
 ``ErrorResp``
     codes MALFORMED, EDIT_BOUND, STALE_EPOCH, TOO_MANY_TRAPDOORS, and
     INTERNAL for a fault of the server's own (an exception no check caught).
@@ -61,8 +63,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .crypto import EncryptedRecord
-from .errors import AuthFailure, BadResponse
+from .crypto import RECORD_MIN_BYTES
+from .errors import BadResponse
 from .index import Index, ResultSet, SearchRequest, search_listing
 from .multiuser import unblind_request
 from .verifiable import Proof, decode_proof, encode_proof, search_with_proof
@@ -174,7 +176,7 @@ def handle_message(state: ServerState, msg: dict) -> dict:
             "type": "SearchResp",
             "epoch": state.epoch,
             "exact": result.exact_hit,
-            "records": [base64.b64encode(r.blob).decode("ascii") for r in result.records],
+            "records": [base64.b64encode(r).decode("ascii") for r in result.records],
         }
         if proofs is not None:
             resp["proofs"] = proofs
@@ -199,17 +201,20 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
     return encode_message(handle_message(state, msg))
 
 
-def decode_records(resp: dict) -> list[EncryptedRecord]:
-    """Client side: records field back into EncryptedRecord values."""
+def decode_records(resp: dict) -> list[bytes]:
+    """Client side: the records field back into records, each ``nonce || ciphertext``."""
     items = resp.get("records", [])
     if not isinstance(items, list):
         raise BadResponse("records must be a list")
     out = []
     for item in items:
         try:
-            out.append(EncryptedRecord.from_blob(base64.b64decode(item, validate=True)))
-        except (TypeError, ValueError, AuthFailure) as exc:  # binascii.Error is a ValueError
+            blob = base64.b64decode(item, validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise BadResponse(f"bad record encoding: {exc}") from exc
+        if len(blob) < RECORD_MIN_BYTES:
+            raise BadResponse("bad record encoding: record blob too short")
+        out.append(blob)
     return out
 
 

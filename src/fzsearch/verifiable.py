@@ -184,7 +184,7 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[Proof], km: KeyM
         while True:
             if pos == len(records):
                 return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
-            digest.update(records[pos].blob)
+            digest.update(records[pos])
             pos += 1
             if digest.digest() == proof.record_digest:
                 break

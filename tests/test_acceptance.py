@@ -40,7 +40,6 @@ from fzsearch import (
     verify,
     wildcard_fuzzy_set,
 )
-from fzsearch.index import EncryptedRecord
 from fzsearch.multiuser import UserDirectory, blind_request, unblind_request
 from fzsearch.persist import dumps_index
 from fzsearch.service import ServerState, encode_message, handle_line
@@ -182,7 +181,7 @@ def test_criterion_05_trie_listing_equivalence():
             a = search_trie(trie, req)
             b = search_listing(listing, req)
             assert a.exact_hit == b.exact_hit
-            assert {r.blob for r in a.records} == {r.blob for r in b.records}, (corpus_i, query)
+            assert set(a.records) == set(b.records), (corpus_i, query)
             done += 1
             triples += 1
     elapsed = time.perf_counter() - start
@@ -309,12 +308,12 @@ def test_criterion_11_verifiable_search_tamper_suite():
         detected += verdict.reason is VerdictReason.COUNT_MISMATCH
 
     target = rng.randrange(len(result.records))
-    blob = result.records[target].blob
+    blob = result.records[target]
     for i in range(len(blob)):
         flipped = bytearray(blob)
         flipped[i] ^= 0xFF
         mutated = list(result.records)
-        mutated[target] = EncryptedRecord(bytes(flipped[:12]), bytes(flipped[12:]))
+        mutated[target] = bytes(flipped)
         verdict = verify(req, dataclasses.replace(result, records=mutated), proofs, km)
         trials += 1
         detected += verdict.reason is VerdictReason.LEAF_TAG_MISMATCH
@@ -372,7 +371,7 @@ def test_criterion_12_revocation():
         req = make_request(query, 1, km)
         direct = search_trie(index, req)
         via = search_trie(index, unblind_request(blind_request(req, live_xi), live_xi))
-        assert [r.blob for r in via.records] == [r.blob for r in direct.records]
+        assert via.records == direct.records
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(12, f"10^4 stale-key replays hit nothing; live users match direct search ({elapsed:.1f} s)")

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import mutate, random_corpus, random_word
 from fzsearch import (
+    AuthFailure,
     BadParameter,
     EditBoundExceeded,
     FzError,
@@ -28,6 +29,7 @@ from fzsearch import (
     trapdoor,
     wildcard_fuzzy_set,
 )
+from fzsearch.crypto import check_geometry
 from fzsearch.index import walk_trie
 from fzsearch.persist import dumps_directory, dumps_index, dumps_keys, loads_index
 from fzsearch.verifiable import TAG_BYTES, encode_proof
@@ -105,9 +107,7 @@ class TestBuild:
         corpus = random_corpus(rng, size=30)
         a = build_listing_index(corpus, 1, km)
         b = build_listing_index(corpus, 1, km)
-        assert [(t, [r.blob for r in recs]) for t, recs in sorted(a.table.items())] == [
-            (t, [r.blob for r in recs]) for t, recs in sorted(b.table.items())
-        ]
+        assert sorted(a.table.items()) == sorted(b.table.items())
 
 
 def _prefix_map(index) -> dict[tuple[int, ...], set[int]]:
@@ -177,7 +177,7 @@ class TestTrieView:
             if len(path) == trie.depth:
                 assert node.records == trie.table[node.trapdoor]
             else:
-                assert node.trapdoor is None and node.records == []
+                assert node.trapdoor is None and node.records == ()
         assert seen == set(ref)
 
     def test_leaves_are_the_table_in_trie_order(self, trie):
@@ -276,7 +276,7 @@ class TestSearch:
             a = search_trie(trie, req)
             b = search_listing(listing, req)
             assert a.exact_hit == b.exact_hit
-            assert [r.blob for r in a.records] == [r.blob for r in b.records]
+            assert a.records == b.records
 
     def test_results_match_enumeration_oracle(self, km):
         # fuzzy results = exact distance-1 ball, with the exact-match rule on top
@@ -322,8 +322,7 @@ class TestSearch:
         corpus = {"cat": [b"F1", b"F1", b"F2"]}
         trie = build_trie_index(corpus, 1, km)
         result = search_trie(trie, make_request("cut", 1, km))
-        blobs = [r.blob for r in result.records]
-        assert len(blobs) == len(set(blobs))
+        assert len(result.records) == len(set(result.records))
         assert {decrypt_record(km, r)[0] for r in result.records} == {b"F1", b"F2"}
 
 
@@ -390,7 +389,7 @@ def test_proofs_and_records_match_golden(golden, method):
             digest.update(encode_proof(proof))
         digest.update(bytes([result.exact_hit]))
         for rec in result.records:
-            digest.update(rec.blob)
+            digest.update(rec)
     assert digest.hexdigest() == GOLDEN_PROOFS[method]
 
 
@@ -487,7 +486,7 @@ def test_only_the_index_version_moved(km):
 
 def _mutants(blob: bytes, rng: random.Random):
     """Byte flips, cuts at every section boundary, reordered, doubled and
-    recounted entries of one v3 file."""
+    recounted entries, and records cut short, of one v3 file."""
     header, entries, sections = _split_fzix(blob)
     for _ in range(150):
         flipped = bytearray(blob)
@@ -510,6 +509,25 @@ def _mutants(blob: bytes, rng: random.Random):
         yield _join_fzix(header, entries[: i + 1] + entries[i:], sections, count)
     for count in (0, len(entries) - 1, len(entries) + 1, rng.randrange(1 << 64)):
         yield _join_fzix(header, entries, sections, count)
+    # one record cut below (and to) the 28 bytes of a nonce and a tag, its length
+    # prefix fixed up: the last record of a middle entry and of the first entry
+    # holding several
+    several = [i for i, entry in enumerate(entries) if int.from_bytes(entry[21:23], "big") > 1]
+    for i in sorted({len(entries) // 2, *several[:1]}):
+        records = _entry_records(entries[i])
+        for size in (0, 12, 27, 28):
+            shrunk = records[:-1] + [records[-1][:size]]
+            entry = entries[i][:23] + b"".join(len(r).to_bytes(4, "big") + r for r in shrunk)
+            yield _join_fzix(header, entries[:i] + [entry] + entries[i + 1 :], sections)
+
+
+def _entry_records(entry: bytes, width: int = 20) -> list[bytes]:
+    pos, records = width + 3, []
+    while pos < len(entry):
+        end = pos + 4 + int.from_bytes(entry[pos : pos + 4], "big")
+        records.append(entry[pos + 4 : end])
+        pos = end
+    return records
 
 
 def test_damaged_files_fail_or_load_canonically(small_files):
@@ -526,3 +544,90 @@ def test_damaged_files_fail_or_load_canonically(small_files):
             assert dumps_index(index) == mutant, key
             outcomes["canonical"] += 1
     assert outcomes["rejected"] and outcomes["canonical"]
+
+
+def _reference_load(data: bytes):
+    """FZIX v3 read one entry and one record at a time, as the reader did
+    before it unpacked each entry's head with one struct call: (map of record
+    tuples, exact set, tags).  Every damage raises FzError, checked in file order."""
+    if len(data) < HEADER_BYTES:
+        raise Truncated("header ends early")
+    if data[:4] != b"FZIX" or data[4] != 3:
+        raise VersionUnsupported("not an FZIX v3 file")
+    flags, symbol_bits, d = data[5], data[6], data[9]
+    trapdoor_bits, count = int.from_bytes(data[7:9], "big"), int.from_bytes(data[10:18], "big")
+    if flags & ~0x07 or flags & 0x02 and not flags & 0x01:
+        raise BadParameter("flags")
+    check_geometry(trapdoor_bits, symbol_bits)
+    width, size, pos = trapdoor_bits // 8, len(data), HEADER_BYTES
+    table, exact, prev = {}, set(), b""
+    for _ in range(count):
+        head = pos + width + 3
+        if head > size:
+            raise Truncated("entry ends early")
+        t = data[pos : pos + width]
+        if t <= prev:
+            raise BadParameter("trapdoors are not strictly ascending")
+        flag = data[head - 3]
+        if flag > 1:
+            raise BadParameter("unknown entry flags")
+        n = int.from_bytes(data[head - 2 : head], "big")
+        if not n:
+            raise BadParameter("no records")
+        pos, records = head, []
+        for _ in range(n):
+            start = pos + 4
+            pos = start + int.from_bytes(data[pos:start], "big")
+            if pos > size:
+                raise Truncated("a record ends early")
+            if pos - start < 28:
+                raise AuthFailure("record blob too short")
+            records.append(data[start:pos])
+        table[t] = tuple(records)
+        if flag:
+            exact.add(t)
+        prev = t
+    tags_len = (2 * len(table) + 1) * TAG_BYTES if flags & 0x02 else 0
+    if size - pos != tags_len:
+        raise Truncated("the sections have the wrong length")
+    return table, exact, data[pos:]
+
+
+@pytest.fixture(scope="module")
+def larger_files(km):
+    """A 200-keyword gram listing and auth file; every tenth keyword names two files.
+
+    Short words share deletion variants, so many entries hold several records.
+    """
+    corpus = random_corpus(random.Random(151), size=200, lo=3, hi=4)
+    for i, word in enumerate(sorted(corpus)):
+        if i % 10 == 0:
+            corpus[word].append(b"g%04d" % i)
+    return {(kind, "gram", 200): dumps_index(GOLDEN_BUILDERS[kind](corpus, 1, km, "gram")) for kind in ("listing", "auth")}
+
+
+def test_reader_matches_the_reference_loop(small_files, larger_files):
+    """On every damaged file both readers raise FzError, or both read the same
+    entries, exact set and tags.  Which check fires first may differ: the
+    reader checks the trapdoor order after the last entry."""
+    rng = random.Random(2026)
+    outcomes = {"rejected": 0, "short": 0, "loaded": 0}
+    files = [*sorted(small_files.items()), *sorted(larger_files.items())]
+    for key, blob in files:
+        for mutant in _mutants(blob, rng):
+            try:
+                expected = _reference_load(mutant)
+            except AuthFailure:
+                expected = None
+                outcomes["short"] += 1
+            except FzError:
+                expected = None
+            try:
+                index = loads_index(mutant)
+            except FzError:
+                assert expected is None, key
+                outcomes["rejected"] += 1
+                continue
+            assert expected == (index.table, index.exact, getattr(index, "tags", b"")), key
+            outcomes["loaded"] += 1
+    assert outcomes["short"] >= 3 * len(files) and outcomes["loaded"]

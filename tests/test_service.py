@@ -16,7 +16,6 @@ from conftest import garbage_line, mutate, random_corpus
 from fzsearch import (
     BadMagic,
     BadParameter,
-    EncryptedRecord,
     ListingIndex,
     Truncated,
     UserDirectory,
@@ -37,6 +36,7 @@ from fzsearch.persist import (
     dumps_directory,
     dumps_index,
     dumps_keys,
+    load_index,
     load_keys,
     loads_directory,
     loads_index,
@@ -97,7 +97,7 @@ class TestHandler:
             direct = search_trie(index, req)
             via_wire = result_from_response(resp)
             assert via_wire.exact_hit == direct.exact_hit
-            assert [r.blob for r in via_wire.records] == [r.blob for r in direct.records]
+            assert via_wire.records == direct.records
 
     def test_response_is_byte_stable(self, km, world):
         corpus, index = world
@@ -290,7 +290,7 @@ class TestPersistence:
         for word in sorted(corpus)[:5]:
             req = make_request(word, 1, km)
             a, b = search_trie(index, req), search_trie(loaded, req)
-            assert [r.blob for r in a.records] == [r.blob for r in b.records]
+            assert a.records == b.records
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
@@ -311,12 +311,17 @@ class TestPersistence:
             loads_index(bytes(blob))
 
     def test_record_count_overflow_is_a_parameter_error(self):
-        rec = EncryptedRecord(nonce=bytes(12), ciphertext=bytes(16))
         index = ListingIndex(
-            table={bytes(20): [rec] * 65536}, trapdoor_bits=160, symbol_bits=4, d=1
+            table={bytes(20): (bytes(28),) * 65536}, trapdoor_bits=160, symbol_bits=4, d=1
         )
         with pytest.raises(BadParameter, match="65535"):
             dumps_index(index)
+
+    def test_trapdoor_of_another_width_is_a_parameter_error(self):
+        for width in (19, 21):
+            index = ListingIndex(table={bytes(width): (bytes(28),)}, trapdoor_bits=160, symbol_bits=4, d=1)
+            with pytest.raises(BadParameter, match=f"a {width}-byte trapdoor"):
+                dumps_index(index)
 
     def test_truncations_never_crash(self, km):
         corpus = {"cat": [b"F1"], "dog": [b"F2"]}
@@ -626,8 +631,6 @@ class TestCli:
             )
             == 0
         )
-        from fzsearch.persist import load_index
-
         server = SearchServer(ServerState(index=load_index(indexfile)), port=0)
         server.start()
         port = server.server_address[1]
@@ -668,7 +671,7 @@ class TestCli:
         for word in corpus:
             variants.update(wildcard_fuzzy_set(word, 1).variants)
         assert f"{len(variants)} entries" in out
-        index = loads_index(open(indexfile, "rb").read())
+        index = load_index(indexfile)
         assert len(index.table) == len(variants)
 
     def test_non_utf8_file_name_is_a_file_id(self, workspace, capsys):
@@ -679,8 +682,6 @@ class TestCli:
         keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
         assert cli_main(["keygen", "--out", keyfile, "--seed", "02"]) == 0
         assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", indexfile]) == 0
-        from fzsearch.persist import load_index
-
         server = SearchServer(ServerState(index=load_index(indexfile)), port=0)
         server.start()
         try:
@@ -688,6 +689,37 @@ class TestCli:
             server_arg = f"127.0.0.1:{server.server_address[1]}"
             assert cli_main(["search", "zebro", "1", "--server", server_arg, "--keys", keyfile]) == 0
             assert capsys.readouterr().out == "\\xffbad.txt\n"
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_gram_results_beyond_k_are_not_printed(self, workspace, capsys):
+        """A gram index answers "abdc" and "bacd" with "abcd" (2 edits away); the CLI drops it."""
+        corpus_dir = workspace / "gram"
+        corpus_dir.mkdir()
+        (corpus_dir / "far.txt").write_text("abcd\n")
+        (corpus_dir / "near.txt").write_text("abdx\n")
+        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
+        assert cli_main(["keygen", "--out", keyfile, "--seed", "03"]) == 0
+        assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", indexfile,
+                         "--kind", "auth", "--method", "gram"]) == 0
+        km, index = load_keys(keyfile), load_index(indexfile)
+        for query, keywords in (("abdc", {"abcd", "abdx"}), ("bacd", {"abcd"})):
+            result = search_trie(index, make_request(query, 1, km, "gram"))
+            assert {decrypt_record(km, rec)[1] for rec in result.records} == keywords
+        server = SearchServer(ServerState(index=index), port=0)
+        server.start()
+        try:
+            capsys.readouterr()
+            server_arg = ["--server", f"127.0.0.1:{server.server_address[1]}", "--keys", keyfile]
+            assert cli_main(["search", "abdc", "1", *server_arg]) == 0
+            assert capsys.readouterr() == ("near.txt\n", "")
+            assert cli_main(["verify", "ABDC", "1", *server_arg]) == 0
+            assert capsys.readouterr() == ("verified: Ok\nnear.txt\n", "")
+            for command in ("search", "verify"):
+                assert cli_main([command, "bacd", "1", *server_arg]) == 0
+                out, err = capsys.readouterr()
+                assert "far.txt" not in out and err == "(no matches)\n"
         finally:
             server.shutdown()
             server.server_close()
@@ -705,8 +737,6 @@ class TestCli:
         assert cli_main(["revoke", "--keys", keyfile, "--directory", dirfile, "--user", "eve"]) == 0
         out = capsys.readouterr().out
         assert "epoch 1" in out
-
-        from fzsearch.persist import load_index
 
         km = load_keys(keyfile)
         state = ServerState(index=load_index(indexfile), xi=km.blind_key, epoch=1)
@@ -835,8 +865,6 @@ class TestCli:
         keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
         assert cli_main(["keygen", "--out", keyfile, "--seed", "06"]) == 0
         assert cli_main(["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]) == 0
-        from fzsearch.persist import load_index
-
         server = SearchServer(ServerState(index=load_index(indexfile)), host="::1", port=0)
         server.start()
         try:

@@ -8,7 +8,6 @@ import pytest
 from conftest import mutate, random_corpus
 from fzsearch import (
     EditBoundExceeded,
-    EncryptedRecord,
     Proof,
     ResultSet,
     SearchRequest,
@@ -58,7 +57,7 @@ def _reference_tags(key: bytes, index) -> bytes:
     keys = sorted(index.table)
     leaves = [
         _hmac_tag(key, b"L:" + t + bytes([t in index.exact]) + hashlib.sha256(
-            b"".join(r.blob for r in index.table[t])).digest())
+            b"".join(index.table[t])).digest())
         for t in keys
     ]
     ends = [b""] + keys + [b""]
@@ -92,7 +91,7 @@ def _hidden(result: ResultSet, proofs, victim: int) -> ResultSet:
         digest, group = hashlib.sha256(), []
         while pos < len(result.records):
             rec = result.records[pos]
-            digest.update(rec.blob)
+            digest.update(rec)
             group.append(rec)
             pos += 1
             if digest.digest() == p.record_digest:
@@ -170,7 +169,7 @@ class TestSearchWithProof:
             with_proof, _ = search_with_proof(index, req)
             plain = search_trie(index, req)
             assert with_proof.exact_hit == plain.exact_hit
-            assert [r.blob for r in with_proof.records] == [r.blob for r in plain.records]
+            assert with_proof.records == plain.records
 
     def test_proofs_match_a_linear_scan(self, km, small_world):
         corpus, index = small_world
@@ -250,12 +249,12 @@ class TestVerify:
         rng = random.Random(137)
         req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
         target = rng.randrange(len(result.records))
-        blob = result.records[target].blob
+        blob = result.records[target]
         for i in range(len(blob)):
             flipped = bytearray(blob)
             flipped[i] ^= 0x01
             mutated = list(result.records)
-            mutated[target] = EncryptedRecord(bytes(flipped[:12]), bytes(flipped[12:]))
+            mutated[target] = bytes(flipped)
             tampered = dataclasses.replace(result, records=mutated)
             verdict = verify(req, tampered, proofs, km)
             assert not verdict.accepted
@@ -309,7 +308,7 @@ class TestVerify:
         req = make_request("castle", 1, km)
         result, proofs = search_with_proof(index, req)
         assert result.exact_hit and len(result.records) == 3
-        merged = EncryptedRecord.from_blob(b"".join(r.blob for r in result.records))
+        merged = b"".join(result.records)
         forged = dataclasses.replace(result, records=[merged])
         assert verify(req, forged, proofs, km) == Verdict(True, VerdictReason.OK)
         with pytest.raises(AuthFailure):
@@ -486,8 +485,9 @@ class TestVerify:
             assert verdict.reason is VerdictReason.LEAF_TAG_MISMATCH and verdict.failing_index == i
 
 
-def encrypt_like(rec: EncryptedRecord) -> EncryptedRecord:
-    return EncryptedRecord(nonce=rec.nonce, ciphertext=rec.ciphertext[::-1])
+def encrypt_like(rec: bytes) -> bytes:
+    """A record of the same length and nonce whose ciphertext is reversed."""
+    return rec[:12] + rec[12:][::-1]
 
 
 def _v1_encoding(matched_len: int, depth: int) -> bytes:
