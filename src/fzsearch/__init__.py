@@ -30,7 +30,6 @@ from .errors import (
     VersionUnsupported,
 )
 from .fuzzyset import (
-    FuzzySet,
     edit_distance,
     enumeration_fuzzy_set,
     fuzzy_set,

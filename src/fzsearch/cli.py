@@ -24,6 +24,7 @@ from .fuzzyset import edit_distance, normalize_keyword
 from .index import build_listing_index, build_trie_index, make_request
 from .multiuser import UserDirectory, blind_request
 from .persist import (
+    MAX_USER_ID_BYTES,
     load_directory,
     load_index,
     load_keys,
@@ -72,6 +73,16 @@ def _server(text: str) -> tuple[str, int]:
     else:
         host, _, port = text.partition(":")
     return host or "127.0.0.1", _port(port) if port else DEFAULT_PORT
+
+
+def _user_id(text: str) -> str:
+    """argparse type: a user id of at most ``MAX_USER_ID_BYTES`` in UTF-8, the FZUD limit."""
+    try:
+        if len(text.encode("utf-8")) <= MAX_USER_ID_BYTES:
+            return text
+    except UnicodeEncodeError:
+        pass
+    raise argparse.ArgumentTypeError(f"user id is not UTF-8 of at most {MAX_USER_ID_BYTES} bytes")
 
 
 def derive_user_key(record_key: bytes, user_id: str) -> bytes:
@@ -263,19 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--blinded", action="store_true")
         p.add_argument("--epoch", type=int)
         p.add_argument("--directory", help="user directory file for unwrapping the blind key")
-        p.add_argument("--user", help="enrolled user id")
+        p.add_argument("--user", type=_user_id, help="enrolled user id")
         p.set_defaults(func=func)
 
     p = sub.add_parser("enroll", help="enroll a user into the directory")
     p.add_argument("--keys")
     p.add_argument("--directory", required=True)
-    p.add_argument("--user", required=True)
+    p.add_argument("--user", required=True, type=_user_id)
     p.set_defaults(func=_cmd_enroll)
 
     p = sub.add_parser("revoke", help="revoke a user and rotate the blind key")
     p.add_argument("--keys")
     p.add_argument("--directory", required=True)
-    p.add_argument("--user", required=True)
+    p.add_argument("--user", required=True, type=_user_id)
     p.set_defaults(func=_cmd_revoke)
 
     return parser

@@ -23,9 +23,9 @@ the half's length: ``F_i(x) = AES(x || i || len(x) || 0...)[:len(x)]``.
 AES is a pseudorandom permutation, so truncated it is a PRF (the PRP/PRF
 switching term is about ``q^2 / 2^128``), and four rounds over ``n``-bit
 halves give a strong pseudorandom permutation up to about ``q^2 / 2^n`` for
-``q`` queries: ``q^2 / 2^80`` at the default 160-bit trapdoors, the same
-bound as the HMAC rounds it replaces.  A half and its two tag bytes must fit one AES block, so a
-trapdoor is at most ``MAX_PRP_BYTES`` (28 bytes, 224 bits).
+``q`` queries: ``q^2 / 2^80`` at the default 160-bit trapdoors.  A half
+and its two tag bytes must fit one AES block, so a trapdoor is at most
+``MAX_PRP_BYTES`` (28 bytes, 224 bits).
 """
 
 from __future__ import annotations

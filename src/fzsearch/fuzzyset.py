@@ -1,7 +1,8 @@
 """Fuzzy keyword sets.
 
 A fuzzy set collects the variants that stand for every word within a chosen
-edit distance of a source keyword.  Three constructions are provided:
+edit distance of a source keyword.  It is a plain sorted ``tuple[str, ...]``
+of distinct variants.  Three constructions are provided:
 
 * ``wildcard_fuzzy_set`` — each ``*`` marks one edit operation at a position,
   so one variant covers the whole 26-way choice at that spot.  For distance 1
@@ -18,9 +19,6 @@ order used everywhere (serialization, request ordering).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import BadParameter, BudgetExceeded, DegenerateWord, EmptyKeyword
 
@@ -58,24 +56,6 @@ def edit_distance(a: str, b: str) -> int:
     return prev[-1]
 
 
-@dataclass(frozen=True)
-class FuzzySet:
-    """An ordered, duplicate-free set of variants for ``source`` at edit bound ``d``."""
-
-    source: str
-    d: int
-    variants: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.variants)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.variants)
-
-    def __contains__(self, text: object) -> bool:
-        return text in self.variants
-
-
 def _expand_once(text: str) -> set[str]:
     # One edit level: the string itself, '*' written over each position
     # (covers substitution and deletion at that spot), and '*' inserted into
@@ -88,7 +68,7 @@ def _expand_once(text: str) -> set[str]:
     return out
 
 
-def wildcard_fuzzy_set(word: str, d: int) -> FuzzySet:
+def wildcard_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
     """Wildcard variants of ``word`` up to ``d`` edits.
 
     Level zero is ``{word}``; each further level applies the one-edit
@@ -103,10 +83,10 @@ def wildcard_fuzzy_set(word: str, d: int) -> FuzzySet:
         for member in level:
             nxt |= _expand_once(member)
         level = nxt
-    return FuzzySet(source=word, d=d, variants=tuple(sorted(level)))
+    return tuple(sorted(level))
 
 
-def gram_fuzzy_set(word: str, d: int) -> FuzzySet:
+def gram_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
     """Deletion variants of ``word`` up to ``d`` removed characters."""
     if d < 0:
         raise BadParameter("edit bound must be >= 0")
@@ -119,7 +99,7 @@ def gram_fuzzy_set(word: str, d: int) -> FuzzySet:
             for i in range(len(member)):
                 nxt.add(member[:i] + member[i + 1 :])
         level = nxt
-    return FuzzySet(source=word, d=d, variants=tuple(sorted(level)))
+    return tuple(sorted(level))
 
 
 def enumeration_fuzzy_set(
@@ -127,7 +107,7 @@ def enumeration_fuzzy_set(
     d: int,
     alphabet_size: int = 26,
     budget: int = 10_000_000,
-) -> FuzzySet:
+) -> tuple[str, ...]:
     """Every concrete word within edit distance ``d`` of ``word``.
 
     Generated by applying all single edits (substitution, deletion,
@@ -158,10 +138,10 @@ def enumeration_fuzzy_set(
         if len(members) > budget:
             raise BudgetExceeded(f"neighborhood of {word!r} exceeds {budget} members")
         level = nxt
-    return FuzzySet(source=word, d=d, variants=tuple(sorted(members)))
+    return tuple(sorted(members))
 
 
-def fuzzy_set(word: str, d: int, method: str = "wildcard") -> FuzzySet:
+def fuzzy_set(word: str, d: int, method: str = "wildcard") -> tuple[str, ...]:
     """Dispatch to the named constructor (``wildcard`` or ``gram``)."""
     if method == "wildcard":
         return wildcard_fuzzy_set(word, d)

@@ -6,7 +6,7 @@ zero-edit variants) and answers a request with the same records, by map
 lookup.  A record is the bytes ``nonce || ciphertext`` that
 ``crypto.encrypt_record`` returns; nothing here looks inside one.  The listing
 index is the flat table; the trie files each trapdoor root-to-leaf as n-bit
-symbols, its nodes derived from the sorted trapdoors; the authenticated trie
+symbols, its nodes derived from ``Index.ordered``; the authenticated trie
 (``verifiable``) adds a tag per entry and per gap between entries.
 
 Requests put the exact word's trapdoor first; a search that matches it
@@ -16,7 +16,7 @@ lookups, mirroring the search definition's exact-match rule).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Iterator
@@ -69,6 +69,12 @@ class Index:
         entries, exact = build_entries(corpus, d, km, method)
         return cls(entries, km.trapdoor_bits, km.symbol_bits, d, method, exact)
 
+    @cached_property
+    def ordered(self) -> list[bytes]:
+        """``table``'s trapdoors, ascending: the order of FZIX's entries, of the
+        authenticated trie's tags and proofs, and of the trie view's leaves."""
+        return sorted(self.table)
+
 
 class ListingIndex(Index):
     kind = "listing"
@@ -87,15 +93,12 @@ class TrieIndex(Index):
     def depth(self) -> int:
         return self.trapdoor_bits // self.symbol_bits
 
-    @cached_property
-    def ordered(self) -> list[int]:
-        """The trapdoors as big-endian integers, ascending: the leaves in trie order."""
-        return sorted(int.from_bytes(t, "big") for t in self.table)
-
     def span(self, depth: int, prefix: int) -> tuple[int, int]:
         """``(lo, hi)``: ``ordered[lo:hi]`` are the leaves below node ``(depth, prefix)``."""
-        shift, ordered = self.trapdoor_bits - depth * self.symbol_bits, self.ordered
-        return bisect_left(ordered, prefix << shift), bisect_left(ordered, (prefix + 1) << shift)
+        shift, width = self.trapdoor_bits - depth * self.symbol_bits, self.trapdoor_bits // 8
+        low = (prefix << shift).to_bytes(width, "big")  # the node's lowest leaf
+        high = (((prefix + 1) << shift) - 1).to_bytes(width, "big")  # its highest: all bits below the path set
+        return bisect_left(self.ordered, low), bisect_right(self.ordered, high)
 
     @property
     def root(self) -> "NodeView":
@@ -103,8 +106,8 @@ class TrieIndex(Index):
 
     def leaves(self) -> Iterator[tuple[tuple[int, ...], "NodeView"]]:
         """(path, leaf) pairs in trie order."""
-        for v in self.ordered:
-            leaf = NodeView(self, self.depth, v)
+        for t in self.ordered:
+            leaf = NodeView(self, self.depth, int.from_bytes(t, "big"))
             yield symbolize(leaf.trapdoor, self.symbol_bits), leaf
 
 
@@ -125,7 +128,7 @@ class NodeView:
             return {}
         lo, hi = index.span(self.depth, self.prefix)
         shift = index.trapdoor_bits - depth * n  # bits below a child's path
-        paths = dict.fromkeys(v >> shift for v in index.ordered[lo:hi])
+        paths = dict.fromkeys(int.from_bytes(t, "big") >> shift for t in index.ordered[lo:hi])
         return {p & ((1 << n) - 1): NodeView(index, depth, p) for p in paths}
 
     @property
@@ -170,9 +173,10 @@ def build_entries(
         fids = list(dict.fromkeys(corpus[keyword]))
         if not fids:
             continue  # nothing to find: an entry without records is never a hit
-        exact.add(trapdoor(km, keyword))
         for variant in fuzzy_set(keyword, d, method):
             t = trapdoor(km, variant)
+            if variant == keyword:  # every construction keeps the keyword itself
+                exact.add(t)
             bucket = entries.setdefault(t, [])
             for fid in fids:
                 nonce = record_nonce(km, variant, keyword, fid)
@@ -191,10 +195,6 @@ def make_request(word: str, k: int, km: KeyMaterial, method: str = "wildcard") -
     variants = fuzzy_set(word, k, method)
     ordered = [word] + [v for v in variants if v != word]
     return SearchRequest(trapdoors=tuple(trapdoor(km, v) for v in ordered), k=k)
-
-
-def _dedup(records) -> list[bytes]:
-    return list(dict.fromkeys(records))
 
 
 def walk_trie(root: NodeView, symbols: tuple[int, ...]) -> NodeView | None:
@@ -223,9 +223,9 @@ def search_listing(index: Index, req: SearchRequest) -> ResultSet:
         if not records:
             continue
         if i == 0 and t in index.exact:
-            return ResultSet(records=_dedup(records), exact_hit=True)
+            return ResultSet(records=list(dict.fromkeys(records)), exact_hit=True)
         gathered.extend(records)
-    return ResultSet(records=_dedup(gathered), exact_hit=False)
+    return ResultSet(records=list(dict.fromkeys(gathered)), exact_hit=False)
 
 
 search_trie = search_listing

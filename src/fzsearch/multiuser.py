@@ -17,7 +17,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .crypto import prp
-from .errors import AuthFailure, DuplicateUser, UnknownUser
+from .errors import AuthFailure, BadParameter, DuplicateUser, UnknownUser
 from .index import SearchRequest
 
 _WRAP_NONCE = 12
@@ -66,9 +66,15 @@ class UserDirectory:
         return self
 
     def revoke(self, user_id: str) -> "UserDirectory":
-        """Drop the user, rotate the blind key, re-wrap for everyone left."""
+        """Drop the user, rotate the blind key, re-wrap for everyone left.
+
+        Needs every remaining user's personal key in ``user_keys``, which a
+        loaded directory lacks; else raises ``BadParameter`` and changes nothing."""
         if user_id not in self.wrapped:
             raise UnknownUser(f"user {user_id!r} not enrolled")
+        missing = [uid for uid in self.wrapped if uid != user_id and uid not in self.user_keys]
+        if missing:
+            raise BadParameter(f"no personal key to re-wrap the blind key for {missing[0]!r}")
         del self.wrapped[user_id]
         self.user_keys.pop(user_id, None)
         self.epoch += 1

@@ -58,6 +58,7 @@ from .verifiable import AuthTrieIndex, TAG_BYTES
 KEY_MAGIC = b"FZKY"
 INDEX_MAGIC = b"FZIX"
 DIR_MAGIC = b"FZUD"
+MAX_USER_ID_BYTES = 0xFFFF  # an FZUD user id's 2-byte length field
 INDEX_VERSION = 3  # FZIX
 VERSION = 1  # FZKY and FZUD
 
@@ -196,7 +197,7 @@ def dumps_index(index) -> bytes:
     ]
     width, append, exact = index.trapdoor_bits // 8, parts.append, index.exact
     head = _entry_head(width).pack
-    for t in sorted(index.table):
+    for t in index.ordered:
         records = index.table[t]
         if not 0 < len(records) <= 0xFFFF:  # the count is a u16, and an entry holds records
             raise BadParameter(f"{len(records)} records under one trapdoor; the limit is 1..65535")
@@ -311,6 +312,8 @@ def dumps_directory(directory: UserDirectory) -> bytes:
     out.write(len(directory.wrapped).to_bytes(4, "big"))
     for user_id in sorted(directory.wrapped):
         uid = user_id.encode("utf-8")
+        if len(uid) > MAX_USER_ID_BYTES:
+            raise BadParameter(f"a {len(uid)}-byte user id; the limit is {MAX_USER_ID_BYTES}")
         blob = directory.wrapped[user_id]
         out.write(len(uid).to_bytes(2, "big"))
         out.write(uid)

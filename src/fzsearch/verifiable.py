@@ -66,8 +66,7 @@ class AuthTrieIndex(TrieIndex):
     def build(cls, corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"):
         """Trie build plus a leaf tag per entry and a gap tag per gap."""
         index = super().build(corpus, d, km, method)
-        key, table, exact, width = km.record_key, index.table, index.exact, km.trapdoor_bytes
-        keys = [v.to_bytes(width, "big") for v in index.ordered]
+        key, table, exact, keys = km.record_key, index.table, index.exact, index.ordered
         ends = [b"", *keys, b""]
         index.tags = b"".join(
             [leaf_tag(key, t, t in exact, record_digest(table[t])) for t in keys]
@@ -127,17 +126,16 @@ def search_with_proof(index: AuthTrieIndex, req: SearchRequest) -> tuple[ResultS
     """
     result = search_listing(index, req)
     ordered, tags, table, exact = index.ordered, index.tags, index.table, index.exact
-    size, width, proofs = len(ordered), index.trapdoor_bits // 8, []
+    size, proofs = len(ordered), []
     for t in req.trapdoors:
-        v = int.from_bytes(t, "big")
-        pos = bisect_left(ordered, v)
-        if pos < size and ordered[pos] == v:
+        pos = bisect_left(ordered, t)
+        if pos < size and ordered[pos] == t:
             at = pos * TAG_BYTES
             proofs.append(Proof(tags[at : at + TAG_BYTES], int(t in exact), record_digest(table[t])))
         else:
             at = (size + pos) * TAG_BYTES
-            left = ordered[pos - 1].to_bytes(width, "big") if pos else b""
-            right = ordered[pos].to_bytes(width, "big") if pos < size else b""
+            left = ordered[pos - 1] if pos else b""
+            right = ordered[pos] if pos < size else b""
             proofs.append(Proof(tags[at : at + TAG_BYTES], left=left, right=right))
     return result, proofs
 

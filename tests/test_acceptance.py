@@ -56,7 +56,7 @@ def _oracle(query: str, corpus_words: set[str]) -> set[str]:
     """Expected keyword set: exact-match rule first, distance-1 ball otherwise."""
     if query in corpus_words:
         return {query}
-    return set(enumeration_fuzzy_set(query, 1).variants) & corpus_words
+    return set(enumeration_fuzzy_set(query, 1)) & corpus_words
 
 
 def _queries(words: list[str], rng: random.Random, count: int) -> list[str]:

@@ -73,7 +73,7 @@ class TestEditDistance:
 
 class TestWildcardSet:
     def test_base_case(self):
-        assert wildcard_fuzzy_set("castle", 0).variants == ("castle",)
+        assert wildcard_fuzzy_set("castle", 0) == ("castle",)
 
     def test_castle_distance_one(self):
         s = wildcard_fuzzy_set("castle", 1)
@@ -83,7 +83,7 @@ class TestWildcardSet:
 
     def test_cat_exact_members(self):
         s = wildcard_fuzzy_set("cat", 1)
-        assert s.variants == ("*at", "*cat", "c*at", "c*t", "ca*", "ca*t", "cat", "cat*")
+        assert s == ("*at", "*cat", "c*at", "c*t", "ca*", "ca*t", "cat", "cat*")
 
     def test_size_law(self):
         rng = random.Random(37)
@@ -96,15 +96,15 @@ class TestWildcardSet:
         for d in (0, 1, 2):
             w = random_word(rng)
             s1, s2 = wildcard_fuzzy_set(w, d), wildcard_fuzzy_set(w, d)
-            assert s1.variants == s2.variants
-            assert list(s1.variants) == sorted(set(s1.variants))
+            assert s1 == s2
+            assert list(s1) == sorted(set(s1))
             assert w in s1
 
     def test_monotone_in_d(self):
         rng = random.Random(43)
         for _ in range(20):
             w = random_word(rng, 2, 6)
-            sets = [set(wildcard_fuzzy_set(w, d).variants) for d in (0, 1, 2)]
+            sets = [set(wildcard_fuzzy_set(w, d)) for d in (0, 1, 2)]
             assert sets[0] <= sets[1] <= sets[2]
 
     def test_intersection_iff_distance_one(self):
@@ -113,7 +113,7 @@ class TestWildcardSet:
         words = {random_word(rng, 2, 6) for _ in range(40)}
         words |= {mutate(w, rng) for w in list(words)[:20]}
         words = [w for w in words if w]
-        cache = {w: set(wildcard_fuzzy_set(w, 1).variants) for w in words}
+        cache = {w: set(wildcard_fuzzy_set(w, 1)) for w in words}
         for a in words:
             for b in words:
                 overlap = bool(cache[a] & cache[b])
@@ -131,7 +131,7 @@ class TestWildcardSet:
         hits = sum(
             1
             for w, u in pairs
-            if set(wildcard_fuzzy_set(w, 2).variants) & set(wildcard_fuzzy_set(u, 2).variants)
+            if set(wildcard_fuzzy_set(w, 2)) & set(wildcard_fuzzy_set(u, 2))
         )
         print(f"wildcard d=2 shared-variant coverage: {hits}/{len(pairs)}")
         assert hits >= 0  # reported only
@@ -139,13 +139,13 @@ class TestWildcardSet:
 
 class TestGramSet:
     def test_base_case(self):
-        assert gram_fuzzy_set("cat", 0).variants == ("cat",)
+        assert gram_fuzzy_set("cat", 0) == ("cat",)
 
     def test_cat(self):
-        assert gram_fuzzy_set("cat", 1).variants == ("at", "ca", "cat", "ct")
+        assert gram_fuzzy_set("cat", 1) == ("at", "ca", "cat", "ct")
 
     def test_duplicate_deletions_collapse(self):
-        assert gram_fuzzy_set("aa", 1).variants == ("a", "aa")
+        assert gram_fuzzy_set("aa", 1) == ("a", "aa")
 
     def test_degenerate(self):
         with pytest.raises(DegenerateWord):
@@ -160,32 +160,32 @@ class TestGramSet:
             u = mutate(w, rng)
             if len(u) < 2:  # gram sets need a character to spare
                 continue
-            shared = set(gram_fuzzy_set(w, 1).variants) & set(gram_fuzzy_set(u, 1).variants)
+            shared = set(gram_fuzzy_set(w, 1)) & set(gram_fuzzy_set(u, 1))
             assert shared, (w, u)
 
     def test_known_false_positive(self):
         # distance 2 but the deletion signatures intersect: soundness is not claimed
         assert edit_distance("xab", "aby") == 2
-        shared = set(gram_fuzzy_set("xab", 1).variants) & set(gram_fuzzy_set("aby", 1).variants)
+        shared = set(gram_fuzzy_set("xab", 1)) & set(gram_fuzzy_set("aby", 1))
         assert "ab" in shared
 
     def test_monotone_in_d(self):
         rng = random.Random(61)
         for _ in range(20):
             w = random_word(rng, 4, 8)
-            sets = [set(gram_fuzzy_set(w, d).variants) for d in (0, 1, 2)]
+            sets = [set(gram_fuzzy_set(w, d)) for d in (0, 1, 2)]
             assert sets[0] <= sets[1] <= sets[2]
 
 
 class TestEnumerationSet:
     def test_base_case(self):
-        assert enumeration_fuzzy_set("cat", 0).variants == ("cat",)
+        assert enumeration_fuzzy_set("cat", 0) == ("cat",)
 
     def test_equals_brute_force_small_alphabet(self):
         for word, d, size in (("ab", 1, 2), ("ab", 2, 2), ("cab", 1, 3), ("aa", 2, 2)):
             letters = ALPHABET[:size]
             expected = brute_force_neighborhood(word, d, letters)
-            got = set(enumeration_fuzzy_set(word, d, alphabet_size=size).variants)
+            got = set(enumeration_fuzzy_set(word, d, alphabet_size=size))
             assert got == expected, (word, d, size)
 
     def test_ab_over_two_letters(self):
@@ -195,7 +195,7 @@ class TestEnumerationSet:
     def test_cat_full_alphabet_count(self):
         # brute force over every string of length 2..4 on a-z gives 180
         expected = brute_force_neighborhood("cat", 1, ALPHABET)
-        got = set(enumeration_fuzzy_set("cat", 1).variants)
+        got = set(enumeration_fuzzy_set("cat", 1))
         assert got == expected
         assert len(got) == 180
 
@@ -213,8 +213,8 @@ class TestEnumerationSet:
                     assert u in ball
 
     def test_monotone_in_d(self):
-        a = set(enumeration_fuzzy_set("dog", 1).variants)
-        b = set(enumeration_fuzzy_set("dog", 2).variants)
+        a = set(enumeration_fuzzy_set("dog", 1))
+        b = set(enumeration_fuzzy_set("dog", 2))
         assert a <= b
 
     def test_guards(self):
@@ -230,7 +230,7 @@ class TestEnumerationSet:
 
 
 def test_dispatcher():
-    assert fuzzy_set("cat", 1, "wildcard").variants == wildcard_fuzzy_set("cat", 1).variants
-    assert fuzzy_set("cat", 1, "gram").variants == gram_fuzzy_set("cat", 1).variants
+    assert fuzzy_set("cat", 1, "wildcard") == wildcard_fuzzy_set("cat", 1)
+    assert fuzzy_set("cat", 1, "gram") == gram_fuzzy_set("cat", 1)
     with pytest.raises(BadParameter):
         fuzzy_set("cat", 1, "bogus")

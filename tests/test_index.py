@@ -10,6 +10,7 @@ from fzsearch import (
     BadParameter,
     EditBoundExceeded,
     FzError,
+    TrieIndex,
     Truncated,
     UserDirectory,
     VersionUnsupported,
@@ -131,10 +132,16 @@ def _path_value(path: tuple[int, ...], n: int) -> int:
 
 class TestTrieView:
     """``walk_trie``, ``children`` and ``leaves`` agree with the prefix set of
-    ``table``'s trapdoors, on corpora of 0, 1, 7 and 60 keywords."""
+    ``table``'s trapdoors, on corpora of 0, 1, 7 and 60 keywords and on
+    hand-picked trapdoors at the edges of the 160-bit space."""
 
-    @pytest.fixture(scope="class", params=[0, 1, 7, 60])
+    @pytest.fixture(scope="class", params=[0, 1, 7, 60, "edges"])
     def trie(self, request, km):
+        if request.param == "edges":
+            ends = (bytes(20), bytes(19) + b"\x01", b"\x7f" + b"\xff" * 19,
+                    b"\x80" + bytes(19), b"\xff" * 19 + b"\xfe", b"\xff" * 20)
+            table = {t: (t + bytes(8),) for t in ends}
+            return TrieIndex(table, trapdoor_bits=160, symbol_bits=4, d=1, exact={ends[0]})
         corpus = random_corpus(random.Random(401 + request.param), size=request.param)
         return build_trie_index(corpus, 1, km)
 
@@ -295,7 +302,7 @@ class TestSearch:
                 expected = {query}
                 assert result.exact_hit
             else:
-                ball = set(enumeration_fuzzy_set(query, 1).variants)
+                ball = set(enumeration_fuzzy_set(query, 1))
                 expected = ball & set(words)
             assert got == expected, query
             for keyword in got:

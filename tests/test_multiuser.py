@@ -5,6 +5,7 @@ import pytest
 from conftest import mutate, random_corpus
 from fzsearch import (
     AuthFailure,
+    BadParameter,
     DuplicateUser,
     UnknownUser,
     UserDirectory,
@@ -15,6 +16,7 @@ from fzsearch import (
     unblind_request,
 )
 from fzsearch.multiuser import unwrap_blind_key, wrap_blind_key
+from fzsearch.persist import dumps_directory, loads_directory
 
 
 @pytest.fixture()
@@ -53,6 +55,32 @@ class TestDirectory:
     def test_revoke_unknown(self, directory):
         with pytest.raises(UnknownUser):
             directory.revoke("ghost")
+
+    def test_revoke_needs_every_remaining_personal_key(self, directory):
+        keys = {"alice": b"ka", "bob": b"kb", "eve": b"ke"}
+        for uid, key in keys.items():
+            directory.enroll(uid, key)
+        loaded = loads_directory(dumps_directory(directory), current_xi=directory.current_xi)
+        before = (loaded.epoch, loaded.current_xi, dict(loaded.wrapped))
+        for filled in ({}, {"alice": b"ka"}):  # none, then one of the two left
+            loaded.user_keys.update(filled)
+            with pytest.raises(BadParameter):
+                loaded.revoke("eve")
+            assert (loaded.epoch, loaded.current_xi, loaded.wrapped) == before
+        loaded.user_keys["bob"] = b"kb"
+        loaded.revoke("eve")
+        assert loaded.epoch == 1 and set(loaded.wrapped) == {"alice", "bob"}
+        assert loaded.current_xi != directory.current_xi
+        for uid in ("alice", "bob"):
+            assert loaded.unwrap(uid, keys[uid]) == loaded.current_xi
+
+    def test_a_user_id_fits_the_directory_length_field(self, directory):
+        longest = "a" * 0xFFFF
+        directory.enroll(longest, b"k")
+        assert set(loads_directory(dumps_directory(directory)).wrapped) == {longest}
+        directory.enroll("\u00e9" * 0x8000, b"k")  # 32,768 characters, 65,536 bytes in UTF-8
+        with pytest.raises(BadParameter):
+            dumps_directory(directory)
 
     def test_wrap_is_authenticated(self, km):
         blob = wrap_blind_key(b"key", "alice", km.blind_key)

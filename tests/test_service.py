@@ -669,7 +669,7 @@ class TestCli:
         corpus = read_corpus_dir(str(workspace / "corpus"))
         variants = set()
         for word in corpus:
-            variants.update(wildcard_fuzzy_set(word, 1).variants)
+            variants.update(wildcard_fuzzy_set(word, 1))
         assert f"{len(variants)} entries" in out
         index = load_index(indexfile)
         assert len(index.table) == len(variants)
@@ -788,6 +788,15 @@ class TestCli:
         assert directory.epoch == 1 and set(directory.wrapped) == {"alice"}
         assert directory.unwrap("alice", derive_user_key(km.record_key, "alice")) == km.blind_key
         capsys.readouterr()
+
+    @pytest.mark.parametrize("user", ["\udcff", "u" * 70_000], ids=["not-utf8", "too-long"])
+    def test_user_ids_that_do_not_fit_are_usage_errors(self, workspace, capsys, user):
+        dirfile = str(workspace / "users.fzud")
+        for command in (["enroll"], ["revoke"], ["search", "cat", "1"], ["verify", "cat", "1"]):
+            assert cli_main([*command, "--directory", dirfile, "--user", user]) == 2
+            err = capsys.readouterr().err
+            assert "argument --user: user id" in err and "Traceback" not in err
+        assert not os.path.exists(dirfile)
 
     @pytest.mark.parametrize("kind", ["trie", "auth"])
     def test_serve_refuses_a_v1_index(self, capsys, kind):

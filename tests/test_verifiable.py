@@ -124,15 +124,16 @@ class TestChain:
         _, index = small_world
         width = index.trapdoor_bits // 8
         first, last = index.ordered[0], index.ordered[-1]
-        below = [(first - 1).to_bytes(width, "big"), bytes(width)]
-        above = [(last + 1).to_bytes(width, "big"), b"\xff" * width]
+        lo, hi = int.from_bytes(first, "big"), int.from_bytes(last, "big")
+        below = [(lo - 1).to_bytes(width, "big"), bytes(width)]
+        above = [(hi + 1).to_bytes(width, "big"), b"\xff" * width]
         req = SearchRequest(tuple(below + above), 0)
         result, proofs = search_with_proof(index, req)
-        assert [(p.left, p.right) for p in proofs[:2]] == [(b"", first.to_bytes(width, "big"))] * 2
-        assert [(p.left, p.right) for p in proofs[2:]] == [(last.to_bytes(width, "big"), b"")] * 2
+        assert [(p.left, p.right) for p in proofs[:2]] == [(b"", first)] * 2
+        assert [(p.left, p.right) for p in proofs[2:]] == [(last, b"")] * 2
         assert verify(req, result, proofs, km).accepted
         # a sentinel gap does not stretch into the list
-        inner = SearchRequest(((first + 1).to_bytes(width, "big"), (last - 1).to_bytes(width, "big")), 0)
+        inner = SearchRequest(((lo + 1).to_bytes(width, "big"), (hi - 1).to_bytes(width, "big")), 0)
         inner_result, _ = search_with_proof(index, inner)
         verdict = verify(inner, inner_result, [proofs[0], proofs[2]], km)
         assert not verdict.accepted and verdict.failing_index == 0
@@ -192,9 +193,8 @@ class TestSearchWithProof:
         assert result.records == []
         (proof,) = proofs
         assert not proof.hit and proof.record_digest == b""
-        left, right = (int.from_bytes(end, "big") for end in (proof.left, proof.right))
-        assert index.ordered.index(right) == index.ordered.index(left) + 1
-        assert left < int.from_bytes(req.trapdoors[0], "big") < right
+        assert index.ordered.index(proof.right) == index.ordered.index(proof.left) + 1
+        assert proof.left < req.trapdoors[0] < proof.right
 
     def test_full_match_proof_shape(self, km, small_world):
         corpus, index = small_world
