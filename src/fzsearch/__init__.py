@@ -61,7 +61,6 @@ from .persist import (
 )
 from .verifiable import (
     AuthTrieIndex,
-    Proof,
     Verdict,
     VerdictReason,
     build_auth_trie,

@@ -19,12 +19,11 @@ import os
 import sys
 
 from .crypto import SECURITY_BITS, keygen, decrypt_record, prf_bytes
-from .errors import EmptyKeyword, FzError, VersionUnsupported
+from .errors import BadParameter, EmptyKeyword, FzError, VersionUnsupported
 from .fuzzyset import edit_distance, normalize_keyword
 from .index import build_listing_index, build_trie_index, make_request
-from .multiuser import UserDirectory, blind_request
+from .multiuser import UserDirectory, blind_request, user_id_bytes
 from .persist import (
-    MAX_USER_ID_BYTES,
     load_directory,
     load_index,
     load_keys,
@@ -76,13 +75,12 @@ def _server(text: str) -> tuple[str, int]:
 
 
 def _user_id(text: str) -> str:
-    """argparse type: a user id of at most ``MAX_USER_ID_BYTES`` in UTF-8, the FZUD limit."""
+    """argparse type: a user id FZUD can store (``multiuser.user_id_bytes``)."""
     try:
-        if len(text.encode("utf-8")) <= MAX_USER_ID_BYTES:
-            return text
-    except UnicodeEncodeError:
-        pass
-    raise argparse.ArgumentTypeError(f"user id is not UTF-8 of at most {MAX_USER_ID_BYTES} bytes")
+        user_id_bytes(text)
+    except BadParameter as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def derive_user_key(record_key: bytes, user_id: str) -> bytes:

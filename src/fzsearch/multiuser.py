@@ -21,6 +21,18 @@ from .errors import AuthFailure, BadParameter, DuplicateUser, UnknownUser
 from .index import SearchRequest
 
 _WRAP_NONCE = 12
+MAX_USER_ID_BYTES = 0xFFFF  # an FZUD user id's 2-byte length field
+
+
+def user_id_bytes(user_id: str) -> bytes:
+    """A user id's UTF-8 bytes; ``BadParameter`` unless it is UTF-8 of at most ``MAX_USER_ID_BYTES``."""
+    try:
+        uid = user_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise BadParameter("user id is not UTF-8") from None
+    if len(uid) > MAX_USER_ID_BYTES:
+        raise BadParameter(f"user id is {len(uid)} bytes in UTF-8; the limit is {MAX_USER_ID_BYTES}")
+    return uid
 
 
 def _wrap_key(user_key: bytes) -> bytes:
@@ -59,6 +71,8 @@ class UserDirectory:
     user_keys: dict[str, bytes] = field(default_factory=dict, repr=False)
 
     def enroll(self, user_id: str, user_key: bytes) -> "UserDirectory":
+        """Wrap the current blind key for a new user; ``BadParameter`` for an id FZUD cannot store."""
+        user_id_bytes(user_id)
         if user_id in self.wrapped:
             raise DuplicateUser(f"user {user_id!r} already enrolled")
         self.wrapped[user_id] = wrap_blind_key(user_key, user_id, self.current_xi)

@@ -52,13 +52,12 @@ import struct
 from .crypto import RECORD_MIN_BYTES, SECURITY_BITS, KeyMaterial, check_geometry
 from .errors import AuthFailure, BadMagic, BadParameter, Truncated, VersionUnsupported
 from .index import ListingIndex, TrieIndex
-from .multiuser import UserDirectory
+from .multiuser import UserDirectory, user_id_bytes
 from .verifiable import AuthTrieIndex, TAG_BYTES
 
 KEY_MAGIC = b"FZKY"
 INDEX_MAGIC = b"FZIX"
 DIR_MAGIC = b"FZUD"
-MAX_USER_ID_BYTES = 0xFFFF  # an FZUD user id's 2-byte length field
 INDEX_VERSION = 3  # FZIX
 VERSION = 1  # FZKY and FZUD
 
@@ -311,9 +310,7 @@ def dumps_directory(directory: UserDirectory) -> bytes:
     out.write(directory.epoch.to_bytes(8, "big"))
     out.write(len(directory.wrapped).to_bytes(4, "big"))
     for user_id in sorted(directory.wrapped):
-        uid = user_id.encode("utf-8")
-        if len(uid) > MAX_USER_ID_BYTES:
-            raise BadParameter(f"a {len(uid)}-byte user id; the limit is {MAX_USER_ID_BYTES}")
+        uid = user_id_bytes(user_id)
         blob = directory.wrapped[user_id]
         out.write(len(uid).to_bytes(2, "big"))
         out.write(uid)

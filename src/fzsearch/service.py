@@ -67,7 +67,7 @@ from .crypto import RECORD_MIN_BYTES
 from .errors import BadResponse
 from .index import Index, ResultSet, SearchRequest, search_listing
 from .multiuser import unblind_request
-from .verifiable import Proof, decode_proof, encode_proof, search_with_proof
+from .verifiable import decode_proof, search_with_proof
 
 PROTOCOL = 2  # HelloAck's "protocol"; bumped when the wire meaning of a request changes
 DEFAULT_PORT = 7090
@@ -169,7 +169,7 @@ def handle_message(state: ServerState, msg: dict) -> dict:
         proofs = None
         if want_proof and state.index.kind == "auth_trie":
             result, proof_list = search_with_proof(state.index, req)
-            proofs = [encode_proof(p).hex() for p in proof_list]
+            proofs = [p.hex() for p in proof_list]
         else:
             result = search_listing(state.index, req)
         resp = {
@@ -222,8 +222,8 @@ def result_from_response(resp: dict) -> ResultSet:
     return ResultSet(records=decode_records(resp), exact_hit=bool(resp.get("exact", False)))
 
 
-def proofs_from_response(resp: dict) -> list[Proof]:
-    """Client side: proofs field back into Proof values."""
+def proofs_from_response(resp: dict) -> list[bytes]:
+    """Client side: the proofs field back into proof bytes, each one checked encoding."""
     items = resp.get("proofs")
     if not isinstance(items, list):
         raise BadResponse("server returned no proofs; index is not verifiable")

@@ -16,11 +16,19 @@ each, in sorted-trapdoor order: the order FZIX writes them.
 
 A proof per trapdoor is a hit (the entry's exact flag, record digest and leaf
 tag) or a miss (the adjacent pair around the trapdoor and their gap tag), as
-NSEC records prove that a DNS name does not exist (RFC 4034 §4).  The
-verifier checks the proof count, each proof's shape (a miss's ends must
-enclose the trapdoor), one tag per trapdoor, and re-derives each hit's digest
-from the records actually returned.  A present trapdoor has no gap around it,
-so a server can neither drop a match nor under-report one; the leaf tag binds
+NSEC records prove that a DNS name does not exist (RFC 4034 §4).  A proof is
+its wire bytes, from ``search_with_proof`` through ``verify``:
+
+* a hit is ``PROOF_TYPE || flag || record digest (32) || leaf tag (32)``,
+  its form byte the exact flag, 0 or 1;
+* a miss is ``PROOF_TYPE || 2 || len(left) || left || len(right) || right ||
+  gap tag (32)``, an end empty past either end of the list.
+
+``_parse_proof`` is the one reader of that layout.  The verifier checks the
+proof count, each proof's shape (its layout, and a miss's ends must enclose
+the trapdoor), one tag per trapdoor, and re-derives each hit's digest from
+the records actually returned.  A present trapdoor has no gap around it, so
+a server can neither drop a match nor under-report one; the leaf tag binds
 the exact flag, so an exact hit is proof 0 with flag 1, and only then.
 
 A miss shows the client the two entries next to the trapdoor.  An authorized
@@ -45,14 +53,17 @@ TAG_BYTES = 32
 # below 255; so a v1 proof fails to decode instead of being misread.
 PROOF_TYPE = 0xFF
 _MISS = 2  # form byte of a miss; a hit's form byte is its exact flag, 0 or 1
+_HIT_HEADS = (bytes([PROOF_TYPE, 0]), bytes([PROOF_TYPE, 1]))  # a hit's first two bytes, by exact flag
+_MISS_HEAD = bytes([PROOF_TYPE, _MISS])
+_BYTE = tuple(bytes([i]) for i in range(256))  # a lookup is cheaper than bytes([i]) on the hot paths
 
 
 def leaf_tag(record_key: bytes, t: bytes, flag: int, digest: bytes) -> bytes:
-    return prf_bytes(record_key, b"L:" + t + bytes([flag]) + digest, TAG_BYTES)
+    return prf_bytes(record_key, b"".join((b"L:", t, _BYTE[flag], digest)), TAG_BYTES)
 
 
 def gap_tag(record_key: bytes, left: bytes, right: bytes) -> bytes:
-    return prf_bytes(record_key, b"G:" + bytes([len(left), len(right)]) + left + right, TAG_BYTES)
+    return prf_bytes(record_key, b"".join((b"G:", _BYTE[len(left)], _BYTE[len(right)], left, right)), TAG_BYTES)
 
 
 @dataclass
@@ -75,27 +86,6 @@ class AuthTrieIndex(TrieIndex):
         return index
 
 
-@dataclass(frozen=True)
-class Proof:
-    """One trapdoor's proof.
-
-    A hit has ``flag``, the entry's exact flag (0 or 1), its ``record_digest``
-    and its leaf ``tag``.  A miss has ``flag`` None, the entries ``left`` and
-    ``right`` around the trapdoor (b"" past either end of the list) and
-    their gap ``tag``.
-    """
-
-    tag: bytes
-    flag: int | None = None
-    record_digest: bytes = b""
-    left: bytes = b""
-    right: bytes = b""
-
-    @property
-    def hit(self) -> bool:
-        return self.flag is not None
-
-
 class VerdictReason(enum.Enum):
     OK = "Ok"
     COUNT_MISMATCH = "CountMismatch"
@@ -115,8 +105,8 @@ class Verdict:
 build_auth_trie = AuthTrieIndex.build
 
 
-def search_with_proof(index: AuthTrieIndex, req: SearchRequest) -> tuple[ResultSet, list[Proof]]:
-    """Search plus one proof per trapdoor.
+def search_with_proof(index: AuthTrieIndex, req: SearchRequest) -> tuple[ResultSet, list[bytes]]:
+    """Search plus one proof per trapdoor, each its encoding.
 
     The record list short-circuits on an exact hit exactly like the plain
     search, but proofs are still produced for every trapdoor — the
@@ -131,52 +121,78 @@ def search_with_proof(index: AuthTrieIndex, req: SearchRequest) -> tuple[ResultS
         pos = bisect_left(ordered, t)
         if pos < size and ordered[pos] == t:
             at = pos * TAG_BYTES
-            proofs.append(Proof(tags[at : at + TAG_BYTES], int(t in exact), record_digest(table[t])))
+            proofs.append(_HIT_HEADS[t in exact] + record_digest(table[t]) + tags[at : at + TAG_BYTES])
         else:
             at = (size + pos) * TAG_BYTES
             left = ordered[pos - 1] if pos else b""
             right = ordered[pos] if pos < size else b""
-            proofs.append(Proof(tags[at : at + TAG_BYTES], left=left, right=right))
+            tag = tags[at : at + TAG_BYTES]
+            proofs.append(b"".join((_MISS_HEAD, _BYTE[len(left)], left, _BYTE[len(right)], right, tag)))
     return result, proofs
 
 
-def _shape_ok(proof: Proof, t: bytes) -> bool:
-    if len(proof.tag) != TAG_BYTES:
-        return False
-    if proof.hit:
-        return proof.flag in (0, 1) and len(proof.record_digest) == TAG_BYTES and not proof.left + proof.right
-    left, right = proof.left, proof.right
-    return (
-        not proof.record_digest
-        and (not left or (len(left) == len(t) and left < t))
-        and (not right or (len(right) == len(t) and t < right))
-    )
+def _parse_proof(proof: bytes) -> tuple[int, bytes, bytes, bytes]:
+    """Split a proof into its form, two fields and tag; raises ``Truncated`` on any other value.
+
+    A hit gives ``(flag, record digest, b"", leaf tag)``, a miss ``(2, left,
+    right, gap tag)``.
+    """
+    if not isinstance(proof, bytes):
+        raise Truncated(f"a proof is bytes, not {type(proof).__name__}")
+    if len(proof) < 2:
+        raise Truncated("proof encoding ends early")
+    if proof[0] != PROOF_TYPE:
+        raise Truncated(f"unknown proof type {proof[0]:#04x}")
+    form = proof[1]
+    if form < _MISS:
+        first, second, end = proof[2 : 2 + TAG_BYTES], b"", 2 + TAG_BYTES
+    elif form == _MISS:
+        try:
+            mid = 3 + proof[2]
+            end = mid + 1 + proof[mid]
+        except IndexError:
+            raise Truncated("proof encoding ends early") from None
+        first, second = proof[3:mid], proof[mid + 1 : end]
+    else:
+        raise Truncated(f"unknown proof form {form}")
+    tag = proof[end:]
+    if len(tag) != TAG_BYTES:
+        raise Truncated("proof encoding ends early" if len(tag) < TAG_BYTES else "trailing bytes after proof")
+    return form, first, second, tag
 
 
-def verify(req: SearchRequest, results: ResultSet, proofs: list[Proof], km: KeyMaterial) -> Verdict:
+def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyMaterial) -> Verdict:
     """Check a search transcript; every failure is a Verdict, never an exception.
 
-    Checks, in order: the proof count; that the exact flag is set exactly
-    when proof 0 is a hit with flag 1; then per proof its shape, its one
-    tag, and for a hit whose records are returned the digest re-derived
-    from those records (consumed in proof order).  With an exact hit only
-    proof 0's records are present; every other hit's tag is still checked.
+    Checks, in order: the proof count; then per proof its shape (any item
+    that is no proof encoding is ``SHAPE_INVALID``), for proof 0 that the
+    exact flag is set exactly when it is a hit with flag 1, its one tag,
+    and for a hit whose records are returned the digest re-derived from
+    those records (consumed in proof order).  With an exact hit only proof
+    0's records are present; every other hit's tag is still checked.
     """
     if len(proofs) != len(req.trapdoors):
         return Verdict(False, VerdictReason.COUNT_MISMATCH)
-    if results.exact_hit != (bool(proofs) and proofs[0].flag == 1):
+    key, records, exact_hit, pos = km.record_key, results.records, results.exact_hit, 0
+    if exact_hit and not proofs:
         return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
-    key, records, pos = km.record_key, results.records, 0
     for i, (t, proof) in enumerate(zip(req.trapdoors, proofs)):
-        if not _shape_ok(proof, t):
+        try:
+            form, first, second, tag = _parse_proof(proof)
+        except Truncated:
             return Verdict(False, VerdictReason.SHAPE_INVALID, i)
-        if not proof.hit:
-            if not _hmac.compare_digest(gap_tag(key, proof.left, proof.right), proof.tag):
+        if not i and exact_hit != (form == 1):
+            return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
+        if form == _MISS:
+            width = len(t)
+            if (first and (len(first) != width or first >= t)) or (second and (len(second) != width or t >= second)):
+                return Verdict(False, VerdictReason.SHAPE_INVALID, i)
+            if not _hmac.compare_digest(gap_tag(key, first, second), tag):
                 return Verdict(False, VerdictReason.GAP_TAG_MISMATCH, i)
             continue
-        if not _hmac.compare_digest(leaf_tag(key, t, proof.flag, proof.record_digest), proof.tag):
+        if not _hmac.compare_digest(leaf_tag(key, t, form, first), tag):
             return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
-        if results.exact_hit and i:
+        if exact_hit and i:
             continue
         digest = sha256()
         while True:
@@ -184,51 +200,22 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[Proof], km: KeyM
                 return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
             digest.update(records[pos])
             pos += 1
-            if digest.digest() == proof.record_digest:
+            if digest.digest() == first:
                 break
     if pos != len(records):
         return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH)
     return Verdict(True, VerdictReason.OK)
 
 
-def encode_proof(proof: Proof) -> bytes:
-    """Wire form: ``PROOF_TYPE``, a form byte, then the form's fields.
-
-    A hit is form 0 or 1 (its exact flag), the record digest and the leaf
-    tag; a miss is form 2, the two ends, each 1-byte length-prefixed, and
-    the gap tag.
-    """
-    if proof.hit:
-        return bytes([PROOF_TYPE, proof.flag]) + proof.record_digest + proof.tag
-    left, right = proof.left, proof.right
-    return bytes([PROOF_TYPE, _MISS, len(left)]) + left + bytes([len(right)]) + right + proof.tag
+def encode_proof(proof: bytes) -> bytes:
+    """The identity: a proof already is its wire form."""
+    return proof
 
 
-def decode_proof(buf: bytes, depth: int | None = None) -> Proof:
-    """Inverse of ``encode_proof``; raises ``Truncated`` on any other bytes.
+def decode_proof(buf: bytes, depth: int | None = None) -> bytes:
+    """``buf`` if it is one proof encoding; raises ``Truncated`` on any other bytes.
 
     ``depth`` is unused: the encoding sizes its own fields.
     """
-    if len(buf) < 2:
-        raise Truncated("proof encoding ends early")
-    if buf[0] != PROOF_TYPE:
-        raise Truncated(f"unknown proof type {buf[0]:#04x}")
-    form, pos, ends = buf[1], 2, []
-    if form > _MISS:
-        raise Truncated(f"unknown proof form {form}")
-    if form == _MISS:
-        for _ in range(2):  # left, then right
-            if pos >= len(buf):
-                raise Truncated("proof encoding ends early")
-            end = pos + 1 + buf[pos]
-            ends.append(buf[pos + 1 : end])
-            pos = end
-    else:
-        pos += TAG_BYTES  # the record digest
-    if pos + TAG_BYTES > len(buf):
-        raise Truncated("proof encoding ends early")
-    if pos + TAG_BYTES < len(buf):
-        raise Truncated("trailing bytes after proof")
-    if ends:
-        return Proof(buf[pos:], left=ends[0], right=ends[1])
-    return Proof(buf[pos:], form, buf[2:pos])
+    _parse_proof(buf)
+    return buf

@@ -92,6 +92,25 @@ def mutate(word: str, rng: random.Random) -> str:
     return word[:i] + word[i + 1 :]
 
 
+def hit(flag: int, digest: bytes, tag: bytes) -> bytes:
+    """A hit proof from the wire layout: ``ff || flag || record digest || leaf tag``."""
+    return bytes([0xFF, flag]) + digest + tag
+
+
+def miss(left: bytes, right: bytes, tag: bytes) -> bytes:
+    """A miss proof from the wire layout: ``ff || 02 || len(left) || left || len(right) || right || gap tag``."""
+    return bytes([0xFF, 2, len(left)]) + left + bytes([len(right)]) + right + tag
+
+
+def fields(proof: bytes) -> dict:
+    """An honest proof's fields, keyed as ``hit`` or ``miss`` takes them, so one of the two rebuilds ``proof``."""
+    if proof[1] != 2:
+        return {"flag": proof[1], "digest": proof[2:34], "tag": proof[34:]}
+    mid = 3 + proof[2]
+    end = mid + 1 + proof[mid]
+    return {"left": proof[3:mid], "right": proof[mid + 1 : end], "tag": proof[end:]}
+
+
 def garbage_line(rng: random.Random):
     """A random wire line for the protocol fuzz: raw bytes, printable text or off-contract JSON."""
     printable = "".join(chr(c) for c in range(32, 127))

@@ -18,7 +18,10 @@ import pytest
 
 from conftest import (
     ALPHABET,
+    fields,
     garbage_line,
+    hit,
+    miss,
     mutate,
     random_corpus,
     random_word,
@@ -323,16 +326,17 @@ def test_criterion_11_verifiable_search_tamper_suite():
     tags = [index.tags[i : i + TAG_BYTES] for i in range(0, len(index.tags), TAG_BYTES)]
     substitutions = 0
     for i, proof in enumerate(proofs):
-        if proof.hit:
-            pool, reason = tags[:n], VerdictReason.LEAF_TAG_MISMATCH
+        f = fields(proof)
+        if "flag" in f:
+            pool, reason, forge = tags[:n], VerdictReason.LEAF_TAG_MISMATCH, hit
         else:
-            pool, reason = tags[n:], VerdictReason.GAP_TAG_MISMATCH
+            pool, reason, forge = tags[n:], VerdictReason.GAP_TAG_MISMATCH, miss
         for _ in range(5):
             foreign = rng.choice(pool)
-            if foreign == proof.tag:
+            if foreign == f["tag"]:
                 continue
             tampered = list(proofs)
-            tampered[i] = dataclasses.replace(proof, tag=foreign)
+            tampered[i] = forge(**{**f, "tag": foreign})
             verdict = verify(req, result, tampered, km)
             trials += 1
             substitutions += 1

@@ -78,9 +78,20 @@ class TestDirectory:
         longest = "a" * 0xFFFF
         directory.enroll(longest, b"k")
         assert set(loads_directory(dumps_directory(directory)).wrapped) == {longest}
-        directory.enroll("\u00e9" * 0x8000, b"k")  # 32,768 characters, 65,536 bytes in UTF-8
+        too_long = "\u00e9" * 0x8000  # 32,768 characters, 65,536 bytes in UTF-8
+        with pytest.raises(BadParameter):
+            directory.enroll(too_long, b"k")
+        directory.wrapped[too_long] = directory.wrapped[longest]  # past enroll's check
         with pytest.raises(BadParameter):
             dumps_directory(directory)
+
+    @pytest.mark.parametrize("user_id", ["\udcff", "u" * 70_000], ids=["not-utf8", "too-long"])
+    def test_enroll_refuses_an_id_the_directory_cannot_store(self, directory, user_id):
+        directory.enroll("alice", b"ka")
+        with pytest.raises(BadParameter):
+            directory.enroll(user_id, b"k")
+        assert set(directory.wrapped) == set(directory.user_keys) == {"alice"}
+        assert set(loads_directory(dumps_directory(directory)).wrapped) == {"alice"}
 
     def test_wrap_is_authenticated(self, km):
         blob = wrap_blind_key(b"key", "alice", km.blind_key)

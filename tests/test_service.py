@@ -56,7 +56,7 @@ from fzsearch.service import (
     proofs_from_response,
     result_from_response,
 )
-from fzsearch.verifiable import decode_proof, verify
+from fzsearch.verifiable import decode_proof, search_with_proof, verify
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +186,18 @@ class TestHandler:
         proofs = [decode_proof(bytes.fromhex(p)) for p in resp["proofs"]]
         verdict = verify(req, result_from_response(resp), proofs, km)
         assert verdict.accepted
+
+    def test_proofs_cross_the_wire_as_the_bytes_search_with_proof_returned(self, km, world):
+        corpus, _ = world
+        state = ServerState(index=build_auth_trie(corpus, 1, km), xi=km.blind_key)
+        rng = random.Random(192)
+        words = sorted(corpus)
+        for query in words[:3] + [mutate(rng.choice(words), rng) or "a" for _ in range(10)]:
+            req = make_request(query, 1, km)
+            line = encode_message(search_msg(blind_request(req, km.blind_key), proof=True))
+            _, proofs = search_with_proof(state.index, req)
+            assert proofs_from_response(json.loads(handle_line(state, line))) == proofs
+            assert all(type(p) is bytes for p in proofs)
 
     def test_server_fault_is_internal(self, km, world, monkeypatch):
         import fzsearch.service as service

@@ -5,10 +5,9 @@ import random
 
 import pytest
 
-from conftest import mutate, random_corpus
+from conftest import fields, hit, miss, mutate, random_corpus
 from fzsearch import (
     EditBoundExceeded,
-    Proof,
     ResultSet,
     SearchRequest,
     Verdict,
@@ -42,9 +41,19 @@ def _fuzzy_transcript(km, index, corpus, rng, min_full=2):
             continue
         req = make_request(query, 1, km)
         result, proofs = search_with_proof(index, req)
-        full = sum(1 for p in proofs if p.hit)
+        full = sum(1 for p in proofs if _is_hit(p))
         if not result.exact_hit and full >= min_full and len(result.records) >= 2:
             return req, result, proofs
+
+
+def _is_hit(proof: bytes) -> bool:
+    return "flag" in fields(proof)
+
+
+def _with(proof: bytes, **changes) -> bytes:
+    """``proof`` with some of its fields replaced, encoded by the reference codec."""
+    f = {**fields(proof), **changes}
+    return hit(**f) if "flag" in f else miss(**f)
 
 
 def _hmac_tag(key: bytes, msg: bytes) -> bytes:
@@ -68,25 +77,25 @@ def _reference_tags(key: bytes, index) -> bytes:
     return b"".join(leaves + gaps)
 
 
-def _reference_proof(tags: bytes, index, t: bytes) -> Proof:
+def _reference_proof(tags: bytes, index, t: bytes) -> bytes:
     """A proof by a linear scan over the sorted entries and reference ``tags``."""
     keys = sorted(index.table)
     if t in index.table:
         i = keys.index(t)
         tag = tags[i * TAG_BYTES : (i + 1) * TAG_BYTES]
-        return Proof(tag, int(t in index.exact), record_digest(index.table[t]))
+        return hit(int(t in index.exact), hashlib.sha256(b"".join(index.table[t])).digest(), tag)
     gap = sum(1 for k in keys if k < t)
     at = (len(keys) + gap) * TAG_BYTES
     left = keys[gap - 1] if gap else b""
     right = keys[gap] if gap < len(keys) else b""
-    return Proof(tags[at : at + TAG_BYTES], left=left, right=right)
+    return miss(left, right, tags[at : at + TAG_BYTES])
 
 
 def _hidden(result: ResultSet, proofs, victim: int) -> ResultSet:
     """``result`` without the records of hit ``victim``."""
     kept, pos = [], 0
     for i, p in enumerate(proofs):
-        if not p.hit:
+        if not _is_hit(p):
             continue
         digest, group = hashlib.sha256(), []
         while pos < len(result.records):
@@ -94,7 +103,7 @@ def _hidden(result: ResultSet, proofs, victim: int) -> ResultSet:
             digest.update(rec)
             group.append(rec)
             pos += 1
-            if digest.digest() == p.record_digest:
+            if digest.digest() == fields(p)["digest"]:
                 break
         if i != victim:
             kept.extend(group)
@@ -117,7 +126,7 @@ class TestChain:
             req = make_request("castle", 1, km)
             result, proofs = search_with_proof(index, req)
             assert result.records == [] and not result.exact_hit
-            assert all(p == Proof(built.tags) for p in proofs)
+            assert all(p == miss(b"", b"", built.tags) for p in proofs)
             assert verify(req, result, proofs, km).accepted
 
     def test_head_and_tail_gaps_accept(self, km, small_world):
@@ -129,8 +138,8 @@ class TestChain:
         above = [(hi + 1).to_bytes(width, "big"), b"\xff" * width]
         req = SearchRequest(tuple(below + above), 0)
         result, proofs = search_with_proof(index, req)
-        assert [(p.left, p.right) for p in proofs[:2]] == [(b"", first)] * 2
-        assert [(p.left, p.right) for p in proofs[2:]] == [(last, b"")] * 2
+        ends = [(fields(p)["left"], fields(p)["right"]) for p in proofs]
+        assert ends == [(b"", first)] * 2 + [(last, b"")] * 2
         assert verify(req, result, proofs, km).accepted
         # a sentinel gap does not stretch into the list
         inner = SearchRequest(((lo + 1).to_bytes(width, "big"), (hi - 1).to_bytes(width, "big")), 0)
@@ -184,7 +193,7 @@ class TestSearchWithProof:
         _, proofs = search_with_proof(index, SearchRequest(trapdoors, 0))
         tags = _reference_tags(km.record_key, index)
         assert proofs == [_reference_proof(tags, index, t) for t in trapdoors]
-        assert sum(p.hit for p in proofs) > 10
+        assert sum(map(_is_hit, proofs)) > 10
 
     def test_unmatched_proof_shape(self, km, small_world):
         _, index = small_world
@@ -192,9 +201,10 @@ class TestSearchWithProof:
         result, proofs = search_with_proof(index, req)
         assert result.records == []
         (proof,) = proofs
-        assert not proof.hit and proof.record_digest == b""
-        assert index.ordered.index(proof.right) == index.ordered.index(proof.left) + 1
-        assert proof.left < req.trapdoors[0] < proof.right
+        f = fields(proof)
+        assert proof[:2] == b"\xff\x02" and len(proof) == 4 + len(f["left"]) + len(f["right"]) + TAG_BYTES
+        assert index.ordered.index(f["right"]) == index.ordered.index(f["left"]) + 1
+        assert f["left"] < req.trapdoors[0] < f["right"]
 
     def test_full_match_proof_shape(self, km, small_world):
         corpus, index = small_world
@@ -202,8 +212,8 @@ class TestSearchWithProof:
         req = make_request(word, 0, km)
         _, proofs = search_with_proof(index, req)
         (proof,) = proofs
-        assert proof.flag == 1 and proof.left == proof.right == b""
-        assert proof.record_digest == record_digest(index.table[req.trapdoors[0]])
+        assert proof[:2] == b"\xff\x01" and len(proof) == 2 + 2 * TAG_BYTES
+        assert fields(proof)["digest"] == record_digest(index.table[req.trapdoors[0]])
 
     def test_edit_bound(self, km, small_world):
         _, index = small_world
@@ -238,11 +248,13 @@ class TestVerify:
         rng = random.Random(157)
         req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
         for i, proof in enumerate(proofs):
+            tag = fields(proof)["tag"]
             tampered = list(proofs)
-            tampered[i] = dataclasses.replace(proof, tag=bytes([proof.tag[0] ^ 1]) + proof.tag[1:])
+            tampered[i] = _with(proof, tag=bytes([tag[0] ^ 1]) + tag[1:])
             verdict = verify(req, result, tampered, km)
             assert not verdict.accepted and verdict.failing_index == i
-            assert verdict.reason is (VerdictReason.LEAF_TAG_MISMATCH if proof.hit else VerdictReason.GAP_TAG_MISMATCH)
+            expect = VerdictReason.LEAF_TAG_MISMATCH if _is_hit(proof) else VerdictReason.GAP_TAG_MISMATCH
+            assert verdict.reason is expect
 
     def test_every_record_byte_flip_rejected(self, km, small_world):
         corpus, index = small_world
@@ -268,12 +280,12 @@ class TestVerify:
         tags = [index.tags[i : i + TAG_BYTES] for i in range(0, len(index.tags), TAG_BYTES)]
         leaves, gaps = tags[:n], tags[n:]
         for i, proof in enumerate(proofs):
-            pool = leaves if proof.hit else gaps
-            for foreign in rng.sample([t for t in pool if t != proof.tag], 5):
+            pool = leaves if _is_hit(proof) else gaps
+            for foreign in rng.sample([t for t in pool if t != fields(proof)["tag"]], 5):
                 tampered = list(proofs)
-                tampered[i] = dataclasses.replace(proof, tag=foreign)
+                tampered[i] = _with(proof, tag=foreign)
                 verdict = verify(req, result, tampered, km)
-                expect = VerdictReason.LEAF_TAG_MISMATCH if proof.hit else VerdictReason.GAP_TAG_MISMATCH
+                expect = VerdictReason.LEAF_TAG_MISMATCH if _is_hit(proof) else VerdictReason.GAP_TAG_MISMATCH
                 assert verdict.reason is expect and verdict.failing_index == i
 
     def test_forged_full_match_rejected(self, km, small_world):
@@ -281,10 +293,10 @@ class TestVerify:
         _, index = small_world
         req = make_request("qqqqqqqq", 0, km)
         result, proofs = search_with_proof(index, req)
-        assert not proofs[0].hit
-        forged = Proof(bytes(32), 0, bytes(32))
+        assert not _is_hit(proofs[0])
+        forged = hit(0, bytes(32), bytes(32))
         assert verify(req, result, [forged], km).reason is VerdictReason.LEAF_TAG_MISMATCH
-        borrowed = Proof(index.tags[:TAG_BYTES], 0, record_digest(index.table[sorted(index.table)[0]]))
+        borrowed = hit(0, record_digest(index.table[sorted(index.table)[0]]), index.tags[:TAG_BYTES])
         assert verify(req, result, [borrowed], km).reason is VerdictReason.LEAF_TAG_MISMATCH
 
     def test_record_reorder_truncate_extend_rejected(self, km, small_world):
@@ -318,23 +330,24 @@ class TestVerify:
         corpus, index = small_world
         rng = random.Random(150)
         req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        hit = next(i for i, p in enumerate(proofs) if p.hit)
-        miss = next(i for i, p in enumerate(proofs) if not p.hit and p.left and p.right)
-        t, h, m = req.trapdoors[miss], proofs[hit], proofs[miss]
+        hi = next(i for i, p in enumerate(proofs) if _is_hit(p))
+        mi = next(i for i, p in enumerate(proofs) if not _is_hit(p) and fields(p)["left"] and fields(p)["right"])
+        t, h, m = req.trapdoors[mi], fields(proofs[hi]), fields(proofs[mi])
         bad = [
-            (hit, dataclasses.replace(h, flag=2)),
-            (hit, dataclasses.replace(h, flag=-1)),
-            (hit, dataclasses.replace(h, record_digest=h.record_digest[:-1])),
-            (hit, dataclasses.replace(h, tag=h.tag + b"\x00")),
-            (hit, dataclasses.replace(h, left=m.left)),
-            (miss, dataclasses.replace(m, record_digest=bytes(32))),
-            (miss, dataclasses.replace(m, tag=m.tag[:-1])),
-            (miss, dataclasses.replace(m, left=t)),  # an end equal to the trapdoor
-            (miss, dataclasses.replace(m, right=t)),
-            (miss, dataclasses.replace(m, left=m.right, right=m.left)),  # reordered
-            (miss, dataclasses.replace(m, left=m.left[:-1])),  # truncated end
-            (miss, dataclasses.replace(m, right=m.right + b"\x00")),
-            (miss, dataclasses.replace(m, left=b"\x00" + m.left)),
+            (hi, _with(proofs[hi], flag=2)),  # a hit's fields under the miss form
+            (hi, _with(proofs[hi], flag=3)),
+            (hi, _with(proofs[hi], flag=255)),  # the byte of a flag of -1
+            (hi, _with(proofs[hi], digest=h["digest"][:-1])),
+            (hi, _with(proofs[hi], tag=h["tag"] + b"\x00")),
+            (hi, proofs[hi] + bytes([len(m["left"])]) + m["left"]),  # a hit carrying an end
+            (mi, _with(proofs[mi], tag=bytes(32) + m["tag"])),  # a miss carrying a record digest
+            (mi, _with(proofs[mi], tag=m["tag"][:-1])),
+            (mi, _with(proofs[mi], left=t)),  # an end equal to the trapdoor
+            (mi, _with(proofs[mi], right=t)),
+            (mi, _with(proofs[mi], left=m["right"], right=m["left"])),  # reordered
+            (mi, _with(proofs[mi], left=m["left"][:-1])),  # truncated end
+            (mi, _with(proofs[mi], right=m["right"] + b"\x00")),
+            (mi, _with(proofs[mi], left=b"\x00" + m["left"])),
         ]
         for i, proof in bad:
             tampered = list(proofs)
@@ -342,23 +355,37 @@ class TestVerify:
             verdict = verify(req, result, tampered, km)
             assert verdict.reason is VerdictReason.SHAPE_INVALID and verdict.failing_index == i, proof
 
+    def test_an_item_that_is_no_proof_encoding_is_shape_invalid(self, km, small_world):
+        """Not an exception: at any position, proof 0 of an exact hit too."""
+        corpus, index = small_world
+        exact_req = make_request(sorted(corpus)[3], 1, km)
+        transcripts = [(exact_req, *search_with_proof(index, exact_req)),
+                       _fuzzy_transcript(km, index, corpus, random.Random(155))]
+        for req, result, proofs in transcripts:
+            for i in (0, 1, len(proofs) - 1):
+                for item in (None, "x", b"", 7, proofs[i].hex(), proofs[i][:-1], proofs[i] + b"\x00"):
+                    tampered = list(proofs)
+                    tampered[i] = item
+                    assert verify(req, result, tampered, km) == Verdict(False, VerdictReason.SHAPE_INVALID, i), item
+
     def test_underreported_match_is_rejected(self, km, small_world):
         # a server that hides a hit must show a gap around a present trapdoor;
         # none exists, so no gap tag of the index, nor a made-up one, passes
         corpus, index = small_world
         rng = random.Random(151)
         req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        idx = next(i for i, p in enumerate(proofs) if p.hit)
+        idx = next(i for i, p in enumerate(proofs) if _is_hit(p))
         t = req.trapdoors[idx]
         hidden = _hidden(result, proofs, idx)
         keys = sorted(index.table)
         j = keys.index(t)
         n = len(keys)
         ends = [b""] + keys + [b""]
-        lies = [Proof(index.tags[(n + g) * TAG_BYTES : (n + g + 1) * TAG_BYTES], left=ends[g], right=ends[g + 1])
+        lies = [miss(ends[g], ends[g + 1], index.tags[(n + g) * TAG_BYTES : (n + g + 1) * TAG_BYTES])
                 for g in range(n + 1)]
         # the pair the gap would have if t were not stored, with a made-up or a neighbour's tag
-        lies += [Proof(tag, left=ends[j], right=ends[j + 2]) for tag in (bytes(32), lies[j].tag, lies[j + 1].tag)]
+        neighbours = [fields(lies[j])["tag"], fields(lies[j + 1])["tag"]]
+        lies += [miss(ends[j], ends[j + 2], tag) for tag in [bytes(32), *neighbours]]
         for lie in lies:
             tampered = list(proofs)
             tampered[idx] = lie
@@ -371,7 +398,7 @@ class TestVerify:
         keys = sorted(index.table)
         n = len(keys)
         ends = [b""] + keys + [b""]
-        gaps = [Proof(index.tags[(n + g) * TAG_BYTES : (n + g + 1) * TAG_BYTES], left=ends[g], right=ends[g + 1])
+        gaps = [miss(ends[g], ends[g + 1], index.tags[(n + g) * TAG_BYTES : (n + g + 1) * TAG_BYTES])
                 for g in range(n + 1)]
         empty = ResultSet(records=[], exact_hit=False)
         assert n > 20
@@ -381,8 +408,9 @@ class TestVerify:
                 assert not verify(req, empty, [gap], km).accepted
         # while each gap proves the trapdoors that really lie inside it
         for gap in gaps:
-            lo = int.from_bytes(gap.left, "big") if gap.left else -1
-            hi = int.from_bytes(gap.right, "big") if gap.right else 1 << 160
+            left, right = fields(gap)["left"], fields(gap)["right"]
+            lo = int.from_bytes(left, "big") if left else -1
+            hi = int.from_bytes(right, "big") if right else 1 << 160
             if hi - lo > 1:
                 inside = SearchRequest(((lo + 1).to_bytes(20, "big"),), 0)
                 assert verify(inside, empty, [gap], km).accepted
@@ -392,23 +420,23 @@ class TestVerify:
         rng = random.Random(152)
         req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
         keys = sorted(index.table)
-        misses = [i for i, p in enumerate(proofs) if not p.hit]
-        pairs = [p for p in proofs if not p.hit]
+        misses = [i for i, p in enumerate(proofs) if not _is_hit(p)]
+        pairs = [fields(proofs[i]) for i in misses]
         for i in misses:
-            m = proofs[i]
-            j = keys.index(m.right) if m.right else len(keys)
-            lies = [q for q in pairs if (q.left, q.right) != (m.left, m.right)]  # borrowed whole
+            p, m = proofs[i], fields(proofs[i])
+            j = keys.index(m["right"]) if m["right"] else len(keys)
+            lies = [miss(**q) for q in pairs if (q["left"], q["right"]) != (m["left"], m["right"])]  # borrowed whole
             lies += [
-                dataclasses.replace(m, left=keys[j - 2]) if j >= 2 else None,  # wider pair, same tag
-                dataclasses.replace(m, right=keys[j + 1]) if j + 1 < len(keys) else None,
-                dataclasses.replace(m, left=b""),  # an empty end mid-list
-                dataclasses.replace(m, right=b""),
-                dataclasses.replace(m, left=m.right, right=m.left),
-                dataclasses.replace(m, tag=m.tag[:16]),
-                dataclasses.replace(m, tag=b""),
+                _with(p, left=keys[j - 2]) if j >= 2 else None,  # wider pair, same tag
+                _with(p, right=keys[j + 1]) if j + 1 < len(keys) else None,
+                _with(p, left=b""),  # an empty end mid-list
+                _with(p, right=b""),
+                _with(p, left=m["right"], right=m["left"]),
+                _with(p, tag=m["tag"][:16]),
+                _with(p, tag=b""),
             ]
             for lie in lies:
-                if lie is None or (lie.left, lie.right, lie.tag) == (m.left, m.right, m.tag):
+                if lie is None or lie == p:
                     continue
                 tampered = list(proofs)
                 tampered[i] = lie
@@ -425,10 +453,10 @@ class TestVerify:
             req = make_request(word if rng.random() < 0.5 else mutate(word, rng), 1, km)
             result, proofs = search_with_proof(index, req)
             for i, proof in enumerate(proofs):
-                if not proof.hit:
+                if not _is_hit(proof):
                     continue
                 tampered = list(proofs)
-                tampered[i] = dataclasses.replace(proof, flag=1 - proof.flag)
+                tampered[i] = _with(proof, flag=1 - fields(proof)["flag"])
                 assert not verify(req, result, tampered, km).accepted
                 flips += 1
         assert flips > 50
@@ -438,13 +466,13 @@ class TestVerify:
         word = sorted(corpus)[3]
         req = make_request(word, 1, km)
         result, proofs = search_with_proof(index, req)
-        assert result.exact_hit and proofs[0].flag == 1
+        assert result.exact_hit and fields(proofs[0])["flag"] == 1
         # flag 1 without an exact hit: the server hides the exact hit and returns the rest
         everything = ResultSet(records=[r for t in req.trapdoors for r in index.table.get(t, [])], exact_hit=False)
         verdict = verify(req, everything, proofs, km)
         assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
         # an exact hit without flag 1, whatever tag comes with it
-        for proof in (dataclasses.replace(proofs[0], flag=0), Proof(bytes(32), 0, bytes(32))):
+        for proof in (_with(proofs[0], flag=0), hit(0, bytes(32), bytes(32))):
             verdict = verify(req, result, [proof] + proofs[1:], km)
             assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
         # an exact hit claimed on a miss
@@ -459,7 +487,7 @@ class TestVerify:
         req = make_request("cat", 1, km, "gram")
         result, proofs = search_with_proof(index, req)
         assert not result.exact_hit and verify(req, result, proofs, km).accepted
-        assert proofs[0].flag == 0
+        assert fields(proofs[0])["flag"] == 0
         assert {decrypt_record(km, r)[1] for r in result.records} == {"cart", "bat", "cut"}
         forged = ResultSet(records=list(index.table[req.trapdoors[0]]), exact_hit=True)
         verdict = verify(req, forged, proofs, km)
@@ -476,11 +504,11 @@ class TestVerify:
         assert [decrypt_record(km, r)[1] for r in result.records] == ["cart", "cat"]
         assert verify(req, result, proofs, km).accepted
         # the hits whose records an exact hit leaves out keep their tags checked
-        later = [i for i, p in enumerate(proofs) if i and p.hit]
+        later = [i for i, p in enumerate(proofs) if i and _is_hit(p)]
         assert later
         for i in later:
             tampered = list(proofs)
-            tampered[i] = dataclasses.replace(proofs[i], record_digest=bytes(32))
+            tampered[i] = _with(proofs[i], digest=bytes(32))
             verdict = verify(req, result, tampered, km)
             assert verdict.reason is VerdictReason.LEAF_TAG_MISMATCH and verdict.failing_index == i
 
@@ -513,9 +541,10 @@ class TestProofWire:
             req = make_request(query, 1, km)
             _, proofs = search_with_proof(index, req)
             for proof in proofs:
-                buf = encode_proof(proof)
-                assert len(buf) == (66 if proof.hit else 4 + len(proof.left) + len(proof.right) + TAG_BYTES)
-                assert decode_proof(buf) == decode_proof(buf, index.depth) == proof
+                f = fields(proof)
+                assert encode_proof(proof) == proof == _with(proof)  # the reference codec agrees
+                assert len(proof) == (66 if _is_hit(proof) else 4 + len(f["left"]) + len(f["right"]) + TAG_BYTES)
+                assert decode_proof(proof) == decode_proof(proof, index.depth) == proof
 
     def test_truncated_encoding(self, km, small_world):
         corpus, index = small_world
@@ -541,8 +570,9 @@ class TestProofWire:
                 decode_proof(bytes([0xFF, form]) + bytes(64))
 
     def test_hostile_bytes_and_proofs_end_in_truncated_or_rejection(self, km, small_world):
-        """2,000 seeded byte strings through decode_proof, and random Proof
-        values through verify: each is Truncated or a rejecting Verdict."""
+        """2,000 seeded byte strings through decode_proof, then 2,000 seeded
+        items, most of them proof-like bytes, straight into verify: each is
+        Truncated or a rejecting Verdict, and only the honest proof passes."""
         corpus, index = small_world
         rng = random.Random(165)
         req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
@@ -552,7 +582,7 @@ class TestProofWire:
         def field():
             return rng.choice([
                 b"", rng.randbytes(rng.choice([1, 19, 20, 21, 31, 32, 33, 255])),
-                rng.choice(keys), rng.choice(req.trapdoors), rng.choice(proofs).tag,
+                rng.choice(keys), rng.choice(req.trapdoors), fields(rng.choice(proofs))["tag"],
             ])
 
         def check(proof):
@@ -587,12 +617,13 @@ class TestProofWire:
                 continue
             check(proof)
         for _ in range(2000):
-            hit = rng.random() < 0.5
-            check(Proof(
-                tag=field(),
-                flag=rng.choice([0, 1, 1, 2, -1, 255, True]) if hit else None,
-                record_digest=field() if hit or rng.random() < 0.1 else b"",
-                left=field() if not hit or rng.random() < 0.1 else b"",
-                right=field() if not hit or rng.random() < 0.1 else b"",
-            ))
+            roll = rng.random()
+            if roll < 0.1:
+                check(rng.choice([None, "", "x", rng.choice(proofs).hex(), 0, 7, -1, True]))
+            elif roll < 0.55:
+                extra = field() if rng.random() < 0.1 else b""  # a hit with an end after it
+                check(hit(rng.choice([0, 1, 1, 2, 3, 255]), field(), field()) + extra)
+            else:
+                digest = field() if rng.random() < 0.1 else b""  # a miss with a record digest
+                check(miss(field(), field(), digest + field()))
         assert outcomes["truncated"] > 500 and outcomes["rejected"] > 2000
