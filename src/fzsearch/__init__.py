@@ -19,7 +19,6 @@ from .errors import (
     BadLength,
     BadMagic,
     BadParameter,
-    BudgetExceeded,
     DegenerateWord,
     DuplicateUser,
     EditBoundExceeded,
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .fuzzyset import (
     edit_distance,
-    enumeration_fuzzy_set,
     fuzzy_set,
     gram_fuzzy_set,
     normalize_keyword,
@@ -48,7 +46,6 @@ from .index import (
     search_listing,
     search_trie,
     symbolize,
-    symbols_to_bytes,
 )
 from .multiuser import UserDirectory, blind_request, unblind_request
 from .persist import (

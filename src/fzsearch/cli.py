@@ -1,9 +1,12 @@
 """Command line front end.
 
 Owner side: ``keygen``, ``build``, ``serve``, ``enroll``, ``revoke``.
-User side: ``search`` (``verify`` is search with proof checking forced).
+User side: ``search``, and ``verify``, which also checks the proofs.
 Both print the file ids whose decrypted keyword is within ``k`` edits of
-the normalized query, so a gram index's farther results are dropped.
+the normalized query, so a gram index's farther results are dropped.  They
+blind the request exactly when the server's HelloAck says it is blinded,
+with the blind key of the key file, or with ``--user`` the key unwrapped
+from the ``--directory`` file, whose epoch the request then carries.
 
 The key file path comes from ``--keys`` or the ``FZ_KEYFILE`` environment
 variable.  Enrollment derives each user's personal key from the record key
@@ -156,24 +159,24 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _search_common(args, force_verify: bool) -> int:
+def _cmd_search(args) -> int:
+    """``search``, or ``verify``, which also checks the proofs."""
     km = load_keys(_keyfile(args))
+    want_proof = args.command == "verify"
     with SearchClient(*args.server) as client:
         ack = client.hello()
         word = normalize_keyword(args.word)
         req = make_request(word, args.k, km, ack.get("method"))
-        epoch = 0
-        wire_req = req
-        if args.blinded or ack.get("blinded"):
+        epoch, wire_req = ack.get("epoch", 0), req
+        if ack.get("blinded"):
             xi = km.blind_key
             if args.user:
                 if not args.directory:
                     raise FzError("--user requires --directory")
                 directory = load_directory(args.directory)
                 xi = directory.unwrap(args.user, derive_user_key(km.record_key, args.user))
-            epoch = args.epoch if args.epoch is not None else ack.get("epoch", 0)
+                epoch = directory.epoch  # a directory older than the server's key gets STALE_EPOCH
             wire_req = blind_request(req, xi)
-        want_proof = force_verify or args.verify
         resp = client.search(wire_req, epoch=epoch, want_proof=want_proof)
     if resp.get("type") == "ErrorResp":
         raise FzError(f"server error {resp.get('code')}: {resp.get('message')}")
@@ -195,14 +198,6 @@ def _search_common(args, force_verify: bool) -> int:
     if not fids:
         print("(no matches)", file=sys.stderr)
     return 0
-
-
-def _cmd_search(args) -> int:
-    return _search_common(args, force_verify=False)
-
-
-def _cmd_verify(args) -> int:
-    return _search_common(args, force_verify=True)
 
 
 def _cmd_enroll(args) -> int:
@@ -262,18 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epoch", type=int, default=0)
     p.set_defaults(func=_cmd_serve)
 
-    for name, func in (("search", _cmd_search), ("verify", _cmd_verify)):
+    for name in ("search", "verify"):
         p = sub.add_parser(name, help=f"{name} a word against a server")
         p.add_argument("word")
         p.add_argument("k", type=int)
         p.add_argument("--server", type=_server, default=f"127.0.0.1:{DEFAULT_PORT}")
         p.add_argument("--keys")
-        p.add_argument("--verify", action="store_true", help="check proofs")
-        p.add_argument("--blinded", action="store_true")
-        p.add_argument("--epoch", type=int)
         p.add_argument("--directory", help="user directory file for unwrapping the blind key")
         p.add_argument("--user", type=_user_id, help="enrolled user id")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("enroll", help="enroll a user into the directory")
     p.add_argument("--keys")
@@ -298,10 +290,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except FzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConnectionError, OSError) as exc:
+    except (FzError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

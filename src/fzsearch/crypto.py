@@ -9,11 +9,12 @@ its file and the wire to ``decrypt_record``.  A Feistel permutation keyed by
 the rotating blind key turns trapdoors into per-epoch request tokens for the
 multi-user setting.
 
-Every PRF for trapdoors, nonces and key derivation is ``prf_bytes``: RFC 2104
-HMAC, computed from the inner and outer hash states left after absorbing the
-padded key.  Those states are cached per key, so they hold key material in
-process memory for as long as the process lives, unless the bounded cache
-evicts them.  The AES-GCM record cipher and the AES-ECB cipher of the
+Every PRF for trapdoors, record nonces, proof tags and key derivation is
+``prf_bytes``: one RFC 2104 HMAC-SHA256 block, so at most 32 bytes, computed
+from the inner and outer hash states left after absorbing the padded key.
+Those states are cached per key, so they hold key material in process
+memory for as long as the process lives, unless the bounded cache evicts
+them.  The AES-GCM record cipher and the AES-ECB cipher of the
 blinding permutation are cached per key the same way.
 
 The blinding permutation ``prp`` is a 4-round Luby-Rackoff Feistel network
@@ -57,6 +58,7 @@ _SLOT = 32
 _KEY_CACHE_SIZE = 256
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
+_COUNTER = bytes(4)  # the block counter of HMAC counter mode's first block, ending every PRF input
 
 
 @functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
@@ -72,23 +74,20 @@ def _hmac_pads(key: bytes):
 
 
 def prf_bytes(key: bytes, msg: bytes, n: int) -> bytes:
-    """Keyed pseudorandom bytes: HMAC-SHA256 expanded in counter mode to ``n`` bytes.
+    """Keyed pseudorandom bytes: the first ``n`` (1..32) bytes of one HMAC-SHA256 block.
 
-    Byte for byte ``hmac.new(key, msg + counter, "sha256")`` for counters
-    0, 1, ... concatenated; the pad states come from a per-key cache.
+    Byte for byte ``hmac.new(key, msg + bytes(4), "sha256").digest()[:n]``,
+    the first block of HMAC in counter mode; the pad states come from a
+    per-key cache.
     """
+    if not 0 < n <= 32:
+        raise BadParameter(f"prf_bytes gives 1..32 bytes, not {n}")
     inner, outer = _hmac_pads(key)
-    out = b""
-    counter = 0
-    while True:
-        h = inner.copy()
-        h.update(msg + counter.to_bytes(4, "big"))
-        o = outer.copy()
-        o.update(h.digest())
-        out += o.digest()
-        if len(out) >= n:
-            return out[:n]
-        counter += 1
+    h = inner.copy()
+    h.update(msg + _COUNTER)
+    o = outer.copy()
+    o.update(h.digest())
+    return o.digest()[:n]
 
 
 @dataclass(frozen=True)
@@ -178,28 +177,24 @@ def trapdoor(km: KeyMaterial, variant: str) -> bytes:
     return prf_bytes(km.trapdoor_key, b"T:" + variant.encode("ascii"), km.trapdoor_bytes)
 
 
-def record_nonce(km: KeyMaterial, variant: str, keyword: str, fid: bytes) -> bytes:
-    """Deterministic nonce for index builds; unique per (variant, keyword, fid)."""
-    msg = b"N:" + variant.encode("ascii") + b"\x00" + keyword.encode("ascii") + b"\x00" + fid
-    return prf_bytes(km.record_key, msg, NONCE_BYTES)
-
-
 @functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _record_cipher(record_key: bytes) -> AESGCM:
     return AESGCM(record_key)
 
 
-def encrypt_record(km: KeyMaterial, fid: bytes, keyword: str, nonce: bytes | None = None) -> bytes:
-    """Encrypt ``fid`` together with its keyword into a record, ``nonce || ciphertext``.
+def encrypt_record(km: KeyMaterial, fid: bytes, keyword: str, variant: str) -> bytes:
+    """Encrypt ``fid`` together with its keyword into the record ``nonce || ciphertext``
+    that the entry of ``variant`` holds.
 
-    The nonce is fresh unless one is given.
+    The nonce is the PRF of (variant, keyword, fid) under the record key, so it
+    is unique per record of an index and two builds give identical bytes.
     """
     if not fid or len(fid) > MAX_FID_BYTES:
         raise BadParameter(f"fid must be 1..{MAX_FID_BYTES} bytes")
-    if nonce is None:
-        nonce = secrets.token_bytes(NONCE_BYTES)
-    payload = bytes([len(fid)]) + fid + keyword.encode("ascii")
-    return nonce + _record_cipher(km.record_key).encrypt(nonce, payload, None)
+    word = keyword.encode("ascii")
+    msg = b"N:" + variant.encode("ascii") + b"\x00" + word + b"\x00" + fid
+    nonce = prf_bytes(km.record_key, msg, NONCE_BYTES)
+    return nonce + _record_cipher(km.record_key).encrypt(nonce, bytes([len(fid)]) + fid + word, None)
 
 
 def decrypt_record(km: KeyMaterial, blob: bytes) -> tuple[bytes, str]:

@@ -13,10 +13,6 @@ class DegenerateWord(FzError):
     """Raised when a deletion set would empty the word."""
 
 
-class BudgetExceeded(FzError):
-    """Raised when an exhaustive neighborhood would exceed its member cap."""
-
-
 class BadParameter(FzError):
     """Raised for parameter values outside the supported range."""
 

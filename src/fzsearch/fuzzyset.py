@@ -2,16 +2,13 @@
 
 A fuzzy set collects the variants that stand for every word within a chosen
 edit distance of a source keyword.  It is a plain sorted ``tuple[str, ...]``
-of distinct variants.  Three constructions are provided:
+of distinct variants.  Two constructions are served:
 
 * ``wildcard_fuzzy_set`` — each ``*`` marks one edit operation at a position,
   so one variant covers the whole 26-way choice at that spot.  For distance 1
   the set has exactly ``2*len(word) + 2`` members.
 * ``gram_fuzzy_set`` — deletion-only signatures; complete for distance 1 but
   admits false positives (two words at distance 2 can share a signature).
-* ``enumeration_fuzzy_set`` — the exhaustive neighborhood of concrete words.
-  Storage-hostile, but it is the exact set and serves as the oracle the other
-  constructions are judged against.
 
 Keywords are normalized lowercase a-z strings; ``*`` (0x2A) is the reserved
 wildcard character and sorts before every letter, which fixes the variant
@@ -20,9 +17,8 @@ order used everywhere (serialization, request ordering).
 
 from __future__ import annotations
 
-from .errors import BadParameter, BudgetExceeded, DegenerateWord, EmptyKeyword
+from .errors import BadParameter, DegenerateWord, EmptyKeyword
 
-ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 WILDCARD = "*"
 
 
@@ -100,45 +96,6 @@ def gram_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
                 nxt.add(member[:i] + member[i + 1 :])
         level = nxt
     return tuple(sorted(level))
-
-
-def enumeration_fuzzy_set(
-    word: str,
-    d: int,
-    alphabet_size: int = 26,
-    budget: int = 10_000_000,
-) -> tuple[str, ...]:
-    """Every concrete word within edit distance ``d`` of ``word``.
-
-    Generated by applying all single edits (substitution, deletion,
-    insertion) ``d`` times and keeping the union of all levels, which is
-    exactly ``{u : edit_distance(word, u) <= d}`` restricted to words of
-    length >= 1 over the first ``alphabet_size`` letters.
-    """
-    if d < 0 or d > 2:
-        raise BadParameter("exhaustive enumeration is guarded to d in {0, 1, 2}")
-    if not 1 <= alphabet_size <= 26:
-        raise BadParameter("alphabet_size must be in 1..26")
-    letters = ALPHABET[:alphabet_size]
-    members = {word}
-    level = {word}
-    for _ in range(d):
-        nxt: set[str] = set()
-        for member in level:
-            for i in range(len(member)):
-                head, tail = member[:i], member[i + 1 :]
-                nxt.add(head + tail)  # deletion (may be "", dropped below)
-                for c in letters:
-                    nxt.add(head + c + tail)
-            for i in range(len(member) + 1):
-                for c in letters:
-                    nxt.add(member[:i] + c + member[i:])
-        nxt.discard("")
-        members |= nxt
-        if len(members) > budget:
-            raise BudgetExceeded(f"neighborhood of {word!r} exceeds {budget} members")
-        level = nxt
-    return tuple(sorted(members))
 
 
 def fuzzy_set(word: str, d: int, method: str = "wildcard") -> tuple[str, ...]:

@@ -19,9 +19,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Iterator
+from typing import ClassVar
 
-from .crypto import KeyMaterial, encrypt_record, record_nonce, trapdoor
+from .crypto import KeyMaterial, encrypt_record, trapdoor
 from .errors import BadParameter, EditBoundExceeded
 from .fuzzyset import fuzzy_set
 
@@ -35,17 +35,6 @@ def symbolize(t: bytes, n: int) -> tuple[int, ...]:
     count = bits // n
     mask = (1 << n) - 1
     return tuple((val >> (n * (count - 1 - i))) & mask for i in range(count))
-
-
-def symbols_to_bytes(symbols: tuple[int, ...], n: int) -> bytes:
-    """Recompose a symbol sequence into the trapdoor it came from."""
-    bits = n * len(symbols)
-    if bits % 8 != 0:
-        raise BadParameter("symbol sequence does not recompose into whole bytes")
-    val = 0
-    for s in symbols:
-        val = (val << n) | s
-    return val.to_bytes(bits // 8, "big")
 
 
 @dataclass
@@ -103,12 +92,6 @@ class TrieIndex(Index):
     @property
     def root(self) -> "NodeView":
         return NodeView(self, 0, 0)
-
-    def leaves(self) -> Iterator[tuple[tuple[int, ...], "NodeView"]]:
-        """(path, leaf) pairs in trie order."""
-        for t in self.ordered:
-            leaf = NodeView(self, self.depth, int.from_bytes(t, "big"))
-            yield symbolize(leaf.trapdoor, self.symbol_bits), leaf
 
 
 class NodeView:
@@ -179,8 +162,7 @@ def build_entries(
                 exact.add(t)
             bucket = entries.setdefault(t, [])
             for fid in fids:
-                nonce = record_nonce(km, variant, keyword, fid)
-                bucket.append(encrypt_record(km, fid, keyword, nonce=nonce))
+                bucket.append(encrypt_record(km, fid, keyword, variant))
     return {t: tuple(records) for t, records in entries.items()}, exact
 
 

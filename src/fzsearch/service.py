@@ -64,7 +64,7 @@ import time
 from dataclasses import dataclass, field
 
 from .crypto import RECORD_MIN_BYTES
-from .errors import BadResponse
+from .errors import BadResponse, Truncated
 from .index import Index, ResultSet, SearchRequest, search_listing
 from .multiuser import unblind_request
 from .verifiable import decode_proof, search_with_proof
@@ -201,8 +201,8 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
     return encode_message(handle_message(state, msg))
 
 
-def decode_records(resp: dict) -> list[bytes]:
-    """Client side: the records field back into records, each ``nonce || ciphertext``."""
+def result_from_response(resp: dict) -> ResultSet:
+    """Client side: a SearchResp's exact flag and records, each ``nonce || ciphertext``."""
     items = resp.get("records", [])
     if not isinstance(items, list):
         raise BadResponse("records must be a list")
@@ -215,11 +215,7 @@ def decode_records(resp: dict) -> list[bytes]:
         if len(blob) < RECORD_MIN_BYTES:
             raise BadResponse("bad record encoding: record blob too short")
         out.append(blob)
-    return out
-
-
-def result_from_response(resp: dict) -> ResultSet:
-    return ResultSet(records=decode_records(resp), exact_hit=bool(resp.get("exact", False)))
+    return ResultSet(records=out, exact_hit=bool(resp.get("exact", False)))
 
 
 def proofs_from_response(resp: dict) -> list[bytes]:
@@ -229,7 +225,7 @@ def proofs_from_response(resp: dict) -> list[bytes]:
         raise BadResponse("server returned no proofs; index is not verifiable")
     try:
         return [decode_proof(bytes.fromhex(item)) for item in items]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, Truncated) as exc:
         raise BadResponse(f"bad proof encoding: {exc}") from exc
 
 

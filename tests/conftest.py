@@ -5,9 +5,13 @@ import time
 
 import pytest
 
-from fzsearch import DegenerateWord, fuzzy_set, keygen
+from fzsearch import BadParameter, DegenerateWord, FzError, fuzzy_set, keygen
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+
+class BudgetExceeded(FzError):
+    """Raised when an exhaustive neighborhood would exceed its member cap."""
 
 
 @pytest.fixture(scope="session")
@@ -77,6 +81,46 @@ def brute_force_neighborhood(word: str, d: int, letters: str) -> set[str]:
             if reference_edit_distance(word, cand) <= d:
                 out.add(cand)
     return out
+
+
+def enumeration_fuzzy_set(
+    word: str,
+    d: int,
+    alphabet_size: int = 26,
+    budget: int = 10_000_000,
+) -> tuple[str, ...]:
+    """Every concrete word within edit distance ``d`` of ``word``: the exact
+    set that the wildcard and gram constructions are judged against.
+
+    Generated by applying all single edits (substitution, deletion,
+    insertion) ``d`` times and keeping the union of all levels, which is
+    exactly ``{u : edit_distance(word, u) <= d}`` restricted to words of
+    length >= 1 over the first ``alphabet_size`` letters.
+    """
+    if d < 0 or d > 2:
+        raise BadParameter("exhaustive enumeration is guarded to d in {0, 1, 2}")
+    if not 1 <= alphabet_size <= 26:
+        raise BadParameter("alphabet_size must be in 1..26")
+    letters = ALPHABET[:alphabet_size]
+    members = {word}
+    level = {word}
+    for _ in range(d):
+        nxt: set[str] = set()
+        for member in level:
+            for i in range(len(member)):
+                head, tail = member[:i], member[i + 1 :]
+                nxt.add(head + tail)  # deletion (may be "", dropped below)
+                for c in letters:
+                    nxt.add(head + c + tail)
+            for i in range(len(member) + 1):
+                for c in letters:
+                    nxt.add(member[:i] + c + member[i:])
+        nxt.discard("")
+        members |= nxt
+        if len(members) > budget:
+            raise BudgetExceeded(f"neighborhood of {word!r} exceeds {budget} members")
+        level = nxt
+    return tuple(sorted(members))
 
 
 def mutate(word: str, rng: random.Random) -> str:

@@ -18,6 +18,7 @@ import pytest
 
 from conftest import (
     ALPHABET,
+    enumeration_fuzzy_set,
     fields,
     garbage_line,
     hit,
@@ -34,15 +35,16 @@ from fzsearch import (
     build_listing_index,
     build_trie_index,
     decrypt_record,
-    enumeration_fuzzy_set,
     keygen,
     make_request,
     search_listing,
     search_trie,
     search_with_proof,
+    symbolize,
     verify,
     wildcard_fuzzy_set,
 )
+from fzsearch.index import walk_trie
 from fzsearch.multiuser import UserDirectory, blind_request, unblind_request
 from fzsearch.persist import dumps_index
 from fzsearch.service import ServerState, encode_message, handle_line
@@ -201,8 +203,10 @@ def test_criterion_06_trie_depth():
     for method in ("wildcard", "gram"):
         corpus = random_corpus(rng, size=60, lo=3, hi=8)
         trie = build_trie_index(corpus, 1, km, method)
-        for path, leaf in trie.leaves():
-            assert len(path) == 40
+        for t in trie.ordered:
+            path = symbolize(t, trie.symbol_bits)
+            leaf = walk_trie(trie.root, path)
+            assert leaf is not None and leaf.depth == len(path) == 40
             assert leaf.records and not leaf.children
             leaves += 1
     _report(6, f"every one of {leaves} leaves sits at depth 40 (l=160, n=4)")

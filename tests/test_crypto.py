@@ -18,7 +18,7 @@ from fzsearch import (
     wildcard_fuzzy_set,
 )
 from fzsearch.cli import derive_user_key
-from fzsearch.crypto import prf_bytes, record_nonce
+from fzsearch.crypto import prf_bytes
 from fzsearch.verifiable import gap_tag, leaf_tag
 
 
@@ -102,23 +102,25 @@ class TestRecords:
     def test_round_trip_all_fid_lengths(self, km):
         for n in range(1, 65):
             fid = bytes((i * 37 + 1) % 256 for i in range(n))
-            rec = encrypt_record(km, fid, "castle")
+            rec = encrypt_record(km, fid, "castle", "castle")
             assert decrypt_record(km, rec) == (fid, "castle")
 
-    def test_fresh_nonce(self, km):
-        a = encrypt_record(km, b"F", "cat")
-        b = encrypt_record(km, b"F", "cat")
-        assert a != b
-        assert decrypt_record(km, a) == decrypt_record(km, b)
+    def test_nonce_is_derived(self, km):
+        """The same inputs give the same bytes; another variant's entry gets another nonce."""
+        a = encrypt_record(km, b"F", "cat", "c*t")
+        assert encrypt_record(km, b"F", "cat", "c*t") == a
+        b = encrypt_record(km, b"F", "cat", "ca*")
+        assert a[:12] != b[:12]
+        assert decrypt_record(km, a) == decrypt_record(km, b) == (b"F", "cat")
 
     def test_fid_bounds(self, km):
         with pytest.raises(BadParameter):
-            encrypt_record(km, b"", "cat")
+            encrypt_record(km, b"", "cat", "cat")
         with pytest.raises(BadParameter):
-            encrypt_record(km, b"x" * 65, "cat")
+            encrypt_record(km, b"x" * 65, "cat", "cat")
 
     def test_every_byte_flip_fails_auth(self, km):
-        rec = encrypt_record(km, b"file-1", "castle")
+        rec = encrypt_record(km, b"file-1", "castle", "castle")
         for i in range(len(rec)):  # the nonce's bytes and the ciphertext's
             mutated = bytearray(rec)
             mutated[i] ^= 0x5A
@@ -126,14 +128,14 @@ class TestRecords:
                 decrypt_record(km, bytes(mutated))
 
     def test_truncations_fail_auth(self, km):
-        rec = encrypt_record(km, b"file-1", "castle")
+        rec = encrypt_record(km, b"file-1", "castle", "castle")
         for n in range(len(rec)):  # short of the nonce too, which no ciphertext can follow
             with pytest.raises(AuthFailure):
                 decrypt_record(km, rec[:n])
 
     def test_wrong_key_fails(self, km):
         other = keygen(128, seed=b"other")
-        rec = encrypt_record(km, b"F", "cat")
+        rec = encrypt_record(km, b"F", "cat", "cat")
         with pytest.raises(AuthFailure):
             decrypt_record(other, rec)
 
@@ -173,21 +175,23 @@ class TestPrp:
             prp(key, [bytes(20)], "forward")
 
 
-def test_prf_bytes_expansion():
+def test_prf_bytes_prefixes():
     out1 = prf_bytes(b"k", b"m", 20)
-    out2 = prf_bytes(b"k", b"m", 64)
+    out2 = prf_bytes(b"k", b"m", 32)
     assert out1 == out2[:20]
-    assert len(out2) == 64
+    assert len(out2) == 32
     assert prf_bytes(b"k", b"m2", 20) != out1
 
 
+@pytest.mark.parametrize("n", [0, 33, -1, 64])
+def test_prf_bytes_refuses_more_than_one_block(n):
+    with pytest.raises(BadParameter):
+        prf_bytes(b"k", b"m", n)
+
+
 def _hmac_reference(key: bytes, msg: bytes, n: int) -> bytes:
-    out = b""
-    counter = 0
-    while len(out) < n:
-        out += hmac.new(key, msg + counter.to_bytes(4, "big"), "sha256").digest()
-        counter += 1
-    return out[:n]
+    """The first block of HMAC-SHA256 in counter mode (counter 0), cut to ``n`` bytes."""
+    return hmac.new(key, msg + bytes(4), "sha256").digest()[:n]
 
 
 def _prp_reference(key: bytes, block: bytes, direction: str) -> bytes:
@@ -213,23 +217,16 @@ def _kat_key(n: int) -> bytes:
     return bytes((7 * i + 3) % 256 for i in range(n))
 
 
-# Known answers recorded from the hmac.new implementation: prf_bytes(key, b"kat-msg", 100)
-# for each key length; every shorter output is a prefix (counter mode).
+# Known answers recorded from the hmac.new implementation: prf_bytes(key, b"kat-msg", 32)
+# for each key length; every shorter output is a prefix.
 PRF_KAT = {
-    0: "a7805e00deb213e4f2f96a0adbf65e316a7b939f40c188c81c04d408b0dea6025fa97ff232963e8d2ed5e602f44dcdb4"
-       "69f0e2e8124ab1e9c0a194762214b83ce0e8b5643623c7a373680d61fe4a1dee77257107499ade53fbbbf8ee92d748e7f811a6b2",
-    1: "caf71c57a8a94477cb88c951b818f314a596393a80e0e8c7145fe90ea24636625388a2d57f33d65ee549e31502884ba0"
-       "ac659b6aad39d2b9d16ec41096880579a41373661afd2e165b3a4a21eb30b5ad015df85af35c3213d9a73fd7c9e4ee576bdd86ab",
-    16: "8617fe8f45cf672e864c3b99248e9e00dfa5c06dab5b80eb728b4a50fcd7e3f654ba884cd95d7a72deb2cb3575c24fe2"
-        "1f171b8f4b249b4d5af8053aa046c3507b5ea6a0bdc79e2a9b6fd246d2d8d0888b91af96cac89a184d079a91e6c7fc264df3c5ce",
-    32: "58fe7a045ecedd32c078b4bc14e99090557e6b09f637501db9f43792845ff3545bd6ba52ae3b899ec87ce4e92578a345"
-        "77d7c161787ae92c900e5273d040d30de138fd5659ff7a069ab97fe5b735734966e0e3144aaa7e073cf34f51edfc64b8f23f954b",
-    64: "74360e62c5fe5278e99593305fed044b4c621c42d130b418d19399ba6053cb8fc1cd56334052f0ee16e55bf3fd48ffe7"
-        "2d6048e5a8314fc5d711a8df88151401c1ab5f6158be070380b798080812d2b26311ca1af92b5d374c7457050a59cb60ee0a8bbc",
-    65: "bddbf7150c1fdef806a5349677069f46aabdf4668623e5853687ebc8bfa6dbe31d9cfacf5ebe5ec681426f295c6e0d4e"
-        "605b4fe7e62d03c41abd4e8d9b87777bb14cde0a5b465569fee0a8da7c193f189c100e478cd98f488fad396f5ee211a035fbd19a",
-    200: "377aa22ccbb24a02f3519b145731eff2d091064c9ea0a009e1f1205ad4c5853cbc5c4e0cef5cb8b3c798e0439fdb37b7"
-         "60f6c4cf1d96582daa8841db10b69cb9b688d0d8f55e847b6a42d0cc8fad76c53ce70cad39c16ec49f7ecae1974a2fac4b386537",
+    0: "a7805e00deb213e4f2f96a0adbf65e316a7b939f40c188c81c04d408b0dea602",
+    1: "caf71c57a8a94477cb88c951b818f314a596393a80e0e8c7145fe90ea2463662",
+    16: "8617fe8f45cf672e864c3b99248e9e00dfa5c06dab5b80eb728b4a50fcd7e3f6",
+    32: "58fe7a045ecedd32c078b4bc14e99090557e6b09f637501db9f43792845ff354",
+    64: "74360e62c5fe5278e99593305fed044b4c621c42d130b418d19399ba6053cb8f",
+    65: "bddbf7150c1fdef806a5349677069f46aabdf4668623e5853687ebc8bfa6dbe3",
+    200: "377aa22ccbb24a02f3519b145731eff2d091064c9ea0a009e1f1205ad4c5853c",
 }
 
 # block size -> (prp(_kat_key(16), [bytes(range(size))], "forward")[0], ... "inverse")
@@ -248,7 +245,7 @@ class TestKnownAnswers:
     @pytest.mark.parametrize("key_len", sorted(PRF_KAT))
     def test_prf_bytes(self, key_len):
         expect = bytes.fromhex(PRF_KAT[key_len])
-        for n in (1, 10, 20, 32, 33, 100):
+        for n in (1, 10, 20, 32):
             assert prf_bytes(_kat_key(key_len), b"kat-msg", n) == expect[:n], n
 
     def test_prf_bytes_matches_stdlib_hmac(self):
@@ -256,7 +253,7 @@ class TestKnownAnswers:
         for _ in range(500):
             key = rng.randbytes(rng.randrange(201))
             msg = rng.randbytes(rng.randrange(80))
-            n = rng.randrange(1, 100)
+            n = rng.randrange(1, 33)
             assert prf_bytes(key, msg, n) == _hmac_reference(key, msg, n), (key.hex(), msg.hex(), n)
 
     def test_prp_matches_reference(self):
@@ -287,7 +284,7 @@ class TestKnownAnswers:
         assert km.blind_key.hex() == "eca3fe8dba09b297907d42a01f2b7c63"
         assert trapdoor(km, "castle").hex() == "e33d3d01445dd2ea8978bd4fc4fd97279b5a828d"
         assert trapdoor(km, "c*stle").hex() == "9628775b4a2e5f93aa53ffe821923a1fea87fa0b"
-        assert record_nonce(km, "c*stle", "castle", b"file-1").hex() == "83d8a1beb61ea85bd8787eca"
+        assert encrypt_record(km, b"file-1", "castle", "c*stle")[:12].hex() == "83d8a1beb61ea85bd8787eca"
         key, t, u = km.record_key, trapdoor(km, "castle"), trapdoor(km, "c*stle")
         assert leaf_tag(key, t, 1, bytes(32)).hex() == "34165b7238314bd8ec88705930b6fee9551553af54c538113a2a46f5a891a5e8"
         assert leaf_tag(key, t, 0, bytes(32)).hex() == "62bb0bd29f2c74aca8976db7d2f98731f5db77260349f3daf94b4456ca5eb403"

@@ -2,14 +2,20 @@ import random
 
 import pytest
 
-from conftest import ALPHABET, brute_force_neighborhood, mutate, random_word, reference_edit_distance
+from conftest import (
+    ALPHABET,
+    BudgetExceeded,
+    brute_force_neighborhood,
+    enumeration_fuzzy_set,
+    mutate,
+    random_word,
+    reference_edit_distance,
+)
 from fzsearch import (
     BadParameter,
-    BudgetExceeded,
     DegenerateWord,
     EmptyKeyword,
     edit_distance,
-    enumeration_fuzzy_set,
     gram_fuzzy_set,
     normalize_keyword,
     wildcard_fuzzy_set,

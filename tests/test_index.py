@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import mutate, random_corpus, random_word
+from conftest import enumeration_fuzzy_set, mutate, random_corpus, random_word
 from fzsearch import (
     AuthFailure,
     BadParameter,
@@ -19,14 +19,12 @@ from fzsearch import (
     build_trie_index,
     decrypt_record,
     edit_distance,
-    enumeration_fuzzy_set,
     keygen,
     make_request,
     search_listing,
     search_trie,
     search_with_proof,
     symbolize,
-    symbols_to_bytes,
     trapdoor,
     wildcard_fuzzy_set,
 )
@@ -59,7 +57,10 @@ class TestSymbolize:
         for _ in range(200):
             t = trapdoor(km, random_word(rng))
             for n in (1, 2, 4, 5, 8):
-                assert symbols_to_bytes(symbolize(t, n), n) == t
+                value = 0
+                for sym in symbolize(t, n):
+                    value = value << n | sym
+                assert value.to_bytes(len(t), "big") == t
 
 
 class TestBuild:
@@ -93,14 +94,17 @@ class TestBuild:
         corpus = random_corpus(rng, size=60)
         listing = build_listing_index(corpus, 1, km)
         trie = build_trie_index(corpus, 1, km)
-        assert sum(1 for _ in trie.leaves()) == len(listing.table)
+        leaves = [walk_trie(trie.root, symbolize(t, trie.symbol_bits)) for t in trie.ordered]
+        assert len(leaves) == len(listing.table) and None not in leaves
 
     def test_every_leaf_at_full_depth(self, km):
         rng = random.Random(89)
         corpus = random_corpus(rng, size=40)
         trie = build_trie_index(corpus, 1, km)
-        for path, leaf in trie.leaves():
-            assert len(path) == trie.depth
+        for t in trie.ordered:
+            path = symbolize(t, trie.symbol_bits)
+            leaf = walk_trie(trie.root, path)
+            assert len(path) == trie.depth and leaf.depth == trie.depth
             assert leaf.records and not leaf.children
 
     def test_builds_are_deterministic(self, km):
@@ -188,14 +192,18 @@ class TestTrieView:
         assert seen == set(ref)
 
     def test_leaves_are_the_table_in_trie_order(self, trie):
-        got = [(path, leaf.depth, leaf.trapdoor, leaf.records) for path, leaf in trie.leaves()]
+        got = []
+        for t in trie.ordered:
+            path = symbolize(t, trie.symbol_bits)
+            leaf = walk_trie(trie.root, path)
+            got.append((path, leaf.depth, leaf.trapdoor, leaf.records, leaf.children))
         assert got == [
-            (symbolize(t, trie.symbol_bits), trie.depth, t, trie.table[t]) for t in sorted(trie.table)
+            (symbolize(t, trie.symbol_bits), trie.depth, t, trie.table[t], {}) for t in sorted(trie.table)
         ]
 
     def test_out_of_range_symbols_miss(self, km):
         trie = build_trie_index({"castle": [b"F1"]}, 0, km)
-        path, top, root = next(trie.leaves())[0], 1 << trie.symbol_bits, trie.root
+        path, top, root = symbolize(trie.ordered[0], trie.symbol_bits), 1 << trie.symbol_bits, trie.root
         assert walk_trie(root, path) is not None
         probes = [(-1,), (top,), path[:-1] + (path[-1] + top,), path[:-1] + (-1,)]
         # a zero, then a symbol holding two: the same integer as the real path

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import select
+import shutil
 import socket
 import stat
 import string
@@ -746,6 +747,8 @@ class TestCli:
         )
         assert cli_main(["enroll", "--keys", keyfile, "--directory", dirfile, "--user", "alice"]) == 0
         assert cli_main(["enroll", "--keys", keyfile, "--directory", dirfile, "--user", "eve"]) == 0
+        stale = str(workspace / "stale.fzud")
+        shutil.copyfile(dirfile, stale)  # alice's copy from before the revoke
         assert cli_main(["revoke", "--keys", keyfile, "--directory", dirfile, "--user", "eve"]) == 0
         out = capsys.readouterr().out
         assert "epoch 1" in out
@@ -754,24 +757,57 @@ class TestCli:
         state = ServerState(index=load_index(indexfile), xi=km.blind_key, epoch=1)
         server = SearchServer(state, port=0)
         server.start()
-        port = server.server_address[1]
+        search = ["search", "cat", "1", "--server", f"127.0.0.1:{server.server_address[1]}", "--keys", keyfile]
         try:
-            rc = cli_main(
-                ["search", "cat", "1", "--server", f"127.0.0.1:{port}", "--keys", keyfile,
-                 "--blinded", "--directory", dirfile, "--user", "alice", "--epoch", "1"]
-            )
-            assert rc == 0
-            assert "one.txt" in capsys.readouterr().out
-            # a stale epoch gets a clean error, exit 1
-            rc = cli_main(
-                ["search", "cat", "1", "--server", f"127.0.0.1:{port}", "--keys", keyfile,
-                 "--blinded", "--epoch", "0"]
-            )
-            assert rc == 1
-            assert "STALE_EPOCH" in capsys.readouterr().err
+            for user in ([], ["--directory", dirfile, "--user", "alice"]):
+                assert cli_main([*search, *user]) == 0
+                assert capsys.readouterr().out == "one.txt\n"
+            # a directory older than the server's key gets a clean error, exit 1
+            assert cli_main([*search, "--directory", stale, "--user", "alice"]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: server error STALE_EPOCH: server epoch is 1\n"
         finally:
             server.shutdown()
             server.server_close()
+
+    @pytest.mark.parametrize("command", ["search", "verify"])
+    @pytest.mark.parametrize("flag", [["--blinded"], ["--epoch", "0"], ["--verify"]], ids=["blinded", "epoch", "verify"])
+    def test_blinding_epoch_and_proofs_are_not_options(self, capsys, command, flag):
+        """The server says whether it blinds and at which epoch, the directory
+        says which epoch a user's key belongs to, and ``verify`` checks proofs."""
+        assert cli_main([command, "cat", "1", *flag]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: " + flag[0] in err and "Traceback" not in err
+
+    def test_blinding_and_epoch_follow_the_ack_and_the_directory(self, tmp_path, monkeypatch, capsys):
+        """The request is blinded exactly when HelloAck says so, and carries the
+        ``--directory`` file's epoch with ``--user``, the ack's otherwise."""
+        keyfile, dirfile = str(tmp_path / "k.fzky"), str(tmp_path / "users.fzud")
+        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        assert cli_main(["enroll", "--keys", keyfile, "--directory", dirfile, "--user", "alice"]) == 0
+        km, sent = load_keys(keyfile), []
+        plain = make_request("castle", 1, km)
+        blinded = blind_request(plain, km.blind_key)
+
+        class Stub(_StubClient):
+            reply = {"type": "SearchResp", "records": []}
+
+            def search(self, req, epoch=0, want_proof=False):
+                sent.append((req, epoch))
+                return self.reply
+
+        monkeypatch.setattr("fzsearch.cli.SearchClient", Stub)
+        user = ["--directory", dirfile, "--user", "alice"]
+        for blind, extra, want in (
+            (False, [], (plain, 3)),
+            (False, user, (plain, 3)),
+            (True, [], (blinded, 3)),
+            (True, user, (blinded, 0)),  # alice's key is from epoch 0
+        ):
+            Stub.ack = dict(_StubClient.ack, blinded=blind, epoch=3)
+            assert cli_main(["search", "castle", "1", "--keys", keyfile, *extra]) == 0
+            assert sent.pop() == want
+        capsys.readouterr()
 
     def test_revoke_converges_after_a_crash_between_files(self, workspace, monkeypatch, capsys):
         import fzsearch.cli as cli
@@ -1097,7 +1133,7 @@ def _hostile_variants(resp: dict, rng: random.Random, records_pool: list, proofs
 
 
 def test_hostile_auth_answers_end_in_a_clean_outcome(km):
-    """Mutated real answers end in BadResponse, Truncated or a rejecting Verdict;
+    """Mutated real answers end in BadResponse or a rejecting Verdict;
     an accepted one carries the honest records and proofs."""
     rng = random.Random(821)
     corpus = random_corpus(rng, size=25, lo=3, hi=6)
@@ -1121,7 +1157,7 @@ def test_hostile_auth_answers_end_in_a_clean_outcome(km):
             try:
                 result = result_from_response(resp)
                 proofs = proofs_from_response(resp)
-            except (BadResponse, Truncated):
+            except BadResponse:
                 outcomes["error"] += 1
                 continue
             verdict = verify(req, result, proofs, km)
@@ -1129,3 +1165,17 @@ def test_hostile_auth_answers_end_in_a_clean_outcome(km):
                 assert result.records == want_records and proofs == want_proofs, resp
             outcomes["accepted" if verdict.accepted else "rejected"] += 1
     assert all(outcomes.values()), outcomes
+
+
+def test_a_cut_proof_is_a_bad_response(km):
+    """Proof text that is valid hex but no whole proof encoding is ``BadResponse``,
+    as a bad hex item is, not the codec's ``Truncated``."""
+    index = build_auth_trie({"castle": [b"F1"]}, 1, km)
+    resp = handle_message(ServerState(index=index), search_msg(make_request("castle", 1, km), proof=True))
+    assert len(proofs_from_response(resp)) == len(resp["proofs"])
+    for i in range(len(resp["proofs"])):
+        proofs = list(resp["proofs"])
+        for cut in (proofs[i][:-2], proofs[i][:4], ""):
+            proofs[i] = cut
+            with pytest.raises(BadResponse, match="^bad proof encoding: "):
+                proofs_from_response(dict(resp, proofs=proofs))

@@ -57,7 +57,7 @@ def _with(proof: bytes, **changes) -> bytes:
 
 
 def _hmac_tag(key: bytes, msg: bytes) -> bytes:
-    """The first HMAC-SHA256 block of counter-mode ``prf_bytes``, from the stdlib."""
+    """``prf_bytes(key, msg, 32)`` from the stdlib: HMAC-SHA256 over ``msg`` and a zero block counter."""
     return hmac.new(key, msg + bytes(4), "sha256").digest()
 
 
