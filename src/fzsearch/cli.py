@@ -91,7 +91,7 @@ def derive_user_key(record_key: bytes, user_id: str) -> bytes:
 
 
 def _cmd_keygen(args) -> int:
-    km = keygen(args.security_bits, seed=args.seed or None)
+    km = keygen(args.security_bits)
     save_keys(km, args.out)
     print(f"wrote {args.out} (security={km.security_bits}, trapdoor_bits={km.trapdoor_bits})")
     return 0
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="generate a key file")
     p.add_argument("--out", required=True)
     p.add_argument("--security-bits", type=int, default=128, choices=SECURITY_BITS)
-    p.add_argument("--seed", type=bytes.fromhex, help="hex seed for reproducible keys (tests only)")
     p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("build", help="build an index from a corpus directory")

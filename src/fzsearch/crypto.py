@@ -14,8 +14,8 @@ Every PRF for trapdoors, record nonces, proof tags and key derivation is
 from the inner and outer hash states left after absorbing the padded key.
 Those states are cached per key, so they hold key material in process
 memory for as long as the process lives, unless the bounded cache evicts
-them.  The AES-GCM record cipher and the AES-ECB cipher of the
-blinding permutation are cached per key the same way.
+them.  The AES-GCM record cipher is cached per key the same way, and the
+AES-ECB encryptor of the blinding permutation per key and thread.
 
 The blinding permutation ``prp`` is a 4-round Luby-Rackoff Feistel network
 over the two halves of a trapdoor, the shape of NIST SP 800-38G FF1 with
@@ -35,6 +35,7 @@ import functools
 import hashlib
 import secrets
 import struct
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -130,21 +131,6 @@ def check_geometry(trapdoor_bits: int, symbol_bits: int) -> None:
         raise BadParameter("trapdoor_bits/symbol_bits must fit one byte")
 
 
-def _derive(seed: bytes, label: bytes, n: int) -> bytes:
-    for counter in range(256):
-        key = prf_bytes(seed, label + bytes([counter]), n)
-        if any(key):
-            return key
-    raise BadParameter("seed derives only zero keys")  # unreachable in practice
-
-
-def _fresh(n: int) -> bytes:
-    while True:
-        key = secrets.token_bytes(n)
-        if any(key):
-            return key
-
-
 def keygen(
     security_bits: int = 128,
     seed: bytes | None = None,
@@ -156,12 +142,12 @@ def keygen(
         raise BadParameter(f"unsupported security parameter {security_bits}")
     check_geometry(trapdoor_bits, symbol_bits)
     nb = security_bits // 8
-    if seed is not None:
-        sk = _derive(seed, b"trapdoor-key", nb)
-        sk0 = _derive(seed, b"record-key", nb)
-        xi = _derive(seed, b"blind-key", nb)
-    else:
-        sk, sk0, xi = _fresh(nb), _fresh(nb), _fresh(nb)
+    if seed is None:
+        sk, sk0, xi = secrets.token_bytes(nb), secrets.token_bytes(nb), secrets.token_bytes(nb)
+    else:  # the labels' trailing zero byte keeps the keys a seed has always given
+        sk = prf_bytes(seed, b"trapdoor-key\0", nb)
+        sk0 = prf_bytes(seed, b"record-key\0", nb)
+        xi = prf_bytes(seed, b"blind-key\0", nb)
     return KeyMaterial(
         trapdoor_key=sk,
         record_key=sk0,
@@ -218,9 +204,11 @@ def decrypt_record(km: KeyMaterial, blob: bytes) -> tuple[bytes, str]:
 
 
 @functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _blind_cipher(key: bytes) -> Cipher:
+def _blind_update(key: bytes, thread_id: int):
+    """The ``update`` of one AES-ECB encryptor per key and thread: ECB keeps no state
+    between calls of whole blocks, and a thread id is reused only once its thread has ended."""
     try:
-        return Cipher(algorithms.AES(key), modes.ECB())
+        return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update
     except ValueError as exc:
         raise BadParameter(f"blind key must be 16, 24 or 32 bytes, got {len(key)}") from exc
 
@@ -241,7 +229,7 @@ def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tupl
     """
     if direction not in ("forward", "inverse"):
         raise BadParameter(f"unknown direction {direction!r}")
-    cipher = _blind_cipher(key)
+    update = _blind_update(key, threading.get_ident())
     n = len(blocks)
     if not n:
         return ()
@@ -259,7 +247,6 @@ def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tupl
     whole = int.from_bytes(pad.join(blocks) + pad, "big")
     left = whole & mask
     right = (whole ^ left) << 8 * h
-    update = cipher.encryptor().update
     # With an even round count, XORing the halves in place in turn equals the
     # textbook swap form; the inverse runs the same rounds in reverse order.
     rounds = range(_FEISTEL_ROUNDS) if direction == "forward" else reversed(range(_FEISTEL_ROUNDS))

@@ -28,9 +28,10 @@ All integers are big-endian.  Layouts:
     such an index.
 
 ``FZUD`` directory file (version 1)
-    magic "FZUD", version byte, epoch (8), entry count (4), then
+    magic "FZUD", version byte, epoch (8), entry count (4), then per entry
     user id (2-byte length-prefixed UTF-8) || wrapped blob (2-byte
-    length-prefixed).  Personal keys are never written.
+    length-prefixed), in strictly ascending user id order; the reader
+    refuses any other order.  Personal keys are never written.
 
 Every ``save_*`` writes a temporary file in the target's directory, fsyncs
 it, renames it over the target and fsyncs the directory, so a crash leaves
@@ -330,6 +331,8 @@ def loads_directory(data: bytes, current_xi: bytes = b"") -> UserDirectory:
             user_id = r.take(r.u16()).decode("utf-8")
         except UnicodeDecodeError:
             raise BadParameter("a user id is not UTF-8") from None
+        if wrapped and user_id <= next(reversed(wrapped)):  # the order dumps_directory writes
+            raise BadParameter("user ids are not distinct and ascending")
         wrapped[user_id] = r.take(r.u16())
     if not r.done():
         raise Truncated("trailing bytes after directory")

@@ -40,14 +40,14 @@ newline is answered at end of input.  A reply the socket does not take at
 once is kept, and that connection is not read again until the peer has taken
 it, so a client that stops reading holds up only itself.  Limits:
 
-* a line longer than ``ServerConfig.max_line_bytes`` gets one MALFORMED
-  "line too long" and the connection is closed;
-* a connection that neither sends nor takes bytes for
-  ``ServerConfig.timeout`` seconds is closed (checked once per poll
-  interval, so up to one interval late);
-* at ``SearchServer.max_connections`` open connections, new ones wait in
-  the listen backlog until one closes; after a failed ``accept`` (say, out
-  of file descriptors) they wait until a close or the next idle check;
+* a request of more than ``MAX_TRAPDOORS`` trapdoors gets TOO_MANY_TRAPDOORS;
+* a line longer than ``MAX_LINE_BYTES`` gets one MALFORMED "line too long"
+  and the connection is closed;
+* a connection that neither sends nor takes bytes for ``IDLE_SECONDS`` is
+  closed (checked every ``POLL_SECONDS``, so up to that much late);
+* at ``MAX_CONNECTIONS`` open connections, new ones wait in the listen
+  backlog until one closes; after a failed ``accept`` (say, out of file
+  descriptors) they wait until a close or the next idle check;
 * ``SearchClient`` reads a reply line of at most ``MAX_REPLY_BYTES``; a
   longer one raises ``BadResponse``.
 """
@@ -61,7 +61,7 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import RECORD_MIN_BYTES
 from .errors import BadResponse, Truncated
@@ -73,6 +73,12 @@ PROTOCOL = 2  # HelloAck's "protocol"; bumped when the wire meaning of a request
 DEFAULT_PORT = 7090
 MAX_REPLY_BYTES = 64 << 20  # the longest reply line the client reads
 _RECV_BYTES = 1 << 16  # the most the server reads from one connection per wake-up
+# Server limits.  Each is read where it is used, so patching the module attribute takes effect.
+MAX_TRAPDOORS = 4096  # per request; HelloAck's "max_trapdoors"
+MAX_LINE_BYTES = 1 << 20  # the longest request line
+IDLE_SECONDS = 30.0  # a connection silent this long is closed
+POLL_SECONDS = 0.5  # how often the idle check runs
+MAX_CONNECTIONS = 1024  # at the cap, the listening socket is not polled
 
 MALFORMED = "MALFORMED"
 EDIT_BOUND = "EDIT_BOUND"
@@ -82,20 +88,12 @@ INTERNAL = "INTERNAL"
 
 
 @dataclass
-class ServerConfig:
-    max_request_trapdoors: int = 4096
-    max_line_bytes: int = 1 << 20
-    timeout: float = 30.0
-
-
-@dataclass
 class ServerState:
     """Immutable while serving."""
 
     index: Index
     xi: bytes | None = None  # unblinding key; None = single-user mode
     epoch: int = 0
-    config: ServerConfig = field(default_factory=ServerConfig)
 
 
 def encode_message(msg: dict) -> str:
@@ -141,7 +139,7 @@ def handle_message(state: ServerState, msg: dict) -> dict:
                 "symbol_bits": state.index.symbol_bits,
                 "verifiable": state.index.kind == "auth_trie",
                 "blinded": state.xi is not None,
-                "max_trapdoors": state.config.max_request_trapdoors,
+                "max_trapdoors": MAX_TRAPDOORS,
             }
         if mtype != "SearchReq":
             return _error(state, MALFORMED, f"unknown message type {mtype!r}")
@@ -154,7 +152,7 @@ def handle_message(state: ServerState, msg: dict) -> dict:
         want_proof = msg.get("proof", False)
         if not isinstance(want_proof, bool):
             return _error(state, MALFORMED, "proof must be a boolean")
-        if len(trapdoors) > state.config.max_request_trapdoors:
+        if len(trapdoors) > MAX_TRAPDOORS:
             return _error(state, TOO_MANY_TRAPDOORS, "request exceeds trapdoor limit")
         epoch = msg.get("epoch", 0)
         if type(epoch) is not int:
@@ -249,8 +247,6 @@ class SearchServer:
     stops the loop from another thread and ``server_close()`` closes every socket.
     """
 
-    max_connections = 1024  # at the cap, the listening socket is not polled
-
     def __init__(self, state: ServerState, host: str = "127.0.0.1", port: int = DEFAULT_PORT):
         self.state = state
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
@@ -268,14 +264,14 @@ class SearchServer:
         self._stop = False
         self._stopped = threading.Event()
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        """Serve until ``shutdown()``; idle connections are closed at most ``poll_interval`` late."""
+    def serve_forever(self) -> None:
+        """Serve until ``shutdown()``; idle connections are closed at most ``POLL_SECONDS`` late."""
         self._stopped.clear()
         try:
             self._admit()
-            sweep_at = time.monotonic() + poll_interval
+            sweep_at = time.monotonic() + POLL_SECONDS
             while not self._stop:
-                events = self._selector.select(poll_interval)
+                events = self._selector.select(POLL_SECONDS)
                 self._now = now = time.monotonic()
                 for key, _ in events:
                     conn = key.data
@@ -294,7 +290,7 @@ class SearchServer:
                             self._close(conn)
                 if now >= sweep_at:
                     self._sweep(now)
-                    sweep_at = now + poll_interval
+                    sweep_at = now + POLL_SECONDS
         finally:
             self._stop = False
             self._stopped.set()
@@ -329,7 +325,7 @@ class SearchServer:
 
     def _admit(self) -> None:
         """Poll the listening socket while there is room for another connection."""
-        self._listen(len(self._conns) < self.max_connections)
+        self._listen(len(self._conns) < MAX_CONNECTIONS)
 
     def _accept(self) -> None:
         try:
@@ -354,7 +350,7 @@ class SearchServer:
 
     def _sweep(self, now: float) -> None:
         """Close connections idle past the timeout, with or without a reply tail pending."""
-        deadline = now - self.state.config.timeout
+        deadline = now - IDLE_SECONDS
         for conn in [c for c in self._conns if c.last < deadline]:
             self._close(conn)
         self._admit()
@@ -370,13 +366,12 @@ class SearchServer:
             return
         conn.last = self._now
         state = self.state
-        cap = state.config.max_line_bytes
         partial = conn.partial
         if not data:  # end of input: a last line without a newline is still answered
             conn.closing = True
         if partial:  # the first line began in an earlier recv
             partial += data
-            if not conn.closing and b"\n" not in data and len(partial) <= cap:
+            if not conn.closing and b"\n" not in data and len(partial) <= MAX_LINE_BYTES:
                 return
             data = bytes(partial)
             partial.clear()
@@ -387,11 +382,11 @@ class SearchServer:
                 if not conn.closing:
                     break
                 end = size
-            if end - start > cap:
+            if end - start > MAX_LINE_BYTES:
                 break
             replies.append(handle_line(state, data[start:end]))
             start = end
-        if size - start > cap:  # oversized line: answer once, then drop the connection
+        if size - start > MAX_LINE_BYTES:  # oversized line: answer once, then drop the connection
             replies.append(encode_message(_error(state, MALFORMED, "line too long")))
             conn.closing = True
         elif start < size:

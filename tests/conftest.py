@@ -6,6 +6,7 @@ import time
 import pytest
 
 from fzsearch import BadParameter, DegenerateWord, FzError, fuzzy_set, keygen
+from fzsearch.persist import save_keys
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -17,6 +18,12 @@ class BudgetExceeded(FzError):
 @pytest.fixture(scope="session")
 def km():
     return keygen(128, seed=b"test-keys")
+
+
+def save_seeded_keys(path, seed: bytes) -> str:
+    """Write ``keygen(128, seed=seed)`` as a key file at ``path``; return the path as text."""
+    save_keys(keygen(128, seed=seed), str(path))
+    return str(path)
 
 
 def random_word(rng: random.Random, lo: int = 3, hi: int = 8) -> str:

@@ -1,6 +1,7 @@
 import hmac
 import random
 import secrets
+import threading
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -173,6 +174,29 @@ class TestPrp:
     def test_key_not_fit_for_aes_is_a_parameter_error(self, key):
         with pytest.raises(BadParameter):
             prp(key, [bytes(20)], "forward")
+
+    def test_threads_at_once_give_the_serial_results(self):
+        """Four threads run ``prp`` at once, each starting on its own key and
+        blocks and then taking the others' in turn; every result equals the serial one."""
+        rng = random.Random(2024)
+        jobs = [(rng.randbytes(16), [rng.randbytes(20) for _ in range(17)]) for _ in range(4)]
+        want = [(prp(key, blocks, "forward"), prp(key, blocks, "inverse")) for key, blocks in jobs]
+        start = threading.Barrier(len(jobs))
+        got = [[] for _ in jobs]
+
+        def run(first):
+            start.wait()
+            for i in range(300):
+                key, blocks = jobs[(first + i) % len(jobs)]
+                got[first].append((prp(key, blocks, "forward"), prp(key, blocks, "inverse")))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        for first, results in enumerate(got):
+            assert results == [want[(first + i) % len(jobs)] for i in range(300)]
 
 
 def test_prf_bytes_prefixes():

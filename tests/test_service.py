@@ -13,11 +13,13 @@ import time
 
 import pytest
 
-from conftest import garbage_line, mutate, random_corpus
+import fzsearch.service as service
+from conftest import garbage_line, mutate, random_corpus, save_seeded_keys
 from fzsearch import (
     BadMagic,
     BadParameter,
     ListingIndex,
+    SearchRequest,
     Truncated,
     UserDirectory,
     VersionUnsupported,
@@ -49,7 +51,6 @@ from fzsearch.service import (
     PROTOCOL,
     SearchClient,
     SearchServer,
-    ServerConfig,
     ServerState,
     encode_message,
     handle_line,
@@ -161,9 +162,13 @@ class TestHandler:
 
     def test_too_many_trapdoors(self, km, world):
         _, index = world
-        state = ServerState(index=index, config=ServerConfig(max_request_trapdoors=4))
-        out = handle_message(state, search_msg(make_request("castle", 1, km)))
-        assert out["code"] == "TOO_MANY_TRAPDOORS"
+        state = ServerState(index=index)
+        width = index.trapdoor_bits // 8
+        trapdoors = [i.to_bytes(width, "big") for i in range(service.MAX_TRAPDOORS + 1)]
+        at_cap = handle_message(state, search_msg(SearchRequest(trapdoors[:-1], 1)))
+        assert at_cap["type"] == "SearchResp"
+        over = handle_message(state, search_msg(SearchRequest(trapdoors, 1)))
+        assert over["code"] == "TOO_MANY_TRAPDOORS"
 
     def test_stale_epoch_only_in_blinded_mode(self, km, world):
         _, index = world
@@ -201,8 +206,6 @@ class TestHandler:
             assert all(type(p) is bytes for p in proofs)
 
     def test_server_fault_is_internal(self, km, world, monkeypatch):
-        import fzsearch.service as service
-
         def broken(index, req):
             raise RuntimeError("boom")
 
@@ -361,6 +364,20 @@ class TestPersistence:
         assert loaded.unwrap("alice", b"ka") == km.blind_key
         assert dumps_directory(loaded) == blob
 
+    def test_directory_with_a_repeated_or_unordered_user_id_is_a_parameter_error(self):
+        """``dumps_directory`` writes user ids strictly ascending; the reader takes no other order."""
+        head = b"FZUD\x01" + (0).to_bytes(8, "big") + (2).to_bytes(4, "big")
+
+        def entry(uid: bytes) -> bytes:
+            return len(uid).to_bytes(2, "big") + uid + b"\x00\x01w"
+
+        for ids in ((b"alice", b"alice"), (b"bob", b"alice")):
+            with pytest.raises(BadParameter, match="ascending"):
+                loads_directory(head + entry(ids[0]) + entry(ids[1]))
+        for ids in ((b"alice", b"bob"), (b"", b"alice")):
+            blob = head + entry(ids[0]) + entry(ids[1])
+            assert dumps_directory(loads_directory(blob)) == blob
+
     def test_directory_with_a_non_utf8_user_id_is_a_parameter_error(self):
         blob = b"FZUD\x01" + (0).to_bytes(8, "big") + (1).to_bytes(4, "big")
         blob += b"\x00\x02\xff\xfe" + b"\x00\x01w"
@@ -402,11 +419,11 @@ class TestSocketServer:
         with SearchClient("127.0.0.1", port) as client:
             assert client.hello()["type"] == "HelloAck"
 
-    def test_shutdown_returns_without_waiting_for_the_poll(self, world):
+    def test_shutdown_returns_without_waiting_for_the_poll(self, world, monkeypatch):
         _, index = world
+        monkeypatch.setattr(service, "POLL_SECONDS", 30.0)
         server = SearchServer(ServerState(index=index), port=0)
-        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 30}, daemon=True)
-        thread.start()
+        thread = server.start()
         try:
             with SearchClient("127.0.0.1", server.server_address[1]) as client:
                 assert client.hello()["type"] == "HelloAck"  # the loop is running
@@ -419,13 +436,15 @@ class TestSocketServer:
 
     def test_oversized_line_dropped(self, km, world):
         _, index = world
-        config = ServerConfig(max_line_bytes=512)
-        server = SearchServer(ServerState(index=index, config=config), port=0)
+        server = SearchServer(ServerState(index=index), port=0)
         server.start()
         try:
             port = server.server_address[1]
             raw = socket.create_connection(("127.0.0.1", port), timeout=5)
-            raw.sendall(b"A" * 2048 + b"\n")
+            try:
+                raw.sendall(b"A" * (2 * service.MAX_LINE_BYTES) + b"\n")
+            except ConnectionError:  # the server may close before it has read the whole line
+                pass
             data = raw.makefile("rb").readline()
             assert b"MALFORMED" in data
             raw.close()
@@ -513,11 +532,9 @@ class TestReadinessLoop:
             got = _read_to_eof(raw)
         assert got == handle_line(ServerState(index=index), line).encode()
 
-    def test_idle_and_stalled_connections_are_closed(self, km):
-        state = ServerState(
-            index=build_listing_index({"cat": [b"f%04d" % i for i in range(200)]}, 1, km),
-            config=ServerConfig(timeout=0.2),
-        )
+    def test_idle_and_stalled_connections_are_closed(self, km, monkeypatch):
+        monkeypatch.setattr(service, "IDLE_SECONDS", 0.2)
+        state = ServerState(index=build_listing_index({"cat": [b"f%04d" % i for i in range(200)]}, 1, km))
         line = encode_message(search_msg(make_request("cat", 1, km))).encode()
         server, address = _serve(state)
         stalled = socket.socket()
@@ -546,10 +563,10 @@ class TestReadinessLoop:
             stalled.close()
             _stop(server)
 
-    def test_connection_cap(self, world):
+    def test_connection_cap(self, world, monkeypatch):
         _, index = world
+        monkeypatch.setattr(service, "MAX_CONNECTIONS", 4)
         server = SearchServer(ServerState(index=index), port=0)
-        server.max_connections = 4
         server.start()
         address = ("127.0.0.1", server.server_address[1])
         clients = []
@@ -570,8 +587,6 @@ class TestReadinessLoop:
             _stop(server)
 
     def test_server_fault_drops_only_that_connection(self, world, monkeypatch):
-        import fzsearch.service as service
-
         def broken(state, line):
             raise RuntimeError("boom")
 
@@ -636,7 +651,7 @@ class TestCli:
     def test_full_owner_and_user_flow(self, workspace, capsys):
         keyfile = str(workspace / "k.fzky")
         indexfile = str(workspace / "i.fzix")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "00ff"]) == 0
+        assert cli_main(["keygen", "--out", keyfile]) == 0
         assert (
             cli_main(
                 ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"),
@@ -670,7 +685,7 @@ class TestCli:
 
         keyfile = str(workspace / "k.fzky")
         indexfile = str(workspace / "i.fzix")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "01"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("01"))
         assert (
             cli_main(
                 ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"),
@@ -693,7 +708,7 @@ class TestCli:
         with open(os.path.join(os.fsencode(corpus_dir), b"\xffbad.txt"), "w") as fh:
             fh.write("zebra\n")
         keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "02"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("02"))
         assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", indexfile]) == 0
         server = SearchServer(ServerState(index=load_index(indexfile)), port=0)
         server.start()
@@ -713,7 +728,7 @@ class TestCli:
         (corpus_dir / "far.txt").write_text("abcd\n")
         (corpus_dir / "near.txt").write_text("abdx\n")
         keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "03"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("03"))
         assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", indexfile,
                          "--kind", "auth", "--method", "gram"]) == 0
         km, index = load_keys(keyfile), load_index(indexfile)
@@ -741,7 +756,7 @@ class TestCli:
         keyfile = str(workspace / "k.fzky")
         indexfile = str(workspace / "i.fzix")
         dirfile = str(workspace / "users.fzud")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "ab"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("ab"))
         assert (
             cli_main(["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]) == 0
         )
@@ -770,20 +785,30 @@ class TestCli:
             server.shutdown()
             server.server_close()
 
-    @pytest.mark.parametrize("command", ["search", "verify"])
-    @pytest.mark.parametrize("flag", [["--blinded"], ["--epoch", "0"], ["--verify"]], ids=["blinded", "epoch", "verify"])
-    def test_blinding_epoch_and_proofs_are_not_options(self, capsys, command, flag):
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param([command, "cat", "1", *flag], flag[0], id=f"{name}-{command}")
+            for name, flag in (("blinded", ["--blinded"]), ("epoch", ["--epoch", "0"]), ("verify", ["--verify"]))
+            for command in ("search", "verify")
+        ]
+        + [pytest.param(["keygen", "--out", "k", "--seed", "00"], "--seed", id="seed-keygen")],
+    )
+    def test_blinding_epoch_and_proofs_are_not_options(self, tmp_path, monkeypatch, capsys, argv, flag):
         """The server says whether it blinds and at which epoch, the directory
-        says which epoch a user's key belongs to, and ``verify`` checks proofs."""
-        assert cli_main([command, "cat", "1", *flag]) == 2
+        says which epoch a user's key belongs to, ``verify`` checks proofs, and
+        ``keygen`` draws keys only from the system's random source."""
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert "unrecognized arguments: " + flag[0] in err and "Traceback" not in err
+        assert "unrecognized arguments: " + flag in err and "Traceback" not in err
+        assert not os.path.exists("k")
 
     def test_blinding_and_epoch_follow_the_ack_and_the_directory(self, tmp_path, monkeypatch, capsys):
         """The request is blinded exactly when HelloAck says so, and carries the
         ``--directory`` file's epoch with ``--user``, the ack's otherwise."""
         keyfile, dirfile = str(tmp_path / "k.fzky"), str(tmp_path / "users.fzud")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("ee"))
         assert cli_main(["enroll", "--keys", keyfile, "--directory", dirfile, "--user", "alice"]) == 0
         km, sent = load_keys(keyfile), []
         plain = make_request("castle", 1, km)
@@ -816,7 +841,7 @@ class TestCli:
 
         keyfile = str(workspace / "k.fzky")
         dirfile = str(workspace / "users.fzud")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "ef"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("ef"))
         for user in ("alice", "eve"):
             assert cli_main(["enroll", "--keys", keyfile, "--directory", dirfile, "--user", user]) == 0
         first_xi = load_keys(keyfile).blind_key
@@ -887,7 +912,6 @@ class TestCli:
         assert cli_main([]) == 2
         assert cli_main(["bench"]) == 2  # retired; perfbench is the one harness
         for argv in (
-            ["keygen", "--out", str(workspace / "k"), "--seed", "zz"],
             ["search", "cat", "1", "--server", "127.0.0.1:abc"],
             ["search", "cat", "1", "--server", "127.0.0.1:65536"],
             ["search", "cat", "1", "--server", "::1:7090"],
@@ -907,7 +931,6 @@ class TestCli:
         assert _server("[::1]:7091") == ("::1", 7091)
         assert _server("[::1]") == _server("[::1]:") == ("::1", 7090)
         assert _server("example.org") == ("example.org", 7090) and _server(":7091") == ("127.0.0.1", 7091)
-        assert not os.path.exists(workspace / "k")
         rc = cli_main(["search", "cat", "0"])  # no key file anywhere
         assert rc == 1
         monkeypatch.setenv("FZ_KEYFILE", str(workspace / "missing.fzky"))
@@ -920,7 +943,7 @@ class TestCli:
         except OSError:
             pytest.skip("this host has no IPv6 loopback")
         keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "06"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("06"))
         assert cli_main(["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]) == 0
         server = SearchServer(ServerState(index=load_index(indexfile)), host="::1", port=0)
         server.start()
@@ -935,7 +958,7 @@ class TestCli:
 
     def test_keyfile_env_fallback(self, workspace, monkeypatch, capsys):
         keyfile = str(workspace / "env.fzky")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "cd"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("cd"))
         monkeypatch.setenv("FZ_KEYFILE", keyfile)
         indexfile = str(workspace / "env.fzix")
         assert cli_main(["build", "--corpus", str(workspace / "corpus"), "--out", indexfile]) == 0
@@ -991,7 +1014,7 @@ class TestHostileServer:
     )
     def test_bad_reply_is_a_clean_error(self, tmp_path, monkeypatch, capsys, command, reply, message):
         keyfile = str(tmp_path / "k.fzky")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("ee"))
         monkeypatch.setattr("fzsearch.cli.SearchClient", type("Stub", (_StubClient,), {"reply": reply}))
         capsys.readouterr()
         assert cli_main([command, "castle", "1", "--keys", keyfile]) == 1
@@ -1002,7 +1025,7 @@ class TestHostileServer:
         """Seeded random proof bytes, most past the type byte: ``verify`` prints
         ``error: ...`` and exits 1, never a traceback."""
         keyfile = str(tmp_path / "k.fzky")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("ee"))
         rng = random.Random(822)
         for _ in range(100):
             proofs = []
@@ -1022,7 +1045,7 @@ class TestHostileServer:
         digest has no length framing); the CLI decrypts every record before it
         prints ``verified: Ok``, so it reports the failure instead."""
         keyfile = str(tmp_path / "k.fzky")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("ee"))
         km = load_keys(keyfile)
         index = build_auth_trie({"castle": [b"F1", b"F2", b"F3"]}, 1, km)
         reply = handle_message(ServerState(index=index), search_msg(make_request("castle", 1, km), proof=True))
@@ -1040,7 +1063,7 @@ class TestHostileServer:
 
     def test_hello_without_method(self, tmp_path, monkeypatch, capsys):
         keyfile = str(tmp_path / "k.fzky")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("ee"))
         monkeypatch.setattr("fzsearch.cli.SearchClient", type("Stub", (_StubClient,), {"ack": {"type": "HelloAck"}}))
         capsys.readouterr()
         assert cli_main(["search", "castle", "1", "--keys", keyfile]) == 1
@@ -1070,7 +1093,7 @@ class TestHostileServer:
 
     def _answer_hello_with(self, line, tmp_path, capsys, message, detail=""):
         keyfile = str(tmp_path / "k.fzky")
-        assert cli_main(["keygen", "--out", keyfile, "--seed", "ee"]) == 0
+        save_seeded_keys(keyfile, bytes.fromhex("ee"))
         listener = socket.create_server(("127.0.0.1", 0))
         port = listener.getsockname()[1]
 
