@@ -42,6 +42,7 @@ from .index import (
     TrieIndex,
     build_listing_index,
     build_trie_index,
+    decrypt_matches,
     make_request,
     search_listing,
     search_trie,

@@ -21,10 +21,10 @@ import dataclasses
 import os
 import sys
 
-from .crypto import SECURITY_BITS, keygen, decrypt_record, prf_bytes
+from .crypto import SECURITY_BITS, keygen, prf_bytes
 from .errors import BadParameter, EmptyKeyword, FzError, VersionUnsupported
-from .fuzzyset import edit_distance, normalize_keyword
-from .index import build_listing_index, build_trie_index, make_request
+from .fuzzyset import normalize_keyword
+from .index import build_listing_index, build_trie_index, decrypt_matches, make_request
 from .multiuser import UserDirectory, blind_request, user_id_bytes
 from .persist import (
     load_directory,
@@ -188,9 +188,7 @@ def _cmd_search(args) -> int:
             where = "" if verdict.failing_index is None else f" at proof {verdict.failing_index}"
             raise FzError(f"verification failed: {verdict.reason.value}{where}")
     # decrypt before "verified": verify binds record bytes, not how they split into records
-    found = [decrypt_record(km, rec) for rec in result.records]
-    # a gram index also returns keywords more than k edits away; print only real matches
-    fids = sorted({fid for fid, keyword in found if edit_distance(word, keyword) <= args.k})
+    fids = sorted({fid for fid, _ in decrypt_matches(km, word, args.k, result)})
     if want_proof:
         print("verified: Ok")
     for fid in fids:

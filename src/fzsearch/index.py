@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
 
-from .crypto import KeyMaterial, encrypt_record, trapdoor
+from .crypto import KeyMaterial, decrypt_record, encrypt_record, trapdoor
 from .errors import BadParameter, EditBoundExceeded
-from .fuzzyset import fuzzy_set
+from .fuzzyset import edit_distance, fuzzy_set
 
 
 def symbolize(t: bytes, n: int) -> tuple[int, ...]:
@@ -177,6 +177,17 @@ def make_request(word: str, k: int, km: KeyMaterial, method: str = "wildcard") -
     variants = fuzzy_set(word, k, method)
     ordered = [word] + [v for v in variants if v != word]
     return SearchRequest(trapdoors=tuple(trapdoor(km, v) for v in ordered), k=k)
+
+
+def decrypt_matches(km: KeyMaterial, word: str, k: int, result: ResultSet) -> list[tuple[bytes, str]]:
+    """The (fid, keyword) of each record in ``result`` whose keyword is within ``k`` edits of ``word``.
+
+    Every record is decrypted first, so one that fails authentication raises
+    ``AuthFailure`` even when its keyword would be dropped.  A gram index also
+    returns keywords more than ``k`` edits away; those are the ones dropped.
+    """
+    found = [decrypt_record(km, rec) for rec in result.records]
+    return [(fid, keyword) for fid, keyword in found if edit_distance(word, keyword) <= k]
 
 
 def walk_trie(root: NodeView, symbols: tuple[int, ...]) -> NodeView | None:

@@ -18,7 +18,9 @@ Message types:
     ``{"type": "SearchResp", "epoch": E, "exact": bool,
     "records": [base64(nonce || ciphertext)...], "proofs": [hex...]?}``.
     Each record is the bytes ``crypto.encrypt_record`` returned, as the
-    index holds them; the server never looks inside one.
+    index holds them; the server never looks inside one.  The server writes
+    this line from fixed fragments, not through ``encode_message`` as it does
+    the others; ``test_search_reply_is_the_canonical_encoding`` holds the two equal.
 ``ErrorResp``
     codes MALFORMED, EDIT_BOUND, STALE_EPOCH, TOO_MANY_TRAPDOORS, and
     INTERNAL for a fault of the server's own (an exception no check caught).
@@ -58,6 +60,7 @@ import base64
 import json
 import selectors
 import socket
+import struct
 import sys
 import threading
 import time
@@ -100,35 +103,54 @@ def encode_message(msg: dict) -> str:
     return json.dumps(msg, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _error(state: ServerState, code: str, message: str) -> dict:
-    return {"type": "ErrorResp", "epoch": state.epoch, "code": code, "message": message}
+def _error(state: ServerState, code: str, message: str) -> str:
+    return encode_message({"type": "ErrorResp", "epoch": state.epoch, "code": code, "message": message})
 
 
 def _parse_trapdoors(state: ServerState, raw) -> tuple[bytes, ...] | None:
+    if not isinstance(raw, list):
+        return None
     width = state.index.trapdoor_bits // 8
-    if not isinstance(raw, list) or not raw:
+    try:
+        joined = "".join(raw)
+        blob = bytes.fromhex(joined)
+    except (TypeError, ValueError):  # an item that is not a string, or not hex
         return None
-    out = []
-    for item in raw:
-        try:
-            t = bytes.fromhex(item)
-        except (TypeError, ValueError):
-            return None
-        # the round trip rejects upper case and the whitespace fromhex skips
-        if len(t) != width or t.hex() != item:
-            return None
-        out.append(t)
-    if len(set(out)) != len(out):
+    # every item one width; the round trip rejects upper case and the whitespace fromhex skips
+    if set(map(len, raw)) != {2 * width} or blob.hex() != joined:
         return None
-    return tuple(out)
+    out = struct.unpack(f"{width}s" * len(raw), blob)
+    return out if len(set(out)) == len(out) else None
 
 
-def handle_message(state: ServerState, msg: dict) -> dict:
-    """Dispatch one parsed message; every bad input becomes an ErrorResp."""
+def _json_list(items) -> str:
+    """A JSON list of strings that need no escaping (base64, lowercase hex)."""
+    return '["' + '","'.join(items) + '"]' if items else "[]"
+
+
+def _search_resp(state: ServerState, result: ResultSet, proofs: list[bytes] | None) -> str:
+    """The SearchResp line as ``encode_message`` writes its dict: keys sorted, no spaces, nothing to escape."""
+    head = f'{{"epoch":{state.epoch},"exact":{"true" if result.exact_hit else "false"},'
+    if proofs is not None:
+        head += f'"proofs":{_json_list([p.hex() for p in proofs])},'
+    records = _json_list([base64.b64encode(r).decode("ascii") for r in result.records])
+    return f'{head}"records":{records},"type":"SearchResp"}}\n'
+
+
+def handle_line(state: ServerState, line: bytes | str) -> str:
+    """One wire line in, one wire line out; every bad input becomes an ErrorResp."""
+    try:
+        msg = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except UnicodeDecodeError:
+        return _error(state, MALFORMED, "line is not UTF-8")
+    except (json.JSONDecodeError, RecursionError):
+        msg = None
+    if not isinstance(msg, dict):
+        return _error(state, MALFORMED, "line is not a JSON object")
     try:
         mtype = msg.get("type")
         if mtype == "Hello":
-            return {
+            return encode_message({
                 "type": "HelloAck",
                 "protocol": PROTOCOL,
                 "epoch": state.epoch,
@@ -140,7 +162,7 @@ def handle_message(state: ServerState, msg: dict) -> dict:
                 "verifiable": state.index.kind == "auth_trie",
                 "blinded": state.xi is not None,
                 "max_trapdoors": MAX_TRAPDOORS,
-            }
+            })
         if mtype != "SearchReq":
             return _error(state, MALFORMED, f"unknown message type {mtype!r}")
         k = msg.get("k")
@@ -164,39 +186,11 @@ def handle_message(state: ServerState, msg: dict) -> dict:
             req = unblind_request(req, state.xi)
         if req.k > state.index.d:
             return _error(state, EDIT_BOUND, f"k={req.k} exceeds index bound d={state.index.d}")
-        proofs = None
         if want_proof and state.index.kind == "auth_trie":
-            result, proof_list = search_with_proof(state.index, req)
-            proofs = [p.hex() for p in proof_list]
-        else:
-            result = search_listing(state.index, req)
-        resp = {
-            "type": "SearchResp",
-            "epoch": state.epoch,
-            "exact": result.exact_hit,
-            "records": [base64.b64encode(r).decode("ascii") for r in result.records],
-        }
-        if proofs is not None:
-            resp["proofs"] = proofs
-        return resp
+            return _search_resp(state, *search_with_proof(state.index, req))
+        return _search_resp(state, search_listing(state.index, req), None)
     except Exception as exc:  # contract: the server survives anything
         return _error(state, INTERNAL, f"unhandled request error: {type(exc).__name__}")
-
-
-def handle_line(state: ServerState, line: bytes | str) -> str:
-    """One wire line in, one wire line out."""
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError:
-            return encode_message(_error(state, MALFORMED, "line is not UTF-8"))
-    try:
-        msg = json.loads(line)
-    except (json.JSONDecodeError, RecursionError):
-        return encode_message(_error(state, MALFORMED, "line is not a JSON object"))
-    if not isinstance(msg, dict):
-        return encode_message(_error(state, MALFORMED, "line is not a JSON object"))
-    return encode_message(handle_message(state, msg))
 
 
 def result_from_response(resp: dict) -> ResultSet:
@@ -213,7 +207,10 @@ def result_from_response(resp: dict) -> ResultSet:
         if len(blob) < RECORD_MIN_BYTES:
             raise BadResponse("bad record encoding: record blob too short")
         out.append(blob)
-    return ResultSet(records=out, exact_hit=bool(resp.get("exact", False)))
+    exact = resp.get("exact", False)
+    if type(exact) is not bool:
+        raise BadResponse("exact must be a boolean")
+    return ResultSet(records=out, exact_hit=exact)
 
 
 def proofs_from_response(resp: dict) -> list[bytes]:
@@ -387,7 +384,7 @@ class SearchServer:
             replies.append(handle_line(state, data[start:end]))
             start = end
         if size - start > MAX_LINE_BYTES:  # oversized line: answer once, then drop the connection
-            replies.append(encode_message(_error(state, MALFORMED, "line too long")))
+            replies.append(_error(state, MALFORMED, "line too long"))
             conn.closing = True
         elif start < size:
             partial += data[start:]

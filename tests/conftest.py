@@ -162,6 +162,25 @@ def fields(proof: bytes) -> dict:
     return {"left": proof[3:mid], "right": proof[mid + 1 : end], "tag": proof[end:]}
 
 
+def reference_parse_trapdoors(width: int, raw) -> tuple[bytes, ...] | None:
+    """The server's trapdoor parser item by item: the oracle the one-pass parser is held to."""
+    if not isinstance(raw, list) or not raw:
+        return None
+    out = []
+    for item in raw:
+        try:
+            t = bytes.fromhex(item)
+        except (TypeError, ValueError):
+            return None
+        # the round trip rejects upper case and the whitespace fromhex skips
+        if len(t) != width or t.hex() != item:
+            return None
+        out.append(t)
+    if len(set(out)) != len(out):
+        return None
+    return tuple(out)
+
+
 def garbage_line(rng: random.Random):
     """A random wire line for the protocol fuzz: raw bytes, printable text or off-contract JSON."""
     printable = "".join(chr(c) for c in range(32, 127))

@@ -47,7 +47,7 @@ from fzsearch import (
 from fzsearch.index import walk_trie
 from fzsearch.multiuser import UserDirectory, blind_request, unblind_request
 from fzsearch.persist import dumps_index
-from fzsearch.service import ServerState, encode_message, handle_line
+from fzsearch.service import MAX_TRAPDOORS, ServerState, encode_message, handle_line
 from fzsearch.verifiable import TAG_BYTES
 
 BENCH_OUT = os.path.join(os.path.dirname(__file__), os.pardir, "bench_out")
@@ -414,6 +414,9 @@ def _scripted_session(seed: bytes) -> bytes:
     return transcript
 
 
+# sha256 of _scripted_session(b"golden"): unblinded proof replies and two ErrorResps.
+GOLDEN_SCRIPTED_SESSION = "752739f6c86e2e5b4c9e14faac0725bf956a9c01e8ebdbab8ed66678326a9415"
+
 # sha256 of _blinded_session(b"golden-blind"); pins the HelloAck (protocol 2),
 # the AES Feistel bytes of blind_request on the wire and the server's
 # unblinded answers with their adjacent-pair proofs (proof type 0xFF).
@@ -443,6 +446,56 @@ def _blinded_session(seed: bytes) -> bytes:
     for line in lines:
         transcript += line.encode() + handle_line(state, line).encode()
     return transcript
+
+
+# sha256 of _proofless_session(b"golden-plain"); pins SearchResp lines without a
+# "proofs" key, from a listing and a trie index, plain and blinded, with the
+# ErrorResp of every code a well-formed JSON request can earn.
+GOLDEN_PROOFLESS_SESSION = "7c688570a1de00b6b63d095a87c260dc593280c93eeb2e8fe93294d529c3e8b1"
+
+
+def _proofless_session(seed: bytes) -> tuple[bytes, list[dict]]:
+    """Request and reply lines of proof-less sessions, and the replies parsed.
+
+    Over a listing and a trie index, each served plain (epoch 0) and blinded
+    (epoch 3): a HelloAck, a miss, an exact hit, a fuzzy hit of several
+    records, then MALFORMED (an upper-case trapdoor), EDIT_BOUND, a request
+    one epoch ahead (STALE_EPOCH when blinded) and TOO_MANY_TRAPDOORS.
+    """
+    km = keygen(128, seed=seed)
+    corpus = random_corpus(random.Random(17), size=30, lo=3, hi=6)
+    corpus.update({"castle": [b"F1", b"F2", b"F3"], "cattle": [b"F4", b"F5"]})
+    width = km.trapdoor_bits // 8
+    too_many = [i.to_bytes(width, "big").hex() for i in range(MAX_TRAPDOORS + 1)]
+    transcript, replies = b"", []
+    for build in (build_listing_index, build_trie_index):
+        index = build(corpus, 1, km)
+        for state in (ServerState(index=index), ServerState(index=index, xi=km.blind_key, epoch=3)):
+
+            def search(word: str, k: int = 1, epoch: int = state.epoch) -> dict:
+                req = make_request(word, k, km)
+                if state.xi is not None:
+                    req = blind_request(req, state.xi)
+                return {"type": "SearchReq", "epoch": epoch, "k": k, "trapdoors": [t.hex() for t in req.trapdoors]}
+
+            upper = search("castle")
+            upper["trapdoors"][0] = upper["trapdoors"][0].upper()
+            messages = [
+                {"type": "Hello"},
+                search("qqqqqqq"),
+                search("castle"),
+                search("catle"),
+                upper,
+                search("castle", k=2),
+                search("castle", epoch=state.epoch + 1),
+                {"type": "SearchReq", "epoch": state.epoch, "k": 1, "trapdoors": too_many},
+            ]
+            for msg in messages:
+                line = encode_message(msg)
+                reply = handle_line(state, line)
+                transcript += line.encode() + reply.encode()
+                replies.append(json.loads(reply))
+    return transcript, replies
 
 
 def _proof_line(rng: random.Random, km, words: list[str]) -> str:
@@ -489,8 +542,29 @@ def test_criterion_13_protocol_robustness():
     second = _scripted_session(b"golden")
     assert first == second
     assert first  # transcript is not empty
+    assert hashlib.sha256(first).hexdigest() == GOLDEN_SCRIPTED_SESSION
     blinded = _blinded_session(b"golden-blind")
     assert hashlib.sha256(blinded).hexdigest() == GOLDEN_BLINDED_SESSION
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _report(13, f"1.1 x 10^5 fuzzed lines survived, {proofs} of them answered with proofs ({fuzz_elapsed:.1f} s); golden transcript byte-stable, blinded session digest pinned")
+
+
+def test_proofless_session_is_pinned():
+    """The replies without proofs, byte for byte: every SearchResp and ErrorResp
+    shape the listing and trie servers send, plain and blinded."""
+    transcript, replies = _proofless_session(b"golden-plain")
+    shapes = [(r["type"], r.get("code"), len(r.get("records", ())), r.get("exact")) for r in replies]
+    for i, blinded in enumerate((False, True, False, True)):  # listing plain and blinded, then trie
+        assert shapes[8 * i : 8 * i + 8] == [
+            ("HelloAck", None, 0, None),
+            ("SearchResp", None, 0, False),
+            ("SearchResp", None, 3, True),
+            ("SearchResp", None, 7, False),
+            ("ErrorResp", "MALFORMED", 0, None),
+            ("ErrorResp", "EDIT_BOUND", 0, None),
+            ("ErrorResp", "STALE_EPOCH", 0, None) if blinded else ("SearchResp", None, 3, True),
+            ("ErrorResp", "TOO_MANY_TRAPDOORS", 0, None),
+        ]
+    assert all("proofs" not in r for r in replies)
+    assert hashlib.sha256(transcript).hexdigest() == GOLDEN_PROOFLESS_SESSION

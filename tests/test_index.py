@@ -17,6 +17,7 @@ from fzsearch import (
     build_auth_trie,
     build_listing_index,
     build_trie_index,
+    decrypt_matches,
     decrypt_record,
     edit_distance,
     keygen,
@@ -339,6 +340,40 @@ class TestSearch:
         result = search_trie(trie, make_request("cut", 1, km))
         assert len(result.records) == len(set(result.records))
         assert {decrypt_record(km, r)[0] for r in result.records} == {b"F1", b"F2"}
+
+
+class TestDecryptMatches:
+    def test_gram_false_positives_are_dropped(self, km):
+        # "act" shares the deletion variants "at" and "ct" with "cat" but is two edits away
+        corpus = {"act": [b"F1"], "bat": [b"F2"], "cart": [b"F3"], "dog": [b"F4"]}
+        for build in (build_listing_index, build_trie_index, build_auth_trie):
+            result = search_listing(build(corpus, 1, km, "gram"), make_request("cat", 1, km, "gram"))
+            assert {decrypt_record(km, r)[1] for r in result.records} == {"act", "bat", "cart"}
+            assert sorted(decrypt_matches(km, "cat", 1, result)) == [(b"F2", "bat"), (b"F3", "cart")]
+
+    def test_a_forged_record_fails_even_when_it_would_be_dropped(self, km):
+        corpus = {"act": [b"F1"], "bat": [b"F2"]}
+        result = search_listing(build_listing_index(corpus, 1, km, "gram"), make_request("cat", 1, km, "gram"))
+        far = next(i for i, r in enumerate(result.records) if decrypt_record(km, r)[1] == "act")
+        result.records[far] = result.records[far][:-1] + bytes([result.records[far][-1] ^ 1])
+        with pytest.raises(AuthFailure):
+            decrypt_matches(km, "cat", 1, result)
+
+    def test_matches_are_exactly_the_keywords_within_k(self, km):
+        rng = random.Random(341)
+        corpus = random_corpus(rng, size=60, lo=3, hi=6)
+        words = sorted(corpus)
+        for method in ("gram", "wildcard"):
+            index = build_trie_index(corpus, 1, km, method)
+            for query in [mutate(rng.choice(words), rng) for _ in range(40)]:
+                if len(query) < 2:
+                    continue
+                result = search_listing(index, make_request(query, 1, km, method))
+                got = decrypt_matches(km, query, 1, result)
+                if result.exact_hit:  # an exact hit returns the keyword's own records only
+                    assert {kw for _, kw in got} == {query}
+                else:
+                    assert {kw for _, kw in got} == {w for w in words if edit_distance(query, w) <= 1}, query
 
 
 GOLDEN_BUILDERS = {"listing": build_listing_index, "trie": build_trie_index, "auth": build_auth_trie}

@@ -14,11 +14,12 @@ import time
 import pytest
 
 import fzsearch.service as service
-from conftest import garbage_line, mutate, random_corpus, save_seeded_keys
+from conftest import garbage_line, mutate, random_corpus, reference_parse_trapdoors, save_seeded_keys
 from fzsearch import (
     BadMagic,
     BadParameter,
     ListingIndex,
+    ResultSet,
     SearchRequest,
     Truncated,
     UserDirectory,
@@ -54,7 +55,6 @@ from fzsearch.service import (
     ServerState,
     encode_message,
     handle_line,
-    handle_message,
     proofs_from_response,
     result_from_response,
 )
@@ -79,10 +79,15 @@ def search_msg(req, epoch=0, **extra):
     return msg
 
 
+def ask(state, msg: dict) -> dict:
+    """The server's reply to ``msg``, parsed."""
+    return json.loads(handle_line(state, encode_message(msg)))
+
+
 class TestHandler:
     def test_hello_ack_fields(self, km, world):
         _, index = world
-        ack = handle_message(ServerState(index=index), {"type": "Hello"})
+        ack = ask(ServerState(index=index), {"type": "Hello"})
         assert ack["type"] == "HelloAck"
         assert ack["kind"] == "trie" and ack["method"] == "wildcard"
         assert ack["d"] == 1 and ack["trapdoor_bits"] == 160 and ack["symbol_bits"] == 4
@@ -94,7 +99,7 @@ class TestHandler:
         state = ServerState(index=index)
         for word in sorted(corpus)[:10]:
             req = make_request(word, 1, km)
-            resp = handle_message(state, search_msg(req))
+            resp = ask(state, search_msg(req))
             assert resp["type"] == "SearchResp"
             direct = search_trie(index, req)
             via_wire = result_from_response(resp)
@@ -151,13 +156,13 @@ class TestHandler:
         ]
         for state in (ServerState(index=index), ServerState(index=index, xi=km.blind_key)):
             for msg in bad_variants:
-                out = handle_message(state, msg)
+                out = ask(state, msg)
                 assert out["type"] == "ErrorResp" and out["code"] == "MALFORMED", msg
                 assert not out["message"].startswith("unhandled request error"), msg
 
     def test_edit_bound_error(self, km, world):
         _, index = world
-        out = handle_message(ServerState(index=index), search_msg(make_request("cat", 2, km)))
+        out = ask(ServerState(index=index), search_msg(make_request("cat", 2, km)))
         assert out["code"] == "EDIT_BOUND"
 
     def test_too_many_trapdoors(self, km, world):
@@ -165,29 +170,29 @@ class TestHandler:
         state = ServerState(index=index)
         width = index.trapdoor_bits // 8
         trapdoors = [i.to_bytes(width, "big") for i in range(service.MAX_TRAPDOORS + 1)]
-        at_cap = handle_message(state, search_msg(SearchRequest(trapdoors[:-1], 1)))
+        at_cap = ask(state, search_msg(SearchRequest(trapdoors[:-1], 1)))
         assert at_cap["type"] == "SearchResp"
-        over = handle_message(state, search_msg(SearchRequest(trapdoors, 1)))
+        over = ask(state, search_msg(SearchRequest(trapdoors, 1)))
         assert over["code"] == "TOO_MANY_TRAPDOORS"
 
     def test_stale_epoch_only_in_blinded_mode(self, km, world):
         _, index = world
         req = make_request("cat", 1, km)
         plain = ServerState(index=index)
-        assert handle_message(plain, search_msg(req, epoch=5))["type"] == "SearchResp"
+        assert ask(plain, search_msg(req, epoch=5))["type"] == "SearchResp"
         blinded = ServerState(index=index, xi=km.blind_key, epoch=3)
-        out = handle_message(blinded, search_msg(blind_request(req, km.blind_key), epoch=2))
+        out = ask(blinded, search_msg(blind_request(req, km.blind_key), epoch=2))
         assert out["code"] == "STALE_EPOCH"
-        ok = handle_message(blinded, search_msg(blind_request(req, km.blind_key), epoch=3))
+        ok = ask(blinded, search_msg(blind_request(req, km.blind_key), epoch=3))
         assert ok["type"] == "SearchResp"
 
     def test_proofs_only_from_auth_index(self, km, world):
         corpus, index = world
         req = make_request(sorted(corpus)[0], 1, km)
-        plain = handle_message(ServerState(index=index), search_msg(req, proof=True))
+        plain = ask(ServerState(index=index), search_msg(req, proof=True))
         assert plain["type"] == "SearchResp" and "proofs" not in plain
         auth = build_auth_trie(corpus, 1, km)
-        resp = handle_message(ServerState(index=auth), search_msg(req, proof=True))
+        resp = ask(ServerState(index=auth), search_msg(req, proof=True))
         assert len(resp["proofs"]) == len(req.trapdoors)
         proofs = [decode_proof(bytes.fromhex(p)) for p in resp["proofs"]]
         verdict = verify(req, result_from_response(resp), proofs, km)
@@ -211,7 +216,7 @@ class TestHandler:
 
         _, index = world
         monkeypatch.setattr(service, "search_listing", broken)
-        out = handle_message(ServerState(index=index), search_msg(make_request("cat", 1, km)))
+        out = ask(ServerState(index=index), search_msg(make_request("cat", 1, km)))
         assert out["type"] == "ErrorResp" and out["code"] == "INTERNAL"
         assert out["message"] == "unhandled request error: RuntimeError"
 
@@ -240,6 +245,92 @@ class TestHandler:
             out = handle_line(state, line)
             parsed = json.loads(out)
             assert parsed["type"] in ("SearchResp", "ErrorResp", "HelloAck"), (i, line)
+
+
+# every character bytes.fromhex skips, and digits it must not read as hex
+_WHITESPACE = " \t\n\r\x0b\x0c"
+_NOT_HEX = ["\u0660", "\uff10", "\u00b2", "\u00e9", "g", "-", "\x00"]
+
+
+def _trapdoor_list(rng: random.Random, width: int):
+    """A request's trapdoors as JSON can carry them: mostly valid, often one item off."""
+    size = rng.choice([1, 2, 3, 5, 17, 40])
+    items = [rng.randbytes(width).hex() for _ in range(size)]
+    roll = rng.randrange(12)
+    i = rng.randrange(size)
+    if roll == 0:  # upper case: one digit or the whole item
+        j = rng.randrange(2 * width)
+        items[i] = rng.choice([items[i].upper(), items[i][:j] + items[i][j].upper() + items[i][j + 1 :]])
+    elif roll == 1:  # whitespace at any position, in place of a digit or added
+        j = rng.randrange(2 * width + 1)
+        space = rng.choice(_WHITESPACE)
+        items[i] = rng.choice([items[i][:j] + space + items[i][j + 1 :], items[i][:j] + space + items[i][j:]])
+    elif roll == 2:  # one or two digits too many or too few
+        cut = rng.choice([1, 2])
+        items[i] = rng.choice([items[i][:-cut], items[i] + "0" * cut])
+    elif roll == 3 and size > 1:  # errors that cancel in the joined length: one item too long, the next too short
+        i = rng.randrange(size - 1)
+        cut = rng.choice([1, 2])
+        items[i], items[i + 1] = items[i] + items[i + 1][:cut], items[i + 1][cut:]
+    elif roll == 4:  # not a string
+        items[i] = rng.choice([None, 0, 7, 2**70, 1.5, True, [], ["a"] * (2 * width), {}, {str(n): n for n in range(2 * width)}])
+    elif roll == 5:  # a digit that is not ASCII hex
+        j = rng.randrange(2 * width)
+        items[i] = items[i][:j] + rng.choice(_NOT_HEX) + items[i][j + 1 :]
+    elif roll == 6:
+        items[i] = ""
+    elif roll == 7:  # a duplicate anywhere
+        items.insert(rng.randrange(size + 1), rng.choice(items))
+    elif roll == 8:
+        items = rng.choice([[], None, "00" * width, {"00" * width: 1}, 7])
+    return items
+
+
+def _reference_search_resp(epoch: int, result: ResultSet, proofs) -> str:
+    """The SearchResp line as a dict through ``encode_message``."""
+    resp = {
+        "type": "SearchResp",
+        "epoch": epoch,
+        "exact": result.exact_hit,
+        "records": [base64.b64encode(r).decode("ascii") for r in result.records],
+    }
+    if proofs is not None:
+        resp["proofs"] = [p.hex() for p in proofs]
+    return encode_message(resp)
+
+
+class TestWireCodec:
+    def test_parser_agrees_with_the_per_item_oracle(self, world):
+        _, index = world
+        state = ServerState(index=index)
+        width = index.trapdoor_bits // 8
+        rng = random.Random(194)
+        before, item, after = (rng.randbytes(width).hex() for _ in range(3))
+        # each whitespace kind at each position of the middle item, in place of a digit and added
+        swept = [
+            [before, item[:j] + space + item[j + cut :], after]
+            for space in _WHITESPACE
+            for j in range(2 * width + 1)
+            for cut in (0, 1)
+        ]
+        accepted = 0
+        for raw in swept + [_trapdoor_list(rng, width) for _ in range(2000)]:
+            want = reference_parse_trapdoors(width, raw)
+            assert service._parse_trapdoors(state, raw) == want, raw
+            accepted += want is not None
+        assert 500 < accepted < 1500
+
+    def test_search_reply_is_the_canonical_encoding(self, world):
+        _, index = world
+        rng = random.Random(195)
+        for i in range(2000):
+            epoch = [0, 2**40, rng.randrange(1 << 20)][i % 3]
+            count = rng.choice([0, 0, 1, 2, 7, 40])
+            records = [rng.randbytes(rng.randrange(28, 120)) for _ in range(count)]
+            result = ResultSet(records=records, exact_hit=bool(records) and rng.random() < 0.3)
+            proofs = rng.choice([None, [], [rng.randbytes(rng.randrange(3, 80)) for _ in range(rng.randint(1, 20))]])
+            state = ServerState(index=index, epoch=epoch)
+            assert service._search_resp(state, result, proofs) == _reference_search_resp(epoch, result, proofs)
 
 
 class TestPersistence:
@@ -1010,6 +1101,7 @@ class TestHostileServer:
             ("verify", {"type": "SearchResp", "records": [], "proofs": ["ff03" + "00" * 64]}, "unknown proof form 3"),
             ("verify", {"type": "SearchResp", "records": [], "proofs": ["ff0200" + "00" * 33] * 14},
              "verification failed: GapTagMismatch at proof 0"),
+            ("search", {"type": "SearchResp", "records": [], "exact": "no"}, "exact must be a boolean"),
         ],
     )
     def test_bad_reply_is_a_clean_error(self, tmp_path, monkeypatch, capsys, command, reply, message):
@@ -1048,7 +1140,7 @@ class TestHostileServer:
         save_seeded_keys(keyfile, bytes.fromhex("ee"))
         km = load_keys(keyfile)
         index = build_auth_trie({"castle": [b"F1", b"F2", b"F3"]}, 1, km)
-        reply = handle_message(ServerState(index=index), search_msg(make_request("castle", 1, km), proof=True))
+        reply = ask(ServerState(index=index), search_msg(make_request("castle", 1, km), proof=True))
         merged = b"".join(base64.b64decode(r) for r in reply["records"])
         for records, code in ((reply["records"], 0), ([base64.b64encode(merged).decode("ascii")], 1)):
             stub = type("Stub", (_StubClient,), {"reply": dict(reply, records=records)})
@@ -1194,7 +1286,7 @@ def test_a_cut_proof_is_a_bad_response(km):
     """Proof text that is valid hex but no whole proof encoding is ``BadResponse``,
     as a bad hex item is, not the codec's ``Truncated``."""
     index = build_auth_trie({"castle": [b"F1"]}, 1, km)
-    resp = handle_message(ServerState(index=index), search_msg(make_request("castle", 1, km), proof=True))
+    resp = ask(ServerState(index=index), search_msg(make_request("castle", 1, km), proof=True))
     assert len(proofs_from_response(resp)) == len(resp["proofs"])
     for i in range(len(resp["proofs"])):
         proofs = list(resp["proofs"])
