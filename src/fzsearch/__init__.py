@@ -58,7 +58,6 @@ from .persist import (
     save_keys,
 )
 from .verifiable import (
-    AuthTrieIndex,
     Verdict,
     VerdictReason,
     build_auth_trie,

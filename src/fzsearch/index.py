@@ -6,8 +6,9 @@ zero-edit variants) and answers a request with the same records, by map
 lookup.  A record is the bytes ``nonce || ciphertext`` that
 ``crypto.encrypt_record`` returns; nothing here looks inside one.  The listing
 index is the flat table; the trie files each trapdoor root-to-leaf as n-bit
-symbols, its nodes derived from ``Index.ordered``; the authenticated trie
-(``verifiable``) adds a tag per entry and per gap between entries.
+symbols, its nodes derived from ``Index.ordered``; a trie that also holds
+``tags`` (``verifiable.build_auth_trie``) is the authenticated trie, with a
+tag per entry and per gap between entries.
 
 Requests put the exact word's trapdoor first; a search that matches it
 returns only that entry's records (the exact hit short-circuits the fuzzy
@@ -69,6 +70,7 @@ class ListingIndex(Index):
     kind = "listing"
 
 
+@dataclass
 class TrieIndex(Index):
     """Each trapdoor filed root-to-leaf as ``depth`` n-bit symbols, records at the leaf.
 
@@ -76,7 +78,11 @@ class TrieIndex(Index):
     as an integer) holds the leaves ``span(depth, prefix)`` and exists when that is not empty.
     """
 
-    kind = "trie"
+    tags: bytes = b""  # an authenticated trie's: TAG_BYTES per entry, then per gap, in ``ordered`` order
+
+    @property
+    def kind(self) -> str:
+        return "auth_trie" if self.tags else "trie"
 
     @property
     def depth(self) -> int:
@@ -172,8 +178,6 @@ build_trie_index = TrieIndex.build
 
 def make_request(word: str, k: int, km: KeyMaterial, method: str = "wildcard") -> SearchRequest:
     """Trapdoors for every variant of (word, k); exact word first, rest lexicographic."""
-    if k < 0:
-        raise BadParameter("edit bound must be >= 0")
     variants = fuzzy_set(word, k, method)
     ordered = [word] + [v for v in variants if v != word]
     return SearchRequest(trapdoors=tuple(trapdoor(km, v) for v in ordered), k=k)

@@ -54,7 +54,7 @@ from .crypto import RECORD_MIN_BYTES, SECURITY_BITS, KeyMaterial, check_geometry
 from .errors import AuthFailure, BadMagic, BadParameter, Truncated, VersionUnsupported
 from .index import ListingIndex, TrieIndex
 from .multiuser import UserDirectory, user_id_bytes
-from .verifiable import AuthTrieIndex, TAG_BYTES
+from .verifiable import TAG_BYTES
 
 KEY_MAGIC = b"FZKY"
 INDEX_MAGIC = b"FZIX"
@@ -66,7 +66,6 @@ FLAG_TRIE = 0x01
 FLAG_VERIFIABLE = 0x02
 FLAG_GRAM = 0x04
 KIND_FLAGS = {"listing": 0, "trie": FLAG_TRIE, "auth_trie": FLAG_TRIE | FLAG_VERIFIABLE}
-KIND_CLASSES = {KIND_FLAGS[cls.kind]: cls for cls in (ListingIndex, TrieIndex, AuthTrieIndex)}
 
 
 class _Reader:
@@ -284,13 +283,13 @@ def loads_index(data: bytes):
     count = r.u64()
     table, exact, pos = _read_entries(data, r.pos, count, trapdoor_bits // 8)
     method = "gram" if flags & FLAG_GRAM else "wildcard"
-    index = KIND_CLASSES[flags & ~FLAG_GRAM](table, trapdoor_bits, symbol_bits, d, method, exact)
-    tags_len = (2 * len(table) + 1) * TAG_BYTES if index.kind == "auth_trie" else 0
+    tags_len = (2 * len(table) + 1) * TAG_BYTES if flags & FLAG_VERIFIABLE else 0
     if len(data) - pos != tags_len:
-        raise Truncated(f"{len(data) - pos} bytes follow the {index.kind} entries, not {tags_len}")
-    if tags_len:
-        index.tags = data[pos:]
-    return index
+        kind = next(kind for kind, bits in KIND_FLAGS.items() if bits == flags & ~FLAG_GRAM)
+        raise Truncated(f"{len(data) - pos} bytes follow the {kind} entries, not {tags_len}")
+    if flags & FLAG_TRIE:
+        return TrieIndex(table, trapdoor_bits, symbol_bits, d, method, exact, data[pos:])
+    return ListingIndex(table, trapdoor_bits, symbol_bits, d, method, exact)
 
 
 def save_index(index, path: str) -> None:

@@ -1,7 +1,7 @@
 """Verifiable search: an authenticated trie, per-trapdoor proofs, and Verify.
 
-The authenticated trie is the trie over the same entry map plus one byte
-string of tags, keyed by ``sk0`` (the record key).  Over the sorted entries
+The authenticated trie is a ``TrieIndex`` that also holds one byte string of
+tags, keyed by ``sk0`` (the record key).  Over the sorted entries
 ``t_0 < ... < t_{n-1}`` the owner keys
 
 * a leaf tag per entry, ``PRF(sk0, "L:" || t_i || exact_flag_i ||
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from hashlib import sha256
 
 from .crypto import KeyMaterial, prf_bytes, record_digest
-from .errors import Truncated
-from .index import ResultSet, SearchRequest, TrieIndex, search_listing
+from .errors import BadParameter, Truncated
+from .index import ResultSet, SearchRequest, TrieIndex, build_trie_index, search_listing
 
 TAG_BYTES = 32
 # The first byte of every proof encoding.  A v1 proof started with its
@@ -66,26 +66,6 @@ def gap_tag(record_key: bytes, left: bytes, right: bytes) -> bytes:
     return prf_bytes(record_key, b"".join((b"G:", _BYTE[len(left)], _BYTE[len(right)], left, right)), TAG_BYTES)
 
 
-@dataclass
-class AuthTrieIndex(TrieIndex):
-    """The trie plus ``tags``: a leaf tag per entry, then a gap tag per gap."""
-
-    kind = "auth_trie"
-    tags: bytes = b""  # TAG_BYTES per entry, then per gap, in ``ordered`` order
-
-    @classmethod
-    def build(cls, corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"):
-        """Trie build plus a leaf tag per entry and a gap tag per gap."""
-        index = super().build(corpus, d, km, method)
-        key, table, exact, keys = km.record_key, index.table, index.exact, index.ordered
-        ends = [b"", *keys, b""]
-        index.tags = b"".join(
-            [leaf_tag(key, t, t in exact, record_digest(table[t])) for t in keys]
-            + [gap_tag(key, left, right) for left, right in zip(ends, ends[1:])]
-        )
-        return index
-
-
 class VerdictReason(enum.Enum):
     OK = "Ok"
     COUNT_MISMATCH = "CountMismatch"
@@ -102,18 +82,32 @@ class Verdict:
     failing_index: int | None = None
 
 
-build_auth_trie = AuthTrieIndex.build
+def build_auth_trie(
+    corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"
+) -> TrieIndex:
+    """The trie build plus its ``tags``: a leaf tag per entry, then a gap tag per gap."""
+    index = build_trie_index(corpus, d, km, method)
+    key, table, exact, keys = km.record_key, index.table, index.exact, index.ordered
+    ends = [b"", *keys, b""]
+    index.tags = b"".join(
+        [leaf_tag(key, t, t in exact, record_digest(table[t])) for t in keys]
+        + [gap_tag(key, left, right) for left, right in zip(ends, ends[1:])]
+    )
+    return index
 
 
-def search_with_proof(index: AuthTrieIndex, req: SearchRequest) -> tuple[ResultSet, list[bytes]]:
+def search_with_proof(index: TrieIndex, req: SearchRequest) -> tuple[ResultSet, list[bytes]]:
     """Search plus one proof per trapdoor, each its encoding.
 
-    The record list short-circuits on an exact hit exactly like the plain
-    search, but proofs are still produced for every trapdoor — the
-    verifier's first check is that none went missing.  One bisect places
+    Only an authenticated trie has the tags to prove with; any other index
+    raises ``BadParameter``.  The record list short-circuits on an exact hit
+    exactly like the plain search, but proofs are still produced for every
+    trapdoor — the verifier's first check is that none went missing.  One bisect places
     each trapdoor among the sorted entries: at an entry it is a hit,
     otherwise it lies in the gap before position ``pos``.
     """
+    if index.kind != "auth_trie":
+        raise BadParameter(f"a {index.kind} index holds no tags to prove with")
     result = search_listing(index, req)
     ordered, tags, table, exact = index.ordered, index.tags, index.table, index.exact
     size, proofs = len(ordered), []

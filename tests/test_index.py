@@ -108,6 +108,19 @@ class TestBuild:
             assert len(path) == trie.depth and leaf.depth == trie.depth
             assert leaf.records and not leaf.children
 
+    def test_record_length_reveals_the_keyword_length(self, km):
+        """A documented leak: every record is 29 + len(fid) + len(keyword)
+        bytes (a 12-byte nonce, a 16-byte tag and the fid's length byte)."""
+        castle = build_listing_index({"castle": [b"doc-1"]}, 1, km)
+        assert {len(record) for records in castle.table.values() for record in records} == {40}
+        rng = random.Random(89)
+        corpus = {random_word(rng, 1, 12): [rng.randbytes(rng.randint(1, 64)) for _ in range(2)] for _ in range(60)}
+        for records in build_listing_index(corpus, 1, km).table.values():
+            for record in records:
+                fid, keyword = decrypt_record(km, record)
+                assert fid in corpus[keyword]
+                assert len(record) == 29 + len(fid) + len(keyword)
+
     def test_builds_are_deterministic(self, km):
         rng = random.Random(97)
         corpus = random_corpus(rng, size=30)
@@ -240,6 +253,21 @@ class TestRequest:
         req = make_request("cat", 1, km, method="gram")
         assert len(req.trapdoors) == 4
         assert req.trapdoors[0] == trapdoor(km, "cat")
+
+    @pytest.mark.parametrize("method", ["wildcard", "gram"])
+    def test_negative_edit_bound_rejected(self, km, method):
+        with pytest.raises(BadParameter, match="edit bound must be >= 0"):
+            make_request("castle", -1, km, method)
+
+    def test_request_length_reveals_the_query_length(self, km):
+        """A documented leak: a wildcard request at k = 1 holds exactly 2l + 2
+        trapdoors for a query of l letters, and a gram request at most l + 1."""
+        sizes = [len(make_request(w, 1, km, m).trapdoors) for w in ("castle", "aaa") for m in ("wildcard", "gram")]
+        assert sizes == [14, 7, 8, 2]
+        rng = random.Random(83)
+        for word in [random_word(rng, 2, 12) for _ in range(100)]:
+            assert len(make_request(word, 1, km).trapdoors) == 2 * len(word) + 2
+            assert len(make_request(word, 1, km, "gram").trapdoors) <= len(word) + 1
 
 
 class TestSearch:
@@ -495,6 +523,15 @@ def test_entry_order_flags_and_counts_are_checked(small_files, kind):
     for count in (len(entries) - 1, len(entries) + 1):
         with pytest.raises(FzError if kind == "auth" else Truncated):
             loads_index(_join_fzix(header, entries, sections, count))
+
+
+@pytest.mark.parametrize("kind", ["listing", "trie"])
+def test_bytes_after_untagged_entries_name_the_kind(small_files, kind):
+    blob = small_files[kind, "wildcard"]
+    assert _split_fzix(blob)[2] == b""
+    for extra in (b"\x00", bytes(TAG_BYTES), bytes(3 * TAG_BYTES)):
+        with pytest.raises(Truncated, match=f"{len(extra)} bytes follow the {kind} entries, not 0"):
+            loads_index(blob + extra)
 
 
 def test_auth_sections_must_be_exact(small_files, km):

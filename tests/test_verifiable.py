@@ -7,12 +7,16 @@ import pytest
 
 from conftest import fields, hit, miss, mutate, random_corpus
 from fzsearch import (
+    BadParameter,
     EditBoundExceeded,
     ResultSet,
     SearchRequest,
+    TrieIndex,
     Verdict,
     VerdictReason,
     build_auth_trie,
+    build_listing_index,
+    build_trie_index,
     decrypt_record,
     make_request,
     search_trie,
@@ -112,6 +116,15 @@ def _hidden(result: ResultSet, proofs, victim: int) -> ResultSet:
 
 class TestChain:
     """The gap tags chain each sorted entry to the next; the leaf tags bind each entry."""
+
+    def test_the_authenticated_trie_is_a_trie_with_tags(self, km, small_world):
+        corpus, built = small_world
+        plain = build_trie_index(corpus, 1, km)
+        for index in (built, loads_index(dumps_index(built))):
+            assert type(index) is TrieIndex and index.kind == "auth_trie"
+            assert index == TrieIndex(plain.table, 160, 4, 1, "wildcard", plain.exact, built.tags)
+        assert plain.tags == b"" and plain.kind == "trie"
+        assert type(loads_index(dumps_index(plain))) is TrieIndex
 
     def test_tags_recomputable_from_entries(self, km, small_world):
         _, built = small_world
@@ -214,6 +227,12 @@ class TestSearchWithProof:
         (proof,) = proofs
         assert proof[:2] == b"\xff\x01" and len(proof) == 2 + 2 * TAG_BYTES
         assert fields(proof)["digest"] == record_digest(index.table[req.trapdoors[0]])
+
+    def test_an_index_without_tags_has_no_proofs(self, km):
+        corpus, req = {"castle": [b"F1"]}, make_request("castle", 1, km)
+        for build in (build_listing_index, build_trie_index):
+            with pytest.raises(BadParameter, match="no tags"):
+                search_with_proof(build(corpus, 1, km), req)
 
     def test_edit_bound(self, km, small_world):
         _, index = small_world
@@ -325,6 +344,15 @@ class TestVerify:
         assert verify(req, forged, proofs, km) == Verdict(True, VerdictReason.OK)
         with pytest.raises(AuthFailure):
             decrypt_record(km, merged)
+
+    def test_rollback_to_an_older_build_is_the_documented_gap(self, km):
+        """The tags bind no build, so a server answering from an older build
+        under the same keys passes ``verify``: here it hides a file added since."""
+        req = make_request("castle", 1, km)
+        current, _ = search_with_proof(build_auth_trie({"castle": [b"F1", b"F2"]}, 1, km), req)
+        stale, proofs = search_with_proof(build_auth_trie({"castle": [b"F1"]}, 1, km), req)
+        assert len(current.records) == 2 and len(stale.records) == 1
+        assert verify(req, stale, proofs, km) == Verdict(True, VerdictReason.OK)
 
     def test_malformed_shapes(self, km, small_world):
         corpus, index = small_world
