@@ -12,10 +12,15 @@ multi-user setting.
 Every PRF for trapdoors, record nonces, proof tags and key derivation is
 ``prf_bytes``: one RFC 2104 HMAC-SHA256 block, so at most 32 bytes, computed
 from the inner and outer hash states left after absorbing the padded key.
-Those states are cached per key, so they hold key material in process
-memory for as long as the process lives, unless the bounded cache evicts
-them.  The AES-GCM record cipher is cached per key the same way, and the
-AES-ECB encryptor of the blinding permutation per key and thread.
+``prf_many`` is the batch form of the same kernel: a list of messages under
+one key, with one lookup of those states.  ``trapdoors`` (the owner's build
+and ``make_request``), ``encrypt_records`` (the build's record nonces) and the
+authenticated trie's tags take that form; ``trapdoor`` and ``encrypt_record``
+are the one-item forms of the first two.  The pad states are cached per key,
+so they hold key material in process memory for as long as the process
+lives, unless the bounded cache evicts them.  The AES-GCM record cipher is
+cached per key the same way, and the AES-ECB encryptor of the blinding
+permutation per key and thread.
 
 The blinding permutation ``prp`` is a 4-round Luby-Rackoff Feistel network
 over the two halves of a trapdoor, the shape of NIST SP 800-38G FF1 with
@@ -36,7 +41,7 @@ import hashlib
 import secrets
 import struct
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
@@ -89,6 +94,22 @@ def prf_bytes(key: bytes, msg: bytes, n: int) -> bytes:
     o = outer.copy()
     o.update(h.digest())
     return o.digest()[:n]
+
+
+def prf_many(key: bytes, msgs: Iterable[bytes], n: int) -> list[bytes]:
+    """``[prf_bytes(key, m, n) for m in msgs]``, byte for byte, from one pad lookup."""
+    if not 0 < n <= 32:
+        raise BadParameter(f"prf_many gives 1..32 bytes, not {n}")
+    inner, outer = _hmac_pads(key)
+    inner_copy, outer_copy = inner.copy, outer.copy
+    out = []
+    for msg in msgs:
+        h = inner_copy()
+        h.update(msg + _COUNTER)
+        o = outer_copy()
+        o.update(h.digest())
+        out.append(o.digest()[:n])
+    return out
 
 
 @dataclass(frozen=True)
@@ -160,7 +181,12 @@ def keygen(
 
 def trapdoor(km: KeyMaterial, variant: str) -> bytes:
     """Keyed digest of a keyword variant, exactly ``trapdoor_bits`` long."""
-    return prf_bytes(km.trapdoor_key, b"T:" + variant.encode("ascii"), km.trapdoor_bytes)
+    return trapdoors(km, (variant,))[0]
+
+
+def trapdoors(km: KeyMaterial, variants: Iterable[str]) -> list[bytes]:
+    """``trapdoor`` of each variant, in order, from one ``prf_many`` call."""
+    return prf_many(km.trapdoor_key, [b"T:" + v.encode("ascii") for v in variants], km.trapdoor_bytes)
 
 
 @functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
@@ -175,12 +201,29 @@ def encrypt_record(km: KeyMaterial, fid: bytes, keyword: str, variant: str) -> b
     The nonce is the PRF of (variant, keyword, fid) under the record key, so it
     is unique per record of an index and two builds give identical bytes.
     """
-    if not fid or len(fid) > MAX_FID_BYTES:
-        raise BadParameter(f"fid must be 1..{MAX_FID_BYTES} bytes")
-    word = keyword.encode("ascii")
-    msg = b"N:" + variant.encode("ascii") + b"\x00" + word + b"\x00" + fid
-    nonce = prf_bytes(km.record_key, msg, NONCE_BYTES)
-    return nonce + _record_cipher(km.record_key).encrypt(nonce, bytes([len(fid)]) + fid + word, None)
+    return encrypt_records(km, [(keyword, (variant,), (fid,))])[0]
+
+
+def encrypt_records(km: KeyMaterial, groups: Iterable[tuple[str, Sequence[str], Sequence[bytes]]]) -> list[bytes]:
+    """``encrypt_record`` of every record of each ``(keyword, variants, fids)`` group:
+    group by group, variant by variant, one record per fid.
+
+    A keyword and its fids are encoded once per group, every nonce comes from
+    one ``prf_many`` call, and one bound AES-GCM ``encrypt`` seals every record.
+    """
+    msgs: list[bytes] = []
+    plains: list[bytes] = []
+    for keyword, variants, fids in groups:
+        for fid in fids:
+            if not fid or len(fid) > MAX_FID_BYTES:
+                raise BadParameter(f"fid must be 1..{MAX_FID_BYTES} bytes")
+        word = keyword.encode("ascii")
+        tails = [b"\x00" + word + b"\x00" + fid for fid in fids]
+        msgs += [b"N:" + v.encode("ascii") + tail for v in variants for tail in tails]
+        plains += [bytes([len(fid)]) + fid + word for fid in fids] * len(variants)
+    nonces = prf_many(km.record_key, msgs, NONCE_BYTES)
+    seal = _record_cipher(km.record_key).encrypt
+    return [nonce + seal(nonce, plain, None) for nonce, plain in zip(nonces, plains)]
 
 
 def decrypt_record(km: KeyMaterial, blob: bytes) -> tuple[bytes, str]:

@@ -52,6 +52,39 @@ def edit_distance(a: str, b: str) -> int:
     return prev[-1]
 
 
+def within_edits(a: str, b: str, k: int) -> bool:
+    """``edit_distance(a, b) <= k``, stopping as soon as the answer is known.
+
+    The common prefix and suffix are cut off first.  Then only the cells within
+    ``k`` of the main diagonal are computed (a cell off that band is more than
+    ``k`` anyway, so it counts as ``k + 1``), and the check stops at the first
+    row whose every cell exceeds ``k``: no later row can come back under it.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if k < 0 or len(a) - len(b) > k:
+        return False
+    lo, n, m = 0, len(a), len(b)
+    while lo < m and a[lo] == b[lo]:
+        lo += 1
+    while m > lo and a[n - 1] == b[m - 1]:
+        n, m = n - 1, m - 1
+    a, b = a[lo:n], b[lo:m]
+    if not b:
+        return len(a) <= k
+    over, width = k + 1, len(b)
+    prev = [min(j, over) for j in range(width + 1)]
+    for i, ca in enumerate(a, start=1):
+        cur = [over] * (width + 1)
+        cur[0] = min(i, over)
+        for j in range(max(1, i - k), min(width, i + k) + 1):
+            cur[j] = min(prev[j - 1] + (ca != b[j - 1]), prev[j] + 1, cur[j - 1] + 1)
+        if min(cur) > k:
+            return False
+        prev = cur
+    return prev[width] <= k
+
+
 def _expand_once(text: str) -> set[str]:
     # One edit level: the string itself, '*' written over each position
     # (covers substitution and deletion at that spot), and '*' inserted into

@@ -20,11 +20,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import ClassVar
 
-from .crypto import KeyMaterial, decrypt_record, encrypt_record, trapdoor
+from .crypto import KeyMaterial, decrypt_record, encrypt_records, trapdoors
 from .errors import BadParameter, EditBoundExceeded
-from .fuzzyset import edit_distance, fuzzy_set
+from .fuzzyset import fuzzy_set, within_edits
 
 
 def symbolize(t: bytes, n: int) -> tuple[int, ...]:
@@ -148,28 +149,41 @@ def build_entries(
 ) -> tuple[dict[bytes, tuple[bytes, ...]], set[bytes]]:
     """Trapdoor -> records map shared by every index kind.
 
-    Keywords are processed in sorted order and every (entry, keyword, fid)
-    triple is encrypted with a nonce derived from those inputs, so two builds
-    from the same corpus and keys produce identical bytes.  A variant shared
-    by several keywords accumulates all their records under one trapdoor.
+    The whole corpus is keyed in one pass: one ``trapdoors`` call derives every
+    keyword variant's trapdoor, and one ``encrypt_records`` call every (variant,
+    fid) record, so each key's HMAC pad states are looked up once per build and
+    no Python call is made per record.  The bytes are those of ``trapdoor`` and
+    ``encrypt_record`` per variant and record.  Keywords are processed in sorted
+    order and every nonce is derived from its (variant, keyword, fid), so two
+    builds from the same corpus and keys produce identical bytes.  A variant
+    shared by several keywords accumulates all their records under one
+    trapdoor, in keyword order; they are joined once, at the end, so the work
+    stays linear.
 
     Also returns the set of canonical trapdoors (each keyword's own zero-edit
     variant); only those entries terminate a search as an exact hit.
     """
-    entries: dict[bytes, list[bytes]] = {}
-    exact: set[bytes] = set()
+    groups = []  # (keyword, its variants, its distinct fids), in keyword order
     for keyword in sorted(corpus):
         fids = list(dict.fromkeys(corpus[keyword]))
-        if not fids:
-            continue  # nothing to find: an entry without records is never a hit
-        for variant in fuzzy_set(keyword, d, method):
-            t = trapdoor(km, variant)
+        if fids:  # nothing to find otherwise: an entry without records is never a hit
+            groups.append((keyword, fuzzy_set(keyword, d, method), fids))
+    keyed = iter(trapdoors(km, [v for _, variants, _ in groups for v in variants]))
+    records = iter(encrypt_records(km, groups))
+    entries: dict[bytes, tuple[bytes, ...]] = {}
+    shared: dict[bytes, list[tuple[bytes, ...]]] = {}  # a trapdoor met again: its keywords' records, in order
+    exact: set[bytes] = set()
+    for keyword, variants, fids in groups:
+        # ``own``: the next len(fids) records, this variant's; zip stops at the last variant
+        for variant, t, own in zip(variants, keyed, zip(*[records] * len(fids))):
             if variant == keyword:  # every construction keeps the keyword itself
                 exact.add(t)
-            bucket = entries.setdefault(t, [])
-            for fid in fids:
-                bucket.append(encrypt_record(km, fid, keyword, variant))
-    return {t: tuple(records) for t, records in entries.items()}, exact
+            first = entries.setdefault(t, own)
+            if first is not own:
+                shared.setdefault(t, [first]).append(own)
+    for t, parts in shared.items():
+        entries[t] = tuple(chain.from_iterable(parts))
+    return entries, exact
 
 
 build_listing_index = ListingIndex.build
@@ -180,7 +194,7 @@ def make_request(word: str, k: int, km: KeyMaterial, method: str = "wildcard") -
     """Trapdoors for every variant of (word, k); exact word first, rest lexicographic."""
     variants = fuzzy_set(word, k, method)
     ordered = [word] + [v for v in variants if v != word]
-    return SearchRequest(trapdoors=tuple(trapdoor(km, v) for v in ordered), k=k)
+    return SearchRequest(trapdoors=tuple(trapdoors(km, ordered)), k=k)
 
 
 def decrypt_matches(km: KeyMaterial, word: str, k: int, result: ResultSet) -> list[tuple[bytes, str]]:
@@ -191,7 +205,7 @@ def decrypt_matches(km: KeyMaterial, word: str, k: int, result: ResultSet) -> li
     returns keywords more than ``k`` edits away; those are the ones dropped.
     """
     found = [decrypt_record(km, rec) for rec in result.records]
-    return [(fid, keyword) for fid, keyword in found if edit_distance(word, keyword) <= k]
+    return [(fid, keyword) for fid, keyword in found if within_edits(word, keyword, k)]
 
 
 def walk_trie(root: NodeView, symbols: tuple[int, ...]) -> NodeView | None:

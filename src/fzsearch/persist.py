@@ -209,6 +209,9 @@ def dumps_index(index) -> bytes:
             append(len(blob).to_bytes(4, "big"))
             append(blob)
     if index.kind == "auth_trie":
+        tags_len = (2 * len(index.table) + 1) * TAG_BYTES
+        if len(index.tags) != tags_len:
+            raise BadParameter(f"{len(index.tags)} bytes of tags for {len(index.table)} entries, not {tags_len}")
         parts.append(index.tags)
     return b"".join(parts)
 

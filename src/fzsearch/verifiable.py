@@ -43,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from hashlib import sha256
 
-from .crypto import KeyMaterial, prf_bytes, record_digest
+from .crypto import KeyMaterial, prf_bytes, prf_many, record_digest
 from .errors import BadParameter, Truncated
 from .index import ResultSet, SearchRequest, TrieIndex, build_trie_index, search_listing
 
@@ -58,12 +58,20 @@ _MISS_HEAD = bytes([PROOF_TYPE, _MISS])
 _BYTE = tuple(bytes([i]) for i in range(256))  # a lookup is cheaper than bytes([i]) on the hot paths
 
 
+def _leaf_msg(t: bytes, flag: int, digest: bytes) -> bytes:
+    return b"".join((b"L:", t, _BYTE[flag], digest))
+
+
+def _gap_msg(left: bytes, right: bytes) -> bytes:
+    return b"".join((b"G:", _BYTE[len(left)], _BYTE[len(right)], left, right))
+
+
 def leaf_tag(record_key: bytes, t: bytes, flag: int, digest: bytes) -> bytes:
-    return prf_bytes(record_key, b"".join((b"L:", t, _BYTE[flag], digest)), TAG_BYTES)
+    return prf_bytes(record_key, _leaf_msg(t, flag, digest), TAG_BYTES)
 
 
 def gap_tag(record_key: bytes, left: bytes, right: bytes) -> bytes:
-    return prf_bytes(record_key, b"".join((b"G:", _BYTE[len(left)], _BYTE[len(right)], left, right)), TAG_BYTES)
+    return prf_bytes(record_key, _gap_msg(left, right), TAG_BYTES)
 
 
 class VerdictReason(enum.Enum):
@@ -85,14 +93,17 @@ class Verdict:
 def build_auth_trie(
     corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"
 ) -> TrieIndex:
-    """The trie build plus its ``tags``: a leaf tag per entry, then a gap tag per gap."""
+    """The trie build plus its ``tags``: a leaf tag per entry, then a gap tag per gap.
+
+    Every tag comes from one ``prf_many`` call, byte for byte ``leaf_tag`` and
+    ``gap_tag``.
+    """
     index = build_trie_index(corpus, d, km, method)
-    key, table, exact, keys = km.record_key, index.table, index.exact, index.ordered
+    table, exact, keys = index.table, index.exact, index.ordered
     ends = [b"", *keys, b""]
-    index.tags = b"".join(
-        [leaf_tag(key, t, t in exact, record_digest(table[t])) for t in keys]
-        + [gap_tag(key, left, right) for left, right in zip(ends, ends[1:])]
-    )
+    msgs = [_leaf_msg(t, t in exact, record_digest(table[t])) for t in keys]
+    msgs += [_gap_msg(left, right) for left, right in zip(ends, ends[1:])]
+    index.tags = b"".join(prf_many(km.record_key, msgs, TAG_BYTES))
     return index
 
 

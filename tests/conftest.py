@@ -5,7 +5,10 @@ import time
 
 import pytest
 
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 from fzsearch import BadParameter, DegenerateWord, FzError, fuzzy_set, keygen
+from fzsearch.crypto import prf_bytes
 from fzsearch.persist import save_keys
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -160,6 +163,31 @@ def fields(proof: bytes) -> dict:
     mid = 3 + proof[2]
     end = mid + 1 + proof[mid]
     return {"left": proof[3:mid], "right": proof[mid + 1 : end], "tag": proof[end:]}
+
+
+def reference_build_entries(corpus: dict[str, list[bytes]], d: int, km, method: str = "wildcard"):
+    """The owner's build one PRF per trapdoor and per nonce and one AES-GCM call per
+    record, with the trapdoor and record layouts spelled out: the oracle the one-pass
+    ``index.build_entries`` is held to."""
+    entries: dict[bytes, list[bytes]] = {}
+    exact: set[bytes] = set()
+    cipher = AESGCM(km.record_key)
+    for keyword in sorted(corpus):
+        fids = list(dict.fromkeys(corpus[keyword]))
+        if not fids:
+            continue
+        word = keyword.encode("ascii")
+        for variant in fuzzy_set(keyword, d, method):
+            t = prf_bytes(km.trapdoor_key, b"T:" + variant.encode("ascii"), km.trapdoor_bytes)
+            if variant == keyword:
+                exact.add(t)
+            bucket = entries.setdefault(t, [])
+            for fid in fids:
+                if not fid or len(fid) > 64:
+                    raise BadParameter("fid must be 1..64 bytes")
+                nonce = prf_bytes(km.record_key, b"N:" + variant.encode("ascii") + b"\x00" + word + b"\x00" + fid, 12)
+                bucket.append(nonce + cipher.encrypt(nonce, bytes([len(fid)]) + fid + word, None))
+    return {t: tuple(records) for t, records in entries.items()}, exact
 
 
 def reference_parse_trapdoors(width: int, raw) -> tuple[bytes, ...] | None:

@@ -19,7 +19,7 @@ from fzsearch import (
     wildcard_fuzzy_set,
 )
 from fzsearch.cli import derive_user_key
-from fzsearch.crypto import prf_bytes
+from fzsearch.crypto import prf_bytes, prf_many
 from fzsearch.verifiable import gap_tag, leaf_tag
 
 
@@ -216,6 +216,26 @@ def test_prf_bytes_refuses_more_than_one_block(n):
 def _hmac_reference(key: bytes, msg: bytes, n: int) -> bytes:
     """The first block of HMAC-SHA256 in counter mode (counter 0), cut to ``n`` bytes."""
     return hmac.new(key, msg + bytes(4), "sha256").digest()[:n]
+
+
+@pytest.mark.parametrize("key_len", [0, 1, 16, 63, 64, 65, 200])
+def test_prf_many_is_the_reference_per_message(key_len):
+    rng = random.Random(f"prf_many/{key_len}")
+    key = rng.randbytes(key_len)
+    for n in range(1, 33):
+        assert prf_many(key, [], n) == []
+        msg = rng.randbytes(rng.randrange(80))
+        assert prf_many(key, [msg], n) == [_hmac_reference(key, msg, n)]
+        msgs = [rng.randbytes(rng.randrange(130)) for _ in range(rng.randrange(2, 12))] + [b""]
+        assert prf_many(key, iter(msgs), n) == [_hmac_reference(key, m, n) for m in msgs]
+
+
+@pytest.mark.parametrize("n", [0, 33, -1, 64])
+def test_prf_many_refuses_more_than_one_block(n):
+    with pytest.raises(BadParameter):
+        prf_many(b"k", [b"m"], n)
+    with pytest.raises(BadParameter):
+        prf_many(b"k", [], n)
 
 
 def _prp_reference(key: bytes, block: bytes, direction: str) -> bytes:

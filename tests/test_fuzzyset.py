@@ -20,7 +20,7 @@ from fzsearch import (
     normalize_keyword,
     wildcard_fuzzy_set,
 )
-from fzsearch.fuzzyset import fuzzy_set
+from fzsearch.fuzzyset import fuzzy_set, within_edits
 
 
 class TestNormalize:
@@ -69,6 +69,24 @@ class TestEditDistance:
             a = random_word(rng, 0, 7) if rng.random() < 0.9 else ""
             b = random_word(rng, 0, 7)
             assert edit_distance(a, b) == reference_edit_distance(a, b)
+
+    @pytest.mark.parametrize("a,b,expected", EDIT_CASES)
+    def test_within_edits_on_frozen_cases(self, a, b, expected):
+        for k in range(-1, expected + 2):
+            assert within_edits(a, b, k) == within_edits(b, a, k) == (expected <= k), k
+
+    def test_within_edits_is_the_distance_bound_on_random_pairs(self):
+        """Near pairs (a few edits apart, over few letters) as well as far ones."""
+        rng = random.Random(29)
+        for _ in range(3000):
+            a = "".join(rng.choice("abc") for _ in range(rng.randint(0, 9)))
+            b = a
+            for _ in range(rng.randint(0, 4)):
+                b = mutate(b, rng) if b else rng.choice("abc")
+            if rng.random() < 0.2:
+                b = random_word(rng, 0, 9)
+            for k in range(4):
+                assert within_edits(a, b, k) == (edit_distance(a, b) <= k), (a, b, k)
 
     def test_zero_iff_equal(self):
         rng = random.Random(5)

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import random
 from pathlib import Path
 
 import pytest
 
-from conftest import enumeration_fuzzy_set, mutate, random_corpus, random_word
+from conftest import enumeration_fuzzy_set, mutate, random_corpus, random_word, reference_build_entries
 from fzsearch import (
     AuthFailure,
     BadParameter,
@@ -20,6 +21,7 @@ from fzsearch import (
     decrypt_matches,
     decrypt_record,
     edit_distance,
+    fuzzy_set,
     keygen,
     make_request,
     search_listing,
@@ -29,8 +31,8 @@ from fzsearch import (
     trapdoor,
     wildcard_fuzzy_set,
 )
-from fzsearch.crypto import check_geometry
-from fzsearch.index import walk_trie
+from fzsearch.crypto import _hmac_pads, check_geometry
+from fzsearch.index import build_entries, walk_trie
 from fzsearch.persist import dumps_directory, dumps_index, dumps_keys, loads_index
 from fzsearch.verifiable import TAG_BYTES, encode_proof
 
@@ -121,12 +123,54 @@ class TestBuild:
                 assert fid in corpus[keyword]
                 assert len(record) == 29 + len(fid) + len(keyword)
 
+    @pytest.mark.parametrize("method", ["wildcard", "gram"])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_one_pass_build_equals_the_per_record_oracle(self, km, method, d):
+        rng = random.Random(f"one-pass/{method}/{d}")
+        for _ in range(3):
+            corpus = _shared_corpus(rng)
+            built = build_entries(corpus, d, km, method)
+            assert built == reference_build_entries(corpus, d, km, method)
+            if d:  # some keywords share a variant's entry
+                assert len(built[0]) < sum(len(fuzzy_set(word, d, method)) for word, fids in corpus.items() if fids)
+
+    @pytest.mark.parametrize("fids", [[b""], [b"F1", bytes(65)], [b"F1", b"F1", b""]])
+    def test_a_bad_fid_is_a_parameter_error(self, km, fids):
+        for build in (build_listing_index, build_trie_index, build_auth_trie):
+            with pytest.raises(BadParameter, match="fid must be 1..64 bytes"):
+                build({"cat": [b"F0"], "dog": fids}, 1, km)
+
+    def test_one_pad_lookup_per_key_per_build(self, km):
+        """A build looks up the HMAC pad states once per key, and the tags once
+        more: a build that keys each trapdoor, nonce or tag on its own does one per PRF."""
+        rng = random.Random(113)
+        corpus = {word: [b"F1", b"F2", b"F3"] for word in random_corpus(rng, size=30)}
+        for build, extra in ((build_listing_index, 0), (build_trie_index, 0), (build_auth_trie, 1)):
+            before = _hmac_pads.cache_info()
+            index = build(corpus, 1, km)
+            after = _hmac_pads.cache_info()
+            lookups = after.hits + after.misses - before.hits - before.misses
+            assert lookups <= 2 + extra < len(corpus), build
+
     def test_builds_are_deterministic(self, km):
         rng = random.Random(97)
         corpus = random_corpus(rng, size=30)
         a = build_listing_index(corpus, 1, km)
         b = build_listing_index(corpus, 1, km)
         assert sorted(a.table.items()) == sorted(b.table.items())
+
+
+def _shared_corpus(rng: random.Random) -> dict[str, list[bytes]]:
+    """Keywords of 3-7 letters over four letters, so that many share variants,
+    each with 0-3 fids drawn from a pool of six, so that fids repeat; one keyword
+    has no fids, one holds the same fid twice and shares variants with the next."""
+    pool = [rng.randbytes(rng.randint(1, 64)) for _ in range(6)]
+    corpus = {
+        "".join(rng.choice("abcd") for _ in range(rng.randint(3, 7))): [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        for _ in range(20)
+    }
+    corpus["dcba"], corpus["abcab"], corpus["abcbb"] = [], [pool[0], pool[1], pool[0]], [pool[2]]
+    return corpus
 
 
 def _prefix_map(index) -> dict[tuple[int, ...], set[int]]:
@@ -546,6 +590,14 @@ def test_auth_sections_must_be_exact(small_files, km):
                 leaves + gaps[:-TAG_BYTES], leaves, gaps, b""):
         with pytest.raises(Truncated, match="follow the auth_trie entries"):
             loads_index(_join_fzix(header, entries, bad))
+
+
+def test_tags_of_the_wrong_length_are_not_written(small_files):
+    index = loads_index(small_files["auth", "wildcard"])
+    tags = index.tags
+    for bad in (tags[:-1], tags + b"\x00", tags[:-TAG_BYTES], tags + bytes(TAG_BYTES), tags[:TAG_BYTES]):
+        with pytest.raises(BadParameter, match=f"{len(bad)} bytes of tags for {len(index.table)} entries"):
+            dumps_index(dataclasses.replace(index, tags=bad))
 
 
 @pytest.mark.parametrize("kind", ["trie", "auth"])

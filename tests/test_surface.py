@@ -2,9 +2,11 @@
 
 A module-level function or class whose name starts with a letter must be
 referenced, as a ``Name`` or an ``Attribute`` node, somewhere in
-``src/fzsearch`` or ``perfbench/`` outside its own definition.  Imports,
-``__init__``'s re-exports and docstring mentions do not count, and neither
-do the tests: code that only the tests call belongs in the tests.
+``src/fzsearch`` or ``perfbench/`` outside its own definition, or named by
+perfbench's ``_wrapped(module, "name", wrapper)``, which patches a function
+by its name and fails when the module lacks it.  Imports, ``__init__``'s
+re-exports and docstring mentions do not count, and neither do the tests:
+code that only the tests call belongs in the tests.
 """
 
 import ast
@@ -24,6 +26,8 @@ def _referenced() -> set[str]:
                 name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
                 if name is not None and name != own:
                     names.add(name)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_wrapped":
+                    names.update(a.value for a in node.args if isinstance(a, ast.Constant) and isinstance(a.value, str))
     return names
 
 

@@ -26,7 +26,7 @@ from fzsearch import (
 from fzsearch.crypto import record_digest
 from fzsearch.errors import AuthFailure, Truncated
 from fzsearch.persist import dumps_index, loads_index
-from fzsearch.verifiable import TAG_BYTES, decode_proof, encode_proof, gap_tag
+from fzsearch.verifiable import TAG_BYTES, decode_proof, encode_proof, gap_tag, leaf_tag
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +131,18 @@ class TestChain:
         for index in (built, loads_index(dumps_index(built))):
             assert index.tags == _reference_tags(km.record_key, index)
             assert len(index.tags) == TAG_BYTES * (2 * len(index.table) + 1)
+
+    @pytest.mark.parametrize("method", ["wildcard", "gram"])
+    def test_tags_are_the_per_entry_leaf_and_gap_tags(self, km, method):
+        rng = random.Random(f"tags/{method}")
+        for d in (0, 1, 2):
+            corpus = {word: [b"F1", b"F2"][: rng.randint(0, 2)] for word in random_corpus(rng, size=25, lo=3, hi=6)}
+            index = build_auth_trie(corpus, d, km, method)
+            key, keys = km.record_key, index.ordered
+            ends = [b"", *keys, b""]
+            leaves = [leaf_tag(key, t, t in index.exact, record_digest(index.table[t])) for t in keys]
+            gaps = [gap_tag(key, left, right) for left, right in zip(ends, ends[1:])]
+            assert index.tags == b"".join(leaves + gaps)
 
     def test_empty_index_answers_verifiable_proofs(self, km):
         built = build_auth_trie({}, 1, km)
