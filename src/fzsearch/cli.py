@@ -54,11 +54,18 @@ def _keyfile(args) -> str:
     return path
 
 
-def _port(text: str) -> int:
-    """argparse type: a TCP port in 0..65535 (0 lets the OS pick one)."""
-    if not (text.isascii() and text.isdigit() and int(text) <= 65535):
-        raise argparse.ArgumentTypeError(f"port {text!r} is not in 0..65535")
-    return int(text)
+def _whole(what: str, top: int):
+    """An argparse type: a whole number in 0..``top``, named ``what`` in the error."""
+
+    def parse(text: str) -> int:
+        if not (text.isascii() and text.isdigit() and int(text) <= top):
+            raise argparse.ArgumentTypeError(f"{what} {text!r} is not in 0..{top}")
+        return int(text)
+
+    return parse
+
+
+_port = _whole("port", 65535)  # a TCP port (0 lets the OS pick one)
 
 
 def _server(text: str) -> tuple[str, int]:
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--method", default="wildcard", choices=("wildcard", "gram"))
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=_whole("edit bound", 255), default=1, help="edit bound (0..255)")
     p.add_argument("--kind", default="trie", choices=("listing", "trie", "auth"))
     p.set_defaults(func=_cmd_build)
 

@@ -4,7 +4,11 @@ The data owner hands each enrolled user the current blind key wrapped under
 that user's personal key.  Users blind every request trapdoor through the
 keyed permutation; the server unblinds with the same key before searching.
 Revoking a user rotates the blind key and re-wraps it for everyone left, so
-replayed old-epoch requests unblind to garbage trapdoors that hit nothing.
+requests blinded under the old key unblind to garbage trapdoors that hit
+nothing.  That locks out a revoked user only if they cannot get a remaining
+user's personal key.  The CLI derives every personal key from the record key
+in the shared key file, so a revoked user who keeps that file can derive one,
+unwrap the new blind key and search on.
 """
 
 from __future__ import annotations
@@ -70,9 +74,15 @@ class UserDirectory:
     wrapped: dict[str, bytes] = field(default_factory=dict)
     user_keys: dict[str, bytes] = field(default_factory=dict, repr=False)
 
+    def _check_blind_key(self) -> None:
+        if len(self.current_xi) not in (16, 24, 32):  # an AES key, as ``prp`` takes it
+            raise BadParameter(f"no blind key to wrap: {len(self.current_xi)} bytes, not 16, 24 or 32")
+
     def enroll(self, user_id: str, user_key: bytes) -> "UserDirectory":
-        """Wrap the current blind key for a new user; ``BadParameter`` for an id FZUD cannot store."""
+        """Wrap the current blind key for a new user; ``BadParameter`` for an id FZUD
+        cannot store or a directory without its blind key."""
         user_id_bytes(user_id)
+        self._check_blind_key()
         if user_id in self.wrapped:
             raise DuplicateUser(f"user {user_id!r} already enrolled")
         self.wrapped[user_id] = wrap_blind_key(user_key, user_id, self.current_xi)
@@ -82,8 +92,10 @@ class UserDirectory:
     def revoke(self, user_id: str) -> "UserDirectory":
         """Drop the user, rotate the blind key, re-wrap for everyone left.
 
-        Needs every remaining user's personal key in ``user_keys``, which a
-        loaded directory lacks; else raises ``BadParameter`` and changes nothing."""
+        Needs the blind key and every remaining user's personal key in
+        ``user_keys``, which a loaded directory lacks; else raises
+        ``BadParameter`` and changes nothing."""
+        self._check_blind_key()
         if user_id not in self.wrapped:
             raise UnknownUser(f"user {user_id!r} not enrolled")
         missing = [uid for uid in self.wrapped if uid != user_id and uid not in self.user_keys]

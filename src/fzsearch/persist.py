@@ -1,16 +1,19 @@
 """File formats: key files, index files, user directories.
 
-All integers are big-endian.  Layouts:
+All integers are big-endian.  Each header is one ``struct.Struct``, and
+``_header`` checks all three the same way.  Layouts:
 
 ``FZKY`` key file (version 1)
-    magic "FZKY", version byte, security bits (2, 128 or 256), trapdoor bits
-    (2), symbol bits (1), then trapdoor key, record key, blind key as 2-byte
-    length-prefixed strings of security/8 bytes.  Owner-readable only (0600).
+    Header ``KEY_HEAD`` (``>4sBHHB``, 10 bytes): magic "FZKY", version byte,
+    security bits (2, 128 or 256), trapdoor bits (2), symbol bits (1).
+    Then trapdoor key, record key, blind key as 2-byte length-prefixed
+    fields of security/8 bytes.  Owner-readable only (0600).
 
 ``FZIX`` index file (version 3)
-    Header (18 bytes): magic "FZIX", version byte, flags byte (bit0:
-    1=trie 0=listing, bit1: verifiable, bit2: 1=gram 0=wildcard), symbol
-    bits (1), trapdoor bits (2), d (1), entry count (8).
+    Header ``INDEX_HEAD`` (``>4sBBBHBQ``, 18 bytes): magic "FZIX", version
+    byte, flags byte (bit0: 1=trie 0=listing, bit1: verifiable, bit2:
+    1=gram 0=wildcard), symbol bits (1), trapdoor bits (2), d (1), entry
+    count (8).
     Body, the same for every kind: the entries in ascending trapdoor order,
     each trapdoor (trapdoor bits / 8) || entry flag (1, bit0 = exact
     keyword entry, other bits zero) || record count (2, at least 1) ||
@@ -28,10 +31,11 @@ All integers are big-endian.  Layouts:
     such an index.
 
 ``FZUD`` directory file (version 1)
-    magic "FZUD", version byte, epoch (8), entry count (4), then per entry
-    user id (2-byte length-prefixed UTF-8) || wrapped blob (2-byte
-    length-prefixed), in strictly ascending user id order; the reader
-    refuses any other order.  Personal keys are never written.
+    Header ``DIR_HEAD`` (``>4sBQI``, 17 bytes): magic "FZUD", version byte,
+    epoch (8), entry count (4).  Then per entry user id (2-byte
+    length-prefixed UTF-8) || wrapped blob (2-byte length-prefixed), in
+    strictly ascending user id order; the reader refuses any other order.
+    Personal keys are never written.
 
 Every ``save_*`` writes a temporary file in the target's directory, fsyncs
 it, renames it over the target and fsyncs the directory, so a crash leaves
@@ -45,7 +49,6 @@ key, and the revoked user would be gone, so a second ``revoke`` could not run.
 
 from __future__ import annotations
 
-import io
 import operator
 import os
 import struct
@@ -61,6 +64,9 @@ INDEX_MAGIC = b"FZIX"
 DIR_MAGIC = b"FZUD"
 INDEX_VERSION = 3  # FZIX
 VERSION = 1  # FZKY and FZUD
+KEY_HEAD = struct.Struct(">4sBHHB")
+INDEX_HEAD = struct.Struct(">4sBBBHBQ")
+DIR_HEAD = struct.Struct(">4sBQI")
 
 FLAG_TRIE = 0x01
 FLAG_VERIFIABLE = 0x02
@@ -68,78 +74,52 @@ FLAG_GRAM = 0x04
 KIND_FLAGS = {"listing": 0, "trie": FLAG_TRIE, "auth_trie": FLAG_TRIE | FLAG_VERIFIABLE}
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self._view = memoryview(data)
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self._view):
-            raise Truncated(f"need {n} bytes at offset {self.pos}")
-        chunk = bytes(self._view[self.pos : self.pos + n])
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
-
-    def done(self) -> bool:
-        return self.pos == len(self._view)
+def _header(data: bytes, head: struct.Struct, magic: bytes, version: int) -> tuple:
+    """The fields of ``head`` after the magic and version, checked in file order:
+    ``Truncated`` inside the magic, ``BadMagic``, ``VersionUnsupported``, then
+    ``Truncated`` inside the rest of the header."""
+    if len(data) >= 4 and data[:4] != magic:
+        raise BadMagic(f"expected {magic!r}, found {data[:4]!r}")
+    if len(data) >= 5 and data[4] != version:
+        raise VersionUnsupported(f"{magic.decode()} version {data[4]} not supported (expected {version})")
+    if len(data) < head.size:
+        raise Truncated(f"the {head.size}-byte {magic.decode()} header ends after {len(data)} bytes")
+    return head.unpack_from(data)[2:]
 
 
-def _check_header(r: _Reader, magic: bytes, version: int) -> None:
-    got = r.take(len(magic))
-    if got != magic:
-        raise BadMagic(f"expected {magic!r}, found {got!r}")
-    found = r.u8()
-    if found != version:
-        raise VersionUnsupported(f"{magic.decode()} version {found} not supported (expected {version})")
+def _field(value: bytes) -> bytes:
+    """A 2-byte length-prefixed field."""
+    return len(value).to_bytes(2, "big") + value
+
+
+def _fields(data: bytes, pos: int, count: int) -> list[bytes]:
+    """The ``count`` 2-byte length-prefixed fields that fill ``data`` from offset ``pos``."""
+    out = []
+    for i in range(count):
+        start = pos + 2
+        pos = start + int.from_bytes(data[pos:start], "big")
+        if pos > len(data):
+            raise Truncated(f"field {i} ends early")
+        out.append(data[start:pos])
+    if pos < len(data):
+        raise Truncated(f"{len(data) - pos} trailing bytes after the last field")
+    return out
 
 
 # -- keys ------------------------------------------------------------------
 
 def dumps_keys(km: KeyMaterial) -> bytes:
-    out = io.BytesIO()
-    out.write(KEY_MAGIC)
-    out.write(bytes([VERSION]))
-    out.write(km.security_bits.to_bytes(2, "big"))
-    out.write(km.trapdoor_bits.to_bytes(2, "big"))
-    out.write(bytes([km.symbol_bits]))
-    for key in (km.trapdoor_key, km.record_key, km.blind_key):
-        out.write(len(key).to_bytes(2, "big"))
-        out.write(key)
-    return out.getvalue()
+    head = KEY_HEAD.pack(KEY_MAGIC, VERSION, km.security_bits, km.trapdoor_bits, km.symbol_bits)
+    return head + b"".join(map(_field, (km.trapdoor_key, km.record_key, km.blind_key)))
 
 
 def loads_keys(data: bytes) -> KeyMaterial:
-    r = _Reader(data)
-    _check_header(r, KEY_MAGIC, VERSION)
-    security_bits = r.u16()
-    trapdoor_bits = r.u16()
-    symbol_bits = r.u8()
+    security_bits, trapdoor_bits, symbol_bits = _header(data, KEY_HEAD, KEY_MAGIC, VERSION)
     check_geometry(trapdoor_bits, symbol_bits)
-    keys = [r.take(r.u16()) for _ in range(3)]
-    if not r.done():
-        raise Truncated("trailing bytes after key material")
+    keys = _fields(data, KEY_HEAD.size, 3)
     if security_bits not in SECURITY_BITS or any(len(key) != security_bits // 8 for key in keys):
         raise BadParameter(f"key sizes {[len(k) for k in keys]} do not fit security {security_bits}")
-    return KeyMaterial(
-        trapdoor_key=keys[0],
-        record_key=keys[1],
-        blind_key=keys[2],
-        security_bits=security_bits,
-        trapdoor_bits=trapdoor_bits,
-        symbol_bits=symbol_bits,
-    )
+    return KeyMaterial(*keys, security_bits, trapdoor_bits, symbol_bits)  # the file's order
 
 
 def _replace_file(path: str, data: bytes, mode: int = 0o666) -> None:
@@ -186,14 +166,11 @@ def dumps_index(index) -> bytes:
     if getattr(index, "kind", None) not in KIND_FLAGS:
         raise BadParameter(f"cannot serialize {type(index).__name__}")
     check_geometry(index.trapdoor_bits, index.symbol_bits)
+    if not 0 <= index.d <= 0xFF:
+        raise BadParameter(f"edit bound {index.d} does not fit FZIX's one byte (0..255)")
     flags = KIND_FLAGS[index.kind] | (FLAG_GRAM if index.method == "gram" else 0)
-    parts = [
-        INDEX_MAGIC,
-        bytes([INDEX_VERSION, flags, index.symbol_bits]),
-        index.trapdoor_bits.to_bytes(2, "big"),
-        bytes([index.d]),
-        len(index.table).to_bytes(8, "big"),
-    ]
+    fields = (flags, index.symbol_bits, index.trapdoor_bits, index.d, len(index.table))
+    parts = [INDEX_HEAD.pack(INDEX_MAGIC, INDEX_VERSION, *fields)]
     width, append, exact = index.trapdoor_bits // 8, parts.append, index.exact
     head = _entry_head(width).pack
     for t in index.ordered:
@@ -272,19 +249,13 @@ def _read_entries(data: bytes, pos: int, count: int, width: int):
 
 def loads_index(data: bytes):
     data = bytes(data)  # slices must be bytes, to key the map
-    r = _Reader(data)
-    _check_header(r, INDEX_MAGIC, INDEX_VERSION)
-    flags = r.u8()
+    flags, symbol_bits, trapdoor_bits, d, count = _header(data, INDEX_HEAD, INDEX_MAGIC, INDEX_VERSION)
     if flags & ~(FLAG_TRIE | FLAG_VERIFIABLE | FLAG_GRAM):
         raise BadParameter(f"unknown index flags {flags:#x}")
     if flags & FLAG_VERIFIABLE and not flags & FLAG_TRIE:
         raise BadParameter("verifiable flag requires a trie index")
-    symbol_bits = r.u8()
-    trapdoor_bits = r.u16()
-    d = r.u8()
     check_geometry(trapdoor_bits, symbol_bits)
-    count = r.u64()
-    table, exact, pos = _read_entries(data, r.pos, count, trapdoor_bits // 8)
+    table, exact, pos = _read_entries(data, INDEX_HEAD.size, count, trapdoor_bits // 8)
     method = "gram" if flags & FLAG_GRAM else "wildcard"
     tags_len = (2 * len(table) + 1) * TAG_BYTES if flags & FLAG_VERIFIABLE else 0
     if len(data) - pos != tags_len:
@@ -307,37 +278,27 @@ def load_index(path: str):
 # -- user directories ------------------------------------------------------
 
 def dumps_directory(directory: UserDirectory) -> bytes:
-    out = io.BytesIO()
-    out.write(DIR_MAGIC)
-    out.write(bytes([VERSION]))
-    out.write(directory.epoch.to_bytes(8, "big"))
-    out.write(len(directory.wrapped).to_bytes(4, "big"))
-    for user_id in sorted(directory.wrapped):
-        uid = user_id_bytes(user_id)
-        blob = directory.wrapped[user_id]
-        out.write(len(uid).to_bytes(2, "big"))
-        out.write(uid)
-        out.write(len(blob).to_bytes(2, "big"))
-        out.write(blob)
-    return out.getvalue()
+    users = sorted(directory.wrapped)
+    head = DIR_HEAD.pack(DIR_MAGIC, VERSION, directory.epoch, len(users))
+    return head + b"".join(_field(user_id_bytes(uid)) + _field(directory.wrapped[uid]) for uid in users)
 
 
 def loads_directory(data: bytes, current_xi: bytes = b"") -> UserDirectory:
-    """Published view: wrapped blobs only; personal keys are not on disk."""
-    r = _Reader(data)
-    _check_header(r, DIR_MAGIC, VERSION)
-    epoch = r.u64()
+    """Published view: wrapped blobs only; personal keys are not on disk.
+
+    Without ``current_xi`` the directory can be read and unwrapped from, but it
+    cannot ``enroll`` or ``revoke``."""
+    epoch, count = _header(data, DIR_HEAD, DIR_MAGIC, VERSION)
+    fields = iter(_fields(data, DIR_HEAD.size, 2 * count))
     wrapped = {}
-    for _ in range(r.u32()):
+    for uid, blob in zip(fields, fields):
         try:
-            user_id = r.take(r.u16()).decode("utf-8")
+            user_id = uid.decode("utf-8")
         except UnicodeDecodeError:
             raise BadParameter("a user id is not UTF-8") from None
         if wrapped and user_id <= next(reversed(wrapped)):  # the order dumps_directory writes
             raise BadParameter("user ids are not distinct and ascending")
-        wrapped[user_id] = r.take(r.u16())
-    if not r.done():
-        raise Truncated("trailing bytes after directory")
+        wrapped[user_id] = blob
     return UserDirectory(current_xi=current_xi, epoch=epoch, wrapped=wrapped)
 
 

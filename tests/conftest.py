@@ -7,9 +7,23 @@ import pytest
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from fzsearch import BadParameter, DegenerateWord, FzError, fuzzy_set, keygen
-from fzsearch.crypto import prf_bytes
-from fzsearch.persist import save_keys
+from fzsearch import (
+    BadMagic,
+    BadParameter,
+    DegenerateWord,
+    FzError,
+    KeyMaterial,
+    ListingIndex,
+    TrieIndex,
+    Truncated,
+    UserDirectory,
+    VersionUnsupported,
+    fuzzy_set,
+    keygen,
+)
+from fzsearch.crypto import SECURITY_BITS, check_geometry, prf_bytes
+from fzsearch.persist import _read_entries, save_keys
+from fzsearch.verifiable import TAG_BYTES
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -220,3 +234,102 @@ def garbage_line(rng: random.Random):
     if roll < 0.85:
         return json.dumps({"type": rng.choice(["SearchReq", "Hello", "X", 7]), "k": rng.choice([0, 1, "k", None, 10**12]), "trapdoors": rng.choice([None, [], ["00"], ["0" * 40], 3])})
     return json.dumps(rng.choice([[], 42, "str", {"a": {"b": {"c": 1}}}]))
+
+
+class _Reader:
+    """A cursor over an owner file, each field read and bounds-checked on its own."""
+
+    def __init__(self, data: bytes):
+        self._view = memoryview(data)
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self._view):
+            raise Truncated(f"need {n} bytes at offset {self.pos}")
+        chunk = bytes(self._view[self.pos : self.pos + n])
+        self.pos += n
+        return chunk
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return int.from_bytes(self.take(2), "big")
+
+    def u32(self) -> int:
+        return int.from_bytes(self.take(4), "big")
+
+    def u64(self) -> int:
+        return int.from_bytes(self.take(8), "big")
+
+    def done(self) -> bool:
+        return self.pos == len(self._view)
+
+
+def _check_header(r: _Reader, magic: bytes, version: int) -> None:
+    got = r.take(len(magic))
+    if got != magic:
+        raise BadMagic(f"expected {magic!r}, found {got!r}")
+    found = r.u8()
+    if found != version:
+        raise VersionUnsupported(f"{magic.decode()} version {found} not supported (expected {version})")
+
+
+def reference_loads_keys(data: bytes) -> KeyMaterial:
+    """FZKY v1 read field by field through a cursor: the oracle ``persist.loads_keys`` is held to."""
+    r = _Reader(data)
+    _check_header(r, b"FZKY", 1)
+    security_bits = r.u16()
+    trapdoor_bits = r.u16()
+    symbol_bits = r.u8()
+    check_geometry(trapdoor_bits, symbol_bits)
+    keys = [r.take(r.u16()) for _ in range(3)]
+    if not r.done():
+        raise Truncated("trailing bytes after key material")
+    if security_bits not in SECURITY_BITS or any(len(key) != security_bits // 8 for key in keys):
+        raise BadParameter(f"key sizes {[len(k) for k in keys]} do not fit security {security_bits}")
+    return KeyMaterial(*keys, security_bits, trapdoor_bits, symbol_bits)
+
+
+def reference_loads_index(data: bytes):
+    """The FZIX v3 header read field by field through a cursor, then the entries
+    through ``persist._read_entries``: the oracle ``persist.loads_index`` is held to."""
+    data = bytes(data)
+    r = _Reader(data)
+    _check_header(r, b"FZIX", 3)
+    flags = r.u8()
+    if flags & ~0x07:
+        raise BadParameter(f"unknown index flags {flags:#x}")
+    if flags & 0x02 and not flags & 0x01:
+        raise BadParameter("verifiable flag requires a trie index")
+    symbol_bits = r.u8()
+    trapdoor_bits = r.u16()
+    d = r.u8()
+    check_geometry(trapdoor_bits, symbol_bits)
+    count = r.u64()
+    table, exact, pos = _read_entries(data, r.pos, count, trapdoor_bits // 8)
+    method = "gram" if flags & 0x04 else "wildcard"
+    if len(data) - pos != ((2 * len(table) + 1) * TAG_BYTES if flags & 0x02 else 0):
+        raise Truncated("the bytes after the entries are not the kind's tags")
+    if flags & 0x01:
+        return TrieIndex(table, trapdoor_bits, symbol_bits, d, method, exact, data[pos:])
+    return ListingIndex(table, trapdoor_bits, symbol_bits, d, method, exact)
+
+
+def reference_loads_directory(data: bytes) -> UserDirectory:
+    """FZUD v1 read field by field through a cursor: the oracle ``persist.loads_directory`` is held to."""
+    r = _Reader(data)
+    _check_header(r, b"FZUD", 1)
+    epoch = r.u64()
+    wrapped = {}
+    for _ in range(r.u32()):
+        try:
+            user_id = r.take(r.u16()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise BadParameter("a user id is not UTF-8") from None
+        if wrapped and user_id <= next(reversed(wrapped)):
+            raise BadParameter("user ids are not distinct and ascending")
+        wrapped[user_id] = r.take(r.u16())
+    if not r.done():
+        raise Truncated("trailing bytes after directory")
+    return UserDirectory(current_xi=b"", epoch=epoch, wrapped=wrapped)

@@ -5,9 +5,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import enumeration_fuzzy_set, mutate, random_corpus, random_word, reference_build_entries
+from conftest import (
+    enumeration_fuzzy_set,
+    mutate,
+    random_corpus,
+    random_word,
+    reference_build_entries,
+    reference_loads_directory,
+    reference_loads_index,
+    reference_loads_keys,
+)
 from fzsearch import (
     AuthFailure,
+    BadMagic,
     BadParameter,
     EditBoundExceeded,
     FzError,
@@ -33,7 +43,14 @@ from fzsearch import (
 )
 from fzsearch.crypto import _hmac_pads, check_geometry
 from fzsearch.index import build_entries, walk_trie
-from fzsearch.persist import dumps_directory, dumps_index, dumps_keys, loads_index
+from fzsearch.persist import (
+    dumps_directory,
+    dumps_index,
+    dumps_keys,
+    loads_directory,
+    loads_index,
+    loads_keys,
+)
 from fzsearch.verifiable import TAG_BYTES, encode_proof
 
 
@@ -467,6 +484,25 @@ GOLDEN_PROOFS = {
     "gram": "a99d0935cc2bfbec4f1f68c5f8f308f1eb217f5b0f33117788f29b8abec83e84",
 }
 
+# sha256 of dumps_keys(keygen(security_bits, seed=b"golden-fzky")); pins the FZKY v1 bytes.
+GOLDEN_FZKY = {
+    128: "9c68d0192c7bb87d4f83c84de0477deead44209851eea6ca7f09fa71267927b3",
+    256: "e2b26fc7654791f03ca53d44a79c5b92456d75eb2b108d63c233f7b2c4e9fbfb",
+}
+
+# sha256 of dumps_directory on fixed wrapped blobs (wrap_blind_key draws a
+# random nonce); pins the FZUD v1 bytes.
+GOLDEN_FZUD_DIRECTORIES = {
+    "two-users": lambda: UserDirectory(
+        current_xi=b"", epoch=7, wrapped={"zoë": bytes(range(100, 144)), "alice": bytes(range(40))}
+    ),
+    "empty": lambda: UserDirectory(current_xi=b""),
+}
+GOLDEN_FZUD = {
+    "two-users": "4652e4d12c5388f1a59c2fdcd38a6a7802a230832a2a8ebfa1fdfb326ae41079",
+    "empty": "0034b1ac5da73bc9d74479344de6e2ce20cbf77a35e82a6120b34e009d1b4d78",
+}
+
 
 @pytest.fixture(scope="module")
 def golden():
@@ -513,6 +549,18 @@ def test_proofs_and_records_match_golden(golden, method):
         for rec in result.records:
             digest.update(rec)
     assert digest.hexdigest() == GOLDEN_PROOFS[method]
+
+
+@pytest.mark.parametrize("security_bits", sorted(GOLDEN_FZKY))
+def test_fzky_bytes_match_golden(security_bits):
+    blob = dumps_keys(keygen(security_bits, seed=b"golden-fzky"))
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_FZKY[security_bits]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FZUD))
+def test_fzud_bytes_match_golden(name):
+    blob = dumps_directory(GOLDEN_FZUD_DIRECTORIES[name]())
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_FZUD[name]
 
 
 DATA = Path(__file__).parent / "data"
@@ -770,3 +818,67 @@ def test_reader_matches_the_reference_loop(small_files, larger_files):
             assert expected == (index.table, index.exact, getattr(index, "tags", b"")), key
             outcomes["loaded"] += 1
     assert outcomes["short"] >= 3 * len(files) and outcomes["loaded"]
+
+
+# (reader, oracle, writer) per owner-file magic
+OWNER_CODECS = {
+    b"FZKY": (loads_keys, reference_loads_keys, dumps_keys),
+    b"FZIX": (loads_index, reference_loads_index, dumps_index),
+    b"FZUD": (loads_directory, reference_loads_directory, dumps_directory),
+}
+
+
+def _damaged(blob: bytes, rng: random.Random) -> bytes:
+    """One to three truncations, bit flips and appends; half of each lands in the first 24 bytes."""
+    out = bytearray(blob)
+    for _ in range(rng.randint(1, 3)):
+        op, head = rng.randrange(3), rng.random() < 0.5
+        reach = min(len(out), 24) if head else len(out)
+        if op == 0:
+            del out[rng.randrange(reach + 1) :]
+        elif op == 1 and out:
+            out[rng.randrange(reach)] ^= 1 << rng.randrange(8)
+        else:
+            out += rng.choice((bytes(rng.randrange(256) for _ in range(rng.randint(1, 40))), bytes(out[-3:])))
+    return bytes(out)
+
+
+def _outcome(load, dump, blob: bytes):
+    """The bytes a loaded value dumps back to, or the class of the refusal: a
+    header's own class, any other ``FzError`` as ``FzError``.  Any other
+    exception gets out."""
+    try:
+        value = load(blob)
+    except (BadMagic, VersionUnsupported) as exc:
+        return type(exc)
+    except FzError:
+        return FzError
+    return dump(value)
+
+
+def test_owner_file_readers_match_the_field_by_field_oracle(small_files, km):
+    """On 2,800 seeded damaged key, directory, listing and auth files, each reader
+    accepts exactly what its field-by-field oracle accepts, to a value that dumps
+    back to the same bytes; both refuse with ``FzError``, with the same class when
+    the magic or the version is wrong."""
+    enrolled = UserDirectory(current_xi=km.blind_key).enroll("alice", b"ka").enroll("bob", b"kb")
+    files = [
+        dumps_keys(km),
+        dumps_keys(keygen(256, seed=b"golden-fzky")),
+        dumps_directory(enrolled),
+        dumps_directory(GOLDEN_FZUD_DIRECTORIES["two-users"]()),
+        dumps_directory(UserDirectory(current_xi=b"")),
+        small_files["listing", "wildcard"],
+        small_files["auth", "gram"],
+    ]
+    rng = random.Random(2400)
+    seen = {"loaded": 0, BadMagic: 0, VersionUnsupported: 0, FzError: 0}
+    for blob in files:
+        load, oracle, dump = OWNER_CODECS[blob[:4]]
+        for _ in range(400):
+            mutant = _damaged(blob, rng)
+            got = _outcome(load, dump, mutant)
+            assert got == _outcome(oracle, dump, mutant), (blob[:4], mutant.hex())
+            assert got == mutant if isinstance(got, bytes) else got in seen
+            seen["loaded" if isinstance(got, bytes) else got] += 1
+    assert min(seen.values()) >= 50, seen

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -11,12 +12,15 @@ from fzsearch import (
     UserDirectory,
     blind_request,
     build_trie_index,
+    decrypt_matches,
     make_request,
     search_trie,
     unblind_request,
 )
+from fzsearch.cli import derive_user_key
 from fzsearch.multiuser import unwrap_blind_key, wrap_blind_key
 from fzsearch.persist import dumps_directory, loads_directory
+from fzsearch.service import ServerState, encode_message, handle_line, result_from_response
 
 
 @pytest.fixture()
@@ -73,6 +77,19 @@ class TestDirectory:
         assert loaded.current_xi != directory.current_xi
         for uid in ("alice", "bob"):
             assert loaded.unwrap(uid, keys[uid]) == loaded.current_xi
+
+    @pytest.mark.parametrize("xi", [b"", bytes(20)], ids=["loaded-without-key", "not-an-aes-key"])
+    def test_a_directory_without_a_blind_key_neither_enrolls_nor_revokes(self, directory, xi):
+        """``load_directory(path)`` is the users' view: its blind key is empty, so
+        enroll would wrap nothing for the new user and revoke would "rotate" to nothing."""
+        directory.enroll("alice", b"ka")
+        loaded = loads_directory(dumps_directory(directory), current_xi=xi)
+        before = (loaded.epoch, loaded.current_xi, dict(loaded.wrapped), dict(loaded.user_keys))
+        with pytest.raises(BadParameter, match="blind key"):
+            loaded.enroll("bob", b"kb")
+        with pytest.raises(BadParameter, match="blind key"):
+            loaded.revoke("alice")
+        assert (loaded.epoch, loaded.current_xi, loaded.wrapped, loaded.user_keys) == before
 
     def test_a_user_id_fits_the_directory_length_field(self, directory):
         longest = "a" * 0xFFFF
@@ -162,3 +179,24 @@ class TestBlinding:
             req = make_request(rng.choice(words), rng.choice((0, 1)), km)
             replayed = unblind_request(blind_request(req, old_xi), new_xi)
             assert search_trie(index, replayed).records == []
+
+
+def test_a_revoked_user_with_the_old_key_file_still_searches_is_the_documented_gap(km):
+    """Every user holds the owner's key file, and ``cli.derive_user_key`` makes
+    any user's personal key from its record key.  So after ``revoke eve``, eve
+    unwraps alice's blob from the new directory, gets the blind key of the new
+    epoch, and a blinded search with it returns records.  Revocation that holds
+    against the revoked user flips this test."""
+    index = build_trie_index({"castle": [b"F1"], "dog": [b"F2"]}, 1, km)
+    directory = UserDirectory(current_xi=km.blind_key)
+    for uid in ("alice", "eve"):
+        directory.enroll(uid, derive_user_key(km.record_key, uid))
+    directory.revoke("eve")
+    published = loads_directory(dumps_directory(directory))
+    xi = published.unwrap("alice", derive_user_key(km.record_key, "alice"))  # eve, with the old key file
+    assert published.epoch == 1 and xi == directory.current_xi != km.blind_key
+    state = ServerState(index=index, xi=directory.current_xi, epoch=published.epoch)
+    wire = blind_request(make_request("castle", 0, km), xi)
+    line = encode_message({"type": "SearchReq", "epoch": 1, "k": 0, "trapdoors": [t.hex() for t in wire.trapdoors]})
+    result = result_from_response(json.loads(handle_line(state, line)))
+    assert sorted(decrypt_matches(km, "castle", 0, result)) == [(b"F1", "castle")]

@@ -424,6 +424,11 @@ class TestPersistence:
         with pytest.raises(BadParameter, match="65535"):
             dumps_index(index)
 
+    @pytest.mark.parametrize("d", [-1, 256])
+    def test_an_edit_bound_fzix_cannot_hold_is_a_parameter_error(self, km, d):
+        with pytest.raises(BadParameter, match=f"edit bound {d}"):
+            dumps_index(build_listing_index({}, d, km))
+
     def test_trapdoor_of_another_width_is_a_parameter_error(self):
         for width in (19, 21):
             index = ListingIndex(table={bytes(width): (bytes(28),)}, trapdoor_bits=160, symbol_bits=4, d=1)
@@ -997,6 +1002,17 @@ class TestCli:
             assert cli_main(build) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("d", ["-1", "256", "1.5", "x"])
+    def test_an_edit_bound_fzix_cannot_hold_is_a_usage_error(self, workspace, capsys, d):
+        """Refused before the key file is read: a wildcard build at d = 256 would
+        expand fuzzy sets for minutes before the index could not be written."""
+        indexfile = workspace / "i.fzix"
+        build = ["build", "--keys", str(workspace / "missing.fzky"), "--corpus", str(workspace / "corpus")]
+        assert cli_main([*build, "--out", str(indexfile), "--d", d]) == 2
+        err = capsys.readouterr().err
+        assert "argument --d: edit bound" in err and "Traceback" not in err, err
+        assert not indexfile.exists()
 
     def test_exit_codes(self, workspace, monkeypatch, capsys):
         assert cli_main(["bogus-command"]) == 2
