@@ -19,7 +19,6 @@ from .errors import (
     BadLength,
     BadMagic,
     BadParameter,
-    DegenerateWord,
     DuplicateUser,
     EditBoundExceeded,
     EmptyKeyword,

@@ -9,10 +9,6 @@ class EmptyKeyword(FzError):
     """Raised when normalization leaves no letters."""
 
 
-class DegenerateWord(FzError):
-    """Raised when a deletion set would empty the word."""
-
-
 class BadParameter(FzError):
     """Raised for parameter values outside the supported range."""
 

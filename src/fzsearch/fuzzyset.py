@@ -7,8 +7,9 @@ of distinct variants.  Two constructions are served:
 * ``wildcard_fuzzy_set`` — each ``*`` marks one edit operation at a position,
   so one variant covers the whole 26-way choice at that spot.  For distance 1
   the set has exactly ``2*len(word) + 2`` members.
-* ``gram_fuzzy_set`` — deletion-only signatures; complete for distance 1 but
-  admits false positives (two words at distance 2 can share a signature).
+* ``gram_fuzzy_set`` — deletion-only signatures, down to the empty word:
+  complete at every distance for words of every length (an edit costs each
+  side at most one deletion), with false positives within ``2d`` edits.
 
 Keywords are normalized lowercase a-z strings; ``*`` (0x2A) is the reserved
 wildcard character and sorts before every letter, which fixes the variant
@@ -17,7 +18,7 @@ order used everywhere (serialization, request ordering).
 
 from __future__ import annotations
 
-from .errors import BadParameter, DegenerateWord, EmptyKeyword
+from .errors import BadParameter, EmptyKeyword
 
 WILDCARD = "*"
 
@@ -116,11 +117,9 @@ def wildcard_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
 
 
 def gram_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
-    """Deletion variants of ``word`` up to ``d`` removed characters."""
+    """Deletion variants of ``word`` up to ``d`` removed characters; ``""`` once ``d >= len(word)``."""
     if d < 0:
         raise BadParameter("edit bound must be >= 0")
-    if d >= len(word):
-        raise DegenerateWord(f"cannot delete {d} characters from {word!r}")
     level = {word}
     for _ in range(d):
         nxt = set(level)

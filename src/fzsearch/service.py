@@ -143,7 +143,7 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
         msg = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
     except UnicodeDecodeError:
         return _error(state, MALFORMED, "line is not UTF-8")
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # JSONDecodeError, or an integer past the interpreter's digit limit
         msg = None
     if not isinstance(msg, dict):
         return _error(state, MALFORMED, "line is not a JSON object")
@@ -445,7 +445,7 @@ class SearchClient:
             raise BadResponse(f"server reply exceeds {MAX_REPLY_BYTES} bytes")
         try:
             reply = json.loads(line)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # undecodable, or an integer past the digit limit
             raise BadResponse("server reply is not JSON") from exc
         if not isinstance(reply, dict):
             raise BadResponse("server reply is not a JSON object")

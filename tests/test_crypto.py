@@ -5,6 +5,7 @@ import threading
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from conftest import random_corpus
 from fzsearch import (
@@ -133,6 +134,18 @@ class TestRecords:
         for n in range(len(rec)):  # short of the nonce too, which no ciphertext can follow
             with pytest.raises(AuthFailure):
                 decrypt_record(km, rec[:n])
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [(b"", "empty record payload"), (b"\x00cat", "malformed"), (b"\x05cat", "malformed")],
+    )
+    def test_an_authentic_record_with_a_bad_payload_fails(self, km, payload, message):
+        """Sealed under the record key, so only the payload checks can refuse it:
+        empty, a zero fid length, or a fid length that runs past the end."""
+        nonce = bytes(12)
+        blob = nonce + AESGCM(km.record_key).encrypt(nonce, payload, None)
+        with pytest.raises(AuthFailure, match=message):
+            decrypt_record(km, blob)
 
     def test_wrong_key_fails(self, km):
         other = keygen(128, seed=b"other")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from conftest import (
 )
 from fzsearch import (
     BadParameter,
-    DegenerateWord,
     EmptyKeyword,
     edit_distance,
     gram_fuzzy_set,
@@ -172,18 +172,14 @@ class TestGramSet:
         assert gram_fuzzy_set("aa", 1) == ("a", "aa")
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateWord):
-            gram_fuzzy_set("cat", 3)
-        with pytest.raises(DegenerateWord):
-            gram_fuzzy_set("a", 1)
+        assert gram_fuzzy_set("cat", 3) == ("", "a", "at", "c", "ca", "cat", "ct", "t")
+        assert gram_fuzzy_set("a", 1) == gram_fuzzy_set("a", 5) == ("", "a")
 
     def test_completeness_at_distance_one(self):
         rng = random.Random(59)
         for _ in range(100):
             w = random_word(rng, 2, 8)
             u = mutate(w, rng)
-            if len(u) < 2:  # gram sets need a character to spare
-                continue
             shared = set(gram_fuzzy_set(w, 1)) & set(gram_fuzzy_set(u, 1))
             assert shared, (w, u)
 
@@ -199,6 +195,27 @@ class TestGramSet:
             w = random_word(rng, 4, 8)
             sets = [set(gram_fuzzy_set(w, d)) for d in (0, 1, 2)]
             assert sets[0] <= sets[1] <= sets[2]
+
+    def test_every_short_word_over_abc_against_the_oracle(self):
+        """Every word over ``abc`` of 1 to 4 letters: the set is the subsequences
+        that at most ``d`` deletions reach, down to the empty word; words within
+        ``d`` edits share a variant, and words sharing one are within ``2d``."""
+        words = ["".join(p) for n in range(1, 5) for p in itertools.product("abc", repeat=n)]
+        for w in words:
+            for d in range(6):
+                kept = range(max(0, len(w) - d), len(w) + 1)
+                oracle = {"".join(c) for n in kept for c in itertools.combinations(w, n)}
+                assert gram_fuzzy_set(w, d) == tuple(sorted(oracle)), (w, d)
+        pairs = 0
+        for d, longest in ((1, 4), (2, 3)):
+            short = [w for w in words if len(w) <= longest]
+            sets = {w: set(gram_fuzzy_set(w, d)) for w in short}
+            for a, b in itertools.product(short, repeat=2):
+                distance, shared = reference_edit_distance(a, b), bool(sets[a] & sets[b])
+                assert shared or distance > d, (a, b, d)
+                assert not shared or distance <= 2 * d, (a, b, d)
+                pairs += 1
+        assert pairs == 120 * 120 + 39 * 39
 
 
 class TestEnumerationSet:

@@ -120,6 +120,9 @@ class TestDirectory:
         tampered = blob[:-1] + bytes([blob[-1] ^ 1])
         with pytest.raises(AuthFailure):
             unwrap_blind_key(b"key", "alice", tampered)
+        for n in (0, 27):  # shorter than a nonce and a tag
+            with pytest.raises(AuthFailure, match="too short"):
+                unwrap_blind_key(b"key", "alice", blob[:n])
 
 
 class TestBlinding:

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import errno
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import shutil
 import socket
 import stat
 import string
+import sys
 import threading
 import time
 
@@ -32,11 +34,12 @@ from fzsearch import (
     make_request,
     search_trie,
 )
-from fzsearch.cli import _server
+from fzsearch.cli import _server, read_corpus_dir
 from fzsearch.cli import main as cli_main
 from fzsearch.errors import BadResponse
 from fzsearch.multiuser import blind_request
 from fzsearch.persist import (
+    FLAG_VERIFIABLE,
     dumps_directory,
     dumps_index,
     dumps_keys,
@@ -49,6 +52,7 @@ from fzsearch.persist import (
     save_keys,
 )
 from fzsearch.service import (
+    MALFORMED,
     PROTOCOL,
     SearchClient,
     SearchServer,
@@ -82,6 +86,16 @@ def search_msg(req, epoch=0, **extra):
 def ask(state, msg: dict) -> dict:
     """The server's reply to ``msg``, parsed."""
     return json.loads(handle_line(state, encode_message(msg)))
+
+
+@pytest.fixture()
+def too_many_digits():
+    """A decimal integer one digit past the interpreter's limit (4,300 digits when none is set)."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        sys.set_int_max_str_digits(4300)
+    yield "7" * (sys.get_int_max_str_digits() + 1)
+    sys.set_int_max_str_digits(limit)
 
 
 class TestHandler:
@@ -131,6 +145,14 @@ class TestHandler:
         _, index = world
         out = json.loads(handle_line(ServerState(index=index), line))
         assert out["type"] == "ErrorResp" and out["code"] == "MALFORMED"
+
+    def test_an_integer_past_the_digit_limit_is_malformed(self, world, too_many_digits):
+        """Python refuses such an integer with a ValueError that is no JSONDecodeError."""
+        _, index = world
+        state = ServerState(index=index)
+        for line in ('{"type":"SearchReq","k":%s}', "[%s]", '{"type":"Hello","x":%s}'):
+            out = json.loads(handle_line(state, line % too_many_digits))
+            assert (out["code"], out["message"]) == (MALFORMED, "line is not a JSON object")
 
     def test_malformed_fields(self, km, world):
         _, index = world
@@ -417,6 +439,12 @@ class TestPersistence:
         with pytest.raises(BadParameter):
             loads_index(bytes(blob))
 
+    def test_verifiable_flag_without_the_trie_flag(self, km):
+        blob = bytearray(dumps_index(build_listing_index({"cat": [b"F"]}, 0, km)))
+        blob[5] = FLAG_VERIFIABLE
+        with pytest.raises(BadParameter, match="requires a trie"):
+            loads_index(bytes(blob))
+
     def test_record_count_overflow_is_a_parameter_error(self):
         index = ListingIndex(
             table={bytes(20): (bytes(28),) * 65536}, trapdoor_bits=160, symbol_bits=4, d=1
@@ -566,6 +594,22 @@ def _read_to_eof(sock) -> bytes:
     return b"".join(iter(lambda: sock.recv(65536), b""))
 
 
+def _fail_once(monkeypatch, method: str, error: OSError, thread: threading.Thread, log: list) -> None:
+    """``socket.socket.<method>`` raises ``error`` at its next call from ``thread``;
+    ``log`` gets "failed" then, and ``method`` at each later call from ``thread``."""
+    real = getattr(socket.socket, method)
+
+    def once(sock, *args):
+        if threading.current_thread() is thread:
+            if "failed" not in log:
+                log.append("failed")
+                raise error
+            log.append(method)
+        return real(sock, *args)
+
+    monkeypatch.setattr(socket.socket, method, once)
+
+
 class TestReadinessLoop:
     """The one-thread server keeps the per-connection behaviour of a blocking handler."""
 
@@ -698,6 +742,84 @@ class TestReadinessLoop:
                 assert bystander.hello()["type"] == "HelloAck"
         finally:
             _stop(server)
+
+    def test_an_integer_past_the_digit_limit_leaves_the_connection_open(self, live_server, too_many_digits):
+        port, index = live_server
+        hello, bad = b'{"type":"Hello"}\n', b"[%s]\n" % too_many_digits.encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as raw, raw.makefile("rb") as replies:
+            raw.sendall(hello + bad + hello)
+            ack = handle_line(ServerState(index=index), hello).encode()
+            error = {"type": "ErrorResp", "epoch": 0, "code": MALFORMED, "message": "line is not a JSON object"}
+            assert [replies.readline() for _ in range(3)] == [ack, encode_message(error).encode(), ack]
+            raw.sendall(hello)
+            assert replies.readline() == ack
+
+    @pytest.mark.parametrize("error", [BlockingIOError(), OSError(errno.EMFILE, "Too many open files")])
+    def test_a_failed_accept_serves_the_client_later(self, world, monkeypatch, error):
+        """A client that gave up before ``accept`` costs nothing.  Out of file
+        descriptors, the listener pauses and the waiting client is served after
+        the next idle sweep."""
+        paused = not isinstance(error, BlockingIOError)
+        monkeypatch.setattr(service, "POLL_SECONDS", 0.2 if paused else 30.0)
+        _, index = world
+        server = SearchServer(ServerState(index=index), port=0)
+        log = []
+        sweep = server._sweep
+        monkeypatch.setattr(server, "_sweep", lambda now: (log.append("sweep"), sweep(now)))
+        thread = server.start()
+        _fail_once(monkeypatch, "accept", error, thread, log)
+        try:
+            with SearchClient(*server.server_address, timeout=5) as client:
+                assert client.hello()["type"] == "HelloAck"
+            until = log[log.index("failed") : log.index("accept") + 1]
+            assert until == (["failed", "sweep", "accept"] if paused else ["failed", "accept"]), log
+        finally:
+            _stop(server)
+
+    @pytest.mark.parametrize("method", ["recv", "send"])
+    @pytest.mark.parametrize("error", [BlockingIOError, ConnectionResetError])
+    def test_a_failed_recv_or_send_touches_only_its_connection(self, world, monkeypatch, method, error):
+        """A spurious wake-up loses no line; a reset connection is closed and the others are still answered."""
+        _, index = world
+        server = SearchServer(ServerState(index=index), port=0)
+        thread = server.start()
+        hello = b'{"type":"Hello"}\n'
+        try:
+            address = server.server_address
+            bystander = SearchClient(*address, timeout=5)
+            with bystander, socket.create_connection(address, timeout=5) as raw, raw.makefile("rb") as replies:
+                assert bystander.hello()["type"] == "HelloAck"
+                log = []
+                _fail_once(monkeypatch, method, error(), thread, log)
+                raw.sendall(hello)
+                try:
+                    got = replies.readline()
+                except ConnectionResetError:  # closed with our line unread
+                    got = b""
+                if error is BlockingIOError:  # tried again when the socket is next ready
+                    assert log == ["failed", method] and got == handle_line(server.state, hello).encode()
+                else:
+                    assert log == ["failed"] and got == b""
+                assert bystander.hello()["type"] == "HelloAck"
+        finally:
+            _stop(server)
+
+    def test_a_complete_over_long_line_between_good_ones(self, world, monkeypatch):
+        """One ``recv`` brings a good line, a complete line over the limit and
+        another good line: the first is answered, then one MALFORMED, then the close."""
+        monkeypatch.setattr(service, "MAX_LINE_BYTES", 100)
+        _, index = world
+        state = ServerState(index=index)
+        hello = b'{"type":"Hello"}\n'
+        server, address = _serve(state)
+        try:
+            with socket.create_connection(address, timeout=5) as raw:
+                raw.sendall(hello + b"x" * 200 + b"\n" + hello)
+                got = _read_to_eof(raw).splitlines(keepends=True)
+        finally:
+            _stop(server)
+        assert len(got) == 2 and got[0] == handle_line(state, hello).encode()
+        assert json.loads(got[1]) == {"type": "ErrorResp", "epoch": 0, "code": MALFORMED, "message": "line too long"}
 
     def test_socket_fuzz(self, world):
         """Criterion 13's garbage lines through a live server, three connections, random chunks."""
@@ -847,6 +969,67 @@ class TestCli:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_gram_indexes_build_over_words_of_at_most_d_letters(self, tmp_path, capsys):
+        """Deletions reach the empty word, so a, in, of, to and it are keywords at d = 1 and 2;
+        ``b`` matches ``a`` through it, and every two-letter word is 2 edits away."""
+        corpus_dir = tmp_path / "short"
+        corpus_dir.mkdir()
+        (corpus_dir / "sky.txt").write_text("a castle in the sky\n")
+        (corpus_dir / "of.txt").write_text("of to it\n")
+        keyfile = str(tmp_path / "k.fzky")
+        save_seeded_keys(keyfile, bytes.fromhex("07"))
+        for d in ("1", "2"):
+            for kind in ("listing", "trie", "auth"):
+                indexfile = str(tmp_path / f"{kind}-{d}.fzix")
+                assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", indexfile,
+                                 "--kind", kind, "--method", "gram", "--d", d]) == 0
+                server, (host, port) = _serve(ServerState(index=load_index(indexfile)))
+                try:
+                    capsys.readouterr()
+                    server_arg = ["--server", f"{host}:{port}", "--keys", keyfile]
+                    assert cli_main(["search", "b", "1", *server_arg]) == 0
+                    assert capsys.readouterr() == ("sky.txt\n", "")
+                    if kind == "auth":
+                        assert cli_main(["verify", "b", "1", *server_arg]) == 0
+                        assert capsys.readouterr() == ("verified: Ok\nsky.txt\n", "")
+                finally:
+                    _stop(server)
+
+    def test_read_corpus_dir_skips_tokens_without_letters(self, workspace):
+        (workspace / "corpus" / "three.txt").write_text("42 -- Owl! ... 7a\n")
+        corpus = read_corpus_dir(str(workspace / "corpus"))
+        assert corpus["owl"] == [b"three.txt"] and corpus["a"] == [b"one.txt", b"three.txt", b"two.txt"]
+        assert sorted(corpus) == ["a", "and", "cat", "cot", "dog", "mat", "on", "owl", "sat", "the"]
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("x" * 65, "cat\n", "exceeds 64 bytes"),
+        ("empty.txt", "42 -- !!\n", "no keywords found"),
+    ])
+    def test_build_refuses_a_long_file_name_and_a_corpus_without_keywords(self, tmp_path, capsys, name, text, message):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / name).write_text(text)
+        keyfile, indexfile = str(tmp_path / "k.fzky"), tmp_path / "i.fzix"
+        save_seeded_keys(keyfile, bytes.fromhex("08"))
+        capsys.readouterr()
+        assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", str(indexfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert not indexfile.exists()
+
+    def test_user_without_a_directory_on_a_blinded_server(self, workspace, capsys):
+        keyfile = str(workspace / "k.fzky")
+        save_seeded_keys(keyfile, bytes.fromhex("09"))
+        km = load_keys(keyfile)
+        server, (host, port) = _serve(ServerState(index=build_trie_index({"cat": [b"F"]}, 1, km), xi=km.blind_key))
+        try:
+            capsys.readouterr()
+            argv = ["search", "cat", "1", "--server", f"{host}:{port}", "--keys", keyfile, "--user", "alice"]
+            assert cli_main(argv) == 1
+            assert capsys.readouterr() == ("", "error: --user requires --directory\n")
+        finally:
+            _stop(server)
 
     def test_blinded_flow_with_enroll_and_revoke(self, workspace, capsys):
         keyfile = str(workspace / "k.fzky")
@@ -1194,6 +1377,13 @@ class TestHostileServer:
     def test_non_object_reply(self, tmp_path, capsys, line):
         self._answer_hello_with(line, tmp_path, capsys, "error: server reply is not")
 
+    def test_reply_with_an_integer_past_the_digit_limit(self, tmp_path, capsys, too_many_digits):
+        line = b'{"type":"HelloAck","protocol":%s}\n' % too_many_digits.encode()
+        self._answer_hello_with(line, tmp_path, capsys, "error: server reply is not JSON")
+
+    def test_a_server_that_closes_without_a_reply(self, tmp_path, capsys):
+        self._answer_hello_with(b"", tmp_path, capsys, "error: server closed the connection")
+
     def test_reply_longer_than_the_cap(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("fzsearch.service.MAX_REPLY_BYTES", 1024)
         line = b'{"type":"HelloAck","pad":"' + b"a" * 4096 + b'"}\n'
@@ -1273,8 +1463,6 @@ def test_hostile_auth_answers_end_in_a_clean_outcome(km):
     words = sorted(corpus)
     answers = []
     for query in ["cat", "cut", "cart"] + [mutate(rng.choice(words), rng) for _ in range(20)]:
-        if len(query) < 2:
-            continue
         req = make_request(query, 1, km, "gram")
         answers.append((req, json.loads(handle_line(state, encode_message(search_msg(req, proof=True))))))
     records_pool = [r for _, resp in answers for r in resp["records"]]

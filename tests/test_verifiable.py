@@ -519,6 +519,11 @@ class TestVerify:
         fuzzy_req, fuzzy, fuzzy_proofs = _fuzzy_transcript(km, index, corpus, random.Random(154))
         claimed = dataclasses.replace(fuzzy, exact_hit=True)
         assert verify(fuzzy_req, claimed, fuzzy_proofs, km).reason is VerdictReason.EXACT_FLAG_MISMATCH
+        # an exact hit claimed on an empty request, which has no proof 0
+        empty = SearchRequest(trapdoors=(), k=0)
+        assert verify(empty, ResultSet(records=[], exact_hit=False), [], km).accepted
+        verdict = verify(empty, ResultSet(records=[], exact_hit=True), [], km)
+        assert verdict == Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
 
     def test_forged_exact_flag_on_another_keywords_variant_rejected(self, km):
         # "cat" is no keyword here, but its trapdoor is the entry of cart's
