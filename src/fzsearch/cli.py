@@ -6,7 +6,9 @@ Both print the file ids whose decrypted keyword is within ``k`` edits of
 the normalized query, so a gram index's farther results are dropped.  They
 blind the request exactly when the server's HelloAck says it is blinded,
 with the blind key of the key file, or with ``--user`` the key unwrapped
-from the ``--directory`` file, whose epoch the request then carries.
+from the ``--directory`` file, whose epoch the request then carries.  A
+``k`` above the HelloAck's ``d`` stops them with the server's EDIT_BOUND
+wording before they build a fuzzy set.
 
 The key file path comes from ``--keys`` or the ``FZ_KEYFILE`` environment
 variable.  Enrollment derives each user's personal key from the record key
@@ -36,6 +38,7 @@ from .persist import (
 )
 from .service import (
     DEFAULT_PORT,
+    EDIT_BOUND,
     SearchClient,
     SearchServer,
     ServerState,
@@ -172,6 +175,9 @@ def _cmd_search(args) -> int:
     want_proof = args.command == "verify"
     with SearchClient(*args.server) as client:
         ack = client.hello()
+        d = ack.get("d")
+        if type(d) is int and args.k > d:  # before the fuzzy set, which grows about twofold per unit of k
+            raise FzError(f"{EDIT_BOUND}: k={args.k} exceeds index bound d={d}")
         word = normalize_keyword(args.word)
         req = make_request(word, args.k, km, ack.get("method"))
         epoch, wire_req = ack.get("epoch", 0), req

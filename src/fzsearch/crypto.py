@@ -230,7 +230,8 @@ def decrypt_record(km: KeyMaterial, blob: bytes) -> tuple[bytes, str]:
     """Recover (fid, keyword) from ``nonce || ciphertext``.
 
     A record shorter than a nonce and a tag, any tamper or a wrong key
-    raises AuthFailure.
+    raises AuthFailure, and so does an authentic payload that is not a fid
+    length, the fid and an ASCII keyword.
     """
     if len(blob) < RECORD_MIN_BYTES:
         raise AuthFailure("record blob too short")
@@ -243,7 +244,10 @@ def decrypt_record(km: KeyMaterial, blob: bytes) -> tuple[bytes, str]:
     n = payload[0]
     if n == 0 or len(payload) < 1 + n:
         raise AuthFailure("malformed record payload")
-    return payload[1 : 1 + n], payload[1 + n :].decode("ascii")
+    try:
+        return payload[1 : 1 + n], payload[1 + n :].decode("ascii")
+    except UnicodeDecodeError:
+        raise AuthFailure("record keyword is not ASCII") from None
 
 
 @functools.lru_cache(maxsize=_KEY_CACHE_SIZE)

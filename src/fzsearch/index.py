@@ -1,14 +1,21 @@
-"""Server-side index: one trapdoor -> records map and the search over it.
+"""Server-side index: trapdoors mapped to entries in one FZIX body, and the search over it.
 
-Every kind holds the same state (each fuzzy variant's trapdoor mapped to a
-tuple of its encrypted records, plus the trapdoors of keywords' own
-zero-edit variants) and answers a request with the same records, by map
-lookup.  A record is the bytes ``nonce || ciphertext`` that
-``crypto.encrypt_record`` returns; nothing here looks inside one.  The listing
-index is the flat table; the trie files each trapdoor root-to-leaf as n-bit
-symbols, its nodes derived from ``Index.ordered``; a trie that also holds
-``tags`` (``verifiable.build_auth_trie``) is the authenticated trie, with a
-tag per entry and per gap between entries.
+Every kind holds the same state: ``body``, the FZIX entry body (``persist``
+documents the layout), ``table``, each fuzzy variant's trapdoor mapped to
+the offset of its entry in ``body``, and ``exact``, the trapdoors of
+keywords' own zero-edit variants.  A built index writes its body in one
+sorted pass (``pack_entries``).  A loaded one keeps the file's bytes, checked
+by ``read_entries``: its body, and an authenticated trie's tags, are views of
+them.  No record is an object until a search, a proof or a ``NodeView``
+reaches its entry, and ``records`` slices it out then.  The writer, the
+validating reader and that hit-time reader sit together below.
+
+A record is the bytes ``nonce || ciphertext`` that ``crypto.encrypt_record``
+returns; nothing here looks inside one.  The listing index is the flat
+table; the trie files each trapdoor root-to-leaf as n-bit symbols, its nodes
+derived from ``Index.ordered``; a trie that also holds ``tags``
+(``verifiable.build_auth_trie``) is the authenticated trie, with a tag per
+entry and per gap between entries.
 
 Requests put the exact word's trapdoor first; a search that matches it
 returns only that entry's records (the exact hit short-circuits the fuzzy
@@ -17,14 +24,16 @@ lookups, mirroring the search definition's exact-match rule).
 
 from __future__ import annotations
 
+import operator
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import ClassVar
 
-from .crypto import KeyMaterial, decrypt_record, encrypt_records, trapdoors
-from .errors import BadParameter, EditBoundExceeded
+from .crypto import RECORD_MIN_BYTES, KeyMaterial, decrypt_record, encrypt_records, trapdoors
+from .errors import AuthFailure, BadParameter, EditBoundExceeded, Truncated
 from .fuzzyset import fuzzy_set, within_edits
 
 
@@ -41,10 +50,11 @@ def symbolize(t: bytes, n: int) -> tuple[int, ...]:
 
 @dataclass
 class Index:
-    """One trapdoor -> records map, immutable once built; ``kind`` names its access structure."""
+    """Trapdoors mapped to their entries in one body, immutable once built; ``kind`` names its access structure."""
 
     kind: ClassVar[str]
-    table: dict[bytes, tuple[bytes, ...]]  # trapdoor -> its records, each nonce || ciphertext
+    table: dict[bytes, int]  # trapdoor -> the offset of its entry in ``body``
+    body: memoryview  # the FZIX entry body: every entry, in ascending trapdoor order
     trapdoor_bits: int
     symbol_bits: int
     d: int
@@ -58,11 +68,30 @@ class Index:
     @classmethod
     def build(cls, corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"):
         entries, exact = build_entries(corpus, d, km, method)
-        return cls(entries, km.trapdoor_bits, km.symbol_bits, d, method, exact)
+        return cls.from_entries(entries, km.trapdoor_bits, km.symbol_bits, d, method, exact)
+
+    @classmethod
+    def from_entries(
+        cls,
+        entries: dict[bytes, tuple[bytes, ...]],
+        trapdoor_bits: int,
+        symbol_bits: int,
+        d: int,
+        method: str = "wildcard",
+        exact: set[bytes] = frozenset(),
+    ):
+        """The index of a trapdoor -> records map, its body written by ``pack_entries``."""
+        table, body = pack_entries(entries, exact, trapdoor_bits // 8)
+        return cls(table, body, trapdoor_bits, symbol_bits, d, method, set(exact))
+
+    def records(self, t: bytes) -> tuple[bytes, ...]:
+        """The records of ``t``'s entry, sliced out of ``body``; ``()`` when ``t`` has no entry."""
+        pos = self.table.get(t)
+        return () if pos is None else _records_at(self.body, pos + self.trapdoor_bits // 8 + 1)
 
     @cached_property
     def ordered(self) -> list[bytes]:
-        """``table``'s trapdoors, ascending: the order of FZIX's entries, of the
+        """``table``'s trapdoors, ascending: the order of ``body``'s entries, of the
         authenticated trie's tags and proofs, and of the trie view's leaves."""
         return sorted(self.table)
 
@@ -79,7 +108,7 @@ class TrieIndex(Index):
     as an integer) holds the leaves ``span(depth, prefix)`` and exists when that is not empty.
     """
 
-    tags: bytes = b""  # an authenticated trie's: TAG_BYTES per entry, then per gap, in ``ordered`` order
+    tags: bytes | memoryview = b""  # an authenticated trie's: TAG_BYTES per entry, then per gap, in ``ordered`` order
 
     @property
     def kind(self) -> str:
@@ -123,7 +152,7 @@ class NodeView:
 
     @property
     def records(self) -> tuple[bytes, ...]:
-        return self.index.table.get(self.trapdoor, ())
+        return self.index.records(self.trapdoor)
 
     @property
     def exact(self) -> bool:
@@ -190,6 +219,106 @@ build_listing_index = ListingIndex.build
 build_trie_index = TrieIndex.build
 
 
+# -- the entry layout: writer, validating reader, hit-time reader ------------
+
+_COUNT_FIRST = struct.Struct(">HI").unpack_from  # an entry's record count, then its first record's length
+_LENGTH = struct.Struct(">I")  # every later record's length
+
+
+def _entry_head(width: int) -> struct.Struct:
+    """An entry's head: trapdoor, entry flag, record count, the first record's length."""
+    return struct.Struct(f">{width}sBHI")
+
+
+def pack_entries(
+    entries: dict[bytes, tuple[bytes, ...]], exact: set[bytes], width: int
+) -> tuple[dict[bytes, int], memoryview]:
+    """The body of ``entries`` in one pass in trapdoor order, and each trapdoor's offset in it.
+
+    Raises ``BadParameter`` for an entry of no records or of more than a u16
+    count holds (65,535), and for a trapdoor that is not ``width`` bytes.
+    """
+    head = _entry_head(width)
+    pack, head_size, length = head.pack, head.size, _LENGTH.pack
+    parts, table, pos = [], {}, 0
+    append = parts.append
+    for t in sorted(entries):
+        records = entries[t]
+        if not 0 < len(records) <= 0xFFFF:  # the count is a u16, and an entry holds records
+            raise BadParameter(f"{len(records)} records under one trapdoor; the limit is 1..65535")
+        if len(t) != width:
+            raise BadParameter(f"a {len(t)}-byte trapdoor in a {width * 8}-bit index")
+        table[t] = pos
+        first = records[0]
+        append(pack(t, t in exact, len(records), len(first)))
+        append(first)
+        pos += head_size + len(first)
+        for blob in records[1:]:
+            append(length(len(blob)))
+            append(blob)
+            pos += 4 + len(blob)
+    return table, memoryview(b"".join(parts))
+
+
+def read_entries(body: memoryview, count: int, width: int) -> tuple[dict[bytes, int], set[bytes], int]:
+    """The ``count`` entries at the start of ``body``: (trapdoor -> offset map, exact set, end offset).
+
+    Every bound is checked before its field is read, and every record is at
+    least ``RECORD_MIN_BYTES`` long, but none is sliced out.  The ascending
+    order of the trapdoors is checked once, over all of them, after the last entry.
+    """
+    size, head = len(body), _entry_head(width)
+    unpack, head_size, length = head.unpack_from, head.size, _LENGTH.unpack_from
+    table, keys, exact, pos = {}, [], set(), 0
+    for i in range(count):
+        start = pos + head_size
+        if start > size:
+            raise Truncated(f"entry {i} ends early")
+        t, flag, n, first = unpack(body, pos)
+        if flag > 1:
+            raise BadParameter(f"entry {i}: unknown entry flags {flag:#x}")
+        if not n:
+            raise BadParameter(f"entry {i} has no records")
+        table[t] = pos
+        keys.append(t)
+        if flag:
+            exact.add(t)
+        pos = start + first
+        if pos > size:
+            raise Truncated(f"entry {i}: a record ends early")
+        if first < RECORD_MIN_BYTES:
+            raise AuthFailure("record blob too short")
+        for _ in range(n - 1):
+            start = pos + 4
+            if start > size:
+                raise Truncated(f"entry {i}: a record ends early")
+            (n_bytes,) = length(body, pos)
+            pos = start + n_bytes
+            if pos > size:
+                raise Truncated(f"entry {i}: a record ends early")
+            if n_bytes < RECORD_MIN_BYTES:
+                raise AuthFailure("record blob too short")
+    if not all(map(operator.lt, keys, keys[1:])):
+        i = next(i for i in range(1, len(keys)) if keys[i - 1] >= keys[i])
+        raise BadParameter(f"entry {i}: trapdoors are not strictly ascending")
+    return table, exact, pos
+
+
+def _records_at(body: memoryview, pos: int) -> tuple[bytes, ...]:
+    """The records of the entry whose record count is at ``pos``; the writer or the reader checked its bounds."""
+    n, size = _COUNT_FIRST(body, pos)
+    pos += 6
+    end = pos + size
+    if n == 1:
+        return (body[pos:end].tobytes(),)
+    records = [body[pos:end].tobytes()]
+    for _ in range(n - 1):
+        pos = end + 4
+        end = pos + _LENGTH.unpack_from(body, end)[0]
+        records.append(body[pos:end].tobytes())
+    return tuple(records)
+
+
 def make_request(word: str, k: int, km: KeyMaterial, method: str = "wildcard") -> SearchRequest:
     """Trapdoors for every variant of (word, k); exact word first, rest lexicographic."""
     variants = fuzzy_set(word, k, method)
@@ -228,11 +357,11 @@ def search_listing(index: Index, req: SearchRequest) -> ResultSet:
     """
     if req.k > index.d:
         raise EditBoundExceeded(f"request k={req.k} exceeds index d={index.d}")
-    gathered: list[bytes] = []
+    table, gathered = index.table, []
     for i, t in enumerate(req.trapdoors):
-        records = index.table.get(t)
-        if not records:
+        if t not in table:
             continue
+        records = index.records(t)
         if i == 0 and t in index.exact:
             return ResultSet(records=list(dict.fromkeys(records)), exact_hit=True)
         gathered.extend(records)

@@ -19,13 +19,17 @@ All integers are big-endian.  Each header is one ``struct.Struct``, and
     keyword entry, other bits zero) || record count (2, at least 1) ||
     the records, each 4-byte length-prefixed.  A record is the bytes
     ``nonce || ciphertext`` (``crypto.encrypt_record``), at least
-    ``RECORD_MIN_BYTES`` (28) long; the reader keeps them as they are.
+    ``RECORD_MIN_BYTES`` (28) long.  The body is the index's own ``body``:
+    ``index.pack_entries`` writes it at build time, ``index.read_entries``
+    checks it at load time, and the index keeps the file's buffer, its
+    ``table`` holding each entry's offset, not its records.
     An authenticated trie appends its tags: ``TAG_BYTES`` per entry of leaf
     tags in entry order, then ``TAG_BYTES`` per gap (entries + 1) of gap
     tags, from the head gap to the tail gap.  Nothing follows.
     The trie itself is not written: it is a view over the sorted trapdoors.
-    The reader accepts only what ``dumps_index`` writes, so a file that
-    loads dumps back to the same bytes; builds are byte-deterministic.
+    ``dumps_index`` writes the header, the body and the tags; the reader
+    accepts only what it writes, so a file that loads dumps back to the same
+    bytes; builds are byte-deterministic.
     Versions 1 (a pre-order node stream for tries) and 2 (an authenticated
     trie's per-node chain digests) raise ``VersionUnsupported``; rebuild
     such an index.
@@ -49,13 +53,12 @@ key, and the revoked user would be gone, so a second ``revoke`` could not run.
 
 from __future__ import annotations
 
-import operator
 import os
 import struct
 
-from .crypto import RECORD_MIN_BYTES, SECURITY_BITS, KeyMaterial, check_geometry
-from .errors import AuthFailure, BadMagic, BadParameter, Truncated, VersionUnsupported
-from .index import ListingIndex, TrieIndex
+from .crypto import SECURITY_BITS, KeyMaterial, check_geometry
+from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
+from .index import ListingIndex, TrieIndex, read_entries
 from .multiuser import UserDirectory, user_id_bytes
 from .verifiable import TAG_BYTES
 
@@ -163,28 +166,18 @@ def load_keys(path: str) -> KeyMaterial:
 # -- indexes ---------------------------------------------------------------
 
 def dumps_index(index) -> bytes:
+    """The header, then the index's ``body`` and, for an authenticated trie, its ``tags``."""
     if getattr(index, "kind", None) not in KIND_FLAGS:
         raise BadParameter(f"cannot serialize {type(index).__name__}")
     check_geometry(index.trapdoor_bits, index.symbol_bits)
     if not 0 <= index.d <= 0xFF:
         raise BadParameter(f"edit bound {index.d} does not fit FZIX's one byte (0..255)")
+    first = next(iter(index.table), None)  # every trapdoor in the body has the first one's width
+    if first is not None and len(first) != index.trapdoor_bits // 8:
+        raise BadParameter(f"a {len(first)}-byte trapdoor in a {index.trapdoor_bits}-bit index")
     flags = KIND_FLAGS[index.kind] | (FLAG_GRAM if index.method == "gram" else 0)
     fields = (flags, index.symbol_bits, index.trapdoor_bits, index.d, len(index.table))
-    parts = [INDEX_HEAD.pack(INDEX_MAGIC, INDEX_VERSION, *fields)]
-    width, append, exact = index.trapdoor_bits // 8, parts.append, index.exact
-    head = _entry_head(width).pack
-    for t in index.ordered:
-        records = index.table[t]
-        if not 0 < len(records) <= 0xFFFF:  # the count is a u16, and an entry holds records
-            raise BadParameter(f"{len(records)} records under one trapdoor; the limit is 1..65535")
-        if len(t) != width:
-            raise BadParameter(f"a {len(t)}-byte trapdoor in a {index.trapdoor_bits}-bit index")
-        first = records[0]
-        append(head(t, t in exact, len(records), len(first)))
-        append(first)
-        for blob in records[1:]:
-            append(len(blob).to_bytes(4, "big"))
-            append(blob)
+    parts = [INDEX_HEAD.pack(INDEX_MAGIC, INDEX_VERSION, *fields), index.body]
     if index.kind == "auth_trie":
         tags_len = (2 * len(index.table) + 1) * TAG_BYTES
         if len(index.tags) != tags_len:
@@ -193,77 +186,26 @@ def dumps_index(index) -> bytes:
     return b"".join(parts)
 
 
-def _entry_head(width: int) -> struct.Struct:
-    """An entry's head: trapdoor, entry flag, record count, the first record's length."""
-    return struct.Struct(f">{width}sBHI")
-
-
-def _read_entries(data: bytes, pos: int, count: int, width: int):
-    """The ``count`` entries from offset ``pos``: (map, exact set, end offset).
-
-    Every bound is checked before its slice is taken.  The ascending order of
-    the trapdoors is checked once, over all of them, after the last entry.
-    """
-    size, head = len(data), _entry_head(width)
-    unpack, head_size = head.unpack_from, head.size
-    keys, values, exact = [], [], set()
-    for i in range(count):
-        start = pos + head_size
-        if start > size:
-            raise Truncated(f"entry {i} ends early")
-        t, flag, n, length = unpack(data, pos)
-        if flag > 1:
-            raise BadParameter(f"entry {i}: unknown entry flags {flag:#x}")
-        if not n:
-            raise BadParameter(f"entry {i} has no records")
-        pos = start + length
-        if pos > size:
-            raise Truncated(f"entry {i}: a record ends early")
-        if length < RECORD_MIN_BYTES:
-            raise AuthFailure("record blob too short")
-        if n == 1:
-            records = (data[start:pos],)
-        else:
-            records = [data[start:pos]]
-            for _ in range(n - 1):
-                start = pos + 4
-                if start > size:
-                    raise Truncated(f"entry {i}: a record ends early")
-                length = int.from_bytes(data[pos:start], "big")
-                pos = start + length
-                if pos > size:
-                    raise Truncated(f"entry {i}: a record ends early")
-                if length < RECORD_MIN_BYTES:
-                    raise AuthFailure("record blob too short")
-                records.append(data[start:pos])
-            records = tuple(records)
-        keys.append(t)
-        values.append(records)
-        if flag:
-            exact.add(t)
-    if not all(map(operator.lt, keys, keys[1:])):
-        i = next(i for i in range(1, len(keys)) if keys[i - 1] >= keys[i])
-        raise BadParameter(f"entry {i}: trapdoors are not strictly ascending")
-    return dict(zip(keys, values)), exact, pos
-
-
 def loads_index(data: bytes):
-    data = bytes(data)  # slices must be bytes, to key the map
+    """The index of an FZIX file: its ``body`` and ``tags`` are views of ``data``, which it keeps."""
+    data = bytes(data)  # the index keeps it, so it must not change
     flags, symbol_bits, trapdoor_bits, d, count = _header(data, INDEX_HEAD, INDEX_MAGIC, INDEX_VERSION)
     if flags & ~(FLAG_TRIE | FLAG_VERIFIABLE | FLAG_GRAM):
         raise BadParameter(f"unknown index flags {flags:#x}")
     if flags & FLAG_VERIFIABLE and not flags & FLAG_TRIE:
         raise BadParameter("verifiable flag requires a trie index")
     check_geometry(trapdoor_bits, symbol_bits)
-    table, exact, pos = _read_entries(data, INDEX_HEAD.size, count, trapdoor_bits // 8)
+    rest = memoryview(data)[INDEX_HEAD.size :]
+    table, exact, end = read_entries(rest, count, trapdoor_bits // 8)
     method = "gram" if flags & FLAG_GRAM else "wildcard"
     tags_len = (2 * len(table) + 1) * TAG_BYTES if flags & FLAG_VERIFIABLE else 0
-    if len(data) - pos != tags_len:
+    if len(rest) - end != tags_len:
         kind = next(kind for kind, bits in KIND_FLAGS.items() if bits == flags & ~FLAG_GRAM)
-        raise Truncated(f"{len(data) - pos} bytes follow the {kind} entries, not {tags_len}")
+        raise Truncated(f"{len(rest) - end} bytes follow the {kind} entries, not {tags_len}")
+    fields = (table, rest[:end], trapdoor_bits, symbol_bits, d, method, exact)
     if flags & FLAG_TRIE:
-        return TrieIndex(table, trapdoor_bits, symbol_bits, d, method, exact, data[pos:])
-    return ListingIndex(table, trapdoor_bits, symbol_bits, d, method, exact)
+        return TrieIndex(*fields, rest[end:])
+    return ListingIndex(*fields)
 
 
 def save_index(index, path: str) -> None:

@@ -99,9 +99,9 @@ def build_auth_trie(
     ``gap_tag``.
     """
     index = build_trie_index(corpus, d, km, method)
-    table, exact, keys = index.table, index.exact, index.ordered
+    exact, keys = index.exact, index.ordered
     ends = [b"", *keys, b""]
-    msgs = [_leaf_msg(t, t in exact, record_digest(table[t])) for t in keys]
+    msgs = [_leaf_msg(t, t in exact, record_digest(index.records(t))) for t in keys]
     msgs += [_gap_msg(left, right) for left, right in zip(ends, ends[1:])]
     index.tags = b"".join(prf_many(km.record_key, msgs, TAG_BYTES))
     return index
@@ -120,13 +120,13 @@ def search_with_proof(index: TrieIndex, req: SearchRequest) -> tuple[ResultSet, 
     if index.kind != "auth_trie":
         raise BadParameter(f"a {index.kind} index holds no tags to prove with")
     result = search_listing(index, req)
-    ordered, tags, table, exact = index.ordered, index.tags, index.table, index.exact
+    ordered, tags, exact = index.ordered, index.tags, index.exact
     size, proofs = len(ordered), []
     for t in req.trapdoors:
         pos = bisect_left(ordered, t)
         if pos < size and ordered[pos] == t:
             at = pos * TAG_BYTES
-            proofs.append(_HIT_HEADS[t in exact] + record_digest(table[t]) + tags[at : at + TAG_BYTES])
+            proofs.append(_HIT_HEADS[t in exact] + record_digest(index.records(t)) + tags[at : at + TAG_BYTES])
         else:
             at = (size + pos) * TAG_BYTES
             left = ordered[pos - 1] if pos else b""

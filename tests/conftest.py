@@ -8,6 +8,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from fzsearch import (
+    AuthFailure,
     BadMagic,
     BadParameter,
     FzError,
@@ -21,7 +22,7 @@ from fzsearch import (
     keygen,
 )
 from fzsearch.crypto import SECURITY_BITS, check_geometry, prf_bytes
-from fzsearch.persist import _read_entries, save_keys
+from fzsearch.persist import save_keys
 from fzsearch.verifiable import TAG_BYTES
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -288,8 +289,8 @@ def reference_loads_keys(data: bytes) -> KeyMaterial:
 
 
 def reference_loads_index(data: bytes):
-    """The FZIX v3 header read field by field through a cursor, then the entries
-    through ``persist._read_entries``: the oracle ``persist.loads_index`` is held to."""
+    """FZIX v3 read field by field through a cursor, the header and every entry's
+    fields and records alike: the oracle ``persist.loads_index`` is held to."""
     data = bytes(data)
     r = _Reader(data)
     _check_header(r, b"FZIX", 3)
@@ -303,13 +304,28 @@ def reference_loads_index(data: bytes):
     d = r.u8()
     check_geometry(trapdoor_bits, symbol_bits)
     count = r.u64()
-    table, exact, pos = _read_entries(data, r.pos, count, trapdoor_bits // 8)
+    entries, exact = {}, set()
+    for _ in range(count):
+        t, flag, n = r.take(trapdoor_bits // 8), r.u8(), r.u16()
+        if flag > 1:
+            raise BadParameter("unknown entry flags")
+        if not n:
+            raise BadParameter("an entry without records")
+        if entries and t <= next(reversed(entries)):
+            raise BadParameter("trapdoors are not strictly ascending")
+        entries[t] = tuple(r.take(r.u32()) for _ in range(n))
+        if min(map(len, entries[t])) < 28:
+            raise AuthFailure("record blob too short")
+        if flag:
+            exact.add(t)
     method = "gram" if flags & 0x04 else "wildcard"
-    if len(data) - pos != ((2 * len(table) + 1) * TAG_BYTES if flags & 0x02 else 0):
+    tags = data[r.pos :]
+    if len(tags) != ((2 * len(entries) + 1) * TAG_BYTES if flags & 0x02 else 0):
         raise Truncated("the bytes after the entries are not the kind's tags")
+    index = (TrieIndex if flags & 0x01 else ListingIndex).from_entries(entries, trapdoor_bits, symbol_bits, d, method, exact)
     if flags & 0x01:
-        return TrieIndex(table, trapdoor_bits, symbol_bits, d, method, exact, data[pos:])
-    return ListingIndex(table, trapdoor_bits, symbol_bits, d, method, exact)
+        index.tags = tags
+    return index
 
 
 def reference_loads_directory(data: bytes) -> UserDirectory:

@@ -137,11 +137,17 @@ class TestRecords:
 
     @pytest.mark.parametrize(
         "payload, message",
-        [(b"", "empty record payload"), (b"\x00cat", "malformed"), (b"\x05cat", "malformed")],
+        [
+            (b"", "empty record payload"),
+            (b"\x00cat", "malformed"),
+            (b"\x05cat", "malformed"),
+            (b"\x01F\xff", "not ASCII"),
+        ],
     )
     def test_an_authentic_record_with_a_bad_payload_fails(self, km, payload, message):
         """Sealed under the record key, so only the payload checks can refuse it:
-        empty, a zero fid length, or a fid length that runs past the end."""
+        empty, a zero fid length, a fid length that runs past the end, or a
+        keyword that is not ASCII."""
         nonce = bytes(12)
         blob = nonce + AESGCM(km.record_key).encrypt(nonce, payload, None)
         with pytest.raises(AuthFailure, match=message):

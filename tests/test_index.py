@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     reference_loads_directory,
     reference_loads_index,
     reference_loads_keys,
+    synth_corpus,
 )
 from fzsearch import (
     AuthFailure,
@@ -94,7 +96,7 @@ class TestBuild:
 
     def test_shared_variant_merges_records(self, km):
         index = build_listing_index({"cat": [b"F1"], "cot": [b"F2"]}, 1, km)
-        bucket = index.table[trapdoor(km, "c*t")]
+        bucket = index.records(trapdoor(km, "c*t"))
         decrypted = {decrypt_record(km, rec) for rec in bucket}
         assert decrypted == {(b"F1", "cat"), (b"F2", "cot")}
 
@@ -131,11 +133,12 @@ class TestBuild:
         """A documented leak: every record is 29 + len(fid) + len(keyword)
         bytes (a 12-byte nonce, a 16-byte tag and the fid's length byte)."""
         castle = build_listing_index({"castle": [b"doc-1"]}, 1, km)
-        assert {len(record) for records in castle.table.values() for record in records} == {40}
+        assert {len(record) for t in castle.table for record in castle.records(t)} == {40}
         rng = random.Random(89)
         corpus = {random_word(rng, 1, 12): [rng.randbytes(rng.randint(1, 64)) for _ in range(2)] for _ in range(60)}
-        for records in build_listing_index(corpus, 1, km).table.values():
-            for record in records:
+        index = build_listing_index(corpus, 1, km)
+        for t in index.table:
+            for record in index.records(t):
                 fid, keyword = decrypt_record(km, record)
                 assert fid in corpus[keyword]
                 assert len(record) == 29 + len(fid) + len(keyword)
@@ -174,7 +177,7 @@ class TestBuild:
         corpus = random_corpus(rng, size=30)
         a = build_listing_index(corpus, 1, km)
         b = build_listing_index(corpus, 1, km)
-        assert sorted(a.table.items()) == sorted(b.table.items())
+        assert [(t, a.records(t)) for t in sorted(a.table)] == [(t, b.records(t)) for t in sorted(b.table)]
 
 
 def _shared_corpus(rng: random.Random) -> dict[str, list[bytes]]:
@@ -219,8 +222,8 @@ class TestTrieView:
         if request.param == "edges":
             ends = (bytes(20), bytes(19) + b"\x01", b"\x7f" + b"\xff" * 19,
                     b"\x80" + bytes(19), b"\xff" * 19 + b"\xfe", b"\xff" * 20)
-            table = {t: (t + bytes(8),) for t in ends}
-            return TrieIndex(table, trapdoor_bits=160, symbol_bits=4, d=1, exact={ends[0]})
+            entries = {t: (t + bytes(8),) for t in ends}
+            return TrieIndex.from_entries(entries, trapdoor_bits=160, symbol_bits=4, d=1, exact={ends[0]})
         corpus = random_corpus(random.Random(401 + request.param), size=request.param)
         return build_trie_index(corpus, 1, km)
 
@@ -261,7 +264,7 @@ class TestTrieView:
                 assert (child.depth, child.prefix) == (len(path) + 1, _path_value(path + (sym,), n))
                 stack.append((path + (sym,), child))
             if len(path) == trie.depth:
-                assert node.records == trie.table[node.trapdoor]
+                assert node.records == trie.records(node.trapdoor)
             else:
                 assert node.trapdoor is None and node.records == ()
         assert seen == set(ref)
@@ -273,7 +276,7 @@ class TestTrieView:
             leaf = walk_trie(trie.root, path)
             got.append((path, leaf.depth, leaf.trapdoor, leaf.records, leaf.children))
         assert got == [
-            (symbolize(t, trie.symbol_bits), trie.depth, t, trie.table[t], {}) for t in sorted(trie.table)
+            (symbolize(t, trie.symbol_bits), trie.depth, t, trie.records(t), {}) for t in sorted(trie.table)
         ]
 
     def test_out_of_range_symbols_miss(self, km):
@@ -638,7 +641,7 @@ def test_auth_sections_must_be_exact(small_files, km):
 
 def test_tags_of_the_wrong_length_are_not_written(small_files):
     index = loads_index(small_files["auth", "wildcard"])
-    tags = index.tags
+    tags = bytes(index.tags)  # a loaded index's tags are a view of the file
     for bad in (tags[:-1], tags + b"\x00", tags[:-TAG_BYTES], tags + bytes(TAG_BYTES), tags[:TAG_BYTES]):
         with pytest.raises(BadParameter, match=f"{len(bad)} bytes of tags for {len(index.table)} entries"):
             dumps_index(dataclasses.replace(index, tags=bad))
@@ -811,9 +814,60 @@ def test_reader_matches_the_reference_loop(small_files, larger_files):
                 assert expected is None, key
                 outcomes["rejected"] += 1
                 continue
-            assert expected == (index.table, index.exact, getattr(index, "tags", b"")), key
+            records = {t: index.records(t) for t in index.table}
+            assert expected == (records, index.exact, getattr(index, "tags", b"")), key
             outcomes["loaded"] += 1
     assert outcomes["short"] >= 3 * len(files) and outcomes["loaded"]
+
+
+@pytest.mark.parametrize("method", ["wildcard", "gram"])
+@pytest.mark.parametrize("kind", sorted(GOLDEN_BUILDERS))
+def test_a_loaded_index_answers_as_the_built_one(km, kind, method):
+    """On seeded corpora whose keywords hold several fids and share variants, the
+    built index and ``loads_index(dumps_index(built))`` hold the records that
+    ``_reference_load`` reads under every trapdoor, and answer a seeded query
+    pool at every k up to d with equal results, and with tags equal proofs."""
+    rng = random.Random(f"loaded-as-built/{kind}/{method}")
+    for d in (1, 2):
+        corpus = _shared_corpus(rng)
+        built = GOLDEN_BUILDERS[kind](corpus, d, km, method)
+        blob = dumps_index(built)
+        loaded = loads_index(blob)
+        table, exact, tags = _reference_load(blob)
+        assert max(map(len, table.values())) > 1  # entries of several records
+        for index in (built, loaded):
+            assert {t: index.records(t) for t in index.table} == table
+            assert (index.exact, getattr(index, "tags", b"")) == (exact, tags)
+            if kind != "listing":
+                for t in index.ordered:
+                    assert walk_trie(index.root, symbolize(t, index.symbol_bits)).records == table[t]
+        words = sorted(corpus)
+        pool = words + [mutate(rng.choice(words), rng) for _ in range(20)] + [random_word(rng, 1, 8) for _ in range(10)]
+        for word in pool:
+            for k in range(d + 1):
+                req = make_request(word, k, km, method)
+                if kind == "auth":
+                    assert search_with_proof(built, req) == search_with_proof(loaded, req)
+                else:
+                    assert search_listing(built, req) == search_listing(loaded, req)
+
+
+def test_a_loaded_listing_keeps_no_object_per_record(km):
+    """A loaded index keeps the file's body and, per entry, its trapdoor and its
+    offset: fewer than 2.5 live blocks per entry, where trapdoor, record and
+    tuple objects made 3."""
+    blob = dumps_index(build_listing_index(synth_corpus(300, seed=29), 1, km))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        index = loads_index(blob)
+        after = tracemalloc.take_snapshot()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    blocks = sum(stat.count_diff for stat in after.compare_to(before, "filename"))
+    assert len(index.table) > 4000 and blocks < 2.5 * len(index.table), blocks / len(index.table)
 
 
 # (reader, oracle, writer) per owner-file magic

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import fzsearch.index
 import fzsearch.service as service
 from conftest import garbage_line, mutate, random_corpus, reference_parse_trapdoors, save_seeded_keys
 from fzsearch import (
@@ -446,11 +447,8 @@ class TestPersistence:
             loads_index(bytes(blob))
 
     def test_record_count_overflow_is_a_parameter_error(self):
-        index = ListingIndex(
-            table={bytes(20): (bytes(28),) * 65536}, trapdoor_bits=160, symbol_bits=4, d=1
-        )
         with pytest.raises(BadParameter, match="65535"):
-            dumps_index(index)
+            ListingIndex.from_entries({bytes(20): (bytes(28),) * 65536}, trapdoor_bits=160, symbol_bits=4, d=1)
 
     @pytest.mark.parametrize("d", [-1, 256])
     def test_an_edit_bound_fzix_cannot_hold_is_a_parameter_error(self, km, d):
@@ -459,9 +457,15 @@ class TestPersistence:
 
     def test_trapdoor_of_another_width_is_a_parameter_error(self):
         for width in (19, 21):
-            index = ListingIndex(table={bytes(width): (bytes(28),)}, trapdoor_bits=160, symbol_bits=4, d=1)
             with pytest.raises(BadParameter, match=f"a {width}-byte trapdoor"):
-                dumps_index(index)
+                ListingIndex.from_entries({bytes(width): (bytes(28),)}, trapdoor_bits=160, symbol_bits=4, d=1)
+
+    def test_a_body_of_another_trapdoor_width_is_not_written(self, km):
+        """The body was checked when it was written, against the index's own width;
+        a width changed after that must not reach a file."""
+        for index in (build_listing_index({"cat": [b"F"]}, 1, km), build_auth_trie({"cat": [b"F"]}, 1, km)):
+            with pytest.raises(BadParameter, match="a 20-byte trapdoor in a 128-bit index"):
+                dumps_index(dataclasses.replace(index, trapdoor_bits=128))
 
     def test_truncations_never_crash(self, km):
         corpus = {"cat": [b"F1"], "dog": [b"F2"]}
@@ -1028,6 +1032,24 @@ class TestCli:
             argv = ["search", "cat", "1", "--server", f"{host}:{port}", "--keys", keyfile, "--user", "alice"]
             assert cli_main(argv) == 1
             assert capsys.readouterr() == ("", "error: --user requires --directory\n")
+        finally:
+            _stop(server)
+
+    def test_a_k_above_the_servers_d_stops_before_any_fuzzy_set(self, workspace, capsys, monkeypatch):
+        """k = 3 against a d = 1 server: the fuzzy set would grow about twofold per
+        unit of k, so the CLI checks HelloAck's d first and never builds one."""
+        keyfile = str(workspace / "k.fzky")
+        save_seeded_keys(keyfile, bytes.fromhex("0a"))
+        km = load_keys(keyfile)
+        server, (host, port) = _serve(ServerState(index=build_auth_trie({"castle": [b"F"]}, 1, km)))
+        calls, real = [], fzsearch.index.fuzzy_set
+        monkeypatch.setattr(fzsearch.index, "fuzzy_set", lambda *args: calls.append(args) or real(*args))
+        try:
+            for command in ("search", "verify"):
+                capsys.readouterr()
+                assert cli_main([command, "castle", "3", "--server", f"{host}:{port}", "--keys", keyfile]) == 1
+                assert capsys.readouterr() == ("", "error: EDIT_BOUND: k=3 exceeds index bound d=1\n")
+            assert calls == []
         finally:
             _stop(server)
 

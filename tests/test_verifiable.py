@@ -70,7 +70,7 @@ def _reference_tags(key: bytes, index) -> bytes:
     keys = sorted(index.table)
     leaves = [
         _hmac_tag(key, b"L:" + t + bytes([t in index.exact]) + hashlib.sha256(
-            b"".join(index.table[t])).digest())
+            b"".join(index.records(t))).digest())
         for t in keys
     ]
     ends = [b""] + keys + [b""]
@@ -87,7 +87,7 @@ def _reference_proof(tags: bytes, index, t: bytes) -> bytes:
     if t in index.table:
         i = keys.index(t)
         tag = tags[i * TAG_BYTES : (i + 1) * TAG_BYTES]
-        return hit(int(t in index.exact), hashlib.sha256(b"".join(index.table[t])).digest(), tag)
+        return hit(int(t in index.exact), hashlib.sha256(b"".join(index.records(t))).digest(), tag)
     gap = sum(1 for k in keys if k < t)
     at = (len(keys) + gap) * TAG_BYTES
     left = keys[gap - 1] if gap else b""
@@ -122,7 +122,7 @@ class TestChain:
         plain = build_trie_index(corpus, 1, km)
         for index in (built, loads_index(dumps_index(built))):
             assert type(index) is TrieIndex and index.kind == "auth_trie"
-            assert index == TrieIndex(plain.table, 160, 4, 1, "wildcard", plain.exact, built.tags)
+            assert index == TrieIndex(plain.table, plain.body, 160, 4, 1, "wildcard", plain.exact, built.tags)
         assert plain.tags == b"" and plain.kind == "trie"
         assert type(loads_index(dumps_index(plain))) is TrieIndex
 
@@ -140,7 +140,7 @@ class TestChain:
             index = build_auth_trie(corpus, d, km, method)
             key, keys = km.record_key, index.ordered
             ends = [b"", *keys, b""]
-            leaves = [leaf_tag(key, t, t in index.exact, record_digest(index.table[t])) for t in keys]
+            leaves = [leaf_tag(key, t, t in index.exact, record_digest(index.records(t))) for t in keys]
             gaps = [gap_tag(key, left, right) for left, right in zip(ends, ends[1:])]
             assert index.tags == b"".join(leaves + gaps)
 
@@ -238,7 +238,7 @@ class TestSearchWithProof:
         _, proofs = search_with_proof(index, req)
         (proof,) = proofs
         assert proof[:2] == b"\xff\x01" and len(proof) == 2 + 2 * TAG_BYTES
-        assert fields(proof)["digest"] == record_digest(index.table[req.trapdoors[0]])
+        assert fields(proof)["digest"] == record_digest(index.records(req.trapdoors[0]))
 
     def test_an_index_without_tags_has_no_proofs(self, km):
         corpus, req = {"castle": [b"F1"]}, make_request("castle", 1, km)
@@ -327,7 +327,7 @@ class TestVerify:
         assert not _is_hit(proofs[0])
         forged = hit(0, bytes(32), bytes(32))
         assert verify(req, result, [forged], km).reason is VerdictReason.LEAF_TAG_MISMATCH
-        borrowed = hit(0, record_digest(index.table[sorted(index.table)[0]]), index.tags[:TAG_BYTES])
+        borrowed = hit(0, record_digest(index.records(sorted(index.table)[0])), index.tags[:TAG_BYTES])
         assert verify(req, result, [borrowed], km).reason is VerdictReason.LEAF_TAG_MISMATCH
 
     def test_record_reorder_truncate_extend_rejected(self, km, small_world):
@@ -508,7 +508,7 @@ class TestVerify:
         result, proofs = search_with_proof(index, req)
         assert result.exact_hit and fields(proofs[0])["flag"] == 1
         # flag 1 without an exact hit: the server hides the exact hit and returns the rest
-        everything = ResultSet(records=[r for t in req.trapdoors for r in index.table.get(t, [])], exact_hit=False)
+        everything = ResultSet(records=[r for t in req.trapdoors for r in index.records(t)], exact_hit=False)
         verdict = verify(req, everything, proofs, km)
         assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
         # an exact hit without flag 1, whatever tag comes with it
@@ -534,7 +534,7 @@ class TestVerify:
         assert not result.exact_hit and verify(req, result, proofs, km).accepted
         assert fields(proofs[0])["flag"] == 0
         assert {decrypt_record(km, r)[1] for r in result.records} == {"cart", "bat", "cut"}
-        forged = ResultSet(records=list(index.table[req.trapdoors[0]]), exact_hit=True)
+        forged = ResultSet(records=list(index.records(req.trapdoors[0])), exact_hit=True)
         verdict = verify(req, forged, proofs, km)
         assert not verdict.accepted
         assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
