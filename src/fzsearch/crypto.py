@@ -1,7 +1,9 @@
 """Keys, trapdoors, record encryption and the blinding permutation.
 
 The server only ever sees trapdoors: keyed pseudorandom digests of keyword
-variants, 160 bits by default so they split evenly into 4-bit symbols.  File
+variants, ``TRAPDOOR_BITS`` (160) long, which the trie splits into
+``SYMBOL_BITS`` (4-bit) symbols.  That geometry is fixed: keys, indexes and
+the wire carry no other, and the key and index headers record it.  File
 identifiers travel inside authenticated ciphertexts under a separate key: a
 record is the bytes ``nonce || ciphertext``, a 12-byte nonce and the AES-GCM
 ciphertext with its 16-byte tag, from ``encrypt_record`` through the index,
@@ -10,13 +12,13 @@ the rotating blind key turns trapdoors into per-epoch request tokens for the
 multi-user setting.
 
 Every PRF for trapdoors, record nonces, proof tags and key derivation is
-``prf_bytes``: one RFC 2104 HMAC-SHA256 block, so at most 32 bytes, computed
-from the inner and outer hash states left after absorbing the padded key.
-``prf_many`` is the batch form of the same kernel: a list of messages under
-one key, with one lookup of those states.  ``trapdoors`` (the owner's build
-and ``make_request``), ``encrypt_records`` (the build's record nonces) and the
-authenticated trie's tags take that form; ``trapdoor`` and ``encrypt_record``
-are the one-item forms of the first two.  The pad states are cached per key,
+one RFC 2104 HMAC-SHA256 block, so at most 32 bytes, computed from the inner
+and outer hash states left after absorbing the padded key.  ``prf_many`` is
+that kernel: a list of messages under one key, with one lookup of those
+states.  ``trapdoors`` (the owner's build and ``make_request``),
+``encrypt_records`` (the build's record nonces) and the authenticated trie's
+tags call it with many; ``prf_bytes``, ``trapdoor`` and ``encrypt_record``
+are the one-item forms.  The pad states are cached per key,
 so they hold key material in process memory for as long as the process
 lives, unless the bounded cache evicts them.  The AES-GCM record cipher is
 cached per key the same way, and the AES-ECB encryptor of the blinding
@@ -29,8 +31,8 @@ the half's length: ``F_i(x) = AES(x || i || len(x) || 0...)[:len(x)]``.
 AES is a pseudorandom permutation, so truncated it is a PRF (the PRP/PRF
 switching term is about ``q^2 / 2^128``), and four rounds over ``n``-bit
 halves give a strong pseudorandom permutation up to about ``q^2 / 2^n`` for
-``q`` queries: ``q^2 / 2^80`` at the default 160-bit trapdoors.  A half
-and its two tag bytes must fit one AES block, so a trapdoor is at most
+``q`` queries: ``q^2 / 2^80`` at 160-bit trapdoors.  A half and its two
+tag bytes must fit one AES block, so ``prp`` takes blocks of at most
 ``MAX_PRP_BYTES`` (28 bytes, 224 bits).
 """
 
@@ -43,6 +45,7 @@ import struct
 import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -55,6 +58,10 @@ RECORD_MIN_BYTES = NONCE_BYTES + 16  # a record's nonce, then at least the 16-by
 MAX_FID_BYTES = 64
 SECURITY_BITS = (128, 256)  # each key is security_bits // 8 bytes
 
+TRAPDOOR_BITS = 160  # every trapdoor's length; the FZKY and FZIX headers and HelloAck carry it
+SYMBOL_BITS = 4  # one trie edge; the FZKY and FZIX headers and HelloAck carry it
+TRAPDOOR_BYTES = TRAPDOOR_BITS // 8
+DEPTH = TRAPDOOR_BITS // SYMBOL_BITS  # symbols per trapdoor: the height of the search tree
 MAX_PRP_BYTES = 28  # a half, its round byte and its length byte fill one AES block
 
 _FEISTEL_ROUNDS = 4
@@ -83,23 +90,15 @@ def prf_bytes(key: bytes, msg: bytes, n: int) -> bytes:
     """Keyed pseudorandom bytes: the first ``n`` (1..32) bytes of one HMAC-SHA256 block.
 
     Byte for byte ``hmac.new(key, msg + bytes(4), "sha256").digest()[:n]``,
-    the first block of HMAC in counter mode; the pad states come from a
-    per-key cache.
+    the first block of HMAC in counter mode: the one-item ``prf_many``.
     """
-    if not 0 < n <= 32:
-        raise BadParameter(f"prf_bytes gives 1..32 bytes, not {n}")
-    inner, outer = _hmac_pads(key)
-    h = inner.copy()
-    h.update(msg + _COUNTER)
-    o = outer.copy()
-    o.update(h.digest())
-    return o.digest()[:n]
+    return prf_many(key, (msg,), n)[0]
 
 
 def prf_many(key: bytes, msgs: Iterable[bytes], n: int) -> list[bytes]:
-    """``[prf_bytes(key, m, n) for m in msgs]``, byte for byte, from one pad lookup."""
+    """``[prf_bytes(key, m, n) for m in msgs]``, from one lookup of the per-key pad states."""
     if not 0 < n <= 32:
-        raise BadParameter(f"prf_many gives 1..32 bytes, not {n}")
+        raise BadParameter(f"a PRF gives 1..32 bytes, not {n}")
     inner, outer = _hmac_pads(key)
     inner_copy, outer_copy = inner.copy, outer.copy
     out = []
@@ -114,7 +113,8 @@ def prf_many(key: bytes, msgs: Iterable[bytes], n: int) -> list[bytes]:
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """Secret keys plus the trapdoor geometry they were generated for.
+    """Secret keys.  The trapdoor geometry is not a field: ``trapdoor_bits``,
+    ``symbol_bits`` and ``depth`` are the module's constants.
 
     ``trapdoor_key`` feeds the trapdoor PRF, ``record_key`` encrypts records
     and keys the proof tags, ``blind_key`` is the current request-blinding
@@ -125,43 +125,15 @@ class KeyMaterial:
     record_key: bytes
     blind_key: bytes
     security_bits: int
-    trapdoor_bits: int = 160
-    symbol_bits: int = 4
-
-    @property
-    def trapdoor_bytes(self) -> int:
-        return self.trapdoor_bits // 8
-
-    @property
-    def depth(self) -> int:
-        """Symbols per trapdoor; the height of the search tree."""
-        return self.trapdoor_bits // self.symbol_bits
+    trapdoor_bits: ClassVar[int] = TRAPDOOR_BITS
+    symbol_bits: ClassVar[int] = SYMBOL_BITS
+    depth: ClassVar[int] = DEPTH
 
 
-def check_geometry(trapdoor_bits: int, symbol_bits: int) -> None:
-    """Validate the trapdoor/symbol split shared by keys and indexes."""
-    if trapdoor_bits <= 0 or trapdoor_bits % 16 != 0:
-        raise BadParameter("trapdoor_bits must be a positive multiple of 16")
-    if trapdoor_bits > 8 * MAX_PRP_BYTES:
-        raise BadParameter(f"trapdoor_bits must be at most {8 * MAX_PRP_BYTES}, the widest block prp takes")
-    if not 1 <= symbol_bits <= 8:
-        raise BadParameter("symbol_bits must be in 1..8")
-    if trapdoor_bits % symbol_bits != 0:
-        raise BadParameter("symbol_bits must divide trapdoor_bits")
-    if trapdoor_bits // symbol_bits > 255:
-        raise BadParameter("trapdoor_bits/symbol_bits must fit one byte")
-
-
-def keygen(
-    security_bits: int = 128,
-    seed: bytes | None = None,
-    trapdoor_bits: int = 160,
-    symbol_bits: int = 4,
-) -> KeyMaterial:
+def keygen(security_bits: int = 128, seed: bytes | None = None) -> KeyMaterial:
     """Generate key material; a seed makes the output reproducible."""
     if security_bits not in SECURITY_BITS:
         raise BadParameter(f"unsupported security parameter {security_bits}")
-    check_geometry(trapdoor_bits, symbol_bits)
     nb = security_bits // 8
     if seed is None:
         sk, sk0, xi = secrets.token_bytes(nb), secrets.token_bytes(nb), secrets.token_bytes(nb)
@@ -169,24 +141,17 @@ def keygen(
         sk = prf_bytes(seed, b"trapdoor-key\0", nb)
         sk0 = prf_bytes(seed, b"record-key\0", nb)
         xi = prf_bytes(seed, b"blind-key\0", nb)
-    return KeyMaterial(
-        trapdoor_key=sk,
-        record_key=sk0,
-        blind_key=xi,
-        security_bits=security_bits,
-        trapdoor_bits=trapdoor_bits,
-        symbol_bits=symbol_bits,
-    )
+    return KeyMaterial(trapdoor_key=sk, record_key=sk0, blind_key=xi, security_bits=security_bits)
 
 
 def trapdoor(km: KeyMaterial, variant: str) -> bytes:
-    """Keyed digest of a keyword variant, exactly ``trapdoor_bits`` long."""
+    """Keyed digest of a keyword variant, exactly ``TRAPDOOR_BYTES`` long."""
     return trapdoors(km, (variant,))[0]
 
 
 def trapdoors(km: KeyMaterial, variants: Iterable[str]) -> list[bytes]:
     """``trapdoor`` of each variant, in order, from one ``prf_many`` call."""
-    return prf_many(km.trapdoor_key, [b"T:" + v.encode("ascii") for v in variants], km.trapdoor_bytes)
+    return prf_many(km.trapdoor_key, [b"T:" + v.encode("ascii") for v in variants], TRAPDOOR_BYTES)
 
 
 @functools.lru_cache(maxsize=_KEY_CACHE_SIZE)

@@ -14,6 +14,11 @@ of distinct variants.  Two constructions are served:
 Keywords are normalized lowercase a-z strings; ``*`` (0x2A) is the reserved
 wildcard character and sorts before every letter, which fixes the variant
 order used everywhere (serialization, request ordering).
+
+A set grows about as ``len(word) ** d``, so neither construction gives more
+than ``MAX_VARIANTS``: both raise ``BadParameter`` naming the word as soon
+as a level passes it, before the set is done.  The server takes no request
+of more trapdoors than that.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from __future__ import annotations
 from .errors import BadParameter, EmptyKeyword
 
 WILDCARD = "*"
+MAX_VARIANTS = 4096  # the most variants of one fuzzy set, and so of one request
+
+
+def _too_many(word: str, d: int) -> BadParameter:
+    return BadParameter(f"the fuzzy set of {word!r} at d={d} has more than {MAX_VARIANTS} variants")
 
 
 def normalize_keyword(raw: str) -> str:
@@ -112,6 +122,8 @@ def wildcard_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
         nxt: set[str] = set()
         for member in level:
             nxt |= _expand_once(member)
+            if len(nxt) > MAX_VARIANTS:
+                raise _too_many(word, d)
         level = nxt
     return tuple(sorted(level))
 
@@ -126,6 +138,8 @@ def gram_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
         for member in level:
             for i in range(len(member)):
                 nxt.add(member[:i] + member[i + 1 :])
+            if len(nxt) > MAX_VARIANTS:
+                raise _too_many(word, d)
         level = nxt
     return tuple(sorted(level))
 

@@ -12,10 +12,10 @@ validating reader and that hit-time reader sit together below.
 
 A record is the bytes ``nonce || ciphertext`` that ``crypto.encrypt_record``
 returns; nothing here looks inside one.  The listing index is the flat
-table; the trie files each trapdoor root-to-leaf as n-bit symbols, its nodes
-derived from ``Index.ordered``; a trie that also holds ``tags``
-(``verifiable.build_auth_trie``) is the authenticated trie, with a tag per
-entry and per gap between entries.
+table; the trie files each trapdoor root-to-leaf as ``DEPTH`` symbols of
+``SYMBOL_BITS`` each, its nodes derived from ``Index.ordered``; a trie that
+also holds ``tags`` (``verifiable.build_auth_trie``) is the authenticated
+trie, with a tag per entry and per gap between entries.
 
 Requests put the exact word's trapdoor first; a search that matches it
 returns only that entry's records (the exact hit short-circuits the fuzzy
@@ -32,7 +32,17 @@ from functools import cached_property
 from itertools import chain
 from typing import ClassVar
 
-from .crypto import RECORD_MIN_BYTES, KeyMaterial, decrypt_record, encrypt_records, trapdoors
+from .crypto import (
+    DEPTH,
+    RECORD_MIN_BYTES,
+    SYMBOL_BITS,
+    TRAPDOOR_BITS,
+    TRAPDOOR_BYTES,
+    KeyMaterial,
+    decrypt_record,
+    encrypt_records,
+    trapdoors,
+)
 from .errors import AuthFailure, BadParameter, EditBoundExceeded, Truncated
 from .fuzzyset import fuzzy_set, within_edits
 
@@ -53,10 +63,11 @@ class Index:
     """Trapdoors mapped to their entries in one body, immutable once built; ``kind`` names its access structure."""
 
     kind: ClassVar[str]
+    trapdoor_bits: ClassVar[int] = TRAPDOOR_BITS
+    symbol_bits: ClassVar[int] = SYMBOL_BITS
+    depth: ClassVar[int] = DEPTH
     table: dict[bytes, int]  # trapdoor -> the offset of its entry in ``body``
     body: memoryview  # the FZIX entry body: every entry, in ascending trapdoor order
-    trapdoor_bits: int
-    symbol_bits: int
     d: int
     method: str = "wildcard"
     # Trapdoors of keywords' own zero-edit variants, so a hit on the request's
@@ -68,26 +79,20 @@ class Index:
     @classmethod
     def build(cls, corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"):
         entries, exact = build_entries(corpus, d, km, method)
-        return cls.from_entries(entries, km.trapdoor_bits, km.symbol_bits, d, method, exact)
+        return cls.from_entries(entries, d, method, exact)
 
     @classmethod
     def from_entries(
-        cls,
-        entries: dict[bytes, tuple[bytes, ...]],
-        trapdoor_bits: int,
-        symbol_bits: int,
-        d: int,
-        method: str = "wildcard",
-        exact: set[bytes] = frozenset(),
+        cls, entries: dict[bytes, tuple[bytes, ...]], d: int, method: str = "wildcard", exact: set[bytes] = frozenset()
     ):
         """The index of a trapdoor -> records map, its body written by ``pack_entries``."""
-        table, body = pack_entries(entries, exact, trapdoor_bits // 8)
-        return cls(table, body, trapdoor_bits, symbol_bits, d, method, set(exact))
+        table, body = pack_entries(entries, exact)
+        return cls(table, body, d, method, set(exact))
 
     def records(self, t: bytes) -> tuple[bytes, ...]:
         """The records of ``t``'s entry, sliced out of ``body``; ``()`` when ``t`` has no entry."""
         pos = self.table.get(t)
-        return () if pos is None else _records_at(self.body, pos + self.trapdoor_bits // 8 + 1)
+        return () if pos is None else _records_at(self.body, pos + TRAPDOOR_BYTES + 1)
 
     @cached_property
     def ordered(self) -> list[bytes]:
@@ -102,7 +107,7 @@ class ListingIndex(Index):
 
 @dataclass
 class TrieIndex(Index):
-    """Each trapdoor filed root-to-leaf as ``depth`` n-bit symbols, records at the leaf.
+    """Each trapdoor filed root-to-leaf as ``DEPTH`` symbols of ``SYMBOL_BITS``, records at the leaf.
 
     The trie is a view over ``ordered``: the node at ``depth`` on ``prefix`` (its path
     as an integer) holds the leaves ``span(depth, prefix)`` and exists when that is not empty.
@@ -114,15 +119,11 @@ class TrieIndex(Index):
     def kind(self) -> str:
         return "auth_trie" if self.tags else "trie"
 
-    @property
-    def depth(self) -> int:
-        return self.trapdoor_bits // self.symbol_bits
-
     def span(self, depth: int, prefix: int) -> tuple[int, int]:
         """``(lo, hi)``: ``ordered[lo:hi]`` are the leaves below node ``(depth, prefix)``."""
-        shift, width = self.trapdoor_bits - depth * self.symbol_bits, self.trapdoor_bits // 8
-        low = (prefix << shift).to_bytes(width, "big")  # the node's lowest leaf
-        high = (((prefix + 1) << shift) - 1).to_bytes(width, "big")  # its highest: all bits below the path set
+        shift = TRAPDOOR_BITS - depth * SYMBOL_BITS
+        low = (prefix << shift).to_bytes(TRAPDOOR_BYTES, "big")  # the node's lowest leaf
+        high = (((prefix + 1) << shift) - 1).to_bytes(TRAPDOOR_BYTES, "big")  # its highest: all bits below the path set
         return bisect_left(self.ordered, low), bisect_right(self.ordered, high)
 
     @property
@@ -137,18 +138,17 @@ class NodeView:
 
     def __init__(self, index: TrieIndex, depth: int, prefix: int):
         self.index, self.depth, self.prefix = index, depth, prefix
-        at_leaf = depth == index.depth
-        self.trapdoor = prefix.to_bytes(index.trapdoor_bits // 8, "big") if at_leaf else None
+        self.trapdoor = prefix.to_bytes(TRAPDOOR_BYTES, "big") if depth == DEPTH else None
 
     @property
     def children(self) -> dict[int, "NodeView"]:
-        index, n, depth = self.index, self.index.symbol_bits, self.depth + 1
-        if depth > index.depth:
+        index, depth = self.index, self.depth + 1
+        if depth > DEPTH:
             return {}
         lo, hi = index.span(self.depth, self.prefix)
-        shift = index.trapdoor_bits - depth * n  # bits below a child's path
+        shift = TRAPDOOR_BITS - depth * SYMBOL_BITS  # bits below a child's path
         paths = dict.fromkeys(int.from_bytes(t, "big") >> shift for t in index.ordered[lo:hi])
-        return {p & ((1 << n) - 1): NodeView(index, depth, p) for p in paths}
+        return {p & ((1 << SYMBOL_BITS) - 1): NodeView(index, depth, p) for p in paths}
 
     @property
     def records(self) -> tuple[bytes, ...]:
@@ -221,33 +221,26 @@ build_trie_index = TrieIndex.build
 
 # -- the entry layout: writer, validating reader, hit-time reader ------------
 
+_ENTRY_HEAD = struct.Struct(f">{TRAPDOOR_BYTES}sBHI")  # trapdoor, entry flag, record count, first record's length
 _COUNT_FIRST = struct.Struct(">HI").unpack_from  # an entry's record count, then its first record's length
 _LENGTH = struct.Struct(">I")  # every later record's length
 
 
-def _entry_head(width: int) -> struct.Struct:
-    """An entry's head: trapdoor, entry flag, record count, the first record's length."""
-    return struct.Struct(f">{width}sBHI")
-
-
-def pack_entries(
-    entries: dict[bytes, tuple[bytes, ...]], exact: set[bytes], width: int
-) -> tuple[dict[bytes, int], memoryview]:
+def pack_entries(entries: dict[bytes, tuple[bytes, ...]], exact: set[bytes]) -> tuple[dict[bytes, int], memoryview]:
     """The body of ``entries`` in one pass in trapdoor order, and each trapdoor's offset in it.
 
     Raises ``BadParameter`` for an entry of no records or of more than a u16
-    count holds (65,535), and for a trapdoor that is not ``width`` bytes.
+    count holds (65,535), and for a trapdoor that is not ``TRAPDOOR_BYTES`` long.
     """
-    head = _entry_head(width)
-    pack, head_size, length = head.pack, head.size, _LENGTH.pack
+    pack, head_size, length = _ENTRY_HEAD.pack, _ENTRY_HEAD.size, _LENGTH.pack
     parts, table, pos = [], {}, 0
     append = parts.append
     for t in sorted(entries):
         records = entries[t]
         if not 0 < len(records) <= 0xFFFF:  # the count is a u16, and an entry holds records
             raise BadParameter(f"{len(records)} records under one trapdoor; the limit is 1..65535")
-        if len(t) != width:
-            raise BadParameter(f"a {len(t)}-byte trapdoor in a {width * 8}-bit index")
+        if len(t) != TRAPDOOR_BYTES:
+            raise BadParameter(f"a {len(t)}-byte trapdoor in a {TRAPDOOR_BITS}-bit index")
         table[t] = pos
         first = records[0]
         append(pack(t, t in exact, len(records), len(first)))
@@ -260,15 +253,14 @@ def pack_entries(
     return table, memoryview(b"".join(parts))
 
 
-def read_entries(body: memoryview, count: int, width: int) -> tuple[dict[bytes, int], set[bytes], int]:
+def read_entries(body: memoryview, count: int) -> tuple[dict[bytes, int], set[bytes], int]:
     """The ``count`` entries at the start of ``body``: (trapdoor -> offset map, exact set, end offset).
 
     Every bound is checked before its field is read, and every record is at
     least ``RECORD_MIN_BYTES`` long, but none is sliced out.  The ascending
     order of the trapdoors is checked once, over all of them, after the last entry.
     """
-    size, head = len(body), _entry_head(width)
-    unpack, head_size, length = head.unpack_from, head.size, _LENGTH.unpack_from
+    size, unpack, head_size, length = len(body), _ENTRY_HEAD.unpack_from, _ENTRY_HEAD.size, _LENGTH.unpack_from
     table, keys, exact, pos = {}, [], set(), 0
     for i in range(count):
         start = pos + head_size
@@ -339,21 +331,23 @@ def decrypt_matches(km: KeyMaterial, word: str, k: int, result: ResultSet) -> li
 
 def walk_trie(root: NodeView, symbols: tuple[int, ...]) -> NodeView | None:
     """Follow ``symbols`` from ``root``; None if an edge is missing or a symbol is out of range."""
-    index, n = root.index, root.index.symbol_bits
-    depth, prefix = root.depth + len(symbols), root.prefix
-    if depth > index.depth or not all(0 <= sym < 1 << n for sym in symbols):
+    index, depth, prefix = root.index, root.depth + len(symbols), root.prefix
+    if depth > DEPTH or not all(0 <= sym < 1 << SYMBOL_BITS for sym in symbols):
         return None
     for sym in symbols:
-        prefix = (prefix << n) | sym
+        prefix = (prefix << SYMBOL_BITS) | sym
     lo, hi = index.span(depth, prefix)
     return NodeView(index, depth, prefix) if lo < hi or not depth else None
 
 
 def search_listing(index: Index, req: SearchRequest) -> ResultSet:
-    """Look up each trapdoor; exact-first short-circuit, dedup the rest.
+    """Look up each trapdoor; exact-first short-circuit.
 
     Serves every kind: a trie holds records only at full depth, so walking a
-    trapdoor's symbols reaches records exactly when the map holds it.
+    trapdoor's symbols reaches records exactly when the map holds it.  A
+    built index holds each record under one trapdoor only, so the result
+    repeats a record only where the request repeats its trapdoor, as the
+    proofs do.
     """
     if req.k > index.d:
         raise EditBoundExceeded(f"request k={req.k} exceeds index d={index.d}")
@@ -363,9 +357,9 @@ def search_listing(index: Index, req: SearchRequest) -> ResultSet:
             continue
         records = index.records(t)
         if i == 0 and t in index.exact:
-            return ResultSet(records=list(dict.fromkeys(records)), exact_hit=True)
+            return ResultSet(records=list(records), exact_hit=True)
         gathered.extend(records)
-    return ResultSet(records=list(dict.fromkeys(gathered)), exact_hit=False)
+    return ResultSet(records=gathered, exact_hit=False)
 
 
 search_trie = search_listing

@@ -5,7 +5,9 @@ All integers are big-endian.  Each header is one ``struct.Struct``, and
 
 ``FZKY`` key file (version 1)
     Header ``KEY_HEAD`` (``>4sBHHB``, 10 bytes): magic "FZKY", version byte,
-    security bits (2, 128 or 256), trapdoor bits (2), symbol bits (1).
+    security bits (2, 128 or 256), trapdoor bits (2), symbol bits (1); the
+    two geometry fields are always 160 and 4, and a file with any other pair
+    is refused with ``BadParameter``.
     Then trapdoor key, record key, blind key as 2-byte length-prefixed
     fields of security/8 bytes.  Owner-readable only (0600).
 
@@ -13,9 +15,10 @@ All integers are big-endian.  Each header is one ``struct.Struct``, and
     Header ``INDEX_HEAD`` (``>4sBBBHBQ``, 18 bytes): magic "FZIX", version
     byte, flags byte (bit0: 1=trie 0=listing, bit1: verifiable, bit2:
     1=gram 0=wildcard), symbol bits (1), trapdoor bits (2), d (1), entry
-    count (8).
+    count (8).  The geometry fields are always 4 and 160, as in FZKY, and
+    any other pair is refused with ``BadParameter``.
     Body, the same for every kind: the entries in ascending trapdoor order,
-    each trapdoor (trapdoor bits / 8) || entry flag (1, bit0 = exact
+    each trapdoor (20 bytes) || entry flag (1, bit0 = exact
     keyword entry, other bits zero) || record count (2, at least 1) ||
     the records, each 4-byte length-prefixed.  A record is the bytes
     ``nonce || ciphertext`` (``crypto.encrypt_record``), at least
@@ -56,7 +59,7 @@ from __future__ import annotations
 import os
 import struct
 
-from .crypto import SECURITY_BITS, KeyMaterial, check_geometry
+from .crypto import SECURITY_BITS, SYMBOL_BITS, TRAPDOOR_BITS, KeyMaterial
 from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
 from .index import ListingIndex, TrieIndex, read_entries
 from .multiuser import UserDirectory, user_id_bytes
@@ -112,17 +115,18 @@ def _fields(data: bytes, pos: int, count: int) -> list[bytes]:
 # -- keys ------------------------------------------------------------------
 
 def dumps_keys(km: KeyMaterial) -> bytes:
-    head = KEY_HEAD.pack(KEY_MAGIC, VERSION, km.security_bits, km.trapdoor_bits, km.symbol_bits)
+    head = KEY_HEAD.pack(KEY_MAGIC, VERSION, km.security_bits, TRAPDOOR_BITS, SYMBOL_BITS)
     return head + b"".join(map(_field, (km.trapdoor_key, km.record_key, km.blind_key)))
 
 
 def loads_keys(data: bytes) -> KeyMaterial:
     security_bits, trapdoor_bits, symbol_bits = _header(data, KEY_HEAD, KEY_MAGIC, VERSION)
-    check_geometry(trapdoor_bits, symbol_bits)
+    if (trapdoor_bits, symbol_bits) != (TRAPDOOR_BITS, SYMBOL_BITS):
+        raise BadParameter(f"{trapdoor_bits}-bit trapdoors of {symbol_bits}-bit symbols; only 160/4 is read")
     keys = _fields(data, KEY_HEAD.size, 3)
     if security_bits not in SECURITY_BITS or any(len(key) != security_bits // 8 for key in keys):
         raise BadParameter(f"key sizes {[len(k) for k in keys]} do not fit security {security_bits}")
-    return KeyMaterial(*keys, security_bits, trapdoor_bits, symbol_bits)  # the file's order
+    return KeyMaterial(*keys, security_bits)  # the file's order
 
 
 def _replace_file(path: str, data: bytes, mode: int = 0o666) -> None:
@@ -169,14 +173,10 @@ def dumps_index(index) -> bytes:
     """The header, then the index's ``body`` and, for an authenticated trie, its ``tags``."""
     if getattr(index, "kind", None) not in KIND_FLAGS:
         raise BadParameter(f"cannot serialize {type(index).__name__}")
-    check_geometry(index.trapdoor_bits, index.symbol_bits)
     if not 0 <= index.d <= 0xFF:
         raise BadParameter(f"edit bound {index.d} does not fit FZIX's one byte (0..255)")
-    first = next(iter(index.table), None)  # every trapdoor in the body has the first one's width
-    if first is not None and len(first) != index.trapdoor_bits // 8:
-        raise BadParameter(f"a {len(first)}-byte trapdoor in a {index.trapdoor_bits}-bit index")
     flags = KIND_FLAGS[index.kind] | (FLAG_GRAM if index.method == "gram" else 0)
-    fields = (flags, index.symbol_bits, index.trapdoor_bits, index.d, len(index.table))
+    fields = (flags, SYMBOL_BITS, TRAPDOOR_BITS, index.d, len(index.table))
     parts = [INDEX_HEAD.pack(INDEX_MAGIC, INDEX_VERSION, *fields), index.body]
     if index.kind == "auth_trie":
         tags_len = (2 * len(index.table) + 1) * TAG_BYTES
@@ -194,15 +194,16 @@ def loads_index(data: bytes):
         raise BadParameter(f"unknown index flags {flags:#x}")
     if flags & FLAG_VERIFIABLE and not flags & FLAG_TRIE:
         raise BadParameter("verifiable flag requires a trie index")
-    check_geometry(trapdoor_bits, symbol_bits)
+    if (trapdoor_bits, symbol_bits) != (TRAPDOOR_BITS, SYMBOL_BITS):
+        raise BadParameter(f"{trapdoor_bits}-bit trapdoors of {symbol_bits}-bit symbols; only 160/4 is read")
     rest = memoryview(data)[INDEX_HEAD.size :]
-    table, exact, end = read_entries(rest, count, trapdoor_bits // 8)
+    table, exact, end = read_entries(rest, count)
     method = "gram" if flags & FLAG_GRAM else "wildcard"
     tags_len = (2 * len(table) + 1) * TAG_BYTES if flags & FLAG_VERIFIABLE else 0
     if len(rest) - end != tags_len:
         kind = next(kind for kind, bits in KIND_FLAGS.items() if bits == flags & ~FLAG_GRAM)
         raise Truncated(f"{len(rest) - end} bytes follow the {kind} entries, not {tags_len}")
-    fields = (table, rest[:end], trapdoor_bits, symbol_bits, d, method, exact)
+    fields = (table, rest[:end], d, method, exact)
     if flags & FLAG_TRIE:
         return TrieIndex(*fields, rest[end:])
     return ListingIndex(*fields)

@@ -7,13 +7,14 @@ Message types:
 
 ``Hello`` -> ``HelloAck``
     Ack carries the protocol version (``PROTOCOL``), epoch, index
-    kind/method, d, trapdoor and symbol bits, whether proofs are available,
-    whether requests are blinded, and the request size limit.
+    kind/method, d, trapdoor and symbol bits (always 160 and 4), whether
+    proofs are available, whether requests are blinded, and the request size
+    limit.
     ``SearchClient.hello`` refuses an ack of any other protocol version.
 ``SearchReq``
     ``{"type": "SearchReq", "epoch": E, "k": K, "trapdoors": [hex...],
-    "proof": bool?}``.  Trapdoor hex is lowercase and exactly
-    2*(trapdoor_bits/8) characters.  Duplicate trapdoors are rejected.
+    "proof": bool?}``.  Trapdoor hex is lowercase and exactly 40
+    characters (``TRAPDOOR_BYTES`` bytes).  Duplicate trapdoors are rejected.
 ``SearchResp``
     ``{"type": "SearchResp", "epoch": E, "exact": bool,
     "records": [base64(nonce || ciphertext)...], "proofs": [hex...]?}``.
@@ -29,8 +30,7 @@ A blinded server (``ServerState.xi`` set) takes every trapdoor of a request
 as permuted under the blind key by ``crypto.prp``, a 4-round Feistel with
 AES rounds, and inverts the whole request in one call before searching.
 Protocol 2 is that AES Feistel; protocol 1 used HMAC rounds, so the two
-sides would unblind each other's trapdoors to garbage.  The permutation caps
-trapdoors at 224 bits.
+sides would unblind each other's trapdoors to garbage.
 
 The handler never raises on any input line; anything unparseable or
 out of contract comes back as an ErrorResp.
@@ -42,7 +42,8 @@ newline is answered at end of input.  A reply the socket does not take at
 once is kept, and that connection is not read again until the peer has taken
 it, so a client that stops reading holds up only itself.  Limits:
 
-* a request of more than ``MAX_TRAPDOORS`` trapdoors gets TOO_MANY_TRAPDOORS;
+* a request of more than ``MAX_TRAPDOORS`` trapdoors gets TOO_MANY_TRAPDOORS
+  (``fuzzyset.MAX_VARIANTS``, the most variants an honest request holds);
 * a line longer than ``MAX_LINE_BYTES`` gets one MALFORMED "line too long"
   and the connection is closed;
 * a connection that neither sends nor takes bytes for ``IDLE_SECONDS`` is
@@ -66,8 +67,9 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .crypto import RECORD_MIN_BYTES
+from .crypto import RECORD_MIN_BYTES, SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES
 from .errors import BadResponse, Truncated
+from .fuzzyset import MAX_VARIANTS
 from .index import Index, ResultSet, SearchRequest, search_listing
 from .multiuser import unblind_request
 from .verifiable import decode_proof, search_with_proof
@@ -77,7 +79,7 @@ DEFAULT_PORT = 7090
 MAX_REPLY_BYTES = 64 << 20  # the longest reply line the client reads
 _RECV_BYTES = 1 << 16  # the most the server reads from one connection per wake-up
 # Server limits.  Each is read where it is used, so patching the module attribute takes effect.
-MAX_TRAPDOORS = 4096  # per request; HelloAck's "max_trapdoors"
+MAX_TRAPDOORS = MAX_VARIANTS  # per request; HelloAck's "max_trapdoors"
 MAX_LINE_BYTES = 1 << 20  # the longest request line
 IDLE_SECONDS = 30.0  # a connection silent this long is closed
 POLL_SECONDS = 0.5  # how often the idle check runs
@@ -107,19 +109,18 @@ def _error(state: ServerState, code: str, message: str) -> str:
     return encode_message({"type": "ErrorResp", "epoch": state.epoch, "code": code, "message": message})
 
 
-def _parse_trapdoors(state: ServerState, raw) -> tuple[bytes, ...] | None:
+def _parse_trapdoors(raw) -> tuple[bytes, ...] | None:
     if not isinstance(raw, list):
         return None
-    width = state.index.trapdoor_bits // 8
     try:
         joined = "".join(raw)
         blob = bytes.fromhex(joined)
     except (TypeError, ValueError):  # an item that is not a string, or not hex
         return None
     # every item one width; the round trip rejects upper case and the whitespace fromhex skips
-    if set(map(len, raw)) != {2 * width} or blob.hex() != joined:
+    if set(map(len, raw)) != {2 * TRAPDOOR_BYTES} or blob.hex() != joined:
         return None
-    out = struct.unpack(f"{width}s" * len(raw), blob)
+    out = struct.unpack(f"{TRAPDOOR_BYTES}s" * len(raw), blob)
     return out if len(set(out)) == len(out) else None
 
 
@@ -157,8 +158,8 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
                 "kind": state.index.kind,
                 "method": state.index.method,
                 "d": state.index.d,
-                "trapdoor_bits": state.index.trapdoor_bits,
-                "symbol_bits": state.index.symbol_bits,
+                "trapdoor_bits": TRAPDOOR_BITS,
+                "symbol_bits": SYMBOL_BITS,
                 "verifiable": state.index.kind == "auth_trie",
                 "blinded": state.xi is not None,
                 "max_trapdoors": MAX_TRAPDOORS,
@@ -168,7 +169,7 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
         k = msg.get("k")
         if type(k) is not int or k < 0 or k > 255:
             return _error(state, MALFORMED, "k must be an integer in 0..255")
-        trapdoors = _parse_trapdoors(state, msg.get("trapdoors"))
+        trapdoors = _parse_trapdoors(msg.get("trapdoors"))
         if trapdoors is None:
             return _error(state, MALFORMED, "trapdoors must be distinct lowercase hex")
         want_proof = msg.get("proof", False)

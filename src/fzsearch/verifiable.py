@@ -49,8 +49,8 @@ from .index import ResultSet, SearchRequest, TrieIndex, build_trie_index, search
 
 TAG_BYTES = 32
 # The first byte of every proof encoding.  A v1 proof started with its
-# matched length, at most the trie depth, which ``check_geometry`` keeps
-# below 255; so a v1 proof fails to decode instead of being misread.
+# matched length, at most the trie depth of 40 symbols; so a v1 proof
+# fails to decode instead of being misread.
 PROOF_TYPE = 0xFF
 _MISS = 2  # form byte of a miss; a hit's form byte is its exact flag, 0 or 1
 _HIT_HEADS = (bytes([PROOF_TYPE, 0]), bytes([PROOF_TYPE, 1]))  # a hit's first two bytes, by exact flag

@@ -21,7 +21,7 @@ from fzsearch import (
     fuzzy_set,
     keygen,
 )
-from fzsearch.crypto import SECURITY_BITS, check_geometry, prf_bytes
+from fzsearch.crypto import SECURITY_BITS, prf_bytes
 from fzsearch.persist import save_keys
 from fzsearch.verifiable import TAG_BYTES
 
@@ -189,7 +189,7 @@ def reference_build_entries(corpus: dict[str, list[bytes]], d: int, km, method: 
             continue
         word = keyword.encode("ascii")
         for variant in fuzzy_set(keyword, d, method):
-            t = prf_bytes(km.trapdoor_key, b"T:" + variant.encode("ascii"), km.trapdoor_bytes)
+            t = prf_bytes(km.trapdoor_key, b"T:" + variant.encode("ascii"), 20)
             if variant == keyword:
                 exact.add(t)
             bucket = entries.setdefault(t, [])
@@ -279,13 +279,14 @@ def reference_loads_keys(data: bytes) -> KeyMaterial:
     security_bits = r.u16()
     trapdoor_bits = r.u16()
     symbol_bits = r.u8()
-    check_geometry(trapdoor_bits, symbol_bits)
+    if (trapdoor_bits, symbol_bits) != (160, 4):
+        raise BadParameter("the one geometry is 160-bit trapdoors of 4-bit symbols")
     keys = [r.take(r.u16()) for _ in range(3)]
     if not r.done():
         raise Truncated("trailing bytes after key material")
     if security_bits not in SECURITY_BITS or any(len(key) != security_bits // 8 for key in keys):
         raise BadParameter(f"key sizes {[len(k) for k in keys]} do not fit security {security_bits}")
-    return KeyMaterial(*keys, security_bits, trapdoor_bits, symbol_bits)
+    return KeyMaterial(*keys, security_bits)
 
 
 def reference_loads_index(data: bytes):
@@ -302,11 +303,12 @@ def reference_loads_index(data: bytes):
     symbol_bits = r.u8()
     trapdoor_bits = r.u16()
     d = r.u8()
-    check_geometry(trapdoor_bits, symbol_bits)
+    if (trapdoor_bits, symbol_bits) != (160, 4):
+        raise BadParameter("the one geometry is 160-bit trapdoors of 4-bit symbols")
     count = r.u64()
     entries, exact = {}, set()
     for _ in range(count):
-        t, flag, n = r.take(trapdoor_bits // 8), r.u8(), r.u16()
+        t, flag, n = r.take(20), r.u8(), r.u16()
         if flag > 1:
             raise BadParameter("unknown entry flags")
         if not n:
@@ -322,7 +324,7 @@ def reference_loads_index(data: bytes):
     tags = data[r.pos :]
     if len(tags) != ((2 * len(entries) + 1) * TAG_BYTES if flags & 0x02 else 0):
         raise Truncated("the bytes after the entries are not the kind's tags")
-    index = (TrieIndex if flags & 0x01 else ListingIndex).from_entries(entries, trapdoor_bits, symbol_bits, d, method, exact)
+    index = (TrieIndex if flags & 0x01 else ListingIndex).from_entries(entries, d, method, exact)
     if flags & 0x01:
         index.tags = tags
     return index

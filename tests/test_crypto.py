@@ -44,19 +44,6 @@ class TestKeygen:
         with pytest.raises(BadParameter):
             keygen(192)
 
-    def test_geometry_guards(self):
-        with pytest.raises(BadParameter):
-            keygen(128, trapdoor_bits=160, symbol_bits=7)  # does not divide
-        with pytest.raises(BadParameter):
-            keygen(128, trapdoor_bits=160, symbol_bits=9)  # symbol wider than a byte
-        with pytest.raises(BadParameter):
-            keygen(128, trapdoor_bits=150)  # not a multiple of 16
-        with pytest.raises(BadParameter):
-            keygen(128, trapdoor_bits=240)  # a half and its two tag bytes overflow an AES block
-        assert keygen(128, trapdoor_bits=224).trapdoor_bytes == 28
-        km = keygen(128, trapdoor_bits=160, symbol_bits=8)
-        assert km.depth == 20
-
     def test_keys_nonzero(self):
         km = keygen(256, seed=b"z")
         for key in (km.trapdoor_key, km.record_key, km.blind_key):

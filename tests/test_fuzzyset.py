@@ -20,7 +20,7 @@ from fzsearch import (
     normalize_keyword,
     wildcard_fuzzy_set,
 )
-from fzsearch.fuzzyset import fuzzy_set, within_edits
+from fzsearch.fuzzyset import MAX_VARIANTS, fuzzy_set, within_edits
 
 
 class TestNormalize:
@@ -275,3 +275,11 @@ def test_dispatcher():
     assert fuzzy_set("cat", 1, "gram") == gram_fuzzy_set("cat", 1)
     with pytest.raises(BadParameter):
         fuzzy_set("cat", 1, "bogus")
+
+
+@pytest.mark.parametrize("method, d", [("wildcard", 3), ("gram", 5)])
+def test_a_set_past_the_variant_cap_is_a_parameter_error(method, d):
+    word = "abcdefghijklmno"  # 5,039 wildcard variants within 3 edits, 4,944 deletion variants within 5
+    assert len(fuzzy_set(word, d - 1, method)) <= MAX_VARIANTS
+    with pytest.raises(BadParameter, match=f"fuzzy set of {word!r} at d={d} has more than {MAX_VARIANTS}"):
+        fuzzy_set(word, d, method)

@@ -43,7 +43,7 @@ from fzsearch import (
     trapdoor,
     wildcard_fuzzy_set,
 )
-from fzsearch.crypto import _hmac_pads, check_geometry
+from fzsearch.crypto import _hmac_pads
 from fzsearch.index import build_entries, walk_trie
 from fzsearch.persist import (
     dumps_directory,
@@ -223,7 +223,7 @@ class TestTrieView:
             ends = (bytes(20), bytes(19) + b"\x01", b"\x7f" + b"\xff" * 19,
                     b"\x80" + bytes(19), b"\xff" * 19 + b"\xfe", b"\xff" * 20)
             entries = {t: (t + bytes(8),) for t in ends}
-            return TrieIndex.from_entries(entries, trapdoor_bits=160, symbol_bits=4, d=1, exact={ends[0]})
+            return TrieIndex.from_entries(entries, d=1, exact={ends[0]})
         corpus = random_corpus(random.Random(401 + request.param), size=request.param)
         return build_trie_index(corpus, 1, km)
 
@@ -744,8 +744,9 @@ def _reference_load(data: bytes):
     trapdoor_bits, count = int.from_bytes(data[7:9], "big"), int.from_bytes(data[10:18], "big")
     if flags & ~0x07 or flags & 0x02 and not flags & 0x01:
         raise BadParameter("flags")
-    check_geometry(trapdoor_bits, symbol_bits)
-    width, size, pos = trapdoor_bits // 8, len(data), HEADER_BYTES
+    if (trapdoor_bits, symbol_bits) != (160, 4):
+        raise BadParameter("the one geometry is 160-bit trapdoors of 4-bit symbols")
+    width, size, pos = 20, len(data), HEADER_BYTES
     table, exact, prev = {}, set(), b""
     for _ in range(count):
         head = pos + width + 3

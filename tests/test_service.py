@@ -14,6 +14,7 @@ import threading
 import time
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 import fzsearch.index
 import fzsearch.service as service
@@ -21,11 +22,13 @@ from conftest import garbage_line, mutate, random_corpus, reference_parse_trapdo
 from fzsearch import (
     BadMagic,
     BadParameter,
+    FzError,
     ListingIndex,
     ResultSet,
     SearchRequest,
     Truncated,
     UserDirectory,
+    Verdict,
     VersionUnsupported,
     build_auth_trie,
     build_listing_index,
@@ -38,9 +41,10 @@ from fzsearch import (
 from fzsearch.cli import _server, read_corpus_dir
 from fzsearch.cli import main as cli_main
 from fzsearch.errors import BadResponse
-from fzsearch.multiuser import blind_request
+from fzsearch.multiuser import blind_request, unwrap_blind_key, wrap_blind_key
 from fzsearch.persist import (
     FLAG_VERIFIABLE,
+    INDEX_HEAD,
     dumps_directory,
     dumps_index,
     dumps_keys,
@@ -339,7 +343,7 @@ class TestWireCodec:
         accepted = 0
         for raw in swept + [_trapdoor_list(rng, width) for _ in range(2000)]:
             want = reference_parse_trapdoors(width, raw)
-            assert service._parse_trapdoors(state, raw) == want, raw
+            assert service._parse_trapdoors(raw) == want, raw
             accepted += want is not None
         assert 500 < accepted < 1500
 
@@ -448,7 +452,7 @@ class TestPersistence:
 
     def test_record_count_overflow_is_a_parameter_error(self):
         with pytest.raises(BadParameter, match="65535"):
-            ListingIndex.from_entries({bytes(20): (bytes(28),) * 65536}, trapdoor_bits=160, symbol_bits=4, d=1)
+            ListingIndex.from_entries({bytes(20): (bytes(28),) * 65536}, d=1)
 
     @pytest.mark.parametrize("d", [-1, 256])
     def test_an_edit_bound_fzix_cannot_hold_is_a_parameter_error(self, km, d):
@@ -458,14 +462,19 @@ class TestPersistence:
     def test_trapdoor_of_another_width_is_a_parameter_error(self):
         for width in (19, 21):
             with pytest.raises(BadParameter, match=f"a {width}-byte trapdoor"):
-                ListingIndex.from_entries({bytes(width): (bytes(28),)}, trapdoor_bits=160, symbol_bits=4, d=1)
+                ListingIndex.from_entries({bytes(width): (bytes(28),)}, d=1)
 
-    def test_a_body_of_another_trapdoor_width_is_not_written(self, km):
-        """The body was checked when it was written, against the index's own width;
-        a width changed after that must not reach a file."""
-        for index in (build_listing_index({"cat": [b"F"]}, 1, km), build_auth_trie({"cat": [b"F"]}, 1, km)):
-            with pytest.raises(BadParameter, match="a 20-byte trapdoor in a 128-bit index"):
-                dumps_index(dataclasses.replace(index, trapdoor_bits=128))
+    @pytest.mark.parametrize("trapdoor_bits, symbol_bits", [(160, 8), (224, 8)])
+    def test_a_file_of_another_geometry_is_refused(self, km, trapdoor_bits, symbol_bits):
+        """Well-formed files whose body fits their header, of a geometry other
+        than 160-bit trapdoors of 4-bit symbols."""
+        keys = bytearray(dumps_keys(km))
+        keys[7:10] = trapdoor_bits.to_bytes(2, "big") + bytes([symbol_bits])
+        head = INDEX_HEAD.pack(b"FZIX", 3, 0, symbol_bits, trapdoor_bits, 1, 1)
+        entry = bytes(trapdoor_bits // 8) + b"\0" + (1).to_bytes(2, "big") + (28).to_bytes(4, "big") + bytes(28)
+        for loads, data in ((loads_keys, bytes(keys)), (loads_index, head + entry)):
+            with pytest.raises(BadParameter, match=f"^{trapdoor_bits}-bit trapdoors of {symbol_bits}-bit symbols; only 160/4"):
+                loads(data)
 
     def test_truncations_never_crash(self, km):
         corpus = {"cat": [b"F1"], "dog": [b"F2"]}
@@ -1022,6 +1031,16 @@ class TestCli:
         assert err.startswith("error: ") and message in err, err
         assert not indexfile.exists()
 
+    def test_build_refuses_a_fuzzy_set_past_the_variant_cap(self, workspace, capsys):
+        (workspace / "corpus" / "long.txt").write_text("abcdefghijklmno\n")  # 5,039 variants within 3 edits
+        keyfile, indexfile = str(workspace / "k.fzky"), workspace / "i.fzix"
+        save_seeded_keys(keyfile, bytes.fromhex("03"))
+        build = ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", str(indexfile)]
+        assert cli_main([*build, "--d", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'abcdefghijklmno'" in err and "Traceback" not in err, err
+        assert not indexfile.exists()
+
     def test_user_without_a_directory_on_a_blinded_server(self, workspace, capsys):
         keyfile = str(workspace / "k.fzky")
         save_seeded_keys(keyfile, bytes.fromhex("09"))
@@ -1520,3 +1539,92 @@ def test_a_cut_proof_is_a_bad_response(km):
             proofs[i] = cut
             with pytest.raises(BadResponse, match="^bad proof encoding: "):
                 proofs_from_response(dict(resp, proofs=proofs))
+
+
+def _hostile_json(rng: random.Random, depth: int = 0):
+    """A random JSON-shaped value: scalars of every type, non-ASCII and surrogate
+    text, near-miss hex and base64, and nested lists and objects."""
+    roll = rng.randrange(12)
+    if roll == 0 and depth < 3:
+        return [_hostile_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if roll == 1 and depth < 3:
+        return {rng.choice(["records", "proofs", "exact", ""]): _hostile_json(rng, depth + 1) for _ in range(rng.randrange(3))}
+    raw = rng.randbytes(rng.randrange(0, 90))
+    return rng.choice([
+        None, True, False, 0, -1, 2**80, 1.5, float("nan"), "", " ", "\ud800", "é" * 4, "٣٣", "ff" * 20 + "\n",
+        raw.hex(), raw.hex().upper(), raw.hex()[1:], base64.b64encode(raw).decode(), base64.b64encode(raw).decode()[1:],
+        base64.urlsafe_b64encode(raw).decode(), raw.decode("latin-1"),
+    ])
+
+
+def _hostile_proof(rng: random.Random, near: bytes) -> bytes:
+    """A proof of each form with random fields, a miss's ends near ``near``; one in five damaged."""
+    form = rng.choice([0, 1, 2, 2])
+    if form < 2:
+        proof = bytes([0xFF, form]) + rng.randbytes(64)
+    else:
+        ends = [rng.choice([b"", near, rng.randbytes(rng.choice([1, 19, 20, 21])), bytes(20), b"\xff" * 20]) for _ in range(2)]
+        proof = bytes([0xFF, 2]) + b"".join(bytes([len(e)]) + e for e in ends) + rng.randbytes(32)
+    if rng.random() < 0.2:
+        proof = rng.choice([proof[: rng.randrange(len(proof))], proof + b"\0", b"\xfe" + proof[1:], proof[:1] + b"\3" + proof[2:]])
+    return proof
+
+
+def test_hostile_inputs_to_the_client_decoders_end_in_an_fzerror_or_a_verdict(km):
+    """Seeded hostile inputs to every decoder a client runs on what it is sent:
+    the SearchResp readers, ``verify``, ``decrypt_record`` on authentic but
+    malformed payloads, and ``unwrap_blind_key``.  Each ends in a value, a
+    ``Verdict`` or an ``FzError``; nothing else escapes."""
+    rng = random.Random(2028)
+    index = build_auth_trie({"castle": [b"F1"], "cattle": [b"F2"], "catalog": [b"F3"]}, 1, km)
+    state = ServerState(index=index)
+    reqs = [make_request(word, 1, km) for word in ("catle", "castle", "zebra")]
+    honest = [ask(state, search_msg(req, proof=True)) for req in reqs]
+    outcomes = {"error": 0, "verdict": 0}
+    for _ in range(3000):
+        req, resp = rng.choice(list(zip(reqs, honest)))
+        resp = dict(resp)
+        for _ in range(rng.randint(1, 3)):
+            field = rng.choice(["records", "proofs", "exact"])
+            if field == "exact" or rng.random() < 0.5:
+                resp[field] = _hostile_json(rng)
+            elif field == "proofs":
+                proofs = list(resp["proofs"]) if isinstance(resp["proofs"], list) else []
+                for _ in range(rng.randint(1, 3)):
+                    at = rng.randrange(len(proofs) + 1)
+                    proofs[at : at + rng.randrange(2)] = [_hostile_proof(rng, rng.choice(req.trapdoors)).hex()]
+                resp[field] = proofs
+            elif field == "records":
+                resp[field] = [base64.b64encode(rng.randbytes(rng.choice([0, 27, 28, 60]))).decode() for _ in range(rng.randrange(4))]
+        try:
+            verdict = verify(req, result_from_response(resp), proofs_from_response(resp), km)
+        except FzError:
+            outcomes["error"] += 1
+            continue
+        assert isinstance(verdict, Verdict), resp
+        outcomes["verdict"] += 1
+    assert all(outcomes.values()), outcomes
+
+    seal = AESGCM(km.record_key).encrypt
+    for _ in range(2000):
+        fid = rng.randbytes(rng.choice([0, 1, 5, 64, 200]))
+        keyword = rng.choice([b"", b"castle", "é".encode(), rng.randbytes(rng.randrange(8))])
+        payload = rng.choice([b"", bytes([len(fid) % 256]) + fid + keyword, rng.randbytes(rng.randrange(70))])
+        nonce = rng.randbytes(12)
+        try:
+            got_fid, got_keyword = decrypt_record(km, nonce + seal(nonce, payload, None))
+        except FzError:
+            continue
+        assert isinstance(got_fid, bytes) and got_fid and isinstance(got_keyword, str) and got_keyword.isascii()
+
+    user_ids = ["alice", "", "é", "\ud800", "a\udcffb", "x" * 70000, "\x00"]
+    xi = bytes(range(16))
+    for _ in range(500):
+        user_key = rng.randbytes(rng.choice([0, 16, 32, 100]))
+        user_id = rng.choice(user_ids)
+        blob = wrap_blind_key(user_key, "alice", xi)
+        blob = rng.choice([blob, blob[:-1], blob + b"\0", blob[:27], b"", rng.randbytes(rng.randrange(60))])
+        try:
+            assert unwrap_blind_key(user_key, user_id, blob) == xi
+        except FzError:
+            continue

@@ -122,7 +122,7 @@ class TestChain:
         plain = build_trie_index(corpus, 1, km)
         for index in (built, loads_index(dumps_index(built))):
             assert type(index) is TrieIndex and index.kind == "auth_trie"
-            assert index == TrieIndex(plain.table, plain.body, 160, 4, 1, "wildcard", plain.exact, built.tags)
+            assert index == TrieIndex(plain.table, plain.body, 1, "wildcard", plain.exact, built.tags)
         assert plain.tags == b"" and plain.kind == "trie"
         assert type(loads_index(dumps_index(plain))) is TrieIndex
 
@@ -556,6 +556,18 @@ class TestVerify:
             tampered[i] = _with(proofs[i], digest=bytes(32))
             verdict = verify(req, result, tampered, km)
             assert verdict.reason is VerdictReason.LEAF_TAG_MISMATCH and verdict.failing_index == i
+
+    def test_a_request_that_repeats_a_hit_trapdoor_verifies(self, km):
+        """The result holds a repeated hit's records once per time, as the proofs
+        hold its digest, so an honest answer verifies."""
+        index = build_auth_trie({"castle": [b"F1"], "cattle": [b"F2"]}, 1, km)
+        req = make_request("catle", 1, km)
+        hits = [t for t in req.trapdoors if t in index.table]
+        assert hits and not any(t in index.exact for t in hits)
+        repeated = SearchRequest(req.trapdoors + (hits[0],), req.k)
+        result, proofs = search_with_proof(index, repeated)
+        assert result.records == [r for t in repeated.trapdoors for r in index.records(t)]
+        assert verify(repeated, result, proofs, km) == Verdict(True, VerdictReason.OK)
 
 
 def encrypt_like(rec: bytes) -> bytes:
