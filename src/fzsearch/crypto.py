@@ -20,9 +20,12 @@ states.  ``trapdoors`` (the owner's build and ``make_request``),
 tags call it with many; ``prf_bytes``, ``trapdoor`` and ``encrypt_record``
 are the one-item forms.  The pad states are cached per key,
 so they hold key material in process memory for as long as the process
-lives, unless the bounded cache evicts them.  The AES-GCM record cipher is
-cached per key the same way, and the AES-ECB encryptor of the blinding
-permutation per key and thread.
+lives, unless the bounded cache evicts them.  The AES-GCM cipher (records
+and ``multiuser``'s key wrap) is cached per key the same way, and the AES-ECB
+encryptor of the blinding permutation per key and thread.  Both load on first
+use, and only then is ``cryptography`` imported: this module names it inside
+functions alone, so a process that never builds a cipher (a server that is not
+blinded, or one that only derives trapdoors) never loads the library.
 
 The blinding permutation ``prp`` is a 4-round Luby-Rackoff Feistel network
 over the two halves of a trapdoor, the shape of NIST SP 800-38G FF1 with
@@ -46,10 +49,6 @@ import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import ClassVar
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import AuthFailure, BadLength, BadParameter
 
@@ -155,8 +154,28 @@ def trapdoors(km: KeyMaterial, variants: Iterable[str]) -> list[bytes]:
 
 
 @functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _record_cipher(record_key: bytes) -> AESGCM:
-    return AESGCM(record_key)
+def aes_gcm(key: bytes):
+    """The AES-GCM cipher under ``key``, cached per key; the first call loads ``cryptography``."""
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    return AESGCM(key)
+
+
+def _gcm_failures() -> tuple[type[Exception], ...]:
+    """What a failed AES-GCM open raises.  An ``except`` clause evaluates this
+    only once something was raised, so a successful open imports nothing."""
+    from cryptography.exceptions import InvalidTag
+
+    return InvalidTag, ValueError
+
+
+def gcm_open(key: bytes, blob: bytes, aad: bytes | None, what: str) -> bytes:
+    """Open ``nonce || ciphertext`` under ``key``; a tamper, a wrong key or a key
+    AES-GCM refuses raises ``AuthFailure`` "<what> failed authentication"."""
+    try:
+        return aes_gcm(key).decrypt(blob[:NONCE_BYTES], blob[NONCE_BYTES:], aad)
+    except _gcm_failures() as exc:
+        raise AuthFailure(f"{what} failed authentication") from exc
 
 
 def encrypt_record(km: KeyMaterial, fid: bytes, keyword: str, variant: str) -> bytes:
@@ -187,7 +206,7 @@ def encrypt_records(km: KeyMaterial, groups: Iterable[tuple[str, Sequence[str], 
         msgs += [b"N:" + v.encode("ascii") + tail for v in variants for tail in tails]
         plains += [bytes([len(fid)]) + fid + word for fid in fids] * len(variants)
     nonces = prf_many(km.record_key, msgs, NONCE_BYTES)
-    seal = _record_cipher(km.record_key).encrypt
+    seal = aes_gcm(km.record_key).encrypt
     return [nonce + seal(nonce, plain, None) for nonce, plain in zip(nonces, plains)]
 
 
@@ -200,10 +219,7 @@ def decrypt_record(km: KeyMaterial, blob: bytes) -> tuple[bytes, str]:
     """
     if len(blob) < RECORD_MIN_BYTES:
         raise AuthFailure("record blob too short")
-    try:
-        payload = _record_cipher(km.record_key).decrypt(blob[:NONCE_BYTES], blob[NONCE_BYTES:], None)
-    except (InvalidTag, ValueError) as exc:
-        raise AuthFailure("record failed authentication") from exc
+    payload = gcm_open(km.record_key, blob, None, "record")
     if not payload:
         raise AuthFailure("empty record payload")
     n = payload[0]
@@ -219,10 +235,18 @@ def decrypt_record(km: KeyMaterial, blob: bytes) -> tuple[bytes, str]:
 def _blind_update(key: bytes, thread_id: int):
     """The ``update`` of one AES-ECB encryptor per key and thread: ECB keeps no state
     between calls of whole blocks, and a thread id is reused only once its thread has ended."""
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
     try:
         return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update
     except ValueError as exc:
         raise BadParameter(f"blind key must be 16, 24 or 32 bytes, got {len(key)}") from exc
+
+
+def blind_cipher(key: bytes):
+    """``prp``'s AES-ECB ``update`` under ``key`` for the calling thread, built on
+    the thread's first call; ``BadParameter`` unless ``key`` is 16, 24 or 32 bytes."""
+    return _blind_update(key, threading.get_ident())
 
 
 def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tuple[bytes, ...]:
@@ -241,7 +265,7 @@ def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tupl
     """
     if direction not in ("forward", "inverse"):
         raise BadParameter(f"unknown direction {direction!r}")
-    update = _blind_update(key, threading.get_ident())
+    update = blind_cipher(key)
     n = len(blocks)
     if not n:
         return ()

@@ -9,6 +9,10 @@ nothing.  That locks out a revoked user only if they cannot get a remaining
 user's personal key.  The CLI derives every personal key from the record key
 in the shared key file, so a revoked user who keeps that file can derive one,
 unwrap the new blind key and search on.
+
+The key wrap is ``crypto``'s AES-GCM and blinding its AES-ECB permutation;
+each cipher, and the cipher library under it, loads on first use, so
+importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -17,14 +21,10 @@ import secrets
 from dataclasses import dataclass, field
 from hashlib import sha256
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
-from .crypto import prp
+from .crypto import NONCE_BYTES, RECORD_MIN_BYTES, aes_gcm, gcm_open, prp
 from .errors import AuthFailure, BadParameter, DuplicateUser, UnknownUser
 from .index import SearchRequest
 
-_WRAP_NONCE = 12
 MAX_USER_ID_BYTES = 0xFFFF  # an FZUD user id's 2-byte length field
 
 
@@ -45,19 +45,21 @@ def _wrap_key(user_key: bytes) -> bytes:
 
 
 def wrap_blind_key(user_key: bytes, user_id: str, xi: bytes) -> bytes:
-    nonce = secrets.token_bytes(_WRAP_NONCE)
-    ct = AESGCM(_wrap_key(user_key)).encrypt(nonce, xi, user_id.encode("utf-8"))
-    return nonce + ct
+    """``nonce || AES-GCM(xi)`` under the user's wrap key, bound to the user id;
+    ``BadParameter`` for an id ``user_id_bytes`` refuses."""
+    uid = user_id_bytes(user_id)
+    nonce = secrets.token_bytes(NONCE_BYTES)
+    return nonce + aes_gcm(_wrap_key(user_key)).encrypt(nonce, xi, uid)
+
 
 def unwrap_blind_key(user_key: bytes, user_id: str, blob: bytes) -> bytes:
-    if len(blob) < _WRAP_NONCE + 16:
+    """The blind key ``wrap_blind_key`` wrapped; ``BadParameter`` for an id
+    ``user_id_bytes`` refuses, ``AuthFailure`` for a short or tampered blob, a
+    wrong key or another user's id."""
+    uid = user_id_bytes(user_id)
+    if len(blob) < RECORD_MIN_BYTES:  # a nonce and the GCM tag, as a record
         raise AuthFailure("wrapped blob too short")
-    try:
-        return AESGCM(_wrap_key(user_key)).decrypt(
-            blob[:_WRAP_NONCE], blob[_WRAP_NONCE:], user_id.encode("utf-8")
-        )
-    except (InvalidTag, ValueError) as exc:
-        raise AuthFailure("wrapped blind key failed authentication") from exc
+    return gcm_open(_wrap_key(user_key), blob, uid, "wrapped blind key")
 
 
 @dataclass

@@ -67,7 +67,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .crypto import RECORD_MIN_BYTES, SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES
+from .crypto import RECORD_MIN_BYTES, SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES, blind_cipher
 from .errors import BadResponse, Truncated
 from .fuzzyset import MAX_VARIANTS
 from .index import Index, ResultSet, SearchRequest, search_listing
@@ -94,11 +94,21 @@ INTERNAL = "INTERNAL"
 
 @dataclass
 class ServerState:
-    """Immutable while serving."""
+    """Immutable while serving.
+
+    A blinded state builds its blind cipher when it is made, so a key that is
+    not an AES key (16, 24 or 32 bytes) raises ``BadParameter`` here, not on
+    every request, and ``serve --blinded`` loads the cipher library before it
+    reports serving.
+    """
 
     index: Index
     xi: bytes | None = None  # unblinding key; None = single-user mode
     epoch: int = 0
+
+    def __post_init__(self) -> None:
+        if self.xi is not None:
+            blind_cipher(self.xi)
 
 
 def encode_message(msg: dict) -> str:

@@ -43,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from hashlib import sha256
 
-from .crypto import KeyMaterial, prf_bytes, prf_many, record_digest
+from .crypto import KeyMaterial, prf_many, record_digest
 from .errors import BadParameter, Truncated
 from .index import ResultSet, SearchRequest, TrieIndex, build_trie_index, search_listing
 
@@ -64,14 +64,6 @@ def _leaf_msg(t: bytes, flag: int, digest: bytes) -> bytes:
 
 def _gap_msg(left: bytes, right: bytes) -> bytes:
     return b"".join((b"G:", _BYTE[len(left)], _BYTE[len(right)], left, right))
-
-
-def leaf_tag(record_key: bytes, t: bytes, flag: int, digest: bytes) -> bytes:
-    return prf_bytes(record_key, _leaf_msg(t, flag, digest), TAG_BYTES)
-
-
-def gap_tag(record_key: bytes, left: bytes, right: bytes) -> bytes:
-    return prf_bytes(record_key, _gap_msg(left, right), TAG_BYTES)
 
 
 class VerdictReason(enum.Enum):
@@ -95,8 +87,8 @@ def build_auth_trie(
 ) -> TrieIndex:
     """The trie build plus its ``tags``: a leaf tag per entry, then a gap tag per gap.
 
-    Every tag comes from one ``prf_many`` call, byte for byte ``leaf_tag`` and
-    ``gap_tag``.
+    Every tag comes from one ``prf_many`` call over the leaf messages, then the
+    gap messages.
     """
     index = build_trie_index(corpus, d, km, method)
     exact, keys = index.exact, index.ordered
@@ -175,29 +167,43 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
     and for a hit whose records are returned the digest re-derived from
     those records (consumed in proof order).  With an exact hit only proof
     0's records are present; every other hit's tag is still checked.
+
+    The verdict is the first failure in that order.  The shapes are read
+    first, up to the first proof that fails one; every tag before it is then
+    keyed in one ``prf_many`` call and checked in proof order, so a tag or
+    record failure at proof ``i`` still comes before a shape failure at a
+    later proof.
     """
     if len(proofs) != len(req.trapdoors):
         return Verdict(False, VerdictReason.COUNT_MISMATCH)
-    key, records, exact_hit, pos = km.record_key, results.records, results.exact_hit, 0
+    records, exact_hit = results.records, results.exact_hit
     if exact_hit and not proofs:
         return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
+    parsed, msgs, failed = [], [], None
     for i, (t, proof) in enumerate(zip(req.trapdoors, proofs)):
         try:
             form, first, second, tag = _parse_proof(proof)
         except Truncated:
-            return Verdict(False, VerdictReason.SHAPE_INVALID, i)
+            failed = Verdict(False, VerdictReason.SHAPE_INVALID, i)
+            break
         if not i and exact_hit != (form == 1):
-            return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
+            failed = Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
+            break
         if form == _MISS:
             width = len(t)
             if (first and (len(first) != width or first >= t)) or (second and (len(second) != width or t >= second)):
-                return Verdict(False, VerdictReason.SHAPE_INVALID, i)
-            if not _hmac.compare_digest(gap_tag(key, first, second), tag):
-                return Verdict(False, VerdictReason.GAP_TAG_MISMATCH, i)
-            continue
-        if not _hmac.compare_digest(leaf_tag(key, t, form, first), tag):
-            return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
-        if exact_hit and i:
+                failed = Verdict(False, VerdictReason.SHAPE_INVALID, i)
+                break
+            msgs.append(_gap_msg(first, second))
+        else:
+            msgs.append(_leaf_msg(t, form, first))
+        parsed.append((form, first, tag))
+    pos = 0
+    for i, ((form, first, tag), want) in enumerate(zip(parsed, prf_many(km.record_key, msgs, TAG_BYTES))):
+        if not _hmac.compare_digest(want, tag):
+            reason = VerdictReason.GAP_TAG_MISMATCH if form == _MISS else VerdictReason.LEAF_TAG_MISMATCH
+            return Verdict(False, reason, i)
+        if form == _MISS or (exact_hit and i):
             continue
         digest = sha256()
         while True:
@@ -207,6 +213,8 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
             pos += 1
             if digest.digest() == first:
                 break
+    if failed is not None:
+        return failed
     if pos != len(records):
         return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH)
     return Verdict(True, VerdictReason.OK)

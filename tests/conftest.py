@@ -1,3 +1,4 @@
+import hmac
 import itertools
 import json
 import random
@@ -155,6 +156,16 @@ def mutate(word: str, rng: random.Random) -> str:
     if op == "sub":
         return word[:i] + rng.choice(ALPHABET) + word[i + 1 :]
     return word[:i] + word[i + 1 :]
+
+
+def leaf_tag(record_key: bytes, t: bytes, flag: int, digest: bytes) -> bytes:
+    """A leaf tag from its definition: HMAC-SHA256 of ``L: || t || flag || digest`` and a zero block counter."""
+    return hmac.new(record_key, b"L:" + t + bytes([flag]) + digest + bytes(4), "sha256").digest()
+
+
+def gap_tag(record_key: bytes, left: bytes, right: bytes) -> bytes:
+    """A gap tag from its definition: HMAC-SHA256 of ``G: || len(left) || len(right) || left || right``."""
+    return hmac.new(record_key, b"G:" + bytes([len(left), len(right)]) + left + right + bytes(4), "sha256").digest()
 
 
 def hit(flag: int, digest: bytes, tag: bytes) -> bytes:

@@ -7,7 +7,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from conftest import random_corpus
+from conftest import gap_tag, leaf_tag, random_corpus
 from fzsearch import (
     AuthFailure,
     BadLength,
@@ -21,7 +21,6 @@ from fzsearch import (
 )
 from fzsearch.cli import derive_user_key
 from fzsearch.crypto import prf_bytes, prf_many
-from fzsearch.verifiable import gap_tag, leaf_tag
 
 
 class TestKeygen:

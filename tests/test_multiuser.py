@@ -124,6 +124,14 @@ class TestDirectory:
             with pytest.raises(AuthFailure, match="too short"):
                 unwrap_blind_key(b"key", "alice", blob[:n])
 
+    @pytest.mark.parametrize("user_id", ["\ud800", "u" * 70_000], ids=["not-utf8", "too-long"])
+    def test_wrap_and_unwrap_refuse_an_id_the_directory_cannot_store(self, km, user_id):
+        # the id's check comes before the cipher, so it is BadParameter, not an authentication failure
+        with pytest.raises(BadParameter):
+            wrap_blind_key(b"k", user_id, km.blind_key)
+        with pytest.raises(BadParameter):
+            unwrap_blind_key(b"k", user_id, bytes(40))
+
 
 class TestBlinding:
     def test_unblind_inverts_blind(self, km):

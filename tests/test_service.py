@@ -187,6 +187,14 @@ class TestHandler:
                 assert out["type"] == "ErrorResp" and out["code"] == "MALFORMED", msg
                 assert not out["message"].startswith("unhandled request error"), msg
 
+    def test_a_blinded_state_refuses_a_blind_key_that_is_not_an_aes_key(self, world):
+        _, index = world
+        for n in (0, 1, 15, 20, 31, 33, 64):
+            with pytest.raises(BadParameter, match="blind key must be 16, 24 or 32 bytes"):
+                ServerState(index=index, xi=bytes(n))
+        for n in (16, 24, 32):
+            assert ask(ServerState(index=index, xi=bytes(n)), {"type": "Hello"})["blinded"] is True
+
     def test_edit_bound_error(self, km, world):
         _, index = world
         out = ask(ServerState(index=index), search_msg(make_request("cat", 2, km)))

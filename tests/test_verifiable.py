@@ -1,11 +1,10 @@
 import dataclasses
 import hashlib
-import hmac
 import random
 
 import pytest
 
-from conftest import fields, hit, miss, mutate, random_corpus
+from conftest import fields, gap_tag, hit, leaf_tag, miss, mutate, random_corpus
 from fzsearch import (
     BadParameter,
     EditBoundExceeded,
@@ -26,7 +25,7 @@ from fzsearch import (
 from fzsearch.crypto import record_digest
 from fzsearch.errors import AuthFailure, Truncated
 from fzsearch.persist import dumps_index, loads_index
-from fzsearch.verifiable import TAG_BYTES, decode_proof, encode_proof, gap_tag, leaf_tag
+from fzsearch.verifiable import TAG_BYTES, _parse_proof, decode_proof, encode_proof
 
 
 @pytest.fixture(scope="module")
@@ -60,24 +59,12 @@ def _with(proof: bytes, **changes) -> bytes:
     return hit(**f) if "flag" in f else miss(**f)
 
 
-def _hmac_tag(key: bytes, msg: bytes) -> bytes:
-    """``prf_bytes(key, msg, 32)`` from the stdlib: HMAC-SHA256 over ``msg`` and a zero block counter."""
-    return hmac.new(key, msg + bytes(4), "sha256").digest()
-
-
 def _reference_tags(key: bytes, index) -> bytes:
     """Leaf tags, then gap tags, computed straight from the definitions."""
     keys = sorted(index.table)
-    leaves = [
-        _hmac_tag(key, b"L:" + t + bytes([t in index.exact]) + hashlib.sha256(
-            b"".join(index.records(t))).digest())
-        for t in keys
-    ]
+    leaves = [leaf_tag(key, t, t in index.exact, hashlib.sha256(b"".join(index.records(t))).digest()) for t in keys]
     ends = [b""] + keys + [b""]
-    gaps = [
-        _hmac_tag(key, b"G:" + bytes([len(a), len(b)]) + a + b)
-        for a, b in zip(ends, ends[1:])
-    ]
+    gaps = [gap_tag(key, a, b) for a, b in zip(ends, ends[1:])]
     return b"".join(leaves + gaps)
 
 
@@ -252,7 +239,97 @@ class TestSearchWithProof:
             search_with_proof(index, make_request("cat", 2, km))
 
 
+def _verify_per_proof(req: SearchRequest, results: ResultSet, proofs, km) -> Verdict:
+    """The reference ``verify``: each proof's tag keyed by itself and checked as the proof is read."""
+    if len(proofs) != len(req.trapdoors):
+        return Verdict(False, VerdictReason.COUNT_MISMATCH)
+    key, records, exact_hit, pos = km.record_key, results.records, results.exact_hit, 0
+    if exact_hit and not proofs:
+        return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
+    for i, (t, proof) in enumerate(zip(req.trapdoors, proofs)):
+        try:
+            form, first, second, tag = _parse_proof(proof)
+        except Truncated:
+            return Verdict(False, VerdictReason.SHAPE_INVALID, i)
+        if not i and exact_hit != (form == 1):
+            return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
+        if form == 2:
+            width = len(t)
+            if (first and (len(first) != width or first >= t)) or (second and (len(second) != width or t >= second)):
+                return Verdict(False, VerdictReason.SHAPE_INVALID, i)
+            if gap_tag(key, first, second) != tag:
+                return Verdict(False, VerdictReason.GAP_TAG_MISMATCH, i)
+            continue
+        if leaf_tag(key, t, form, first) != tag:
+            return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
+        if exact_hit and i:
+            continue
+        digest = hashlib.sha256()
+        while True:
+            if pos == len(records):
+                return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
+            digest.update(records[pos])
+            pos += 1
+            if digest.digest() == first:
+                break
+    if pos != len(records):
+        return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH)
+    return Verdict(True, VerdictReason.OK)
+
+
+def _damaged(rng: random.Random, result: ResultSet, proofs: list[bytes]):
+    """An honest transcript's result and proofs, then seeded damaged copies of them."""
+
+    def put(ps, j, proof):
+        return ps[:j] + [proof] + ps[j + 1 :]
+
+    def flip(proof):
+        at = rng.randrange(len(proof))
+        return proof[:at] + bytes([proof[at] ^ 1 << rng.randrange(8)]) + proof[at + 1 :]
+
+    yield result, proofs
+    n, records = len(proofs), result.records
+    for j in range(n):  # each proof cut
+        yield result, put(proofs, j, proofs[j][: rng.randrange(len(proofs[j]))])
+    for _ in range(6):  # a byte flipped
+        j = rng.randrange(n)
+        yield result, put(proofs, j, flip(proofs[j]))
+    if n > 1:
+        i, j = sorted(rng.sample(range(n), 2))
+        swapped = list(proofs)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield result, swapped
+        # a tag or record failure at i comes before a shape failure at the later j
+        yield result, put(put(proofs, i, flip(proofs[i])), j, proofs[j][:1])
+        yield dataclasses.replace(result, records=records[1:]), put(proofs, j, proofs[j][:1])
+    yield result, proofs[:-1]
+    yield dataclasses.replace(result, exact_hit=not result.exact_hit), proofs
+    if records:  # records dropped or merged
+        at = rng.randrange(len(records))
+        yield dataclasses.replace(result, records=records[:at] + records[at + 1 :]), proofs
+    if len(records) > 1:
+        at = rng.randrange(len(records) - 1)
+        merged = records[:at] + [records[at] + records[at + 1]] + records[at + 2 :]
+        yield dataclasses.replace(result, records=merged), proofs
+        yield dataclasses.replace(result, records=records[::-1]), proofs
+
+
 class TestVerify:
+    def test_verify_gives_the_per_proof_verdict(self, km, small_world):
+        corpus, index = small_world
+        rng = random.Random(29)
+        words, seen = sorted(corpus), set()
+        for _ in range(60):
+            query = rng.choice(words) if rng.random() < 0.3 else mutate(rng.choice(words), rng)
+            if not query:
+                continue
+            req = make_request(query, rng.choice((0, 1)), km)
+            for result, proofs in _damaged(rng, *search_with_proof(index, req)):
+                verdict = verify(req, result, proofs, km)
+                assert verdict == _verify_per_proof(req, result, proofs, km), (query, proofs)
+                seen.add(verdict.reason)
+        assert seen == set(VerdictReason)
+
     def test_honest_transcripts_accept(self, km, small_world):
         corpus, index = small_world
         rng = random.Random(127)
