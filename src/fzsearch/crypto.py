@@ -27,6 +27,21 @@ use, and only then is ``cryptography`` imported: this module names it inside
 functions alone, so a process that never builds a cipher (a server that is not
 blinded, or one that only derives trapdoors) never loads the library.
 
+One SHA-256 runs under every PRF, ``record_digest``, ``verifiable.verify``'s
+per-record digest and ``multiuser``'s wrap key: ``sha256``, CPython's built-in
+module (``_sha256`` up to 3.11, ``_sha2`` from 3.12), and ``hashlib.sha256``
+only on an interpreter built without both.  The bytes are the same either way;
+what differs is what a process maps.  ``hashlib`` loads OpenSSL's libcrypto
+through ``_hashlib``, about 3.6 MB resident, so no module of this package
+imports ``hashlib``, ``hmac`` or ``secrets`` at module level: keys and nonces
+come from ``os.urandom`` (what ``secrets.token_bytes`` calls), and only
+``verify``, which clients run, imports ``hmac.compare_digest``.  No server,
+plain, authenticated or blinded, loads any of them.  The built-in hash is also
+the cheaper one for a message of one SHA-256 block, as every trapdoor, record
+nonce and gap tag is: copying its state is a memory copy, not an OpenSSL
+context copy.  Each further block costs it more than OpenSSL, so a leaf tag
+(two blocks) and a digest of several records take longer.
+
 The blinding permutation ``prp`` is a 4-round Luby-Rackoff Feistel network
 over the two halves of a trapdoor, the shape of NIST SP 800-38G FF1 with
 fewer rounds.  Its round function is AES under the blind key, truncated to
@@ -42,8 +57,7 @@ tag bytes must fit one AES block, so ``prp`` takes blocks of at most
 from __future__ import annotations
 
 import functools
-import hashlib
-import secrets
+import os
 import struct
 import threading
 from collections.abc import Iterable, Sequence
@@ -51,6 +65,14 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import AuthFailure, BadLength, BadParameter
+
+try:  # CPython's own SHA-256: ``_sha256`` up to 3.11, ``_sha2`` from 3.12
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:  # an interpreter built without them; hashlib then has its own
+        from hashlib import sha256
 
 NONCE_BYTES = 12
 RECORD_MIN_BYTES = NONCE_BYTES + 16  # a record's nonce, then at least the 16-byte GCM tag
@@ -76,9 +98,9 @@ _COUNTER = bytes(4)  # the block counter of HMAC counter mode's first block, end
 @functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _hmac_pads(key: bytes):
     """HMAC-SHA256's inner and outer hash states after absorbing the padded key."""
-    inner, outer = hashlib.sha256(), hashlib.sha256()
+    inner, outer = sha256(), sha256()
     if len(key) > inner.block_size:
-        key = hashlib.sha256(key).digest()
+        key = sha256(key).digest()
     key = key.ljust(inner.block_size, b"\0")
     inner.update(key.translate(_IPAD))
     outer.update(key.translate(_OPAD))
@@ -135,7 +157,7 @@ def keygen(security_bits: int = 128, seed: bytes | None = None) -> KeyMaterial:
         raise BadParameter(f"unsupported security parameter {security_bits}")
     nb = security_bits // 8
     if seed is None:
-        sk, sk0, xi = secrets.token_bytes(nb), secrets.token_bytes(nb), secrets.token_bytes(nb)
+        sk, sk0, xi = os.urandom(nb), os.urandom(nb), os.urandom(nb)
     else:  # the labels' trailing zero byte keeps the keys a seed has always given
         sk = prf_bytes(seed, b"trapdoor-key\0", nb)
         sk0 = prf_bytes(seed, b"record-key\0", nb)
@@ -297,4 +319,4 @@ def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tupl
 
 def record_digest(records) -> bytes:
     """Plain digest of the records' bytes in order; bound to a key via the leaf tag."""
-    return hashlib.sha256(b"".join(records)).digest()
+    return sha256(b"".join(records)).digest()

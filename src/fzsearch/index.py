@@ -24,7 +24,6 @@ lookups, mirroring the search definition's exact-match rule).
 
 from __future__ import annotations
 
-import operator
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -258,10 +257,12 @@ def read_entries(body: memoryview, count: int) -> tuple[dict[bytes, int], set[by
 
     Every bound is checked before its field is read, and every record is at
     least ``RECORD_MIN_BYTES`` long, but none is sliced out.  The ascending
-    order of the trapdoors is checked once, over all of them, after the last entry.
+    order of the trapdoors is checked as each is read, but the first entry out
+    of order is reported only after the last entry, behind any other error.
     """
     size, unpack, head_size, length = len(body), _ENTRY_HEAD.unpack_from, _ENTRY_HEAD.size, _LENGTH.unpack_from
-    table, keys, exact, pos = {}, [], set(), 0
+    table, exact, pos = {}, set(), 0
+    prev, disorder = b"", None  # the last trapdoor read; the first entry not above its predecessor
     for i in range(count):
         start = pos + head_size
         if start > size:
@@ -272,7 +273,9 @@ def read_entries(body: memoryview, count: int) -> tuple[dict[bytes, int], set[by
         if not n:
             raise BadParameter(f"entry {i} has no records")
         table[t] = pos
-        keys.append(t)
+        if t <= prev and disorder is None:
+            disorder = i
+        prev = t
         if flag:
             exact.add(t)
         pos = start + first
@@ -290,9 +293,8 @@ def read_entries(body: memoryview, count: int) -> tuple[dict[bytes, int], set[by
                 raise Truncated(f"entry {i}: a record ends early")
             if n_bytes < RECORD_MIN_BYTES:
                 raise AuthFailure("record blob too short")
-    if not all(map(operator.lt, keys, keys[1:])):
-        i = next(i for i in range(1, len(keys)) if keys[i - 1] >= keys[i])
-        raise BadParameter(f"entry {i}: trapdoors are not strictly ascending")
+    if disorder is not None:
+        raise BadParameter(f"entry {disorder}: trapdoors are not strictly ascending")
     return table, exact, pos
 
 
@@ -340,8 +342,30 @@ def walk_trie(root: NodeView, symbols: tuple[int, ...]) -> NodeView | None:
     return NodeView(index, depth, prefix) if lo < hi or not depth else None
 
 
+def search_by(index: Index, req: SearchRequest, records_of) -> ResultSet:
+    """The search rule, reading each hit's records through ``records_of(t)``.
+
+    ``EditBoundExceeded`` when ``req.k`` exceeds the index's ``d``.  A hit on
+    the request's first trapdoor that is exact returns its records alone (the
+    exact-match short-circuit), and no other entry is read; otherwise every
+    hit's records, in request order.  ``records_of`` is called for trapdoors
+    that ``index.table`` holds only.
+    """
+    if req.k > index.d:
+        raise EditBoundExceeded(f"request k={req.k} exceeds index d={index.d}")
+    table, exact, gathered = index.table, index.exact, []
+    for i, t in enumerate(req.trapdoors):
+        if t not in table:
+            continue
+        records = records_of(t)
+        if not i and t in exact:
+            return ResultSet(records=list(records), exact_hit=True)
+        gathered.extend(records)
+    return ResultSet(records=gathered, exact_hit=False)
+
+
 def search_listing(index: Index, req: SearchRequest) -> ResultSet:
-    """Look up each trapdoor; exact-first short-circuit.
+    """Look up each trapdoor; ``search_by`` applies the rule, reading records out of ``body``.
 
     Serves every kind: a trie holds records only at full depth, so walking a
     trapdoor's symbols reaches records exactly when the map holds it.  A
@@ -349,17 +373,7 @@ def search_listing(index: Index, req: SearchRequest) -> ResultSet:
     repeats a record only where the request repeats its trapdoor, as the
     proofs do.
     """
-    if req.k > index.d:
-        raise EditBoundExceeded(f"request k={req.k} exceeds index d={index.d}")
-    table, gathered = index.table, []
-    for i, t in enumerate(req.trapdoors):
-        if t not in table:
-            continue
-        records = index.records(t)
-        if i == 0 and t in index.exact:
-            return ResultSet(records=list(records), exact_hit=True)
-        gathered.extend(records)
-    return ResultSet(records=gathered, exact_hit=False)
+    return search_by(index, req, index.records)
 
 
 search_trie = search_listing

@@ -17,11 +17,10 @@ importing this module loads neither.
 
 from __future__ import annotations
 
-import secrets
+import os
 from dataclasses import dataclass, field
-from hashlib import sha256
 
-from .crypto import NONCE_BYTES, RECORD_MIN_BYTES, aes_gcm, gcm_open, prp
+from .crypto import NONCE_BYTES, RECORD_MIN_BYTES, aes_gcm, blind_cipher, gcm_open, prp, sha256
 from .errors import AuthFailure, BadParameter, DuplicateUser, UnknownUser
 from .index import SearchRequest
 
@@ -48,7 +47,7 @@ def wrap_blind_key(user_key: bytes, user_id: str, xi: bytes) -> bytes:
     """``nonce || AES-GCM(xi)`` under the user's wrap key, bound to the user id;
     ``BadParameter`` for an id ``user_id_bytes`` refuses."""
     uid = user_id_bytes(user_id)
-    nonce = secrets.token_bytes(NONCE_BYTES)
+    nonce = os.urandom(NONCE_BYTES)
     return nonce + aes_gcm(_wrap_key(user_key)).encrypt(nonce, xi, uid)
 
 
@@ -76,15 +75,11 @@ class UserDirectory:
     wrapped: dict[str, bytes] = field(default_factory=dict)
     user_keys: dict[str, bytes] = field(default_factory=dict, repr=False)
 
-    def _check_blind_key(self) -> None:
-        if len(self.current_xi) not in (16, 24, 32):  # an AES key, as ``prp`` takes it
-            raise BadParameter(f"no blind key to wrap: {len(self.current_xi)} bytes, not 16, 24 or 32")
-
     def enroll(self, user_id: str, user_key: bytes) -> "UserDirectory":
         """Wrap the current blind key for a new user; ``BadParameter`` for an id FZUD
         cannot store or a directory without its blind key."""
         user_id_bytes(user_id)
-        self._check_blind_key()
+        blind_cipher(self.current_xi)  # BadParameter unless the blind key is an AES key, as ``prp`` takes it
         if user_id in self.wrapped:
             raise DuplicateUser(f"user {user_id!r} already enrolled")
         self.wrapped[user_id] = wrap_blind_key(user_key, user_id, self.current_xi)
@@ -97,7 +92,7 @@ class UserDirectory:
         Needs the blind key and every remaining user's personal key in
         ``user_keys``, which a loaded directory lacks; else raises
         ``BadParameter`` and changes nothing."""
-        self._check_blind_key()
+        blind_cipher(self.current_xi)
         if user_id not in self.wrapped:
             raise UnknownUser(f"user {user_id!r} not enrolled")
         missing = [uid for uid in self.wrapped if uid != user_id and uid not in self.user_keys]
@@ -106,7 +101,7 @@ class UserDirectory:
         del self.wrapped[user_id]
         self.user_keys.pop(user_id, None)
         self.epoch += 1
-        self.current_xi = secrets.token_bytes(len(self.current_xi))
+        self.current_xi = os.urandom(len(self.current_xi))
         for uid, key in self.user_keys.items():
             self.wrapped[uid] = wrap_blind_key(key, uid, self.current_xi)
         return self

@@ -38,14 +38,12 @@ client could find these by searching anyway.
 from __future__ import annotations
 
 import enum
-import hmac as _hmac
 from bisect import bisect_left
 from dataclasses import dataclass
-from hashlib import sha256
 
-from .crypto import KeyMaterial, prf_many, record_digest
+from .crypto import KeyMaterial, prf_many, record_digest, sha256
 from .errors import BadParameter, Truncated
-from .index import ResultSet, SearchRequest, TrieIndex, build_trie_index, search_listing
+from .index import ResultSet, SearchRequest, TrieIndex, build_trie_index, search_by
 
 TAG_BYTES = 32
 # The first byte of every proof encoding.  A v1 proof started with its
@@ -103,29 +101,30 @@ def search_with_proof(index: TrieIndex, req: SearchRequest) -> tuple[ResultSet, 
     """Search plus one proof per trapdoor, each its encoding.
 
     Only an authenticated trie has the tags to prove with; any other index
-    raises ``BadParameter``.  The record list short-circuits on an exact hit
-    exactly like the plain search, but proofs are still produced for every
-    trapdoor — the verifier's first check is that none went missing.  One bisect places
-    each trapdoor among the sorted entries: at an entry it is a hit,
-    otherwise it lies in the gap before position ``pos``.
+    raises ``BadParameter``.  The records follow ``search_by``'s rule, as in
+    the plain search, but proofs are still produced for every trapdoor —
+    the verifier's first check is that none went missing.  One bisect places
+    each trapdoor among the sorted entries: at an entry it is a hit, whose
+    records are read once for both the result and the digest; otherwise it
+    lies in the gap before position ``pos``.
     """
     if index.kind != "auth_trie":
         raise BadParameter(f"a {index.kind} index holds no tags to prove with")
-    result = search_listing(index, req)
-    ordered, tags, exact = index.ordered, index.tags, index.exact
-    size, proofs = len(ordered), []
+    ordered, tags, exact, records_of = index.ordered, index.tags, index.exact, index.records
+    size, read, proofs = len(ordered), {}, []
     for t in req.trapdoors:
         pos = bisect_left(ordered, t)
         if pos < size and ordered[pos] == t:
+            read[t] = records = records_of(t)
             at = pos * TAG_BYTES
-            proofs.append(_HIT_HEADS[t in exact] + record_digest(index.records(t)) + tags[at : at + TAG_BYTES])
+            proofs.append(_HIT_HEADS[t in exact] + record_digest(records) + tags[at : at + TAG_BYTES])
         else:
             at = (size + pos) * TAG_BYTES
             left = ordered[pos - 1] if pos else b""
             right = ordered[pos] if pos < size else b""
             tag = tags[at : at + TAG_BYTES]
             proofs.append(b"".join((_MISS_HEAD, _BYTE[len(left)], left, _BYTE[len(right)], right, tag)))
-    return result, proofs
+    return search_by(index, req, read.__getitem__), proofs
 
 
 def _parse_proof(proof: bytes) -> tuple[int, bytes, bytes, bytes]:
@@ -174,6 +173,8 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
     record failure at proof ``i`` still comes before a shape failure at a
     later proof.
     """
+    from hmac import compare_digest  # a client's import: a server never verifies
+
     if len(proofs) != len(req.trapdoors):
         return Verdict(False, VerdictReason.COUNT_MISMATCH)
     records, exact_hit = results.records, results.exact_hit
@@ -200,7 +201,7 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
         parsed.append((form, first, tag))
     pos = 0
     for i, ((form, first, tag), want) in enumerate(zip(parsed, prf_many(km.record_key, msgs, TAG_BYTES))):
-        if not _hmac.compare_digest(want, tag):
+        if not compare_digest(want, tag):
             reason = VerdictReason.GAP_TAG_MISMATCH if form == _MISS else VerdictReason.LEAF_TAG_MISMATCH
             return Verdict(False, reason, i)
         if form == _MISS or (exact_hit and i):

@@ -1,3 +1,4 @@
+import hashlib
 import hmac
 import random
 import secrets
@@ -20,7 +21,7 @@ from fzsearch import (
     wildcard_fuzzy_set,
 )
 from fzsearch.cli import derive_user_key
-from fzsearch.crypto import prf_bytes, prf_many
+from fzsearch.crypto import prf_bytes, prf_many, sha256
 
 
 class TestKeygen:
@@ -304,6 +305,27 @@ class TestKnownAnswers:
             msg = rng.randbytes(rng.randrange(80))
             n = rng.randrange(1, 33)
             assert prf_bytes(key, msg, n) == _hmac_reference(key, msg, n), (key.hex(), msg.hex(), n)
+
+    def test_sha256_is_hashlib_sha256(self):
+        """``crypto.sha256``, CPython's built-in SHA-256, gives ``hashlib``'s bytes whole,
+        in split updates and through ``copy()``."""
+        rng = random.Random(256)
+        assert (sha256().block_size, sha256().digest_size) == (64, 32)
+        for size in range(301):
+            data = rng.randbytes(size)
+            want = hashlib.sha256(data).digest()
+            assert sha256(data).digest() == want, size
+            cuts = sorted(rng.randrange(size + 1) for _ in range(rng.randrange(4)))
+            h = sha256()
+            for lo, hi in zip([0, *cuts], [*cuts, size]):
+                h.update(data[lo:hi])
+            assert h.digest() == want, (size, cuts)
+            cut = rng.randrange(size + 1)
+            head = sha256(data[:cut])
+            fork = head.copy()
+            fork.update(data[cut:])
+            assert fork.digest() == want, (size, cut)
+            assert head.digest() == hashlib.sha256(data[:cut]).digest(), (size, cut)
 
     def test_prp_matches_reference(self):
         rng = random.Random(1993)

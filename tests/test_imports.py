@@ -1,7 +1,10 @@
-"""The cipher library loads only where a cipher is built.
+"""What a server loads: no cipher library unless it is blinded, and never OpenSSL's hashing.
 
 A plain search server matches trapdoors and never decrypts, so it must not
-load ``cryptography``; a blinded one loads it when its state is made.
+load ``cryptography``; a blinded one loads it when its state is made.  No
+server, plain, authenticated or blinded, imports ``hashlib``, ``hmac``,
+``secrets`` or ``_hashlib``: the one SHA-256 is CPython's built-in module,
+which ``fzsearch.crypto`` alone names.
 """
 
 import ast
@@ -12,59 +15,133 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import random_corpus
-from fzsearch import build_listing_index, build_trie_index, make_request
+from fzsearch import blind_request, build_auth_trie, build_listing_index, build_trie_index, make_request
+from fzsearch.crypto import prf_bytes, record_digest
 from fzsearch.persist import save_index
 from fzsearch.service import encode_message
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fzsearch"
+HASH_MODULES = ("_hashlib", "hashlib", "hmac", "secrets")
+BUILTIN_SHA256 = ("_sha256", "_sha2")
+ENV = {**os.environ, "PYTHONPATH": str(PACKAGE.parent) + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
+# Each step serves its lines and records which of the watched modules are then loaded.
 SERVER = """
 import json, sys
 import fzsearch.cli
 from fzsearch.persist import load_index
 from fzsearch.service import ServerState, handle_line
 
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "cryptography")
+spec = json.loads(sys.argv[1])
+watched = spec["hash_modules"]
+report = {}
 
-paths, lines = json.loads(sys.argv[1])
-hits = 0
-for path in paths:
-    state = ServerState(index=load_index(path))
+def serve(step, state, lines, proofs):
+    hits = 0
     for line in lines:
         reply = json.loads(handle_line(state, line))
         assert reply["type"] in ("HelloAck", "SearchResp"), reply
+        if reply["type"] == "SearchResp":
+            assert ("proofs" in reply) == proofs, reply
         hits += len(reply.get("records", []))
-assert hits, "no request found a record"
-assert not loaded(), loaded()
-ServerState(index=state.index, xi=bytes(16))
-assert "cryptography" in loaded(), loaded()
-print("ok")
+    assert hits or not lines, f"{step}: no request found a record"
+    report[step] = {
+        "cryptography": any(m.split(".")[0] == "cryptography" for m in sys.modules),
+        "hashing": sorted(m for m in watched if m in sys.modules),
+    }
+
+for step in ("listing", "trie"):
+    serve(step, ServerState(index=load_index(spec[step])), spec["lines"], False)
+auth = ServerState(index=load_index(spec["auth"]))
+serve("auth", auth, spec["proof_lines"], True)
+blinded = ServerState(index=auth.index, xi=bytes.fromhex(spec["xi"]))
+serve("blinded state", blinded, [], True)
+serve("blinded", blinded, spec["blinded_lines"], True)
+print(json.dumps(report))
 """
 
 
-def test_a_plain_server_never_loads_the_cipher_library(km, tmp_path):
+def _search_line(req, proof=False) -> str:
+    msg = {"type": "SearchReq", "epoch": 0, "k": req.k, "trapdoors": [t.hex() for t in req.trapdoors]}
+    if proof:
+        msg["proof"] = True
+    return encode_message(msg)
+
+
+@pytest.fixture(scope="module")
+def server_report(km, tmp_path_factory):
+    """Which watched modules a server process has loaded after each step of serving."""
+    tmp = tmp_path_factory.mktemp("servers")
     rng = random.Random(29)
     corpus = {word: [b"F1"] for word in random_corpus(rng, size=30, lo=3, hi=6)}
-    paths = []
-    for name, build, method in (("listing", build_listing_index, "wildcard"), ("trie", build_trie_index, "gram")):
-        path = str(tmp_path / f"{name}.fzix")
-        save_index(build(corpus, 1, km, method), path)
-        paths.append(path)
+    spec = {"hash_modules": HASH_MODULES, "xi": bytes(range(16)).hex()}
+    for name, build, method in (
+        ("listing", build_listing_index, "wildcard"),
+        ("trie", build_trie_index, "gram"),
+        ("auth", build_auth_trie, "wildcard"),
+    ):
+        spec[name] = str(tmp / f"{name}.fzix")
+        save_index(build(corpus, 1, km, method), spec[name])
     words = sorted(corpus)[:4]
-    lines = [encode_message({"type": "Hello"})]
-    for word in words:
-        for method in ("wildcard", "gram"):
-            req = make_request(word, 1, km, method)
-            lines.append(encode_message({"type": "SearchReq", "epoch": 0, "k": req.k, "trapdoors": [t.hex() for t in req.trapdoors]}))
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    hello = encode_message({"type": "Hello"})
+    reqs = [make_request(word, 1, km, method) for word in words for method in ("wildcard", "gram")]
+    spec["lines"] = [hello] + [_search_line(req) for req in reqs]
+    spec["proof_lines"] = [hello] + [_search_line(req, proof=True) for req in reqs]
+    xi = bytes.fromhex(spec["xi"])
+    spec["blinded_lines"] = [hello] + [_search_line(blind_request(req, xi), proof=True) for req in reqs]
     out = subprocess.run(
-        [sys.executable, "-c", SERVER, json.dumps([paths, lines])],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", SERVER, json.dumps(spec)], env=ENV, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+    return json.loads(out.stdout)
+
+
+def test_a_plain_server_never_loads_the_cipher_library(server_report):
+    assert {step: seen["cryptography"] for step, seen in server_report.items()} == {
+        "listing": False,
+        "trie": False,
+        "auth": False,
+        "blinded state": True,
+        "blinded": True,
+    }
+
+
+def test_no_server_loads_openssl_hashing(server_report):
+    """Plain listing and trie servers, the auth server with proofs, the blinded one."""
+    assert list(server_report) == ["listing", "trie", "auth", "blinded state", "blinded"]
+    assert {step: seen["hashing"] for step, seen in server_report.items()} == dict.fromkeys(server_report, [])
+
+
+# As on an interpreter built without CPython's SHA-256 modules: crypto falls back to hashlib's.
+FALLBACK = """
+import hashlib, json, sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+from fzsearch import crypto
+assert crypto.sha256 is hashlib.sha256, crypto.sha256
+cases = json.loads(sys.argv[1])
+print(json.dumps({
+    "prf": [crypto.prf_bytes(bytes.fromhex(k), bytes.fromhex(m), n).hex() for k, m, n in cases["prf"]],
+    "digest": [crypto.record_digest([bytes.fromhex(r) for r in rs]).hex() for rs in cases["digest"]],
+}))
+"""
+
+
+def test_without_the_builtin_sha256_the_fallback_gives_the_same_bytes():
+    rng = random.Random(3)
+    prf = [(rng.randbytes(size).hex(), rng.randbytes(rng.randrange(120)).hex(), rng.randrange(1, 33))
+           for size in (0, 1, 16, 32, 63, 64, 65, 200) for _ in range(4)]
+    digest = [[rng.randbytes(rng.randrange(28, 90)).hex() for _ in range(count)] for count in (0, 1, 2, 3, 7)]
+    out = subprocess.run(
+        [sys.executable, "-c", FALLBACK, json.dumps({"prf": prf, "digest": digest})],
+        env=ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["prf"] == [prf_bytes(bytes.fromhex(k), bytes.fromhex(m), n).hex() for k, m, n in prf]
+    assert got["digest"] == [record_digest([bytes.fromhex(r) for r in rs]).hex() for rs in digest]
 
 
 def _function_local(tree: ast.Module) -> set[int]:
@@ -76,21 +153,51 @@ def _function_local(tree: ast.Module) -> set[int]:
     return inside
 
 
+def _imports(tree: ast.Module):
+    """``(node, top-level module names)`` of every import statement in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node, [(node.module or "").split(".")[0]]
+
+
+def _handlers_of_import_error(tree: ast.Module) -> set[int]:
+    """The ids of the nodes inside an ``except ImportError`` clause."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name) and node.type.id == "ImportError":
+            inside.update(id(child) for child in ast.walk(node) if child is not node)
+    return inside
+
+
 def test_only_crypto_names_the_cipher_library_and_only_inside_functions():
     imports = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         local = _function_local(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "cryptography" for name in names):
+        for node, names in _imports(tree):
+            if "cryptography" in names:
                 imports.append((path.name, node.lineno, id(node) in local))
         if path.name != "crypto.py":
             assert "cryptography" not in path.read_text(), f"{path.name} names the cipher library"
     assert imports and {name for name, _, _ in imports} == {"crypto.py"}
     assert all(local for _, _, local in imports), [f"{name}:{line}" for name, line, local in imports if not local]
+
+
+def test_no_module_imports_openssl_hashing_at_module_level():
+    """Only ``crypto``'s fallback, for an interpreter without a built-in SHA-256, imports ``hashlib``."""
+    module_level, fallbacks, builtin_named = [], [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
+        local, fallback = _function_local(tree), _handlers_of_import_error(tree)
+        for node, names in _imports(tree):
+            if set(names) & set(HASH_MODULES) and id(node) not in local:
+                where = f"{path.name}:{node.lineno}"
+                (fallbacks if id(node) in fallback else module_level).append(where)
+        if any(name in text for name in BUILTIN_SHA256):
+            builtin_named.add(path.name)
+    assert not module_level, module_level
+    assert [where.split(":")[0] for where in fallbacks] == ["crypto.py"]
+    assert builtin_named == {"crypto.py"}

@@ -793,6 +793,18 @@ def larger_files(km):
     return {(kind, "gram", 200): dumps_index(GOLDEN_BUILDERS[kind](corpus, 1, km, "gram")) for kind in ("listing", "auth")}
 
 
+def test_the_first_entry_out_of_order_is_reported_after_every_other_error(small_files):
+    header, entries, sections = _split_fzix(small_files["listing", "wildcard"])
+    twice = entries[:3] + [entries[4], entries[3]] + entries[5:8] + [entries[9], entries[8]] + entries[10:]
+    with pytest.raises(BadParameter, match=r"^entry 4: trapdoors are not strictly ascending$"):
+        loads_index(_join_fzix(header, twice, sections))
+    with pytest.raises(Truncated, match="a record ends early"):  # in the last entry, after both
+        loads_index(_join_fzix(header, twice, sections)[:-1])
+    flagged = twice[:-1] + [twice[-1][:20] + b"\x02" + twice[-1][21:]]
+    with pytest.raises(BadParameter, match="unknown entry flags"):
+        loads_index(_join_fzix(header, flagged, sections))
+
+
 def test_reader_matches_the_reference_loop(small_files, larger_files):
     """On every damaged file both readers raise FzError, or both read the same
     entries, exact set and tags.  Which check fires first may differ: the

@@ -13,13 +13,16 @@ from fzsearch import (
     TrieIndex,
     Verdict,
     VerdictReason,
+    blind_request,
     build_auth_trie,
     build_listing_index,
     build_trie_index,
     decrypt_record,
     make_request,
+    search_listing,
     search_trie,
     search_with_proof,
+    unblind_request,
     verify,
 )
 from fzsearch.crypto import record_digest
@@ -192,6 +195,31 @@ class TestSearchWithProof:
             plain = search_trie(index, req)
             assert with_proof.exact_hit == plain.exact_hit
             assert with_proof.records == plain.records
+
+    @pytest.mark.parametrize("method", ["wildcard", "gram"])
+    def test_the_proof_search_answers_as_the_plain_search(self, km, method):
+        """Seeded requests, plain and blinded: ``search_with_proof``'s result is ``search_listing``'s."""
+        rng = random.Random(f"one-read/{method}")
+        words = {"".join(rng.choice("abcd") for _ in range(rng.randint(1, 5))) for _ in range(60)}
+        corpus = {w: [b"F%d" % rng.randrange(6) for _ in range(rng.randint(1, 3))] for w in sorted(words)}
+        index, xi = build_auth_trie(corpus, 2, km, method), bytes(range(16))
+        exact_hits = fuzzy_hits = 0
+        for _ in range(200):
+            word = rng.choice(sorted(corpus)) if rng.random() < 0.5 else mutate(rng.choice(sorted(corpus)), rng) or "a"
+            req = make_request(word, rng.randint(0, 2), km, method)
+            trapdoors = list(req.trapdoors)
+            if rng.random() < 0.3:  # the exact word's trapdoor elsewhere than first
+                rng.shuffle(trapdoors)
+            if rng.random() < 0.3:  # a repeated trapdoor
+                trapdoors.append(rng.choice(trapdoors))
+            plain = SearchRequest(tuple(trapdoors), req.k)
+            blinded = blind_request(plain, xi)
+            for sent in (plain, blinded, unblind_request(blinded, xi)):
+                result, _ = search_with_proof(index, sent)
+                assert result == search_listing(index, sent), (word, sent)
+            exact_hits += result.exact_hit
+            fuzzy_hits += not result.exact_hit and len(result.records) > 1
+        assert exact_hits > 20 and fuzzy_hits > 20, (exact_hits, fuzzy_hits)
 
     def test_proofs_match_a_linear_scan(self, km, small_world):
         corpus, index = small_world
