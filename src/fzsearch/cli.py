@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_port, default=DEFAULT_PORT)
     p.add_argument("--blinded", action="store_true", help="unblind requests with the blind key")
-    p.add_argument("--epoch", type=int, default=0)
+    p.add_argument("--epoch", type=_whole("epoch", 2**64 - 1), default=0, help="the directory's epoch (a u64)")
     p.set_defaults(func=_cmd_serve)
 
     for name in ("search", "verify"):

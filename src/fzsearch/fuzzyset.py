@@ -29,10 +29,6 @@ WILDCARD = "*"
 MAX_VARIANTS = 4096  # the most variants of one fuzzy set, and so of one request
 
 
-def _too_many(word: str, d: int) -> BadParameter:
-    return BadParameter(f"the fuzzy set of {word!r} at d={d} has more than {MAX_VARIANTS} variants")
-
-
 def normalize_keyword(raw: str) -> str:
     """Lowercase ``raw`` and strip every character outside a-z.
 
@@ -96,16 +92,35 @@ def within_edits(a: str, b: str, k: int) -> bool:
     return prev[width] <= k
 
 
-def _expand_once(text: str) -> set[str]:
-    # One edit level: the string itself, '*' written over each position
-    # (covers substitution and deletion at that spot), and '*' inserted into
-    # each gap (length grows by one, so these never collide with the former).
-    out = {text}
+def _levels(word: str, d: int, step) -> tuple[str, ...]:
+    """``word`` and its variants after ``d`` levels of ``step(s, add)``, which adds each one-edit variant of ``s``."""
+    if d < 0:
+        raise BadParameter("edit bound must be >= 0")
+    level = {word}
+    for _ in range(d):
+        nxt = set(level)
+        add = nxt.add
+        for member in level:
+            step(member, add)
+            if len(nxt) > MAX_VARIANTS:
+                raise BadParameter(f"the fuzzy set of {word!r} at d={d} has more than {MAX_VARIANTS} variants")
+        level = nxt
+    return tuple(sorted(level))
+
+
+def _expand_once(text: str, add) -> None:
+    # '*' written over each position (covers substitution and deletion at
+    # that spot), and '*' inserted into each gap (length grows by one, so
+    # these never collide with the former).
     for i in range(len(text)):
-        out.add(text[:i] + WILDCARD + text[i + 1 :])
+        add(text[:i] + WILDCARD + text[i + 1 :])
     for i in range(len(text) + 1):
-        out.add(text[:i] + WILDCARD + text[i:])
-    return out
+        add(text[:i] + WILDCARD + text[i:])
+
+
+def _delete_once(text: str, add) -> None:
+    for i in range(len(text)):
+        add(text[:i] + text[i + 1 :])
 
 
 def wildcard_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
@@ -115,33 +130,12 @@ def wildcard_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
     expansion to every member of the previous level and deduplicates.  A
     ``*`` may land on or next to an existing ``*``; duplicates collapse.
     """
-    if d < 0:
-        raise BadParameter("edit bound must be >= 0")
-    level = {word}
-    for _ in range(d):
-        nxt: set[str] = set()
-        for member in level:
-            nxt |= _expand_once(member)
-            if len(nxt) > MAX_VARIANTS:
-                raise _too_many(word, d)
-        level = nxt
-    return tuple(sorted(level))
+    return _levels(word, d, _expand_once)
 
 
 def gram_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
     """Deletion variants of ``word`` up to ``d`` removed characters; ``""`` once ``d >= len(word)``."""
-    if d < 0:
-        raise BadParameter("edit bound must be >= 0")
-    level = {word}
-    for _ in range(d):
-        nxt = set(level)
-        for member in level:
-            for i in range(len(member)):
-                nxt.add(member[:i] + member[i + 1 :])
-            if len(nxt) > MAX_VARIANTS:
-                raise _too_many(word, d)
-        level = nxt
-    return tuple(sorted(level))
+    return _levels(word, d, _delete_once)
 
 
 def fuzzy_set(word: str, d: int, method: str = "wildcard") -> tuple[str, ...]:

@@ -5,17 +5,17 @@ documents the layout), ``table``, each fuzzy variant's trapdoor mapped to
 the offset of its entry in ``body``, and ``exact``, the trapdoors of
 keywords' own zero-edit variants.  A built index writes its body in one
 sorted pass (``pack_entries``).  A loaded one keeps the file's bytes, checked
-by ``read_entries``: its body, and an authenticated trie's tags, are views of
-them.  No record is an object until a search, a proof or a ``NodeView``
-reaches its entry, and ``records`` slices it out then.  The writer, the
-validating reader and that hit-time reader sit together below.
+by ``read_entries``: its body and its tags are views of them.  No record is
+an object until a search, a proof or a ``NodeView`` reaches its entry, and
+``records`` slices it out then.  The writer, the validating reader and that
+hit-time reader sit together below.  No index changes once built.
 
 A record is the bytes ``nonce || ciphertext`` that ``crypto.encrypt_record``
 returns; nothing here looks inside one.  The listing index is the flat
 table; the trie files each trapdoor root-to-leaf as ``DEPTH`` symbols of
-``SYMBOL_BITS`` each, its nodes derived from ``Index.ordered``; a trie that
-also holds ``tags`` (``verifiable.build_auth_trie``) is the authenticated
-trie, with a tag per entry and per gap between entries.
+``SYMBOL_BITS`` each, its nodes derived from ``Index.ordered``.  An index
+proves its answers exactly when it holds ``tags``, a tag per entry and per
+gap between entries; ``verifiable.build_auth_trie`` builds such a trie.
 
 Requests put the exact word's trapdoor first; a search that matches it
 returns only that entry's records (the exact hit short-circuits the fuzzy
@@ -59,9 +59,9 @@ def symbolize(t: bytes, n: int) -> tuple[int, ...]:
 
 @dataclass
 class Index:
-    """Trapdoors mapped to their entries in one body, immutable once built; ``kind`` names its access structure."""
+    """Trapdoors mapped to their entries in one body, immutable once built; with ``tags``, any kind can prove."""
 
-    kind: ClassVar[str]
+    kind: ClassVar[str]  # names the access structure
     trapdoor_bits: ClassVar[int] = TRAPDOOR_BITS
     symbol_bits: ClassVar[int] = SYMBOL_BITS
     depth: ClassVar[int] = DEPTH
@@ -74,6 +74,7 @@ class Index:
     # concrete words, so without the marker a query could collide with another
     # keyword's variant and wrongly short-circuit.
     exact: set[bytes] = field(default_factory=set)
+    tags: bytes | memoryview = b""  # TAG_BYTES per entry, then per gap, in ``ordered`` order
 
     @classmethod
     def build(cls, corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"):
@@ -104,15 +105,13 @@ class ListingIndex(Index):
     kind = "listing"
 
 
-@dataclass
 class TrieIndex(Index):
     """Each trapdoor filed root-to-leaf as ``DEPTH`` symbols of ``SYMBOL_BITS``, records at the leaf.
 
     The trie is a view over ``ordered``: the node at ``depth`` on ``prefix`` (its path
     as an integer) holds the leaves ``span(depth, prefix)`` and exists when that is not empty.
+    A trie that holds tags is the authenticated trie.
     """
-
-    tags: bytes | memoryview = b""  # an authenticated trie's: TAG_BYTES per entry, then per gap, in ``ordered`` order
 
     @property
     def kind(self) -> str:
@@ -321,13 +320,17 @@ def make_request(word: str, k: int, km: KeyMaterial, method: str = "wildcard") -
 
 
 def decrypt_matches(km: KeyMaterial, word: str, k: int, result: ResultSet) -> list[tuple[bytes, str]]:
-    """The (fid, keyword) of each record in ``result`` whose keyword is within ``k`` edits of ``word``.
+    """The (fid, keyword) of each record in ``result`` whose keyword is within ``k`` edits of ``word``,
+    or is ``word`` on an exact hit.
 
     Every record is decrypted first, so one that fails authentication raises
     ``AuthFailure`` even when its keyword would be dropped.  A gram index also
-    returns keywords more than ``k`` edits away; those are the ones dropped.
+    returns keywords more than ``k`` edits away, and on an exact hit those
+    that deletions turn into ``word``; those are the ones dropped.
     """
     found = [decrypt_record(km, rec) for rec in result.records]
+    if result.exact_hit:
+        return [(fid, keyword) for fid, keyword in found if keyword == word]
     return [(fid, keyword) for fid, keyword in found if within_edits(word, keyword, k)]
 
 

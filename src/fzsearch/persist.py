@@ -28,7 +28,8 @@ All integers are big-endian.  Each header is one ``struct.Struct``, and
     ``table`` holding each entry's offset, not its records.
     An authenticated trie appends its tags: ``TAG_BYTES`` per entry of leaf
     tags in entry order, then ``TAG_BYTES`` per gap (entries + 1) of gap
-    tags, from the head gap to the tail gap.  Nothing follows.
+    tags, from the head gap to the tail gap (``verifiable.tags_bytes``).
+    Nothing follows, and no other kind writes tags.
     The trie itself is not written: it is a view over the sorted trapdoors.
     ``dumps_index`` writes the header, the body and the tags; the reader
     accepts only what it writes, so a file that loads dumps back to the same
@@ -63,7 +64,7 @@ from .crypto import SECURITY_BITS, SYMBOL_BITS, TRAPDOOR_BITS, KeyMaterial
 from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
 from .index import ListingIndex, TrieIndex, read_entries
 from .multiuser import UserDirectory, user_id_bytes
-from .verifiable import TAG_BYTES
+from .verifiable import tags_bytes
 
 KEY_MAGIC = b"FZKY"
 INDEX_MAGIC = b"FZIX"
@@ -170,20 +171,17 @@ def load_keys(path: str) -> KeyMaterial:
 # -- indexes ---------------------------------------------------------------
 
 def dumps_index(index) -> bytes:
-    """The header, then the index's ``body`` and, for an authenticated trie, its ``tags``."""
+    """The header, then the index's ``body`` and ``tags``, which must be empty on every kind but the auth trie."""
     if getattr(index, "kind", None) not in KIND_FLAGS:
         raise BadParameter(f"cannot serialize {type(index).__name__}")
     if not 0 <= index.d <= 0xFF:
         raise BadParameter(f"edit bound {index.d} does not fit FZIX's one byte (0..255)")
     flags = KIND_FLAGS[index.kind] | (FLAG_GRAM if index.method == "gram" else 0)
+    tags_len = tags_bytes(len(index.table)) if flags & FLAG_VERIFIABLE else 0
+    if len(index.tags) != tags_len:
+        raise BadParameter(f"{len(index.tags)} bytes of tags for {len(index.table)} entries, not {tags_len}")
     fields = (flags, SYMBOL_BITS, TRAPDOOR_BITS, index.d, len(index.table))
-    parts = [INDEX_HEAD.pack(INDEX_MAGIC, INDEX_VERSION, *fields), index.body]
-    if index.kind == "auth_trie":
-        tags_len = (2 * len(index.table) + 1) * TAG_BYTES
-        if len(index.tags) != tags_len:
-            raise BadParameter(f"{len(index.tags)} bytes of tags for {len(index.table)} entries, not {tags_len}")
-        parts.append(index.tags)
-    return b"".join(parts)
+    return b"".join((INDEX_HEAD.pack(INDEX_MAGIC, INDEX_VERSION, *fields), index.body, index.tags))
 
 
 def loads_index(data: bytes):
@@ -199,14 +197,11 @@ def loads_index(data: bytes):
     rest = memoryview(data)[INDEX_HEAD.size :]
     table, exact, end = read_entries(rest, count)
     method = "gram" if flags & FLAG_GRAM else "wildcard"
-    tags_len = (2 * len(table) + 1) * TAG_BYTES if flags & FLAG_VERIFIABLE else 0
+    tags_len = tags_bytes(len(table)) if flags & FLAG_VERIFIABLE else 0
     if len(rest) - end != tags_len:
         kind = next(kind for kind, bits in KIND_FLAGS.items() if bits == flags & ~FLAG_GRAM)
         raise Truncated(f"{len(rest) - end} bytes follow the {kind} entries, not {tags_len}")
-    fields = (table, rest[:end], d, method, exact)
-    if flags & FLAG_TRIE:
-        return TrieIndex(*fields, rest[end:])
-    return ListingIndex(*fields)
+    return (TrieIndex if flags & FLAG_TRIE else ListingIndex)(table, rest[:end], d, method, exact, rest[end:])
 
 
 def save_index(index, path: str) -> None:

@@ -170,7 +170,7 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
                 "d": state.index.d,
                 "trapdoor_bits": TRAPDOOR_BITS,
                 "symbol_bits": SYMBOL_BITS,
-                "verifiable": state.index.kind == "auth_trie",
+                "verifiable": bool(state.index.tags),
                 "blinded": state.xi is not None,
                 "max_trapdoors": MAX_TRAPDOORS,
             })
@@ -197,7 +197,7 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
             req = unblind_request(req, state.xi)
         if req.k > state.index.d:
             return _error(state, EDIT_BOUND, f"k={req.k} exceeds index bound d={state.index.d}")
-        if want_proof and state.index.kind == "auth_trie":
+        if want_proof and state.index.tags:
             return _search_resp(state, *search_with_proof(state.index, req))
         return _search_resp(state, search_listing(state.index, req), None)
     except Exception as exc:  # contract: the server survives anything

@@ -1,8 +1,9 @@
 """Verifiable search: an authenticated trie, per-trapdoor proofs, and Verify.
 
-The authenticated trie is a ``TrieIndex`` that also holds one byte string of
-tags, keyed by ``sk0`` (the record key).  Over the sorted entries
-``t_0 < ... < t_{n-1}`` the owner keys
+Any index may hold one byte string of tags, and it proves its answers
+exactly when it does.  ``build_auth_trie`` builds the authenticated trie, a
+``TrieIndex`` born with tags keyed by ``sk0`` (the record key).  Over the
+sorted entries ``t_0 < ... < t_{n-1}`` the owner keys
 
 * a leaf tag per entry, ``PRF(sk0, "L:" || t_i || exact_flag_i ||
   digest(records_i))``, binding its exact flag and its record list;
@@ -12,7 +13,7 @@ tags, keyed by ``sk0`` (the record key).  Over the sorted entries
   one gap with both ends empty.
 
 ``tags`` holds the ``n`` leaf tags, then the ``n + 1`` gap tags, ``TAG_BYTES``
-each, in sorted-trapdoor order: the order FZIX writes them.
+each (``tags_bytes(n)`` in all), in sorted-trapdoor order: as FZIX writes them.
 
 A proof per trapdoor is a hit (the entry's exact flag, record digest and leaf
 tag) or a miss (the adjacent pair around the trapdoor and their gap tag), as
@@ -39,11 +40,11 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .crypto import KeyMaterial, prf_many, record_digest, sha256
 from .errors import BadParameter, Truncated
-from .index import ResultSet, SearchRequest, TrieIndex, build_trie_index, search_by
+from .index import Index, ResultSet, SearchRequest, TrieIndex, build_trie_index, search_by
 
 TAG_BYTES = 32
 # The first byte of every proof encoding.  A v1 proof started with its
@@ -54,6 +55,11 @@ _MISS = 2  # form byte of a miss; a hit's form byte is its exact flag, 0 or 1
 _HIT_HEADS = (bytes([PROOF_TYPE, 0]), bytes([PROOF_TYPE, 1]))  # a hit's first two bytes, by exact flag
 _MISS_HEAD = bytes([PROOF_TYPE, _MISS])
 _BYTE = tuple(bytes([i]) for i in range(256))  # a lookup is cheaper than bytes([i]) on the hot paths
+
+
+def tags_bytes(entries: int) -> int:
+    """The length of the tags of an index of ``entries`` entries: a leaf tag per entry, a gap tag per gap."""
+    return (2 * entries + 1) * TAG_BYTES
 
 
 def _leaf_msg(t: bytes, flag: int, digest: bytes) -> bytes:
@@ -83,32 +89,31 @@ class Verdict:
 def build_auth_trie(
     corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"
 ) -> TrieIndex:
-    """The trie build plus its ``tags``: a leaf tag per entry, then a gap tag per gap.
+    """The trie build with its ``tags``: a leaf tag per entry, then a gap tag per gap.
 
     Every tag comes from one ``prf_many`` call over the leaf messages, then the
-    gap messages.
+    gap messages.  The tags go into a new index; the trie they key is left as built.
     """
     index = build_trie_index(corpus, d, km, method)
     exact, keys = index.exact, index.ordered
     ends = [b"", *keys, b""]
     msgs = [_leaf_msg(t, t in exact, record_digest(index.records(t))) for t in keys]
     msgs += [_gap_msg(left, right) for left, right in zip(ends, ends[1:])]
-    index.tags = b"".join(prf_many(km.record_key, msgs, TAG_BYTES))
-    return index
+    return replace(index, tags=b"".join(prf_many(km.record_key, msgs, TAG_BYTES)))
 
 
-def search_with_proof(index: TrieIndex, req: SearchRequest) -> tuple[ResultSet, list[bytes]]:
+def search_with_proof(index: Index, req: SearchRequest) -> tuple[ResultSet, list[bytes]]:
     """Search plus one proof per trapdoor, each its encoding.
 
-    Only an authenticated trie has the tags to prove with; any other index
-    raises ``BadParameter``.  The records follow ``search_by``'s rule, as in
-    the plain search, but proofs are still produced for every trapdoor —
-    the verifier's first check is that none went missing.  One bisect places
-    each trapdoor among the sorted entries: at an entry it is a hit, whose
-    records are read once for both the result and the digest; otherwise it
-    lies in the gap before position ``pos``.
+    Only an index that holds tags can prove; any other raises ``BadParameter``.
+    The records follow ``search_by``'s rule, as in the plain search, but
+    proofs are still produced for every trapdoor — the verifier's first
+    check is that none went missing.  One bisect places each trapdoor among
+    the sorted entries: at an entry it is a hit, whose records are read once
+    for both the result and the digest; otherwise it lies in the gap before
+    position ``pos``.
     """
-    if index.kind != "auth_trie":
+    if not index.tags:
         raise BadParameter(f"a {index.kind} index holds no tags to prove with")
     ordered, tags, exact, records_of = index.ordered, index.tags, index.exact, index.records
     size, read, proofs = len(ordered), {}, []

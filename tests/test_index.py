@@ -53,7 +53,7 @@ from fzsearch.persist import (
     loads_index,
     loads_keys,
 )
-from fzsearch.verifiable import TAG_BYTES, encode_proof
+from fzsearch.verifiable import TAG_BYTES, encode_proof, tags_bytes, verify
 
 
 class TestSymbolize:
@@ -451,6 +451,22 @@ class TestDecryptMatches:
         with pytest.raises(AuthFailure):
             decrypt_matches(km, "cat", 1, result)
 
+    def test_a_gram_exact_hit_keeps_only_the_keyword_itself(self, km):
+        """The gram entry of "cat" also holds "cart" and "cast", one deletion away."""
+        corpus = {"cat": [b"F1"], "cart": [b"F2"], "cast": [b"F3"], "at": [b"F4"]}
+        req = make_request("cat", 1, km, "gram")
+        for build in (build_listing_index, build_trie_index, build_auth_trie):
+            index = build(corpus, 1, km, "gram")
+            results = [search_listing(index, req)]
+            if index.tags:
+                result, proofs = search_with_proof(index, req)
+                assert verify(req, result, proofs, km).accepted
+                results.append(result)
+            for result in results:
+                assert result.exact_hit
+                assert {decrypt_record(km, r)[1] for r in result.records} == {"cat", "cart", "cast"}
+                assert decrypt_matches(km, "cat", 1, result) == [(b"F1", "cat")]
+
     def test_matches_are_exactly_the_keywords_within_k(self, km):
         rng = random.Random(341)
         corpus = random_corpus(rng, size=60, lo=3, hi=6)
@@ -640,11 +656,16 @@ def test_auth_sections_must_be_exact(small_files, km):
 
 
 def test_tags_of_the_wrong_length_are_not_written(small_files):
-    index = loads_index(small_files["auth", "wildcard"])
-    tags = bytes(index.tags)  # a loaded index's tags are a view of the file
-    for bad in (tags[:-1], tags + b"\x00", tags[:-TAG_BYTES], tags + bytes(TAG_BYTES), tags[:TAG_BYTES]):
-        with pytest.raises(BadParameter, match=f"{len(bad)} bytes of tags for {len(index.table)} entries"):
-            dumps_index(dataclasses.replace(index, tags=bad))
+    """Any index may hold tags in memory; FZIX writes an auth trie's, of the one right length, and no others."""
+    for kind in ("listing", "trie", "auth"):
+        index = loads_index(small_files[kind, "wildcard"])
+        tags = bytes(index.tags) or bytes(tags_bytes(len(index.table)))  # a loaded index's tags are a view of the file
+        bads = [tags[:-1], tags + b"\x00", tags[:-TAG_BYTES], tags + bytes(TAG_BYTES), tags[:TAG_BYTES]]
+        if kind == "listing":
+            bads.append(tags)  # a listing holds no tags of any length
+        for bad in bads:
+            with pytest.raises(BadParameter, match=f"{len(bad)} bytes of tags for {len(index.table)} entries"):
+                dumps_index(dataclasses.replace(index, tags=bad))
 
 
 @pytest.mark.parametrize("kind", ["trie", "auth"])

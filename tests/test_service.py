@@ -38,7 +38,7 @@ from fzsearch import (
     make_request,
     search_trie,
 )
-from fzsearch.cli import _server, read_corpus_dir
+from fzsearch.cli import _server, build_parser, read_corpus_dir
 from fzsearch.cli import main as cli_main
 from fzsearch.errors import BadResponse
 from fzsearch.multiuser import blind_request, unwrap_blind_key, wrap_blind_key
@@ -917,6 +917,25 @@ class TestCli:
             server.shutdown()
             server.server_close()
 
+    def test_a_gram_exact_hit_prints_only_the_keywords_files(self, workspace, capsys):
+        """The gram entry of "cat" also holds "cart", one deletion away; the client drops it."""
+        (workspace / "corpus" / "three.txt").write_text("a cart\n")
+        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
+        assert cli_main(["keygen", "--out", keyfile]) == 0
+        build = ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]
+        assert cli_main([*build, "--kind", "auth", "--method", "gram", "--d", "1"]) == 0
+        server = SearchServer(ServerState(index=load_index(indexfile)), port=0)
+        server.start()
+        try:
+            for command in ("search", "verify"):
+                capsys.readouterr()
+                argv = [command, "cat", "1", "--server", f"127.0.0.1:{server.server_address[1]}", "--keys", keyfile]
+                assert cli_main(argv) == 0
+                assert [line for line in capsys.readouterr().out.splitlines() if line.endswith(".txt")] == ["one.txt"]
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_build_entry_count_matches_formula(self, workspace, capsys):
         # entry count = sum of per-keyword wildcard set sizes minus shared variants
         from fzsearch.fuzzyset import wildcard_fuzzy_set
@@ -1260,6 +1279,8 @@ class TestCli:
             ["search", "cat", "1", "--server", "[::1]:abc"],
             ["serve", "--index", str(workspace / "i.fzix"), "--port", "70000"],
             ["serve", "--index", str(workspace / "i.fzix"), "--port", "-1"],
+            ["serve", "--index", str(workspace / "i.fzix"), "--epoch", "-1"],  # FZUD's epoch is a u64
+            ["serve", "--index", str(workspace / "i.fzix"), "--epoch", str(2**64)],
         ):
             capsys.readouterr()
             assert cli_main(argv) == 2, argv
@@ -1267,6 +1288,7 @@ class TestCli:
             assert "error: " in err and "Traceback" not in err, err
             if argv[-1].startswith("::1"):
                 assert "[::1]:7090" in err, err  # names the bracket form
+        assert build_parser().parse_args(["serve", "--index", "i", "--epoch", str(2**64 - 1)]).epoch == 2**64 - 1
         assert _server("[::1]:7091") == ("::1", 7091)
         assert _server("[::1]") == _server("[::1]:") == ("::1", 7090)
         assert _server("example.org") == ("example.org", 7090) and _server(":7091") == ("127.0.0.1", 7091)

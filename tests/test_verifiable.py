@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import fzsearch.verifiable as verifiable
 from conftest import fields, gap_tag, hit, leaf_tag, miss, mutate, random_corpus
 from fzsearch import (
     BadParameter,
@@ -115,6 +116,18 @@ class TestChain:
             assert index == TrieIndex(plain.table, plain.body, 1, "wildcard", plain.exact, built.tags)
         assert plain.tags == b"" and plain.kind == "trie"
         assert type(loads_index(dumps_index(plain))) is TrieIndex
+
+    def test_the_trie_the_tags_key_is_left_as_built(self, km, small_world, monkeypatch):
+        corpus, _ = small_world
+        tries = []
+
+        def build_and_keep(*args):
+            tries.append(build_trie_index(*args))
+            return tries[-1]
+
+        monkeypatch.setattr(verifiable, "build_trie_index", build_and_keep)
+        auth = build_auth_trie(corpus, 1, km)
+        assert auth.tags and auth is not tries[0] and tries[0].tags == b"" and tries[0].kind == "trie"
 
     def test_tags_recomputable_from_entries(self, km, small_world):
         _, built = small_world
