@@ -16,7 +16,6 @@ from .crypto import (
 )
 from .errors import (
     AuthFailure,
-    BadLength,
     BadMagic,
     BadParameter,
     DuplicateUser,

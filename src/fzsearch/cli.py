@@ -23,7 +23,7 @@ import dataclasses
 import os
 import sys
 
-from .crypto import SECURITY_BITS, keygen, prf_bytes
+from .crypto import SECURITY_BITS, TRAPDOOR_BITS, keygen, prf_bytes
 from .errors import BadParameter, EmptyKeyword, FzError, VersionUnsupported
 from .fuzzyset import normalize_keyword
 from .index import build_listing_index, build_trie_index, decrypt_matches, make_request
@@ -103,7 +103,7 @@ def derive_user_key(record_key: bytes, user_id: str) -> bytes:
 def _cmd_keygen(args) -> int:
     km = keygen(args.security_bits)
     save_keys(km, args.out)
-    print(f"wrote {args.out} (security={km.security_bits}, trapdoor_bits={km.trapdoor_bits})")
+    print(f"wrote {args.out} (security={km.security_bits}, trapdoor_bits={TRAPDOOR_BITS})")
     return 0
 
 
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("search", "verify"):
         p = sub.add_parser(name, help=f"{name} a word against a server")
         p.add_argument("word")
-        p.add_argument("k", type=int)
+        p.add_argument("k", type=_whole("k", 255), help="edit bound of the query (0..255)")
         p.add_argument("--server", type=_server, default=f"127.0.0.1:{DEFAULT_PORT}")
         p.add_argument("--keys")
         p.add_argument("--directory", help="user directory file for unwrapping the blind key")

@@ -49,9 +49,9 @@ the half's length: ``F_i(x) = AES(x || i || len(x) || 0...)[:len(x)]``.
 AES is a pseudorandom permutation, so truncated it is a PRF (the PRP/PRF
 switching term is about ``q^2 / 2^128``), and four rounds over ``n``-bit
 halves give a strong pseudorandom permutation up to about ``q^2 / 2^n`` for
-``q`` queries: ``q^2 / 2^80`` at 160-bit trapdoors.  A half and its two
-tag bytes must fit one AES block, so ``prp`` takes blocks of at most
-``MAX_PRP_BYTES`` (28 bytes, 224 bits).
+``q`` queries: ``q^2 / 2^80`` at 160-bit trapdoors.  ``prp`` permutes
+trapdoors only: every block is ``TRAPDOOR_BYTES`` (20) long, so a 10-byte
+half and its two tag bytes fit one AES block.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .errors import AuthFailure, BadLength, BadParameter
+from .errors import AuthFailure, BadParameter
 
 try:  # CPython's own SHA-256: ``_sha256`` up to 3.11, ``_sha2`` from 3.12
     from _sha256 import sha256
@@ -83,7 +83,6 @@ TRAPDOOR_BITS = 160  # every trapdoor's length; the FZKY and FZIX headers and He
 SYMBOL_BITS = 4  # one trie edge; the FZKY and FZIX headers and HelloAck carry it
 TRAPDOOR_BYTES = TRAPDOOR_BITS // 8
 DEPTH = TRAPDOOR_BITS // SYMBOL_BITS  # symbols per trapdoor: the height of the search tree
-MAX_PRP_BYTES = 28  # a half, its round byte and its length byte fill one AES block
 
 _FEISTEL_ROUNDS = 4
 # prp lays each block into its own slot of two AES blocks: block, then zeros
@@ -134,21 +133,27 @@ def prf_many(key: bytes, msgs: Iterable[bytes], n: int) -> list[bytes]:
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """Secret keys.  The trapdoor geometry is not a field: ``trapdoor_bits``,
-    ``symbol_bits`` and ``depth`` are the module's constants.
+    """Secret keys.  The trapdoor geometry is not a field: every key serves the
+    module's one geometry, 160-bit trapdoors of 4-bit symbols.
 
     ``trapdoor_key`` feeds the trapdoor PRF, ``record_key`` encrypts records
     and keys the proof tags, ``blind_key`` is the current request-blinding
-    key (rotated on revocation).
+    key (rotated on revocation) and an AES key for ``prp``.  The security
+    level is 128 or 256 and every key is ``security_bits // 8`` bytes, as
+    ``persist.loads_keys`` reads them back; any other raises ``BadParameter``,
+    so no key material is made that a key file could not hold.
     """
 
     trapdoor_key: bytes
     record_key: bytes
     blind_key: bytes
     security_bits: int
-    trapdoor_bits: ClassVar[int] = TRAPDOOR_BITS
-    symbol_bits: ClassVar[int] = SYMBOL_BITS
-    depth: ClassVar[int] = DEPTH
+    depth: ClassVar[int] = DEPTH  # read by perfbench (``harness.user_phase``)
+
+    def __post_init__(self):
+        keys = (self.trapdoor_key, self.record_key, self.blind_key)
+        if self.security_bits not in SECURITY_BITS or any(len(key) != self.security_bits // 8 for key in keys):
+            raise BadParameter(f"key sizes {[len(k) for k in keys]} do not fit security {self.security_bits}")
 
 
 def keygen(security_bits: int = 128, seed: bytes | None = None) -> KeyMaterial:
@@ -272,13 +277,14 @@ def blind_cipher(key: bytes):
 
 
 def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tuple[bytes, ...]:
-    """Keyed bijection on every block of a request at once: a 4-round Feistel network.
+    """Keyed bijection on every trapdoor of a request at once: a 4-round Feistel network.
 
-    ``prp(k, prp(k, bs, "forward"), "inverse") == tuple(bs)``.  All blocks
-    share one even width of at most ``MAX_PRP_BYTES``, so a 160-bit trapdoor
-    needs no padding; ``key`` is an AES key (16, 24 or 32 bytes).  Round
-    ``i`` XORs one half of each block with the first ``h`` bytes of
-    ``AES(key, other half || i || h || zeros)``, ``h`` the half length.
+    ``prp(k, prp(k, ts, "forward"), "inverse") == tuple(ts)``.  Every block
+    is a trapdoor, ``TRAPDOOR_BYTES`` (20) long, and any other length raises
+    ``BadParameter``; ``key`` is an AES key (16, 24 or 32 bytes).  Round
+    ``i`` XORs one 10-byte half of each block with the first 10 bytes of
+    ``AES(key, other half || i || 10 || zeros)``: a half and its two tag
+    bytes fit one AES block.
 
     Each half sits at the front of its own 32-byte slot of one big integer,
     so a round is one AES-ECB call over every slot of the request (the
@@ -291,10 +297,9 @@ def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tupl
     n = len(blocks)
     if not n:
         return ()
-    w = len(blocks[0])
-    h = w // 2
-    if w % 2 or not 2 <= w <= MAX_PRP_BYTES or set(map(len, blocks)) != {w}:
-        raise BadLength(f"blocks must share one even width in 2..{MAX_PRP_BYTES} bytes")
+    w, h = TRAPDOOR_BYTES, TRAPDOOR_BYTES // 2
+    if set(map(len, blocks)) != {w}:
+        raise BadParameter(f"prp permutes {w}-byte trapdoors only")
     size, pad = _SLOT * n, bytes(_SLOT - w)
     # ``unit`` has a 1 in the last byte of each slot's half, so one product
     # with it writes the same bytes into every slot: the mask over the half,

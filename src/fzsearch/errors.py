@@ -17,10 +17,6 @@ class AuthFailure(FzError):
     """Raised when an authenticated ciphertext fails to decrypt."""
 
 
-class BadLength(FzError):
-    """Raised when a byte string has the wrong length for a permutation."""
-
-
 class EditBoundExceeded(FzError):
     """Raised when a request's edit bound exceeds the index's build bound."""
 

@@ -62,9 +62,7 @@ class Index:
     """Trapdoors mapped to their entries in one body, immutable once built; with ``tags``, any kind can prove."""
 
     kind: ClassVar[str]  # names the access structure
-    trapdoor_bits: ClassVar[int] = TRAPDOOR_BITS
-    symbol_bits: ClassVar[int] = SYMBOL_BITS
-    depth: ClassVar[int] = DEPTH
+    symbol_bits: ClassVar[int] = SYMBOL_BITS  # read by perfbench (``layers._hits``)
     table: dict[bytes, int]  # trapdoor -> the offset of its entry in ``body``
     body: memoryview  # the FZIX entry body: every entry, in ascending trapdoor order
     d: int
@@ -79,15 +77,7 @@ class Index:
     @classmethod
     def build(cls, corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"):
         entries, exact = build_entries(corpus, d, km, method)
-        return cls.from_entries(entries, d, method, exact)
-
-    @classmethod
-    def from_entries(
-        cls, entries: dict[bytes, tuple[bytes, ...]], d: int, method: str = "wildcard", exact: set[bytes] = frozenset()
-    ):
-        """The index of a trapdoor -> records map, its body written by ``pack_entries``."""
-        table, body = pack_entries(entries, exact)
-        return cls(table, body, d, method, set(exact))
+        return cls(*pack_entries(entries, exact), d, method, exact)
 
     def records(self, t: bytes) -> tuple[bytes, ...]:
         """The records of ``t``'s entry, sliced out of ``body``; ``()`` when ``t`` has no entry."""

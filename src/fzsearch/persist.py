@@ -60,7 +60,7 @@ from __future__ import annotations
 import os
 import struct
 
-from .crypto import SECURITY_BITS, SYMBOL_BITS, TRAPDOOR_BITS, KeyMaterial
+from .crypto import SYMBOL_BITS, TRAPDOOR_BITS, KeyMaterial
 from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
 from .index import ListingIndex, TrieIndex, read_entries
 from .multiuser import UserDirectory, user_id_bytes
@@ -124,10 +124,7 @@ def loads_keys(data: bytes) -> KeyMaterial:
     security_bits, trapdoor_bits, symbol_bits = _header(data, KEY_HEAD, KEY_MAGIC, VERSION)
     if (trapdoor_bits, symbol_bits) != (TRAPDOOR_BITS, SYMBOL_BITS):
         raise BadParameter(f"{trapdoor_bits}-bit trapdoors of {symbol_bits}-bit symbols; only 160/4 is read")
-    keys = _fields(data, KEY_HEAD.size, 3)
-    if security_bits not in SECURITY_BITS or any(len(key) != security_bits // 8 for key in keys):
-        raise BadParameter(f"key sizes {[len(k) for k in keys]} do not fit security {security_bits}")
-    return KeyMaterial(*keys, security_bits)  # the file's order
+    return KeyMaterial(*_fields(data, KEY_HEAD.size, 3), security_bits)  # the file's order; it checks the sizes
 
 
 def _replace_file(path: str, data: bytes, mode: int = 0o666) -> None:

@@ -52,7 +52,9 @@ it, so a client that stops reading holds up only itself.  Limits:
   backlog until one closes; after a failed ``accept`` (say, out of file
   descriptors) they wait until a close or the next idle check;
 * ``SearchClient`` reads a reply line of at most ``MAX_REPLY_BYTES``; a
-  longer one raises ``BadResponse``.
+  longer one raises ``BadResponse``;
+* ``SearchClient`` waits at most ``CLIENT_TIMEOUT_SECONDS`` to connect and
+  for each read or write, then raises ``TimeoutError``.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ from .verifiable import decode_proof, search_with_proof
 PROTOCOL = 2  # HelloAck's "protocol"; bumped when the wire meaning of a request changes
 DEFAULT_PORT = 7090
 MAX_REPLY_BYTES = 64 << 20  # the longest reply line the client reads
+CLIENT_TIMEOUT_SECONDS = 30.0  # the client's wait to connect, and for each read or write
 _RECV_BYTES = 1 << 16  # the most the server reads from one connection per wake-up
 # Server limits.  Each is read where it is used, so patching the module attribute takes effect.
 MAX_TRAPDOORS = MAX_VARIANTS  # per request; HelloAck's "max_trapdoors"
@@ -430,8 +433,8 @@ class SearchServer:
 class SearchClient:
     """Blocking line-protocol client."""
 
-    def __init__(self, host: str, port: int, timeout: float = 30.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+    def __init__(self, host: str, port: int):
+        self._sock = socket.create_connection((host, port), timeout=CLIENT_TIMEOUT_SECONDS)
         self._file = self._sock.makefile("rwb")
 
     def close(self) -> None:

@@ -42,7 +42,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
-from .crypto import KeyMaterial, prf_many, record_digest, sha256
+from .crypto import TRAPDOOR_BYTES, KeyMaterial, prf_many, record_digest, sha256
 from .errors import BadParameter, Truncated
 from .index import Index, ResultSet, SearchRequest, TrieIndex, build_trie_index, search_by
 
@@ -196,8 +196,8 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
             failed = Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
             break
         if form == _MISS:
-            width = len(t)
-            if (first and (len(first) != width or first >= t)) or (second and (len(second) != width or t >= second)):
+            left_bad = first and (len(first) != TRAPDOOR_BYTES or first >= t)
+            if left_bad or (second and (len(second) != TRAPDOOR_BYTES or t >= second)):
                 failed = Verdict(False, VerdictReason.SHAPE_INVALID, i)
                 break
             msgs.append(_gap_msg(first, second))

@@ -23,6 +23,7 @@ from fzsearch import (
     keygen,
 )
 from fzsearch.crypto import SECURITY_BITS, prf_bytes
+from fzsearch.index import pack_entries
 from fzsearch.persist import save_keys
 from fzsearch.verifiable import TAG_BYTES
 
@@ -300,6 +301,11 @@ def reference_loads_keys(data: bytes) -> KeyMaterial:
     return KeyMaterial(*keys, security_bits)
 
 
+def index_from_entries(cls, entries: dict[bytes, tuple[bytes, ...]], d: int, method="wildcard", exact=frozenset()):
+    """The ``cls`` index of a trapdoor -> records map, its body written by ``pack_entries``."""
+    return cls(*pack_entries(entries, exact), d, method, set(exact))
+
+
 def reference_loads_index(data: bytes):
     """FZIX v3 read field by field through a cursor, the header and every entry's
     fields and records alike: the oracle ``persist.loads_index`` is held to."""
@@ -335,7 +341,7 @@ def reference_loads_index(data: bytes):
     tags = data[r.pos :]
     if len(tags) != ((2 * len(entries) + 1) * TAG_BYTES if flags & 0x02 else 0):
         raise Truncated("the bytes after the entries are not the kind's tags")
-    index = (TrieIndex if flags & 0x01 else ListingIndex).from_entries(entries, d, method, exact)
+    index = index_from_entries(TrieIndex if flags & 0x01 else ListingIndex, entries, d, method, exact)
     if flags & 0x01:
         index.tags = tags
     return index

@@ -44,6 +44,7 @@ from fzsearch import (
     verify,
     wildcard_fuzzy_set,
 )
+from fzsearch.crypto import SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES
 from fzsearch.index import walk_trie
 from fzsearch.multiuser import UserDirectory, blind_request, unblind_request
 from fzsearch.persist import dumps_index
@@ -194,7 +195,7 @@ def test_criterion_05_trie_listing_equivalence():
 def test_criterion_06_trie_depth():
     rng = random.Random(6)
     km = keygen(128, seed=b"c6")
-    assert km.trapdoor_bits == 160 and km.symbol_bits == 4
+    assert TRAPDOOR_BITS == 160 and SYMBOL_BITS == 4
     leaves = 0
     for method in ("wildcard", "gram"):
         corpus = random_corpus(rng, size=60, lo=3, hi=8)
@@ -461,7 +462,7 @@ def _proofless_session(seed: bytes) -> tuple[bytes, list[dict]]:
     km = keygen(128, seed=seed)
     corpus = random_corpus(random.Random(17), size=30, lo=3, hi=6)
     corpus.update({"castle": [b"F1", b"F2", b"F3"], "cattle": [b"F4", b"F5"]})
-    width = km.trapdoor_bits // 8
+    width = TRAPDOOR_BYTES
     too_many = [i.to_bytes(width, "big").hex() for i in range(MAX_TRAPDOORS + 1)]
     transcript, replies = b"", []
     for build in (build_listing_index, build_trie_index):
@@ -501,7 +502,7 @@ def _proof_line(rng: random.Random, km, words: list[str]) -> str:
         word = rng.choice(words) if roll < 0.3 else mutate(rng.choice(words), rng) or "a"
         trapdoors = blind_request(make_request(word, 1, km), km.blind_key).trapdoors
     else:
-        trapdoors = {rng.randbytes(km.trapdoor_bits // 8) for _ in range(rng.randint(1, 20))}
+        trapdoors = {rng.randbytes(TRAPDOOR_BYTES) for _ in range(rng.randint(1, 20))}
     trapdoors = [t.hex() for t in trapdoors]
     if rng.random() < 0.1:
         trapdoors = trapdoors + [trapdoors[0]]  # duplicate

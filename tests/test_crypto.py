@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import hmac
 import random
@@ -11,8 +12,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from conftest import gap_tag, leaf_tag, random_corpus
 from fzsearch import (
     AuthFailure,
-    BadLength,
     BadParameter,
+    KeyMaterial,
     decrypt_record,
     encrypt_record,
     keygen,
@@ -21,7 +22,7 @@ from fzsearch import (
     wildcard_fuzzy_set,
 )
 from fzsearch.cli import derive_user_key
-from fzsearch.crypto import prf_bytes, prf_many, sha256
+from fzsearch.crypto import SYMBOL_BITS, TRAPDOOR_BITS, prf_bytes, prf_many, sha256
 
 
 class TestKeygen:
@@ -36,13 +37,25 @@ class TestKeygen:
     def test_defaults(self):
         km = keygen(128)
         assert len(km.trapdoor_key) == len(km.record_key) == len(km.blind_key) == 16
-        assert km.trapdoor_bits == 160 and km.symbol_bits == 4 and km.depth == 40
+        assert TRAPDOOR_BITS == 160 and SYMBOL_BITS == 4 and km.depth == 40
 
     def test_bad_security_parameter(self):
         with pytest.raises(BadParameter):
             keygen(64)
         with pytest.raises(BadParameter):
             keygen(192)
+
+    def test_key_material_no_key_file_can_hold_is_refused(self, km):
+        """``loads_keys`` refuses a security level other than 128 or 256 and a key of
+        another length than ``security_bits // 8``, so ``KeyMaterial`` holds none."""
+        for make in (
+            lambda: dataclasses.replace(km, security_bits=256),
+            lambda: dataclasses.replace(km, blind_key=bytes(32)),
+            lambda: dataclasses.replace(km, security_bits=200),
+            lambda: KeyMaterial(b"", b"", b"", 128),
+        ):
+            with pytest.raises(BadParameter, match="do not fit security"):
+                make()
 
     def test_keys_nonzero(self):
         km = keygen(256, seed=b"z")
@@ -151,16 +164,15 @@ class TestPrp:
     def test_forward_then_inverse_is_identity(self, km):
         rng = random.Random(1991)
         for _ in range(500):
-            width = 2 * rng.randrange(1, 15)
-            blocks = tuple(secrets.token_bytes(width) for _ in range(rng.randrange(1, 41)))
+            blocks = tuple(secrets.token_bytes(20) for _ in range(rng.randrange(1, 41)))
             assert prp(km.blind_key, prp(km.blind_key, blocks, "forward"), "inverse") == blocks
             assert prp(km.blind_key, prp(km.blind_key, list(blocks), "inverse"), "forward") == blocks
 
     def test_length_preserved(self, km):
-        for size in (2, 10, 20, 28):
-            blocks = [secrets.token_bytes(size) for _ in range(7)]
+        for count in (1, 7, 64):
+            blocks = [secrets.token_bytes(20) for _ in range(count)]
             out = prp(km.blind_key, blocks, "forward")
-            assert isinstance(out, tuple) and [len(b) for b in out] == [size] * 7
+            assert isinstance(out, tuple) and [len(b) for b in out] == [20] * count
         assert prp(km.blind_key, (), "forward") == ()
 
     def test_injective_on_large_sample(self, km):
@@ -170,8 +182,18 @@ class TestPrp:
         assert len(seen) == 100_000
 
     def test_bad_lengths(self, km):
-        for blocks in ([b""], [b"odd"], [bytes(30)], [bytes(20), bytes(10)], [bytes(10), bytes(20), bytes(10)]):
-            with pytest.raises(BadLength):
+        """Only ``TRAPDOOR_BYTES`` blocks are permuted, the 2-, 10- and 28-byte widths it once took included."""
+        for blocks in (
+            [b""],
+            [b"odd"],
+            [bytes(2)],
+            [bytes(10)],
+            [bytes(28)],
+            [bytes(30)],
+            [bytes(20), bytes(10)],
+            [bytes(10), bytes(20), bytes(10)],
+        ):
+            with pytest.raises(BadParameter, match="20-byte trapdoors only"):
                 prp(km.blind_key, blocks, "forward")
         with pytest.raises(BadParameter):
             prp(km.blind_key, [b"ok"], "sideways")
@@ -281,13 +303,7 @@ PRF_KAT = {
 
 # block size -> (prp(_kat_key(16), [bytes(range(size))], "forward")[0], ... "inverse")
 PRP_KAT = {
-    2: ("f3cf", "262f"),
-    10: ("ae0366c22b46bbaee5b5", "c5d87ab28e4940ee80f9"),
     20: ("a476b0967d0b41c1eae73d79df99f20b55b6bf04", "f5cb21282b480a57b950d767cc48c807ab03d080"),
-    28: (
-        "8091b6a241086baab3bf835415c81a65074f2b60128a31473fd9b8c7",
-        "23971ebeeaba5353b8d542a2dee2f01e93ad346b2fd5f3f2de674709",
-    ),
 }
 
 
@@ -331,11 +347,10 @@ class TestKnownAnswers:
         rng = random.Random(1993)
         for i in range(300):
             key = rng.randbytes((16, 24, 32)[i % 3])
-            width = 2 * rng.randrange(1, 15)
-            blocks = [rng.randbytes(width) for _ in range(rng.randrange(65))]
+            blocks = [rng.randbytes(20) for _ in range(rng.randrange(65))]
             for direction in ("forward", "inverse"):
                 expect = tuple(_prp_reference(key, b, direction) for b in blocks)
-                assert prp(key, blocks, direction) == expect, (key.hex(), width, len(blocks), direction)
+                assert prp(key, blocks, direction) == expect, (key.hex(), len(blocks), direction)
 
     @pytest.mark.parametrize("size", sorted(PRP_KAT))
     def test_prp(self, size):

@@ -144,7 +144,7 @@ class TestWildcardSet:
                 assert overlap == (edit_distance(a, b) <= 1), (a, b)
 
     def test_distance_two_coverage_measured(self, capsys):
-        # coverage at d=2 is observed, not asserted (left open by design)
+        # every pair two edits apart shares a d = 2 variant
         rng = random.Random(53)
         pairs = []
         while len(pairs) < 60:
@@ -158,7 +158,19 @@ class TestWildcardSet:
             if set(wildcard_fuzzy_set(w, 2)) & set(wildcard_fuzzy_set(u, 2))
         )
         print(f"wildcard d=2 shared-variant coverage: {hits}/{len(pairs)}")
-        assert hits >= 0  # reported only
+        assert hits == len(pairs)
+
+    def test_intersection_iff_distance_two_exhaustive(self):
+        """Every pair of words of 1-5 letters over ``abc``: their d = 2 sets share
+        a member exactly when the words are within two edits."""
+        words = ["".join(p) for n in range(1, 6) for p in itertools.product("abc", repeat=n)]
+        cache = {w: set(wildcard_fuzzy_set(w, 2)) for w in words}
+        near = 0
+        for a, b in itertools.combinations(words, 2):
+            within = reference_edit_distance(a, b) <= 2
+            assert (not cache[a].isdisjoint(cache[b])) == within, (a, b)
+            near += within
+        assert (len(words), near) == (363, 18078)
 
 
 class TestGramSet:

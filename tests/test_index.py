@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     enumeration_fuzzy_set,
+    index_from_entries,
     mutate,
     random_corpus,
     random_word,
@@ -43,7 +44,7 @@ from fzsearch import (
     trapdoor,
     wildcard_fuzzy_set,
 )
-from fzsearch.crypto import _hmac_pads
+from fzsearch.crypto import DEPTH, _hmac_pads
 from fzsearch.index import build_entries, walk_trie
 from fzsearch.persist import (
     dumps_directory,
@@ -126,7 +127,7 @@ class TestBuild:
         for t in trie.ordered:
             path = symbolize(t, trie.symbol_bits)
             leaf = walk_trie(trie.root, path)
-            assert len(path) == trie.depth and leaf.depth == trie.depth
+            assert len(path) == DEPTH and leaf.depth == DEPTH
             assert leaf.records and not leaf.children
 
     def test_record_length_reveals_the_keyword_length(self, km):
@@ -199,7 +200,7 @@ def _prefix_map(index) -> dict[tuple[int, ...], set[int]]:
     out: dict[tuple[int, ...], set[int]] = {(): set()}
     for t in index.table:
         path = symbolize(t, index.symbol_bits)
-        for i in range(index.depth):
+        for i in range(DEPTH):
             out.setdefault(path[:i], set()).add(path[i])
         out.setdefault(path, set())
     return out
@@ -223,7 +224,7 @@ class TestTrieView:
             ends = (bytes(20), bytes(19) + b"\x01", b"\x7f" + b"\xff" * 19,
                     b"\x80" + bytes(19), b"\xff" * 19 + b"\xfe", b"\xff" * 20)
             entries = {t: (t + bytes(8),) for t in ends}
-            return TrieIndex.from_entries(entries, d=1, exact={ends[0]})
+            return index_from_entries(TrieIndex, entries, d=1, exact={ends[0]})
         corpus = random_corpus(random.Random(401 + request.param), size=request.param)
         return build_trie_index(corpus, 1, km)
 
@@ -246,7 +247,7 @@ class TestTrieView:
                 for sym in range(top):
                     probe = path[:-1] + (sym,)
                     assert (walk_trie(root, probe) is None) == (probe not in ref)
-            if len(path) == trie.depth:  # deeper than a leaf
+            if len(path) == DEPTH:  # deeper than a leaf
                 assert walk_trie(root, path + (0,)) is None
                 assert walk_trie(walk_trie(root, path), (rng.randrange(top),)) is None
         for sym in range(top):
@@ -263,7 +264,7 @@ class TestTrieView:
             for sym, child in children.items():
                 assert (child.depth, child.prefix) == (len(path) + 1, _path_value(path + (sym,), n))
                 stack.append((path + (sym,), child))
-            if len(path) == trie.depth:
+            if len(path) == DEPTH:
                 assert node.records == trie.records(node.trapdoor)
             else:
                 assert node.trapdoor is None and node.records == ()
@@ -276,7 +277,7 @@ class TestTrieView:
             leaf = walk_trie(trie.root, path)
             got.append((path, leaf.depth, leaf.trapdoor, leaf.records, leaf.children))
         assert got == [
-            (symbolize(t, trie.symbol_bits), trie.depth, t, trie.records(t), {}) for t in sorted(trie.table)
+            (symbolize(t, trie.symbol_bits), DEPTH, t, trie.records(t), {}) for t in sorted(trie.table)
         ]
 
     def test_out_of_range_symbols_miss(self, km):
@@ -287,7 +288,7 @@ class TestTrieView:
         # a zero, then a symbol holding two: the same integer as the real path
         probes += [
             path[: i - 1] + (0, path[i - 1] * top + path[i]) + path[i + 1 :]
-            for i in range(1, trie.depth)
+            for i in range(1, DEPTH)
             if path[i - 1]
         ]
         assert len(probes) > 4

@@ -1,5 +1,4 @@
 import base64
-import dataclasses
 import errno
 import json
 import os
@@ -23,7 +22,6 @@ from fzsearch import (
     BadMagic,
     BadParameter,
     FzError,
-    ListingIndex,
     ResultSet,
     SearchRequest,
     Truncated,
@@ -40,11 +38,14 @@ from fzsearch import (
 )
 from fzsearch.cli import _server, build_parser, read_corpus_dir
 from fzsearch.cli import main as cli_main
+from fzsearch.crypto import TRAPDOOR_BYTES
 from fzsearch.errors import BadResponse
+from fzsearch.index import pack_entries
 from fzsearch.multiuser import blind_request, unwrap_blind_key, wrap_blind_key
 from fzsearch.persist import (
     FLAG_VERIFIABLE,
     INDEX_HEAD,
+    KEY_HEAD,
     dumps_directory,
     dumps_index,
     dumps_keys,
@@ -203,7 +204,7 @@ class TestHandler:
     def test_too_many_trapdoors(self, km, world):
         _, index = world
         state = ServerState(index=index)
-        width = index.trapdoor_bits // 8
+        width = TRAPDOOR_BYTES
         trapdoors = [i.to_bytes(width, "big") for i in range(service.MAX_TRAPDOORS + 1)]
         at_cap = ask(state, search_msg(SearchRequest(trapdoors[:-1], 1)))
         assert at_cap["type"] == "SearchResp"
@@ -338,7 +339,7 @@ class TestWireCodec:
     def test_parser_agrees_with_the_per_item_oracle(self, world):
         _, index = world
         state = ServerState(index=index)
-        width = index.trapdoor_bits // 8
+        width = TRAPDOOR_BYTES
         rng = random.Random(194)
         before, item, after = (rng.randbytes(width).hex() for _ in range(3))
         # each whitespace kind at each position of the middle item, in place of a digit and added
@@ -460,7 +461,7 @@ class TestPersistence:
 
     def test_record_count_overflow_is_a_parameter_error(self):
         with pytest.raises(BadParameter, match="65535"):
-            ListingIndex.from_entries({bytes(20): (bytes(28),) * 65536}, d=1)
+            pack_entries({bytes(20): (bytes(28),) * 65536}, set())
 
     @pytest.mark.parametrize("d", [-1, 256])
     def test_an_edit_bound_fzix_cannot_hold_is_a_parameter_error(self, km, d):
@@ -470,7 +471,7 @@ class TestPersistence:
     def test_trapdoor_of_another_width_is_a_parameter_error(self):
         for width in (19, 21):
             with pytest.raises(BadParameter, match=f"a {width}-byte trapdoor"):
-                ListingIndex.from_entries({bytes(width): (bytes(28),)}, d=1)
+                pack_entries({bytes(width): (bytes(28),)}, set())
 
     @pytest.mark.parametrize("trapdoor_bits, symbol_bits", [(160, 8), (224, 8)])
     def test_a_file_of_another_geometry_is_refused(self, km, trapdoor_bits, symbol_bits):
@@ -634,7 +635,8 @@ def _fail_once(monkeypatch, method: str, error: OSError, thread: threading.Threa
 class TestReadinessLoop:
     """The one-thread server keeps the per-connection behaviour of a blocking handler."""
 
-    def test_slow_reader_stalls_no_one(self, km):
+    def test_slow_reader_stalls_no_one(self, km, monkeypatch):
+        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
         # "cat" and "dog" have 200 files each, so 2,000 replies hold megabytes
         corpus = {"cat": [b"f%04d" % i for i in range(200)], "dog": [b"g%04d" % i for i in range(200)]}
         state = ServerState(index=build_listing_index(corpus, 1, km))
@@ -651,7 +653,7 @@ class TestReadinessLoop:
             sender = threading.Thread(target=slow.sendall, args=(b"".join(lines),), daemon=True)
             sender.start()
             assert replies.readline() == expected[0]  # the server is answering, and nobody reads on
-            with SearchClient(*address, timeout=5) as other:
+            with SearchClient(*address) as other:
                 assert other.hello()["type"] == "HelloAck"
             assert [replies.readline() for _ in expected[1:]] == expected[1:]
             sender.join(timeout=30)
@@ -694,6 +696,7 @@ class TestReadinessLoop:
         assert got == handle_line(ServerState(index=index), line).encode()
 
     def test_idle_and_stalled_connections_are_closed(self, km, monkeypatch):
+        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
         monkeypatch.setattr(service, "IDLE_SECONDS", 0.2)
         state = ServerState(index=build_listing_index({"cat": [b"f%04d" % i for i in range(200)]}, 1, km))
         line = encode_message(search_msg(make_request("cat", 1, km))).encode()
@@ -707,7 +710,7 @@ class TestReadinessLoop:
                 stalled.send(line * 4000)
             except BlockingIOError:
                 pass
-            with socket.create_connection(address, timeout=0.05) as idle, SearchClient(*address, timeout=5) as busy:
+            with socket.create_connection(address, timeout=0.05) as idle, SearchClient(*address) as busy:
                 deadline = time.monotonic() + 5
                 idle_closed = stalled_closed = False
                 while not (idle_closed and stalled_closed) and time.monotonic() < deadline:
@@ -725,6 +728,7 @@ class TestReadinessLoop:
             _stop(server)
 
     def test_connection_cap(self, world, monkeypatch):
+        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
         _, index = world
         monkeypatch.setattr(service, "MAX_CONNECTIONS", 4)
         server = SearchServer(ServerState(index=index), port=0)
@@ -733,7 +737,7 @@ class TestReadinessLoop:
         clients = []
         try:
             for _ in range(4):
-                clients.append(SearchClient(*address, timeout=5))
+                clients.append(SearchClient(*address))
                 assert clients[-1].hello()["type"] == "HelloAck"
             with socket.create_connection(address, timeout=0.3) as fifth:
                 fifth.sendall(b'{"type":"Hello"}\n')
@@ -748,13 +752,14 @@ class TestReadinessLoop:
             _stop(server)
 
     def test_server_fault_drops_only_that_connection(self, world, monkeypatch):
+        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
         def broken(state, line):
             raise RuntimeError("boom")
 
         _, index = world
         server, address = _serve(ServerState(index=index))
         try:
-            with SearchClient(*address, timeout=5) as bystander, socket.create_connection(address, timeout=5) as raw:
+            with SearchClient(*address) as bystander, socket.create_connection(address, timeout=5) as raw:
                 assert bystander.hello()["type"] == "HelloAck"
                 monkeypatch.setattr(service, "handle_line", broken)
                 raw.sendall(b'{"type":"Hello"}\n')
@@ -780,6 +785,7 @@ class TestReadinessLoop:
         """A client that gave up before ``accept`` costs nothing.  Out of file
         descriptors, the listener pauses and the waiting client is served after
         the next idle sweep."""
+        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
         paused = not isinstance(error, BlockingIOError)
         monkeypatch.setattr(service, "POLL_SECONDS", 0.2 if paused else 30.0)
         _, index = world
@@ -790,7 +796,7 @@ class TestReadinessLoop:
         thread = server.start()
         _fail_once(monkeypatch, "accept", error, thread, log)
         try:
-            with SearchClient(*server.server_address, timeout=5) as client:
+            with SearchClient(*server.server_address) as client:
                 assert client.hello()["type"] == "HelloAck"
             until = log[log.index("failed") : log.index("accept") + 1]
             assert until == (["failed", "sweep", "accept"] if paused else ["failed", "accept"]), log
@@ -801,13 +807,14 @@ class TestReadinessLoop:
     @pytest.mark.parametrize("error", [BlockingIOError, ConnectionResetError])
     def test_a_failed_recv_or_send_touches_only_its_connection(self, world, monkeypatch, method, error):
         """A spurious wake-up loses no line; a reset connection is closed and the others are still answered."""
+        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
         _, index = world
         server = SearchServer(ServerState(index=index), port=0)
         thread = server.start()
         hello = b'{"type":"Hello"}\n'
         try:
             address = server.server_address
-            bystander = SearchClient(*address, timeout=5)
+            bystander = SearchClient(*address)
             with bystander, socket.create_connection(address, timeout=5) as raw, raw.makefile("rb") as replies:
                 assert bystander.hello()["type"] == "HelloAck"
                 log = []
@@ -1239,16 +1246,19 @@ class TestCli:
         save_keys(keygen(256, seed=b"\x02"), keyfile)
         assert cli_main(build) == 0
         km = keygen(128, seed=b"\x01")
-        aes192 = {name: b"\x07" * 24 for name in ("trapdoor_key", "record_key", "blind_key")}
-        for bad in (
-            dataclasses.replace(km, record_key=b"12345"),
-            dataclasses.replace(km, trapdoor_key=km.trapdoor_key * 2),
-            dataclasses.replace(km, blind_key=b""),
-            dataclasses.replace(km, security_bits=256),
-            dataclasses.replace(km, security_bits=192),
-            dataclasses.replace(km, security_bits=192, **aes192),  # AESGCM takes these; keygen does not
+        keys = (km.trapdoor_key, km.record_key, km.blind_key)
+        for security_bits, bad in (
+            (128, (km.trapdoor_key, b"12345", km.blind_key)),
+            (128, (km.trapdoor_key * 2, km.record_key, km.blind_key)),
+            (128, (km.trapdoor_key, km.record_key, b"")),
+            (256, keys),
+            (192, keys),
+            (192, (b"\x07" * 24,) * 3),  # AESGCM takes these; keygen does not
         ):
-            save_keys(bad, keyfile)
+            # KeyMaterial refuses these keys, so the files are written byte by byte
+            head = KEY_HEAD.pack(b"FZKY", 1, security_bits, 160, 4)
+            with open(keyfile, "wb") as fh:
+                fh.write(head + b"".join(len(key).to_bytes(2, "big") + key for key in bad))
             capsys.readouterr()
             assert cli_main(build) == 1
             err = capsys.readouterr().err
@@ -1264,6 +1274,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "argument --d: edit bound" in err and "Traceback" not in err, err
         assert not indexfile.exists()
+
+    @pytest.mark.parametrize("k", ["-1", "256"])
+    def test_a_query_bound_the_server_refuses_is_a_usage_error(self, capsys, k):
+        """Refused before connecting: port 1 on the loopback would refuse the connection."""
+        assert cli_main(["search", "cat", k, "--server", "127.0.0.1:1"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument k: k '{k}' is not in 0..255" in err and "Traceback" not in err, err
 
     def test_exit_codes(self, workspace, monkeypatch, capsys):
         assert cli_main(["bogus-command"]) == 2

@@ -26,7 +26,7 @@ from fzsearch import (
     unblind_request,
     verify,
 )
-from fzsearch.crypto import record_digest
+from fzsearch.crypto import DEPTH, TRAPDOOR_BYTES, record_digest
 from fzsearch.errors import AuthFailure, Truncated
 from fzsearch.persist import dumps_index, loads_index
 from fzsearch.verifiable import TAG_BYTES, _parse_proof, decode_proof, encode_proof
@@ -159,7 +159,7 @@ class TestChain:
 
     def test_head_and_tail_gaps_accept(self, km, small_world):
         _, index = small_world
-        width = index.trapdoor_bits // 8
+        width = TRAPDOOR_BYTES
         first, last = index.ordered[0], index.ordered[-1]
         lo, hi = int.from_bytes(first, "big"), int.from_bytes(last, "big")
         below = [(lo - 1).to_bytes(width, "big"), bytes(width)]
@@ -719,13 +719,13 @@ class TestProofWire:
                 f = fields(proof)
                 assert encode_proof(proof) == proof == _with(proof)  # the reference codec agrees
                 assert len(proof) == (66 if _is_hit(proof) else 4 + len(f["left"]) + len(f["right"]) + TAG_BYTES)
-                assert decode_proof(proof) == decode_proof(proof, index.depth) == proof
+                assert decode_proof(proof) == decode_proof(proof, DEPTH) == proof
 
     def test_truncated_encoding(self, km, small_world):
         corpus, index = small_world
         _, hits = search_with_proof(index, make_request(sorted(corpus)[0], 0, km))
         _, misses = search_with_proof(index, make_request("zzzzzzzz", 0, km))
-        width = index.trapdoor_bits // 8
+        width = TRAPDOOR_BYTES
         head, tail = search_with_proof(index, SearchRequest((bytes(width), b"\xff" * width), 0))[1]
         for proof in hits + misses + [head, tail]:
             buf = encode_proof(proof)
