@@ -19,11 +19,10 @@ therefore re-wrap the rotated blind key from the files alone.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
-from .crypto import SECURITY_BITS, TRAPDOOR_BITS, keygen, prf_bytes
+from .crypto import SECURITY_BITS, TRAPDOOR_BITS, prf_bytes
 from .errors import BadParameter, EmptyKeyword, FzError, VersionUnsupported
 from .fuzzyset import normalize_keyword
 from .index import build_listing_index, build_trie_index, decrypt_matches, make_request
@@ -101,6 +100,8 @@ def derive_user_key(record_key: bytes, user_id: str) -> bytes:
 
 
 def _cmd_keygen(args) -> int:
+    from .keys import keygen  # owner code: a server never loads ``keys``
+
     km = keygen(args.security_bits)
     save_keys(km, args.out)
     print(f"wrote {args.out} (security={km.security_bits}, trapdoor_bits={TRAPDOOR_BITS})")
@@ -148,13 +149,12 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    # the key file first: a bad one fails before a long index load, below its peak
+    xi = load_keys(_keyfile(args)).blind_key if args.blinded else None
     try:
         index = load_index(args.index)
     except VersionUnsupported as exc:
         raise FzError(f"{args.index}: {exc}; rebuild it with `fzsearch build`") from exc
-    xi = None
-    if args.blinded:
-        xi = load_keys(_keyfile(args)).blind_key
     state = ServerState(index=index, xi=xi, epoch=args.epoch)
     server = SearchServer(state, host=args.host, port=args.port)
     mode = f"blinded epoch={args.epoch}" if xi else "single-user"
@@ -226,6 +226,8 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_revoke(args) -> int:
+    import dataclasses  # owner code: the server path never loads it
+
     keyfile = _keyfile(args)
     km = load_keys(keyfile)
     directory = load_directory(args.directory, current_xi=km.blind_key)

@@ -1,4 +1,4 @@
-"""Keys, trapdoors, record encryption and the blinding permutation.
+"""Trapdoors, record encryption and the blinding permutation.
 
 The server only ever sees trapdoors: keyed pseudorandom digests of keyword
 variants, ``TRAPDOOR_BITS`` (160) long, which the trie splits into
@@ -9,7 +9,8 @@ record is the bytes ``nonce || ciphertext``, a 12-byte nonce and the AES-GCM
 ciphertext with its 16-byte tag, from ``encrypt_record`` through the index,
 its file and the wire to ``decrypt_record``.  A Feistel permutation keyed by
 the rotating blind key turns trapdoors into per-epoch request tokens for the
-multi-user setting.
+multi-user setting.  The keys themselves, ``KeyMaterial`` and ``keygen``,
+are ``keys``'s.
 
 Every PRF for trapdoors, record nonces, proof tags and key derivation is
 one RFC 2104 HMAC-SHA256 block, so at most 32 bytes, computed from the inner
@@ -19,7 +20,7 @@ states.  ``trapdoors`` (the owner's build and ``make_request``),
 ``encrypt_records`` (the build's record nonces) and the authenticated trie's
 tags call it with many; ``prf_bytes``, ``trapdoor`` and ``encrypt_record``
 are the one-item forms.  The pad states are cached per key,
-so they hold key material in process memory for as long as the process
+so they hold secret keys in process memory for as long as the process
 lives, unless the bounded cache evicts them.  The AES-GCM cipher (records
 and ``multiuser``'s key wrap) is cached per key the same way, and the AES-ECB
 encryptor of the blinding permutation per key and thread.  Both load on first
@@ -57,14 +58,15 @@ half and its two tag bytes fit one AES block.
 from __future__ import annotations
 
 import functools
-import os
 import struct
 import threading
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from typing import ClassVar
+from typing import TYPE_CHECKING
 
 from .errors import AuthFailure, BadParameter
+
+if TYPE_CHECKING:
+    from .keys import KeyMaterial
 
 try:  # CPython's own SHA-256: ``_sha256`` up to 3.11, ``_sha2`` from 3.12
     from _sha256 import sha256
@@ -129,45 +131,6 @@ def prf_many(key: bytes, msgs: Iterable[bytes], n: int) -> list[bytes]:
         o.update(h.digest())
         out.append(o.digest()[:n])
     return out
-
-
-@dataclass(frozen=True)
-class KeyMaterial:
-    """Secret keys.  The trapdoor geometry is not a field: every key serves the
-    module's one geometry, 160-bit trapdoors of 4-bit symbols.
-
-    ``trapdoor_key`` feeds the trapdoor PRF, ``record_key`` encrypts records
-    and keys the proof tags, ``blind_key`` is the current request-blinding
-    key (rotated on revocation) and an AES key for ``prp``.  The security
-    level is 128 or 256 and every key is ``security_bits // 8`` bytes, as
-    ``persist.loads_keys`` reads them back; any other raises ``BadParameter``,
-    so no key material is made that a key file could not hold.
-    """
-
-    trapdoor_key: bytes
-    record_key: bytes
-    blind_key: bytes
-    security_bits: int
-    depth: ClassVar[int] = DEPTH  # read by perfbench (``harness.user_phase``)
-
-    def __post_init__(self):
-        keys = (self.trapdoor_key, self.record_key, self.blind_key)
-        if self.security_bits not in SECURITY_BITS or any(len(key) != self.security_bits // 8 for key in keys):
-            raise BadParameter(f"key sizes {[len(k) for k in keys]} do not fit security {self.security_bits}")
-
-
-def keygen(security_bits: int = 128, seed: bytes | None = None) -> KeyMaterial:
-    """Generate key material; a seed makes the output reproducible."""
-    if security_bits not in SECURITY_BITS:
-        raise BadParameter(f"unsupported security parameter {security_bits}")
-    nb = security_bits // 8
-    if seed is None:
-        sk, sk0, xi = os.urandom(nb), os.urandom(nb), os.urandom(nb)
-    else:  # the labels' trailing zero byte keeps the keys a seed has always given
-        sk = prf_bytes(seed, b"trapdoor-key\0", nb)
-        sk0 = prf_bytes(seed, b"record-key\0", nb)
-        xi = prf_bytes(seed, b"blind-key\0", nb)
-    return KeyMaterial(trapdoor_key=sk, record_key=sk0, blind_key=xi, security_bits=security_bits)
 
 
 def trapdoor(km: KeyMaterial, variant: str) -> bytes:

@@ -16,6 +16,9 @@ table; the trie files each trapdoor root-to-leaf as ``DEPTH`` symbols of
 ``SYMBOL_BITS`` each, its nodes derived from ``Index.ordered``.  An index
 proves its answers exactly when it holds ``tags``, a tag per entry and per
 gap between entries; ``verifiable.build_auth_trie`` builds such a trie.
+The request and result types, ``SearchRequest`` and ``ResultSet``, are
+namedtuples, and the index kinds plain classes: no module on a server's
+path imports ``dataclasses``.
 
 Requests put the exact word's trapdoor first; a search that matches it
 returns only that entry's records (the exact hit short-circuits the fuzzy
@@ -26,10 +29,10 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 from .crypto import (
     DEPTH,
@@ -37,13 +40,15 @@ from .crypto import (
     SYMBOL_BITS,
     TRAPDOOR_BITS,
     TRAPDOOR_BYTES,
-    KeyMaterial,
     decrypt_record,
     encrypt_records,
     trapdoors,
 )
 from .errors import AuthFailure, BadParameter, EditBoundExceeded, Truncated
 from .fuzzyset import fuzzy_set, within_edits
+
+if TYPE_CHECKING:
+    from .keys import KeyMaterial
 
 
 def symbolize(t: bytes, n: int) -> tuple[int, ...]:
@@ -57,22 +62,31 @@ def symbolize(t: bytes, n: int) -> tuple[int, ...]:
     return tuple((val >> (n * (count - 1 - i))) & mask for i in range(count))
 
 
-@dataclass
 class Index:
     """Trapdoors mapped to their entries in one body, immutable once built; with ``tags``, any kind can prove."""
 
     kind: ClassVar[str]  # names the access structure
     symbol_bits: ClassVar[int] = SYMBOL_BITS  # read by perfbench (``layers._hits``)
-    table: dict[bytes, int]  # trapdoor -> the offset of its entry in ``body``
-    body: memoryview  # the FZIX entry body: every entry, in ascending trapdoor order
-    d: int
-    method: str = "wildcard"
-    # Trapdoors of keywords' own zero-edit variants, so a hit on the request's
-    # first trapdoor really means "the query is indexed".  Gram variants are
-    # concrete words, so without the marker a query could collide with another
-    # keyword's variant and wrongly short-circuit.
-    exact: set[bytes] = field(default_factory=set)
-    tags: bytes | memoryview = b""  # TAG_BYTES per entry, then per gap, in ``ordered`` order
+
+    def __init__(
+        self,
+        table: dict[bytes, int],
+        body: memoryview,
+        d: int,
+        method: str = "wildcard",
+        exact: set[bytes] | None = None,
+        tags: bytes | memoryview = b"",
+    ):
+        self.table = table  # trapdoor -> the offset of its entry in ``body``
+        self.body = body  # the FZIX entry body: every entry, in ascending trapdoor order
+        self.d = d
+        self.method = method
+        # Trapdoors of keywords' own zero-edit variants, so a hit on the request's
+        # first trapdoor really means "the query is indexed".  Gram variants are
+        # concrete words, so without the marker a query could collide with another
+        # keyword's variant and wrongly short-circuit.
+        self.exact = set() if exact is None else exact
+        self.tags = tags  # TAG_BYTES per entry, then per gap, in ``ordered`` order
 
     @classmethod
     def build(cls, corpus: dict[str, list[bytes]], d: int, km: KeyMaterial, method: str = "wildcard"):
@@ -147,18 +161,10 @@ class NodeView:
         return self.trapdoor in self.index.exact
 
 
-@dataclass(frozen=True)
-class SearchRequest:
-    """Ordered trapdoors for a (word, k) query; the exact word comes first."""
-
-    trapdoors: tuple[bytes, ...]
-    k: int
-
-
-@dataclass
-class ResultSet:
-    records: list[bytes]
-    exact_hit: bool
+# Ordered trapdoors for a (word, k) query; the exact word comes first.
+SearchRequest = namedtuple("SearchRequest", ("trapdoors", "k"))
+# The records a search returns, and whether they are the exact hit's alone.
+ResultSet = namedtuple("ResultSet", ("records", "exact_hit"))
 
 
 def build_entries(
@@ -344,17 +350,18 @@ def search_by(index: Index, req: SearchRequest, records_of) -> ResultSet:
     hit's records, in request order.  ``records_of`` is called for trapdoors
     that ``index.table`` holds only.
     """
-    if req.k > index.d:
-        raise EditBoundExceeded(f"request k={req.k} exceeds index d={index.d}")
+    trapdoors, k = req  # one unpacking: a namedtuple's field reads cost more on this path
+    if k > index.d:
+        raise EditBoundExceeded(f"request k={k} exceeds index d={index.d}")
     table, exact, gathered = index.table, index.exact, []
-    for i, t in enumerate(req.trapdoors):
+    for i, t in enumerate(trapdoors):
         if t not in table:
             continue
         records = records_of(t)
         if not i and t in exact:
-            return ResultSet(records=list(records), exact_hit=True)
+            return ResultSet(list(records), True)
         gathered.extend(records)
-    return ResultSet(records=gathered, exact_hit=False)
+    return ResultSet(gathered, False)
 
 
 def search_listing(index: Index, req: SearchRequest) -> ResultSet:

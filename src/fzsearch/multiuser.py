@@ -18,7 +18,6 @@ importing this module loads neither.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from .crypto import NONCE_BYTES, RECORD_MIN_BYTES, aes_gcm, blind_cipher, gcm_open, prp, sha256
 from .errors import AuthFailure, BadParameter, DuplicateUser, UnknownUser
@@ -61,19 +60,28 @@ def unwrap_blind_key(user_key: bytes, user_id: str, blob: bytes) -> bytes:
     return gcm_open(_wrap_key(user_key), blob, uid, "wrapped blind key")
 
 
-@dataclass
 class UserDirectory:
     """Owner-side enrollment state; the published view is (epoch, wrapped blobs).
 
     Personal keys stay in memory on the owner's side only — they are needed
     to re-wrap the fresh blind key on revocation and never reach the file
-    format.  Mutations follow a single-writer contract.
+    format or the repr.  Mutations follow a single-writer contract.
     """
 
-    current_xi: bytes
-    epoch: int = 0
-    wrapped: dict[str, bytes] = field(default_factory=dict)
-    user_keys: dict[str, bytes] = field(default_factory=dict, repr=False)
+    def __init__(
+        self,
+        current_xi: bytes,
+        epoch: int = 0,
+        wrapped: dict[str, bytes] | None = None,
+        user_keys: dict[str, bytes] | None = None,
+    ):
+        self.current_xi = current_xi
+        self.epoch = epoch
+        self.wrapped = {} if wrapped is None else wrapped
+        self.user_keys = {} if user_keys is None else user_keys
+
+    def __repr__(self) -> str:
+        return f"UserDirectory(current_xi={self.current_xi!r}, epoch={self.epoch!r}, wrapped={self.wrapped!r})"
 
     def enroll(self, user_id: str, user_key: bytes) -> "UserDirectory":
         """Wrap the current blind key for a new user; ``BadParameter`` for an id FZUD

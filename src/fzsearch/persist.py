@@ -59,12 +59,16 @@ from __future__ import annotations
 
 import os
 import struct
+from typing import TYPE_CHECKING
 
-from .crypto import SYMBOL_BITS, TRAPDOOR_BITS, KeyMaterial
+from .crypto import SYMBOL_BITS, TRAPDOOR_BITS
 from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
 from .index import ListingIndex, TrieIndex, read_entries
 from .multiuser import UserDirectory, user_id_bytes
 from .verifiable import tags_bytes
+
+if TYPE_CHECKING:
+    from .keys import KeyMaterial
 
 KEY_MAGIC = b"FZKY"
 INDEX_MAGIC = b"FZIX"
@@ -121,6 +125,8 @@ def dumps_keys(km: KeyMaterial) -> bytes:
 
 
 def loads_keys(data: bytes) -> KeyMaterial:
+    from .keys import KeyMaterial  # key-file code's import: a server that reads no key file never loads it
+
     security_bits, trapdoor_bits, symbol_bits = _header(data, KEY_HEAD, KEY_MAGIC, VERSION)
     if (trapdoor_bits, symbol_bits) != (TRAPDOOR_BITS, SYMBOL_BITS):
         raise BadParameter(f"{trapdoor_bits}-bit trapdoors of {symbol_bits}-bit symbols; only 160/4 is read")

@@ -67,7 +67,6 @@ import struct
 import sys
 import threading
 import time
-from dataclasses import dataclass
 
 from .crypto import RECORD_MIN_BYTES, SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES, blind_cipher
 from .errors import BadResponse, Truncated
@@ -95,7 +94,6 @@ TOO_MANY_TRAPDOORS = "TOO_MANY_TRAPDOORS"
 INTERNAL = "INTERNAL"
 
 
-@dataclass
 class ServerState:
     """Immutable while serving.
 
@@ -105,13 +103,12 @@ class ServerState:
     reports serving.
     """
 
-    index: Index
-    xi: bytes | None = None  # unblinding key; None = single-user mode
-    epoch: int = 0
-
-    def __post_init__(self) -> None:
-        if self.xi is not None:
-            blind_cipher(self.xi)
+    def __init__(self, index: Index, xi: bytes | None = None, epoch: int = 0):
+        if xi is not None:
+            blind_cipher(xi)
+        self.index = index
+        self.xi = xi  # unblinding key; None = single-user mode
+        self.epoch = epoch
 
 
 def encode_message(msg: dict) -> str:
@@ -144,11 +141,12 @@ def _json_list(items) -> str:
 
 def _search_resp(state: ServerState, result: ResultSet, proofs: list[bytes] | None) -> str:
     """The SearchResp line as ``encode_message`` writes its dict: keys sorted, no spaces, nothing to escape."""
-    head = f'{{"epoch":{state.epoch},"exact":{"true" if result.exact_hit else "false"},'
+    records, exact_hit = result
+    head = f'{{"epoch":{state.epoch},"exact":{"true" if exact_hit else "false"},'
     if proofs is not None:
         head += f'"proofs":{_json_list([p.hex() for p in proofs])},'
-    records = _json_list([base64.b64encode(r).decode("ascii") for r in result.records])
-    return f'{head}"records":{records},"type":"SearchResp"}}\n'
+    encoded = _json_list([base64.b64encode(r).decode("ascii") for r in records])
+    return f'{head}"records":{encoded},"type":"SearchResp"}}\n'
 
 
 def handle_line(state: ServerState, line: bytes | str) -> str:
@@ -195,11 +193,11 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
             return _error(state, MALFORMED, "epoch must be an integer")
         if state.xi is not None and epoch != state.epoch:
             return _error(state, STALE_EPOCH, f"server epoch is {state.epoch}")
-        req = SearchRequest(trapdoors=trapdoors, k=k)
+        req = SearchRequest(trapdoors, k)
         if state.xi is not None:
-            req = unblind_request(req, state.xi)
-        if req.k > state.index.d:
-            return _error(state, EDIT_BOUND, f"k={req.k} exceeds index bound d={state.index.d}")
+            req = unblind_request(req, state.xi)  # keeps k
+        if k > state.index.d:
+            return _error(state, EDIT_BOUND, f"k={k} exceeds index bound d={state.index.d}")
         if want_proof and state.index.tags:
             return _search_resp(state, *search_with_proof(state.index, req))
         return _search_resp(state, search_listing(state.index, req), None)

@@ -40,11 +40,15 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
-from .crypto import TRAPDOOR_BYTES, KeyMaterial, prf_many, record_digest, sha256
+from .crypto import TRAPDOOR_BYTES, prf_many, record_digest, sha256
 from .errors import BadParameter, Truncated
 from .index import Index, ResultSet, SearchRequest, TrieIndex, build_trie_index, search_by
+
+if TYPE_CHECKING:
+    from .keys import KeyMaterial
 
 TAG_BYTES = 32
 # The first byte of every proof encoding.  A v1 proof started with its
@@ -79,11 +83,8 @@ class VerdictReason(enum.Enum):
     EXACT_FLAG_MISMATCH = "ExactFlagMismatch"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    accepted: bool
-    reason: VerdictReason
-    failing_index: int | None = None
+# ``failing_index`` is the proof at fault, or None when the failure is not one proof's.
+Verdict = namedtuple("Verdict", ("accepted", "reason", "failing_index"), defaults=(None,))
 
 
 def build_auth_trie(
@@ -99,7 +100,8 @@ def build_auth_trie(
     ends = [b"", *keys, b""]
     msgs = [_leaf_msg(t, t in exact, record_digest(index.records(t))) for t in keys]
     msgs += [_gap_msg(left, right) for left, right in zip(ends, ends[1:])]
-    return replace(index, tags=b"".join(prf_many(km.record_key, msgs, TAG_BYTES)))
+    tags = b"".join(prf_many(km.record_key, msgs, TAG_BYTES))
+    return TrieIndex(index.table, index.body, index.d, index.method, exact, tags)
 
 
 def search_with_proof(index: Index, req: SearchRequest) -> tuple[ResultSet, list[bytes]]:

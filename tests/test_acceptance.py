@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  Measured artifacts
 """
 
 import csv
-import dataclasses
 import gc
 import hashlib
 import json
@@ -318,7 +317,7 @@ def test_criterion_11_verifiable_search_tamper_suite():
         flipped[i] ^= 0xFF
         mutated = list(result.records)
         mutated[target] = bytes(flipped)
-        verdict = verify(req, dataclasses.replace(result, records=mutated), proofs, km)
+        verdict = verify(req, result._replace(records=mutated), proofs, km)
         trials += 1
         detected += verdict.reason is VerdictReason.LEAF_TAG_MISMATCH
 

@@ -1,13 +1,16 @@
-"""What a server loads: no cipher library unless it is blinded, and never OpenSSL's hashing.
+"""What a server loads: no cipher library unless it is blinded, never OpenSSL's hashing, no dataclasses.
 
 A plain search server matches trapdoors and never decrypts, so it must not
 load ``cryptography``; a blinded one loads it when its state is made.  No
 server, plain, authenticated or blinded, imports ``hashlib``, ``hmac``,
 ``secrets`` or ``_hashlib``: the one SHA-256 is CPython's built-in module,
-which ``fzsearch.crypto`` alone names.
+which ``fzsearch.crypto`` alone names.  Nor does a server that reads no key
+file load ``dataclasses`` (or ``inspect`` under it): ``fzsearch.keys`` alone
+imports it, and the package's exported names load on first use.
 """
 
 import ast
+import importlib
 import json
 import os
 import random
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import fzsearch
 from conftest import random_corpus
 from fzsearch import blind_request, build_auth_trie, build_listing_index, build_trie_index, make_request
 from fzsearch.crypto import prf_bytes, record_digest
@@ -25,6 +29,7 @@ from fzsearch.service import encode_message
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fzsearch"
 HASH_MODULES = ("_hashlib", "hashlib", "hmac", "secrets")
+INTROSPECTION = ("dataclasses", "inspect")  # ``dataclasses`` imports ``inspect``, ``ast``, ``dis``, ...
 BUILTIN_SHA256 = ("_sha256", "_sha2")
 ENV = {**os.environ, "PYTHONPATH": str(PACKAGE.parent) + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
@@ -51,6 +56,7 @@ def serve(step, state, lines, proofs):
     report[step] = {
         "cryptography": any(m.split(".")[0] == "cryptography" for m in sys.modules),
         "hashing": sorted(m for m in watched if m in sys.modules),
+        "introspection": sorted(m for m in spec["introspection"] if m in sys.modules),
     }
 
 for step in ("listing", "trie"):
@@ -72,12 +78,12 @@ def _search_line(req, proof=False) -> str:
 
 
 @pytest.fixture(scope="module")
-def server_report(km, tmp_path_factory):
-    """Which watched modules a server process has loaded after each step of serving."""
+def server_spec(km, tmp_path_factory):
+    """A listing, a trie and an auth index file, and the request lines to serve from them."""
     tmp = tmp_path_factory.mktemp("servers")
     rng = random.Random(29)
     corpus = {word: [b"F1"] for word in random_corpus(rng, size=30, lo=3, hi=6)}
-    spec = {"hash_modules": HASH_MODULES, "xi": bytes(range(16)).hex()}
+    spec = {"hash_modules": HASH_MODULES, "introspection": INTROSPECTION, "xi": bytes(range(16)).hex()}
     for name, build, method in (
         ("listing", build_listing_index, "wildcard"),
         ("trie", build_trie_index, "gram"),
@@ -92,8 +98,14 @@ def server_report(km, tmp_path_factory):
     spec["proof_lines"] = [hello] + [_search_line(req, proof=True) for req in reqs]
     xi = bytes.fromhex(spec["xi"])
     spec["blinded_lines"] = [hello] + [_search_line(blind_request(req, xi), proof=True) for req in reqs]
+    return spec
+
+
+@pytest.fixture(scope="module")
+def server_report(server_spec):
+    """Which watched modules a server process has loaded after each step of serving."""
     out = subprocess.run(
-        [sys.executable, "-c", SERVER, json.dumps(spec)], env=ENV, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", SERVER, json.dumps(server_spec)], env=ENV, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
@@ -113,6 +125,37 @@ def test_no_server_loads_openssl_hashing(server_report):
     """Plain listing and trie servers, the auth server with proofs, the blinded one."""
     assert list(server_report) == ["listing", "trie", "auth", "blinded state", "blinded"]
     assert {step: seen["hashing"] for step, seen in server_report.items()} == dict.fromkeys(server_report, [])
+
+
+def test_no_server_loads_dataclasses(server_report):
+    """Nor ``inspect``: the blinded steps make their state from a key, not a key file."""
+    assert {step: seen["introspection"] for step, seen in server_report.items()} == dict.fromkeys(server_report, [])
+
+
+# ``fzsearch serve`` up to the point where it would serve: which watched modules it has loaded.
+SERVE = """
+import json, sys
+import fzsearch.cli as cli
+
+spec = json.loads(sys.argv[1])
+seen = {}
+
+def serve_forever(server):
+    seen[kind] = sorted(m for m in spec["introspection"] if m in sys.modules)
+
+cli.SearchServer.serve_forever = serve_forever
+for kind in ("listing", "trie", "auth"):
+    assert cli.main(["serve", "--index", spec[kind], "--port", "0"]) == 0
+print(json.dumps(seen))
+"""
+
+
+def test_serve_without_a_key_file_loads_no_dataclasses(server_spec):
+    out = subprocess.run(
+        [sys.executable, "-c", SERVE, json.dumps(server_spec)], env=ENV, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == {"listing": [], "trie": [], "auth": []}
 
 
 # As on an interpreter built without CPython's SHA-256 modules: crypto falls back to hashlib's.
@@ -201,3 +244,62 @@ def test_no_module_imports_openssl_hashing_at_module_level():
     assert not module_level, module_level
     assert [where.split(":")[0] for where in fallbacks] == ["crypto.py"]
     assert builtin_named == {"crypto.py"}
+
+
+def test_only_keys_imports_dataclasses_at_module_level():
+    module_level = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        local = _function_local(tree)
+        module_level += [path.name for node, names in _imports(tree) if "dataclasses" in names and id(node) not in local]
+    assert module_level == ["keys.py"]
+
+
+# Every name the package exported when it imported each submodule eagerly, and the submodule that defines it.
+EXPORTS = {
+    "crypto": ("decrypt_record", "encrypt_record", "prp", "trapdoor"),
+    "errors": (
+        "AuthFailure", "BadMagic", "BadParameter", "DuplicateUser", "EditBoundExceeded",
+        "EmptyKeyword", "FzError", "Truncated", "UnknownUser", "VersionUnsupported",
+    ),
+    "fuzzyset": ("edit_distance", "fuzzy_set", "gram_fuzzy_set", "normalize_keyword", "wildcard_fuzzy_set"),
+    "index": (
+        "ListingIndex", "ResultSet", "SearchRequest", "TrieIndex", "build_listing_index", "build_trie_index",
+        "decrypt_matches", "make_request", "search_listing", "search_trie", "symbolize",
+    ),
+    "keys": ("KeyMaterial", "keygen"),
+    "multiuser": ("UserDirectory", "blind_request", "unblind_request"),
+    "persist": ("load_directory", "load_index", "load_keys", "save_directory", "save_index", "save_keys"),
+    "verifiable": ("Verdict", "VerdictReason", "build_auth_trie", "search_with_proof", "verify"),
+}
+
+
+def test_every_exported_name_resolves_to_its_modules_object():
+    for module, names in EXPORTS.items():
+        defining = importlib.import_module(f"fzsearch.{module}")
+        for name in names:
+            assert getattr(fzsearch, name) is getattr(defining, name), name
+    assert sorted(fzsearch.__all__) == sorted(name for names in EXPORTS.values() for name in names)
+
+
+def test_star_import_gives_exactly_all():
+    namespace = {}
+    exec("from fzsearch import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(fzsearch.__all__)
+    assert all(namespace[name] is getattr(fzsearch, name) for name in namespace)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    """perfbench's ``_wrapped`` looks every fzsearch module up with ``getattr(module, name, None)``."""
+    for name in ("prf_bytes", "build_entries", "no_such_name"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(fzsearch, name)
+        assert getattr(fzsearch, name, None) is None
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import json, sys, fzsearch; print(json.dumps(sorted(m for m in sys.modules if m.startswith('fzsearch.'))))"
+    out = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -666,7 +665,7 @@ def test_tags_of_the_wrong_length_are_not_written(small_files):
             bads.append(tags)  # a listing holds no tags of any length
         for bad in bads:
             with pytest.raises(BadParameter, match=f"{len(bad)} bytes of tags for {len(index.table)} entries"):
-                dumps_index(dataclasses.replace(index, tags=bad))
+                dumps_index(type(index)(index.table, index.body, index.d, index.method, index.exact, bad))
 
 
 @pytest.mark.parametrize("kind", ["trie", "auth"])

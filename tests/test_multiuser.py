@@ -33,6 +33,12 @@ class TestDirectory:
         directory.enroll("alice", b"alice-key")
         assert directory.unwrap("alice", b"alice-key") == directory.current_xi
 
+    def test_the_repr_shows_no_personal_key(self, directory):
+        directory.enroll("alice", b"alice-personal-key")
+        text = repr(directory)
+        assert text == f"UserDirectory(current_xi={directory.current_xi!r}, epoch=0, wrapped={directory.wrapped!r})"
+        assert "personal" not in text and "user_keys" not in text
+
     def test_duplicate_enrollment(self, directory):
         directory.enroll("alice", b"k")
         with pytest.raises(DuplicateUser):

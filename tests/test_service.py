@@ -1240,6 +1240,14 @@ class TestCli:
         assert err.startswith("error: ") and "FZIX version 2 not supported (expected 3)" in err
         assert "rebuild it with `fzsearch build`" in err and "Traceback" not in err
 
+    def test_serve_blinded_reads_the_key_file_before_the_index(self, workspace, capsys):
+        """Both files missing: the error names the key file, so the index was not opened first."""
+        keyfile, indexfile = str(workspace / "missing.fzky"), str(workspace / "missing.fzix")
+        assert cli_main(["serve", "--index", indexfile, "--keys", keyfile, "--blinded", "--port", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and keyfile in err and indexfile not in err
+        assert "Traceback" not in err
+
     def test_key_file_with_wrong_key_lengths_is_a_clean_error(self, workspace, capsys):
         keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
         build = ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -102,7 +101,7 @@ def _hidden(result: ResultSet, proofs, victim: int) -> ResultSet:
                 break
         if i != victim:
             kept.extend(group)
-    return dataclasses.replace(result, records=kept)
+    return result._replace(records=kept)
 
 
 class TestChain:
@@ -113,7 +112,8 @@ class TestChain:
         plain = build_trie_index(corpus, 1, km)
         for index in (built, loads_index(dumps_index(built))):
             assert type(index) is TrieIndex and index.kind == "auth_trie"
-            assert index == TrieIndex(plain.table, plain.body, 1, "wildcard", plain.exact, built.tags)
+            fields = (index.table, index.body, index.d, index.method, index.exact, index.tags)
+            assert fields == (plain.table, plain.body, 1, "wildcard", plain.exact, built.tags)
         assert plain.tags == b"" and plain.kind == "trie"
         assert type(loads_index(dumps_index(plain))) is TrieIndex
 
@@ -342,17 +342,17 @@ def _damaged(rng: random.Random, result: ResultSet, proofs: list[bytes]):
         yield result, swapped
         # a tag or record failure at i comes before a shape failure at the later j
         yield result, put(put(proofs, i, flip(proofs[i])), j, proofs[j][:1])
-        yield dataclasses.replace(result, records=records[1:]), put(proofs, j, proofs[j][:1])
+        yield result._replace(records=records[1:]), put(proofs, j, proofs[j][:1])
     yield result, proofs[:-1]
-    yield dataclasses.replace(result, exact_hit=not result.exact_hit), proofs
+    yield result._replace(exact_hit=not result.exact_hit), proofs
     if records:  # records dropped or merged
         at = rng.randrange(len(records))
-        yield dataclasses.replace(result, records=records[:at] + records[at + 1 :]), proofs
+        yield result._replace(records=records[:at] + records[at + 1 :]), proofs
     if len(records) > 1:
         at = rng.randrange(len(records) - 1)
         merged = records[:at] + [records[at] + records[at + 1]] + records[at + 2 :]
-        yield dataclasses.replace(result, records=merged), proofs
-        yield dataclasses.replace(result, records=records[::-1]), proofs
+        yield result._replace(records=merged), proofs
+        yield result._replace(records=records[::-1]), proofs
 
 
 class TestVerify:
@@ -416,7 +416,7 @@ class TestVerify:
             flipped[i] ^= 0x01
             mutated = list(result.records)
             mutated[target] = bytes(flipped)
-            tampered = dataclasses.replace(result, records=mutated)
+            tampered = result._replace(records=mutated)
             verdict = verify(req, tampered, proofs, km)
             assert not verdict.accepted
             assert verdict.reason is VerdictReason.LEAF_TAG_MISMATCH, i
@@ -453,12 +453,12 @@ class TestVerify:
         rng = random.Random(149)
         req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
         records = result.records
-        swapped = dataclasses.replace(result, records=[records[-1]] + records[1:-1] + [records[0]])
+        swapped = result._replace(records=[records[-1]] + records[1:-1] + [records[0]])
         assert not verify(req, swapped, proofs, km).accepted
-        truncated = dataclasses.replace(result, records=records[:-1])
+        truncated = result._replace(records=records[:-1])
         assert not verify(req, truncated, proofs, km).accepted
         extra = encrypt_like(records[0])
-        extended = dataclasses.replace(result, records=records + [extra])
+        extended = result._replace(records=records + [extra])
         assert verify(req, extended, proofs, km).reason is VerdictReason.LEAF_TAG_MISMATCH
 
     def test_record_boundaries_are_the_documented_gap(self, km):
@@ -470,7 +470,7 @@ class TestVerify:
         result, proofs = search_with_proof(index, req)
         assert result.exact_hit and len(result.records) == 3
         merged = b"".join(result.records)
-        forged = dataclasses.replace(result, records=[merged])
+        forged = result._replace(records=[merged])
         assert verify(req, forged, proofs, km) == Verdict(True, VerdictReason.OK)
         with pytest.raises(AuthFailure):
             decrypt_record(km, merged)
@@ -635,7 +635,7 @@ class TestVerify:
             assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
         # an exact hit claimed on a miss
         fuzzy_req, fuzzy, fuzzy_proofs = _fuzzy_transcript(km, index, corpus, random.Random(154))
-        claimed = dataclasses.replace(fuzzy, exact_hit=True)
+        claimed = fuzzy._replace(exact_hit=True)
         assert verify(fuzzy_req, claimed, fuzzy_proofs, km).reason is VerdictReason.EXACT_FLAG_MISMATCH
         # an exact hit claimed on an empty request, which has no proof 0
         empty = SearchRequest(trapdoors=(), k=0)
