@@ -35,15 +35,7 @@ from .persist import (
     save_index,
     save_keys,
 )
-from .service import (
-    DEFAULT_PORT,
-    EDIT_BOUND,
-    SearchClient,
-    SearchServer,
-    ServerState,
-    proofs_from_response,
-    result_from_response,
-)
+from .service import DEFAULT_PORT, EDIT_BOUND, SearchServer, ServerState
 from .verifiable import build_auth_trie, verify
 
 KEYFILE_ENV = "FZ_KEYFILE"
@@ -171,6 +163,8 @@ def _cmd_serve(args) -> int:
 
 def _cmd_search(args) -> int:
     """``search``, or ``verify``, which also checks the proofs."""
+    from .client import SearchClient, proofs_from_response, result_from_response  # a server never loads the client
+
     km = load_keys(_keyfile(args))
     want_proof = args.command == "verify"
     with SearchClient(*args.server) as client:

@@ -77,7 +77,9 @@ class Index:
         exact: set[bytes] | None = None,
         tags: bytes | memoryview = b"",
     ):
-        self.table = table  # trapdoor -> the offset of its entry in ``body``
+        # trapdoor -> the offset of its entry in ``body``, in ascending trapdoor order:
+        # ``pack_entries`` fills it so and ``read_entries`` refuses any other
+        self.table = table
         self.body = body  # the FZIX entry body: every entry, in ascending trapdoor order
         self.d = d
         self.method = method
@@ -102,7 +104,7 @@ class Index:
     def ordered(self) -> list[bytes]:
         """``table``'s trapdoors, ascending: the order of ``body``'s entries, of the
         authenticated trie's tags and proofs, and of the trie view's leaves."""
-        return sorted(self.table)
+        return list(self.table)
 
 
 class ListingIndex(Index):

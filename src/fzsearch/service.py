@@ -51,8 +51,10 @@ it, so a client that stops reading holds up only itself.  Limits:
 * at ``MAX_CONNECTIONS`` open connections, new ones wait in the listen
   backlog until one closes; after a failed ``accept`` (say, out of file
   descriptors) they wait until a close or the next idle check;
-* ``SearchClient`` reads a reply line of at most ``MAX_REPLY_BYTES``; a
-  longer one raises ``BadResponse``;
+* ``SearchClient`` (in ``fzsearch.client``; this module answers its name)
+  reads its socket itself into one buffer and cuts a reply line of at most
+  ``MAX_REPLY_BYTES`` from it, keeping the bytes after that line for the next
+  reply; a longer line raises ``BadResponse``;
 * ``SearchClient`` waits at most ``CLIENT_TIMEOUT_SECONDS`` to connect and
   for each read or write, then raises ``TimeoutError``.
 """
@@ -67,19 +69,19 @@ import struct
 import sys
 import threading
 import time
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
-from .crypto import RECORD_MIN_BYTES, SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES, blind_cipher
-from .errors import BadResponse, Truncated
+from .crypto import SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES, blind_cipher
 from .fuzzyset import MAX_VARIANTS
 from .index import Index, ResultSet, SearchRequest, search_listing
 from .multiuser import unblind_request
-from .verifiable import decode_proof, search_with_proof
+from .verifiable import search_with_proof
 
 PROTOCOL = 2  # HelloAck's "protocol"; bumped when the wire meaning of a request changes
 DEFAULT_PORT = 7090
 MAX_REPLY_BYTES = 64 << 20  # the longest reply line the client reads
 CLIENT_TIMEOUT_SECONDS = 30.0  # the client's wait to connect, and for each read or write
-_RECV_BYTES = 1 << 16  # the most the server reads from one connection per wake-up
+_RECV_BYTES = 1 << 16  # the most one recv reads: per connection and wake-up in the server, per read in the client
 # Server limits.  Each is read where it is used, so patching the module attribute takes effect.
 MAX_TRAPDOORS = MAX_VARIANTS  # per request; HelloAck's "max_trapdoors"
 MAX_LINE_BYTES = 1 << 20  # the longest request line
@@ -111,8 +113,28 @@ class ServerState:
         self.epoch = epoch
 
 
-def encode_message(msg: dict) -> str:
-    return json.dumps(msg, sort_keys=True, separators=(",", ":")) + "\n"
+# json.dumps(msg, sort_keys=True, separators=(",", ":")) builds an encoder on every call; this one is built once.
+if c_make_encoder is not None:
+    # no circularity markers, the default's TypeError, ASCII, no indent, ":" and ",", sort_keys, no skipkeys, NaN
+    _chunks = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True)
+
+    def encode_message(msg: dict) -> str:
+        return "".join(_chunks(msg, 0)) + "\n"
+
+else:  # an interpreter without ``_json``
+    _dumps = JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+    def encode_message(msg: dict) -> str:
+        return _dumps(msg) + "\n"
+
+
+def __getattr__(name: str):
+    """The client's names, from ``fzsearch.client``, which no server imports."""
+    if name in ("SearchClient", "result_from_response", "proofs_from_response"):
+        from . import client
+
+        return getattr(client, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _error(state: ServerState, code: str, message: str) -> str:
@@ -203,37 +225,6 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
         return _search_resp(state, search_listing(state.index, req), None)
     except Exception as exc:  # contract: the server survives anything
         return _error(state, INTERNAL, f"unhandled request error: {type(exc).__name__}")
-
-
-def result_from_response(resp: dict) -> ResultSet:
-    """Client side: a SearchResp's exact flag and records, each ``nonce || ciphertext``."""
-    items = resp.get("records", [])
-    if not isinstance(items, list):
-        raise BadResponse("records must be a list")
-    out = []
-    for item in items:
-        try:
-            blob = base64.b64decode(item, validate=True)
-        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-            raise BadResponse(f"bad record encoding: {exc}") from exc
-        if len(blob) < RECORD_MIN_BYTES:
-            raise BadResponse("bad record encoding: record blob too short")
-        out.append(blob)
-    exact = resp.get("exact", False)
-    if type(exact) is not bool:
-        raise BadResponse("exact must be a boolean")
-    return ResultSet(records=out, exact_hit=exact)
-
-
-def proofs_from_response(resp: dict) -> list[bytes]:
-    """Client side: the proofs field back into proof bytes, each one checked encoding."""
-    items = resp.get("proofs")
-    if not isinstance(items, list):
-        raise BadResponse("server returned no proofs; index is not verifiable")
-    try:
-        return [decode_proof(bytes.fromhex(item)) for item in items]
-    except (TypeError, ValueError, Truncated) as exc:
-        raise BadResponse(f"bad proof encoding: {exc}") from exc
 
 
 class _Conn:
@@ -426,59 +417,3 @@ class SearchServer:
             self._close(conn)
         elif polled:
             self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
-
-
-class SearchClient:
-    """Blocking line-protocol client."""
-
-    def __init__(self, host: str, port: int):
-        self._sock = socket.create_connection((host, port), timeout=CLIENT_TIMEOUT_SECONDS)
-        self._file = self._sock.makefile("rwb")
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
-
-    def __enter__(self) -> "SearchClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def roundtrip(self, msg: dict) -> dict:
-        self._file.write(encode_message(msg).encode("utf-8"))
-        self._file.flush()
-        line = self._file.readline(MAX_REPLY_BYTES + 1)
-        if not line:
-            raise ConnectionError("server closed the connection")
-        if len(line) > MAX_REPLY_BYTES:
-            raise BadResponse(f"server reply exceeds {MAX_REPLY_BYTES} bytes")
-        try:
-            reply = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # undecodable, or an integer past the digit limit
-            raise BadResponse("server reply is not JSON") from exc
-        if not isinstance(reply, dict):
-            raise BadResponse("server reply is not a JSON object")
-        return reply
-
-    def hello(self) -> dict:
-        """The server's HelloAck; ``BadResponse`` unless it speaks ``PROTOCOL``."""
-        ack = self.roundtrip({"type": "Hello"})
-        if ack.get("type") != "HelloAck":
-            raise BadResponse(f"unexpected hello response: {ack}")
-        if ack.get("protocol") != PROTOCOL:
-            raise BadResponse(f"server speaks protocol {ack.get('protocol')!r}, this client {PROTOCOL}")
-        return ack
-
-    def search(self, req: SearchRequest, epoch: int = 0, want_proof: bool = False) -> dict:
-        msg = {
-            "type": "SearchReq",
-            "epoch": epoch,
-            "k": req.k,
-            "trapdoors": [t.hex() for t in req.trapdoors],
-        }
-        if want_proof:
-            msg["proof"] = True
-        return self.roundtrip(msg)

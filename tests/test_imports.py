@@ -1,4 +1,5 @@
-"""What a server loads: no cipher library unless it is blinded, never OpenSSL's hashing, no dataclasses.
+"""What a server loads: no cipher library unless it is blinded, never OpenSSL's hashing, no dataclasses,
+no client.
 
 A plain search server matches trapdoors and never decrypts, so it must not
 load ``cryptography``; a blinded one loads it when its state is made.  No
@@ -6,7 +7,9 @@ server, plain, authenticated or blinded, imports ``hashlib``, ``hmac``,
 ``secrets`` or ``_hashlib``: the one SHA-256 is CPython's built-in module,
 which ``fzsearch.crypto`` alone names.  Nor does a server that reads no key
 file load ``dataclasses`` (or ``inspect`` under it): ``fzsearch.keys`` alone
-imports it, and the package's exported names load on first use.
+imports it, and the package's exported names load on first use.  No server
+loads ``fzsearch.client``: ``fzsearch.service`` answers the client's names only
+when they are read.
 """
 
 import ast
@@ -57,6 +60,7 @@ def serve(step, state, lines, proofs):
         "cryptography": any(m.split(".")[0] == "cryptography" for m in sys.modules),
         "hashing": sorted(m for m in watched if m in sys.modules),
         "introspection": sorted(m for m in spec["introspection"] if m in sys.modules),
+        "client": "fzsearch.client" in sys.modules,
     }
 
 for step in ("listing", "trie"):
@@ -132,6 +136,10 @@ def test_no_server_loads_dataclasses(server_report):
     assert {step: seen["introspection"] for step, seen in server_report.items()} == dict.fromkeys(server_report, [])
 
 
+def test_no_server_loads_the_client(server_report):
+    assert {step: seen["client"] for step, seen in server_report.items()} == dict.fromkeys(server_report, False)
+
+
 # ``fzsearch serve`` up to the point where it would serve: which watched modules it has loaded.
 SERVE = """
 import json, sys
@@ -141,7 +149,10 @@ spec = json.loads(sys.argv[1])
 seen = {}
 
 def serve_forever(server):
-    seen[kind] = sorted(m for m in spec["introspection"] if m in sys.modules)
+    seen[kind] = {
+        "introspection": sorted(m for m in spec["introspection"] if m in sys.modules),
+        "client": "fzsearch.client" in sys.modules,
+    }
 
 cli.SearchServer.serve_forever = serve_forever
 for kind in ("listing", "trie", "auth"):
@@ -150,12 +161,25 @@ print(json.dumps(seen))
 """
 
 
-def test_serve_without_a_key_file_loads_no_dataclasses(server_spec):
+@pytest.fixture(scope="module")
+def serve_report(server_spec):
+    """Which watched modules ``fzsearch serve`` has loaded when it would serve each index."""
     out = subprocess.run(
         [sys.executable, "-c", SERVE, json.dumps(server_spec)], env=ENV, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout.splitlines()[-1]) == {"listing": [], "trie": [], "auth": []}
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+SERVED = ("listing", "trie", "auth")  # the index kinds ``SERVE`` serves, in order
+
+
+def test_serve_without_a_key_file_loads_no_dataclasses(serve_report):
+    assert {kind: seen["introspection"] for kind, seen in serve_report.items()} == dict.fromkeys(SERVED, [])
+
+
+def test_serve_never_loads_the_client(serve_report):
+    assert {kind: seen["client"] for kind, seen in serve_report.items()} == dict.fromkeys(SERVED, False)
 
 
 # As on an interpreter built without CPython's SHA-256 modules: crypto falls back to hashlib's.

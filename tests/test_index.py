@@ -886,6 +886,17 @@ def test_a_loaded_index_answers_as_the_built_one(km, kind, method):
                     assert search_listing(built, req) == search_listing(loaded, req)
 
 
+@pytest.mark.parametrize("kind", sorted(GOLDEN_BUILDERS))
+def test_ordered_is_the_table_already_ascending(km, kind):
+    """``ordered`` copies ``table`` without sorting it: a built table is filled in
+    trapdoor order, and a loaded one is refused in any other."""
+    rng = random.Random(f"ordered/{kind}")
+    for method in ("wildcard", "gram"):
+        built = GOLDEN_BUILDERS[kind](_shared_corpus(rng), 1, km, method)
+        for index in (built, loads_index(dumps_index(built))):
+            assert len(index.table) > 1 and index.ordered == sorted(index.table)
+
+
 def test_a_loaded_listing_keeps_no_object_per_record(km):
     """A loaded index keeps the file's body and, per entry, its trapdoor and its
     offset: fewer than 2.5 live blocks per entry, where trapdoor, record and

@@ -8,9 +8,12 @@ import shutil
 import socket
 import stat
 import string
+import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -885,6 +888,231 @@ class TestReadinessLoop:
             assert not any('"code":"INTERNAL"' in reply for reply in replies)
 
 
+@contextmanager
+def _raw_peer(script):
+    """A ``SearchClient`` connected to a bare socket on which ``script(conn)`` plays the server."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        conn, _ = listener.accept()
+        with conn:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            try:
+                script(conn)
+            except OSError:  # the client closed first
+                pass
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        with SearchClient(*listener.getsockname()) as client:
+            yield client
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def _read_request(conn) -> bytes:
+    """One request line from the client, read a byte at a time so that nothing after it is taken."""
+    line = b""
+    while not line.endswith(b"\n"):
+        byte = conn.recv(1)
+        if not byte:
+            raise ConnectionError("the client closed mid-request")
+        line += byte
+    return line
+
+
+def _until_closed(conn) -> None:
+    while conn.recv(65536):
+        pass
+
+
+def _ack_line(size: int) -> bytes:
+    """A HelloAck line of exactly ``size`` bytes, its newline included."""
+    head = b'{"protocol":%d,"type":"HelloAck","pad":"' % PROTOCOL
+    return head + b"a" * (size - len(head) - 3) + b'"}\n'
+
+
+class TestClientReader:
+    """The client cuts replies out of its own receive buffer as ``readline(MAX_REPLY_BYTES + 1)`` did."""
+
+    def test_a_reply_sent_one_byte_per_send(self):
+        line = _ack_line(300)
+
+        def script(conn):
+            _read_request(conn)
+            for byte in line:
+                conn.send(bytes([byte]))
+            _until_closed(conn)
+
+        with _raw_peer(script) as client:
+            assert client.hello() == json.loads(line)
+
+    def test_two_replies_in_one_segment_are_returned_in_order(self):
+        first, second = _ack_line(200), _ack_line(90)
+
+        def script(conn):
+            _read_request(conn)
+            conn.sendall(first + second)  # nothing more is sent: the second reply is all buffered
+            _until_closed(conn)
+
+        with _raw_peer(script) as client:
+            assert client.hello() == json.loads(first)
+            assert client.hello() == json.loads(second)
+
+    @pytest.mark.parametrize("size, accepted", [(1023, True), (1024, True), (1025, False), (1 << 20, False)])
+    def test_a_line_at_the_reply_limit(self, monkeypatch, size, accepted):
+        monkeypatch.setattr(service, "MAX_REPLY_BYTES", 1024)
+        line = _ack_line(size)
+
+        def script(conn):
+            _read_request(conn)
+            conn.sendall(line)
+            _until_closed(conn)
+
+        with _raw_peer(script) as client:
+            if accepted:
+                assert client.hello() == json.loads(line)
+            else:
+                with pytest.raises(BadResponse, match="^server reply exceeds 1024 bytes$"):
+                    client.hello()
+                # it stopped reading at the limit: what it holds past the refused 1025 bytes is one recv at most
+                assert len(client._buf) < service._RECV_BYTES
+
+    @pytest.mark.parametrize(
+        "sent, outcome",
+        [
+            (b'{"protocol":2,"type":"HelloAck"}', {"protocol": 2, "type": "HelloAck"}),  # no newline: still the reply
+            (b"", ConnectionError),
+        ],
+    )
+    def test_end_of_input(self, sent, outcome):
+        def script(conn):
+            _read_request(conn)
+            conn.sendall(sent)
+
+        with _raw_peer(script) as client:
+            if isinstance(outcome, dict):
+                assert client.hello() == outcome
+            else:
+                with pytest.raises(ConnectionError, match="server closed the connection"):
+                    client.hello()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"type":"Hello\xffAck"}\n',  # not UTF-8
+            b'\xef\xbb\xbf{"protocol":2,"type":"HelloAck"}\n',  # UTF-8 with a byte order mark
+            '{"protocol":2,"type":"HelloAck"}\n'.encode("utf-16"),
+            '{"protocol":2,"type":"HelloAck"}\n'.encode("utf-16-le"),
+        ],
+    )
+    def test_a_reply_that_is_not_bare_utf8_is_a_bad_response(self, line):
+        """The protocol says UTF-8; ``json.loads(bytes)`` would have sniffed a BOM or UTF-16."""
+
+        def script(conn):
+            _read_request(conn)
+            conn.sendall(line)
+            _until_closed(conn)
+
+        with _raw_peer(script) as client:
+            with pytest.raises(BadResponse, match="^server reply is not (UTF-8|JSON)$"):
+                client.hello()
+
+    def test_a_silent_peer_times_out(self, monkeypatch):
+        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 0.2)
+
+        def script(conn):
+            _read_request(conn)
+            _until_closed(conn)
+
+        with _raw_peer(script) as client:
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.hello()
+            assert time.monotonic() - start < 5
+
+
+# What an ErrorResp message may hold: quotes, backslashes, control and non-ASCII characters, printable ASCII.
+_MESSAGE_PIECES = ['"', "\\", "\x00", "\x1f", "\x7f", "\n\t\r\b\f", "\u00e9", "\u2028", "\ud7ff", "\U0001f600"]
+_MESSAGE_PIECES += list(string.ascii_letters + string.digits + string.punctuation + " ")
+
+
+def _wire_messages(rng: random.Random) -> list[dict]:
+    """Every message type the program writes, with the hardest strings and integers JSON carries."""
+
+    def text():
+        return "".join(rng.choice(_MESSAGE_PIECES) for _ in range(rng.randrange(12)))
+
+    def integer():
+        return rng.choice([0, 1, 255, 2**63, 2**64 - 1, 10**40, rng.randrange(1 << 20)])
+
+    messages = [{"type": "Hello"}]
+    for _ in range(60):
+        trapdoors = [rng.randbytes(TRAPDOOR_BYTES).hex() for _ in range(rng.randrange(20))]
+        request = {"type": "SearchReq", "epoch": integer(), "k": rng.randrange(256), "trapdoors": trapdoors}
+        messages += [request, dict(request, proof=True)]
+        messages.append({
+            "type": "HelloAck", "protocol": PROTOCOL, "epoch": integer(), "kind": rng.choice(["listing", "trie"]),
+            "method": rng.choice(["wildcard", "gram"]), "d": rng.randrange(256), "trapdoor_bits": 160,
+            "symbol_bits": 4, "verifiable": rng.random() < 0.5, "blinded": rng.random() < 0.5,
+            "max_trapdoors": integer(),
+        })
+        messages.append({"type": "ErrorResp", "epoch": integer(), "code": MALFORMED, "message": text()})
+    return messages
+
+
+# As on an interpreter built without ``_json``: encode_message falls back to the pure-Python encoder.
+_NO_C_JSON = """
+import sys
+sys.modules["_json"] = None
+import json
+from fzsearch import service
+assert service.c_make_encoder is None
+print(json.dumps([service.encode_message(msg) for msg in json.load(sys.stdin)]))
+"""
+
+
+def test_encode_message_is_json_dumps_on_both_encoders():
+    messages = _wire_messages(random.Random(341))
+    expected = [json.dumps(msg, sort_keys=True, separators=(",", ":")) + "\n" for msg in messages]
+    assert service.c_make_encoder is not None
+    assert [encode_message(msg) for msg in messages] == expected
+    src = str(Path(service.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_C_JSON], input=json.dumps(messages), env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == expected
+
+
+def test_search_writes_the_line_of_the_captured_request(km, monkeypatch):
+    """The bytes ``SearchClient.search`` sends are ``encode_message`` of what perfbench's capture records."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import harness
+
+    capture = harness._RequestCapture()
+    cases = [(make_request(word, 1, km, method), epoch, proof)
+             for word, method, epoch, proof in (("cat", "wildcard", 0, False), ("castle", "gram", 7, True))]
+    cases.append((blind_request(cases[0][0], bytes(16)), 2**64 - 1, True))
+    sent = []
+
+    def script(conn):
+        for _ in cases:
+            sent.append(_read_request(conn))
+            conn.sendall(b'{"type":"SearchResp","records":[]}\n')
+        _until_closed(conn)
+
+    with _raw_peer(script) as client:
+        for req, epoch, proof in cases:
+            assert client.search(req, epoch=epoch, want_proof=proof) == {"type": "SearchResp", "records": []}
+    assert sent == [encode_message(capture.search(*case)).encode() for case in cases]
+
+
 class TestCli:
     @pytest.fixture()
     def workspace(self, tmp_path):
@@ -1175,7 +1403,7 @@ class TestCli:
                 sent.append((req, epoch))
                 return self.reply
 
-        monkeypatch.setattr("fzsearch.cli.SearchClient", Stub)
+        monkeypatch.setattr("fzsearch.client.SearchClient", Stub)
         user = ["--directory", dirfile, "--user", "alice"]
         for blind, extra, want in (
             (False, [], (plain, 3)),
@@ -1402,7 +1630,7 @@ class TestHostileServer:
     def test_bad_reply_is_a_clean_error(self, tmp_path, monkeypatch, capsys, command, reply, message):
         keyfile = str(tmp_path / "k.fzky")
         save_seeded_keys(keyfile, bytes.fromhex("ee"))
-        monkeypatch.setattr("fzsearch.cli.SearchClient", type("Stub", (_StubClient,), {"reply": reply}))
+        monkeypatch.setattr("fzsearch.client.SearchClient", type("Stub", (_StubClient,), {"reply": reply}))
         capsys.readouterr()
         assert cli_main([command, "castle", "1", "--keys", keyfile]) == 1
         err = capsys.readouterr().err
@@ -1421,7 +1649,7 @@ class TestHostileServer:
                 proofs.append((head + rng.randbytes(rng.randrange(80))).hex())
             reply = {"type": "SearchResp", "records": rng.choice([[], [_BLOB]]), "exact": rng.random() < 0.2,
                      "proofs": proofs}
-            monkeypatch.setattr("fzsearch.cli.SearchClient", type("Stub", (_StubClient,), {"reply": reply}))
+            monkeypatch.setattr("fzsearch.client.SearchClient", type("Stub", (_StubClient,), {"reply": reply}))
             capsys.readouterr()
             assert cli_main(["verify", "castle", "1", "--keys", keyfile]) == 1
             err = capsys.readouterr().err
@@ -1439,7 +1667,7 @@ class TestHostileServer:
         merged = b"".join(base64.b64decode(r) for r in reply["records"])
         for records, code in ((reply["records"], 0), ([base64.b64encode(merged).decode("ascii")], 1)):
             stub = type("Stub", (_StubClient,), {"reply": dict(reply, records=records)})
-            monkeypatch.setattr("fzsearch.cli.SearchClient", stub)
+            monkeypatch.setattr("fzsearch.client.SearchClient", stub)
             capsys.readouterr()
             assert cli_main(["verify", "castle", "1", "--keys", keyfile]) == code
             out, err = capsys.readouterr()
@@ -1451,7 +1679,7 @@ class TestHostileServer:
     def test_hello_without_method(self, tmp_path, monkeypatch, capsys):
         keyfile = str(tmp_path / "k.fzky")
         save_seeded_keys(keyfile, bytes.fromhex("ee"))
-        monkeypatch.setattr("fzsearch.cli.SearchClient", type("Stub", (_StubClient,), {"ack": {"type": "HelloAck"}}))
+        monkeypatch.setattr("fzsearch.client.SearchClient", type("Stub", (_StubClient,), {"ack": {"type": "HelloAck"}}))
         capsys.readouterr()
         assert cli_main(["search", "castle", "1", "--keys", keyfile]) == 1
         assert capsys.readouterr().err.startswith("error: ")
