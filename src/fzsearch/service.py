@@ -69,7 +69,6 @@ import struct
 import sys
 import threading
 import time
-from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from .crypto import SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES, blind_cipher
 from .fuzzyset import MAX_VARIANTS
@@ -114,18 +113,11 @@ class ServerState:
 
 
 # json.dumps(msg, sort_keys=True, separators=(",", ":")) builds an encoder on every call; this one is built once.
-if c_make_encoder is not None:
-    # no circularity markers, the default's TypeError, ASCII, no indent, ":" and ",", sort_keys, no skipkeys, NaN
-    _chunks = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True)
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
-    def encode_message(msg: dict) -> str:
-        return "".join(_chunks(msg, 0)) + "\n"
 
-else:  # an interpreter without ``_json``
-    _dumps = JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
-
-    def encode_message(msg: dict) -> str:
-        return _dumps(msg) + "\n"
+def encode_message(msg: dict) -> str:
+    return _dumps(msg) + "\n"
 
 
 def __getattr__(name: str):

@@ -8,7 +8,6 @@ import shutil
 import socket
 import stat
 import string
-import subprocess
 import sys
 import threading
 import time
@@ -1064,30 +1063,11 @@ def _wire_messages(rng: random.Random) -> list[dict]:
     return messages
 
 
-# As on an interpreter built without ``_json``: encode_message falls back to the pure-Python encoder.
-_NO_C_JSON = """
-import sys
-sys.modules["_json"] = None
-import json
-from fzsearch import service
-assert service.c_make_encoder is None
-print(json.dumps([service.encode_message(msg) for msg in json.load(sys.stdin)]))
-"""
-
-
-def test_encode_message_is_json_dumps_on_both_encoders():
+def test_encode_message_is_json_dumps():
     messages = _wire_messages(random.Random(341))
-    expected = [json.dumps(msg, sort_keys=True, separators=(",", ":")) + "\n" for msg in messages]
-    assert service.c_make_encoder is not None
-    assert [encode_message(msg) for msg in messages] == expected
-    src = str(Path(service.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run(
-        [sys.executable, "-c", _NO_C_JSON], input=json.dumps(messages), env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == expected
+    assert [encode_message(msg) for msg in messages] == [
+        json.dumps(msg, sort_keys=True, separators=(",", ":")) + "\n" for msg in messages
+    ]
 
 
 def test_search_writes_the_line_of_the_captured_request(km, monkeypatch):
