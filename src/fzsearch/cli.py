@@ -28,6 +28,7 @@ from .fuzzyset import normalize_keyword
 from .index import build_listing_index, build_trie_index, decrypt_matches, make_request
 from .multiuser import UserDirectory, blind_request, user_id_bytes
 from .persist import (
+    load_blind_key,
     load_directory,
     load_index,
     load_keys,
@@ -142,7 +143,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_serve(args) -> int:
     # the key file first: a bad one fails before a long index load, below its peak
-    xi = load_keys(_keyfile(args)).blind_key if args.blinded else None
+    xi = load_blind_key(_keyfile(args)) if args.blinded else None
     try:
         index = load_index(args.index)
     except VersionUnsupported as exc:
@@ -151,7 +152,8 @@ def _cmd_serve(args) -> int:
     server = SearchServer(state, host=args.host, port=args.port)
     mode = f"blinded epoch={args.epoch}" if xi else "single-user"
     host = f"[{args.host}]" if ":" in args.host else args.host
-    print(f"serving {args.index} on {host}:{server.server_address[1]} ({mode})")
+    about = f"{mode}; {index.kind}, {len(index.table)} entries"
+    print(f"serving {args.index} on {host}:{server.server_address[1]} ({about})")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

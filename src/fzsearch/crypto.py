@@ -96,6 +96,16 @@ _OPAD = bytes(b ^ 0x5C for b in range(256))
 _COUNTER = bytes(4)  # the block counter of HMAC counter mode's first block, ending every PRF input
 
 
+def check_key_sizes(keys: Sequence[bytes], security_bits: int) -> None:
+    """``BadParameter`` unless the security level is 128 or 256 and every key is ``security_bits // 8`` bytes.
+
+    The one size rule: ``KeyMaterial`` holds to it, and ``persist`` reads an
+    FZKY file by it, whether it then makes a ``KeyMaterial`` or not.
+    """
+    if security_bits not in SECURITY_BITS or any(len(key) != security_bits // 8 for key in keys):
+        raise BadParameter(f"key sizes {[len(k) for k in keys]} do not fit security {security_bits}")
+
+
 @functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _hmac_pads(key: bytes):
     """HMAC-SHA256's inner and outer hash states after absorbing the padded key."""

@@ -256,26 +256,34 @@ def read_entries(body: memoryview, count: int) -> tuple[dict[bytes, int], set[by
     least ``RECORD_MIN_BYTES`` long, but none is sliced out.  The ascending
     order of the trapdoors is checked as each is read, but the first entry out
     of order is reported only after the last entry, behind any other error.
+    The common entry, one record of at least ``RECORD_MIN_BYTES`` under flag 0
+    or 1, skips the other checks: the next head's ``unpack_from``, or the check
+    after the loop, finds its record running past the end, and reports it as
+    the full checks would.
     """
     size, unpack, head_size, length = len(body), _ENTRY_HEAD.unpack_from, _ENTRY_HEAD.size, _LENGTH.unpack_from
     table, exact, pos = {}, set(), 0
     prev, disorder = b"", None  # the last trapdoor read; the first entry not above its predecessor
     for i in range(count):
-        start = pos + head_size
-        if start > size:
-            raise Truncated(f"entry {i} ends early")
-        t, flag, n, first = unpack(body, pos)
-        if flag > 1:
-            raise BadParameter(f"entry {i}: unknown entry flags {flag:#x}")
-        if not n:
-            raise BadParameter(f"entry {i} has no records")
+        try:
+            t, flag, n, first = unpack(body, pos)
+        except struct.error:
+            if pos > size:  # only a common entry's record leaves ``pos`` past the end
+                raise Truncated(f"entry {i - 1}: a record ends early") from None
+            raise Truncated(f"entry {i} ends early") from None
         table[t] = pos
         if t <= prev and disorder is None:
             disorder = i
         prev = t
         if flag:
             exact.add(t)
-        pos = start + first
+        pos += head_size + first
+        if n == 1 and flag <= 1 and first >= RECORD_MIN_BYTES:
+            continue
+        if flag > 1:
+            raise BadParameter(f"entry {i}: unknown entry flags {flag:#x}")
+        if not n:
+            raise BadParameter(f"entry {i} has no records")
         if pos > size:
             raise Truncated(f"entry {i}: a record ends early")
         if first < RECORD_MIN_BYTES:
@@ -290,6 +298,8 @@ def read_entries(body: memoryview, count: int) -> tuple[dict[bytes, int], set[by
                 raise Truncated(f"entry {i}: a record ends early")
             if n_bytes < RECORD_MIN_BYTES:
                 raise AuthFailure("record blob too short")
+    if pos > size:
+        raise Truncated(f"entry {count - 1}: a record ends early")
     if disorder is not None:
         raise BadParameter(f"entry {disorder}: trapdoors are not strictly ascending")
     return table, exact, pos

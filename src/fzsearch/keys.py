@@ -2,12 +2,15 @@
 
 ``KeyMaterial`` is what an owner and a user hold and what a key file
 (``persist``'s FZKY) stores; ``keygen`` makes it, from ``os.urandom`` or,
-reproducibly, from a seed through ``crypto.prf_bytes``.  A server needs none
-of it unless it is blinded, so only key-file and owner code import this
-module: ``persist.loads_keys`` and ``cli``'s ``keygen`` import it inside the
-function.  It is the one module of the package that imports ``dataclasses``
-at module level (perfbench rotates a blind key with ``dataclasses.replace``),
-and a server that reads no key file never loads it.
+reproducibly, from a seed through ``crypto.prf_bytes``.  Only owner and user
+code imports this module: ``persist.loads_keys`` and ``cli``'s ``keygen``
+import it inside the function.  No server loads it, blinded included: a
+blinded server needs the blind key alone, and ``persist.load_blind_key``
+reads it from the key file through the same checks without making a
+``KeyMaterial``.  It is the one module of the package that imports
+``dataclasses`` at module level (perfbench rotates a blind key with
+``dataclasses.replace``).  The key sizes follow ``crypto.check_key_sizes``,
+the rule the key-file reader applies too.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .crypto import DEPTH, SECURITY_BITS, prf_bytes
+from .crypto import DEPTH, SECURITY_BITS, check_key_sizes, prf_bytes
 from .errors import BadParameter
 
 
@@ -40,9 +43,7 @@ class KeyMaterial:
     depth: ClassVar[int] = DEPTH  # read by perfbench (``harness.user_phase``)
 
     def __post_init__(self):
-        keys = (self.trapdoor_key, self.record_key, self.blind_key)
-        if self.security_bits not in SECURITY_BITS or any(len(key) != self.security_bits // 8 for key in keys):
-            raise BadParameter(f"key sizes {[len(k) for k in keys]} do not fit security {self.security_bits}")
+        check_key_sizes((self.trapdoor_key, self.record_key, self.blind_key), self.security_bits)
 
 
 def keygen(security_bits: int = 128, seed: bytes | None = None) -> KeyMaterial:

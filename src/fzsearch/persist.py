@@ -10,6 +10,13 @@ All integers are big-endian.  Each header is one ``struct.Struct``, and
     is refused with ``BadParameter``.
     Then trapdoor key, record key, blind key as 2-byte length-prefixed
     fields of security/8 bytes.  Owner-readable only (0600).
+    ``_key_fields`` reads the file, in this order: the header, the geometry,
+    the three fields (nothing may follow them), then the security level and
+    the key sizes by ``crypto.check_key_sizes``, the rule ``KeyMaterial``
+    holds to.  ``loads_keys`` makes a ``KeyMaterial`` of what it reads, and
+    ``loads_blind_key`` takes the blind key alone, so both refuse the same
+    files with the same error; a blinded server reads its key through the
+    latter and never imports ``keys`` (nor ``dataclasses`` under it).
 
 ``FZIX`` index file (version 3)
     Header ``INDEX_HEAD`` (``>4sBBBHBQ``, 18 bytes): magic "FZIX", version
@@ -61,7 +68,7 @@ import os
 import struct
 from typing import TYPE_CHECKING
 
-from .crypto import SYMBOL_BITS, TRAPDOOR_BITS
+from .crypto import SYMBOL_BITS, TRAPDOOR_BITS, check_key_sizes
 from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
 from .index import ListingIndex, TrieIndex, read_entries
 from .multiuser import UserDirectory, user_id_bytes
@@ -124,13 +131,26 @@ def dumps_keys(km: KeyMaterial) -> bytes:
     return head + b"".join(map(_field, (km.trapdoor_key, km.record_key, km.blind_key)))
 
 
-def loads_keys(data: bytes) -> KeyMaterial:
-    from .keys import KeyMaterial  # key-file code's import: a server that reads no key file never loads it
-
+def _key_fields(data: bytes) -> tuple[list[bytes], int]:
+    """The three keys of an FZKY file, in the file's order, and its security level; every check made."""
     security_bits, trapdoor_bits, symbol_bits = _header(data, KEY_HEAD, KEY_MAGIC, VERSION)
     if (trapdoor_bits, symbol_bits) != (TRAPDOOR_BITS, SYMBOL_BITS):
         raise BadParameter(f"{trapdoor_bits}-bit trapdoors of {symbol_bits}-bit symbols; only 160/4 is read")
-    return KeyMaterial(*_fields(data, KEY_HEAD.size, 3), security_bits)  # the file's order; it checks the sizes
+    keys = _fields(data, KEY_HEAD.size, 3)
+    check_key_sizes(keys, security_bits)
+    return keys, security_bits
+
+
+def loads_keys(data: bytes) -> KeyMaterial:
+    from .keys import KeyMaterial  # owner and user code's import: no server loads it
+
+    keys, security_bits = _key_fields(data)
+    return KeyMaterial(*keys, security_bits)
+
+
+def loads_blind_key(data: bytes) -> bytes:
+    """The blind key of an FZKY file, which ``loads_keys`` would read, without making a ``KeyMaterial``."""
+    return _key_fields(data)[0][2]
 
 
 def _replace_file(path: str, data: bytes, mode: int = 0o666) -> None:
@@ -169,6 +189,11 @@ def save_keys(km: KeyMaterial, path: str) -> None:
 def load_keys(path: str) -> KeyMaterial:
     with open(path, "rb") as fh:
         return loads_keys(fh.read())
+
+
+def load_blind_key(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return loads_blind_key(fh.read())
 
 
 # -- indexes ---------------------------------------------------------------

@@ -2,6 +2,7 @@ import hmac
 import itertools
 import json
 import random
+import struct
 import time
 
 import pytest
@@ -345,6 +346,52 @@ def reference_loads_index(data: bytes):
     if flags & 0x01:
         index.tags = tags
     return index
+
+
+_REFERENCE_HEAD = struct.Struct(">20sBHI")  # trapdoor, entry flag, record count, first record's length
+_REFERENCE_LENGTH = struct.Struct(">I")
+
+
+def reference_read_entries(body, count: int) -> tuple[dict[bytes, int], set[bytes], int]:
+    """``index.read_entries`` without its short path: every check made on every
+    entry, in file order, with the reader's messages.  The oracle that the short
+    path is held to, result and first error alike."""
+    size, unpack, head_size = len(body), _REFERENCE_HEAD.unpack_from, _REFERENCE_HEAD.size
+    table, exact, pos = {}, set(), 0
+    prev, disorder = b"", None
+    for i in range(count):
+        start = pos + head_size
+        if start > size:
+            raise Truncated(f"entry {i} ends early")
+        t, flag, n, first = unpack(body, pos)
+        if flag > 1:
+            raise BadParameter(f"entry {i}: unknown entry flags {flag:#x}")
+        if not n:
+            raise BadParameter(f"entry {i} has no records")
+        table[t] = pos
+        if t <= prev and disorder is None:
+            disorder = i
+        prev = t
+        if flag:
+            exact.add(t)
+        pos = start + first
+        if pos > size:
+            raise Truncated(f"entry {i}: a record ends early")
+        if first < 28:
+            raise AuthFailure("record blob too short")
+        for _ in range(n - 1):
+            start = pos + 4
+            if start > size:
+                raise Truncated(f"entry {i}: a record ends early")
+            (n_bytes,) = _REFERENCE_LENGTH.unpack_from(body, pos)
+            pos = start + n_bytes
+            if pos > size:
+                raise Truncated(f"entry {i}: a record ends early")
+            if n_bytes < 28:
+                raise AuthFailure("record blob too short")
+    if disorder is not None:
+        raise BadParameter(f"entry {disorder}: trapdoors are not strictly ascending")
+    return table, exact, pos
 
 
 def reference_loads_directory(data: bytes) -> UserDirectory:

@@ -1,15 +1,16 @@
 """What a server loads: no cipher library unless it is blinded, never OpenSSL's hashing, no dataclasses,
-no client.
+no key material module, no client.
 
 A plain search server matches trapdoors and never decrypts, so it must not
 load ``cryptography``; a blinded one loads it when its state is made.  No
 server, plain, authenticated or blinded, imports ``hashlib``, ``hmac``,
 ``secrets`` or ``_hashlib``: the one SHA-256 is CPython's built-in module,
-which ``fzsearch.crypto`` alone names.  Nor does a server that reads no key
-file load ``dataclasses`` (or ``inspect`` under it): ``fzsearch.keys`` alone
-imports it, and the package's exported names load on first use.  No server
-loads ``fzsearch.client``: ``fzsearch.service`` answers the client's names only
-when they are read.
+which ``fzsearch.crypto`` alone names.  Nor does any server load
+``dataclasses`` (or ``inspect`` under it): ``fzsearch.keys`` alone imports it,
+the package's exported names load on first use, and ``serve --blinded`` reads
+its blind key through ``persist.load_blind_key``, which never imports
+``fzsearch.keys``.  No server loads ``fzsearch.client``: ``fzsearch.service``
+answers the client's names only when they are read.
 """
 
 import ast
@@ -27,7 +28,7 @@ import fzsearch
 from conftest import random_corpus
 from fzsearch import blind_request, build_auth_trie, build_listing_index, build_trie_index, make_request
 from fzsearch.crypto import prf_bytes, record_digest
-from fzsearch.persist import save_index
+from fzsearch.persist import save_index, save_keys
 from fzsearch.service import encode_message
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fzsearch"
@@ -88,6 +89,8 @@ def server_spec(km, tmp_path_factory):
     rng = random.Random(29)
     corpus = {word: [b"F1"] for word in random_corpus(rng, size=30, lo=3, hi=6)}
     spec = {"hash_modules": HASH_MODULES, "introspection": INTROSPECTION, "xi": bytes(range(16)).hex()}
+    spec["keys"] = str(tmp / "k.fzky")
+    save_keys(km, spec["keys"])
     for name, build, method in (
         ("listing", build_listing_index, "wildcard"),
         ("trie", build_trie_index, "gram"),
@@ -151,12 +154,15 @@ seen = {}
 def serve_forever(server):
     seen[kind] = {
         "introspection": sorted(m for m in spec["introspection"] if m in sys.modules),
+        "keys": "fzsearch.keys" in sys.modules,
         "client": "fzsearch.client" in sys.modules,
     }
 
 cli.SearchServer.serve_forever = serve_forever
 for kind in ("listing", "trie", "auth"):
     assert cli.main(["serve", "--index", spec[kind], "--port", "0"]) == 0
+kind = "blinded auth"
+assert cli.main(["serve", "--blinded", "--keys", spec["keys"], "--epoch", "1", "--index", spec["auth"], "--port", "0"]) == 0
 print(json.dumps(seen))
 """
 
@@ -171,11 +177,18 @@ def serve_report(server_spec):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-SERVED = ("listing", "trie", "auth")  # the index kinds ``SERVE`` serves, in order
+SERVED = ("listing", "trie", "auth", "blinded auth")  # what ``SERVE`` serves, in order
 
 
 def test_serve_without_a_key_file_loads_no_dataclasses(serve_report):
-    assert {kind: seen["introspection"] for kind, seen in serve_report.items()} == dict.fromkeys(SERVED, [])
+    assert {kind: serve_report[kind]["introspection"] for kind in SERVED[:3]} == dict.fromkeys(SERVED[:3], [])
+
+
+def test_serve_blinded_loads_neither_dataclasses_nor_the_key_material_module(serve_report):
+    """``serve --blinded`` reads its key file for the blind key alone, without a ``KeyMaterial``."""
+    assert list(serve_report) == list(SERVED)
+    assert serve_report["blinded auth"]["introspection"] == []
+    assert {kind: seen["keys"] for kind, seen in serve_report.items()} == dict.fromkeys(SERVED, False)
 
 
 def test_serve_never_loads_the_client(serve_report):

@@ -15,6 +15,7 @@ from conftest import (
     reference_loads_directory,
     reference_loads_index,
     reference_loads_keys,
+    reference_read_entries,
     synth_corpus,
 )
 from fzsearch import (
@@ -44,7 +45,7 @@ from fzsearch import (
     wildcard_fuzzy_set,
 )
 from fzsearch.crypto import DEPTH, _hmac_pads
-from fzsearch.index import build_entries, walk_trie
+from fzsearch.index import build_entries, read_entries, walk_trie
 from fzsearch.persist import (
     dumps_directory,
     dumps_index,
@@ -630,6 +631,57 @@ def test_entry_order_flags_and_counts_are_checked(small_files, kind):
     for count in (len(entries) - 1, len(entries) + 1):
         with pytest.raises(FzError if kind == "auth" else Truncated):
             loads_index(_join_fzix(header, entries, sections, count))
+
+
+def _read_outcome(read, rest: bytes, count: int):
+    """``(table, exact, end)``, or the class and message of the refusal."""
+    try:
+        return read(memoryview(rest), count)
+    except FzError as exc:
+        return type(exc), str(exc)
+
+
+def _damaged_bodies(rest: bytes, count: int, heads: list[int]):
+    """``(body, count)`` pairs: every truncation, also of the body with its first
+    two entries swapped, then each entry head's flag set to 0, 1 and 2, its
+    record count to 0, 1 and 2, and its first record's length moved by -1 and +1
+    and set to 27; last the whole body under one entry fewer and one more."""
+    swapped = rest[heads[1] : heads[2]] + rest[: heads[1]] + rest[heads[2] :]
+    for body in (rest, swapped):
+        for cut in range(len(body) + 1):
+            yield body[:cut], count
+    for pos in heads:
+        first = int.from_bytes(rest[pos + 23 : pos + 27], "big")
+        for at, values in ((20, (b"\0", b"\1", b"\2")),
+                           (21, [n.to_bytes(2, "big") for n in (0, 1, 2)]),
+                           (23, [n.to_bytes(4, "big") for n in (first - 1, first + 1, 27)])):
+            for value in values:
+                yield rest[: pos + at] + value + rest[pos + at + len(value) :], count
+    yield rest, count - 1
+    yield rest, count + 1
+
+
+@pytest.mark.parametrize("file", [("listing", "gram"), ("auth", "wildcard")], ids="-".join)
+def test_the_loaders_short_path_matches_the_reader_without_it(small_files, file):
+    """On every damage of a file whose entries hold one record and two, the
+    loader gives the same result or the same first error, message included, as
+    the reader that makes every check on every entry."""
+    blob = small_files[file]
+    rest, count = blob[HEADER_BYTES:], int.from_bytes(blob[10:HEADER_BYTES], "big")
+    table, _, _ = reference_read_entries(memoryview(rest), count)
+    heads = list(table.values())
+    counts = [int.from_bytes(rest[pos + 21 : pos + 23], "big") for pos in heads]
+    assert 1 in counts and 2 in counts, counts
+    seen = set()
+    for body, n in _damaged_bodies(rest, count, heads):
+        got = _read_outcome(read_entries, body, n)
+        assert got == _read_outcome(reference_read_entries, body, n), (body.hex(), n)
+        seen.add(got[1] if isinstance(got[0], type) else "read")
+    assert {"read", "record blob too short"} < seen
+    assert any(m.endswith("ends early") and ":" not in m for m in seen)  # a head cut
+    assert any(m.endswith("a record ends early") for m in seen)
+    assert any("unknown entry flags" in m for m in seen) and any("no records" in m for m in seen)
+    assert any("strictly ascending" in m for m in seen)
 
 
 @pytest.mark.parametrize("kind", ["listing", "trie"])

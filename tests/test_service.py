@@ -53,6 +53,7 @@ from fzsearch.persist import (
     dumps_keys,
     load_index,
     load_keys,
+    loads_blind_key,
     loads_directory,
     loads_index,
     loads_keys,
@@ -371,7 +372,51 @@ class TestWireCodec:
             assert service._search_resp(state, result, proofs) == _reference_search_resp(epoch, result, proofs)
 
 
+def _key_file(security_bits: int, keys, trapdoor_bits: int = 160, symbol_bits: int = 4) -> bytes:
+    """An FZKY file written byte by byte, so its keys need not fit ``KeyMaterial``."""
+    head = KEY_HEAD.pack(b"FZKY", 1, security_bits, trapdoor_bits, symbol_bits)
+    return head + b"".join(len(key).to_bytes(2, "big") + key for key in keys)
+
+
+def _damaged_key_files(km) -> dict[str, bytes]:
+    """Key files that ``loads_keys`` refuses, one per check, from ``km``'s 128-bit keys."""
+    keys = (km.trapdoor_key, km.record_key, km.blind_key)
+    good = dumps_keys(km)
+    return {
+        "bad magic": b"FZKX" + good[4:],
+        "bad version": good[:4] + b"\x02" + good[5:],
+        "cut header": good[:7],
+        "bad geometry": _key_file(128, keys, 224, 8),
+        "truncated field": good[:-1],
+        "trailing bytes": good + b"\0",
+        "security 192": _key_file(192, (b"\x07" * 24,) * 3),
+        "15-byte key": _key_file(128, (km.trapdoor_key[:15], km.record_key, km.blind_key)),
+    }
+
+
+def _refusal(load, data: bytes):
+    """The class and message of ``load``'s refusal of ``data``."""
+    with pytest.raises(FzError) as caught:
+        load(data)
+    return type(caught.value), str(caught.value)
+
+
 class TestPersistence:
+    def test_the_blind_key_reader_reads_what_loads_keys_reads(self):
+        for security_bits in (128, 256):
+            km = keygen(security_bits, seed=b"blind")
+            assert loads_blind_key(dumps_keys(km)) == km.blind_key
+
+    def test_the_blind_key_reader_refuses_as_loads_keys_does(self, km):
+        """Same class, same message, for every check of the format."""
+        refusals = {}
+        for name, data in _damaged_key_files(km).items():
+            refusals[name] = _refusal(loads_keys, data)
+            assert _refusal(loads_blind_key, data) == refusals[name], name
+        assert [cls for cls, _ in refusals.values()] == [
+            BadMagic, VersionUnsupported, Truncated, BadParameter, Truncated, Truncated, BadParameter, BadParameter,
+        ]
+
     def test_keys_round_trip_and_permissions(self, km, tmp_path):
         path = tmp_path / "k.fzky"
         save_keys(km, str(path))
@@ -1456,6 +1501,41 @@ class TestCli:
         assert err.startswith("error: ") and keyfile in err and indexfile not in err
         assert "Traceback" not in err
 
+    def test_serve_blinded_refuses_a_bad_key_file_before_the_index(self, km, workspace, capsys):
+        """The index path is missing, so an index read before the key check would name it."""
+        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "missing.fzix")
+        for name, data in _damaged_key_files(km).items():
+            with open(keyfile, "wb") as fh:
+                fh.write(data)
+            capsys.readouterr()
+            assert cli_main(["serve", "--index", indexfile, "--keys", keyfile, "--blinded", "--port", "0"]) == 1, name
+            assert capsys.readouterr().err == f"error: {_refusal(loads_keys, data)[1]}\n", name
+
+    def test_the_serving_line_names_the_kind_and_its_entries(self, workspace, capsys, monkeypatch):
+        """Its ``serving <path> on <ipv4>:<port> `` prefix is what perfbench's harness reads."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import harness
+
+        monkeypatch.setattr(SearchServer, "serve_forever", lambda server: None)
+        keyfile = save_seeded_keys(workspace / "k.fzky", b"serving")
+        lines = []
+        for kind, blinded, about in (
+            ("listing", [], "single-user; listing"),
+            ("trie", [], "single-user; trie"),
+            ("auth", ["--blinded", "--keys", keyfile, "--epoch", "3"], "blinded epoch=3; auth_trie"),
+        ):
+            indexfile = str(workspace / f"{kind}.fzix")
+            build = ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]
+            assert cli_main([*build, "--kind", kind]) == 0
+            entries = len(load_index(indexfile).table)
+            capsys.readouterr()
+            assert cli_main(["serve", "--index", indexfile, "--port", "0", *blinded]) == 0
+            line = capsys.readouterr().out
+            port = harness._SERVING.match(line).group(2)
+            assert line == f"serving {indexfile} on 127.0.0.1:{port} ({about}, {entries} entries)\n"
+            lines.append(line)
+        assert lines[0].endswith("(single-user; listing, 63 entries)\n")  # entries, not the 9 keywords
+
     def test_key_file_with_wrong_key_lengths_is_a_clean_error(self, workspace, capsys):
         keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
         build = ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]
@@ -1471,10 +1551,8 @@ class TestCli:
             (192, keys),
             (192, (b"\x07" * 24,) * 3),  # AESGCM takes these; keygen does not
         ):
-            # KeyMaterial refuses these keys, so the files are written byte by byte
-            head = KEY_HEAD.pack(b"FZKY", 1, security_bits, 160, 4)
-            with open(keyfile, "wb") as fh:
-                fh.write(head + b"".join(len(key).to_bytes(2, "big") + key for key in bad))
+            with open(keyfile, "wb") as fh:  # KeyMaterial refuses these keys
+                fh.write(_key_file(security_bits, bad))
             capsys.readouterr()
             assert cli_main(build) == 1
             err = capsys.readouterr().err
