@@ -1,13 +1,15 @@
 """The line-protocol client: one blocking connection, and the decoders of its replies.
 
 No server imports this module; ``fzsearch.service`` still answers its three
-names on first use.  The client's limits stay in ``service``
-(``MAX_REPLY_BYTES``, ``CLIENT_TIMEOUT_SECONDS``) and are read there when used,
-so patching them there takes effect.
+names on first use.  The client's limits are this module's own and are read
+where they are used, so patching the module attribute takes effect:
 
-The client reads its socket itself: each ``recv`` fills one buffer, a reply
-is cut from it as ``readline(MAX_REPLY_BYTES + 1)`` on a buffered reader
-would cut it, and the bytes after that reply stay for the next one.
+* ``SearchClient`` reads its socket itself into one buffer and cuts a reply
+  line of at most ``MAX_REPLY_BYTES`` from it, as ``readline(MAX_REPLY_BYTES
+  + 1)`` on a buffered reader would cut it, keeping the bytes after that line
+  for the next reply; a longer line raises ``BadResponse``;
+* ``SearchClient`` waits at most ``CLIENT_TIMEOUT_SECONDS`` to connect and
+  for each read or write, then raises ``TimeoutError``.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ import base64
 import json
 import socket
 
-from . import service
 from .crypto import RECORD_MIN_BYTES
 from .errors import BadResponse, Truncated
 from .index import ResultSet, SearchRequest
 from .service import _RECV_BYTES, PROTOCOL, encode_message
 from .verifiable import decode_proof
+
+MAX_REPLY_BYTES = 64 << 20  # the longest reply line the client reads
+CLIENT_TIMEOUT_SECONDS = 30.0  # the client's wait to connect, and for each read or write
 
 _decode = json.JSONDecoder().decode  # what json.loads uses for text, without its per-call checks
 
@@ -61,7 +65,7 @@ class SearchClient:
     """Blocking line-protocol client."""
 
     def __init__(self, host: str, port: int):
-        self._sock = socket.create_connection((host, port), timeout=service.CLIENT_TIMEOUT_SECONDS)
+        self._sock = socket.create_connection((host, port), timeout=CLIENT_TIMEOUT_SECONDS)
         self._buf = bytearray()  # bytes received and not yet returned as a reply
 
     def close(self) -> None:
@@ -76,7 +80,7 @@ class SearchClient:
     def _readline(self) -> bytearray:
         """The next reply: through its newline, else its first ``MAX_REPLY_BYTES + 1`` bytes,
         else what is left at end of input (empty when nothing is)."""
-        buf, limit, seen = self._buf, service.MAX_REPLY_BYTES + 1, 0
+        buf, limit, seen = self._buf, MAX_REPLY_BYTES + 1, 0
         while True:
             end = buf.find(b"\n", seen, limit) + 1
             if end:
@@ -99,8 +103,8 @@ class SearchClient:
         line = self._readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        if len(line) > service.MAX_REPLY_BYTES:
-            raise BadResponse(f"server reply exceeds {service.MAX_REPLY_BYTES} bytes")
+        if len(line) > MAX_REPLY_BYTES:
+            raise BadResponse(f"server reply exceeds {MAX_REPLY_BYTES} bytes")
         try:
             reply = _decode(line.decode("utf-8"))
         except UnicodeDecodeError as exc:

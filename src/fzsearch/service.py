@@ -13,8 +13,9 @@ Message types:
     ``SearchClient.hello`` refuses an ack of any other protocol version.
 ``SearchReq``
     ``{"type": "SearchReq", "epoch": E, "k": K, "trapdoors": [hex...],
-    "proof": bool?}``.  Trapdoor hex is lowercase and exactly 40
-    characters (``TRAPDOOR_BYTES`` bytes).  Duplicate trapdoors are rejected.
+    "proof": bool?}``.  A request holds 1..``MAX_TRAPDOORS`` trapdoors, each
+    lowercase hex of exactly 40 characters (``TRAPDOOR_BYTES`` bytes).  An
+    empty list and duplicate trapdoors are MALFORMED.
 ``SearchResp``
     ``{"type": "SearchResp", "epoch": E, "exact": bool,
     "records": [base64(nonce || ciphertext)...], "proofs": [hex...]?}``.
@@ -50,13 +51,10 @@ it, so a client that stops reading holds up only itself.  Limits:
   closed (checked every ``POLL_SECONDS``, so up to that much late);
 * at ``MAX_CONNECTIONS`` open connections, new ones wait in the listen
   backlog until one closes; after a failed ``accept`` (say, out of file
-  descriptors) they wait until a close or the next idle check;
-* ``SearchClient`` (in ``fzsearch.client``; this module answers its name)
-  reads its socket itself into one buffer and cuts a reply line of at most
-  ``MAX_REPLY_BYTES`` from it, keeping the bytes after that line for the next
-  reply; a longer line raises ``BadResponse``;
-* ``SearchClient`` waits at most ``CLIENT_TIMEOUT_SECONDS`` to connect and
-  for each read or write, then raises ``TimeoutError``.
+  descriptors) they wait until a close or the next idle check.
+
+``SearchClient`` and its limits are in ``fzsearch.client``; this module
+answers its name.
 """
 
 from __future__ import annotations
@@ -78,8 +76,6 @@ from .verifiable import search_with_proof
 
 PROTOCOL = 2  # HelloAck's "protocol"; bumped when the wire meaning of a request changes
 DEFAULT_PORT = 7090
-MAX_REPLY_BYTES = 64 << 20  # the longest reply line the client reads
-CLIENT_TIMEOUT_SECONDS = 30.0  # the client's wait to connect, and for each read or write
 _RECV_BYTES = 1 << 16  # the most one recv reads: per connection and wake-up in the server, per read in the client
 # Server limits.  Each is read where it is used, so patching the module attribute takes effect.
 MAX_TRAPDOORS = MAX_VARIANTS  # per request; HelloAck's "max_trapdoors"

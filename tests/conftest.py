@@ -4,6 +4,7 @@ import json
 import random
 import struct
 import time
+from collections import namedtuple
 
 import pytest
 
@@ -15,8 +16,6 @@ from fzsearch import (
     BadParameter,
     FzError,
     KeyMaterial,
-    ListingIndex,
-    TrieIndex,
     Truncated,
     UserDirectory,
     VersionUnsupported,
@@ -97,13 +96,25 @@ def reference_edit_distance(a: str, b: str) -> int:
 
 
 def brute_force_neighborhood(word: str, d: int, letters: str) -> set[str]:
-    """Exhaustive oracle: every string (length >= 1) over ``letters`` at distance <= d."""
+    """Exhaustive oracle: every string (length >= 1) over ``letters`` at distance <= d.
+
+    Each candidate fills the full distance table against ``word`` a row per
+    letter of its own, and is dropped as soon as a whole row exceeds ``d``: no
+    later row can come back under it."""
     out = set()
+    first = list(range(len(word) + 1))
     for length in range(max(1, len(word) - d), len(word) + d + 1):
         for tup in itertools.product(letters, repeat=length):
-            cand = "".join(tup)
-            if reference_edit_distance(word, cand) <= d:
-                out.add(cand)
+            row = first
+            for c in tup:
+                prev, row = row, [row[0] + 1]
+                for j, w in enumerate(word):
+                    row.append(min(prev[j + 1] + 1, row[j] + 1, prev[j] + (c != w)))
+                if min(row) > d:
+                    break
+            else:
+                if row[-1] <= d:
+                    out.add("".join(tup))
     return out
 
 
@@ -307,91 +318,74 @@ def index_from_entries(cls, entries: dict[bytes, tuple[bytes, ...]], d: int, met
     return cls(*pack_entries(entries, exact), d, method, set(exact))
 
 
-def reference_loads_index(data: bytes):
-    """FZIX v3 read field by field through a cursor, the header and every entry's
-    fields and records alike: the oracle ``persist.loads_index`` is held to."""
+# An FZIX file as ``reference_read_fzix`` reads it: the header's flags and d, each
+# trapdoor's entry offset and its records' ``(start, end)`` spans, counted from the
+# first byte after the header, the exact set, the end of the entries and the tags.
+Fzix = namedtuple("Fzix", ("flags", "d", "table", "spans", "exact", "end", "tags"))
+_ENTRY_HEAD = struct.Struct(">20sBHI")  # trapdoor, entry flag, record count, first record's length
+_LENGTH = struct.Struct(">I")  # every later record's length
+_KINDS = {0x00: "listing", 0x01: "trie", 0x03: "auth_trie"}  # by the trie and verifiable flags
+
+
+def reference_read_fzix(data: bytes) -> Fzix:
+    """FZIX v3 read one field at a time: the header, then each entry's head and
+    each of its records, then the tags.  A record is reported as its span of the
+    body, never copied.  A damaged file raises what ``persist.loads_index``
+    raises, class and message: the first failed check in file order, except that
+    the first entry out of trapdoor order is reported only after the last entry.
+    The oracle of the loader, its short path included."""
     data = bytes(data)
     r = _Reader(data)
-    _check_header(r, b"FZIX", 3)
-    flags = r.u8()
+    try:
+        _check_header(r, b"FZIX", 3)
+        flags, symbol_bits, trapdoor_bits, d, count = r.u8(), r.u8(), r.u16(), r.u8(), r.u64()
+    except Truncated:
+        raise Truncated(f"the 18-byte FZIX header ends after {len(data)} bytes") from None
     if flags & ~0x07:
         raise BadParameter(f"unknown index flags {flags:#x}")
     if flags & 0x02 and not flags & 0x01:
         raise BadParameter("verifiable flag requires a trie index")
-    symbol_bits = r.u8()
-    trapdoor_bits = r.u16()
-    d = r.u8()
     if (trapdoor_bits, symbol_bits) != (160, 4):
-        raise BadParameter("the one geometry is 160-bit trapdoors of 4-bit symbols")
-    count = r.u64()
-    entries, exact = {}, set()
-    for _ in range(count):
-        t, flag, n = r.take(20), r.u8(), r.u16()
-        if flag > 1:
-            raise BadParameter("unknown entry flags")
-        if not n:
-            raise BadParameter("an entry without records")
-        if entries and t <= next(reversed(entries)):
-            raise BadParameter("trapdoors are not strictly ascending")
-        entries[t] = tuple(r.take(r.u32()) for _ in range(n))
-        if min(map(len, entries[t])) < 28:
-            raise AuthFailure("record blob too short")
-        if flag:
-            exact.add(t)
-    method = "gram" if flags & 0x04 else "wildcard"
-    tags = data[r.pos :]
-    if len(tags) != ((2 * len(entries) + 1) * TAG_BYTES if flags & 0x02 else 0):
-        raise Truncated("the bytes after the entries are not the kind's tags")
-    index = index_from_entries(TrieIndex if flags & 0x01 else ListingIndex, entries, d, method, exact)
-    if flags & 0x01:
-        index.tags = tags
-    return index
-
-
-_REFERENCE_HEAD = struct.Struct(">20sBHI")  # trapdoor, entry flag, record count, first record's length
-_REFERENCE_LENGTH = struct.Struct(">I")
-
-
-def reference_read_entries(body, count: int) -> tuple[dict[bytes, int], set[bytes], int]:
-    """``index.read_entries`` without its short path: every check made on every
-    entry, in file order, with the reader's messages.  The oracle that the short
-    path is held to, result and first error alike."""
-    size, unpack, head_size = len(body), _REFERENCE_HEAD.unpack_from, _REFERENCE_HEAD.size
-    table, exact, pos = {}, set(), 0
-    prev, disorder = b"", None
+        raise BadParameter(f"{trapdoor_bits}-bit trapdoors of {symbol_bits}-bit symbols; only 160/4 is read")
+    body = data[r.pos :]
+    size, head, length_at = len(body), _ENTRY_HEAD.unpack_from, _LENGTH.unpack_from
+    table, spans, exact, pos = {}, {}, set(), 0
+    prev, disorder = b"", None  # the last trapdoor read; the first entry not above its predecessor
     for i in range(count):
-        start = pos + head_size
-        if start > size:
+        if pos + _ENTRY_HEAD.size > size:
             raise Truncated(f"entry {i} ends early")
-        t, flag, n, first = unpack(body, pos)
+        t, flag, n, length = head(body, pos)
         if flag > 1:
             raise BadParameter(f"entry {i}: unknown entry flags {flag:#x}")
         if not n:
             raise BadParameter(f"entry {i} has no records")
-        table[t] = pos
         if t <= prev and disorder is None:
             disorder = i
-        prev = t
+        table[t], prev = pos, t
         if flag:
             exact.add(t)
-        pos = start + first
-        if pos > size:
-            raise Truncated(f"entry {i}: a record ends early")
-        if first < 28:
-            raise AuthFailure("record blob too short")
-        for _ in range(n - 1):
-            start = pos + 4
-            if start > size:
+        pos += _ENTRY_HEAD.size
+        records = spans[t] = []
+        while True:  # a record of ``length`` bytes at ``pos``, then the next one's length
+            if pos + length > size:
                 raise Truncated(f"entry {i}: a record ends early")
-            (n_bytes,) = _REFERENCE_LENGTH.unpack_from(body, pos)
-            pos = start + n_bytes
-            if pos > size:
-                raise Truncated(f"entry {i}: a record ends early")
-            if n_bytes < 28:
+            if length < 28:
                 raise AuthFailure("record blob too short")
+            records.append((pos, pos + length))
+            pos += length
+            if len(records) == n:
+                break
+            if pos + 4 > size:
+                raise Truncated(f"entry {i}: a record ends early")
+            (length,) = length_at(body, pos)
+            pos += 4
     if disorder is not None:
         raise BadParameter(f"entry {disorder}: trapdoors are not strictly ascending")
-    return table, exact, pos
+    tags = body[pos:]
+    tags_len = (2 * len(table) + 1) * TAG_BYTES if flags & 0x02 else 0
+    if len(tags) != tags_len:
+        raise Truncated(f"{len(tags)} bytes follow the {_KINDS[flags & 0x03]} entries, not {tags_len}")
+    return Fzix(flags, d, table, spans, exact, pos, tags)
 
 
 def reference_loads_directory(data: bytes) -> UserDirectory:

@@ -13,9 +13,8 @@ from conftest import (
     random_word,
     reference_build_entries,
     reference_loads_directory,
-    reference_loads_index,
     reference_loads_keys,
-    reference_read_entries,
+    reference_read_fzix,
     synth_corpus,
 )
 from fzsearch import (
@@ -24,6 +23,7 @@ from fzsearch import (
     BadParameter,
     EditBoundExceeded,
     FzError,
+    ListingIndex,
     TrieIndex,
     Truncated,
     UserDirectory,
@@ -45,7 +45,7 @@ from fzsearch import (
     wildcard_fuzzy_set,
 )
 from fzsearch.crypto import DEPTH, _hmac_pads
-from fzsearch.index import build_entries, read_entries, walk_trie
+from fzsearch.index import build_entries, walk_trie
 from fzsearch.persist import (
     dumps_directory,
     dumps_index,
@@ -583,16 +583,12 @@ DATA = Path(__file__).parent / "data"
 HEADER_BYTES = 18
 
 
-def _split_fzix(blob: bytes, width: int = 20) -> tuple[bytes, list[bytes], bytes]:
-    """A v3 file as (header, entries, what follows the entries), each entry whole."""
-    pos, entries = HEADER_BYTES, []
-    for _ in range(int.from_bytes(blob[10:HEADER_BYTES], "big")):
-        start, count = pos, int.from_bytes(blob[pos + width + 1 : pos + width + 3], "big")
-        pos += width + 3
-        for _ in range(count):
-            pos += 4 + int.from_bytes(blob[pos : pos + 4], "big")
-        entries.append(blob[start:pos])
-    return blob[:HEADER_BYTES], entries, blob[pos:]
+def _fzix_parts(blob: bytes) -> tuple[bytes, list[bytes], bytes]:
+    """An undamaged v3 file as (header, entries, what follows the entries), each
+    entry whole, at the bounds ``reference_read_fzix`` reads."""
+    ref = reference_read_fzix(blob)
+    body, bounds = blob[HEADER_BYTES:], [*ref.table.values(), ref.end]
+    return blob[:HEADER_BYTES], [body[a:b] for a, b in zip(bounds, bounds[1:])], ref.tags
 
 
 def _join_fzix(header: bytes, entries: list[bytes], sections: bytes, count: int | None = None) -> bytes:
@@ -613,7 +609,7 @@ def small_files(km):
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_BUILDERS))
 def test_entry_order_flags_and_counts_are_checked(small_files, kind):
-    header, entries, sections = _split_fzix(small_files[kind, "wildcard"])
+    header, entries, sections = _fzix_parts(small_files[kind, "wildcard"])
     assert _join_fzix(header, entries, sections) == small_files[kind, "wildcard"]
     swapped = entries[:3] + [entries[4], entries[3]] + entries[5:]
     duplicated = entries[:4] + [entries[3]] + entries[5:]  # same count, one trapdoor twice
@@ -633,12 +629,24 @@ def test_entry_order_flags_and_counts_are_checked(small_files, kind):
             loads_index(_join_fzix(header, entries, sections, count))
 
 
-def _read_outcome(read, rest: bytes, count: int):
-    """``(table, exact, end)``, or the class and message of the refusal."""
+def _refusal(read, blob: bytes):
+    """``read(blob)``, or the class and message of its refusal."""
     try:
-        return read(memoryview(rest), count)
+        return read(blob)
     except FzError as exc:
         return type(exc), str(exc)
+
+
+def _same_read(blob: bytes):
+    """``(loads_index(blob), reference_read_fzix(blob))``, each a refusal's class and
+    message if it refuses; asserted to be the same refusal, or the same entry offsets,
+    exact set, end of the entries and tags."""
+    got, ref = _refusal(loads_index, blob), _refusal(reference_read_fzix, blob)
+    if isinstance(got, tuple) or isinstance(ref[0], type):
+        assert got == ref
+    else:
+        assert (got.table, got.exact, len(got.body), got.tags) == (ref.table, ref.exact, ref.end, ref.tags)
+    return got, ref
 
 
 def _damaged_bodies(rest: bytes, count: int, heads: list[int]):
@@ -663,20 +671,16 @@ def _damaged_bodies(rest: bytes, count: int, heads: list[int]):
 
 @pytest.mark.parametrize("file", [("listing", "gram"), ("auth", "wildcard")], ids="-".join)
 def test_the_loaders_short_path_matches_the_reader_without_it(small_files, file):
-    """On every damage of a file whose entries hold one record and two, the
-    loader gives the same result or the same first error, message included, as
-    the reader that makes every check on every entry."""
+    """On every damage of the body of a file whose entries hold one record and
+    two, the loader gives the same result or the same first error, message
+    included, as the reference reader, which makes every check on every entry."""
     blob = small_files[file]
-    rest, count = blob[HEADER_BYTES:], int.from_bytes(blob[10:HEADER_BYTES], "big")
-    table, _, _ = reference_read_entries(memoryview(rest), count)
-    heads = list(table.values())
-    counts = [int.from_bytes(rest[pos + 21 : pos + 23], "big") for pos in heads]
-    assert 1 in counts and 2 in counts, counts
+    ref = reference_read_fzix(blob)
+    assert {1, 2} <= set(map(len, ref.spans.values()))
     seen = set()
-    for body, n in _damaged_bodies(rest, count, heads):
-        got = _read_outcome(read_entries, body, n)
-        assert got == _read_outcome(reference_read_entries, body, n), (body.hex(), n)
-        seen.add(got[1] if isinstance(got[0], type) else "read")
+    for body, n in _damaged_bodies(blob[HEADER_BYTES:], len(ref.table), list(ref.table.values())):
+        got, _ = _same_read(blob[:10] + n.to_bytes(8, "big") + body)
+        seen.add(got[1] if isinstance(got, tuple) else "read")
     assert {"read", "record blob too short"} < seen
     assert any(m.endswith("ends early") and ":" not in m for m in seen)  # a head cut
     assert any(m.endswith("a record ends early") for m in seen)
@@ -684,10 +688,26 @@ def test_the_loaders_short_path_matches_the_reader_without_it(small_files, file)
     assert any("strictly ascending" in m for m in seen)
 
 
+def test_a_damaged_header_is_refused_as_the_reference_refuses(small_files):
+    """Every cut of the header, every flags byte, and a wrong magic, version,
+    geometry and d: the loader reads what the reference reads, or refuses with
+    the same class and message."""
+    blob = small_files["auth", "wildcard"]
+    damaged = [blob[:cut] for cut in range(HEADER_BYTES + 1)]
+    damaged += [blob[:5] + bytes([flags]) + blob[6:] for flags in range(256)]
+    for at, value in ((0, b"FZIY"), (4, b"\x02"), (6, b"\x08"), (7, (128).to_bytes(2, "big")), (9, b"\x07")):
+        damaged.append(blob[:at] + value + blob[at + len(value) :])
+    seen = set()
+    for data in damaged:
+        got, _ = _same_read(data)
+        seen.add(got[0] if isinstance(got, tuple) else "read")
+    assert seen == {"read", Truncated, BadMagic, VersionUnsupported, BadParameter}
+
+
 @pytest.mark.parametrize("kind", ["listing", "trie"])
 def test_bytes_after_untagged_entries_name_the_kind(small_files, kind):
     blob = small_files[kind, "wildcard"]
-    assert _split_fzix(blob)[2] == b""
+    assert reference_read_fzix(blob).tags == b""
     for extra in (b"\x00", bytes(TAG_BYTES), bytes(3 * TAG_BYTES)):
         with pytest.raises(Truncated, match=f"{len(extra)} bytes follow the {kind} entries, not 0"):
             loads_index(blob + extra)
@@ -696,7 +716,7 @@ def test_bytes_after_untagged_entries_name_the_kind(small_files, kind):
 def test_auth_sections_must_be_exact(small_files, km):
     blob = small_files["auth", "wildcard"]
     index = loads_index(blob)
-    header, entries, sections = _split_fzix(blob)
+    header, entries, sections = _fzix_parts(blob)
     leaves_len = len(entries) * TAG_BYTES
     assert len(sections) == leaves_len + (len(entries) + 1) * TAG_BYTES
     assert sections == index.tags
@@ -746,16 +766,13 @@ def test_only_the_index_version_moved(km):
 def _mutants(blob: bytes, rng: random.Random):
     """Byte flips, cuts at every section boundary, reordered, doubled and
     recounted entries, and records cut short, of one v3 file."""
-    header, entries, sections = _split_fzix(blob)
+    header, entries, sections = _fzix_parts(blob)
+    ref = reference_read_fzix(blob)
     for _ in range(150):
         flipped = bytearray(blob)
         flipped[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
         yield bytes(flipped)
-    bounds = {HEADER_BYTES, len(blob) - len(sections), len(blob)}
-    pos = HEADER_BYTES
-    for entry in entries:
-        pos += len(entry)
-        bounds.add(pos)
+    bounds = {HEADER_BYTES + pos for pos in (*ref.table.values(), ref.end)} | {len(blob)}
     if sections:
         bounds.add(len(blob) - (len(entries) + 1) * TAG_BYTES)  # leaf tags | gap tags
     for cut in sorted(bounds):
@@ -771,22 +788,14 @@ def _mutants(blob: bytes, rng: random.Random):
     # one record cut below (and to) the 28 bytes of a nonce and a tag, its length
     # prefix fixed up: the last record of a middle entry and of the first entry
     # holding several
-    several = [i for i, entry in enumerate(entries) if int.from_bytes(entry[21:23], "big") > 1]
+    body, spans = blob[HEADER_BYTES:], list(ref.spans.values())
+    several = [i for i, records in enumerate(spans) if len(records) > 1]
     for i in sorted({len(entries) // 2, *several[:1]}):
-        records = _entry_records(entries[i])
+        records = [body[a:b] for a, b in spans[i]]
         for size in (0, 12, 27, 28):
             shrunk = records[:-1] + [records[-1][:size]]
             entry = entries[i][:23] + b"".join(len(r).to_bytes(4, "big") + r for r in shrunk)
             yield _join_fzix(header, entries[:i] + [entry] + entries[i + 1 :], sections)
-
-
-def _entry_records(entry: bytes, width: int = 20) -> list[bytes]:
-    pos, records = width + 3, []
-    while pos < len(entry):
-        end = pos + 4 + int.from_bytes(entry[pos : pos + 4], "big")
-        records.append(entry[pos + 4 : end])
-        pos = end
-    return records
 
 
 def test_damaged_files_fail_or_load_canonically(small_files):
@@ -805,54 +814,6 @@ def test_damaged_files_fail_or_load_canonically(small_files):
     assert outcomes["rejected"] and outcomes["canonical"]
 
 
-def _reference_load(data: bytes):
-    """FZIX v3 read one entry and one record at a time, as the reader did
-    before it unpacked each entry's head with one struct call: (map of record
-    tuples, exact set, tags).  Every damage raises FzError, checked in file order."""
-    if len(data) < HEADER_BYTES:
-        raise Truncated("header ends early")
-    if data[:4] != b"FZIX" or data[4] != 3:
-        raise VersionUnsupported("not an FZIX v3 file")
-    flags, symbol_bits, d = data[5], data[6], data[9]
-    trapdoor_bits, count = int.from_bytes(data[7:9], "big"), int.from_bytes(data[10:18], "big")
-    if flags & ~0x07 or flags & 0x02 and not flags & 0x01:
-        raise BadParameter("flags")
-    if (trapdoor_bits, symbol_bits) != (160, 4):
-        raise BadParameter("the one geometry is 160-bit trapdoors of 4-bit symbols")
-    width, size, pos = 20, len(data), HEADER_BYTES
-    table, exact, prev = {}, set(), b""
-    for _ in range(count):
-        head = pos + width + 3
-        if head > size:
-            raise Truncated("entry ends early")
-        t = data[pos : pos + width]
-        if t <= prev:
-            raise BadParameter("trapdoors are not strictly ascending")
-        flag = data[head - 3]
-        if flag > 1:
-            raise BadParameter("unknown entry flags")
-        n = int.from_bytes(data[head - 2 : head], "big")
-        if not n:
-            raise BadParameter("no records")
-        pos, records = head, []
-        for _ in range(n):
-            start = pos + 4
-            pos = start + int.from_bytes(data[pos:start], "big")
-            if pos > size:
-                raise Truncated("a record ends early")
-            if pos - start < 28:
-                raise AuthFailure("record blob too short")
-            records.append(data[start:pos])
-        table[t] = tuple(records)
-        if flag:
-            exact.add(t)
-        prev = t
-    tags_len = (2 * len(table) + 1) * TAG_BYTES if flags & 0x02 else 0
-    if size - pos != tags_len:
-        raise Truncated("the sections have the wrong length")
-    return table, exact, data[pos:]
-
-
 @pytest.fixture(scope="module")
 def larger_files(km):
     """A 200-keyword gram listing and auth file; every tenth keyword names two files.
@@ -867,7 +828,7 @@ def larger_files(km):
 
 
 def test_the_first_entry_out_of_order_is_reported_after_every_other_error(small_files):
-    header, entries, sections = _split_fzix(small_files["listing", "wildcard"])
+    header, entries, sections = _fzix_parts(small_files["listing", "wildcard"])
     twice = entries[:3] + [entries[4], entries[3]] + entries[5:8] + [entries[9], entries[8]] + entries[10:]
     with pytest.raises(BadParameter, match=r"^entry 4: trapdoors are not strictly ascending$"):
         loads_index(_join_fzix(header, twice, sections))
@@ -879,29 +840,22 @@ def test_the_first_entry_out_of_order_is_reported_after_every_other_error(small_
 
 
 def test_reader_matches_the_reference_loop(small_files, larger_files):
-    """On every damaged file both readers raise FzError, or both read the same
-    entries, exact set and tags.  Which check fires first may differ: the
-    reader checks the trapdoor order after the last entry."""
+    """On every damaged file both readers refuse with the same class and message,
+    or read the same entry offsets, exact set and tags, and the loaded index
+    holds under each trapdoor the records at the reference's spans."""
     rng = random.Random(2026)
     outcomes = {"rejected": 0, "short": 0, "loaded": 0}
     files = [*sorted(small_files.items()), *sorted(larger_files.items())]
     for key, blob in files:
         for mutant in _mutants(blob, rng):
-            try:
-                expected = _reference_load(mutant)
-            except AuthFailure:
-                expected = None
-                outcomes["short"] += 1
-            except FzError:
-                expected = None
-            try:
-                index = loads_index(mutant)
-            except FzError:
-                assert expected is None, key
+            index, ref = _same_read(mutant)
+            if isinstance(index, tuple):
                 outcomes["rejected"] += 1
+                outcomes["short"] += index[0] is AuthFailure
                 continue
-            records = {t: index.records(t) for t in index.table}
-            assert expected == (records, index.exact, getattr(index, "tags", b"")), key
+            body = mutant[HEADER_BYTES:]
+            for t, spans in ref.spans.items():
+                assert index.records(t) == tuple(body[a:b] for a, b in spans), key
             outcomes["loaded"] += 1
     assert outcomes["short"] >= 3 * len(files) and outcomes["loaded"]
 
@@ -910,8 +864,9 @@ def test_reader_matches_the_reference_loop(small_files, larger_files):
 @pytest.mark.parametrize("kind", sorted(GOLDEN_BUILDERS))
 def test_a_loaded_index_answers_as_the_built_one(km, kind, method):
     """On seeded corpora whose keywords hold several fids and share variants, the
-    built index and ``loads_index(dumps_index(built))`` hold the records that
-    ``_reference_load`` reads under every trapdoor, and answer a seeded query
+    built index and ``loads_index(dumps_index(built))`` hold the entry offsets,
+    exact set and tags that ``reference_read_fzix`` reads and, under every
+    trapdoor, the records at its spans, and answer a seeded query
     pool at every k up to d with equal results, and with tags equal proofs."""
     rng = random.Random(f"loaded-as-built/{kind}/{method}")
     for d in (1, 2):
@@ -919,11 +874,12 @@ def test_a_loaded_index_answers_as_the_built_one(km, kind, method):
         built = GOLDEN_BUILDERS[kind](corpus, d, km, method)
         blob = dumps_index(built)
         loaded = loads_index(blob)
-        table, exact, tags = _reference_load(blob)
+        ref, body = reference_read_fzix(blob), blob[HEADER_BYTES:]
+        table = {t: tuple(body[a:b] for a, b in spans) for t, spans in ref.spans.items()}
         assert max(map(len, table.values())) > 1  # entries of several records
         for index in (built, loaded):
             assert {t: index.records(t) for t in index.table} == table
-            assert (index.exact, getattr(index, "tags", b"")) == (exact, tags)
+            assert (index.table, index.exact, index.tags) == (ref.table, ref.exact, ref.tags)
             if kind != "listing":
                 for t in index.ordered:
                     assert walk_trie(index.root, symbolize(t, index.symbol_bits)).records == table[t]
@@ -967,10 +923,19 @@ def test_a_loaded_listing_keeps_no_object_per_record(km):
     assert len(index.table) > 4000 and blocks < 2.5 * len(index.table), blocks / len(index.table)
 
 
+def _reference_index(blob: bytes):
+    """The index ``reference_read_fzix`` reads: its flags, d, entry offsets over the
+    file's body up to the end of the entries, exact set and tags."""
+    ref = reference_read_fzix(blob)
+    body = memoryview(blob)[HEADER_BYTES : HEADER_BYTES + ref.end]
+    method = "gram" if ref.flags & 0x04 else "wildcard"
+    return (TrieIndex if ref.flags & 0x01 else ListingIndex)(ref.table, body, ref.d, method, ref.exact, ref.tags)
+
+
 # (reader, oracle, writer) per owner-file magic
 OWNER_CODECS = {
     b"FZKY": (loads_keys, reference_loads_keys, dumps_keys),
-    b"FZIX": (loads_index, reference_loads_index, dumps_index),
+    b"FZIX": (loads_index, _reference_index, dumps_index),
     b"FZUD": (loads_directory, reference_loads_directory, dumps_directory),
 }
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+import fzsearch.client
 import fzsearch.index
 import fzsearch.service as service
 from conftest import garbage_line, mutate, random_corpus, reference_parse_trapdoors, save_seeded_keys
@@ -190,6 +191,15 @@ class TestHandler:
                 out = ask(state, msg)
                 assert out["type"] == "ErrorResp" and out["code"] == "MALFORMED", msg
                 assert not out["message"].startswith("unhandled request error"), msg
+
+    def test_an_empty_request_is_malformed(self, km, world):
+        """A request holds at least one trapdoor: an empty list gets the reply of any bad list."""
+        _, index = world
+        msg = dict(search_msg(make_request("cat", 1, km), epoch=3), trapdoors=[])
+        for state in (ServerState(index=index, epoch=3), ServerState(index=index, xi=km.blind_key, epoch=3)):
+            assert ask(state, msg) == {
+                "type": "ErrorResp", "epoch": 3, "code": MALFORMED, "message": "trapdoors must be distinct lowercase hex",
+            }
 
     def test_a_blinded_state_refuses_a_blind_key_that_is_not_an_aes_key(self, world):
         _, index = world
@@ -683,7 +693,7 @@ class TestReadinessLoop:
     """The one-thread server keeps the per-connection behaviour of a blocking handler."""
 
     def test_slow_reader_stalls_no_one(self, km, monkeypatch):
-        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
+        monkeypatch.setattr(fzsearch.client, "CLIENT_TIMEOUT_SECONDS", 5)
         # "cat" and "dog" have 200 files each, so 2,000 replies hold megabytes
         corpus = {"cat": [b"f%04d" % i for i in range(200)], "dog": [b"g%04d" % i for i in range(200)]}
         state = ServerState(index=build_listing_index(corpus, 1, km))
@@ -743,7 +753,7 @@ class TestReadinessLoop:
         assert got == handle_line(ServerState(index=index), line).encode()
 
     def test_idle_and_stalled_connections_are_closed(self, km, monkeypatch):
-        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
+        monkeypatch.setattr(fzsearch.client, "CLIENT_TIMEOUT_SECONDS", 5)
         monkeypatch.setattr(service, "IDLE_SECONDS", 0.2)
         state = ServerState(index=build_listing_index({"cat": [b"f%04d" % i for i in range(200)]}, 1, km))
         line = encode_message(search_msg(make_request("cat", 1, km))).encode()
@@ -775,7 +785,7 @@ class TestReadinessLoop:
             _stop(server)
 
     def test_connection_cap(self, world, monkeypatch):
-        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
+        monkeypatch.setattr(fzsearch.client, "CLIENT_TIMEOUT_SECONDS", 5)
         _, index = world
         monkeypatch.setattr(service, "MAX_CONNECTIONS", 4)
         server = SearchServer(ServerState(index=index), port=0)
@@ -799,7 +809,7 @@ class TestReadinessLoop:
             _stop(server)
 
     def test_server_fault_drops_only_that_connection(self, world, monkeypatch):
-        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
+        monkeypatch.setattr(fzsearch.client, "CLIENT_TIMEOUT_SECONDS", 5)
         def broken(state, line):
             raise RuntimeError("boom")
 
@@ -832,7 +842,7 @@ class TestReadinessLoop:
         """A client that gave up before ``accept`` costs nothing.  Out of file
         descriptors, the listener pauses and the waiting client is served after
         the next idle sweep."""
-        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
+        monkeypatch.setattr(fzsearch.client, "CLIENT_TIMEOUT_SECONDS", 5)
         paused = not isinstance(error, BlockingIOError)
         monkeypatch.setattr(service, "POLL_SECONDS", 0.2 if paused else 30.0)
         _, index = world
@@ -854,7 +864,7 @@ class TestReadinessLoop:
     @pytest.mark.parametrize("error", [BlockingIOError, ConnectionResetError])
     def test_a_failed_recv_or_send_touches_only_its_connection(self, world, monkeypatch, method, error):
         """A spurious wake-up loses no line; a reset connection is closed and the others are still answered."""
-        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 5)
+        monkeypatch.setattr(fzsearch.client, "CLIENT_TIMEOUT_SECONDS", 5)
         _, index = world
         server = SearchServer(ServerState(index=index), port=0)
         thread = server.start()
@@ -1008,7 +1018,7 @@ class TestClientReader:
 
     @pytest.mark.parametrize("size, accepted", [(1023, True), (1024, True), (1025, False), (1 << 20, False)])
     def test_a_line_at_the_reply_limit(self, monkeypatch, size, accepted):
-        monkeypatch.setattr(service, "MAX_REPLY_BYTES", 1024)
+        monkeypatch.setattr(fzsearch.client, "MAX_REPLY_BYTES", 1024)
         line = _ack_line(size)
 
         def script(conn):
@@ -1066,7 +1076,7 @@ class TestClientReader:
                 client.hello()
 
     def test_a_silent_peer_times_out(self, monkeypatch):
-        monkeypatch.setattr(service, "CLIENT_TIMEOUT_SECONDS", 0.2)
+        monkeypatch.setattr(fzsearch.client, "CLIENT_TIMEOUT_SECONDS", 0.2)
 
         def script(conn):
             _read_request(conn)
@@ -1767,7 +1777,7 @@ class TestHostileServer:
         self._answer_hello_with(b"", tmp_path, capsys, "error: server closed the connection")
 
     def test_reply_longer_than_the_cap(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("fzsearch.service.MAX_REPLY_BYTES", 1024)
+        monkeypatch.setattr("fzsearch.client.MAX_REPLY_BYTES", 1024)
         line = b'{"type":"HelloAck","pad":"' + b"a" * 4096 + b'"}\n'
         self._answer_hello_with(line, tmp_path, capsys, "error: server reply exceeds 1024 bytes")
 
