@@ -23,7 +23,7 @@ import os
 import sys
 
 from .crypto import SECURITY_BITS, TRAPDOOR_BITS, prf_bytes
-from .errors import BadParameter, EmptyKeyword, FzError, VersionUnsupported
+from .errors import BadParameter, BadResponse, EmptyKeyword, FzError, VersionUnsupported
 from .fuzzyset import normalize_keyword
 from .index import build_listing_index, build_trie_index, decrypt_matches, make_request
 from .multiuser import UserDirectory, blind_request, user_id_bytes
@@ -189,6 +189,8 @@ def _cmd_search(args) -> int:
         resp = client.search(wire_req, epoch=epoch, want_proof=want_proof)
     if resp.get("type") == "ErrorResp":
         raise FzError(f"server error {resp.get('code')}: {resp.get('message')}")
+    if resp.get("type") != "SearchResp":
+        raise BadResponse(f"unexpected search response type {resp.get('type')!r:.40}")
     result = result_from_response(resp)
     if want_proof:
         proofs = proofs_from_response(resp)

@@ -244,6 +244,13 @@ def reference_parse_trapdoors(width: int, raw) -> tuple[bytes, ...] | None:
     return tuple(out)
 
 
+def search_msg(req, epoch=0, **extra) -> dict:
+    """The SearchReq of ``req`` at ``epoch``, with ``extra`` fields such as ``proof=True``."""
+    msg = {"type": "SearchReq", "epoch": epoch, "k": req.k, "trapdoors": [t.hex() for t in req.trapdoors]}
+    msg.update(extra)
+    return msg
+
+
 def garbage_line(rng: random.Random):
     """A random wire line for the protocol fuzz: raw bytes, printable text or off-contract JSON."""
     printable = "".join(chr(c) for c in range(32, 127))

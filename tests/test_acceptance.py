@@ -25,6 +25,7 @@ from conftest import (
     mutate,
     random_corpus,
     random_word,
+    search_msg,
     synth_corpus,
     time_fuzzyset_build,
 )
@@ -390,18 +391,7 @@ def _scripted_session(seed: bytes) -> bytes:
     state = ServerState(index=build_auth_trie(corpus, 1, km))
     lines = [encode_message({"type": "Hello"})]
     for word in words[:5]:
-        req = make_request(word, 1, km)
-        lines.append(
-            encode_message(
-                {
-                    "type": "SearchReq",
-                    "epoch": 0,
-                    "k": req.k,
-                    "trapdoors": [t.hex() for t in req.trapdoors],
-                    "proof": True,
-                }
-            )
-        )
+        lines.append(encode_message(search_msg(make_request(word, 1, km), proof=True)))
     lines.append('{"type": "SearchReq", "k": 9}\n')
     lines.append("not json at all\n")
     transcript = b""
@@ -427,17 +417,7 @@ def _blinded_session(seed: bytes) -> bytes:
     lines = [encode_message({"type": "Hello"})]
     for word in sorted(corpus)[:5]:
         req = blind_request(make_request(word, 1, km), km.blind_key)
-        lines.append(
-            encode_message(
-                {
-                    "type": "SearchReq",
-                    "epoch": 1,
-                    "k": req.k,
-                    "trapdoors": [t.hex() for t in req.trapdoors],
-                    "proof": True,
-                }
-            )
-        )
+        lines.append(encode_message(search_msg(req, epoch=1, proof=True)))
     transcript = b""
     for line in lines:
         transcript += line.encode() + handle_line(state, line).encode()
@@ -472,7 +452,7 @@ def _proofless_session(seed: bytes) -> tuple[bytes, list[dict]]:
                 req = make_request(word, k, km)
                 if state.xi is not None:
                     req = blind_request(req, state.xi)
-                return {"type": "SearchReq", "epoch": epoch, "k": k, "trapdoors": [t.hex() for t in req.trapdoors]}
+                return search_msg(req, epoch=epoch)
 
             upper = search("castle")
             upper["trapdoors"][0] = upper["trapdoors"][0].upper()

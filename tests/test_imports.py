@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import fzsearch
-from conftest import random_corpus
+from conftest import random_corpus, search_msg
 from fzsearch import blind_request, build_auth_trie, build_listing_index, build_trie_index, make_request
 from fzsearch.crypto import prf_bytes, record_digest
 from fzsearch.persist import save_index, save_keys
@@ -75,13 +75,6 @@ print(json.dumps(report))
 """
 
 
-def _search_line(req, proof=False) -> str:
-    msg = {"type": "SearchReq", "epoch": 0, "k": req.k, "trapdoors": [t.hex() for t in req.trapdoors]}
-    if proof:
-        msg["proof"] = True
-    return encode_message(msg)
-
-
 @pytest.fixture(scope="module")
 def server_spec(km, tmp_path_factory):
     """A listing, a trie and an auth index file, and the request lines to serve from them."""
@@ -101,10 +94,10 @@ def server_spec(km, tmp_path_factory):
     words = sorted(corpus)[:4]
     hello = encode_message({"type": "Hello"})
     reqs = [make_request(word, 1, km, method) for word in words for method in ("wildcard", "gram")]
-    spec["lines"] = [hello] + [_search_line(req) for req in reqs]
-    spec["proof_lines"] = [hello] + [_search_line(req, proof=True) for req in reqs]
+    spec["lines"] = [hello] + [encode_message(search_msg(req)) for req in reqs]
+    spec["proof_lines"] = [hello] + [encode_message(search_msg(req, proof=True)) for req in reqs]
     xi = bytes.fromhex(spec["xi"])
-    spec["blinded_lines"] = [hello] + [_search_line(blind_request(req, xi), proof=True) for req in reqs]
+    spec["blinded_lines"] = [hello] + [encode_message(search_msg(blind_request(req, xi), proof=True)) for req in reqs]
     return spec
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import mutate, random_corpus
+from conftest import mutate, random_corpus, search_msg
 from fzsearch import (
     AuthFailure,
     BadParameter,
@@ -214,6 +214,6 @@ def test_a_revoked_user_with_the_old_key_file_still_searches_is_the_documented_g
     assert published.epoch == 1 and xi == directory.current_xi != km.blind_key
     state = ServerState(index=index, xi=directory.current_xi, epoch=published.epoch)
     wire = blind_request(make_request("castle", 0, km), xi)
-    line = encode_message({"type": "SearchReq", "epoch": 1, "k": 0, "trapdoors": [t.hex() for t in wire.trapdoors]})
+    line = encode_message(search_msg(wire, epoch=1))
     result = result_from_response(json.loads(handle_line(state, line)))
     assert sorted(decrypt_matches(km, "castle", 0, result)) == [(b"F1", "castle")]

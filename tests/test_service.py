@@ -11,7 +11,7 @@ import string
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 import fzsearch.client
 import fzsearch.index
 import fzsearch.service as service
-from conftest import garbage_line, mutate, random_corpus, reference_parse_trapdoors, save_seeded_keys
+from conftest import garbage_line, mutate, random_corpus, reference_parse_trapdoors, save_seeded_keys, search_msg
 from fzsearch import (
     BadMagic,
     BadParameter,
@@ -80,17 +80,6 @@ def world(km):
     rng = random.Random(191)
     corpus = random_corpus(rng, size=30, lo=3, hi=6)
     return corpus, build_trie_index(corpus, 1, km)
-
-
-def search_msg(req, epoch=0, **extra):
-    msg = {
-        "type": "SearchReq",
-        "epoch": epoch,
-        "k": req.k,
-        "trapdoors": [t.hex() for t in req.trapdoors],
-    }
-    msg.update(extra)
-    return msg
 
 
 def ask(state, msg: dict) -> dict:
@@ -588,20 +577,34 @@ class TestPersistence:
             loads_directory(blob)
 
 
+@contextmanager
+def serving(state: ServerState, host: str = "127.0.0.1"):
+    """``state`` served on an OS-picked port by a ``SearchServer`` on its loop thread.
+
+    Yields the server, the thread and the ``(host, port)`` address; on exit
+    the server is shut down and closed, and its thread must have ended."""
+    server = SearchServer(state, host=host, port=0)
+    thread = server.start()
+    try:
+        yield server, thread, server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 @pytest.fixture(scope="module")
-def live_server(km, world):
+def live_server(world):
     _, index = world
-    server = SearchServer(ServerState(index=index), port=0)
-    server.start()
-    yield server.server_address[1], index
-    server.shutdown()
-    server.server_close()
+    with serving(ServerState(index=index)) as (_, _, address):
+        yield address, index
 
 
 class TestSocketServer:
     def test_round_trips(self, km, live_server):
-        port, index = live_server
-        with SearchClient("127.0.0.1", port) as client:
+        address, index = live_server
+        with SearchClient(*address) as client:
             ack = client.hello()
             assert ack["type"] == "HelloAck"
             req = make_request("cat", 1, km)
@@ -609,17 +612,17 @@ class TestSocketServer:
             assert resp["type"] in ("SearchResp",)
 
     def test_server_survives_socket_garbage(self, km, live_server):
-        port, _ = live_server
+        address, _ = live_server
         rng = random.Random(211)
         for _ in range(50):
-            raw = socket.create_connection(("127.0.0.1", port), timeout=5)
+            raw = socket.create_connection(address, timeout=5)
             try:
                 raw.sendall(bytes(rng.randrange(1, 256) for _ in range(rng.randrange(1, 200))) + b"\n")
                 raw.recv(65536)
             finally:
                 raw.close()
         # still answering afterwards
-        with SearchClient("127.0.0.1", port) as client:
+        with SearchClient(*address) as client:
             assert client.hello()["type"] == "HelloAck"
 
     def test_shutdown_returns_without_waiting_for_the_poll(self, world, monkeypatch):
@@ -639,11 +642,8 @@ class TestSocketServer:
 
     def test_oversized_line_dropped(self, km, world):
         _, index = world
-        server = SearchServer(ServerState(index=index), port=0)
-        server.start()
-        try:
-            port = server.server_address[1]
-            raw = socket.create_connection(("127.0.0.1", port), timeout=5)
+        with serving(ServerState(index=index)) as (_, _, address):
+            raw = socket.create_connection(address, timeout=5)
             try:
                 raw.sendall(b"A" * (2 * service.MAX_LINE_BYTES) + b"\n")
             except ConnectionError:  # the server may close before it has read the whole line
@@ -651,22 +651,8 @@ class TestSocketServer:
             data = raw.makefile("rb").readline()
             assert b"MALFORMED" in data
             raw.close()
-            with SearchClient("127.0.0.1", port) as client:
+            with SearchClient(*address) as client:
                 assert client.hello()["type"] == "HelloAck"
-        finally:
-            server.shutdown()
-            server.server_close()
-
-
-def _serve(state):
-    server = SearchServer(state, port=0)
-    server.start()
-    return server, ("127.0.0.1", server.server_address[1])
-
-
-def _stop(server):
-    server.shutdown()
-    server.server_close()
 
 
 def _read_to_eof(sock) -> bytes:
@@ -700,12 +686,10 @@ class TestReadinessLoop:
         words = ["cat", "dog", "cta"]
         lines = [encode_message(search_msg(make_request(words[i % 3], 1, km))).encode() for i in range(2000)]
         expected = [handle_line(state, line).encode() for line in lines]
-        server, address = _serve(state)
-        slow = socket.socket()
-        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        slow.settimeout(30)
-        replies = slow.makefile("rb")
-        try:
+        # closing ``slow`` resets the connection, unread replies and all
+        with serving(state) as (_, _, address), socket.socket() as slow, slow.makefile("rb") as replies:
+            slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            slow.settimeout(30)
             slow.connect(address)
             sender = threading.Thread(target=slow.sendall, args=(b"".join(lines),), daemon=True)
             sender.start()
@@ -715,17 +699,13 @@ class TestReadinessLoop:
             assert [replies.readline() for _ in expected[1:]] == expected[1:]
             sender.join(timeout=30)
             assert not sender.is_alive()
-        finally:
-            replies.close()
-            slow.close()  # resets the connection, unread replies and all
-            _stop(server)
 
     def test_byte_at_a_time(self, km, live_server):
-        port, index = live_server
+        address, index = live_server
         line = encode_message(search_msg(make_request("cat", 1, km))).encode()
         answers = []
         for chunk in (1, len(line)):
-            with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+            with socket.create_connection(address, timeout=10) as raw:
                 raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 for i in range(0, len(line), chunk):
                     raw.sendall(line[i : i + chunk])
@@ -733,20 +713,20 @@ class TestReadinessLoop:
         assert answers[0] == answers[1] == handle_line(ServerState(index=index), line).encode()
 
     def test_lines_in_one_send(self, km, live_server):
-        port, index = live_server
+        address, index = live_server
         lines = [b'{"type":"Hello"}\n', b"garbage\n"]
         lines += [encode_message(search_msg(make_request(w, 1, km))).encode() for w in ("cat", "dog", "owl")]
         state = ServerState(index=index)
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+        with socket.create_connection(address, timeout=10) as raw:
             raw.sendall(b"".join(lines))
             raw.shutdown(socket.SHUT_WR)
             got = _read_to_eof(raw)
         assert got == "".join(handle_line(state, line) for line in lines).encode()
 
     def test_partial_last_line(self, km, live_server):
-        port, index = live_server
+        address, index = live_server
         line = encode_message(search_msg(make_request("cat", 1, km))).encode().rstrip(b"\n")
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+        with socket.create_connection(address, timeout=10) as raw:
             raw.sendall(line)
             raw.shutdown(socket.SHUT_WR)
             got = _read_to_eof(raw)
@@ -757,10 +737,8 @@ class TestReadinessLoop:
         monkeypatch.setattr(service, "IDLE_SECONDS", 0.2)
         state = ServerState(index=build_listing_index({"cat": [b"f%04d" % i for i in range(200)]}, 1, km))
         line = encode_message(search_msg(make_request("cat", 1, km))).encode()
-        server, address = _serve(state)
-        stalled = socket.socket()
-        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        try:
+        with serving(state) as (_, _, address), socket.socket() as stalled:
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             stalled.connect(address)
             stalled.setblocking(False)
             try:  # replies to these fill every buffer on the way, and nobody reads them
@@ -780,21 +758,15 @@ class TestReadinessLoop:
                     stalled_closed = stalled_closed or stalled.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR) != 0
                 assert idle_closed and stalled_closed
                 assert busy.hello()["type"] == "HelloAck"
-        finally:
-            stalled.close()
-            _stop(server)
 
     def test_connection_cap(self, world, monkeypatch):
         monkeypatch.setattr(fzsearch.client, "CLIENT_TIMEOUT_SECONDS", 5)
         _, index = world
         monkeypatch.setattr(service, "MAX_CONNECTIONS", 4)
-        server = SearchServer(ServerState(index=index), port=0)
-        server.start()
-        address = ("127.0.0.1", server.server_address[1])
         clients = []
-        try:
+        with serving(ServerState(index=index)) as (_, _, address), ExitStack() as open_clients:
             for _ in range(4):
-                clients.append(SearchClient(*address))
+                clients.append(open_clients.enter_context(SearchClient(*address)))
                 assert clients[-1].hello()["type"] == "HelloAck"
             with socket.create_connection(address, timeout=0.3) as fifth:
                 fifth.sendall(b'{"type":"Hello"}\n')
@@ -803,10 +775,6 @@ class TestReadinessLoop:
                 clients.pop().close()
                 fifth.settimeout(5)
                 assert json.loads(fifth.makefile("rb").readline())["type"] == "HelloAck"
-        finally:
-            for client in clients:
-                client.close()
-            _stop(server)
 
     def test_server_fault_drops_only_that_connection(self, world, monkeypatch):
         monkeypatch.setattr(fzsearch.client, "CLIENT_TIMEOUT_SECONDS", 5)
@@ -814,22 +782,19 @@ class TestReadinessLoop:
             raise RuntimeError("boom")
 
         _, index = world
-        server, address = _serve(ServerState(index=index))
-        try:
-            with SearchClient(*address) as bystander, socket.create_connection(address, timeout=5) as raw:
+        with serving(ServerState(index=index)) as (_, _, address), SearchClient(*address) as bystander:
+            with socket.create_connection(address, timeout=5) as raw:
                 assert bystander.hello()["type"] == "HelloAck"
                 monkeypatch.setattr(service, "handle_line", broken)
                 raw.sendall(b'{"type":"Hello"}\n')
                 assert raw.recv(1) == b""
                 monkeypatch.undo()
                 assert bystander.hello()["type"] == "HelloAck"
-        finally:
-            _stop(server)
 
     def test_an_integer_past_the_digit_limit_leaves_the_connection_open(self, live_server, too_many_digits):
-        port, index = live_server
+        address, index = live_server
         hello, bad = b'{"type":"Hello"}\n', b"[%s]\n" % too_many_digits.encode()
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as raw, raw.makefile("rb") as replies:
+        with socket.create_connection(address, timeout=10) as raw, raw.makefile("rb") as replies:
             raw.sendall(hello + bad + hello)
             ack = handle_line(ServerState(index=index), hello).encode()
             error = {"type": "ErrorResp", "epoch": 0, "code": MALFORMED, "message": "line is not a JSON object"}
@@ -846,19 +811,15 @@ class TestReadinessLoop:
         paused = not isinstance(error, BlockingIOError)
         monkeypatch.setattr(service, "POLL_SECONDS", 0.2 if paused else 30.0)
         _, index = world
-        server = SearchServer(ServerState(index=index), port=0)
         log = []
-        sweep = server._sweep
-        monkeypatch.setattr(server, "_sweep", lambda now: (log.append("sweep"), sweep(now)))
-        thread = server.start()
-        _fail_once(monkeypatch, "accept", error, thread, log)
-        try:
-            with SearchClient(*server.server_address) as client:
+        with serving(ServerState(index=index)) as (server, thread, address):
+            sweep = server._sweep  # looked up at each call, so patching the running server takes effect
+            monkeypatch.setattr(server, "_sweep", lambda now: (log.append("sweep"), sweep(now)))
+            _fail_once(monkeypatch, "accept", error, thread, log)
+            with SearchClient(*address) as client:
                 assert client.hello()["type"] == "HelloAck"
             until = log[log.index("failed") : log.index("accept") + 1]
             assert until == (["failed", "sweep", "accept"] if paused else ["failed", "accept"]), log
-        finally:
-            _stop(server)
 
     @pytest.mark.parametrize("method", ["recv", "send"])
     @pytest.mark.parametrize("error", [BlockingIOError, ConnectionResetError])
@@ -866,13 +827,9 @@ class TestReadinessLoop:
         """A spurious wake-up loses no line; a reset connection is closed and the others are still answered."""
         monkeypatch.setattr(fzsearch.client, "CLIENT_TIMEOUT_SECONDS", 5)
         _, index = world
-        server = SearchServer(ServerState(index=index), port=0)
-        thread = server.start()
         hello = b'{"type":"Hello"}\n'
-        try:
-            address = server.server_address
-            bystander = SearchClient(*address)
-            with bystander, socket.create_connection(address, timeout=5) as raw, raw.makefile("rb") as replies:
+        with serving(ServerState(index=index)) as (server, thread, address), SearchClient(*address) as bystander:
+            with socket.create_connection(address, timeout=5) as raw, raw.makefile("rb") as replies:
                 assert bystander.hello()["type"] == "HelloAck"
                 log = []
                 _fail_once(monkeypatch, method, error(), thread, log)
@@ -886,8 +843,6 @@ class TestReadinessLoop:
                 else:
                     assert log == ["failed"] and got == b""
                 assert bystander.hello()["type"] == "HelloAck"
-        finally:
-            _stop(server)
 
     def test_a_complete_over_long_line_between_good_ones(self, world, monkeypatch):
         """One ``recv`` brings a good line, a complete line over the limit and
@@ -896,13 +851,9 @@ class TestReadinessLoop:
         _, index = world
         state = ServerState(index=index)
         hello = b'{"type":"Hello"}\n'
-        server, address = _serve(state)
-        try:
-            with socket.create_connection(address, timeout=5) as raw:
-                raw.sendall(hello + b"x" * 200 + b"\n" + hello)
-                got = _read_to_eof(raw).splitlines(keepends=True)
-        finally:
-            _stop(server)
+        with serving(state) as (_, _, address), socket.create_connection(address, timeout=5) as raw:
+            raw.sendall(hello + b"x" * 200 + b"\n" + hello)
+            got = _read_to_eof(raw).splitlines(keepends=True)
         assert len(got) == 2 and got[0] == handle_line(state, hello).encode()
         assert json.loads(got[1]) == {"type": "ErrorResp", "epoch": 0, "code": MALFORMED, "message": "line too long"}
 
@@ -915,10 +866,9 @@ class TestReadinessLoop:
         for _ in range(3):
             lines = [garbage_line(rng) for _ in range(400)]
             streams.append(b"".join((x.encode() if isinstance(x, str) else x) + b"\n" for x in lines))
-        server, address = _serve(state)
-        socks = [socket.create_connection(address, timeout=10) for _ in streams]
         received = [bytearray() for _ in streams]
-        try:
+        with serving(state) as (_, _, address), ExitStack() as open_socks:
+            socks = [open_socks.enter_context(socket.create_connection(address, timeout=10)) for _ in streams]
             sent = [0] * len(streams)
             while any(sent[i] < len(s) for i, s in enumerate(streams)):
                 i = rng.choice([i for i, s in enumerate(streams) if sent[i] < len(s)])
@@ -930,10 +880,6 @@ class TestReadinessLoop:
             for sock, buf in zip(socks, received):
                 sock.shutdown(socket.SHUT_WR)
                 buf += _read_to_eof(sock)
-        finally:
-            for sock in socks:
-                sock.close()
-            _stop(server)
         for stream, buf in zip(streams, received):
             wire_lines = [piece + b"\n" for piece in stream.split(b"\n")[:-1]]
             replies = [piece + "\n" for piece in buf.decode().split("\n")[:-1]]
@@ -943,8 +889,9 @@ class TestReadinessLoop:
 
 
 @contextmanager
-def _raw_peer(script):
-    """A ``SearchClient`` connected to a bare socket on which ``script(conn)`` plays the server."""
+def scripted_peer(script):
+    """A bare listening socket whose thread runs ``script(conn)`` on the one
+    connection it accepts, playing the server; yields its address."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def run():
@@ -959,12 +906,18 @@ def _raw_peer(script):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     try:
-        with SearchClient(*listener.getsockname()) as client:
-            yield client
+        yield listener.getsockname()
     finally:
         thread.join(timeout=10)
         listener.close()
     assert not thread.is_alive()
+
+
+@contextmanager
+def _raw_peer(script):
+    """A ``SearchClient`` connected to a ``scripted_peer``."""
+    with scripted_peer(script) as address, SearchClient(*address) as client:
+        yield client
 
 
 def _read_request(conn) -> bytes:
@@ -981,6 +934,33 @@ def _read_request(conn) -> bytes:
 def _until_closed(conn) -> None:
     while conn.recv(65536):
         pass
+
+
+def _replies(*replies, requests: list | None = None, close: bool = False):
+    """A peer script: each of ``replies``, a message or raw bytes, answers one
+    request line, which goes to ``requests``; after the last the peer holds the
+    connection open until the client closes it, or with ``close`` closes at once."""
+
+    def script(conn):
+        for reply in replies:
+            line = _read_request(conn)
+            if requests is not None:
+                requests.append(line)
+            conn.sendall(reply if isinstance(reply, bytes) else encode_message(reply).encode())
+        if not close:
+            _until_closed(conn)
+
+    return script
+
+
+# what the CLI reads of a HelloAck before it sends its SearchReq
+_ACK = {"type": "HelloAck", "protocol": PROTOCOL, "method": "wildcard", "epoch": 0, "blinded": False}
+
+
+def _cli(argv: list, *replies, requests: list | None = None, close: bool = False) -> int:
+    """``cli_main(argv)`` with ``--server`` at a ``scripted_peer`` that answers with ``replies``."""
+    with scripted_peer(_replies(*replies, requests=requests, close=close)) as (host, port):
+        return cli_main([*argv, "--server", f"{host}:{port}"])
 
 
 def _ack_line(size: int) -> bytes:
@@ -1020,13 +1000,7 @@ class TestClientReader:
     def test_a_line_at_the_reply_limit(self, monkeypatch, size, accepted):
         monkeypatch.setattr(fzsearch.client, "MAX_REPLY_BYTES", 1024)
         line = _ack_line(size)
-
-        def script(conn):
-            _read_request(conn)
-            conn.sendall(line)
-            _until_closed(conn)
-
-        with _raw_peer(script) as client:
+        with _raw_peer(_replies(line)) as client:
             if accepted:
                 assert client.hello() == json.loads(line)
             else:
@@ -1043,11 +1017,7 @@ class TestClientReader:
         ],
     )
     def test_end_of_input(self, sent, outcome):
-        def script(conn):
-            _read_request(conn)
-            conn.sendall(sent)
-
-        with _raw_peer(script) as client:
+        with _raw_peer(_replies(sent, close=True)) as client:
             if isinstance(outcome, dict):
                 assert client.hello() == outcome
             else:
@@ -1065,13 +1035,7 @@ class TestClientReader:
     )
     def test_a_reply_that_is_not_bare_utf8_is_a_bad_response(self, line):
         """The protocol says UTF-8; ``json.loads(bytes)`` would have sniffed a BOM or UTF-16."""
-
-        def script(conn):
-            _read_request(conn)
-            conn.sendall(line)
-            _until_closed(conn)
-
-        with _raw_peer(script) as client:
+        with _raw_peer(_replies(line)) as client:
             with pytest.raises(BadResponse, match="^server reply is not (UTF-8|JSON)$"):
                 client.hello()
 
@@ -1126,7 +1090,8 @@ def test_encode_message_is_json_dumps():
 
 
 def test_search_writes_the_line_of_the_captured_request(km, monkeypatch):
-    """The bytes ``SearchClient.search`` sends are ``encode_message`` of what perfbench's capture records."""
+    """The bytes ``SearchClient.search`` sends are ``encode_message`` of what perfbench's
+    capture records, and of what ``conftest.search_msg`` builds for the tests."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import harness
 
@@ -1135,17 +1100,12 @@ def test_search_writes_the_line_of_the_captured_request(km, monkeypatch):
              for word, method, epoch, proof in (("cat", "wildcard", 0, False), ("castle", "gram", 7, True))]
     cases.append((blind_request(cases[0][0], bytes(16)), 2**64 - 1, True))
     sent = []
-
-    def script(conn):
-        for _ in cases:
-            sent.append(_read_request(conn))
-            conn.sendall(b'{"type":"SearchResp","records":[]}\n')
-        _until_closed(conn)
-
-    with _raw_peer(script) as client:
+    with _raw_peer(_replies(*[b'{"type":"SearchResp","records":[]}\n'] * len(cases), requests=sent)) as client:
         for req, epoch, proof in cases:
             assert client.search(req, epoch=epoch, want_proof=proof) == {"type": "SearchResp", "records": []}
     assert sent == [encode_message(capture.search(*case)).encode() for case in cases]
+    built = [search_msg(req, epoch, proof=True) if proof else search_msg(req, epoch) for req, epoch, proof in cases]
+    assert sent == [encode_message(msg).encode() for msg in built]
 
 
 class TestCli:
@@ -1168,24 +1128,18 @@ class TestCli:
             )
             == 0
         )
-        server = SearchServer(ServerState(index=load_index(indexfile)), port=0)
-        server.start()
-        port = server.server_address[1]
-        try:
+        with serving(ServerState(index=load_index(indexfile))) as (_, _, (host, port)):
             capsys.readouterr()
-            assert cli_main(["search", "cot", "1", "--server", f"127.0.0.1:{port}", "--keys", keyfile]) == 0
+            assert cli_main(["search", "cot", "1", "--server", f"{host}:{port}", "--keys", keyfile]) == 0
             out = capsys.readouterr().out
             assert "two.txt" in out
-            assert cli_main(["verify", "cat", "0", "--server", f"127.0.0.1:{port}", "--keys", keyfile]) == 0
+            assert cli_main(["verify", "cat", "0", "--server", f"{host}:{port}", "--keys", keyfile]) == 0
             out = capsys.readouterr().out
             assert "verified: Ok" in out and "one.txt" in out
             # distance-2 word misses
-            assert cli_main(["search", "cta", "1", "--server", f"127.0.0.1:{port}", "--keys", keyfile]) == 0
+            assert cli_main(["search", "cta", "1", "--server", f"{host}:{port}", "--keys", keyfile]) == 0
             out = capsys.readouterr().out
             assert "one.txt" not in out and "two.txt" not in out
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_a_gram_exact_hit_prints_only_the_keywords_files(self, workspace, capsys):
         """The gram entry of "cat" also holds "cart", one deletion away; the client drops it."""
@@ -1194,17 +1148,11 @@ class TestCli:
         assert cli_main(["keygen", "--out", keyfile]) == 0
         build = ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]
         assert cli_main([*build, "--kind", "auth", "--method", "gram", "--d", "1"]) == 0
-        server = SearchServer(ServerState(index=load_index(indexfile)), port=0)
-        server.start()
-        try:
+        with serving(ServerState(index=load_index(indexfile))) as (_, _, (host, port)):
             for command in ("search", "verify"):
                 capsys.readouterr()
-                argv = [command, "cat", "1", "--server", f"127.0.0.1:{server.server_address[1]}", "--keys", keyfile]
-                assert cli_main(argv) == 0
+                assert cli_main([command, "cat", "1", "--server", f"{host}:{port}", "--keys", keyfile]) == 0
                 assert [line for line in capsys.readouterr().out.splitlines() if line.endswith(".txt")] == ["one.txt"]
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_build_entry_count_matches_formula(self, workspace, capsys):
         # entry count = sum of per-keyword wildcard set sizes minus shared variants
@@ -1238,16 +1186,10 @@ class TestCli:
         keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
         save_seeded_keys(keyfile, bytes.fromhex("02"))
         assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", indexfile]) == 0
-        server = SearchServer(ServerState(index=load_index(indexfile)), port=0)
-        server.start()
-        try:
+        with serving(ServerState(index=load_index(indexfile))) as (_, _, (host, port)):
             capsys.readouterr()
-            server_arg = f"127.0.0.1:{server.server_address[1]}"
-            assert cli_main(["search", "zebro", "1", "--server", server_arg, "--keys", keyfile]) == 0
+            assert cli_main(["search", "zebro", "1", "--server", f"{host}:{port}", "--keys", keyfile]) == 0
             assert capsys.readouterr().out == "\\xffbad.txt\n"
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_gram_results_beyond_k_are_not_printed(self, workspace, capsys):
         """A gram index answers "abdc" and "bacd" with "abcd" (2 edits away); the CLI drops it."""
@@ -1263,11 +1205,9 @@ class TestCli:
         for query, keywords in (("abdc", {"abcd", "abdx"}), ("bacd", {"abcd"})):
             result = search_trie(index, make_request(query, 1, km, "gram"))
             assert {decrypt_record(km, rec)[1] for rec in result.records} == keywords
-        server = SearchServer(ServerState(index=index), port=0)
-        server.start()
-        try:
+        with serving(ServerState(index=index)) as (_, _, (host, port)):
             capsys.readouterr()
-            server_arg = ["--server", f"127.0.0.1:{server.server_address[1]}", "--keys", keyfile]
+            server_arg = ["--server", f"{host}:{port}", "--keys", keyfile]
             assert cli_main(["search", "abdc", "1", *server_arg]) == 0
             assert capsys.readouterr() == ("near.txt\n", "")
             assert cli_main(["verify", "ABDC", "1", *server_arg]) == 0
@@ -1276,9 +1216,6 @@ class TestCli:
                 assert cli_main([command, "bacd", "1", *server_arg]) == 0
                 out, err = capsys.readouterr()
                 assert "far.txt" not in out and err == "(no matches)\n"
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_gram_indexes_build_over_words_of_at_most_d_letters(self, tmp_path, capsys):
         """Deletions reach the empty word, so a, in, of, to and it are keywords at d = 1 and 2;
@@ -1294,8 +1231,7 @@ class TestCli:
                 indexfile = str(tmp_path / f"{kind}-{d}.fzix")
                 assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", indexfile,
                                  "--kind", kind, "--method", "gram", "--d", d]) == 0
-                server, (host, port) = _serve(ServerState(index=load_index(indexfile)))
-                try:
+                with serving(ServerState(index=load_index(indexfile))) as (_, _, (host, port)):
                     capsys.readouterr()
                     server_arg = ["--server", f"{host}:{port}", "--keys", keyfile]
                     assert cli_main(["search", "b", "1", *server_arg]) == 0
@@ -1303,8 +1239,6 @@ class TestCli:
                     if kind == "auth":
                         assert cli_main(["verify", "b", "1", *server_arg]) == 0
                         assert capsys.readouterr() == ("verified: Ok\nsky.txt\n", "")
-                finally:
-                    _stop(server)
 
     def test_read_corpus_dir_skips_tokens_without_letters(self, workspace):
         (workspace / "corpus" / "three.txt").write_text("42 -- Owl! ... 7a\n")
@@ -1342,14 +1276,12 @@ class TestCli:
         keyfile = str(workspace / "k.fzky")
         save_seeded_keys(keyfile, bytes.fromhex("09"))
         km = load_keys(keyfile)
-        server, (host, port) = _serve(ServerState(index=build_trie_index({"cat": [b"F"]}, 1, km), xi=km.blind_key))
-        try:
+        state = ServerState(index=build_trie_index({"cat": [b"F"]}, 1, km), xi=km.blind_key)
+        with serving(state) as (_, _, (host, port)):
             capsys.readouterr()
             argv = ["search", "cat", "1", "--server", f"{host}:{port}", "--keys", keyfile, "--user", "alice"]
             assert cli_main(argv) == 1
             assert capsys.readouterr() == ("", "error: --user requires --directory\n")
-        finally:
-            _stop(server)
 
     def test_a_k_above_the_servers_d_stops_before_any_fuzzy_set(self, workspace, capsys, monkeypatch):
         """k = 3 against a d = 1 server: the fuzzy set would grow about twofold per
@@ -1357,17 +1289,15 @@ class TestCli:
         keyfile = str(workspace / "k.fzky")
         save_seeded_keys(keyfile, bytes.fromhex("0a"))
         km = load_keys(keyfile)
-        server, (host, port) = _serve(ServerState(index=build_auth_trie({"castle": [b"F"]}, 1, km)))
+        state = ServerState(index=build_auth_trie({"castle": [b"F"]}, 1, km))
         calls, real = [], fzsearch.index.fuzzy_set
         monkeypatch.setattr(fzsearch.index, "fuzzy_set", lambda *args: calls.append(args) or real(*args))
-        try:
+        with serving(state) as (_, _, (host, port)):
             for command in ("search", "verify"):
                 capsys.readouterr()
                 assert cli_main([command, "castle", "3", "--server", f"{host}:{port}", "--keys", keyfile]) == 1
                 assert capsys.readouterr() == ("", "error: EDIT_BOUND: k=3 exceeds index bound d=1\n")
             assert calls == []
-        finally:
-            _stop(server)
 
     def test_blinded_flow_with_enroll_and_revoke(self, workspace, capsys):
         keyfile = str(workspace / "k.fzky")
@@ -1387,10 +1317,8 @@ class TestCli:
 
         km = load_keys(keyfile)
         state = ServerState(index=load_index(indexfile), xi=km.blind_key, epoch=1)
-        server = SearchServer(state, port=0)
-        server.start()
-        search = ["search", "cat", "1", "--server", f"127.0.0.1:{server.server_address[1]}", "--keys", keyfile]
-        try:
+        with serving(state) as (_, _, (host, port)):
+            search = ["search", "cat", "1", "--server", f"{host}:{port}", "--keys", keyfile]
             for user in ([], ["--directory", dirfile, "--user", "alice"]):
                 assert cli_main([*search, *user]) == 0
                 assert capsys.readouterr().out == "one.txt\n"
@@ -1398,9 +1326,6 @@ class TestCli:
             assert cli_main([*search, "--directory", stale, "--user", "alice"]) == 1
             out, err = capsys.readouterr()
             assert out == "" and err == "error: server error STALE_EPOCH: server epoch is 1\n"
-        finally:
-            server.shutdown()
-            server.server_close()
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -1421,34 +1346,26 @@ class TestCli:
         assert "unrecognized arguments: " + flag in err and "Traceback" not in err
         assert not os.path.exists("k")
 
-    def test_blinding_and_epoch_follow_the_ack_and_the_directory(self, tmp_path, monkeypatch, capsys):
+    def test_blinding_and_epoch_follow_the_ack_and_the_directory(self, tmp_path, capsys):
         """The request is blinded exactly when HelloAck says so, and carries the
         ``--directory`` file's epoch with ``--user``, the ack's otherwise."""
         keyfile, dirfile = str(tmp_path / "k.fzky"), str(tmp_path / "users.fzud")
         save_seeded_keys(keyfile, bytes.fromhex("ee"))
         assert cli_main(["enroll", "--keys", keyfile, "--directory", dirfile, "--user", "alice"]) == 0
-        km, sent = load_keys(keyfile), []
+        km = load_keys(keyfile)
         plain = make_request("castle", 1, km)
         blinded = blind_request(plain, km.blind_key)
-
-        class Stub(_StubClient):
-            reply = {"type": "SearchResp", "records": []}
-
-            def search(self, req, epoch=0, want_proof=False):
-                sent.append((req, epoch))
-                return self.reply
-
-        monkeypatch.setattr("fzsearch.client.SearchClient", Stub)
         user = ["--directory", dirfile, "--user", "alice"]
-        for blind, extra, want in (
+        for blind, extra, (want_req, want_epoch) in (
             (False, [], (plain, 3)),
             (False, user, (plain, 3)),
             (True, [], (blinded, 3)),
             (True, user, (blinded, 0)),  # alice's key is from epoch 0
         ):
-            Stub.ack = dict(_StubClient.ack, blinded=blind, epoch=3)
-            assert cli_main(["search", "castle", "1", "--keys", keyfile, *extra]) == 0
-            assert sent.pop() == want
+            ack, sent = dict(_ACK, blinded=blind, epoch=3), []
+            reply = {"type": "SearchResp", "records": []}
+            assert _cli(["search", "castle", "1", "--keys", keyfile, *extra], ack, reply, requests=sent) == 0
+            assert sent[1] == encode_message(search_msg(want_req, epoch=want_epoch)).encode()
         capsys.readouterr()
 
     def test_revoke_converges_after_a_crash_between_files(self, workspace, monkeypatch, capsys):
@@ -1627,16 +1544,10 @@ class TestCli:
         keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
         save_seeded_keys(keyfile, bytes.fromhex("06"))
         assert cli_main(["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]) == 0
-        server = SearchServer(ServerState(index=load_index(indexfile)), host="::1", port=0)
-        server.start()
-        try:
+        with serving(ServerState(index=load_index(indexfile)), host="::1") as (_, _, (host, port)):
             capsys.readouterr()
-            server_arg = f"[::1]:{server.server_address[1]}"
-            assert cli_main(["search", "cot", "1", "--server", server_arg, "--keys", keyfile]) == 0
+            assert cli_main(["search", "cot", "1", "--server", f"[{host}]:{port}", "--keys", keyfile]) == 0
             assert capsys.readouterr().out.split() == ["two.txt"]
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_keyfile_env_fallback(self, workspace, monkeypatch, capsys):
         keyfile = str(workspace / "env.fzky")
@@ -1647,33 +1558,15 @@ class TestCli:
         capsys.readouterr()
 
 
-class _StubClient:
-    """Stands in for SearchClient: a fixed HelloAck, then ``reply`` to the search."""
-
-    ack = {"type": "HelloAck", "method": "wildcard", "epoch": 0, "blinded": False}
-    reply: dict = {}
-
-    def __init__(self, host, port, timeout=30.0):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
-
-    def hello(self):
-        return self.ack
-
-    def search(self, req, epoch=0, want_proof=False):
-        return self.reply
-
-
 # a record blob that decodes and is long enough, but is no real ciphertext
 _BLOB = "A" * 40
 
 
 class TestHostileServer:
+    @pytest.fixture()
+    def keyfile(self, tmp_path):
+        return save_seeded_keys(tmp_path / "k.fzky", bytes.fromhex("ee"))
+
     @pytest.mark.parametrize(
         "command, reply, message",
         [
@@ -1693,22 +1586,26 @@ class TestHostileServer:
             ("verify", {"type": "SearchResp", "records": [], "proofs": ["ff0200" + "00" * 33] * 14},
              "verification failed: GapTagMismatch at proof 0"),
             ("search", {"type": "SearchResp", "records": [], "exact": "no"}, "exact must be a boolean"),
+            # a reply of any other type is no search result
+            *[(command, reply, "unexpected search response")
+              for reply in ({}, {"type": "Bogus"}, {"type": "HelloAck", "records": []}) for command in ("search", "verify")],
         ],
     )
-    def test_bad_reply_is_a_clean_error(self, tmp_path, monkeypatch, capsys, command, reply, message):
-        keyfile = str(tmp_path / "k.fzky")
-        save_seeded_keys(keyfile, bytes.fromhex("ee"))
-        monkeypatch.setattr("fzsearch.client.SearchClient", type("Stub", (_StubClient,), {"reply": reply}))
+    def test_bad_reply_is_a_clean_error(self, keyfile, capsys, command, reply, message):
         capsys.readouterr()
-        assert cli_main([command, "castle", "1", "--keys", keyfile]) == 1
+        assert _cli([command, "castle", "1", "--keys", keyfile], _ACK, reply) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
-    def test_random_proofs_are_a_clean_error(self, tmp_path, monkeypatch, capsys):
+    def test_a_long_reply_type_is_not_echoed(self, keyfile, capsys):
+        capsys.readouterr()
+        assert _cli(["search", "castle", "1", "--keys", keyfile], _ACK, {"type": "a" * 100_000}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unexpected search response type 'aaa") and len(err) < 100, len(err)
+
+    def test_random_proofs_are_a_clean_error(self, keyfile, capsys):
         """Seeded random proof bytes, most past the type byte: ``verify`` prints
         ``error: ...`` and exits 1, never a traceback."""
-        keyfile = str(tmp_path / "k.fzky")
-        save_seeded_keys(keyfile, bytes.fromhex("ee"))
         rng = random.Random(822)
         for _ in range(100):
             proofs = []
@@ -1717,39 +1614,31 @@ class TestHostileServer:
                 proofs.append((head + rng.randbytes(rng.randrange(80))).hex())
             reply = {"type": "SearchResp", "records": rng.choice([[], [_BLOB]]), "exact": rng.random() < 0.2,
                      "proofs": proofs}
-            monkeypatch.setattr("fzsearch.client.SearchClient", type("Stub", (_StubClient,), {"reply": reply}))
             capsys.readouterr()
-            assert cli_main(["verify", "castle", "1", "--keys", keyfile]) == 1
+            assert _cli(["verify", "castle", "1", "--keys", keyfile], _ACK, reply) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, err
 
-    def test_merged_records_fail_before_verified_is_printed(self, tmp_path, monkeypatch, capsys):
+    def test_merged_records_fail_before_verified_is_printed(self, keyfile, capsys):
         """``verify`` accepts one hit's records merged into one blob (the record
         digest has no length framing); the CLI decrypts every record before it
         prints ``verified: Ok``, so it reports the failure instead."""
-        keyfile = str(tmp_path / "k.fzky")
-        save_seeded_keys(keyfile, bytes.fromhex("ee"))
         km = load_keys(keyfile)
         index = build_auth_trie({"castle": [b"F1", b"F2", b"F3"]}, 1, km)
         reply = ask(ServerState(index=index), search_msg(make_request("castle", 1, km), proof=True))
         merged = b"".join(base64.b64decode(r) for r in reply["records"])
         for records, code in ((reply["records"], 0), ([base64.b64encode(merged).decode("ascii")], 1)):
-            stub = type("Stub", (_StubClient,), {"reply": dict(reply, records=records)})
-            monkeypatch.setattr("fzsearch.client.SearchClient", stub)
             capsys.readouterr()
-            assert cli_main(["verify", "castle", "1", "--keys", keyfile]) == code
+            assert _cli(["verify", "castle", "1", "--keys", keyfile], _ACK, dict(reply, records=records)) == code
             out, err = capsys.readouterr()
             if code:
                 assert "verified" not in out and err.startswith("error: record failed authentication")
             else:
                 assert out.split() == ["verified:", "Ok", "F1", "F2", "F3"]
 
-    def test_hello_without_method(self, tmp_path, monkeypatch, capsys):
-        keyfile = str(tmp_path / "k.fzky")
-        save_seeded_keys(keyfile, bytes.fromhex("ee"))
-        monkeypatch.setattr("fzsearch.client.SearchClient", type("Stub", (_StubClient,), {"ack": {"type": "HelloAck"}}))
+    def test_hello_without_method(self, keyfile, capsys):
         capsys.readouterr()
-        assert cli_main(["search", "castle", "1", "--keys", keyfile]) == 1
+        assert _cli(["search", "castle", "1", "--keys", keyfile], {"type": "HelloAck", "protocol": PROTOCOL}) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
@@ -1760,50 +1649,32 @@ class TestHostileServer:
             (b'{"type":"ErrorResp","code":"MALFORMED","message":"?"}\n', "unexpected hello response"),
         ],
     )
-    def test_hello_from_another_protocol(self, tmp_path, capsys, line, message):
+    def test_hello_from_another_protocol(self, keyfile, capsys, line, message):
         """A server without protocol 2 (a protocol 1 server inverts HMAC Feistel
         rounds) gets no request: the client stops at the HelloAck."""
-        self._answer_hello_with(line, tmp_path, capsys, "error: ", message)
+        self._answer_hello_with(line, keyfile, capsys, "error: ", message)
 
     @pytest.mark.parametrize("line", [b"not json\n", b"[1, 2]\n", b"\xff\xfe\n"])
-    def test_non_object_reply(self, tmp_path, capsys, line):
-        self._answer_hello_with(line, tmp_path, capsys, "error: server reply is not")
+    def test_non_object_reply(self, keyfile, capsys, line):
+        self._answer_hello_with(line, keyfile, capsys, "error: server reply is not")
 
-    def test_reply_with_an_integer_past_the_digit_limit(self, tmp_path, capsys, too_many_digits):
+    def test_reply_with_an_integer_past_the_digit_limit(self, keyfile, capsys, too_many_digits):
         line = b'{"type":"HelloAck","protocol":%s}\n' % too_many_digits.encode()
-        self._answer_hello_with(line, tmp_path, capsys, "error: server reply is not JSON")
+        self._answer_hello_with(line, keyfile, capsys, "error: server reply is not JSON")
 
-    def test_a_server_that_closes_without_a_reply(self, tmp_path, capsys):
-        self._answer_hello_with(b"", tmp_path, capsys, "error: server closed the connection")
+    def test_a_server_that_closes_without_a_reply(self, keyfile, capsys):
+        self._answer_hello_with(b"", keyfile, capsys, "error: server closed the connection", close=True)
 
-    def test_reply_longer_than_the_cap(self, tmp_path, monkeypatch, capsys):
+    def test_reply_longer_than_the_cap(self, keyfile, monkeypatch, capsys):
         monkeypatch.setattr("fzsearch.client.MAX_REPLY_BYTES", 1024)
         line = b'{"type":"HelloAck","pad":"' + b"a" * 4096 + b'"}\n'
-        self._answer_hello_with(line, tmp_path, capsys, "error: server reply exceeds 1024 bytes")
+        self._answer_hello_with(line, keyfile, capsys, "error: server reply exceeds 1024 bytes")
 
-    def _answer_hello_with(self, line, tmp_path, capsys, message, detail=""):
-        keyfile = str(tmp_path / "k.fzky")
-        save_seeded_keys(keyfile, bytes.fromhex("ee"))
-        listener = socket.create_server(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-
-        def answer():
-            conn, _ = listener.accept()
-            with conn:
-                conn.makefile("rb").readline()
-                conn.sendall(line)
-
-        thread = threading.Thread(target=answer, daemon=True)
-        thread.start()
-        try:
-            capsys.readouterr()
-            assert cli_main(["search", "castle", "1", "--keys", keyfile, "--server", f"127.0.0.1:{port}"]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(message) and detail in err and "Traceback" not in err, err
-        finally:
-            thread.join(timeout=10)
-            listener.close()
-        assert not thread.is_alive()
+    def _answer_hello_with(self, line, keyfile, capsys, message, detail="", close=False):
+        capsys.readouterr()
+        assert _cli(["search", "castle", "1", "--keys", keyfile], line, close=close) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and detail in err and "Traceback" not in err, err
 
 
 def _hostile_variants(resp: dict, rng: random.Random, records_pool: list, proofs_pool: list):
