@@ -119,7 +119,7 @@ class SearchClient:
         """The server's HelloAck; ``BadResponse`` unless it speaks ``PROTOCOL``."""
         ack = self.roundtrip({"type": "Hello"})
         if ack.get("type") != "HelloAck":
-            raise BadResponse(f"unexpected hello response: {ack}")
+            raise BadResponse(f"unexpected hello response type {ack.get('type')!r:.40}")
         if ack.get("protocol") != PROTOCOL:
             raise BadResponse(f"server speaks protocol {ack.get('protocol')!r}, this client {PROTOCOL}")
         return ack

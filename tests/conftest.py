@@ -19,6 +19,9 @@ from fzsearch import (
     Truncated,
     UserDirectory,
     VersionUnsupported,
+    build_auth_trie,
+    build_listing_index,
+    build_trie_index,
     fuzzy_set,
     keygen,
 )
@@ -28,6 +31,9 @@ from fzsearch.persist import save_keys
 from fzsearch.verifiable import TAG_BYTES
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+# the build function of each index kind
+BUILDS = {"listing": build_listing_index, "trie": build_trie_index, "auth": build_auth_trie}
 
 
 class BudgetExceeded(FzError):
@@ -318,6 +324,14 @@ def reference_loads_keys(data: bytes) -> KeyMaterial:
     if security_bits not in SECURITY_BITS or any(len(key) != security_bits // 8 for key in keys):
         raise BadParameter(f"key sizes {[len(k) for k in keys]} do not fit security {security_bits}")
     return KeyMaterial(*keys, security_bits)
+
+
+def refusal(read, data: bytes):
+    """``read(data)``, or the class and message of its refusal."""
+    try:
+        return read(data)
+    except FzError as exc:
+        return type(exc), str(exc)
 
 
 def index_from_entries(cls, entries: dict[bytes, tuple[bytes, ...]], d: int, method="wildcard", exact=frozenset()):

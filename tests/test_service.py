@@ -20,7 +20,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 import fzsearch.client
 import fzsearch.index
 import fzsearch.service as service
-from conftest import garbage_line, mutate, random_corpus, reference_parse_trapdoors, save_seeded_keys, search_msg
+from conftest import BUILDS, garbage_line, mutate, random_corpus, reference_parse_trapdoors, refusal, save_seeded_keys, search_msg
 from fzsearch import (
     BadMagic,
     BadParameter,
@@ -46,7 +46,6 @@ from fzsearch.errors import BadResponse
 from fzsearch.index import pack_entries
 from fzsearch.multiuser import blind_request, unwrap_blind_key, wrap_blind_key
 from fzsearch.persist import (
-    FLAG_VERIFIABLE,
     INDEX_HEAD,
     KEY_HEAD,
     dumps_directory,
@@ -393,13 +392,6 @@ def _damaged_key_files(km) -> dict[str, bytes]:
     }
 
 
-def _refusal(load, data: bytes):
-    """The class and message of ``load``'s refusal of ``data``."""
-    with pytest.raises(FzError) as caught:
-        load(data)
-    return type(caught.value), str(caught.value)
-
-
 class TestPersistence:
     def test_the_blind_key_reader_reads_what_loads_keys_reads(self):
         for security_bits in (128, 256):
@@ -410,8 +402,8 @@ class TestPersistence:
         """Same class, same message, for every check of the format."""
         refusals = {}
         for name, data in _damaged_key_files(km).items():
-            refusals[name] = _refusal(loads_keys, data)
-            assert _refusal(loads_blind_key, data) == refusals[name], name
+            refusals[name] = refusal(loads_keys, data)
+            assert refusal(loads_blind_key, data) == refusals[name], name
         assert [cls for cls, _ in refusals.values()] == [
             BadMagic, VersionUnsupported, Truncated, BadParameter, Truncated, Truncated, BadParameter, BadParameter,
         ]
@@ -445,65 +437,12 @@ class TestPersistence:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["i.fzix"]  # no temporary file left behind
 
-    @pytest.mark.parametrize("kind", ["listing", "trie", "auth"])
-    @pytest.mark.parametrize("method", ["wildcard", "gram"])
-    def test_index_round_trip_byte_identical(self, km, kind, method):
-        rng = random.Random(197)
-        corpus = random_corpus(rng, size=15, lo=3, hi=6)
-        build = {
-            "listing": build_listing_index,
-            "trie": build_trie_index,
-            "auth": build_auth_trie,
-        }[kind]
-        index = build(corpus, 1, km, method)
-        blob = dumps_index(index)
-        loaded = loads_index(blob)
-        assert type(loaded) is type(index)
-        assert loaded.method == method and loaded.d == 1
-        assert dumps_index(loaded) == blob
-
-    @pytest.mark.parametrize("kind", ["listing", "trie", "auth"])
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
     def test_rebuilds_are_byte_identical(self, km, kind):
         rng = random.Random(227)
         corpus = random_corpus(rng, size=20)
-        build = {
-            "listing": build_listing_index,
-            "trie": build_trie_index,
-            "auth": build_auth_trie,
-        }[kind]
+        build = BUILDS[kind]
         assert dumps_index(build(corpus, 1, km)) == dumps_index(build(corpus, 1, km))
-
-    def test_loaded_index_answers_searches(self, km, world):
-        corpus, index = world
-        loaded = loads_index(dumps_index(index))
-        for word in sorted(corpus)[:5]:
-            req = make_request(word, 1, km)
-            a, b = search_trie(index, req), search_trie(loaded, req)
-            assert a.records == b.records
-
-    def test_bad_magic(self):
-        with pytest.raises(BadMagic):
-            loads_index(b"XXXX" + bytes(40))
-        with pytest.raises(BadMagic):
-            loads_keys(b"FZIX" + bytes(40))
-
-    def test_bad_version(self, km):
-        blob = bytearray(dumps_keys(km))
-        blob[4] = 99
-        with pytest.raises(VersionUnsupported):
-            loads_keys(bytes(blob))
-
-    def test_unknown_flags(self, km):
-        blob = bytearray(dumps_index(build_listing_index({"cat": [b"F"]}, 0, km)))
-        blob[5] |= 0x80
-        with pytest.raises(BadParameter):
-            loads_index(bytes(blob))
-
-    def test_verifiable_flag_without_the_trie_flag(self, km):
-        blob = bytearray(dumps_index(build_listing_index({"cat": [b"F"]}, 0, km)))
-        blob[5] = FLAG_VERIFIABLE
-        with pytest.raises(BadParameter, match="requires a trie"):
-            loads_index(bytes(blob))
 
     def test_record_count_overflow_is_a_parameter_error(self):
         with pytest.raises(BadParameter, match="65535"):
@@ -1436,7 +1375,7 @@ class TestCli:
                 fh.write(data)
             capsys.readouterr()
             assert cli_main(["serve", "--index", indexfile, "--keys", keyfile, "--blinded", "--port", "0"]) == 1, name
-            assert capsys.readouterr().err == f"error: {_refusal(loads_keys, data)[1]}\n", name
+            assert capsys.readouterr().err == f"error: {refusal(loads_keys, data)[1]}\n", name
 
     def test_the_serving_line_names_the_kind_and_its_entries(self, workspace, capsys, monkeypatch):
         """Its ``serving <path> on <ipv4>:<port> `` prefix is what perfbench's harness reads."""
@@ -1635,6 +1574,12 @@ class TestHostileServer:
                 assert "verified" not in out and err.startswith("error: record failed authentication")
             else:
                 assert out.split() == ["verified:", "Ok", "F1", "F2", "F3"]
+
+    def test_a_long_hello_reply_is_not_echoed(self, keyfile, capsys):
+        capsys.readouterr()
+        assert _cli(["search", "castle", "1", "--keys", keyfile], {"type": "a" * (1 << 20)}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unexpected hello response type 'aaa") and len(err) < 100, len(err)
 
     def test_hello_without_method(self, keyfile, capsys):
         capsys.readouterr()

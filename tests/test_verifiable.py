@@ -20,7 +20,6 @@ from fzsearch import (
     decrypt_record,
     make_request,
     search_listing,
-    search_trie,
     search_with_proof,
     unblind_request,
     verify,
@@ -129,23 +128,15 @@ class TestChain:
         auth = build_auth_trie(corpus, 1, km)
         assert auth.tags and auth is not tries[0] and tries[0].tags == b"" and tries[0].kind == "trie"
 
-    def test_tags_recomputable_from_entries(self, km, small_world):
-        _, built = small_world
-        for index in (built, loads_index(dumps_index(built))):
-            assert index.tags == _reference_tags(km.record_key, index)
-            assert len(index.tags) == TAG_BYTES * (2 * len(index.table) + 1)
-
     @pytest.mark.parametrize("method", ["wildcard", "gram"])
     def test_tags_are_the_per_entry_leaf_and_gap_tags(self, km, method):
         rng = random.Random(f"tags/{method}")
         for d in (0, 1, 2):
             corpus = {word: [b"F1", b"F2"][: rng.randint(0, 2)] for word in random_corpus(rng, size=25, lo=3, hi=6)}
-            index = build_auth_trie(corpus, d, km, method)
-            key, keys = km.record_key, index.ordered
-            ends = [b"", *keys, b""]
-            leaves = [leaf_tag(key, t, t in index.exact, record_digest(index.records(t))) for t in keys]
-            gaps = [gap_tag(key, left, right) for left, right in zip(ends, ends[1:])]
-            assert index.tags == b"".join(leaves + gaps)
+            built = build_auth_trie(corpus, d, km, method)
+            for index in (built, loads_index(dumps_index(built))):
+                assert index.tags == _reference_tags(km.record_key, index)
+                assert len(index.tags) == TAG_BYTES * (2 * len(index.table) + 1)
 
     def test_empty_index_answers_verifiable_proofs(self, km):
         built = build_auth_trie({}, 1, km)
@@ -182,11 +173,6 @@ class TestChain:
         tags = [index.tags[i : i + TAG_BYTES] for i in range(0, len(index.tags), TAG_BYTES)]
         assert len(set(tags)) == len(tags) == 2 * len(index.table) + 1
 
-    def test_deterministic_serialization(self, km, small_world):
-        corpus, index = small_world
-        again = build_auth_trie(corpus, 1, km)
-        assert dumps_index(index) == dumps_index(again)
-
 
 class TestSearchWithProof:
     def test_one_proof_per_trapdoor(self, km, small_world):
@@ -196,18 +182,6 @@ class TestSearchWithProof:
             result, proofs = search_with_proof(index, req)
             assert len(proofs) == len(req.trapdoors)
             assert result.exact_hit
-
-    def test_result_matches_plain_trie_search(self, km, small_world):
-        corpus, index = small_world
-        rng = random.Random(113)
-        words = sorted(corpus)
-        for _ in range(50):
-            query = mutate(rng.choice(words), rng) or "a"
-            req = make_request(query, 1, km)
-            with_proof, _ = search_with_proof(index, req)
-            plain = search_trie(index, req)
-            assert with_proof.exact_hit == plain.exact_hit
-            assert with_proof.records == plain.records
 
     @pytest.mark.parametrize("method", ["wildcard", "gram"])
     def test_the_proof_search_answers_as_the_plain_search(self, km, method):
@@ -371,26 +345,6 @@ class TestVerify:
                 seen.add(verdict.reason)
         assert seen == set(VerdictReason)
 
-    def test_honest_transcripts_accept(self, km, small_world):
-        corpus, index = small_world
-        rng = random.Random(127)
-        words = sorted(corpus)
-        for _ in range(100):
-            query = rng.choice(words) if rng.random() < 0.4 else mutate(rng.choice(words), rng)
-            if not query:
-                continue
-            req = make_request(query, 1, km)
-            result, proofs = search_with_proof(index, req)
-            verdict = verify(req, result, proofs, km)
-            assert verdict.accepted and verdict.reason is VerdictReason.OK, query
-
-    def test_dropped_or_duplicated_proof(self, km, small_world):
-        corpus, index = small_world
-        rng = random.Random(131)
-        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        assert verify(req, result, proofs[:-1], km).reason is VerdictReason.COUNT_MISMATCH
-        assert verify(req, result, proofs + [proofs[-1]], km).reason is VerdictReason.COUNT_MISMATCH
-
     def test_every_proof_is_checked(self, km, small_world):
         # no sampling: a bad tag on any one proof is found at that proof
         corpus, index = small_world
@@ -404,38 +358,6 @@ class TestVerify:
             assert not verdict.accepted and verdict.failing_index == i
             expect = VerdictReason.LEAF_TAG_MISMATCH if _is_hit(proof) else VerdictReason.GAP_TAG_MISMATCH
             assert verdict.reason is expect
-
-    def test_every_record_byte_flip_rejected(self, km, small_world):
-        corpus, index = small_world
-        rng = random.Random(137)
-        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        target = rng.randrange(len(result.records))
-        blob = result.records[target]
-        for i in range(len(blob)):
-            flipped = bytearray(blob)
-            flipped[i] ^= 0x01
-            mutated = list(result.records)
-            mutated[target] = bytes(flipped)
-            tampered = result._replace(records=mutated)
-            verdict = verify(req, tampered, proofs, km)
-            assert not verdict.accepted
-            assert verdict.reason is VerdictReason.LEAF_TAG_MISMATCH, i
-
-    def test_foreign_tags_rejected(self, km, small_world):
-        corpus, index = small_world
-        rng = random.Random(139)
-        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        n = len(index.table)
-        tags = [index.tags[i : i + TAG_BYTES] for i in range(0, len(index.tags), TAG_BYTES)]
-        leaves, gaps = tags[:n], tags[n:]
-        for i, proof in enumerate(proofs):
-            pool = leaves if _is_hit(proof) else gaps
-            for foreign in rng.sample([t for t in pool if t != fields(proof)["tag"]], 5):
-                tampered = list(proofs)
-                tampered[i] = _with(proof, tag=foreign)
-                verdict = verify(req, result, tampered, km)
-                expect = VerdictReason.LEAF_TAG_MISMATCH if _is_hit(proof) else VerdictReason.GAP_TAG_MISMATCH
-                assert verdict.reason is expect and verdict.failing_index == i
 
     def test_forged_full_match_rejected(self, km, small_world):
         # claiming a hit for a trapdoor the index lacks needs a tag the server never saw
