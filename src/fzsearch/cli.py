@@ -188,7 +188,7 @@ def _cmd_search(args) -> int:
             wire_req = blind_request(req, xi)
         resp = client.search(wire_req, epoch=epoch, want_proof=want_proof)
     if resp.get("type") == "ErrorResp":
-        raise FzError(f"server error {resp.get('code')}: {resp.get('message')}")
+        raise FzError(f"server error {resp.get('code')!s:.40}: {resp.get('message')!s:.200}")
     if resp.get("type") != "SearchResp":
         raise BadResponse(f"unexpected search response type {resp.get('type')!r:.40}")
     result = result_from_response(resp)

@@ -2,6 +2,7 @@ import hmac
 import itertools
 import json
 import random
+import string
 import struct
 import time
 from collections import namedtuple
@@ -258,15 +259,19 @@ def search_msg(req, epoch=0, **extra) -> dict:
 
 
 def garbage_line(rng: random.Random):
-    """A random wire line for the protocol fuzz: raw bytes, printable text or off-contract JSON."""
-    printable = "".join(chr(c) for c in range(32, 127))
+    """A random wire line for the protocol fuzz: raw bytes, printable text with its whitespace or off-contract JSON."""
     roll = rng.random()
     if roll < 0.35:
-        return bytes(rng.randrange(256) for _ in range(rng.randrange(0, 60)))
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(0, 80)))
     if roll < 0.7:
-        return "".join(rng.choice(printable) for _ in range(rng.randrange(0, 80)))
+        return "".join(rng.choice(string.printable) for _ in range(rng.randrange(0, 120)))
     if roll < 0.85:
-        return json.dumps({"type": rng.choice(["SearchReq", "Hello", "X", 7]), "k": rng.choice([0, 1, "k", None, 10**12]), "trapdoors": rng.choice([None, [], ["00"], ["0" * 40], 3])})
+        msg = {"type": rng.choice(["SearchReq", "Hello", "X", 7]), "k": rng.choice([0, 1, "k", None, 10**12, -5, 2**40, "x"]),
+               "trapdoors": rng.choice([None, [], ["00"], ["0" * 40], 3, ["xx" * 20], [1, 2]])}
+        msg.update(rng.choice([{}, {"epoch": 0}, {"epoch": "e"}, {"epoch": None}]))
+        return json.dumps(msg)
+    if roll < 0.9:
+        return json.dumps({rng.choice(["type", "k", "x"]): rng.choice([None, 1e308, "SearchReq", [], {}])})
     return json.dumps(rng.choice([[], 42, "str", {"a": {"b": {"c": 1}}}]))
 
 

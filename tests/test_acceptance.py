@@ -543,5 +543,9 @@ def test_proofless_session_is_pinned():
             ("ErrorResp", "STALE_EPOCH", 0, None) if blinded else ("SearchResp", None, 3, True),
             ("ErrorResp", "TOO_MANY_TRAPDOORS", 0, None),
         ]
+    assert replies[16] == {  # the plain trie server's HelloAck
+        "type": "HelloAck", "protocol": 2, "epoch": 0, "kind": "trie", "method": "wildcard", "d": 1,
+        "trapdoor_bits": 160, "symbol_bits": 4, "verifiable": False, "blinded": False, "max_trapdoors": 4096,
+    }
     assert all("proofs" not in r for r in replies)
     assert hashlib.sha256(transcript).hexdigest() == GOLDEN_PROOFLESS_SESSION

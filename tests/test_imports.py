@@ -37,155 +37,123 @@ INTROSPECTION = ("dataclasses", "inspect")  # ``dataclasses`` imports ``inspect`
 BUILTIN_SHA256 = ("_sha256", "_sha2")
 ENV = {**os.environ, "PYTHONPATH": str(PACKAGE.parent) + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
-# Each step serves its lines and records which of the watched modules are then loaded.
+# ``import fzsearch``, then ``fzsearch serve`` of each index, which records the watched modules
+# when its state is made and again after it has served that index's lines.
 SERVER = """
 import json, sys
-import fzsearch.cli
-from fzsearch.persist import load_index
-from fzsearch.service import ServerState, handle_line
-
-spec = json.loads(sys.argv[1])
-watched = spec["hash_modules"]
-report = {}
-
-def serve(step, state, lines, proofs):
-    hits = 0
-    for line in lines:
-        reply = json.loads(handle_line(state, line))
-        assert reply["type"] in ("HelloAck", "SearchResp"), reply
-        if reply["type"] == "SearchResp":
-            assert ("proofs" in reply) == proofs, reply
-        hits += len(reply.get("records", []))
-    assert hits or not lines, f"{step}: no request found a record"
-    report[step] = {
-        "cryptography": any(m.split(".")[0] == "cryptography" for m in sys.modules),
-        "hashing": sorted(m for m in watched if m in sys.modules),
-        "introspection": sorted(m for m in spec["introspection"] if m in sys.modules),
-        "client": "fzsearch.client" in sys.modules,
-    }
-
-for step in ("listing", "trie"):
-    serve(step, ServerState(index=load_index(spec[step])), spec["lines"], False)
-auth = ServerState(index=load_index(spec["auth"]))
-serve("auth", auth, spec["proof_lines"], True)
-blinded = ServerState(index=auth.index, xi=bytes.fromhex(spec["xi"]))
-serve("blinded state", blinded, [], True)
-serve("blinded", blinded, spec["blinded_lines"], True)
-print(json.dumps(report))
-"""
-
-
-@pytest.fixture(scope="module")
-def server_spec(km, tmp_path_factory):
-    """A listing, a trie and an auth index file, and the request lines to serve from them."""
-    tmp = tmp_path_factory.mktemp("servers")
-    rng = random.Random(29)
-    corpus = {word: [b"F1"] for word in random_corpus(rng, size=30, lo=3, hi=6)}
-    spec = {"hash_modules": HASH_MODULES, "introspection": INTROSPECTION, "xi": bytes(range(16)).hex()}
-    spec["keys"] = str(tmp / "k.fzky")
-    save_keys(km, spec["keys"])
-    for name, build, method in (
-        ("listing", build_listing_index, "wildcard"),
-        ("trie", build_trie_index, "gram"),
-        ("auth", build_auth_trie, "wildcard"),
-    ):
-        spec[name] = str(tmp / f"{name}.fzix")
-        save_index(build(corpus, 1, km, method), spec[name])
-    words = sorted(corpus)[:4]
-    hello = encode_message({"type": "Hello"})
-    reqs = [make_request(word, 1, km, method) for word in words for method in ("wildcard", "gram")]
-    spec["lines"] = [hello] + [encode_message(search_msg(req)) for req in reqs]
-    spec["proof_lines"] = [hello] + [encode_message(search_msg(req, proof=True)) for req in reqs]
-    xi = bytes.fromhex(spec["xi"])
-    spec["blinded_lines"] = [hello] + [encode_message(search_msg(blind_request(req, xi), proof=True)) for req in reqs]
-    return spec
-
-
-@pytest.fixture(scope="module")
-def server_report(server_spec):
-    """Which watched modules a server process has loaded after each step of serving."""
-    out = subprocess.run(
-        [sys.executable, "-c", SERVER, json.dumps(server_spec)], env=ENV, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)
-
-
-def test_a_plain_server_never_loads_the_cipher_library(server_report):
-    assert {step: seen["cryptography"] for step, seen in server_report.items()} == {
-        "listing": False,
-        "trie": False,
-        "auth": False,
-        "blinded state": True,
-        "blinded": True,
-    }
-
-
-def test_no_server_loads_openssl_hashing(server_report):
-    """Plain listing and trie servers, the auth server with proofs, the blinded one."""
-    assert list(server_report) == ["listing", "trie", "auth", "blinded state", "blinded"]
-    assert {step: seen["hashing"] for step, seen in server_report.items()} == dict.fromkeys(server_report, [])
-
-
-def test_no_server_loads_dataclasses(server_report):
-    """Nor ``inspect``: the blinded steps make their state from a key, not a key file."""
-    assert {step: seen["introspection"] for step, seen in server_report.items()} == dict.fromkeys(server_report, [])
-
-
-def test_no_server_loads_the_client(server_report):
-    assert {step: seen["client"] for step, seen in server_report.items()} == dict.fromkeys(server_report, False)
-
-
-# ``fzsearch serve`` up to the point where it would serve: which watched modules it has loaded.
-SERVE = """
-import json, sys
+import fzsearch
+package = sorted(m for m in sys.modules if m.startswith("fzsearch."))
 import fzsearch.cli as cli
+from fzsearch.service import handle_line
 
 spec = json.loads(sys.argv[1])
-seen = {}
+steps = {}
 
-def serve_forever(server):
-    seen[kind] = {
+def record(step):
+    steps[step] = {
+        "cryptography": any(m.split(".")[0] == "cryptography" for m in sys.modules),
+        "hashing": sorted(m for m in spec["hash_modules"] if m in sys.modules),
         "introspection": sorted(m for m in spec["introspection"] if m in sys.modules),
         "keys": "fzsearch.keys" in sys.modules,
         "client": "fzsearch.client" in sys.modules,
     }
 
+def serve_forever(server):
+    record(kind + " state")
+    hits = 0
+    for line in spec["lines"][kind]:
+        reply = json.loads(handle_line(server.state, line))
+        assert reply["type"] in ("HelloAck", "SearchResp"), reply
+        if reply["type"] == "SearchResp":
+            assert ("proofs" in reply) == (kind in ("auth", "blinded")), reply
+        hits += len(reply.get("records", []))
+    assert hits, f"{kind}: no request found a record"
+    record(kind)
+
 cli.SearchServer.serve_forever = serve_forever
-for kind in ("listing", "trie", "auth"):
-    assert cli.main(["serve", "--index", spec[kind], "--port", "0"]) == 0
-kind = "blinded auth"
-assert cli.main(["serve", "--blinded", "--keys", spec["keys"], "--epoch", "1", "--index", spec["auth"], "--port", "0"]) == 0
-print(json.dumps(seen))
+for kind, args in spec["serve"].items():
+    assert cli.main(["serve", "--port", "0", *args]) == 0
+print(json.dumps({"package": package, "steps": steps}))
 """
+
+SERVED = ("listing", "trie", "auth", "blinded")  # what ``SERVER`` serves, in order
+STEPS = [step for kind in SERVED for step in (f"{kind} state", kind)]
 
 
 @pytest.fixture(scope="module")
-def serve_report(server_spec):
-    """Which watched modules ``fzsearch serve`` has loaded when it would serve each index."""
+def server_report(km, tmp_path_factory):
+    """The submodules ``import fzsearch`` loads, and the watched modules a server process has
+    loaded at each step of ``SERVER``: a listing, a trie, an auth and a blinded auth index."""
+    tmp = tmp_path_factory.mktemp("servers")
+    rng = random.Random(29)
+    corpus = {word: [b"F1"] for word in random_corpus(rng, size=30, lo=3, hi=6)}
+    keys = str(tmp / "k.fzky")
+    save_keys(km, keys)
+    serve = {}
+    for name, build, method in (
+        ("listing", build_listing_index, "wildcard"),
+        ("trie", build_trie_index, "gram"),
+        ("auth", build_auth_trie, "wildcard"),
+    ):
+        serve[name] = ["--index", str(tmp / f"{name}.fzix")]
+        save_index(build(corpus, 1, km, method), serve[name][1])
+    serve["blinded"] = [*serve["auth"], "--blinded", "--keys", keys, "--epoch", "1"]
+    words = sorted(corpus)[:4]
+    hello = encode_message({"type": "Hello"})
+    reqs = [make_request(word, 1, km, method) for word in words for method in ("wildcard", "gram")]
+    plain = [hello] + [encode_message(search_msg(req)) for req in reqs]
+    lines = {
+        "listing": plain,
+        "trie": plain,
+        "auth": [hello] + [encode_message(search_msg(req, proof=True)) for req in reqs],
+        "blinded": [hello] + [encode_message(search_msg(blind_request(req, km.blind_key), epoch=1, proof=True)) for req in reqs],
+    }
+    spec = {"hash_modules": HASH_MODULES, "introspection": INTROSPECTION, "serve": serve, "lines": lines}
     out = subprocess.run(
-        [sys.executable, "-c", SERVE, json.dumps(server_spec)], env=ENV, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", SERVER, json.dumps(spec)], env=ENV, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.splitlines()[-1])
 
 
-SERVED = ("listing", "trie", "auth", "blinded auth")  # what ``SERVE`` serves, in order
+def _seen(server_report, watched: str, steps=STEPS) -> dict:
+    """``watched``'s entry of the report at each of ``steps``."""
+    return {step: server_report["steps"][step][watched] for step in steps}
 
 
-def test_serve_without_a_key_file_loads_no_dataclasses(serve_report):
-    assert {kind: serve_report[kind]["introspection"] for kind in SERVED[:3]} == dict.fromkeys(SERVED[:3], [])
+def test_a_plain_server_never_loads_the_cipher_library(server_report):
+    assert _seen(server_report, "cryptography") == {step: step.startswith("blinded") for step in STEPS}
 
 
-def test_serve_blinded_loads_neither_dataclasses_nor_the_key_material_module(serve_report):
+def test_no_server_loads_openssl_hashing(server_report):
+    """Plain listing and trie servers, the auth server with proofs, the blinded one."""
+    assert list(server_report["steps"]) == STEPS
+    assert _seen(server_report, "hashing") == dict.fromkeys(STEPS, [])
+
+
+def test_no_server_loads_dataclasses(server_report):
+    """Nor ``inspect``."""
+    assert _seen(server_report, "introspection") == dict.fromkeys(STEPS, [])
+
+
+def test_no_server_loads_the_client(server_report):
+    assert _seen(server_report, "client") == dict.fromkeys(STEPS, False)
+
+
+def test_serve_without_a_key_file_loads_no_dataclasses(server_report):
+    plain = [f"{kind} state" for kind in SERVED[:3]]
+    assert _seen(server_report, "introspection", plain) == dict.fromkeys(plain, [])
+
+
+def test_serve_blinded_loads_neither_dataclasses_nor_the_key_material_module(server_report):
     """``serve --blinded`` reads its key file for the blind key alone, without a ``KeyMaterial``."""
-    assert list(serve_report) == list(SERVED)
-    assert serve_report["blinded auth"]["introspection"] == []
-    assert {kind: seen["keys"] for kind, seen in serve_report.items()} == dict.fromkeys(SERVED, False)
+    assert server_report["steps"]["blinded state"]["introspection"] == []
+    assert _seen(server_report, "keys") == dict.fromkeys(STEPS, False)
 
 
-def test_serve_never_loads_the_client(serve_report):
-    assert {kind: seen["client"] for kind, seen in serve_report.items()} == dict.fromkeys(SERVED, False)
+def test_serve_never_loads_the_client(server_report):
+    made = [f"{kind} state" for kind in SERVED]
+    assert _seen(server_report, "client", made) == dict.fromkeys(made, False)
 
 
 # As on an interpreter built without CPython's SHA-256 modules: crypto falls back to hashlib's.
@@ -328,8 +296,5 @@ def test_an_unknown_name_is_an_attribute_error():
         assert getattr(fzsearch, name, None) is None
 
 
-def test_importing_the_package_loads_no_submodule():
-    code = "import json, sys, fzsearch; print(json.dumps(sorted(m for m in sys.modules if m.startswith('fzsearch.'))))"
-    out = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == []
+def test_importing_the_package_loads_no_submodule(server_report):
+    assert server_report["package"] == []

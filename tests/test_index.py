@@ -630,14 +630,17 @@ def _damaged_bodies(rest: bytes, count: int, heads: list[int]):
 def test_the_loaders_short_path_matches_the_reader_without_it(small_files, file):
     """On every damage of the body of a file whose entries hold one record and
     two, the loader gives the same result or the same first error, message
-    included, as the reference reader, which makes every check on every entry."""
+    included, as the reference reader, which makes every check on every entry.
+    Every cut of the undamaged body is refused with ``Truncated``."""
     blob = small_files[file]
-    ref = reference_read_fzix(blob)
+    ref, rest = reference_read_fzix(blob), blob[HEADER_BYTES:]
     assert {1, 2} <= set(map(len, ref.spans.values()))
     seen = set()
-    for body, n in _damaged_bodies(blob[HEADER_BYTES:], len(ref.table), list(ref.table.values())):
+    for body, n in _damaged_bodies(rest, len(ref.table), list(ref.table.values())):
         got, _ = _same_read(blob[:10] + n.to_bytes(8, "big") + body)
         seen.add(got[1] if isinstance(got, tuple) else "read")
+        if len(body) < len(rest) and rest.startswith(body):
+            assert got[0] is Truncated, got
     assert {"read", "record blob too short"} < seen
     assert any(m.endswith("ends early") and ":" not in m for m in seen)  # a head cut
     assert any(m.endswith("a record ends early") for m in seen)
@@ -648,8 +651,8 @@ def test_the_loaders_short_path_matches_the_reader_without_it(small_files, file)
 def test_a_damaged_header_is_refused_as_the_reference_refuses(small_files):
     """Every cut of the header, every flags byte, and a wrong magic, version,
     geometry and d: the loader reads what the reference reads, or refuses with
-    the same class and message; each flags byte gets the outcome of a table
-    kept apart from both readers."""
+    the same class and message; each cut is refused with ``Truncated``, and
+    each flags byte gets the outcome of a table kept apart from both readers."""
     blob = small_files["auth", "wildcard"]
     damaged = [blob[:cut] for cut in range(HEADER_BYTES + 1)]
     damaged += [blob[:5] + bytes([flags]) + blob[6:] for flags in range(256)]
@@ -659,6 +662,7 @@ def test_a_damaged_header_is_refused_as_the_reference_refuses(small_files):
     for data in damaged:
         got, _ = _same_read(data)
         seen.add(got[0] if isinstance(got, tuple) else "read")
+        assert len(data) > HEADER_BYTES or got[0] is Truncated, got
     assert seen == {"read", Truncated, BadMagic, VersionUnsupported, BadParameter}
     for flags in range(256):
         got = refusal(loads_index, blob[:5] + bytes([flags]) + blob[6:])
@@ -926,10 +930,11 @@ def _outcome(load, dump, blob: bytes):
 
 
 def test_owner_file_readers_match_the_field_by_field_oracle(small_files, km):
-    """On 2,800 seeded damaged key, directory, listing and auth files, each reader
-    accepts exactly what its field-by-field oracle accepts, to a value that dumps
-    back to the same bytes; both refuse with ``FzError``, with the same class when
-    the magic or the version is wrong."""
+    """On the undamaged key, directory, listing and auth files and 2,800 seeded
+    damaged ones, each reader accepts exactly what its field-by-field oracle
+    accepts, to a value that dumps back to the same bytes; both refuse with
+    ``FzError``, with the same class when the magic or the version is wrong.
+    Every cut of a key or directory file is refused with ``Truncated``."""
     enrolled = UserDirectory(current_xi=km.blind_key).enroll("alice", b"ka").enroll("bob", b"kb")
     files = [
         dumps_keys(km),
@@ -944,10 +949,11 @@ def test_owner_file_readers_match_the_field_by_field_oracle(small_files, km):
     seen = {"loaded": 0, BadMagic: 0, VersionUnsupported: 0, FzError: 0}
     for blob in files:
         load, oracle, dump = OWNER_CODECS[blob[:4]]
-        for _ in range(400):
-            mutant = _damaged(blob, rng)
+        for mutant in [blob] + [_damaged(blob, rng) for _ in range(400)]:
             got = _outcome(load, dump, mutant)
             assert got == _outcome(oracle, dump, mutant), (blob[:4], mutant.hex())
             assert got == mutant if isinstance(got, bytes) else got in seen
             seen["loaded" if isinstance(got, bytes) else got] += 1
+        if load is not loads_index:
+            assert {refusal(load, blob[:cut])[0] for cut in range(len(blob))} == {Truncated}, blob[:4]
     assert min(seen.values()) >= 50, seen

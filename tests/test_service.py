@@ -28,8 +28,6 @@ from fzsearch import (
     ResultSet,
     SearchRequest,
     Truncated,
-    UserDirectory,
-    Verdict,
     VersionUnsupported,
     build_auth_trie,
     build_listing_index,
@@ -97,15 +95,6 @@ def too_many_digits():
 
 
 class TestHandler:
-    def test_hello_ack_fields(self, km, world):
-        _, index = world
-        ack = ask(ServerState(index=index), {"type": "Hello"})
-        assert ack["type"] == "HelloAck"
-        assert ack["kind"] == "trie" and ack["method"] == "wildcard"
-        assert ack["d"] == 1 and ack["trapdoor_bits"] == 160 and ack["symbol_bits"] == 4
-        assert ack["verifiable"] is False and ack["blinded"] is False
-        assert ack["protocol"] == PROTOCOL == 2
-
     def test_wire_layer_adds_and_removes_nothing(self, km, world):
         corpus, index = world
         state = ServerState(index=index)
@@ -117,13 +106,6 @@ class TestHandler:
             via_wire = result_from_response(resp)
             assert via_wire.exact_hit == direct.exact_hit
             assert via_wire.records == direct.records
-
-    def test_response_is_byte_stable(self, km, world):
-        corpus, index = world
-        state = ServerState(index=index)
-        req = make_request(sorted(corpus)[0], 1, km)
-        line = json.dumps(search_msg(req))
-        assert handle_line(state, line) == handle_line(state, line)
 
     @pytest.mark.parametrize(
         "line",
@@ -197,11 +179,6 @@ class TestHandler:
         for n in (16, 24, 32):
             assert ask(ServerState(index=index, xi=bytes(n)), {"type": "Hello"})["blinded"] is True
 
-    def test_edit_bound_error(self, km, world):
-        _, index = world
-        out = ask(ServerState(index=index), search_msg(make_request("cat", 2, km)))
-        assert out["code"] == "EDIT_BOUND"
-
     def test_too_many_trapdoors(self, km, world):
         _, index = world
         state = ServerState(index=index)
@@ -211,17 +188,6 @@ class TestHandler:
         assert at_cap["type"] == "SearchResp"
         over = ask(state, search_msg(SearchRequest(trapdoors, 1)))
         assert over["code"] == "TOO_MANY_TRAPDOORS"
-
-    def test_stale_epoch_only_in_blinded_mode(self, km, world):
-        _, index = world
-        req = make_request("cat", 1, km)
-        plain = ServerState(index=index)
-        assert ask(plain, search_msg(req, epoch=5))["type"] == "SearchResp"
-        blinded = ServerState(index=index, xi=km.blind_key, epoch=3)
-        out = ask(blinded, search_msg(blind_request(req, km.blind_key), epoch=2))
-        assert out["code"] == "STALE_EPOCH"
-        ok = ask(blinded, search_msg(blind_request(req, km.blind_key), epoch=3))
-        assert ok["type"] == "SearchResp"
 
     def test_proofs_only_from_auth_index(self, km, world):
         corpus, index = world
@@ -256,33 +222,6 @@ class TestHandler:
         out = ask(ServerState(index=index), search_msg(make_request("cat", 1, km)))
         assert out["type"] == "ErrorResp" and out["code"] == "INTERNAL"
         assert out["message"] == "unhandled request error: RuntimeError"
-
-    def test_handler_survives_fuzz(self, world):
-        _, index = world
-        state = ServerState(index=index)
-        rng = random.Random(193)
-        printable = string.printable
-        for i in range(2000):
-            roll = rng.random()
-            if roll < 0.3:
-                line = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 80)))
-            elif roll < 0.6:
-                line = "".join(rng.choice(printable) for _ in range(rng.randrange(0, 120)))
-            elif roll < 0.8:
-                line = json.dumps({rng.choice(["type", "k", "x"]): rng.choice([None, 1e308, "SearchReq", [], {}])})
-            else:
-                line = json.dumps(
-                    {
-                        "type": "SearchReq",
-                        "k": rng.choice([0, 1, -5, 2**40, "x", None]),
-                        "epoch": rng.choice([0, "e", None]),
-                        "trapdoors": rng.choice([None, [], ["00" * 20], ["xx" * 20], [1, 2]]),
-                    }
-                )
-            out = handle_line(state, line)
-            parsed = json.loads(out)
-            assert parsed["type"] in ("SearchResp", "ErrorResp", "HelloAck"), (i, line)
-
 
 # every character bytes.fromhex skips, and digits it must not read as hex
 _WHITESPACE = " \t\n\r\x0b\x0c"
@@ -469,31 +408,6 @@ class TestPersistence:
         for loads, data in ((loads_keys, bytes(keys)), (loads_index, head + entry)):
             with pytest.raises(BadParameter, match=f"^{trapdoor_bits}-bit trapdoors of {symbol_bits}-bit symbols; only 160/4"):
                 loads(data)
-
-    def test_truncations_never_crash(self, km):
-        corpus = {"cat": [b"F1"], "dog": [b"F2"]}
-        rng = random.Random(199)
-        for blob in (
-            dumps_index(build_trie_index(corpus, 1, km)),
-            dumps_index(build_listing_index(corpus, 1, km)),
-            dumps_index(build_auth_trie(corpus, 0, km)),
-            dumps_keys(km),
-            dumps_directory(UserDirectory(current_xi=km.blind_key).enroll("alice", b"ka")),
-        ):
-            loads = {b"FZKY": loads_keys, b"FZUD": loads_directory}.get(blob[:4], loads_index)
-            cuts = rng.sample(range(len(blob)), min(100, len(blob)))
-            for cut in cuts:
-                with pytest.raises(Truncated):
-                    loads(blob[:cut])
-
-    def test_directory_round_trip(self, km):
-        directory = UserDirectory(current_xi=km.blind_key)
-        directory.enroll("alice", b"ka").enroll("bob", b"kb")
-        blob = dumps_directory(directory)
-        loaded = loads_directory(blob, current_xi=km.blind_key)
-        assert loaded.epoch == 0 and set(loaded.wrapped) == {"alice", "bob"}
-        assert loaded.unwrap("alice", b"ka") == km.blind_key
-        assert dumps_directory(loaded) == blob
 
     def test_directory_with_a_repeated_or_unordered_user_id_is_a_parameter_error(self):
         """``dumps_directory`` writes user ids strictly ascending; the reader takes no other order."""
@@ -1047,69 +961,74 @@ def test_search_writes_the_line_of_the_captured_request(km, monkeypatch):
     assert sent == [encode_message(msg).encode() for msg in built]
 
 
-class TestCli:
-    @pytest.fixture()
-    def workspace(self, tmp_path):
-        corpus_dir = tmp_path / "corpus"
-        corpus_dir.mkdir()
-        (corpus_dir / "one.txt").write_text("the cat sat on a mat\n")
-        (corpus_dir / "two.txt").write_text("a dog and a cot\n")
-        return tmp_path
+# the corpus of the CLI tests that name none of their own: file name -> text
+_CORPUS = {"one.txt": "the cat sat on a mat\n", "two.txt": "a dog and a cot\n"}
 
-    def test_full_owner_and_user_flow(self, workspace, capsys):
-        keyfile = str(workspace / "k.fzky")
-        indexfile = str(workspace / "i.fzix")
+
+def _corpus(root: Path, files: dict = _CORPUS) -> str:
+    """``files`` (a name may be bytes) written to the directory ``root``/corpus; its path."""
+    corpus = root / "corpus"
+    corpus.mkdir(exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(os.fsencode(corpus), os.fsencode(name)), "w") as fh:
+            fh.write(text)
+    return str(corpus)
+
+
+def _owner(root: Path, seed: bytes, *build: str, files: dict = _CORPUS, out: str = "i.fzix", code: int = 0):
+    """``keygen(128, seed=seed)`` written to ``root``/k.fzky and ``files`` to
+    ``root``/corpus, then ``fzsearch build`` with the ``build`` arguments into
+    ``root``/``out``, asserted to exit with ``code``; the key file's and the
+    index file's paths."""
+    keyfile, indexfile = save_seeded_keys(root / "k.fzky", seed), str(root / out)
+    assert cli_main(["build", "--keys", keyfile, "--corpus", _corpus(root, files), "--out", indexfile, *build]) == code
+    return keyfile, indexfile
+
+
+@contextmanager
+def _searching(index, keyfile: str, host: str = "127.0.0.1", **state):
+    """``ServerState(index=index, **state)`` served on ``host``; yields the
+    ``--server`` and ``--keys`` arguments of a search against it."""
+    with serving(ServerState(index=index, **state), host) as (_, _, (host, port)):
+        yield ["--server", f"[{host}]:{port}" if ":" in host else f"{host}:{port}", "--keys", keyfile]
+
+
+class TestCli:
+    def test_full_owner_and_user_flow(self, tmp_path, capsys):
+        keyfile, indexfile = str(tmp_path / "k.fzky"), str(tmp_path / "i.fzix")
         assert cli_main(["keygen", "--out", keyfile]) == 0
-        assert (
-            cli_main(
-                ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"),
-                 "--out", indexfile, "--kind", "auth", "--d", "1"]
-            )
-            == 0
-        )
-        with serving(ServerState(index=load_index(indexfile))) as (_, _, (host, port)):
+        build = ["build", "--keys", keyfile, "--corpus", _corpus(tmp_path), "--out", indexfile]
+        assert cli_main([*build, "--kind", "auth", "--d", "1"]) == 0
+        with _searching(load_index(indexfile), keyfile) as server_arg:
             capsys.readouterr()
-            assert cli_main(["search", "cot", "1", "--server", f"{host}:{port}", "--keys", keyfile]) == 0
+            assert cli_main(["search", "cot", "1", *server_arg]) == 0
             out = capsys.readouterr().out
             assert "two.txt" in out
-            assert cli_main(["verify", "cat", "0", "--server", f"{host}:{port}", "--keys", keyfile]) == 0
+            assert cli_main(["verify", "cat", "0", *server_arg]) == 0
             out = capsys.readouterr().out
             assert "verified: Ok" in out and "one.txt" in out
             # distance-2 word misses
-            assert cli_main(["search", "cta", "1", "--server", f"{host}:{port}", "--keys", keyfile]) == 0
+            assert cli_main(["search", "cta", "1", *server_arg]) == 0
             out = capsys.readouterr().out
             assert "one.txt" not in out and "two.txt" not in out
 
-    def test_a_gram_exact_hit_prints_only_the_keywords_files(self, workspace, capsys):
+    def test_a_gram_exact_hit_prints_only_the_keywords_files(self, tmp_path, capsys):
         """The gram entry of "cat" also holds "cart", one deletion away; the client drops it."""
-        (workspace / "corpus" / "three.txt").write_text("a cart\n")
-        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
-        assert cli_main(["keygen", "--out", keyfile]) == 0
-        build = ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]
-        assert cli_main([*build, "--kind", "auth", "--method", "gram", "--d", "1"]) == 0
-        with serving(ServerState(index=load_index(indexfile))) as (_, _, (host, port)):
+        files = {**_CORPUS, "three.txt": "a cart\n"}
+        keyfile, indexfile = _owner(tmp_path, bytes.fromhex("04"), "--kind", "auth", "--method", "gram", "--d", "1", files=files)
+        with _searching(load_index(indexfile), keyfile) as server_arg:
             for command in ("search", "verify"):
                 capsys.readouterr()
-                assert cli_main([command, "cat", "1", "--server", f"{host}:{port}", "--keys", keyfile]) == 0
+                assert cli_main([command, "cat", "1", *server_arg]) == 0
                 assert [line for line in capsys.readouterr().out.splitlines() if line.endswith(".txt")] == ["one.txt"]
 
-    def test_build_entry_count_matches_formula(self, workspace, capsys):
+    def test_build_entry_count_matches_formula(self, tmp_path, capsys):
         # entry count = sum of per-keyword wildcard set sizes minus shared variants
         from fzsearch.fuzzyset import wildcard_fuzzy_set
-        from fzsearch.cli import read_corpus_dir
 
-        keyfile = str(workspace / "k.fzky")
-        indexfile = str(workspace / "i.fzix")
-        save_seeded_keys(keyfile, bytes.fromhex("01"))
-        assert (
-            cli_main(
-                ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"),
-                 "--out", indexfile, "--kind", "listing", "--d", "1"]
-            )
-            == 0
-        )
+        _, indexfile = _owner(tmp_path, bytes.fromhex("01"), "--kind", "listing", "--d", "1")
         out = capsys.readouterr().out
-        corpus = read_corpus_dir(str(workspace / "corpus"))
+        corpus = read_corpus_dir(str(tmp_path / "corpus"))
         variants = set()
         for word in corpus:
             variants.update(wildcard_fuzzy_set(word, 1))
@@ -1117,36 +1036,23 @@ class TestCli:
         index = load_index(indexfile)
         assert len(index.table) == len(variants)
 
-    def test_non_utf8_file_name_is_a_file_id(self, workspace, capsys):
-        corpus_dir = workspace / "odd"
-        corpus_dir.mkdir()
-        with open(os.path.join(os.fsencode(corpus_dir), b"\xffbad.txt"), "w") as fh:
-            fh.write("zebra\n")
-        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
-        save_seeded_keys(keyfile, bytes.fromhex("02"))
-        assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", indexfile]) == 0
-        with serving(ServerState(index=load_index(indexfile))) as (_, _, (host, port)):
+    def test_non_utf8_file_name_is_a_file_id(self, tmp_path, capsys):
+        keyfile, indexfile = _owner(tmp_path, bytes.fromhex("02"), files={b"\xffbad.txt": "zebra\n"})
+        with _searching(load_index(indexfile), keyfile) as server_arg:
             capsys.readouterr()
-            assert cli_main(["search", "zebro", "1", "--server", f"{host}:{port}", "--keys", keyfile]) == 0
+            assert cli_main(["search", "zebro", "1", *server_arg]) == 0
             assert capsys.readouterr().out == "\\xffbad.txt\n"
 
-    def test_gram_results_beyond_k_are_not_printed(self, workspace, capsys):
+    def test_gram_results_beyond_k_are_not_printed(self, tmp_path, capsys):
         """A gram index answers "abdc" and "bacd" with "abcd" (2 edits away); the CLI drops it."""
-        corpus_dir = workspace / "gram"
-        corpus_dir.mkdir()
-        (corpus_dir / "far.txt").write_text("abcd\n")
-        (corpus_dir / "near.txt").write_text("abdx\n")
-        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
-        save_seeded_keys(keyfile, bytes.fromhex("03"))
-        assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", indexfile,
-                         "--kind", "auth", "--method", "gram"]) == 0
+        files = {"far.txt": "abcd\n", "near.txt": "abdx\n"}
+        keyfile, indexfile = _owner(tmp_path, bytes.fromhex("03"), "--kind", "auth", "--method", "gram", files=files)
         km, index = load_keys(keyfile), load_index(indexfile)
         for query, keywords in (("abdc", {"abcd", "abdx"}), ("bacd", {"abcd"})):
             result = search_trie(index, make_request(query, 1, km, "gram"))
             assert {decrypt_record(km, rec)[1] for rec in result.records} == keywords
-        with serving(ServerState(index=index)) as (_, _, (host, port)):
+        with _searching(index, keyfile) as server_arg:
             capsys.readouterr()
-            server_arg = ["--server", f"{host}:{port}", "--keys", keyfile]
             assert cli_main(["search", "abdc", "1", *server_arg]) == 0
             assert capsys.readouterr() == ("near.txt\n", "")
             assert cli_main(["verify", "ABDC", "1", *server_arg]) == 0
@@ -1159,29 +1065,21 @@ class TestCli:
     def test_gram_indexes_build_over_words_of_at_most_d_letters(self, tmp_path, capsys):
         """Deletions reach the empty word, so a, in, of, to and it are keywords at d = 1 and 2;
         ``b`` matches ``a`` through it, and every two-letter word is 2 edits away."""
-        corpus_dir = tmp_path / "short"
-        corpus_dir.mkdir()
-        (corpus_dir / "sky.txt").write_text("a castle in the sky\n")
-        (corpus_dir / "of.txt").write_text("of to it\n")
-        keyfile = str(tmp_path / "k.fzky")
-        save_seeded_keys(keyfile, bytes.fromhex("07"))
+        files = {"sky.txt": "a castle in the sky\n", "of.txt": "of to it\n"}
         for d in ("1", "2"):
             for kind in ("listing", "trie", "auth"):
-                indexfile = str(tmp_path / f"{kind}-{d}.fzix")
-                assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", indexfile,
-                                 "--kind", kind, "--method", "gram", "--d", d]) == 0
-                with serving(ServerState(index=load_index(indexfile))) as (_, _, (host, port)):
+                build = ["--kind", kind, "--method", "gram", "--d", d]
+                keyfile, indexfile = _owner(tmp_path, bytes.fromhex("07"), *build, files=files, out=f"{kind}-{d}.fzix")
+                with _searching(load_index(indexfile), keyfile) as server_arg:
                     capsys.readouterr()
-                    server_arg = ["--server", f"{host}:{port}", "--keys", keyfile]
                     assert cli_main(["search", "b", "1", *server_arg]) == 0
                     assert capsys.readouterr() == ("sky.txt\n", "")
                     if kind == "auth":
                         assert cli_main(["verify", "b", "1", *server_arg]) == 0
                         assert capsys.readouterr() == ("verified: Ok\nsky.txt\n", "")
 
-    def test_read_corpus_dir_skips_tokens_without_letters(self, workspace):
-        (workspace / "corpus" / "three.txt").write_text("42 -- Owl! ... 7a\n")
-        corpus = read_corpus_dir(str(workspace / "corpus"))
+    def test_read_corpus_dir_skips_tokens_without_letters(self, tmp_path):
+        corpus = read_corpus_dir(_corpus(tmp_path, {**_CORPUS, "three.txt": "42 -- Owl! ... 7a\n"}))
         assert corpus["owl"] == [b"three.txt"] and corpus["a"] == [b"one.txt", b"three.txt", b"two.txt"]
         assert sorted(corpus) == ["a", "and", "cat", "cot", "dog", "mat", "on", "owl", "sat", "the"]
 
@@ -1190,74 +1088,54 @@ class TestCli:
         ("empty.txt", "42 -- !!\n", "no keywords found"),
     ])
     def test_build_refuses_a_long_file_name_and_a_corpus_without_keywords(self, tmp_path, capsys, name, text, message):
-        corpus_dir = tmp_path / "corpus"
-        corpus_dir.mkdir()
-        (corpus_dir / name).write_text(text)
-        keyfile, indexfile = str(tmp_path / "k.fzky"), tmp_path / "i.fzix"
-        save_seeded_keys(keyfile, bytes.fromhex("08"))
-        capsys.readouterr()
-        assert cli_main(["build", "--keys", keyfile, "--corpus", str(corpus_dir), "--out", str(indexfile)]) == 1
+        _, indexfile = _owner(tmp_path, bytes.fromhex("08"), files={name: text}, code=1)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
-        assert not indexfile.exists()
+        assert not os.path.exists(indexfile)
 
-    def test_build_refuses_a_fuzzy_set_past_the_variant_cap(self, workspace, capsys):
-        (workspace / "corpus" / "long.txt").write_text("abcdefghijklmno\n")  # 5,039 variants within 3 edits
-        keyfile, indexfile = str(workspace / "k.fzky"), workspace / "i.fzix"
-        save_seeded_keys(keyfile, bytes.fromhex("03"))
-        build = ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", str(indexfile)]
-        assert cli_main([*build, "--d", "3"]) == 1
+    def test_build_refuses_a_fuzzy_set_past_the_variant_cap(self, tmp_path, capsys):
+        files = {**_CORPUS, "long.txt": "abcdefghijklmno\n"}  # 5,039 variants within 3 edits
+        _, indexfile = _owner(tmp_path, bytes.fromhex("03"), "--d", "3", files=files, code=1)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'abcdefghijklmno'" in err and "Traceback" not in err, err
-        assert not indexfile.exists()
+        assert not os.path.exists(indexfile)
 
-    def test_user_without_a_directory_on_a_blinded_server(self, workspace, capsys):
-        keyfile = str(workspace / "k.fzky")
-        save_seeded_keys(keyfile, bytes.fromhex("09"))
+    def test_user_without_a_directory_on_a_blinded_server(self, tmp_path, capsys):
+        keyfile = save_seeded_keys(tmp_path / "k.fzky", bytes.fromhex("09"))
         km = load_keys(keyfile)
-        state = ServerState(index=build_trie_index({"cat": [b"F"]}, 1, km), xi=km.blind_key)
-        with serving(state) as (_, _, (host, port)):
+        with _searching(build_trie_index({"cat": [b"F"]}, 1, km), keyfile, xi=km.blind_key) as server_arg:
             capsys.readouterr()
-            argv = ["search", "cat", "1", "--server", f"{host}:{port}", "--keys", keyfile, "--user", "alice"]
-            assert cli_main(argv) == 1
+            assert cli_main(["search", "cat", "1", *server_arg, "--user", "alice"]) == 1
             assert capsys.readouterr() == ("", "error: --user requires --directory\n")
 
-    def test_a_k_above_the_servers_d_stops_before_any_fuzzy_set(self, workspace, capsys, monkeypatch):
+    def test_a_k_above_the_servers_d_stops_before_any_fuzzy_set(self, tmp_path, capsys, monkeypatch):
         """k = 3 against a d = 1 server: the fuzzy set would grow about twofold per
         unit of k, so the CLI checks HelloAck's d first and never builds one."""
-        keyfile = str(workspace / "k.fzky")
-        save_seeded_keys(keyfile, bytes.fromhex("0a"))
-        km = load_keys(keyfile)
-        state = ServerState(index=build_auth_trie({"castle": [b"F"]}, 1, km))
+        keyfile = save_seeded_keys(tmp_path / "k.fzky", bytes.fromhex("0a"))
+        index = build_auth_trie({"castle": [b"F"]}, 1, load_keys(keyfile))
         calls, real = [], fzsearch.index.fuzzy_set
         monkeypatch.setattr(fzsearch.index, "fuzzy_set", lambda *args: calls.append(args) or real(*args))
-        with serving(state) as (_, _, (host, port)):
+        with _searching(index, keyfile) as server_arg:
             for command in ("search", "verify"):
                 capsys.readouterr()
-                assert cli_main([command, "castle", "3", "--server", f"{host}:{port}", "--keys", keyfile]) == 1
+                assert cli_main([command, "castle", "3", *server_arg]) == 1
                 assert capsys.readouterr() == ("", "error: EDIT_BOUND: k=3 exceeds index bound d=1\n")
             assert calls == []
 
-    def test_blinded_flow_with_enroll_and_revoke(self, workspace, capsys):
-        keyfile = str(workspace / "k.fzky")
-        indexfile = str(workspace / "i.fzix")
-        dirfile = str(workspace / "users.fzud")
-        save_seeded_keys(keyfile, bytes.fromhex("ab"))
-        assert (
-            cli_main(["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]) == 0
-        )
+    def test_blinded_flow_with_enroll_and_revoke(self, tmp_path, capsys):
+        keyfile, indexfile = _owner(tmp_path, bytes.fromhex("ab"))
+        dirfile = str(tmp_path / "users.fzud")
         assert cli_main(["enroll", "--keys", keyfile, "--directory", dirfile, "--user", "alice"]) == 0
         assert cli_main(["enroll", "--keys", keyfile, "--directory", dirfile, "--user", "eve"]) == 0
-        stale = str(workspace / "stale.fzud")
+        stale = str(tmp_path / "stale.fzud")
         shutil.copyfile(dirfile, stale)  # alice's copy from before the revoke
         assert cli_main(["revoke", "--keys", keyfile, "--directory", dirfile, "--user", "eve"]) == 0
         out = capsys.readouterr().out
         assert "epoch 1" in out
 
         km = load_keys(keyfile)
-        state = ServerState(index=load_index(indexfile), xi=km.blind_key, epoch=1)
-        with serving(state) as (_, _, (host, port)):
-            search = ["search", "cat", "1", "--server", f"{host}:{port}", "--keys", keyfile]
+        with _searching(load_index(indexfile), keyfile, xi=km.blind_key, epoch=1) as server_arg:
+            search = ["search", "cat", "1", *server_arg]
             for user in ([], ["--directory", dirfile, "--user", "alice"]):
                 assert cli_main([*search, *user]) == 0
                 assert capsys.readouterr().out == "one.txt\n"
@@ -1307,14 +1185,13 @@ class TestCli:
             assert sent[1] == encode_message(search_msg(want_req, epoch=want_epoch)).encode()
         capsys.readouterr()
 
-    def test_revoke_converges_after_a_crash_between_files(self, workspace, monkeypatch, capsys):
+    def test_revoke_converges_after_a_crash_between_files(self, tmp_path, monkeypatch, capsys):
         import fzsearch.cli as cli
         from fzsearch.cli import derive_user_key
         from fzsearch.persist import load_directory
 
-        keyfile = str(workspace / "k.fzky")
-        dirfile = str(workspace / "users.fzud")
-        save_seeded_keys(keyfile, bytes.fromhex("ef"))
+        keyfile = save_seeded_keys(tmp_path / "k.fzky", bytes.fromhex("ef"))
+        dirfile = str(tmp_path / "users.fzud")
         for user in ("alice", "eve"):
             assert cli_main(["enroll", "--keys", keyfile, "--directory", dirfile, "--user", user]) == 0
         first_xi = load_keys(keyfile).blind_key
@@ -1336,8 +1213,8 @@ class TestCli:
         capsys.readouterr()
 
     @pytest.mark.parametrize("user", ["\udcff", "u" * 70_000], ids=["not-utf8", "too-long"])
-    def test_user_ids_that_do_not_fit_are_usage_errors(self, workspace, capsys, user):
-        dirfile = str(workspace / "users.fzud")
+    def test_user_ids_that_do_not_fit_are_usage_errors(self, tmp_path, capsys, user):
+        dirfile = str(tmp_path / "users.fzud")
         for command in (["enroll"], ["revoke"], ["search", "cat", "1"], ["verify", "cat", "1"]):
             assert cli_main([*command, "--directory", dirfile, "--user", user]) == 2
             err = capsys.readouterr().err
@@ -1359,17 +1236,17 @@ class TestCli:
         assert err.startswith("error: ") and "FZIX version 2 not supported (expected 3)" in err
         assert "rebuild it with `fzsearch build`" in err and "Traceback" not in err
 
-    def test_serve_blinded_reads_the_key_file_before_the_index(self, workspace, capsys):
+    def test_serve_blinded_reads_the_key_file_before_the_index(self, tmp_path, capsys):
         """Both files missing: the error names the key file, so the index was not opened first."""
-        keyfile, indexfile = str(workspace / "missing.fzky"), str(workspace / "missing.fzix")
+        keyfile, indexfile = str(tmp_path / "missing.fzky"), str(tmp_path / "missing.fzix")
         assert cli_main(["serve", "--index", indexfile, "--keys", keyfile, "--blinded", "--port", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and keyfile in err and indexfile not in err
         assert "Traceback" not in err
 
-    def test_serve_blinded_refuses_a_bad_key_file_before_the_index(self, km, workspace, capsys):
+    def test_serve_blinded_refuses_a_bad_key_file_before_the_index(self, km, tmp_path, capsys):
         """The index path is missing, so an index read before the key check would name it."""
-        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "missing.fzix")
+        keyfile, indexfile = str(tmp_path / "k.fzky"), str(tmp_path / "missing.fzix")
         for name, data in _damaged_key_files(km).items():
             with open(keyfile, "wb") as fh:
                 fh.write(data)
@@ -1377,34 +1254,32 @@ class TestCli:
             assert cli_main(["serve", "--index", indexfile, "--keys", keyfile, "--blinded", "--port", "0"]) == 1, name
             assert capsys.readouterr().err == f"error: {refusal(loads_keys, data)[1]}\n", name
 
-    def test_the_serving_line_names_the_kind_and_its_entries(self, workspace, capsys, monkeypatch):
+    def test_the_serving_line_names_the_kind_and_its_entries(self, tmp_path, capsys, monkeypatch):
         """Its ``serving <path> on <ipv4>:<port> `` prefix is what perfbench's harness reads."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import harness
 
         monkeypatch.setattr(SearchServer, "serve_forever", lambda server: None)
-        keyfile = save_seeded_keys(workspace / "k.fzky", b"serving")
         lines = []
         for kind, blinded, about in (
-            ("listing", [], "single-user; listing"),
-            ("trie", [], "single-user; trie"),
-            ("auth", ["--blinded", "--keys", keyfile, "--epoch", "3"], "blinded epoch=3; auth_trie"),
+            ("listing", False, "single-user; listing"),
+            ("trie", False, "single-user; trie"),
+            ("auth", True, "blinded epoch=3; auth_trie"),
         ):
-            indexfile = str(workspace / f"{kind}.fzix")
-            build = ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]
-            assert cli_main([*build, "--kind", kind]) == 0
+            keyfile, indexfile = _owner(tmp_path, b"serving", "--kind", kind, out=f"{kind}.fzix")
             entries = len(load_index(indexfile).table)
             capsys.readouterr()
-            assert cli_main(["serve", "--index", indexfile, "--port", "0", *blinded]) == 0
+            serve = ["serve", "--index", indexfile, "--port", "0"]
+            assert cli_main([*serve, *(["--blinded", "--keys", keyfile, "--epoch", "3"] if blinded else [])]) == 0
             line = capsys.readouterr().out
             port = harness._SERVING.match(line).group(2)
             assert line == f"serving {indexfile} on 127.0.0.1:{port} ({about}, {entries} entries)\n"
             lines.append(line)
         assert lines[0].endswith("(single-user; listing, 63 entries)\n")  # entries, not the 9 keywords
 
-    def test_key_file_with_wrong_key_lengths_is_a_clean_error(self, workspace, capsys):
-        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
-        build = ["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]
+    def test_key_file_with_wrong_key_lengths_is_a_clean_error(self, tmp_path, capsys):
+        keyfile, indexfile = str(tmp_path / "k.fzky"), str(tmp_path / "i.fzix")
+        build = ["build", "--keys", keyfile, "--corpus", _corpus(tmp_path), "--out", indexfile]
         save_keys(keygen(256, seed=b"\x02"), keyfile)
         assert cli_main(build) == 0
         km = keygen(128, seed=b"\x01")
@@ -1425,11 +1300,11 @@ class TestCli:
             assert err.startswith("error: ") and "Traceback" not in err, err
 
     @pytest.mark.parametrize("d", ["-1", "256", "1.5", "x"])
-    def test_an_edit_bound_fzix_cannot_hold_is_a_usage_error(self, workspace, capsys, d):
+    def test_an_edit_bound_fzix_cannot_hold_is_a_usage_error(self, tmp_path, capsys, d):
         """Refused before the key file is read: a wildcard build at d = 256 would
         expand fuzzy sets for minutes before the index could not be written."""
-        indexfile = workspace / "i.fzix"
-        build = ["build", "--keys", str(workspace / "missing.fzky"), "--corpus", str(workspace / "corpus")]
+        indexfile = tmp_path / "i.fzix"
+        build = ["build", "--keys", str(tmp_path / "missing.fzky"), "--corpus", _corpus(tmp_path)]
         assert cli_main([*build, "--out", str(indexfile), "--d", d]) == 2
         err = capsys.readouterr().err
         assert "argument --d: edit bound" in err and "Traceback" not in err, err
@@ -1442,7 +1317,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"argument k: k '{k}' is not in 0..255" in err and "Traceback" not in err, err
 
-    def test_exit_codes(self, workspace, monkeypatch, capsys):
+    def test_exit_codes(self, tmp_path, monkeypatch, capsys):
         assert cli_main(["bogus-command"]) == 2
         assert cli_main([]) == 2
         assert cli_main(["bench"]) == 2  # retired; perfbench is the one harness
@@ -1454,10 +1329,10 @@ class TestCli:
             ["search", "cat", "1", "--server", "[::1"],
             ["search", "cat", "1", "--server", "[::1]7090"],
             ["search", "cat", "1", "--server", "[::1]:abc"],
-            ["serve", "--index", str(workspace / "i.fzix"), "--port", "70000"],
-            ["serve", "--index", str(workspace / "i.fzix"), "--port", "-1"],
-            ["serve", "--index", str(workspace / "i.fzix"), "--epoch", "-1"],  # FZUD's epoch is a u64
-            ["serve", "--index", str(workspace / "i.fzix"), "--epoch", str(2**64)],
+            ["serve", "--index", str(tmp_path / "i.fzix"), "--port", "70000"],
+            ["serve", "--index", str(tmp_path / "i.fzix"), "--port", "-1"],
+            ["serve", "--index", str(tmp_path / "i.fzix"), "--epoch", "-1"],  # FZUD's epoch is a u64
+            ["serve", "--index", str(tmp_path / "i.fzix"), "--epoch", str(2**64)],
         ):
             capsys.readouterr()
             assert cli_main(argv) == 2, argv
@@ -1471,29 +1346,26 @@ class TestCli:
         assert _server("example.org") == ("example.org", 7090) and _server(":7091") == ("127.0.0.1", 7091)
         rc = cli_main(["search", "cat", "0"])  # no key file anywhere
         assert rc == 1
-        monkeypatch.setenv("FZ_KEYFILE", str(workspace / "missing.fzky"))
+        monkeypatch.setenv("FZ_KEYFILE", str(tmp_path / "missing.fzky"))
         assert cli_main(["search", "cat", "0"]) == 1
         capsys.readouterr()
 
-    def test_ipv6_server_round_trip(self, workspace, capsys):
+    def test_ipv6_server_round_trip(self, tmp_path, capsys):
         try:
             socket.create_server(("::1", 0), family=socket.AF_INET6).close()
         except OSError:
             pytest.skip("this host has no IPv6 loopback")
-        keyfile, indexfile = str(workspace / "k.fzky"), str(workspace / "i.fzix")
-        save_seeded_keys(keyfile, bytes.fromhex("06"))
-        assert cli_main(["build", "--keys", keyfile, "--corpus", str(workspace / "corpus"), "--out", indexfile]) == 0
-        with serving(ServerState(index=load_index(indexfile)), host="::1") as (_, _, (host, port)):
+        keyfile, indexfile = _owner(tmp_path, bytes.fromhex("06"))
+        with _searching(load_index(indexfile), keyfile, host="::1") as server_arg:
             capsys.readouterr()
-            assert cli_main(["search", "cot", "1", "--server", f"[{host}]:{port}", "--keys", keyfile]) == 0
+            assert cli_main(["search", "cot", "1", *server_arg]) == 0
             assert capsys.readouterr().out.split() == ["two.txt"]
 
-    def test_keyfile_env_fallback(self, workspace, monkeypatch, capsys):
-        keyfile = str(workspace / "env.fzky")
-        save_seeded_keys(keyfile, bytes.fromhex("cd"))
+    def test_keyfile_env_fallback(self, tmp_path, monkeypatch, capsys):
+        keyfile = save_seeded_keys(tmp_path / "env.fzky", bytes.fromhex("cd"))
         monkeypatch.setenv("FZ_KEYFILE", keyfile)
-        indexfile = str(workspace / "env.fzix")
-        assert cli_main(["build", "--corpus", str(workspace / "corpus"), "--out", indexfile]) == 0
+        indexfile = str(tmp_path / "env.fzix")
+        assert cli_main(["build", "--corpus", _corpus(tmp_path), "--out", indexfile]) == 0
         capsys.readouterr()
 
 
@@ -1541,6 +1413,14 @@ class TestHostileServer:
         assert _cli(["search", "castle", "1", "--keys", keyfile], _ACK, {"type": "a" * 100_000}) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unexpected search response type 'aaa") and len(err) < 100, len(err)
+
+    @pytest.mark.parametrize("field", ["message", "code"])
+    def test_a_long_error_reply_is_not_echoed(self, keyfile, capsys, field):
+        reply = {"type": "ErrorResp", "epoch": 0, "code": MALFORMED, "message": "?", field: "a" * (1 << 20)}
+        capsys.readouterr()
+        assert _cli(["search", "castle", "1", "--keys", keyfile], _ACK, reply) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: server error ") and len(err) < 400, len(err)
 
     def test_random_proofs_are_a_clean_error(self, keyfile, capsys):
         """Seeded random proof bytes, most past the type byte: ``verify`` prints
@@ -1661,53 +1541,6 @@ def _hostile_variants(resp: dict, rng: random.Random, records_pool: list, proofs
         yield out
 
 
-def test_hostile_auth_answers_end_in_a_clean_outcome(km):
-    """Mutated real answers end in BadResponse or a rejecting Verdict;
-    an accepted one carries the honest records and proofs."""
-    rng = random.Random(821)
-    corpus = random_corpus(rng, size=25, lo=3, hi=6)
-    corpus.update({"cart": [b"F-cart"], "cat": [b"F-cat"], "bat": [b"F-bat"]})
-    state = ServerState(index=build_auth_trie(corpus, 1, km, "gram"))
-    words = sorted(corpus)
-    answers = []
-    for query in ["cat", "cut", "cart"] + [mutate(rng.choice(words), rng) for _ in range(20)]:
-        req = make_request(query, 1, km, "gram")
-        answers.append((req, json.loads(handle_line(state, encode_message(search_msg(req, proof=True))))))
-    records_pool = [r for _, resp in answers for r in resp["records"]]
-    proofs_pool = [p for _, resp in answers for p in resp["proofs"]]
-    outcomes = {"error": 0, "rejected": 0, "accepted": 0}
-    for req, honest in answers:
-        want_records = result_from_response(honest).records
-        want_proofs = proofs_from_response(honest)
-        assert verify(req, result_from_response(honest), want_proofs, km).accepted
-        for resp in _hostile_variants(honest, rng, records_pool, proofs_pool):
-            try:
-                result = result_from_response(resp)
-                proofs = proofs_from_response(resp)
-            except BadResponse:
-                outcomes["error"] += 1
-                continue
-            verdict = verify(req, result, proofs, km)
-            if verdict.accepted:
-                assert result.records == want_records and proofs == want_proofs, resp
-            outcomes["accepted" if verdict.accepted else "rejected"] += 1
-    assert all(outcomes.values()), outcomes
-
-
-def test_a_cut_proof_is_a_bad_response(km):
-    """Proof text that is valid hex but no whole proof encoding is ``BadResponse``,
-    as a bad hex item is, not the codec's ``Truncated``."""
-    index = build_auth_trie({"castle": [b"F1"]}, 1, km)
-    resp = ask(ServerState(index=index), search_msg(make_request("castle", 1, km), proof=True))
-    assert len(proofs_from_response(resp)) == len(resp["proofs"])
-    for i in range(len(resp["proofs"])):
-        proofs = list(resp["proofs"])
-        for cut in (proofs[i][:-2], proofs[i][:4], ""):
-            proofs[i] = cut
-            with pytest.raises(BadResponse, match="^bad proof encoding: "):
-                proofs_from_response(dict(resp, proofs=proofs))
-
-
 def _hostile_json(rng: random.Random, depth: int = 0):
     """A random JSON-shaped value: scalars of every type, non-ASCII and surrogate
     text, near-miss hex and base64, and nested lists and objects."""
@@ -1737,41 +1570,94 @@ def _hostile_proof(rng: random.Random, near: bytes) -> bytes:
     return proof
 
 
-def test_hostile_inputs_to_the_client_decoders_end_in_an_fzerror_or_a_verdict(km):
-    """Seeded hostile inputs to every decoder a client runs on what it is sent:
-    the SearchResp readers, ``verify``, ``decrypt_record`` on authentic but
-    malformed payloads, and ``unwrap_blind_key``.  Each ends in a value, a
-    ``Verdict`` or an ``FzError``; nothing else escapes."""
-    rng = random.Random(2028)
-    index = build_auth_trie({"castle": [b"F1"], "cattle": [b"F2"], "catalog": [b"F3"]}, 1, km)
-    state = ServerState(index=index)
-    reqs = [make_request(word, 1, km) for word in ("catle", "castle", "zebra")]
-    honest = [ask(state, search_msg(req, proof=True)) for req in reqs]
-    outcomes = {"error": 0, "verdict": 0}
-    for _ in range(3000):
-        req, resp = rng.choice(list(zip(reqs, honest)))
-        resp = dict(resp)
-        for _ in range(rng.randint(1, 3)):
-            field = rng.choice(["records", "proofs", "exact"])
-            if field == "exact" or rng.random() < 0.5:
-                resp[field] = _hostile_json(rng)
-            elif field == "proofs":
-                proofs = list(resp["proofs"]) if isinstance(resp["proofs"], list) else []
-                for _ in range(rng.randint(1, 3)):
-                    at = rng.randrange(len(proofs) + 1)
-                    proofs[at : at + rng.randrange(2)] = [_hostile_proof(rng, rng.choice(req.trapdoors)).hex()]
-                resp[field] = proofs
-            elif field == "records":
-                resp[field] = [base64.b64encode(rng.randbytes(rng.choice([0, 27, 28, 60]))).decode() for _ in range(rng.randrange(4))]
-        try:
-            verdict = verify(req, result_from_response(resp), proofs_from_response(resp), km)
-        except FzError:
-            outcomes["error"] += 1
-            continue
-        assert isinstance(verdict, Verdict), resp
-        outcomes["verdict"] += 1
-    assert all(outcomes.values()), outcomes
+def _edited(resp: dict, req: SearchRequest, rng: random.Random) -> dict:
+    """A copy of an honest SearchResp with one to three fields replaced: by a
+    ``_hostile_json`` value, by its proofs with ``_hostile_proof`` items spliced
+    in, or by random records."""
+    resp = dict(resp)
+    for _ in range(rng.randint(1, 3)):
+        field = rng.choice(["records", "proofs", "exact"])
+        if field == "exact" or rng.random() < 0.5:
+            resp[field] = _hostile_json(rng)
+        elif field == "proofs":
+            proofs = list(resp["proofs"]) if isinstance(resp["proofs"], list) else []
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(proofs) + 1)
+                proofs[at : at + rng.randrange(2)] = [_hostile_proof(rng, rng.choice(req.trapdoors)).hex()]
+            resp[field] = proofs
+        elif field == "records":
+            resp[field] = [base64.b64encode(rng.randbytes(rng.choice([0, 27, 28, 60]))).decode() for _ in range(rng.randrange(4))]
+    return resp
 
+
+def _honest_answers(km, corpus: dict, method: str, queries: list) -> list:
+    """``(request, SearchResp with proofs)`` of each query, from an auth trie over ``corpus``."""
+    state = ServerState(index=build_auth_trie(corpus, 1, km, method))
+    reqs = [make_request(query, 1, km, method) for query in queries]
+    return [(req, ask(state, search_msg(req, proof=True))) for req in reqs]
+
+
+def test_hostile_auth_answers_end_in_a_clean_outcome(km):
+    """Two seeded streams of hostile answers: gram answers mutated by
+    ``_hostile_variants``, and 3,000 wildcard answers with fields replaced by
+    ``_edited``.  The SearchResp readers raise ``BadResponse`` and nothing else,
+    ``verify`` gives a verdict, and an accepted answer carries the honest
+    records and proofs; each stream reaches all three outcomes."""
+    rng = random.Random(821)
+    corpus = random_corpus(rng, size=25, lo=3, hi=6)
+    corpus.update({"cart": [b"F-cart"], "cat": [b"F-cat"], "bat": [b"F-bat"]})
+    words = sorted(corpus)
+    answers = _honest_answers(km, corpus, "gram", ["cat", "cut", "cart"] + [mutate(rng.choice(words), rng) for _ in range(20)])
+    records_pool = [r for _, resp in answers for r in resp["records"]]
+    proofs_pool = [p for _, resp in answers for p in resp["proofs"]]
+    mutated = [(req, resp, _hostile_variants(resp, rng, records_pool, proofs_pool)) for req, resp in answers]
+    edit_rng = random.Random(2028)
+    castles = {"castle": [b"F1"], "cattle": [b"F2"], "catalog": [b"F3"]}
+    edited = [(req, resp, []) for req, resp in _honest_answers(km, castles, "wildcard", ["catle", "castle", "zebra"])]
+    for _ in range(3000):
+        req, resp, variants = edit_rng.choice(edited)
+        variants.append(_edited(resp, req, edit_rng))
+    for stream in (mutated, edited):
+        outcomes = {"error": 0, "rejected": 0, "accepted": 0}
+        for req, honest, variants in stream:
+            want_records = result_from_response(honest).records
+            want_proofs = proofs_from_response(honest)
+            assert verify(req, result_from_response(honest), want_proofs, km).accepted
+            for resp in variants:
+                try:
+                    result = result_from_response(resp)
+                    proofs = proofs_from_response(resp)
+                except BadResponse:
+                    outcomes["error"] += 1
+                    continue
+                verdict = verify(req, result, proofs, km)
+                if verdict.accepted:
+                    assert result.records == want_records and proofs == want_proofs, resp
+                outcomes["accepted" if verdict.accepted else "rejected"] += 1
+        assert all(outcomes.values()), outcomes
+
+
+def test_a_cut_proof_is_a_bad_response(km):
+    """Proof text that is valid hex but no whole proof encoding is ``BadResponse``,
+    as a bad hex item is, not the codec's ``Truncated``."""
+    index = build_auth_trie({"castle": [b"F1"]}, 1, km)
+    resp = ask(ServerState(index=index), search_msg(make_request("castle", 1, km), proof=True))
+    assert len(proofs_from_response(resp)) == len(resp["proofs"])
+    for i in range(len(resp["proofs"])):
+        proofs = list(resp["proofs"])
+        for cut in (proofs[i][:-2], proofs[i][:4], ""):
+            proofs[i] = cut
+            with pytest.raises(BadResponse, match="^bad proof encoding: "):
+                proofs_from_response(dict(resp, proofs=proofs))
+
+
+def test_hostile_inputs_to_the_client_decoders_end_in_an_fzerror_or_a_verdict(km):
+    """Seeded hostile inputs to the decoders a client runs on what it holds
+    beside a SearchResp: ``decrypt_record`` on authentic but malformed
+    payloads, and ``unwrap_blind_key``.  Each ends in a value or an
+    ``FzError``; nothing else escapes.  The SearchResp readers and ``verify``
+    get theirs in ``test_hostile_auth_answers_end_in_a_clean_outcome``."""
+    rng = random.Random(2028)
     seal = AESGCM(km.record_key).encrypt
     for _ in range(2000):
         fid = rng.randbytes(rng.choice([0, 1, 5, 64, 200]))
