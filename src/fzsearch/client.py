@@ -121,7 +121,7 @@ class SearchClient:
         if ack.get("type") != "HelloAck":
             raise BadResponse(f"unexpected hello response type {ack.get('type')!r:.40}")
         if ack.get("protocol") != PROTOCOL:
-            raise BadResponse(f"server speaks protocol {ack.get('protocol')!r}, this client {PROTOCOL}")
+            raise BadResponse(f"server speaks protocol {ack.get('protocol')!r:.40}, this client {PROTOCOL}")
         return ack
 
     def search(self, req: SearchRequest, epoch: int = 0, want_proof: bool = False) -> dict:

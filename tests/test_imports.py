@@ -116,9 +116,9 @@ def server_report(km, tmp_path_factory):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _seen(server_report, watched: str, steps=STEPS) -> dict:
-    """``watched``'s entry of the report at each of ``steps``."""
-    return {step: server_report["steps"][step][watched] for step in steps}
+def _seen(server_report, watched: str) -> dict:
+    """``watched``'s entry of the report at each of ``STEPS``."""
+    return {step: server_report["steps"][step][watched] for step in STEPS}
 
 
 def test_a_plain_server_never_loads_the_cipher_library(server_report):
@@ -140,20 +140,10 @@ def test_no_server_loads_the_client(server_report):
     assert _seen(server_report, "client") == dict.fromkeys(STEPS, False)
 
 
-def test_serve_without_a_key_file_loads_no_dataclasses(server_report):
-    plain = [f"{kind} state" for kind in SERVED[:3]]
-    assert _seen(server_report, "introspection", plain) == dict.fromkeys(plain, [])
-
-
 def test_serve_blinded_loads_neither_dataclasses_nor_the_key_material_module(server_report):
-    """``serve --blinded`` reads its key file for the blind key alone, without a ``KeyMaterial``."""
-    assert server_report["steps"]["blinded state"]["introspection"] == []
+    """``serve --blinded`` reads its key file for the blind key alone, without a ``KeyMaterial``;
+    ``test_no_server_loads_dataclasses`` covers its ``dataclasses``."""
     assert _seen(server_report, "keys") == dict.fromkeys(STEPS, False)
-
-
-def test_serve_never_loads_the_client(server_report):
-    made = [f"{kind} state" for kind in SERVED]
-    assert _seen(server_report, "client", made) == dict.fromkeys(made, False)
 
 
 # As on an interpreter built without CPython's SHA-256 modules: crypto falls back to hashlib's.

@@ -1456,10 +1456,14 @@ class TestHostileServer:
                 assert out.split() == ["verified:", "Ok", "F1", "F2", "F3"]
 
     def test_a_long_hello_reply_is_not_echoed(self, keyfile, capsys):
-        capsys.readouterr()
-        assert _cli(["search", "castle", "1", "--keys", keyfile], {"type": "a" * (1 << 20)}) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: unexpected hello response type 'aaa") and len(err) < 100, len(err)
+        for reply, message in (
+            ({"type": "a" * (1 << 20)}, "error: unexpected hello response type 'aaa"),
+            ({"type": "HelloAck", "protocol": "a" * 1_000_000}, "error: server speaks protocol 'aaa"),
+        ):
+            capsys.readouterr()
+            assert _cli(["search", "castle", "1", "--keys", keyfile], reply) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(message) and len(err) < 100, len(err)
 
     def test_hello_without_method(self, keyfile, capsys):
         capsys.readouterr()
@@ -1651,7 +1655,7 @@ def test_a_cut_proof_is_a_bad_response(km):
                 proofs_from_response(dict(resp, proofs=proofs))
 
 
-def test_hostile_inputs_to_the_client_decoders_end_in_an_fzerror_or_a_verdict(km):
+def test_decrypt_record_and_unwrap_blind_key_give_a_value_or_an_fzerror(km):
     """Seeded hostile inputs to the decoders a client runs on what it holds
     beside a SearchResp: ``decrypt_record`` on authentic but malformed
     payloads, and ``unwrap_blind_key``.  Each ends in a value or an

@@ -1,5 +1,8 @@
 import hashlib
 import random
+from collections import Counter
+from itertools import accumulate
+from unittest.mock import ANY
 
 import pytest
 
@@ -37,8 +40,8 @@ def small_world(km):
     return corpus, build_auth_trie(corpus, 1, km)
 
 
-def _fuzzy_transcript(km, index, corpus, rng, min_full=2):
-    """An honest non-exact transcript with at least ``min_full`` hits."""
+def _fuzzy_transcript(km, index, corpus, rng):
+    """An honest non-exact transcript with at least two hits."""
     words = sorted(corpus)
     while True:
         query = mutate(rng.choice(words), rng)
@@ -47,7 +50,7 @@ def _fuzzy_transcript(km, index, corpus, rng, min_full=2):
         req = make_request(query, 1, km)
         result, proofs = search_with_proof(index, req)
         full = sum(1 for p in proofs if _is_hit(p))
-        if not result.exact_hit and full >= min_full and len(result.records) >= 2:
+        if not result.exact_hit and full >= 2 and len(result.records) >= 2:
             return req, result, proofs
 
 
@@ -82,25 +85,6 @@ def _reference_proof(tags: bytes, index, t: bytes) -> bytes:
     left = keys[gap - 1] if gap else b""
     right = keys[gap] if gap < len(keys) else b""
     return miss(left, right, tags[at : at + TAG_BYTES])
-
-
-def _hidden(result: ResultSet, proofs, victim: int) -> ResultSet:
-    """``result`` without the records of hit ``victim``."""
-    kept, pos = [], 0
-    for i, p in enumerate(proofs):
-        if not _is_hit(p):
-            continue
-        digest, group = hashlib.sha256(), []
-        while pos < len(result.records):
-            rec = result.records[pos]
-            digest.update(rec)
-            group.append(rec)
-            pos += 1
-            if digest.digest() == fields(p)["digest"]:
-                break
-        if i != victim:
-            kept.extend(group)
-    return result._replace(records=kept)
 
 
 class TestChain:
@@ -175,14 +159,6 @@ class TestChain:
 
 
 class TestSearchWithProof:
-    def test_one_proof_per_trapdoor(self, km, small_world):
-        corpus, index = small_world
-        for word in list(corpus)[:5]:
-            req = make_request(word, 1, km)
-            result, proofs = search_with_proof(index, req)
-            assert len(proofs) == len(req.trapdoors)
-            assert result.exact_hit
-
     @pytest.mark.parametrize("method", ["wildcard", "gram"])
     def test_the_proof_search_answers_as_the_plain_search(self, km, method):
         """Seeded requests, plain and blinded: ``search_with_proof``'s result is ``search_listing``'s."""
@@ -209,6 +185,7 @@ class TestSearchWithProof:
         assert exact_hits > 20 and fuzzy_hits > 20, (exact_hits, fuzzy_hits)
 
     def test_proofs_match_a_linear_scan(self, km, small_world):
+        """One proof per trapdoor, each the reference codec's bytes, which the wire codec leaves as they are."""
         corpus, index = small_world
         rng = random.Random(114)
         keys = sorted(index.table)
@@ -216,31 +193,17 @@ class TestSearchWithProof:
         trapdoors += [(int.from_bytes(t, "big") + d).to_bytes(20, "big") for t in keys[::5] for d in (-1, 1)]
         for word in sorted(corpus)[:10]:
             trapdoors += make_request(mutate(word, rng), 1, km).trapdoors
+        trapdoors += make_request(sorted(corpus)[0], 0, km).trapdoors + make_request("zzzzzzzz", 0, km).trapdoors
+        rng = random.Random(163)
+        for _ in range(50):
+            trapdoors += make_request(mutate(rng.choice(sorted(corpus)), rng) or "aa", 1, km).trapdoors
         trapdoors = tuple(dict.fromkeys(trapdoors))
         _, proofs = search_with_proof(index, SearchRequest(trapdoors, 0))
         tags = _reference_tags(km.record_key, index)
         assert proofs == [_reference_proof(tags, index, t) for t in trapdoors]
         assert sum(map(_is_hit, proofs)) > 10
-
-    def test_unmatched_proof_shape(self, km, small_world):
-        _, index = small_world
-        req = make_request("zzzzzzzz", 0, km)
-        result, proofs = search_with_proof(index, req)
-        assert result.records == []
-        (proof,) = proofs
-        f = fields(proof)
-        assert proof[:2] == b"\xff\x02" and len(proof) == 4 + len(f["left"]) + len(f["right"]) + TAG_BYTES
-        assert index.ordered.index(f["right"]) == index.ordered.index(f["left"]) + 1
-        assert f["left"] < req.trapdoors[0] < f["right"]
-
-    def test_full_match_proof_shape(self, km, small_world):
-        corpus, index = small_world
-        word = sorted(corpus)[0]
-        req = make_request(word, 0, km)
-        _, proofs = search_with_proof(index, req)
-        (proof,) = proofs
-        assert proof[:2] == b"\xff\x01" and len(proof) == 2 + 2 * TAG_BYTES
-        assert fields(proof)["digest"] == record_digest(index.records(req.trapdoors[0]))
+        for proof in proofs:
+            assert encode_proof(proof) == decode_proof(proof) == decode_proof(proof, DEPTH) == proof
 
     def test_an_index_without_tags_has_no_proofs(self, km):
         corpus, req = {"castle": [b"F1"]}, make_request("castle", 1, km)
@@ -292,96 +255,162 @@ def _verify_per_proof(req: SearchRequest, results: ResultSet, proofs, km) -> Ver
     return Verdict(True, VerdictReason.OK)
 
 
-def _damaged(rng: random.Random, result: ResultSet, proofs: list[bytes]):
-    """An honest transcript's result and proofs, then seeded damaged copies of them."""
+def encrypt_like(rec: bytes) -> bytes:
+    """A record of the same length and nonce whose ciphertext is reversed."""
+    return rec[:12] + rec[12:][::-1]
 
-    def put(ps, j, proof):
+
+ACCEPTED = Verdict(True, VerdictReason.OK)
+REJECTED = Verdict(False, ANY, ANY)  # for any reason, at any proof or at none
+SHAPE, LEAF, GAP, EXACT = (VerdictReason.SHAPE_INVALID, VerdictReason.LEAF_TAG_MISMATCH,
+                           VerdictReason.GAP_TAG_MISMATCH, VerdictReason.EXACT_FLAG_MISMATCH)
+
+
+def _damaged(rng: random.Random, req: SearchRequest, index, result: ResultSet, proofs: list[bytes], every_entry: bool):
+    """The tamper catalogue: an honest transcript, then seeded damaged copies of it.
+
+    Each item is ``(entry, result, proofs, verdict)``, ``verdict`` the one ``verify``
+    must give, ``ANY`` in a field the entry does not pin.  A copy equal to the honest
+    one is left out.  The per-miss and per-position entries run only when ``every_entry``.
+    """
+    n, records, exact = len(proofs), result.records, result.exact_hit
+    copies = [("honest", result, proofs, ACCEPTED)]
+
+    def add(entry, want=REJECTED, results=result, ps=proofs):
+        if (results, ps) != (result, proofs):
+            copies.append((entry, results, ps, want))
+
+    def put(j, proof, ps=proofs):
         return ps[:j] + [proof] + ps[j + 1 :]
 
     def flip(proof):
         at = rng.randrange(len(proof))
         return proof[:at] + bytes([proof[at] ^ 1 << rng.randrange(8)]) + proof[at + 1 :]
 
-    yield result, proofs
-    n, records = len(proofs), result.records
-    for j in range(n):  # each proof cut
-        yield result, put(proofs, j, proofs[j][: rng.randrange(len(proofs[j]))])
-    for _ in range(6):  # a byte flipped
+    for j in range(n):
+        add("proof cut", ps=put(j, proofs[j][: rng.randrange(len(proofs[j]))]))
+    for _ in range(6):
         j = rng.randrange(n)
-        yield result, put(proofs, j, flip(proofs[j]))
+        add("byte flipped", ps=put(j, flip(proofs[j])))
     if n > 1:
         i, j = sorted(rng.sample(range(n), 2))
-        swapped = list(proofs)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        yield result, swapped
+        add("two proofs swapped", ps=put(j, proofs[i], put(i, proofs[j])))
         # a tag or record failure at i comes before a shape failure at the later j
-        yield result, put(put(proofs, i, flip(proofs[i])), j, proofs[j][:1])
-        yield result._replace(records=records[1:]), put(proofs, j, proofs[j][:1])
-    yield result, proofs[:-1]
-    yield result._replace(exact_hit=not result.exact_hit), proofs
-    if records:  # records dropped or merged
+        add("tag failure before a shape failure", ps=put(j, proofs[j][:1], put(i, flip(proofs[i]))))
+        add("record failure before a shape failure", results=result._replace(records=records[1:]),
+            ps=put(j, proofs[j][:1]))
+    add("proof dropped", Verdict(False, VerdictReason.COUNT_MISMATCH), ps=proofs[:-1])
+    add("exact flag toggled", Verdict(False, EXACT, 0), results=result._replace(exact_hit=not exact))
+    if records:
         at = rng.randrange(len(records))
-        yield result._replace(records=records[:at] + records[at + 1 :]), proofs
+        add("record dropped", results=result._replace(records=records[:at] + records[at + 1 :]))
+        add("record dropped", results=result._replace(records=records[:-1]))
+        appended = records + [encrypt_like(records[0])]
+        add("record appended", Verdict(False, LEAF), results=result._replace(records=appended))
     if len(records) > 1:
+        # one hit's records merged into one blob pass: test_record_boundaries_are_the_documented_gap
+        sizes = [len(index.records(t)) for i, (t, p) in enumerate(zip(req.trapdoors, proofs))
+                 if _is_hit(p) and not (exact and i)]
         at = rng.randrange(len(records) - 1)
         merged = records[:at] + [records[at] + records[at + 1]] + records[at + 2 :]
-        yield result._replace(records=merged), proofs
-        yield result._replace(records=records[::-1]), proofs
+        within = at + 1 not in accumulate(sizes)
+        add("records merged", ACCEPTED if within else REJECTED, results=result._replace(records=merged))
+        add("records reordered", results=result._replace(records=records[::-1]))
+        add("records reordered", results=result._replace(records=[records[-1], *records[1:-1], records[0]]))
+    for i, proof in enumerate(proofs):
+        f = fields(proof)
+        tag = bytes([f["tag"][0] ^ 1]) + f["tag"][1:]
+        add("tag bit flipped", Verdict(False, LEAF if "flag" in f else GAP, i), ps=put(i, _with(proof, tag=tag)))
+        if "flag" in f:  # at proof 0 the exact flag no longer matches
+            flipped = _with(proof, flag=1 - f["flag"])
+            add("hit flag flipped", Verdict(False, LEAF if i else EXACT, i), ps=put(i, flipped))
+    if exact:  # an exact hit hidden, everything else returned; or proof 0 a zero hit
+        everything = [r for t in req.trapdoors for r in index.records(t)]
+        add("exact hit hidden", Verdict(False, EXACT, 0), results=ResultSet(everything, False))
+        add("exact hit without flag 1", Verdict(False, EXACT, 0), ps=put(0, hit(0, bytes(32), bytes(32))))
+    if not every_entry:
+        return copies
+    keys = index.ordered
+    hits = [i for i, p in enumerate(proofs) if _is_hit(p)]
+    misses = [i for i in range(n) if i not in hits]
+    forged = [hit(0, bytes(32), bytes(32)), hit(0, record_digest(index.records(keys[0])), index.tags[:TAG_BYTES])]
+    for i in misses:
+        p, m = proofs[i], fields(proofs[i])
+        for lie in forged:
+            add("hit forged for a miss", Verdict(False, LEAF, i), ps=put(i, lie))
+        j = keys.index(m["right"]) if m["right"] else len(keys)
+        lies = list(dict.fromkeys(proofs[k] for k in misses if fields(proofs[k])["left"] != m["left"]))  # another gap's
+        lies += [
+            _with(p, left=keys[j - 2]) if j >= 2 else None,  # a wider pair, the same tag
+            _with(p, right=keys[j + 1]) if j + 1 < len(keys) else None,
+            _with(p, left=b""),  # an empty end mid-list
+            _with(p, right=b""),
+            _with(p, left=m["right"], right=m["left"]),
+            _with(p, tag=m["tag"][:16]),
+            _with(p, tag=b""),
+        ]
+        for lie in lies:
+            if lie is not None:
+                add("miss pair borrowed, widened, emptied, swapped or cut", Verdict(False, ANY, i), ps=put(i, lie))
+    if hits:
+        hi = hits[0]
+        h = fields(proofs[hi])
+        for lie in (
+            _with(proofs[hi], flag=2),  # a hit's fields under the miss form
+            _with(proofs[hi], flag=3),
+            _with(proofs[hi], flag=255),  # the byte of a flag of -1
+            _with(proofs[hi], digest=h["digest"][:-1]),
+            _with(proofs[hi], tag=h["tag"] + b"\x00"),
+            proofs[hi] + bytes([TRAPDOOR_BYTES]) + keys[0],  # a hit carrying an end
+        ):
+            add("malformed hit", Verdict(False, SHAPE, hi), ps=put(hi, lie))
+    inner = [i for i in misses if fields(proofs[i])["left"] and fields(proofs[i])["right"]]
+    if inner:
+        mi = inner[0]
+        t, m = req.trapdoors[mi], fields(proofs[mi])
+        for lie in (
+            _with(proofs[mi], tag=bytes(32) + m["tag"]),  # a miss carrying a record digest
+            _with(proofs[mi], tag=m["tag"][:-1]),
+            _with(proofs[mi], left=t),  # an end equal to the trapdoor
+            _with(proofs[mi], right=t),
+            _with(proofs[mi], left=m["right"], right=m["left"]),  # reordered
+            _with(proofs[mi], left=m["left"][:-1]),  # a cut end
+            _with(proofs[mi], right=m["right"] + b"\x00"),
+            _with(proofs[mi], left=b"\x00" + m["left"]),
+        ):
+            add("malformed miss", Verdict(False, SHAPE, mi), ps=put(mi, lie))
+    for i in sorted({0, 1, n - 1} & set(range(n))):  # not an exception: proof 0 of an exact hit too
+        for item in (None, "x", b"", 7, proofs[i].hex(), proofs[i][:-1], proofs[i] + b"\x00"):
+            add("exact hit's item not a proof" if exact else "item not a proof", Verdict(False, SHAPE, i),
+                ps=put(i, item))
+    return copies
 
 
 class TestVerify:
     def test_verify_gives_the_per_proof_verdict(self, km, small_world):
+        """The tamper catalogue over 60 seeded transcripts, exact and fuzzy: each copy gets
+        ``_verify_per_proof``'s verdict and the one its entry pins, so each but the honest
+        one, and a merge within one hit, is rejected."""
         corpus, index = small_world
         rng = random.Random(29)
-        words, seen = sorted(corpus), set()
+        words, seen, fired = sorted(corpus), set(), Counter()
         for _ in range(60):
             query = rng.choice(words) if rng.random() < 0.3 else mutate(rng.choice(words), rng)
             if not query:
                 continue
             req = make_request(query, rng.choice((0, 1)), km)
-            for result, proofs in _damaged(rng, *search_with_proof(index, req)):
+            every_entry = rng.random() < 0.25
+            for entry, result, proofs, want in _damaged(rng, req, index, *search_with_proof(index, req), every_entry):
                 verdict = verify(req, result, proofs, km)
-                assert verdict == _verify_per_proof(req, result, proofs, km), (query, proofs)
+                assert verdict == _verify_per_proof(req, result, proofs, km) == want, (entry, query, proofs)
                 seen.add(verdict.reason)
+                fired[entry] += 1
         assert seen == set(VerdictReason)
-
-    def test_every_proof_is_checked(self, km, small_world):
-        # no sampling: a bad tag on any one proof is found at that proof
-        corpus, index = small_world
-        rng = random.Random(157)
-        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        for i, proof in enumerate(proofs):
-            tag = fields(proof)["tag"]
-            tampered = list(proofs)
-            tampered[i] = _with(proof, tag=bytes([tag[0] ^ 1]) + tag[1:])
-            verdict = verify(req, result, tampered, km)
-            assert not verdict.accepted and verdict.failing_index == i
-            expect = VerdictReason.LEAF_TAG_MISMATCH if _is_hit(proof) else VerdictReason.GAP_TAG_MISMATCH
-            assert verdict.reason is expect
-
-    def test_forged_full_match_rejected(self, km, small_world):
-        # claiming a hit for a trapdoor the index lacks needs a tag the server never saw
-        _, index = small_world
-        req = make_request("qqqqqqqq", 0, km)
-        result, proofs = search_with_proof(index, req)
-        assert not _is_hit(proofs[0])
-        forged = hit(0, bytes(32), bytes(32))
-        assert verify(req, result, [forged], km).reason is VerdictReason.LEAF_TAG_MISMATCH
-        borrowed = hit(0, record_digest(index.records(sorted(index.table)[0])), index.tags[:TAG_BYTES])
-        assert verify(req, result, [borrowed], km).reason is VerdictReason.LEAF_TAG_MISMATCH
-
-    def test_record_reorder_truncate_extend_rejected(self, km, small_world):
-        corpus, index = small_world
-        rng = random.Random(149)
-        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        records = result.records
-        swapped = result._replace(records=[records[-1]] + records[1:-1] + [records[0]])
-        assert not verify(req, swapped, proofs, km).accepted
-        truncated = result._replace(records=records[:-1])
-        assert not verify(req, truncated, proofs, km).accepted
-        extra = encrypt_like(records[0])
-        extended = result._replace(records=records + [extra])
-        assert verify(req, extended, proofs, km).reason is VerdictReason.LEAF_TAG_MISMATCH
+        assert len(fired) == 22 and fired["hit flag flipped"] > 50, fired  # every entry, and many flags
+        # an exact hit claimed on an empty request, which has no proof 0
+        empty = SearchRequest(trapdoors=(), k=0)
+        assert verify(empty, ResultSet(records=[], exact_hit=False), [], km) == ACCEPTED
+        assert verify(empty, ResultSet(records=[], exact_hit=True), [], km) == Verdict(False, EXACT, 0)
 
     def test_record_boundaries_are_the_documented_gap(self, km):
         """The record digest hashes the blobs without length framing, so one
@@ -397,6 +426,7 @@ class TestVerify:
         with pytest.raises(AuthFailure):
             decrypt_record(km, merged)
 
+
     def test_rollback_to_an_older_build_is_the_documented_gap(self, km):
         """The tags bind no build, so a server answering from an older build
         under the same keys passes ``verify``: here it hides a file added since."""
@@ -406,74 +436,10 @@ class TestVerify:
         assert len(current.records) == 2 and len(stale.records) == 1
         assert verify(req, stale, proofs, km) == Verdict(True, VerdictReason.OK)
 
-    def test_malformed_shapes(self, km, small_world):
-        corpus, index = small_world
-        rng = random.Random(150)
-        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        hi = next(i for i, p in enumerate(proofs) if _is_hit(p))
-        mi = next(i for i, p in enumerate(proofs) if not _is_hit(p) and fields(p)["left"] and fields(p)["right"])
-        t, h, m = req.trapdoors[mi], fields(proofs[hi]), fields(proofs[mi])
-        bad = [
-            (hi, _with(proofs[hi], flag=2)),  # a hit's fields under the miss form
-            (hi, _with(proofs[hi], flag=3)),
-            (hi, _with(proofs[hi], flag=255)),  # the byte of a flag of -1
-            (hi, _with(proofs[hi], digest=h["digest"][:-1])),
-            (hi, _with(proofs[hi], tag=h["tag"] + b"\x00")),
-            (hi, proofs[hi] + bytes([len(m["left"])]) + m["left"]),  # a hit carrying an end
-            (mi, _with(proofs[mi], tag=bytes(32) + m["tag"])),  # a miss carrying a record digest
-            (mi, _with(proofs[mi], tag=m["tag"][:-1])),
-            (mi, _with(proofs[mi], left=t)),  # an end equal to the trapdoor
-            (mi, _with(proofs[mi], right=t)),
-            (mi, _with(proofs[mi], left=m["right"], right=m["left"])),  # reordered
-            (mi, _with(proofs[mi], left=m["left"][:-1])),  # truncated end
-            (mi, _with(proofs[mi], right=m["right"] + b"\x00")),
-            (mi, _with(proofs[mi], left=b"\x00" + m["left"])),
-        ]
-        for i, proof in bad:
-            tampered = list(proofs)
-            tampered[i] = proof
-            verdict = verify(req, result, tampered, km)
-            assert verdict.reason is VerdictReason.SHAPE_INVALID and verdict.failing_index == i, proof
-
-    def test_an_item_that_is_no_proof_encoding_is_shape_invalid(self, km, small_world):
-        """Not an exception: at any position, proof 0 of an exact hit too."""
-        corpus, index = small_world
-        exact_req = make_request(sorted(corpus)[3], 1, km)
-        transcripts = [(exact_req, *search_with_proof(index, exact_req)),
-                       _fuzzy_transcript(km, index, corpus, random.Random(155))]
-        for req, result, proofs in transcripts:
-            for i in (0, 1, len(proofs) - 1):
-                for item in (None, "x", b"", 7, proofs[i].hex(), proofs[i][:-1], proofs[i] + b"\x00"):
-                    tampered = list(proofs)
-                    tampered[i] = item
-                    assert verify(req, result, tampered, km) == Verdict(False, VerdictReason.SHAPE_INVALID, i), item
-
-    def test_underreported_match_is_rejected(self, km, small_world):
-        # a server that hides a hit must show a gap around a present trapdoor;
-        # none exists, so no gap tag of the index, nor a made-up one, passes
-        corpus, index = small_world
-        rng = random.Random(151)
-        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        idx = next(i for i, p in enumerate(proofs) if _is_hit(p))
-        t = req.trapdoors[idx]
-        hidden = _hidden(result, proofs, idx)
-        keys = sorted(index.table)
-        j = keys.index(t)
-        n = len(keys)
-        ends = [b""] + keys + [b""]
-        lies = [miss(ends[g], ends[g + 1], index.tags[(n + g) * TAG_BYTES : (n + g + 1) * TAG_BYTES])
-                for g in range(n + 1)]
-        # the pair the gap would have if t were not stored, with a made-up or a neighbour's tag
-        neighbours = [fields(lies[j])["tag"], fields(lies[j + 1])["tag"]]
-        lies += [miss(ends[j], ends[j + 2], tag) for tag in [bytes(32), *neighbours]]
-        for lie in lies:
-            tampered = list(proofs)
-            tampered[idx] = lie
-            verdict = verify(req, hidden, tampered, km)
-            assert not verdict.accepted and verdict.failing_index == idx, lie
 
     def test_no_present_trapdoor_is_absent_through_any_gap(self, km):
-        """Exhaustive over a small index: every entry against every gap tag."""
+        """Exhaustive over a small index: every entry against every gap tag, and against
+        the pair that skips it with a made-up or a neighbouring gap's tag."""
         index = build_auth_trie({"cat": [b"F1"], "dog": [b"F2"], "cart": [b"F3"], "bat": [b"F4"]}, 1, km)
         keys = sorted(index.table)
         n = len(keys)
@@ -482,10 +448,14 @@ class TestVerify:
                 for g in range(n + 1)]
         empty = ResultSet(records=[], exact_hit=False)
         assert n > 20
-        for t in keys:
+        for j, t in enumerate(keys):
             req = SearchRequest((t,), 0)
-            for gap in gaps:
-                assert not verify(req, empty, [gap], km).accepted
+            # the pair the gap would have if t were not stored, with a made-up or a neighbouring gap's tag
+            skips = [miss(ends[j], ends[j + 2], fields(gap)["tag"]) for gap in (gaps[j], gaps[j + 1])]
+            skips.append(miss(ends[j], ends[j + 2], bytes(32)))
+            for lie in gaps + skips:
+                verdict = verify(req, empty, [lie], km)
+                assert not verdict.accepted and verdict.failing_index == 0, lie
         # while each gap proves the trapdoors that really lie inside it
         for gap in gaps:
             left, right = fields(gap)["left"], fields(gap)["right"]
@@ -494,76 +464,6 @@ class TestVerify:
             if hi - lo > 1:
                 inside = SearchRequest(((lo + 1).to_bytes(20, "big"),), 0)
                 assert verify(inside, empty, [gap], km).accepted
-
-    def test_borrowed_swapped_and_truncated_pairs_rejected(self, km, small_world):
-        corpus, index = small_world
-        rng = random.Random(152)
-        req, result, proofs = _fuzzy_transcript(km, index, corpus, rng)
-        keys = sorted(index.table)
-        misses = [i for i, p in enumerate(proofs) if not _is_hit(p)]
-        pairs = [fields(proofs[i]) for i in misses]
-        for i in misses:
-            p, m = proofs[i], fields(proofs[i])
-            j = keys.index(m["right"]) if m["right"] else len(keys)
-            lies = [miss(**q) for q in pairs if (q["left"], q["right"]) != (m["left"], m["right"])]  # borrowed whole
-            lies += [
-                _with(p, left=keys[j - 2]) if j >= 2 else None,  # wider pair, same tag
-                _with(p, right=keys[j + 1]) if j + 1 < len(keys) else None,
-                _with(p, left=b""),  # an empty end mid-list
-                _with(p, right=b""),
-                _with(p, left=m["right"], right=m["left"]),
-                _with(p, tag=m["tag"][:16]),
-                _with(p, tag=b""),
-            ]
-            for lie in lies:
-                if lie is None or lie == p:
-                    continue
-                tampered = list(proofs)
-                tampered[i] = lie
-                verdict = verify(req, result, tampered, km)
-                assert not verdict.accepted and verdict.failing_index == i, lie
-
-    def test_flipped_exact_flag_on_a_hit_rejected(self, km, small_world):
-        corpus, index = small_world
-        rng = random.Random(153)
-        words = sorted(corpus)
-        flips = 0
-        for _ in range(30):
-            word = rng.choice(words)
-            req = make_request(word if rng.random() < 0.5 else mutate(word, rng), 1, km)
-            result, proofs = search_with_proof(index, req)
-            for i, proof in enumerate(proofs):
-                if not _is_hit(proof):
-                    continue
-                tampered = list(proofs)
-                tampered[i] = _with(proof, flag=1 - fields(proof)["flag"])
-                assert not verify(req, result, tampered, km).accepted
-                flips += 1
-        assert flips > 50
-
-    def test_exact_flag_must_match_proof_zero(self, km, small_world):
-        corpus, index = small_world
-        word = sorted(corpus)[3]
-        req = make_request(word, 1, km)
-        result, proofs = search_with_proof(index, req)
-        assert result.exact_hit and fields(proofs[0])["flag"] == 1
-        # flag 1 without an exact hit: the server hides the exact hit and returns the rest
-        everything = ResultSet(records=[r for t in req.trapdoors for r in index.records(t)], exact_hit=False)
-        verdict = verify(req, everything, proofs, km)
-        assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
-        # an exact hit without flag 1, whatever tag comes with it
-        for proof in (_with(proofs[0], flag=0), hit(0, bytes(32), bytes(32))):
-            verdict = verify(req, result, [proof] + proofs[1:], km)
-            assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
-        # an exact hit claimed on a miss
-        fuzzy_req, fuzzy, fuzzy_proofs = _fuzzy_transcript(km, index, corpus, random.Random(154))
-        claimed = fuzzy._replace(exact_hit=True)
-        assert verify(fuzzy_req, claimed, fuzzy_proofs, km).reason is VerdictReason.EXACT_FLAG_MISMATCH
-        # an exact hit claimed on an empty request, which has no proof 0
-        empty = SearchRequest(trapdoors=(), k=0)
-        assert verify(empty, ResultSet(records=[], exact_hit=False), [], km).accepted
-        verdict = verify(empty, ResultSet(records=[], exact_hit=True), [], km)
-        assert verdict == Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
 
     def test_forged_exact_flag_on_another_keywords_variant_rejected(self, km):
         # "cat" is no keyword here, but its trapdoor is the entry of cart's
@@ -578,6 +478,7 @@ class TestVerify:
         verdict = verify(req, forged, proofs, km)
         assert not verdict.accepted
         assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
+
 
     def test_exact_hit_on_an_entry_shared_with_a_variant_accepted(self, km):
         # the entry of "cat" also holds cart's records (its deletion variant),
@@ -597,6 +498,7 @@ class TestVerify:
             verdict = verify(req, result, tampered, km)
             assert verdict.reason is VerdictReason.LEAF_TAG_MISMATCH and verdict.failing_index == i
 
+
     def test_a_request_that_repeats_a_hit_trapdoor_verifies(self, km):
         """The result holds a repeated hit's records once per time, as the proofs
         hold its digest, so an honest answer verifies."""
@@ -609,10 +511,6 @@ class TestVerify:
         assert result.records == [r for t in repeated.trapdoors for r in index.records(t)]
         assert verify(repeated, result, proofs, km) == Verdict(True, VerdictReason.OK)
 
-
-def encrypt_like(rec: bytes) -> bytes:
-    """A record of the same length and nonce whose ciphertext is reversed."""
-    return rec[:12] + rec[12:][::-1]
 
 
 def _v1_encoding(matched_len: int, depth: int) -> bytes:
@@ -629,20 +527,6 @@ def _v1_encoding(matched_len: int, depth: int) -> bytes:
 
 
 class TestProofWire:
-    def test_round_trip(self, km, small_world):
-        corpus, index = small_world
-        rng = random.Random(163)
-        words = sorted(corpus)
-        for _ in range(50):
-            query = mutate(rng.choice(words), rng) or "aa"
-            req = make_request(query, 1, km)
-            _, proofs = search_with_proof(index, req)
-            for proof in proofs:
-                f = fields(proof)
-                assert encode_proof(proof) == proof == _with(proof)  # the reference codec agrees
-                assert len(proof) == (66 if _is_hit(proof) else 4 + len(f["left"]) + len(f["right"]) + TAG_BYTES)
-                assert decode_proof(proof) == decode_proof(proof, DEPTH) == proof
-
     def test_truncated_encoding(self, km, small_world):
         corpus, index = small_world
         _, hits = search_with_proof(index, make_request(sorted(corpus)[0], 0, km))
