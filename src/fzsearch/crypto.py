@@ -85,10 +85,13 @@ TRAPDOOR_BITS = 160  # every trapdoor's length; the FZKY and FZIX headers and He
 SYMBOL_BITS = 4  # one trie edge; the FZKY and FZIX headers and HelloAck carry it
 TRAPDOOR_BYTES = TRAPDOOR_BITS // 8
 DEPTH = TRAPDOOR_BITS // SYMBOL_BITS  # symbols per trapdoor: the height of the search tree
+MAX_VARIANTS = 4096  # the most variants of one fuzzy set, and so the most trapdoors of one request
 
 _FEISTEL_ROUNDS = 4
 # prp lays each block into its own slot of two AES blocks: block, then zeros
 _SLOT = 32
+# prp keeps its constants for every request length up to this; a longer request makes its own
+_PRP_CACHED_LENGTHS = 64
 # Distinct keys in use at once: trapdoor, record and blind key, user keys, seeds.
 _KEY_CACHE_SIZE = 256
 _IPAD = bytes(b ^ 0x36 for b in range(256))
@@ -249,6 +252,21 @@ def blind_cipher(key: bytes):
     return _blind_update(key, threading.get_ident())
 
 
+@functools.lru_cache(maxsize=None)
+def _prp_layout(n: int):
+    """``prp``'s constants for ``n`` trapdoors: the byte size of the slots, the mask over
+    each slot's half, the round tags, and the unpacking of the permuted halves.
+
+    ``unit`` has a 1 in the last byte of each slot's half, so one product with
+    it writes the same bytes into every slot: the mask over the half, and each
+    round's tag bytes (round number, then half length) after it.
+    """
+    w, h = TRAPDOOR_BYTES, TRAPDOOR_BYTES // 2
+    unit = int.from_bytes((bytes(h - 1) + b"\1").ljust(_SLOT, b"\0") * n, "big")
+    tags = tuple((unit >> 16) * (i << 8 | h) for i in range(_FEISTEL_ROUNDS))
+    return _SLOT * n, unit * ((1 << 8 * h) - 1), tags, struct.Struct(f"{w}s{_SLOT - w}x" * n).unpack
+
+
 def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tuple[bytes, ...]:
     """Keyed bijection on every trapdoor of a request at once: a 4-round Feistel network.
 
@@ -262,7 +280,9 @@ def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tupl
     Each half sits at the front of its own 32-byte slot of one big integer,
     so a round is one AES-ECB call over every slot of the request (the
     second AES block of a slot is zeros and its output is masked off), one
-    mask and one XOR.
+    mask and one XOR.  The constants of each request length up to
+    ``_PRP_CACHED_LENGTHS`` are made once; a hostile client's longer
+    requests cannot fill the cache.
     """
     if direction not in ("forward", "inverse"):
         raise BadParameter(f"unknown direction {direction!r}")
@@ -273,13 +293,9 @@ def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tupl
     w, h = TRAPDOOR_BYTES, TRAPDOOR_BYTES // 2
     if set(map(len, blocks)) != {w}:
         raise BadParameter(f"prp permutes {w}-byte trapdoors only")
-    size, pad = _SLOT * n, bytes(_SLOT - w)
-    # ``unit`` has a 1 in the last byte of each slot's half, so one product
-    # with it writes the same bytes into every slot: the mask over the half,
-    # and each round's tag bytes (round number, then half length) after it.
-    unit = int.from_bytes((bytes(h - 1) + b"\1").ljust(_SLOT, b"\0") * n, "big")
-    mask = unit * ((1 << 8 * h) - 1)
-    tags = [(unit >> 16) * (i << 8 | h) for i in range(_FEISTEL_ROUNDS)]
+    layout = _prp_layout if n <= _PRP_CACHED_LENGTHS else _prp_layout.__wrapped__
+    size, mask, tags, unpack = layout(n)
+    pad = bytes(_SLOT - w)
     whole = int.from_bytes(pad.join(blocks) + pad, "big")
     left = whole & mask
     right = (whole ^ left) << 8 * h
@@ -291,8 +307,7 @@ def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tupl
             left ^= mask & int.from_bytes(update((right | tags[i]).to_bytes(size, "big")), "big")
         else:
             right ^= mask & int.from_bytes(update((left | tags[i]).to_bytes(size, "big")), "big")
-    out = (left | right >> 8 * h).to_bytes(size, "big")
-    return struct.unpack(f"{w}s{_SLOT - w}x" * n, out)
+    return unpack((left | right >> 8 * h).to_bytes(size, "big"))
 
 
 def record_digest(records) -> bytes:

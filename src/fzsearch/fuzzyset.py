@@ -11,22 +11,24 @@ of distinct variants.  Two constructions are served:
   complete at every distance for words of every length (an edit costs each
   side at most one deletion), with false positives within ``2d`` edits.
 
-Keywords are normalized lowercase a-z strings; ``*`` (0x2A) is the reserved
-wildcard character and sorts before every letter, which fixes the variant
-order used everywhere (serialization, request ordering).
+Keywords are normalized lowercase a-z strings (``normalize_keyword``; the
+index build and ``make_request`` refuse any other); ``*`` (0x2A) is the
+reserved wildcard character and sorts before every letter, which fixes the
+variant order used everywhere (serialization, request ordering).
 
 A set grows about as ``len(word) ** d``, so neither construction gives more
-than ``MAX_VARIANTS``: both raise ``BadParameter`` naming the word as soon
-as a level passes it, before the set is done.  The server takes no request
-of more trapdoors than that.
+than ``MAX_VARIANTS`` (defined in ``crypto``): both raise ``BadParameter``
+naming the word as soon as a level passes it, before the set is done.  The
+server takes no request of more trapdoors than that.  Only owners and
+clients import this module; no server does.
 """
 
 from __future__ import annotations
 
+from .crypto import MAX_VARIANTS
 from .errors import BadParameter, EmptyKeyword
 
 WILDCARD = "*"
-MAX_VARIANTS = 4096  # the most variants of one fuzzy set, and so of one request
 
 
 def normalize_keyword(raw: str) -> str:
@@ -92,6 +94,10 @@ def within_edits(a: str, b: str, k: int) -> bool:
     return prev[width] <= k
 
 
+def _too_many(word: str, d: int) -> BadParameter:
+    return BadParameter(f"the fuzzy set of {word!r} at d={d} has more than {MAX_VARIANTS} variants")
+
+
 def _levels(word: str, d: int, step) -> tuple[str, ...]:
     """``word`` and its variants after ``d`` levels of ``step(s, add)``, which adds each one-edit variant of ``s``."""
     if d < 0:
@@ -103,7 +109,7 @@ def _levels(word: str, d: int, step) -> tuple[str, ...]:
         for member in level:
             step(member, add)
             if len(nxt) > MAX_VARIANTS:
-                raise BadParameter(f"the fuzzy set of {word!r} at d={d} has more than {MAX_VARIANTS} variants")
+                raise _too_many(word, d)
         level = nxt
     return tuple(sorted(level))
 
@@ -129,8 +135,19 @@ def wildcard_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
     Level zero is ``{word}``; each further level applies the one-edit
     expansion to every member of the previous level and deduplicates.  A
     ``*`` may land on or next to an existing ``*``; duplicates collapse.
+    At d = 1 a word without ``*`` has no duplicates to collapse: its set is
+    the word, a ``*`` over each letter and a ``*`` in each gap, built
+    directly and sorted.
     """
-    return _levels(word, d, _expand_once)
+    if d != 1 or WILDCARD in word:
+        return _levels(word, d, _expand_once)
+    variants = [word]
+    variants += [word[:i] + WILDCARD + word[i + 1 :] for i in range(len(word))]
+    variants += [word[:i] + WILDCARD + word[i:] for i in range(len(word) + 1)]
+    if len(variants) > MAX_VARIANTS:
+        raise _too_many(word, d)
+    variants.sort()
+    return tuple(variants)
 
 
 def gram_fuzzy_set(word: str, d: int) -> tuple[str, ...]:

@@ -23,6 +23,11 @@ path imports ``dataclasses``.
 Requests put the exact word's trapdoor first; a search that matches it
 returns only that entry's records (the exact hit short-circuits the fuzzy
 lookups, mirroring the search definition's exact-match rule).
+
+The owner's build, ``make_request`` and ``decrypt_matches`` import
+``fuzzyset`` on their first call (``_fuzzyset``), so a server, which only
+searches, never loads it.  The build and ``make_request`` take normalized keywords only
+(``fuzzyset.normalize_keyword``): any other word is ``BadParameter``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, ClassVar
 
@@ -45,7 +50,6 @@ from .crypto import (
     trapdoors,
 )
 from .errors import AuthFailure, BadParameter, EditBoundExceeded, Truncated
-from .fuzzyset import fuzzy_set, within_edits
 
 if TYPE_CHECKING:
     from .keys import KeyMaterial
@@ -163,6 +167,27 @@ class NodeView:
         return self.trapdoor in self.index.exact
 
 
+@cache
+def _fuzzyset():
+    """The ``fuzzyset`` module, imported on the first call: owners and clients build fuzzy sets, a server never does.
+
+    A cached call costs a tenth of an import statement, which the query path would pay on every request.
+    """
+    from . import fuzzyset
+
+    return fuzzyset
+
+
+def _check_keyword(word: str) -> None:
+    """``BadParameter`` unless ``normalize_keyword`` would return ``word`` unchanged: lowercase a-z, not empty.
+
+    A ``*`` would make the word one of another word's wildcard variants, and a
+    letter outside ASCII could not be keyed.
+    """
+    if not (word.isascii() and word.isalpha() and word.islower()):
+        raise BadParameter(f"keyword {word!r} is not normalized: lowercase a-z only, at least one letter")
+
+
 # Ordered trapdoors for a (word, k) query; the exact word comes first.
 SearchRequest = namedtuple("SearchRequest", ("trapdoors", "k"))
 # The records a search returns, and whether they are the exact hit's alone.
@@ -186,10 +211,13 @@ def build_entries(
     stays linear.
 
     Also returns the set of canonical trapdoors (each keyword's own zero-edit
-    variant); only those entries terminate a search as an exact hit.
+    variant); only those entries terminate a search as an exact hit.  A
+    keyword that is not normalized raises ``BadParameter``.
     """
+    fuzzy_set = _fuzzyset().fuzzy_set
     groups = []  # (keyword, its variants, its distinct fids), in keyword order
     for keyword in sorted(corpus):
+        _check_keyword(keyword)
         fids = list(dict.fromkeys(corpus[keyword]))
         if fids:  # nothing to find otherwise: an entry without records is never a hit
             groups.append((keyword, fuzzy_set(keyword, d, method), fids))
@@ -321,8 +349,12 @@ def _records_at(body: memoryview, pos: int) -> tuple[bytes, ...]:
 
 
 def make_request(word: str, k: int, km: KeyMaterial, method: str = "wildcard") -> SearchRequest:
-    """Trapdoors for every variant of (word, k); exact word first, rest lexicographic."""
-    variants = fuzzy_set(word, k, method)
+    """Trapdoors for every variant of (word, k); exact word first, rest lexicographic.
+
+    A ``word`` that is not normalized raises ``BadParameter``.
+    """
+    _check_keyword(word)
+    variants = _fuzzyset().fuzzy_set(word, k, method)
     ordered = [word] + [v for v in variants if v != word]
     return SearchRequest(trapdoors=tuple(trapdoors(km, ordered)), k=k)
 
@@ -336,6 +368,7 @@ def decrypt_matches(km: KeyMaterial, word: str, k: int, result: ResultSet) -> li
     returns keywords more than ``k`` edits away, and on an exact hit those
     that deletions turn into ``word``; those are the ones dropped.
     """
+    within_edits = _fuzzyset().within_edits
     found = [decrypt_record(km, rec) for rec in result.records]
     if result.exact_hit:
         return [(fid, keyword) for fid, keyword in found if keyword == word]

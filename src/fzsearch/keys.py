@@ -3,7 +3,7 @@
 ``KeyMaterial`` is what an owner and a user hold and what a key file
 (``persist``'s FZKY) stores; ``keygen`` makes it, from ``os.urandom`` or,
 reproducibly, from a seed through ``crypto.prf_bytes``.  Only owner and user
-code imports this module: ``persist.loads_keys`` and ``cli``'s ``keygen``
+code imports this module: ``persist.loads_keys`` and ``commands.run_keygen``
 import it inside the function.  No server loads it, blinded included: a
 blinded server needs the blind key alone, and ``persist.load_blind_key``
 reads it from the key file through the same checks without making a

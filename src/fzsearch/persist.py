@@ -44,13 +44,17 @@ All integers are big-endian.  Each header is one ``struct.Struct``, and
     Versions 1 (a pre-order node stream for tries) and 2 (an authenticated
     trie's per-node chain digests) raise ``VersionUnsupported``; rebuild
     such an index.
+    Only the authenticated kind loads ``verifiable``, for its tag length:
+    ``loads_index`` imports it after the header and before the body, so
+    its compile comes before the entry table is built, below the peak.
 
 ``FZUD`` directory file (version 1)
     Header ``DIR_HEAD`` (``>4sBQI``, 17 bytes): magic "FZUD", version byte,
     epoch (8), entry count (4).  Then per entry user id (2-byte
     length-prefixed UTF-8) || wrapped blob (2-byte length-prefixed), in
     strictly ascending user id order; the reader refuses any other order.
-    Personal keys are never written.
+    Personal keys are never written.  The directory functions import
+    ``multiuser`` when they run; no server runs them.
 
 Every ``save_*`` writes a temporary file in the target's directory, fsyncs
 it, renames it over the target and fsyncs the directory, so a crash leaves
@@ -71,11 +75,10 @@ from typing import TYPE_CHECKING
 from .crypto import SYMBOL_BITS, TRAPDOOR_BITS, check_key_sizes
 from .errors import BadMagic, BadParameter, Truncated, VersionUnsupported
 from .index import ListingIndex, TrieIndex, read_entries
-from .multiuser import UserDirectory, user_id_bytes
-from .verifiable import tags_bytes
 
 if TYPE_CHECKING:
     from .keys import KeyMaterial
+    from .multiuser import UserDirectory
 
 KEY_MAGIC = b"FZKY"
 INDEX_MAGIC = b"FZIX"
@@ -198,6 +201,16 @@ def load_blind_key(path: str) -> bytes:
 
 # -- indexes ---------------------------------------------------------------
 
+def _tags_bytes(flags: int):
+    """The length of an index's tags as a function of its entry count: ``verifiable.tags_bytes``
+    on the authenticated kind, which alone loads ``verifiable``, and 0 on every other."""
+    if flags & FLAG_VERIFIABLE:
+        from .verifiable import tags_bytes
+
+        return tags_bytes
+    return lambda entries: 0
+
+
 def dumps_index(index) -> bytes:
     """The header, then the index's ``body`` and ``tags``, which must be empty on every kind but the auth trie."""
     if getattr(index, "kind", None) not in KIND_FLAGS:
@@ -205,7 +218,7 @@ def dumps_index(index) -> bytes:
     if not 0 <= index.d <= 0xFF:
         raise BadParameter(f"edit bound {index.d} does not fit FZIX's one byte (0..255)")
     flags = KIND_FLAGS[index.kind] | (FLAG_GRAM if index.method == "gram" else 0)
-    tags_len = tags_bytes(len(index.table)) if flags & FLAG_VERIFIABLE else 0
+    tags_len = _tags_bytes(flags)(len(index.table))
     if len(index.tags) != tags_len:
         raise BadParameter(f"{len(index.tags)} bytes of tags for {len(index.table)} entries, not {tags_len}")
     fields = (flags, SYMBOL_BITS, TRAPDOOR_BITS, index.d, len(index.table))
@@ -222,10 +235,11 @@ def loads_index(data: bytes):
         raise BadParameter("verifiable flag requires a trie index")
     if (trapdoor_bits, symbol_bits) != (TRAPDOOR_BITS, SYMBOL_BITS):
         raise BadParameter(f"{trapdoor_bits}-bit trapdoors of {symbol_bits}-bit symbols; only 160/4 is read")
+    tags_bytes = _tags_bytes(flags)  # before the body: ``verifiable`` compiles below the entry table's peak
     rest = memoryview(data)[INDEX_HEAD.size :]
     table, exact, end = read_entries(rest, count)
     method = "gram" if flags & FLAG_GRAM else "wildcard"
-    tags_len = tags_bytes(len(table)) if flags & FLAG_VERIFIABLE else 0
+    tags_len = tags_bytes(len(table))
     if len(rest) - end != tags_len:
         kind = next(kind for kind, bits in KIND_FLAGS.items() if bits == flags & ~FLAG_GRAM)
         raise Truncated(f"{len(rest) - end} bytes follow the {kind} entries, not {tags_len}")
@@ -244,6 +258,8 @@ def load_index(path: str):
 # -- user directories ------------------------------------------------------
 
 def dumps_directory(directory: UserDirectory) -> bytes:
+    from .multiuser import user_id_bytes  # owner code: no server loads ``multiuser`` through this module
+
     users = sorted(directory.wrapped)
     head = DIR_HEAD.pack(DIR_MAGIC, VERSION, directory.epoch, len(users))
     return head + b"".join(_field(user_id_bytes(uid)) + _field(directory.wrapped[uid]) for uid in users)
@@ -254,6 +270,8 @@ def loads_directory(data: bytes, current_xi: bytes = b"") -> UserDirectory:
 
     Without ``current_xi`` the directory can be read and unwrapped from, but it
     cannot ``enroll`` or ``revoke``."""
+    from .multiuser import UserDirectory
+
     epoch, count = _header(data, DIR_HEAD, DIR_MAGIC, VERSION)
     fields = iter(_fields(data, DIR_HEAD.size, 2 * count))
     wrapped = {}

@@ -29,7 +29,8 @@ Message types:
 
 A blinded server (``ServerState.xi`` set) takes every trapdoor of a request
 as permuted under the blind key by ``crypto.prp``, a 4-round Feistel with
-AES rounds, and inverts the whole request in one call before searching.
+AES rounds, and inverts the whole request in one call
+(``multiuser.unblind_request``) before searching.
 Protocol 2 is that AES Feistel; protocol 1 used HMAC rounds, so the two
 sides would unblind each other's trapdoors to garbage.
 
@@ -44,7 +45,7 @@ once is kept, and that connection is not read again until the peer has taken
 it, so a client that stops reading holds up only itself.  Limits:
 
 * a request of more than ``MAX_TRAPDOORS`` trapdoors gets TOO_MANY_TRAPDOORS
-  (``fuzzyset.MAX_VARIANTS``, the most variants an honest request holds);
+  (``crypto.MAX_VARIANTS``, the most variants an honest request holds);
 * a line longer than ``MAX_LINE_BYTES`` gets one MALFORMED "line too long"
   and the connection is closed;
 * a connection that neither sends nor takes bytes for ``IDLE_SECONDS`` is
@@ -53,6 +54,12 @@ it, so a client that stops reading holds up only itself.  Limits:
   backlog until one closes; after a failed ``accept`` (say, out of file
   descriptors) they wait until a close or the next idle check.
 
+A server loads only what it serves from.  This module imports ``index``
+(the search) and ``crypto`` (its constants and the blind cipher), never
+``fuzzyset``, which only owners and clients run.  ``ServerState`` imports
+``multiuser`` for a blinded state and ``verifiable`` for an index that
+holds tags, and binds the one function each serves, so a plain listing or
+trie server loads neither and no request runs an import statement.
 ``SearchClient`` and its limits are in ``fzsearch.client``; this module
 answers its name.
 """
@@ -68,11 +75,8 @@ import sys
 import threading
 import time
 
-from .crypto import SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES, blind_cipher
-from .fuzzyset import MAX_VARIANTS
+from .crypto import MAX_VARIANTS, SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES, blind_cipher
 from .index import Index, ResultSet, SearchRequest, search_listing
-from .multiuser import unblind_request
-from .verifiable import search_with_proof
 
 PROTOCOL = 2  # HelloAck's "protocol"; bumped when the wire meaning of a request changes
 DEFAULT_PORT = 7090
@@ -94,15 +98,26 @@ INTERNAL = "INTERNAL"
 class ServerState:
     """Immutable while serving.
 
-    A blinded state builds its blind cipher when it is made, so a key that is
-    not an AES key (16, 24 or 32 bytes) raises ``BadParameter`` here, not on
-    every request, and ``serve --blinded`` loads the cipher library before it
+    ``unblind`` is ``multiuser.unblind_request`` on a blinded state and
+    ``prove`` is ``verifiable.search_with_proof`` on an index that holds
+    tags; each is None otherwise, and its module is not imported.  A blinded
+    state builds its blind cipher when it is made, so a key that is not an
+    AES key (16, 24 or 32 bytes) raises ``BadParameter`` here, not on every
+    request, and ``serve --blinded`` loads the cipher library before it
     reports serving.
     """
 
     def __init__(self, index: Index, xi: bytes | None = None, epoch: int = 0):
+        self.unblind = self.prove = None
         if xi is not None:
+            from .multiuser import unblind_request
+
             blind_cipher(xi)
+            self.unblind = unblind_request
+        if index.tags:
+            from .verifiable import search_with_proof
+
+            self.prove = search_with_proof
         self.index = index
         self.xi = xi  # unblinding key; None = single-user mode
         self.epoch = epoch
@@ -205,11 +220,11 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
             return _error(state, STALE_EPOCH, f"server epoch is {state.epoch}")
         req = SearchRequest(trapdoors, k)
         if state.xi is not None:
-            req = unblind_request(req, state.xi)  # keeps k
+            req = state.unblind(req, state.xi)  # keeps k
         if k > state.index.d:
             return _error(state, EDIT_BOUND, f"k={k} exceeds index bound d={state.index.d}")
-        if want_proof and state.index.tags:
-            return _search_resp(state, *search_with_proof(state.index, req))
+        if want_proof and state.prove:
+            return _search_resp(state, *state.prove(state.index, req))
         return _search_resp(state, search_listing(state.index, req), None)
     except Exception as exc:  # contract: the server survives anything
         return _error(state, INTERNAL, f"unhandled request error: {type(exc).__name__}")

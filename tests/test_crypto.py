@@ -20,8 +20,8 @@ from fzsearch import (
     trapdoor,
     wildcard_fuzzy_set,
 )
-from fzsearch.cli import derive_user_key
-from fzsearch.crypto import SYMBOL_BITS, TRAPDOOR_BITS, prf_bytes, prf_many, sha256
+from fzsearch.commands import derive_user_key
+from fzsearch.crypto import _PRP_CACHED_LENGTHS, SYMBOL_BITS, TRAPDOOR_BITS, _prp_layout, prf_bytes, prf_many, sha256
 
 
 class TestKeygen:
@@ -181,6 +181,23 @@ class TestPrp:
     def test_key_not_fit_for_aes_is_a_parameter_error(self, key):
         with pytest.raises(BadParameter):
             prp(key, [bytes(20)], "forward")
+
+    def test_a_long_request_is_permuted_alike_and_adds_nothing_to_the_cache(self, km):
+        """``prp`` keeps its per-length constants for up to ``_PRP_CACHED_LENGTHS`` trapdoors only,
+        so a client's long requests cannot grow a blinded server's memory; their blocks' images
+        are those of short requests."""
+        rng = random.Random(7)
+        cases = []
+        for n in (_PRP_CACHED_LENGTHS + 1, 500):
+            blocks = [rng.randbytes(20) for _ in range(n)]
+            for direction in ("forward", "inverse"):
+                chunks = [blocks[i : i + _PRP_CACHED_LENGTHS] for i in range(0, n, _PRP_CACHED_LENGTHS)]
+                want = tuple(image for chunk in chunks for image in prp(km.blind_key, chunk, direction))
+                cases.append((blocks, direction, want))
+        cached = _prp_layout.cache_info().currsize
+        for blocks, direction, want in cases:
+            assert prp(km.blind_key, blocks, direction) == want, (len(blocks), direction)
+        assert _prp_layout.cache_info().currsize == cached
 
     def test_threads_at_once_give_the_serial_results(self):
         """Four threads run ``prp`` at once, each starting on its own key and

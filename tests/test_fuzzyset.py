@@ -20,7 +20,7 @@ from fzsearch import (
     normalize_keyword,
     wildcard_fuzzy_set,
 )
-from fzsearch.fuzzyset import MAX_VARIANTS, fuzzy_set, within_edits
+from fzsearch.fuzzyset import MAX_VARIANTS, _expand_once, _levels, fuzzy_set, within_edits
 
 
 class TestNormalize:
@@ -102,6 +102,15 @@ class TestWildcardSet:
     def test_cat_exact_members(self):
         s = wildcard_fuzzy_set("cat", 1)
         assert s == ("*at", "*cat", "c*at", "c*t", "ca*", "ca*t", "cat", "cat*")
+
+    def test_distance_one_is_one_level_of_the_expansion(self):
+        """The d = 1 set, built directly, is the general level expansion's, of ``2*len(word) + 2`` variants."""
+        rng = random.Random(53)
+        for length in range(1, 21):
+            for letters in (ALPHABET, "ab"):
+                word = "".join(rng.choice(letters) for _ in range(length))
+                assert wildcard_fuzzy_set(word, 1) == _levels(word, 1, _expand_once)
+                assert len(wildcard_fuzzy_set(word, 1)) == 2 * length + 2
 
     def test_sorted_deduped_deterministic(self):
         rng = random.Random(41)

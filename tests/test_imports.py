@@ -1,5 +1,6 @@
 """What a server loads: no cipher library unless it is blinded, never OpenSSL's hashing, no dataclasses,
-no key material module, no client.
+no key material module, no client, no other command, and of ``fuzzyset``, ``verifiable`` and ``multiuser``
+only what it serves from.
 
 A plain search server matches trapdoors and never decrypts, so it must not
 load ``cryptography``; a blinded one loads it when its state is made.  No
@@ -33,21 +34,25 @@ from fzsearch.service import encode_message
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fzsearch"
 HASH_MODULES = ("_hashlib", "hashlib", "hmac", "secrets")
+# the package modules a plain server never calls: the other commands, fuzzy sets, blinding, proofs
+OPTIONAL = ("fzsearch.commands", "fzsearch.fuzzyset", "fzsearch.multiuser", "fzsearch.verifiable")
 INTROSPECTION = ("dataclasses", "inspect")  # ``dataclasses`` imports ``inspect``, ``ast``, ``dis``, ...
 BUILTIN_SHA256 = ("_sha256", "_sha2")
 ENV = {**os.environ, "PYTHONPATH": str(PACKAGE.parent) + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
 # ``import fzsearch``, then ``fzsearch serve`` of each index, which records the watched modules
-# when its state is made and again after it has served that index's lines.
+# when its state is made and again after it has served that index's lines, and the optional
+# modules when the index body is read.
 SERVER = """
 import json, sys
 import fzsearch
 package = sorted(m for m in sys.modules if m.startswith("fzsearch."))
 import fzsearch.cli as cli
+import fzsearch.persist as persist
 from fzsearch.service import handle_line
 
 spec = json.loads(sys.argv[1])
-steps = {}
+steps, bodies = {}, {}
 
 def record(step):
     steps[step] = {
@@ -56,6 +61,7 @@ def record(step):
         "introspection": sorted(m for m in spec["introspection"] if m in sys.modules),
         "keys": "fzsearch.keys" in sys.modules,
         "client": "fzsearch.client" in sys.modules,
+        "optional": sorted(m for m in spec["optional"] if m in sys.modules),
     }
 
 def serve_forever(server):
@@ -70,10 +76,15 @@ def serve_forever(server):
     assert hits, f"{kind}: no request found a record"
     record(kind)
 
+def read_entries(*args, real=persist.read_entries):
+    bodies[kind] = sorted(m for m in spec["optional"] if m in sys.modules)
+    return real(*args)
+
 cli.SearchServer.serve_forever = serve_forever
+persist.read_entries = read_entries
 for kind, args in spec["serve"].items():
     assert cli.main(["serve", "--port", "0", *args]) == 0
-print(json.dumps({"package": package, "steps": steps}))
+print(json.dumps({"package": package, "steps": steps, "bodies": bodies}))
 """
 
 SERVED = ("listing", "trie", "auth", "blinded")  # what ``SERVER`` serves, in order
@@ -108,7 +119,13 @@ def server_report(km, tmp_path_factory):
         "auth": [hello] + [encode_message(search_msg(req, proof=True)) for req in reqs],
         "blinded": [hello] + [encode_message(search_msg(blind_request(req, km.blind_key), epoch=1, proof=True)) for req in reqs],
     }
-    spec = {"hash_modules": HASH_MODULES, "introspection": INTROSPECTION, "serve": serve, "lines": lines}
+    spec = {
+        "hash_modules": HASH_MODULES,
+        "introspection": INTROSPECTION,
+        "optional": OPTIONAL,
+        "serve": serve,
+        "lines": lines,
+    }
     out = subprocess.run(
         [sys.executable, "-c", SERVER, json.dumps(spec)], env=ENV, capture_output=True, text=True, timeout=120
     )
@@ -134,6 +151,25 @@ def test_no_server_loads_openssl_hashing(server_report):
 def test_no_server_loads_dataclasses(server_report):
     """Nor ``inspect``."""
     assert _seen(server_report, "introspection") == dict.fromkeys(STEPS, [])
+
+
+def test_each_server_loads_only_the_modules_it_serves_from(server_report):
+    """No server loads ``commands`` or ``fuzzyset``; an auth server ``verifiable`` and a blinded one ``multiuser`` too,
+    each before the index body is read.  The report's process serves the four in ``SERVED`` order,
+    so modules add up."""
+    assert server_report["bodies"] == {
+        "listing": [],
+        "trie": [],
+        "auth": ["fzsearch.verifiable"],
+        "blinded": ["fzsearch.multiuser", "fzsearch.verifiable"],
+    }
+    assert _seen(server_report, "optional") == {
+        "listing state": [], "listing": [],
+        "trie state": [], "trie": [],
+        "auth state": ["fzsearch.verifiable"], "auth": ["fzsearch.verifiable"],
+        "blinded state": ["fzsearch.multiuser", "fzsearch.verifiable"],
+        "blinded": ["fzsearch.multiuser", "fzsearch.verifiable"],
+    }
 
 
 def test_no_server_loads_the_client(server_report):

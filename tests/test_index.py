@@ -153,6 +153,18 @@ class TestBuild:
             with pytest.raises(BadParameter, match="fid must be 1..64 bytes"):
                 build({"cat": [b"F0"], "dog": fids}, 1, km)
 
+    @pytest.mark.parametrize("word", ["café", "Castle", "", "a b", "a*b"])
+    def test_a_keyword_that_is_not_normalized_is_a_parameter_error(self, km, word):
+        """Every build and request refuses a word ``normalize_keyword`` would change.  Unchecked,
+        ``café`` raised ``UnicodeEncodeError``, and ``a*b`` was found by a search for ``ab``:
+        it is one of ``ab``'s wildcard variants."""
+        for build in (build_listing_index, build_trie_index, build_auth_trie):
+            with pytest.raises(BadParameter, match="is not normalized"):
+                build({"cat": [b"F0"], word: [b"F1"]}, 1, km)
+        for method in ("wildcard", "gram"):
+            with pytest.raises(BadParameter, match="is not normalized"):
+                make_request(word, 1, km, method)
+
     def test_one_pad_lookup_per_key_per_build(self, km):
         """A build looks up the HMAC pad states once per key, and the tags once
         more: a build that keys each trapdoor, nonce or tag on its own does one per PRF."""

@@ -16,7 +16,7 @@ from fzsearch import (
     make_request,
     unblind_request,
 )
-from fzsearch.cli import derive_user_key
+from fzsearch.commands import derive_user_key
 from fzsearch.multiuser import unwrap_blind_key, wrap_blind_key
 from fzsearch.persist import dumps_directory, loads_directory
 from fzsearch.service import ServerState, encode_message, handle_line, result_from_response
@@ -169,7 +169,7 @@ class TestBlinding:
 
 
 def test_a_revoked_user_with_the_old_key_file_still_searches_is_the_documented_gap(km):
-    """Every user holds the owner's key file, and ``cli.derive_user_key`` makes
+    """Every user holds the owner's key file, and ``commands.derive_user_key`` makes
     any user's personal key from its record key.  So after ``revoke eve``, eve
     unwraps alice's blob from the new directory, gets the blind key of the new
     epoch, and a blinded search with it returns records.  Revocation that holds

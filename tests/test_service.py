@@ -1,3 +1,4 @@
+import argparse
 import base64
 import errno
 import json
@@ -18,7 +19,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 import fzsearch.client
-import fzsearch.index
+import fzsearch.fuzzyset
 import fzsearch.service as service
 from conftest import BUILDS, garbage_line, mutate, random_corpus, reference_parse_trapdoors, refusal, save_seeded_keys, search_msg
 from fzsearch import (
@@ -37,8 +38,9 @@ from fzsearch import (
     make_request,
     search_trie,
 )
-from fzsearch.cli import _server, build_parser, read_corpus_dir
+from fzsearch.cli import COMMANDS, _server, build_parser
 from fzsearch.cli import main as cli_main
+from fzsearch.commands import read_corpus_dir
 from fzsearch.crypto import TRAPDOOR_BYTES
 from fzsearch.errors import BadResponse
 from fzsearch.index import pack_entries
@@ -1113,8 +1115,8 @@ class TestCli:
         unit of k, so the CLI checks HelloAck's d first and never builds one."""
         keyfile = save_seeded_keys(tmp_path / "k.fzky", bytes.fromhex("0a"))
         index = build_auth_trie({"castle": [b"F"]}, 1, load_keys(keyfile))
-        calls, real = [], fzsearch.index.fuzzy_set
-        monkeypatch.setattr(fzsearch.index, "fuzzy_set", lambda *args: calls.append(args) or real(*args))
+        calls, real = [], fzsearch.fuzzyset.fuzzy_set
+        monkeypatch.setattr(fzsearch.fuzzyset, "fuzzy_set", lambda *args: calls.append(args) or real(*args))
         with _searching(index, keyfile) as server_arg:
             for command in ("search", "verify"):
                 capsys.readouterr()
@@ -1186,8 +1188,8 @@ class TestCli:
         capsys.readouterr()
 
     def test_revoke_converges_after_a_crash_between_files(self, tmp_path, monkeypatch, capsys):
-        import fzsearch.cli as cli
-        from fzsearch.cli import derive_user_key
+        import fzsearch.commands as commands
+        from fzsearch.commands import derive_user_key
         from fzsearch.persist import load_directory
 
         keyfile = save_seeded_keys(tmp_path / "k.fzky", bytes.fromhex("ef"))
@@ -1200,7 +1202,7 @@ class TestCli:
             raise OSError("power cut")
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "save_directory", crash)
+            patch.setattr(commands, "save_directory", crash)
             assert cli_main(["revoke", "--keys", keyfile, "--directory", dirfile, "--user", "eve"]) == 1
         assert load_keys(keyfile).blind_key != first_xi  # the key file was written first
         assert load_directory(dirfile).epoch == 0 and "eve" in load_directory(dirfile).wrapped
@@ -1316,6 +1318,33 @@ class TestCli:
         assert cli_main(["search", "cat", k, "--server", "127.0.0.1:1"]) == 2
         err = capsys.readouterr().err
         assert f"argument k: k '{k}' is not in 0..255" in err and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        *([command, "--help"] for command in COMMANDS),
+        ["keygen", "--security-bits", "64"],
+        ["build", "--corpus", "c", "--out", "o", "--d", "256"],
+        ["serve", "--index", "i", "--port", "70000"],
+        ["search", "cat", "256"],
+        ["verify", "cat"],
+        ["enroll", "--directory", "d", "--user", "a", "extra"],  # refused by the top parser, in its usage
+        ["revoke", "--directory", "d"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_main_prints_what_the_full_parser_prints(self, capsys, monkeypatch, argv):
+        """``main`` builds only the invoked command's parser, and every command's for ``--help``."""
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            want = (exc.code, *capsys.readouterr())
+        built, add_parser = [], argparse._SubParsersAction.add_parser
+
+        def counted(sub, name, **kwargs):
+            built.append(name)
+            return add_parser(sub, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        assert (cli_main(argv), *capsys.readouterr()) == want
+        assert built == (list(COMMANDS) if argv == ["--help"] else [argv[0]])
 
     def test_exit_codes(self, tmp_path, monkeypatch, capsys):
         assert cli_main(["bogus-command"]) == 2
