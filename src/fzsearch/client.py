@@ -31,7 +31,7 @@ _decode = json.JSONDecoder().decode  # what json.loads uses for text, without it
 
 
 def result_from_response(resp: dict) -> ResultSet:
-    """A SearchResp's exact flag and records, each ``nonce || ciphertext``."""
+    """A SearchResp's exact flag and records, each an AES-SIV record of at least ``RECORD_MIN_BYTES``."""
     items = resp.get("records", [])
     if not isinstance(items, list):
         raise BadResponse("records must be a list")

@@ -5,31 +5,39 @@ variants, ``TRAPDOOR_BITS`` (160) long, which the trie splits into
 ``SYMBOL_BITS`` (4-bit) symbols.  That geometry is fixed: keys, indexes and
 the wire carry no other, and the key and index headers record it.  File
 identifiers travel inside authenticated ciphertexts under a separate key: a
-record is the bytes ``nonce || ciphertext``, a 12-byte nonce and the AES-GCM
-ciphertext with its 16-byte tag, from ``encrypt_record`` through the index,
-its file and the wire to ``decrypt_record``.  A Feistel permutation keyed by
-the rotating blind key turns trapdoors into per-epoch request tokens for the
-multi-user setting.  The keys themselves, ``KeyMaterial`` and ``keygen``,
-are ``keys``'s.
+record is one AES-SIV output (RFC 5297), the 16-byte synthetic IV and then
+the ciphertext of ``copy || len(fid) || fid || keyword``, from
+``encrypt_record`` through the index, its file and the wire to
+``decrypt_record``.  ``copy`` (2 bytes) is the position of the entry's
+variant in its keyword's sorted fuzzy set, so the copies of one (keyword,
+fid) under its variants' entries are distinct records; SIV is deterministic,
+so two builds give the same bytes, and it needs no nonce.  A Feistel
+permutation keyed by the rotating blind key turns trapdoors into per-epoch
+request tokens for the multi-user setting.  The keys themselves,
+``KeyMaterial`` and ``keygen``, are ``keys``'s.
 
-Every PRF for trapdoors, record nonces, proof tags and key derivation is
-one RFC 2104 HMAC-SHA256 block, so at most 32 bytes, computed from the inner
-and outer hash states left after absorbing the padded key.  ``prf_many`` is
-that kernel: a list of messages under one key, with one lookup of those
-states.  ``trapdoors`` (the owner's build and ``make_request``),
-``encrypt_records`` (the build's record nonces) and the authenticated trie's
-tags call it with many; ``prf_bytes``, ``trapdoor`` and ``encrypt_record``
-are the one-item forms.  The pad states are cached per key,
-so they hold secret keys in process memory for as long as the process
-lives, unless the bounded cache evicts them.  The AES-GCM cipher (records
-and ``multiuser``'s key wrap) is cached per key the same way, and the AES-ECB
-encryptor of the blinding permutation per key and thread.  Both load on first
-use, and only then is ``cryptography`` imported: this module names it inside
-functions alone, so a process that never builds a cipher (a server that is not
-blinded, or one that only derives trapdoors) never loads the library.
+Every PRF for trapdoors, proof tags and key derivation is one RFC 2104
+HMAC-SHA256 block, so at most 32 bytes, computed from the inner and outer
+hash states left after absorbing the padded key.  ``prf_many`` is that
+kernel: a list of messages under one key, with one lookup of those states.
+``trapdoors`` (the owner's build and ``make_request``) and the authenticated
+trie's tags call it with many; ``prf_bytes`` and ``trapdoor`` are the
+one-item forms.  The records' AES-SIV key, ``2 * len(record_key)`` bytes,
+is two PRF outputs under the record key (``_SIV_KEY_LABELS``), so the
+record key itself keys HMAC alone.  ``encrypt_records`` seals a build's
+records with one bound ``encrypt`` and ``encrypt_record`` is its one-item
+form.  The pad states are cached per key, so they hold secret keys in
+process memory for as long as the process lives, unless the bounded cache
+evicts them.  The AES-SIV cipher of the records and the AES-GCM cipher of
+``multiuser``'s key wrap are cached per key the same way, and the AES-ECB
+encryptor of the blinding permutation per key and thread.  Each loads on
+first use, and only then is ``cryptography`` imported: this module names it
+inside functions alone, so a process that never builds a cipher (a server
+that is not blinded, or one that only derives trapdoors) never loads the
+library.
 
-One SHA-256 runs under every PRF, ``record_digest``, ``verifiable.verify``'s
-per-record digest and ``multiuser``'s wrap key: ``sha256``, CPython's built-in
+One SHA-256 runs under every PRF, ``record_digest`` (the proofs' and
+``verifiable.verify``'s) and ``multiuser``'s wrap key: ``sha256``, CPython's built-in
 module (``_sha256`` up to 3.11, ``_sha2`` from 3.12), and ``hashlib.sha256``
 only on an interpreter built without both.  The bytes are the same either way;
 what differs is what a process maps.  ``hashlib`` loads OpenSSL's libcrypto
@@ -38,10 +46,10 @@ imports ``hashlib``, ``hmac`` or ``secrets`` at module level: keys and nonces
 come from ``os.urandom`` (what ``secrets.token_bytes`` calls), and only
 ``verify``, which clients run, imports ``hmac.compare_digest``.  No server,
 plain, authenticated or blinded, loads any of them.  The built-in hash is also
-the cheaper one for a message of one SHA-256 block, as every trapdoor, record
-nonce and gap tag is: copying its state is a memory copy, not an OpenSSL
-context copy.  Each further block costs it more than OpenSSL, so a leaf tag
-(two blocks) and a digest of several records take longer.
+the cheaper one for a message of one SHA-256 block, as every trapdoor and gap
+tag is: copying its state is a memory copy, not an OpenSSL context copy.  Each
+further block costs it more than OpenSSL, so a leaf tag (two blocks) and a
+digest of several records take longer.
 
 The blinding permutation ``prp`` is a 4-round Luby-Rackoff Feistel network
 over the two halves of a trapdoor, the shape of NIST SP 800-38G FF1 with
@@ -76,8 +84,10 @@ except ImportError:
     except ImportError:  # an interpreter built without them; hashlib then has its own
         from hashlib import sha256
 
-NONCE_BYTES = 12
-RECORD_MIN_BYTES = NONCE_BYTES + 16  # a record's nonce, then at least the 16-byte GCM tag
+NONCE_BYTES = 12  # an AES-GCM nonce: ``gcm_open``'s, for ``multiuser``'s key wrap
+SIV_BYTES = 16  # a record's synthetic IV, its first bytes
+# the IV, then the copy index (2), the fid's length (1), at least one fid byte and one keyword letter
+RECORD_MIN_BYTES = SIV_BYTES + 5
 MAX_FID_BYTES = 64
 SECURITY_BITS = (128, 256)  # each key is security_bits // 8 bytes
 
@@ -96,7 +106,12 @@ _PRP_CACHED_LENGTHS = 64
 _KEY_CACHE_SIZE = 256
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
+_RECORD_COUNT = struct.Struct(">H").pack  # record_digest's framing: the count, as FZIX's entry head holds it
+_RECORD_LENGTH = struct.Struct(">I").pack  # and each record's length, as FZIX prefixes it
 _COUNTER = bytes(4)  # the block counter of HMAC counter mode's first block, ending every PRF input
+# The PRF inputs under the record key that give the records' AES-SIV key: its S2V half, then its CTR half.
+# No other input under that key begins "R:" (the user keys' begin "U:", the tags' "L:" and "G:").
+_SIV_KEY_LABELS = (b"R:siv-s2v", b"R:siv-ctr")
 
 
 def check_key_sizes(keys: Sequence[bytes], security_bits: int) -> None:
@@ -164,8 +179,8 @@ def aes_gcm(key: bytes):
     return AESGCM(key)
 
 
-def _gcm_failures() -> tuple[type[Exception], ...]:
-    """What a failed AES-GCM open raises.  An ``except`` clause evaluates this
+def _aead_failures() -> tuple[type[Exception], ...]:
+    """What a failed AEAD open raises.  An ``except`` clause evaluates this
     only once something was raised, so a successful open imports nothing."""
     from cryptography.exceptions import InvalidTag
 
@@ -177,59 +192,75 @@ def gcm_open(key: bytes, blob: bytes, aad: bytes | None, what: str) -> bytes:
     AES-GCM refuses raises ``AuthFailure`` "<what> failed authentication"."""
     try:
         return aes_gcm(key).decrypt(blob[:NONCE_BYTES], blob[NONCE_BYTES:], aad)
-    except _gcm_failures() as exc:
+    except _aead_failures() as exc:
         raise AuthFailure(f"{what} failed authentication") from exc
 
 
-def encrypt_record(km: KeyMaterial, fid: bytes, keyword: str, variant: str) -> bytes:
-    """Encrypt ``fid`` together with its keyword into the record ``nonce || ciphertext``
-    that the entry of ``variant`` holds.
+def aes_siv(key: bytes):
+    """The AES-SIV cipher (RFC 5297) under a 32-, 48- or 64-byte ``key``; loads ``cryptography``."""
+    from cryptography.hazmat.primitives.ciphers.aead import AESSIV
 
-    The nonce is the PRF of (variant, keyword, fid) under the record key, so it
-    is unique per record of an index and two builds give identical bytes.
+    return AESSIV(key)
+
+
+@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
+def record_cipher(record_key: bytes):
+    """The records' AES-SIV cipher, cached per record key: its key is
+    ``2 * len(record_key)`` bytes, one PRF output per ``_SIV_KEY_LABELS`` label."""
+    return aes_siv(b"".join(prf_many(record_key, _SIV_KEY_LABELS, len(record_key))))
+
+
+def encrypt_record(km: KeyMaterial, fid: bytes, keyword: str, copy: int) -> bytes:
+    """The record of ``fid`` and its keyword that the entry of the keyword's
+    variant at position ``copy`` of its sorted fuzzy set holds.
+
+    AES-SIV is deterministic, so the same inputs give the same bytes, and
+    ``copy`` keeps a (keyword, fid)'s records under its variants distinct.
     """
-    return encrypt_records(km, [(keyword, (variant,), (fid,))])[0]
+    return encrypt_records(km, [(keyword, (copy,), (fid,))])[0]
 
 
-def encrypt_records(km: KeyMaterial, groups: Iterable[tuple[str, Sequence[str], Sequence[bytes]]]) -> list[bytes]:
-    """``encrypt_record`` of every record of each ``(keyword, variants, fids)`` group:
-    group by group, variant by variant, one record per fid.
+def encrypt_records(km: KeyMaterial, groups: Iterable[tuple[str, Sequence[int], Sequence[bytes]]]) -> list[bytes]:
+    """``encrypt_record`` of every record of each ``(keyword, copies, fids)`` group:
+    group by group, copy by copy, one record per fid.
 
-    A keyword and its fids are encoded once per group, every nonce comes from
-    one ``prf_many`` call, and one bound AES-GCM ``encrypt`` seals every record.
+    A keyword and its fids are encoded once per group, and one bound AES-SIV
+    ``encrypt`` seals every record; no PRF runs per record.  A fid that is not
+    1..``MAX_FID_BYTES`` bytes or a copy outside ``0..MAX_VARIANTS - 1`` raises
+    ``BadParameter``.
     """
-    msgs: list[bytes] = []
     plains: list[bytes] = []
-    for keyword, variants, fids in groups:
+    for keyword, copies, fids in groups:
         for fid in fids:
             if not fid or len(fid) > MAX_FID_BYTES:
                 raise BadParameter(f"fid must be 1..{MAX_FID_BYTES} bytes")
+        if copies and (min(copies) < 0 or max(copies) >= MAX_VARIANTS):
+            raise BadParameter(f"a copy in {copies} is not a variant's position (0..{MAX_VARIANTS - 1})")
         word = keyword.encode("ascii")
-        tails = [b"\x00" + word + b"\x00" + fid for fid in fids]
-        msgs += [b"N:" + v.encode("ascii") + tail for v in variants for tail in tails]
-        plains += [bytes([len(fid)]) + fid + word for fid in fids] * len(variants)
-    nonces = prf_many(km.record_key, msgs, NONCE_BYTES)
-    seal = aes_gcm(km.record_key).encrypt
-    return [nonce + seal(nonce, plain, None) for nonce, plain in zip(nonces, plains)]
+        tails = [bytes([len(fid)]) + fid + word for fid in fids]
+        plains += [copy.to_bytes(2, "big") + tail for copy in copies for tail in tails]
+    seal = record_cipher(km.record_key).encrypt
+    return [seal(plain, None) for plain in plains]
 
 
 def decrypt_record(km: KeyMaterial, blob: bytes) -> tuple[bytes, str]:
-    """Recover (fid, keyword) from ``nonce || ciphertext``.
+    """Recover (fid, keyword) from an AES-SIV record; the copy index is dropped.
 
-    A record shorter than a nonce and a tag, any tamper or a wrong key
-    raises AuthFailure, and so does an authentic payload that is not a fid
-    length, the fid and an ASCII keyword.
+    A record shorter than ``RECORD_MIN_BYTES``, any tamper or a wrong key
+    raises AuthFailure, and so does an authentic payload that is not a copy
+    index, a fid length, the fid and an ASCII keyword of at least one letter.
     """
     if len(blob) < RECORD_MIN_BYTES:
         raise AuthFailure("record blob too short")
-    payload = gcm_open(km.record_key, blob, None, "record")
-    if not payload:
-        raise AuthFailure("empty record payload")
-    n = payload[0]
-    if n == 0 or len(payload) < 1 + n:
+    try:
+        payload = record_cipher(km.record_key).decrypt(blob, None)
+    except _aead_failures() as exc:
+        raise AuthFailure("record failed authentication") from exc
+    n = payload[2]  # an authentic payload is at least RECORD_MIN_BYTES - SIV_BYTES long
+    if n == 0 or len(payload) <= 3 + n:
         raise AuthFailure("malformed record payload")
     try:
-        return payload[1 : 1 + n], payload[1 + n :].decode("ascii")
+        return payload[3 : 3 + n], payload[3 + n :].decode("ascii")
     except UnicodeDecodeError:
         raise AuthFailure("record keyword is not ASCII") from None
 
@@ -310,6 +341,13 @@ def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tupl
     return unpack((left | right >> 8 * h).to_bytes(size, "big"))
 
 
-def record_digest(records) -> bytes:
-    """Plain digest of the records' bytes in order; bound to a key via the leaf tag."""
-    return sha256(b"".join(records)).digest()
+def record_digest(records: Sequence[bytes]) -> bytes:
+    """SHA-256 of a hit's records framed as FZIX frames an entry's: the record
+    count (2 bytes), then each record's length (4 bytes) before its bytes.
+    The framing binds the boundaries, so no merge or re-split of the records
+    has their digest.  Bound to a key via the leaf tag."""
+    h = sha256(_RECORD_COUNT(len(records)))
+    for record in records:
+        h.update(_RECORD_LENGTH(len(record)))
+        h.update(record)
+    return h.digest()

@@ -10,10 +10,11 @@ an object until a search, a proof or a ``NodeView`` reaches its entry, and
 ``records`` slices it out then.  The writer, the validating reader and that
 hit-time reader sit together below.  No index changes once built.
 
-A record is the bytes ``nonce || ciphertext`` that ``crypto.encrypt_record``
-returns; nothing here looks inside one.  The listing index is the flat
-table; the trie files each trapdoor root-to-leaf as ``DEPTH`` symbols of
-``SYMBOL_BITS`` each, its nodes derived from ``Index.ordered``.  An index
+A record is the AES-SIV output (synthetic IV, then ciphertext) that
+``crypto.encrypt_record`` returns; nothing here looks inside one.  The
+listing index is the flat table; the trie files each trapdoor root-to-leaf
+as ``DEPTH`` symbols of ``SYMBOL_BITS`` each, its nodes derived from
+``Index.ordered``.  An index
 proves its answers exactly when it holds ``tags``, a tag per entry and per
 gap between entries; ``verifiable.build_auth_trie`` builds such a trie.
 The request and result types, ``SearchRequest`` and ``ResultSet``, are
@@ -200,15 +201,16 @@ def build_entries(
     """Trapdoor -> records map shared by every index kind.
 
     The whole corpus is keyed in one pass: one ``trapdoors`` call derives every
-    keyword variant's trapdoor, and one ``encrypt_records`` call every (variant,
-    fid) record, so each key's HMAC pad states are looked up once per build and
-    no Python call is made per record.  The bytes are those of ``trapdoor`` and
-    ``encrypt_record`` per variant and record.  Keywords are processed in sorted
-    order and every nonce is derived from its (variant, keyword, fid), so two
-    builds from the same corpus and keys produce identical bytes.  A variant
-    shared by several keywords accumulates all their records under one
-    trapdoor, in keyword order; they are joined once, at the end, so the work
-    stays linear.
+    keyword variant's trapdoor, and one ``encrypt_records`` call seals every
+    (variant, fid) record, so the trapdoor key's HMAC pad states and the record
+    cipher are looked up once per build.  The bytes are those of ``trapdoor``
+    and ``encrypt_record`` per variant and record; a record's copy index is its
+    variant's position in the keyword's sorted fuzzy set, so the records of an
+    index are pairwise distinct.  Keywords are processed in sorted order and
+    AES-SIV is deterministic, so two builds from the same corpus and keys
+    produce identical bytes.  A variant shared by several keywords
+    accumulates all their records under one trapdoor, in keyword order; they
+    are joined once, at the end, so the work stays linear.
 
     Also returns the set of canonical trapdoors (each keyword's own zero-edit
     variant); only those entries terminate a search as an exact hit.  A
@@ -222,7 +224,7 @@ def build_entries(
         if fids:  # nothing to find otherwise: an entry without records is never a hit
             groups.append((keyword, fuzzy_set(keyword, d, method), fids))
     keyed = iter(trapdoors(km, [v for _, variants, _ in groups for v in variants]))
-    records = iter(encrypt_records(km, groups))
+    records = iter(encrypt_records(km, [(keyword, range(len(variants)), fids) for keyword, variants, fids in groups]))
     entries: dict[bytes, tuple[bytes, ...]] = {}
     shared: dict[bytes, list[tuple[bytes, ...]]] = {}  # a trapdoor met again: its keywords' records, in order
     exact: set[bytes] = set()

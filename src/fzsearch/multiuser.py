@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import os
 
-from .crypto import NONCE_BYTES, RECORD_MIN_BYTES, aes_gcm, blind_cipher, gcm_open, prp, sha256
+from .crypto import NONCE_BYTES, aes_gcm, blind_cipher, gcm_open, prp, sha256
 from .errors import AuthFailure, BadParameter, DuplicateUser, UnknownUser
 from .index import SearchRequest
 
 MAX_USER_ID_BYTES = 0xFFFF  # an FZUD user id's 2-byte length field
+WRAPPED_MIN_BYTES = NONCE_BYTES + 16  # a wrapped blind key's random nonce, then at least the GCM tag
 
 
 def user_id_bytes(user_id: str) -> bytes:
@@ -55,7 +56,7 @@ def unwrap_blind_key(user_key: bytes, user_id: str, blob: bytes) -> bytes:
     ``user_id_bytes`` refuses, ``AuthFailure`` for a short or tampered blob, a
     wrong key or another user's id."""
     uid = user_id_bytes(user_id)
-    if len(blob) < RECORD_MIN_BYTES:  # a nonce and the GCM tag, as a record
+    if len(blob) < WRAPPED_MIN_BYTES:
         raise AuthFailure("wrapped blob too short")
     return gcm_open(_wrap_key(user_key), blob, uid, "wrapped blind key")
 

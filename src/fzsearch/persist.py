@@ -18,7 +18,7 @@ All integers are big-endian.  Each header is one ``struct.Struct``, and
     files with the same error; a blinded server reads its key through the
     latter and never imports ``keys`` (nor ``dataclasses`` under it).
 
-``FZIX`` index file (version 3)
+``FZIX`` index file (version 4)
     Header ``INDEX_HEAD`` (``>4sBBBHBQ``, 18 bytes): magic "FZIX", version
     byte, flags byte (bit0: 1=trie 0=listing, bit1: verifiable, bit2:
     1=gram 0=wildcard), symbol bits (1), trapdoor bits (2), d (1), entry
@@ -27,9 +27,10 @@ All integers are big-endian.  Each header is one ``struct.Struct``, and
     Body, the same for every kind: the entries in ascending trapdoor order,
     each trapdoor (20 bytes) || entry flag (1, bit0 = exact
     keyword entry, other bits zero) || record count (2, at least 1) ||
-    the records, each 4-byte length-prefixed.  A record is the bytes
-    ``nonce || ciphertext`` (``crypto.encrypt_record``), at least
-    ``RECORD_MIN_BYTES`` (28) long.  The body is the index's own ``body``:
+    the records, each 4-byte length-prefixed.  A record is one AES-SIV
+    output, the 16-byte synthetic IV and then the ciphertext of its copy
+    index, fid and keyword (``crypto.encrypt_record``): ``19 + len(fid) +
+    len(keyword)`` bytes, so at least ``RECORD_MIN_BYTES`` (21).  The body is the index's own ``body``:
     ``index.pack_entries`` writes it at build time, ``index.read_entries``
     checks it at load time, and the index keeps the file's buffer, its
     ``table`` holding each entry's offset, not its records.
@@ -41,9 +42,10 @@ All integers are big-endian.  Each header is one ``struct.Struct``, and
     ``dumps_index`` writes the header, the body and the tags; the reader
     accepts only what it writes, so a file that loads dumps back to the same
     bytes; builds are byte-deterministic.
-    Versions 1 (a pre-order node stream for tries) and 2 (an authenticated
-    trie's per-node chain digests) raise ``VersionUnsupported``; rebuild
-    such an index.
+    Versions 1 (a pre-order node stream for tries), 2 (an authenticated
+    trie's per-node chain digests) and 3 (AES-GCM records, each with its
+    12-byte nonce, and unframed record digests under the leaf tags) raise
+    ``VersionUnsupported``; rebuild such an index.
     Only the authenticated kind loads ``verifiable``, for its tag length:
     ``loads_index`` imports it after the header and before the body, so
     its compile comes before the entry table is built, below the peak.
@@ -83,7 +85,7 @@ if TYPE_CHECKING:
 KEY_MAGIC = b"FZKY"
 INDEX_MAGIC = b"FZIX"
 DIR_MAGIC = b"FZUD"
-INDEX_VERSION = 3  # FZIX
+INDEX_VERSION = 4  # FZIX
 VERSION = 1  # FZKY and FZUD
 KEY_HEAD = struct.Struct(">4sBHHB")
 INDEX_HEAD = struct.Struct(">4sBBBHBQ")

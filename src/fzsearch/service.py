@@ -18,9 +18,9 @@ Message types:
     empty list and duplicate trapdoors are MALFORMED.
 ``SearchResp``
     ``{"type": "SearchResp", "epoch": E, "exact": bool,
-    "records": [base64(nonce || ciphertext)...], "proofs": [hex...]?}``.
-    Each record is the bytes ``crypto.encrypt_record`` returned, as the
-    index holds them; the server never looks inside one.  The server writes
+    "records": [base64(record)...], "proofs": [hex...]?}``.
+    Each record is the AES-SIV output ``crypto.encrypt_record`` returned, as
+    the index holds it; the server never looks inside one.  The server writes
     this line from fixed fragments, not through ``encode_message`` as it does
     the others; ``test_search_reply_is_the_canonical_encoding`` holds the two equal.
 ``ErrorResp``
@@ -31,8 +31,11 @@ A blinded server (``ServerState.xi`` set) takes every trapdoor of a request
 as permuted under the blind key by ``crypto.prp``, a 4-round Feistel with
 AES rounds, and inverts the whole request in one call
 (``multiuser.unblind_request``) before searching.
-Protocol 2 is that AES Feistel; protocol 1 used HMAC rounds, so the two
-sides would unblind each other's trapdoors to garbage.
+Protocol 3 carries AES-SIV records and hit proofs that hold their record
+count (``verifiable``); a protocol 2 peer sealed records with AES-GCM and
+could not read them, so it stops at ``hello``.  Protocol 2 brought the AES
+Feistel; protocol 1 used HMAC rounds, so those two sides would unblind each
+other's trapdoors to garbage.
 
 The handler never raises on any input line; anything unparseable or
 out of contract comes back as an ErrorResp.
@@ -78,7 +81,7 @@ import time
 from .crypto import MAX_VARIANTS, SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES, blind_cipher
 from .index import Index, ResultSet, SearchRequest, search_listing
 
-PROTOCOL = 2  # HelloAck's "protocol"; bumped when the wire meaning of a request changes
+PROTOCOL = 3  # HelloAck's "protocol"; bumped when the wire meaning of a request or a reply changes
 DEFAULT_PORT = 7090
 _RECV_BYTES = 1 << 16  # the most one recv reads: per connection and wake-up in the server, per read in the client
 # Server limits.  Each is read where it is used, so patching the module attribute takes effect.

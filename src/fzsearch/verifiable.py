@@ -6,7 +6,10 @@ exactly when it does.  ``build_auth_trie`` builds the authenticated trie, a
 sorted entries ``t_0 < ... < t_{n-1}`` the owner keys
 
 * a leaf tag per entry, ``PRF(sk0, "L:" || t_i || exact_flag_i ||
-  digest(records_i))``, binding its exact flag and its record list;
+  count_i || digest(records_i))``, binding its exact flag, its record count
+  (2 bytes) and its record list: the digest (``crypto.record_digest``)
+  frames the records with their count and each one's length, so it binds
+  their boundaries too;
 * a gap tag per pair of adjacent entries, ``PRF(sk0, "G:" || len(left) ||
   len(right) || left || right)`` for ``(t_i, t_{i+1})``.  The head gap has
   an empty left end and the tail gap an empty right end; an empty index has
@@ -20,17 +23,19 @@ tag) or a miss (the adjacent pair around the trapdoor and their gap tag), as
 NSEC records prove that a DNS name does not exist (RFC 4034 §4).  A proof is
 its wire bytes, from ``search_with_proof`` through ``verify``:
 
-* a hit is ``PROOF_TYPE || flag || record digest (32) || leaf tag (32)``,
-  its form byte the exact flag, 0 or 1;
+* a hit is ``PROOF_TYPE || flag || record count (2) || record digest (32) ||
+  leaf tag (32)``, its form byte the exact flag, 0 or 1;
 * a miss is ``PROOF_TYPE || 2 || len(left) || left || len(right) || right ||
   gap tag (32)``, an end empty past either end of the list.
 
 ``_parse_proof`` is the one reader of that layout.  The verifier checks the
 proof count, each proof's shape (its layout, and a miss's ends must enclose
 the trapdoor), one tag per trapdoor, and re-derives each hit's digest from
-the records actually returned.  A present trapdoor has no gap around it, so
-a server can neither drop a match nor under-report one; the leaf tag binds
-the exact flag, so an exact hit is proof 0 with flag 1, and only then.
+exactly its record count of the records actually returned, so a merge or
+re-split of a hit's records fails its digest.  A present trapdoor has no
+gap around it, so a server can neither drop a match nor under-report one;
+the leaf tag binds the exact flag, so an exact hit is proof 0 with flag 1,
+and only then.
 
 A miss shows the client the two entries next to the trapdoor.  An authorized
 client could find these by searching anyway.
@@ -41,9 +46,10 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import namedtuple
+from functools import cache
 from typing import TYPE_CHECKING
 
-from .crypto import TRAPDOOR_BYTES, prf_many, record_digest, sha256
+from .crypto import TRAPDOOR_BYTES, prf_many, record_digest
 from .errors import BadParameter, Truncated
 from .index import Index, ResultSet, SearchRequest, TrieIndex, build_trie_index, search_by
 
@@ -58,6 +64,9 @@ PROOF_TYPE = 0xFF
 _MISS = 2  # form byte of a miss; a hit's form byte is its exact flag, 0 or 1
 _HIT_HEADS = (bytes([PROOF_TYPE, 0]), bytes([PROOF_TYPE, 1]))  # a hit's first two bytes, by exact flag
 _MISS_HEAD = bytes([PROOF_TYPE, _MISS])
+# a hit is the type, its flag, the record count (2), then the record digest and the leaf tag, 32 bytes each
+_HIT_DIGEST, _HIT_TAG = slice(4, 4 + TAG_BYTES), slice(4 + TAG_BYTES, None)
+_HIT_BYTES = 4 + 2 * TAG_BYTES
 _BYTE = tuple(bytes([i]) for i in range(256))  # a lookup is cheaper than bytes([i]) on the hot paths
 
 
@@ -66,8 +75,9 @@ def tags_bytes(entries: int) -> int:
     return (2 * entries + 1) * TAG_BYTES
 
 
-def _leaf_msg(t: bytes, flag: int, digest: bytes) -> bytes:
-    return b"".join((b"L:", t, _BYTE[flag], digest))
+def _leaf_msg(t: bytes, flag: int, count: bytes, digest: bytes) -> bytes:
+    """The leaf tag's message; ``count`` is the record count's two bytes."""
+    return b"".join((b"L:", t, _BYTE[flag], count, digest))
 
 
 def _gap_msg(left: bytes, right: bytes) -> bytes:
@@ -98,7 +108,10 @@ def build_auth_trie(
     index = build_trie_index(corpus, d, km, method)
     exact, keys = index.exact, index.ordered
     ends = [b"", *keys, b""]
-    msgs = [_leaf_msg(t, t in exact, record_digest(index.records(t))) for t in keys]
+    msgs = []
+    for t in keys:
+        records = index.records(t)
+        msgs.append(_leaf_msg(t, t in exact, len(records).to_bytes(2, "big"), record_digest(records)))
     msgs += [_gap_msg(left, right) for left, right in zip(ends, ends[1:])]
     tags = b"".join(prf_many(km.record_key, msgs, TAG_BYTES))
     return TrieIndex(index.table, index.body, index.d, index.method, exact, tags)
@@ -112,8 +125,8 @@ def search_with_proof(index: Index, req: SearchRequest) -> tuple[ResultSet, list
     proofs are still produced for every trapdoor — the verifier's first
     check is that none went missing.  One bisect places each trapdoor among
     the sorted entries: at an entry it is a hit, whose records are read once
-    for both the result and the digest; otherwise it lies in the gap before
-    position ``pos``.
+    for the result, the count and the digest; otherwise it lies in the gap
+    before position ``pos``.
     """
     if not index.tags:
         raise BadParameter(f"a {index.kind} index holds no tags to prove with")
@@ -124,7 +137,8 @@ def search_with_proof(index: Index, req: SearchRequest) -> tuple[ResultSet, list
         if pos < size and ordered[pos] == t:
             read[t] = records = records_of(t)
             at = pos * TAG_BYTES
-            proofs.append(_HIT_HEADS[t in exact] + record_digest(records) + tags[at : at + TAG_BYTES])
+            head = _HIT_HEADS[t in exact] + len(records).to_bytes(2, "big")
+            proofs.append(b"".join((head, record_digest(records), tags[at : at + TAG_BYTES])))
         else:
             at = (size + pos) * TAG_BYTES
             left = ordered[pos - 1] if pos else b""
@@ -137,8 +151,8 @@ def search_with_proof(index: Index, req: SearchRequest) -> tuple[ResultSet, list
 def _parse_proof(proof: bytes) -> tuple[int, bytes, bytes, bytes]:
     """Split a proof into its form, two fields and tag; raises ``Truncated`` on any other value.
 
-    A hit gives ``(flag, record digest, b"", leaf tag)``, a miss ``(2, left,
-    right, gap tag)``.
+    A hit gives ``(flag, record digest, record count's two bytes, leaf tag)``,
+    a miss ``(2, left, right, gap tag)``.
     """
     if not isinstance(proof, bytes):
         raise Truncated(f"a proof is bytes, not {type(proof).__name__}")
@@ -148,20 +162,31 @@ def _parse_proof(proof: bytes) -> tuple[int, bytes, bytes, bytes]:
         raise Truncated(f"unknown proof type {proof[0]:#04x}")
     form = proof[1]
     if form < _MISS:
-        first, second, end = proof[2 : 2 + TAG_BYTES], b"", 2 + TAG_BYTES
-    elif form == _MISS:
-        try:
-            mid = 3 + proof[2]
-            end = mid + 1 + proof[mid]
-        except IndexError:
-            raise Truncated("proof encoding ends early") from None
-        first, second = proof[3:mid], proof[mid + 1 : end]
-    else:
+        if len(proof) != _HIT_BYTES:
+            raise Truncated("proof encoding ends early" if len(proof) < _HIT_BYTES else "trailing bytes after proof")
+        return form, proof[_HIT_DIGEST], proof[2:4], proof[_HIT_TAG]
+    if form != _MISS:
         raise Truncated(f"unknown proof form {form}")
+    try:
+        mid = 3 + proof[2]
+        end = mid + 1 + proof[mid]
+    except IndexError:
+        raise Truncated("proof encoding ends early") from None
     tag = proof[end:]
     if len(tag) != TAG_BYTES:
         raise Truncated("proof encoding ends early" if len(tag) < TAG_BYTES else "trailing bytes after proof")
-    return form, first, second, tag
+    return form, proof[3:mid], proof[mid + 1 : end], tag
+
+
+@cache
+def _compare_digest():
+    """``hmac.compare_digest``, imported on the first call: a client's import, a server never verifies.
+
+    A cached call costs a tenth of an import statement, which ``verify`` would pay on every call.
+    """
+    from hmac import compare_digest
+
+    return compare_digest
 
 
 def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyMaterial) -> Verdict:
@@ -170,24 +195,28 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
     Checks, in order: the proof count; then per proof its shape (any item
     that is no proof encoding is ``SHAPE_INVALID``), for proof 0 that the
     exact flag is set exactly when it is a hit with flag 1, its one tag,
-    and for a hit whose records are returned the digest re-derived from
-    those records (consumed in proof order).  With an exact hit only proof
-    0's records are present; every other hit's tag is still checked.
+    and for a hit whose records are returned the digest re-derived from as
+    many of those records as its count says (consumed in proof order).  With
+    an exact hit only proof 0's records are present; every other hit's tag
+    is still checked.
 
     The verdict is the first failure in that order.  The shapes are read
     first, up to the first proof that fails one; every tag before it is then
     keyed in one ``prf_many`` call and checked in proof order, so a tag or
     record failure at proof ``i`` still comes before a shape failure at a
-    later proof.
+    later proof.  One ``compare_digest`` over all the tags at once passes
+    every tag of an honest transcript; only when it fails is each tag
+    compared on its own, to find the first at fault, and only the hits
+    before it have their records checked.
     """
-    from hmac import compare_digest  # a client's import: a server never verifies
-
+    compare_digest = _compare_digest()
     if len(proofs) != len(req.trapdoors):
         return Verdict(False, VerdictReason.COUNT_MISMATCH)
     records, exact_hit = results.records, results.exact_hit
     if exact_hit and not proofs:
         return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
-    parsed, msgs, failed = [], [], None
+    # per proof read: its tag message and tag; per hit whose records are returned: (index, digest, count)
+    msgs, tags, hits, failed = [], [], [], None
     for i, (t, proof) in enumerate(zip(req.trapdoors, proofs)):
         try:
             form, first, second, tag = _parse_proof(proof)
@@ -204,23 +233,25 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
                 break
             msgs.append(_gap_msg(first, second))
         else:
-            msgs.append(_leaf_msg(t, form, first))
-        parsed.append((form, first, tag))
+            msgs.append(_leaf_msg(t, form, second, first))
+            if not (exact_hit and i):
+                hits.append((i, first, second))
+        tags.append(tag)
+    wants = prf_many(km.record_key, msgs, TAG_BYTES)
+    bad = None  # the first proof whose tag fails
+    if not compare_digest(b"".join(wants), b"".join(tags)):
+        bad = next(i for i, (want, tag) in enumerate(zip(wants, tags)) if not compare_digest(want, tag))
     pos = 0
-    for i, ((form, first, tag), want) in enumerate(zip(parsed, prf_many(km.record_key, msgs, TAG_BYTES))):
-        if not compare_digest(want, tag):
-            reason = VerdictReason.GAP_TAG_MISMATCH if form == _MISS else VerdictReason.LEAF_TAG_MISMATCH
-            return Verdict(False, reason, i)
-        if form == _MISS or (exact_hit and i):
-            continue
-        digest = sha256()
-        while True:
-            if pos == len(records):
-                return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
-            digest.update(records[pos])
-            pos += 1
-            if digest.digest() == first:
-                break
+    for i, first, count in hits:
+        if bad is not None and i >= bad:
+            break
+        end = pos + int.from_bytes(count, "big")
+        if end > len(records) or record_digest(records[pos:end]) != first:
+            return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
+        pos = end
+    if bad is not None:
+        miss = proofs[bad][1] == _MISS
+        return Verdict(False, VerdictReason.GAP_TAG_MISMATCH if miss else VerdictReason.LEAF_TAG_MISMATCH, bad)
     if failed is not None:
         return failed
     if pos != len(records):

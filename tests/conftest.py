@@ -1,3 +1,4 @@
+import hashlib
 import hmac
 import itertools
 import json
@@ -9,7 +10,7 @@ from collections import namedtuple
 
 import pytest
 
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.ciphers.aead import AESSIV
 
 from fzsearch import (
     AuthFailure,
@@ -178,9 +179,11 @@ def mutate(word: str, rng: random.Random) -> str:
     return word[:i] + word[i + 1 :]
 
 
-def leaf_tag(record_key: bytes, t: bytes, flag: int, digest: bytes) -> bytes:
-    """A leaf tag from its definition: HMAC-SHA256 of ``L: || t || flag || digest`` and a zero block counter."""
-    return hmac.new(record_key, b"L:" + t + bytes([flag]) + digest + bytes(4), "sha256").digest()
+def leaf_tag(record_key: bytes, t: bytes, flag: int, count: int, digest: bytes) -> bytes:
+    """A leaf tag from its definition: HMAC-SHA256 of ``L: || t || flag || count (2) || digest``
+    and a zero block counter."""
+    msg = b"L:" + t + bytes([flag]) + count.to_bytes(2, "big") + digest
+    return hmac.new(record_key, msg + bytes(4), "sha256").digest()
 
 
 def gap_tag(record_key: bytes, left: bytes, right: bytes) -> bytes:
@@ -188,9 +191,18 @@ def gap_tag(record_key: bytes, left: bytes, right: bytes) -> bytes:
     return hmac.new(record_key, b"G:" + bytes([len(left), len(right)]) + left + right + bytes(4), "sha256").digest()
 
 
-def hit(flag: int, digest: bytes, tag: bytes) -> bytes:
-    """A hit proof from the wire layout: ``ff || flag || record digest || leaf tag``."""
-    return bytes([0xFF, flag]) + digest + tag
+def hit(flag: int, count: int, digest: bytes, tag: bytes) -> bytes:
+    """A hit proof from the wire layout: ``ff || flag || record count (2) || record digest || leaf tag``."""
+    return bytes([0xFF, flag]) + count.to_bytes(2, "big") + digest + tag
+
+
+def framed_digest(records) -> bytes:
+    """A hit's record digest from its definition: SHA-256 of the record count (2 bytes),
+    then of each record's length (4 bytes) before its bytes."""
+    h = hashlib.sha256(len(records).to_bytes(2, "big"))
+    for record in records:
+        h.update(len(record).to_bytes(4, "big") + record)
+    return h.digest()
 
 
 def miss(left: bytes, right: bytes, tag: bytes) -> bytes:
@@ -201,25 +213,34 @@ def miss(left: bytes, right: bytes, tag: bytes) -> bytes:
 def fields(proof: bytes) -> dict:
     """An honest proof's fields, keyed as ``hit`` or ``miss`` takes them, so one of the two rebuilds ``proof``."""
     if proof[1] != 2:
-        return {"flag": proof[1], "digest": proof[2:34], "tag": proof[34:]}
+        return {"flag": proof[1], "count": int.from_bytes(proof[2:4], "big"), "digest": proof[4:36], "tag": proof[36:]}
     mid = 3 + proof[2]
     end = mid + 1 + proof[mid]
     return {"left": proof[3:mid], "right": proof[mid + 1 : end], "tag": proof[end:]}
 
 
+def reference_record_cipher(record_key: bytes) -> AESSIV:
+    """The records' AES-SIV cipher from its definition: its key is the HMAC-SHA256
+    of ``R:siv-s2v``, then of ``R:siv-ctr``, under the record key, each cut to
+    the record key's length."""
+    return AESSIV(b"".join(hmac.new(record_key, label + bytes(4), "sha256").digest()[: len(record_key)]
+                           for label in (b"R:siv-s2v", b"R:siv-ctr")))
+
+
 def reference_build_entries(corpus: dict[str, list[bytes]], d: int, km, method: str = "wildcard"):
-    """The owner's build one PRF per trapdoor and per nonce and one AES-GCM call per
-    record, with the trapdoor and record layouts spelled out: the oracle the one-pass
-    ``index.build_entries`` is held to."""
+    """The owner's build one PRF per trapdoor and one AES-SIV call per record, with
+    the trapdoor and record layouts spelled out: the oracle the one-pass
+    ``index.build_entries`` is held to.  A record seals ``copy || len(fid) || fid
+    || keyword``, ``copy`` (2 bytes) its variant's position in the sorted fuzzy set."""
     entries: dict[bytes, list[bytes]] = {}
     exact: set[bytes] = set()
-    cipher = AESGCM(km.record_key)
+    cipher = reference_record_cipher(km.record_key)
     for keyword in sorted(corpus):
         fids = list(dict.fromkeys(corpus[keyword]))
         if not fids:
             continue
         word = keyword.encode("ascii")
-        for variant in fuzzy_set(keyword, d, method):
+        for copy, variant in enumerate(sorted(fuzzy_set(keyword, d, method))):
             t = prf_bytes(km.trapdoor_key, b"T:" + variant.encode("ascii"), 20)
             if variant == keyword:
                 exact.add(t)
@@ -227,8 +248,7 @@ def reference_build_entries(corpus: dict[str, list[bytes]], d: int, km, method: 
             for fid in fids:
                 if not fid or len(fid) > 64:
                     raise BadParameter("fid must be 1..64 bytes")
-                nonce = prf_bytes(km.record_key, b"N:" + variant.encode("ascii") + b"\x00" + word + b"\x00" + fid, 12)
-                bucket.append(nonce + cipher.encrypt(nonce, bytes([len(fid)]) + fid + word, None))
+                bucket.append(cipher.encrypt(copy.to_bytes(2, "big") + bytes([len(fid)]) + fid + word, None))
     return {t: tuple(records) for t, records in entries.items()}, exact
 
 
@@ -354,7 +374,7 @@ _KINDS = {0x00: "listing", 0x01: "trie", 0x03: "auth_trie"}  # by the trie and v
 
 
 def reference_read_fzix(data: bytes) -> Fzix:
-    """FZIX v3 read one field at a time: the header, then each entry's head and
+    """FZIX v4 read one field at a time: the header, then each entry's head and
     each of its records, then the tags.  A record is reported as its span of the
     body, never copied.  A damaged file raises what ``persist.loads_index``
     raises, class and message: the first failed check in file order, except that
@@ -363,7 +383,7 @@ def reference_read_fzix(data: bytes) -> Fzix:
     data = bytes(data)
     r = _Reader(data)
     try:
-        _check_header(r, b"FZIX", 3)
+        _check_header(r, b"FZIX", 4)
         flags, symbol_bits, trapdoor_bits, d, count = r.u8(), r.u8(), r.u16(), r.u8(), r.u64()
     except Truncated:
         raise Truncated(f"the 18-byte FZIX header ends after {len(data)} bytes") from None
@@ -395,7 +415,7 @@ def reference_read_fzix(data: bytes) -> Fzix:
         while True:  # a record of ``length`` bytes at ``pos``, then the next one's length
             if pos + length > size:
                 raise Truncated(f"entry {i}: a record ends early")
-            if length < 28:
+            if length < 21:  # the synthetic IV, a copy index, a fid length, a fid byte and a letter
                 raise AuthFailure("record blob too short")
             records.append((pos, pos + length))
             pos += length

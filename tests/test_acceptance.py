@@ -402,12 +402,12 @@ def _scripted_session(seed: bytes) -> bytes:
 
 
 # sha256 of _scripted_session(b"golden"): unblinded proof replies and two ErrorResps.
-GOLDEN_SCRIPTED_SESSION = "752739f6c86e2e5b4c9e14faac0725bf956a9c01e8ebdbab8ed66678326a9415"
+GOLDEN_SCRIPTED_SESSION = "3cbe074172ec27d69f083f91f82084d47ea8065d8bd50c757f36f50d74c85019"
 
-# sha256 of _blinded_session(b"golden-blind"); pins the HelloAck (protocol 2),
+# sha256 of _blinded_session(b"golden-blind"); pins the HelloAck (protocol 3),
 # the AES Feistel bytes of blind_request on the wire and the server's
 # unblinded answers with their adjacent-pair proofs (proof type 0xFF).
-GOLDEN_BLINDED_SESSION = "96ebb8fd4282a46b31a2e926f6f8f30fcaca70f0df9aac553ad3c79d9d6f6495"
+GOLDEN_BLINDED_SESSION = "364805b19dd05cd9222dc3f86fde277cff87da29a7e32b461f33795b10761043"
 
 
 def _blinded_session(seed: bytes) -> bytes:
@@ -428,7 +428,7 @@ def _blinded_session(seed: bytes) -> bytes:
 # sha256 of _proofless_session(b"golden-plain"); pins SearchResp lines without a
 # "proofs" key, from a listing and a trie index, plain and blinded, with the
 # ErrorResp of every code a well-formed JSON request can earn.
-GOLDEN_PROOFLESS_SESSION = "7c688570a1de00b6b63d095a87c260dc593280c93eeb2e8fe93294d529c3e8b1"
+GOLDEN_PROOFLESS_SESSION = "65a46fbdb6b88e051dc3f3d189429f04a6ea367c8d5b2de91316c0cffe9805f9"
 
 
 def _proofless_session(seed: bytes) -> tuple[bytes, list[dict]]:
@@ -544,7 +544,7 @@ def test_proofless_session_is_pinned():
             ("ErrorResp", "TOO_MANY_TRAPDOORS", 0, None),
         ]
     assert replies[16] == {  # the plain trie server's HelloAck
-        "type": "HelloAck", "protocol": 2, "epoch": 0, "kind": "trie", "method": "wildcard", "d": 1,
+        "type": "HelloAck", "protocol": 3, "epoch": 0, "kind": "trie", "method": "wildcard", "d": 1,
         "trapdoor_bits": 160, "symbol_bits": 4, "verifiable": False, "blinded": False, "max_trapdoors": 4096,
     }
     assert all("proofs" not in r for r in replies)

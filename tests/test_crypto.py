@@ -6,9 +6,7 @@ import threading
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
-from conftest import gap_tag, leaf_tag, random_corpus
+from conftest import gap_tag, leaf_tag, random_corpus, reference_record_cipher
 from fzsearch import (
     AuthFailure,
     BadParameter,
@@ -21,7 +19,18 @@ from fzsearch import (
     wildcard_fuzzy_set,
 )
 from fzsearch.commands import derive_user_key
-from fzsearch.crypto import _PRP_CACHED_LENGTHS, SYMBOL_BITS, TRAPDOOR_BITS, _prp_layout, prf_bytes, prf_many, sha256
+from fzsearch.crypto import (
+    _PRP_CACHED_LENGTHS,
+    MAX_VARIANTS,
+    RECORD_MIN_BYTES,
+    SYMBOL_BITS,
+    TRAPDOOR_BITS,
+    _prp_layout,
+    aes_siv,
+    prf_bytes,
+    prf_many,
+    sha256,
+)
 
 
 class TestKeygen:
@@ -103,58 +112,64 @@ class TestRecords:
     def test_round_trip_all_fid_lengths(self, km):
         for n in range(1, 65):
             fid = bytes((i * 37 + 1) % 256 for i in range(n))
-            rec = encrypt_record(km, fid, "castle", "castle")
+            rec = encrypt_record(km, fid, "castle", 0)
             assert decrypt_record(km, rec) == (fid, "castle")
 
     def test_nonce_is_derived(self, km):
-        """The same inputs give the same bytes; another variant's entry gets another nonce."""
-        a = encrypt_record(km, b"F", "cat", "c*t")
-        assert encrypt_record(km, b"F", "cat", "c*t") == a
-        b = encrypt_record(km, b"F", "cat", "ca*")
-        assert a[:12] != b[:12]
+        """The synthetic IV is derived from the plaintext: the same inputs give the
+        same bytes, and another copy index (another variant's entry) another IV."""
+        a = encrypt_record(km, b"F", "cat", 1)
+        assert encrypt_record(km, b"F", "cat", 1) == a
+        b = encrypt_record(km, b"F", "cat", 2)
+        assert a[:16] != b[:16] and len(a) == len(b) == RECORD_MIN_BYTES + 2
         assert decrypt_record(km, a) == decrypt_record(km, b) == (b"F", "cat")
 
     def test_fid_bounds(self, km):
         with pytest.raises(BadParameter):
-            encrypt_record(km, b"", "cat", "cat")
+            encrypt_record(km, b"", "cat", 0)
         with pytest.raises(BadParameter):
-            encrypt_record(km, b"x" * 65, "cat", "cat")
+            encrypt_record(km, b"x" * 65, "cat", 0)
+
+    @pytest.mark.parametrize("copy", [-1, MAX_VARIANTS, 1 << 16])
+    def test_a_copy_index_past_the_largest_fuzzy_set_is_a_parameter_error(self, km, copy):
+        with pytest.raises(BadParameter, match="not a variant's position"):
+            encrypt_record(km, b"F", "cat", copy)
 
     def test_every_byte_flip_fails_auth(self, km):
-        rec = encrypt_record(km, b"file-1", "castle", "castle")
-        for i in range(len(rec)):  # the nonce's bytes and the ciphertext's
+        rec = encrypt_record(km, b"file-1", "castle", 0)
+        for i in range(len(rec)):  # the synthetic IV's bytes and the ciphertext's
             mutated = bytearray(rec)
             mutated[i] ^= 0x5A
             with pytest.raises(AuthFailure):
                 decrypt_record(km, bytes(mutated))
 
     def test_truncations_fail_auth(self, km):
-        rec = encrypt_record(km, b"file-1", "castle", "castle")
-        for n in range(len(rec)):  # short of the nonce too, which no ciphertext can follow
+        rec = encrypt_record(km, b"file-1", "castle", 0)
+        for n in range(len(rec)):  # short of the synthetic IV too, which no ciphertext can follow
             with pytest.raises(AuthFailure):
                 decrypt_record(km, rec[:n])
 
     @pytest.mark.parametrize(
         "payload, message",
         [
-            (b"", "empty record payload"),
             (b"\x00cat", "malformed"),
+            (b"\x03cat", "malformed"),
             (b"\x05cat", "malformed"),
             (b"\x01F\xff", "not ASCII"),
         ],
     )
     def test_an_authentic_record_with_a_bad_payload_fails(self, km, payload, message):
-        """Sealed under the record key, so only the payload checks can refuse it:
-        empty, a zero fid length, a fid length that runs past the end, or a
-        keyword that is not ASCII."""
-        nonce = bytes(12)
-        blob = nonce + AESGCM(km.record_key).encrypt(nonce, payload, None)
+        """Sealed under the records' key after a copy index, so only the payload
+        checks can refuse it: a zero fid length, a fid that leaves no keyword,
+        a fid length that runs past the end, or a keyword that is not ASCII."""
+        blob = reference_record_cipher(km.record_key).encrypt(bytes(2) + payload, None)
+        assert len(blob) >= RECORD_MIN_BYTES
         with pytest.raises(AuthFailure, match=message):
             decrypt_record(km, blob)
 
     def test_wrong_key_fails(self, km):
         other = keygen(128, seed=b"other")
-        rec = encrypt_record(km, b"F", "cat", "cat")
+        rec = encrypt_record(km, b"F", "cat", 0)
         with pytest.raises(AuthFailure):
             decrypt_record(other, rec)
 
@@ -295,7 +310,21 @@ PRP_KAT = {
 }
 
 
+# encrypt_record(keygen(128, seed=b"kat"), b"file-1", "castle", copy of "c*stle"): the synthetic IV, then the ciphertext
+RECORD_KAT = "ee09dcef79912643f46598209720840ffe1d42c3e62c91579e1ad152a4e42a"
+
+
 class TestKnownAnswers:
+    def test_aes_siv_rfc5297_a1(self):
+        """RFC 5297 appendix A.1, deterministic authenticated encryption, through the
+        package's ``aes_siv``; the records call the same ``encrypt``, with no associated data."""
+        cipher = aes_siv(bytes.fromhex("fffefdfcfbfaf9f8f7f6f5f4f3f2f1f0f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"))
+        ad = bytes.fromhex("101112131415161718191a1b1c1d1e1f2021222324252627")
+        plain = bytes.fromhex("112233445566778899aabbccddee")
+        sealed = cipher.encrypt(plain, [ad])
+        assert sealed.hex() == "85632d07c6e8f37f950acd320a2ecc9340c02b9690c4dc04daef7f6afe5c"
+        assert cipher.decrypt(sealed, [ad]) == plain
+
     @pytest.mark.parametrize("key_len", sorted(PRF_KAT))
     def test_prf_bytes(self, key_len):
         expect = bytes.fromhex(PRF_KAT[key_len])
@@ -366,10 +395,11 @@ class TestKnownAnswers:
         assert km.blind_key.hex() == "eca3fe8dba09b297907d42a01f2b7c63"
         assert trapdoor(km, "castle").hex() == "e33d3d01445dd2ea8978bd4fc4fd97279b5a828d"
         assert trapdoor(km, "c*stle").hex() == "9628775b4a2e5f93aa53ffe821923a1fea87fa0b"
-        assert encrypt_record(km, b"file-1", "castle", "c*stle")[:12].hex() == "83d8a1beb61ea85bd8787eca"
+        copy = wildcard_fuzzy_set("castle", 1).index("c*stle")
+        assert encrypt_record(km, b"file-1", "castle", copy).hex() == RECORD_KAT
         key, t, u = km.record_key, trapdoor(km, "castle"), trapdoor(km, "c*stle")
-        assert leaf_tag(key, t, 1, bytes(32)).hex() == "34165b7238314bd8ec88705930b6fee9551553af54c538113a2a46f5a891a5e8"
-        assert leaf_tag(key, t, 0, bytes(32)).hex() == "62bb0bd29f2c74aca8976db7d2f98731f5db77260349f3daf94b4456ca5eb403"
+        assert leaf_tag(key, t, 1, 1, bytes(32)).hex() == "3da5af004043d96a7c00218a59bce93db5f5d134a0ffb5d0d7296d9a5efba9ff"
+        assert leaf_tag(key, t, 0, 3, bytes(32)).hex() == "fe8ad6c824bcac337d95f4d1c50580393fc55dd0a08ee6e73f3c4d47f7030a1c"
         assert gap_tag(key, u, t).hex() == "cb29089711dd860d0baa4b0e7113a2fff9f8a7140407fe5c05e4957ea85848e6"
         assert gap_tag(key, b"", t).hex() == "bc5f3f239c117c70d568d457af99024145d3722be0a4d684b91319d5ddfe0e9f"
         assert gap_tag(key, t, b"").hex() == "91111dbd9fadb8ce193892ddf5280606f84c05c2162bd3a61e641a7e265b11ff"

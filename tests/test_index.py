@@ -123,10 +123,10 @@ class TestBuild:
         assert len(leaves) == len(listing.table) and None not in leaves
 
     def test_record_length_reveals_the_keyword_length(self, km):
-        """A documented leak: every record is 29 + len(fid) + len(keyword)
-        bytes (a 12-byte nonce, a 16-byte tag and the fid's length byte)."""
+        """A documented leak: every record is 19 + len(fid) + len(keyword)
+        bytes (the 16-byte synthetic IV, the 2-byte copy index and the fid's length byte)."""
         castle = build_listing_index({"castle": [b"doc-1"]}, 1, km)
-        assert {len(record) for t in castle.table for record in castle.records(t)} == {40}
+        assert {len(record) for t in castle.table for record in castle.records(t)} == {30}
         rng = random.Random(89)
         corpus = {random_word(rng, 1, 12): [rng.randbytes(rng.randint(1, 64)) for _ in range(2)] for _ in range(60)}
         index = build_listing_index(corpus, 1, km)
@@ -134,7 +134,7 @@ class TestBuild:
             for record in index.records(t):
                 fid, keyword = decrypt_record(km, record)
                 assert fid in corpus[keyword]
-                assert len(record) == 29 + len(fid) + len(keyword)
+                assert len(record) == 19 + len(fid) + len(keyword)
 
     @pytest.mark.parametrize("method", ["wildcard", "gram"])
     @pytest.mark.parametrize("d", [0, 1, 2])
@@ -462,21 +462,21 @@ class TestDecryptMatches:
                     assert {kw for _, kw in got} == {w for w in words if edit_distance(query, w) <= 1}, query
 
 
-# sha256 of dumps_index on the golden corpus; pins the FZIX v3 bytes of every kind.
+# sha256 of dumps_index on the golden corpus; pins the FZIX v4 bytes of every kind.
 GOLDEN_FZIX = {
-    ("auth", "wildcard"): "7610efc408476b7c6c577b155a918e02dc4993d7fa3d31bc32ecb9c6666e2c5b",
-    ("auth", "gram"): "5b0b86780d4308fef0b9671d65bc54d49cf79ba01894f0e89754233e2a2a0e56",
-    ("listing", "wildcard"): "86c4fb5ce80258fb2d144626df80fc4aaa2852ca24aff15aad2dc5d9b01b9ac1",
-    ("listing", "gram"): "3710ffacff77839ceef5ad6bf45db9cfbf63f484c242dd0079778fb8cd56353b",
-    ("trie", "wildcard"): "56460545495e5ecfa8ea9cef2acc88d5d54bfb83abe7a677a95df706005ccd53",
-    ("trie", "gram"): "1ff4c4691437d46876e14942dee6e3a9cc229b28bf3a35cead64c6b037d15f64",
+    ("auth", "wildcard"): "5c7ee678cfc74f1dece09c1088b40c7e3e9c1e9291e47b167d5e37b465d96194",
+    ("auth", "gram"): "0f8d47317df02ec9cde923baafe23fa54a828f94e03211101bd6277faca52bf4",
+    ("listing", "wildcard"): "135853134c38b133301b59cf755e1bc76919d7261ad00ba5c34b29245eda60c8",
+    ("listing", "gram"): "05da1fffdb939f203cc569b72513343c6e5a6dae46338d27af8e5f381e6043cb",
+    ("trie", "wildcard"): "2dcf4c9d3357dc5883b379921bd90d1ac6761297f6b1a182abd967455e6c1f87",
+    ("trie", "gram"): "56c106cc2b2fe62c3683607463078aba780d443fcb9478ff6e8d130d66c5bda1",
 }
 
 # sha256 over the encoded proofs, exact flags and record blobs of the golden
 # requests against the authenticated trie.
 GOLDEN_PROOFS = {
-    "wildcard": "71f71dbe66f617d538d4019decb65a1e2147421415e87b9c881f01fae10faeab",
-    "gram": "a99d0935cc2bfbec4f1f68c5f8f308f1eb217f5b0f33117788f29b8abec83e84",
+    "wildcard": "b32421453e0d58fc92f36de5071a976777a72df2aa9e1721d7e6edb2fd835748",
+    "gram": "ecf79b4e4410960adccf5b3b6b9dd318d5deb4016cbcae04bf6232c0f2a97ef0",
 }
 
 # sha256 of dumps_keys(keygen(security_bits, seed=b"golden-fzky")); pins the FZKY v1 bytes.
@@ -561,7 +561,7 @@ HEADER_BYTES = 18
 
 
 def _fzix_parts(blob: bytes) -> tuple[bytes, list[bytes], bytes]:
-    """An undamaged v3 file as (header, entries, what follows the entries), each
+    """An undamaged v4 file as (header, entries, what follows the entries), each
     entry whole, at the bounds ``reference_read_fzix`` reads."""
     ref = reference_read_fzix(blob)
     body, bounds = blob[HEADER_BYTES:], [*ref.table.values(), ref.end]
@@ -575,7 +575,7 @@ def _join_fzix(header: bytes, entries: list[bytes], sections: bytes, count: int 
 
 @pytest.fixture(scope="module")
 def small_files(km):
-    """v3 files of every kind and method over one small corpus."""
+    """v4 files of every kind and method over one small corpus."""
     corpus = {"cat": [b"F1"], "dog": [b"F2", b"F3"], "cart": [b"F4"]}
     return {
         (kind, method): dumps_index(BUILDS[kind](corpus, 1, km, method))
@@ -622,7 +622,8 @@ def _damaged_bodies(rest: bytes, count: int, heads: list[int]):
     """``(body, count)`` pairs: every truncation, also of the body with its first
     two entries swapped, then each entry head's flag set to 0, 1 and 2, its
     record count to 0, 1 and 2, and its first record's length moved by -1 and +1
-    and set to 27; last the whole body under one entry fewer and one more."""
+    and set to 20, one byte short of a record; last the whole body under one
+    entry fewer and one more."""
     swapped = rest[heads[1] : heads[2]] + rest[: heads[1]] + rest[heads[2] :]
     for body in (rest, swapped):
         for cut in range(len(body) + 1):
@@ -631,7 +632,7 @@ def _damaged_bodies(rest: bytes, count: int, heads: list[int]):
         first = int.from_bytes(rest[pos + 23 : pos + 27], "big")
         for at, values in ((20, (b"\0", b"\1", b"\2")),
                            (21, [n.to_bytes(2, "big") for n in (0, 1, 2)]),
-                           (23, [n.to_bytes(4, "big") for n in (first - 1, first + 1, 27)])):
+                           (23, [n.to_bytes(4, "big") for n in (first - 1, first + 1, 20)])):
             for value in values:
                 yield rest[: pos + at] + value + rest[pos + at + len(value) :], count
     yield rest, count - 1
@@ -741,15 +742,23 @@ def test_v2_auth_file_is_refused():
         loads_index(blob)
 
 
+def test_v3_auth_file_is_refused():
+    """A file written by the FZIX v3 writer: AES-GCM records, each with its nonce, and unframed record digests."""
+    blob = (DATA / "v3_auth.fzix").read_bytes()
+    assert blob[:6] == b"FZIX\x03\x03"
+    with pytest.raises(VersionUnsupported, match=r"FZIX version 3 not supported \(expected 4\)"):
+        loads_index(blob)
+
+
 def test_only_the_index_version_moved(km):
-    assert dumps_index(build_listing_index({"cat": [b"F1"]}, 0, km))[4] == 3
+    assert dumps_index(build_listing_index({"cat": [b"F1"]}, 0, km))[4] == 4
     assert dumps_keys(km)[4] == 1
     assert dumps_directory(UserDirectory(current_xi=km.blind_key))[4] == 1
 
 
 def _mutants(blob: bytes, rng: random.Random):
     """Byte flips, cuts at every section boundary, reordered, doubled and
-    recounted entries, and records cut short, of one v3 file."""
+    recounted entries, and records cut short, of one v4 file."""
     header, entries, sections = _fzix_parts(blob)
     ref = reference_read_fzix(blob)
     for _ in range(150):
@@ -769,14 +778,14 @@ def _mutants(blob: bytes, rng: random.Random):
         yield _join_fzix(header, entries[: i + 1] + entries[i:], sections, count)
     for count in (0, len(entries) - 1, len(entries) + 1, rng.randrange(1 << 64)):
         yield _join_fzix(header, entries, sections, count)
-    # one record cut below (and to) the 28 bytes of a nonce and a tag, its length
+    # one record cut below (and to) the 21 bytes of the shortest record, its length
     # prefix fixed up: the last record of a middle entry and of the first entry
     # holding several
     body, spans = blob[HEADER_BYTES:], list(ref.spans.values())
     several = [i for i, records in enumerate(spans) if len(records) > 1]
     for i in sorted({len(entries) // 2, *several[:1]}):
         records = [body[a:b] for a, b in spans[i]]
-        for size in (0, 12, 27, 28):
+        for size in (0, 16, 20, 21):
             shrunk = records[:-1] + [records[-1][:size]]
             entry = entries[i][:23] + b"".join(len(r).to_bytes(4, "big") + r for r in shrunk)
             yield _join_fzix(header, entries[:i] + [entry] + entries[i + 1 :], sections)
@@ -865,6 +874,25 @@ def test_a_loaded_index_answers_as_the_built_one(km, kind, method):
                     assert search_with_proof(built, req) == search_with_proof(loaded, req)
                 else:
                     assert search_listing(built, req) == search_listing(loaded, req)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("method", ["wildcard", "gram"])
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+def test_records_are_pairwise_distinct_and_builds_byte_identical(km, kind, method, d):
+    """On seeded corpora whose keywords share variants and fids, every record of a
+    file is distinct from every other, the copies of one (keyword, fid) under its
+    variants' entries included, and a second build writes the same bytes."""
+    rng = random.Random(f"distinct/{kind}/{method}/{d}")
+    for _ in range(2):
+        corpus = _shared_corpus(rng)
+        blob = dumps_index(BUILDS[kind](corpus, d, km, method))
+        assert dumps_index(BUILDS[kind](corpus, d, km, method)) == blob
+        index = loads_index(blob)
+        records = [record for t in index.ordered for record in index.records(t)]
+        assert len(set(records)) == len(records)
+        pairs = sum(len(set(fids)) for fids in corpus.values())
+        assert len(records) > pairs if d else len(records) == pairs
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDS))

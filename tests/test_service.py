@@ -405,7 +405,7 @@ class TestPersistence:
         than 160-bit trapdoors of 4-bit symbols."""
         keys = bytearray(dumps_keys(km))
         keys[7:10] = trapdoor_bits.to_bytes(2, "big") + bytes([symbol_bits])
-        head = INDEX_HEAD.pack(b"FZIX", 3, 0, symbol_bits, trapdoor_bits, 1, 1)
+        head = INDEX_HEAD.pack(b"FZIX", 4, 0, symbol_bits, trapdoor_bits, 1, 1)
         entry = bytes(trapdoor_bits // 8) + b"\0" + (1).to_bytes(2, "big") + (28).to_bytes(4, "big") + bytes(28)
         for loads, data in ((loads_keys, bytes(keys)), (loads_index, head + entry)):
             with pytest.raises(BadParameter, match=f"^{trapdoor_bits}-bit trapdoors of {symbol_bits}-bit symbols; only 160/4"):
@@ -874,10 +874,10 @@ class TestClientReader:
     def test_end_of_input(self, sent, outcome):
         with _raw_peer(_replies(sent, close=True)) as client:
             if isinstance(outcome, dict):
-                assert client.hello() == outcome
+                assert client.roundtrip({"type": "Hello"}) == outcome
             else:
                 with pytest.raises(ConnectionError, match="server closed the connection"):
-                    client.hello()
+                    client.roundtrip({"type": "Hello"})
 
     @pytest.mark.parametrize(
         "line",
@@ -1235,7 +1235,15 @@ class TestCli:
         path = os.path.join(os.path.dirname(__file__), "data", "v2_auth.fzix")
         assert cli_main(["serve", "--index", path, "--port", "0"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "FZIX version 2 not supported (expected 3)" in err
+        assert err.startswith("error: ") and "FZIX version 2 not supported (expected 4)" in err
+        assert "rebuild it with `fzsearch build`" in err and "Traceback" not in err
+
+    def test_serve_refuses_a_v3_auth_index(self, capsys):
+        """A file of AES-GCM records with their nonces: ``serve`` stops with the rebuild hint."""
+        path = os.path.join(os.path.dirname(__file__), "data", "v3_auth.fzix")
+        assert cli_main(["serve", "--index", path, "--port", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "FZIX version 3 not supported (expected 4)" in err
         assert "rebuild it with `fzsearch build`" in err and "Traceback" not in err
 
     def test_serve_blinded_reads_the_key_file_before_the_index(self, tmp_path, capsys):
@@ -1468,9 +1476,9 @@ class TestHostileServer:
             assert err.startswith("error: ") and "Traceback" not in err, err
 
     def test_merged_records_fail_before_verified_is_printed(self, keyfile, capsys):
-        """``verify`` accepts one hit's records merged into one blob (the record
-        digest has no length framing); the CLI decrypts every record before it
-        prints ``verified: Ok``, so it reports the failure instead."""
+        """One hit's records merged into one blob fail ``verify`` itself (the
+        record digest frames the count and each length), so the CLI reports the
+        verdict and prints no ``verified``."""
         km = load_keys(keyfile)
         index = build_auth_trie({"castle": [b"F1", b"F2", b"F3"]}, 1, km)
         reply = ask(ServerState(index=index), search_msg(make_request("castle", 1, km), proof=True))
@@ -1480,7 +1488,7 @@ class TestHostileServer:
             assert _cli(["verify", "castle", "1", "--keys", keyfile], _ACK, dict(reply, records=records)) == code
             out, err = capsys.readouterr()
             if code:
-                assert "verified" not in out and err.startswith("error: record failed authentication")
+                assert "verified" not in out and err.startswith("error: verification failed: LeafTagMismatch at proof 0")
             else:
                 assert out.split() == ["verified:", "Ok", "F1", "F2", "F3"]
 
@@ -1504,12 +1512,14 @@ class TestHostileServer:
         [
             (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true}\n', "protocol None"),
             (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true,"protocol":1}\n', "protocol 1"),
+            (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true,"protocol":2}\n', "protocol 2"),
             (b'{"type":"ErrorResp","code":"MALFORMED","message":"?"}\n', "unexpected hello response"),
         ],
     )
     def test_hello_from_another_protocol(self, keyfile, capsys, line, message):
-        """A server without protocol 2 (a protocol 1 server inverts HMAC Feistel
-        rounds) gets no request: the client stops at the HelloAck."""
+        """A server without protocol 3 gets no request: the client stops at the
+        HelloAck.  A protocol 2 server sends AES-GCM records and unframed record
+        digests, and a protocol 1 server inverts HMAC Feistel rounds."""
         self._answer_hello_with(line, keyfile, capsys, "error: ", message)
 
     @pytest.mark.parametrize("line", [b"not json\n", b"[1, 2]\n", b"\xff\xfe\n"])
@@ -1594,7 +1604,7 @@ def _hostile_proof(rng: random.Random, near: bytes) -> bytes:
     """A proof of each form with random fields, a miss's ends near ``near``; one in five damaged."""
     form = rng.choice([0, 1, 2, 2])
     if form < 2:
-        proof = bytes([0xFF, form]) + rng.randbytes(64)
+        proof = bytes([0xFF, form]) + rng.randbytes(66)
     else:
         ends = [rng.choice([b"", near, rng.randbytes(rng.choice([1, 19, 20, 21])), bytes(20), b"\xff" * 20]) for _ in range(2)]
         proof = bytes([0xFF, 2]) + b"".join(bytes([len(e)]) + e for e in ends) + rng.randbytes(32)
@@ -1619,7 +1629,7 @@ def _edited(resp: dict, req: SearchRequest, rng: random.Random) -> dict:
                 proofs[at : at + rng.randrange(2)] = [_hostile_proof(rng, rng.choice(req.trapdoors)).hex()]
             resp[field] = proofs
         elif field == "records":
-            resp[field] = [base64.b64encode(rng.randbytes(rng.choice([0, 27, 28, 60]))).decode() for _ in range(rng.randrange(4))]
+            resp[field] = [base64.b64encode(rng.randbytes(rng.choice([0, 20, 21, 60]))).decode() for _ in range(rng.randrange(4))]
     return resp
 
 

@@ -1,13 +1,12 @@
-import hashlib
+import builtins
 import random
 from collections import Counter
-from itertools import accumulate
 from unittest.mock import ANY
 
 import pytest
 
 import fzsearch.verifiable as verifiable
-from conftest import fields, gap_tag, hit, leaf_tag, miss, mutate, random_corpus
+from conftest import fields, framed_digest, gap_tag, hit, leaf_tag, miss, mutate, random_corpus
 from fzsearch import (
     BadParameter,
     EditBoundExceeded,
@@ -28,7 +27,7 @@ from fzsearch import (
     verify,
 )
 from fzsearch.crypto import DEPTH, TRAPDOOR_BYTES, record_digest
-from fzsearch.errors import AuthFailure, Truncated
+from fzsearch.errors import Truncated
 from fzsearch.persist import dumps_index, loads_index
 from fzsearch.verifiable import TAG_BYTES, _parse_proof, decode_proof, encode_proof
 
@@ -67,7 +66,7 @@ def _with(proof: bytes, **changes) -> bytes:
 def _reference_tags(key: bytes, index) -> bytes:
     """Leaf tags, then gap tags, computed straight from the definitions."""
     keys = sorted(index.table)
-    leaves = [leaf_tag(key, t, t in index.exact, hashlib.sha256(b"".join(index.records(t))).digest()) for t in keys]
+    leaves = [leaf_tag(key, t, t in index.exact, len(index.records(t)), framed_digest(index.records(t))) for t in keys]
     ends = [b""] + keys + [b""]
     gaps = [gap_tag(key, a, b) for a, b in zip(ends, ends[1:])]
     return b"".join(leaves + gaps)
@@ -79,7 +78,8 @@ def _reference_proof(tags: bytes, index, t: bytes) -> bytes:
     if t in index.table:
         i = keys.index(t)
         tag = tags[i * TAG_BYTES : (i + 1) * TAG_BYTES]
-        return hit(int(t in index.exact), hashlib.sha256(b"".join(index.records(t))).digest(), tag)
+        records = index.records(t)
+        return hit(int(t in index.exact), len(records), framed_digest(records), tag)
     gap = sum(1 for k in keys if k < t)
     at = (len(keys) + gap) * TAG_BYTES
     left = keys[gap - 1] if gap else b""
@@ -232,32 +232,29 @@ def _verify_per_proof(req: SearchRequest, results: ResultSet, proofs, km) -> Ver
         if not i and exact_hit != (form == 1):
             return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
         if form == 2:
+            second = proof[3 + proof[2] + 1 : -TAG_BYTES]
             width = len(t)
             if (first and (len(first) != width or first >= t)) or (second and (len(second) != width or t >= second)):
                 return Verdict(False, VerdictReason.SHAPE_INVALID, i)
             if gap_tag(key, first, second) != tag:
                 return Verdict(False, VerdictReason.GAP_TAG_MISMATCH, i)
             continue
-        if leaf_tag(key, t, form, first) != tag:
+        count = int.from_bytes(proof[2:4], "big")
+        if leaf_tag(key, t, form, count, first) != tag:
             return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
         if exact_hit and i:
             continue
-        digest = hashlib.sha256()
-        while True:
-            if pos == len(records):
-                return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
-            digest.update(records[pos])
-            pos += 1
-            if digest.digest() == first:
-                break
+        if pos + count > len(records) or framed_digest(records[pos : pos + count]) != first:
+            return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
+        pos += count
     if pos != len(records):
         return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH)
     return Verdict(True, VerdictReason.OK)
 
 
 def encrypt_like(rec: bytes) -> bytes:
-    """A record of the same length and nonce whose ciphertext is reversed."""
-    return rec[:12] + rec[12:][::-1]
+    """A record of the same length and synthetic IV whose ciphertext is reversed."""
+    return rec[:16] + rec[16:][::-1]
 
 
 ACCEPTED = Verdict(True, VerdictReason.OK)
@@ -308,13 +305,9 @@ def _damaged(rng: random.Random, req: SearchRequest, index, result: ResultSet, p
         appended = records + [encrypt_like(records[0])]
         add("record appended", Verdict(False, LEAF), results=result._replace(records=appended))
     if len(records) > 1:
-        # one hit's records merged into one blob pass: test_record_boundaries_are_the_documented_gap
-        sizes = [len(index.records(t)) for i, (t, p) in enumerate(zip(req.trapdoors, proofs))
-                 if _is_hit(p) and not (exact and i)]
         at = rng.randrange(len(records) - 1)
         merged = records[:at] + [records[at] + records[at + 1]] + records[at + 2 :]
-        within = at + 1 not in accumulate(sizes)
-        add("records merged", ACCEPTED if within else REJECTED, results=result._replace(records=merged))
+        add("records merged", results=result._replace(records=merged))
         add("records reordered", results=result._replace(records=records[::-1]))
         add("records reordered", results=result._replace(records=[records[-1], *records[1:-1], records[0]]))
     for i, proof in enumerate(proofs):
@@ -324,16 +317,19 @@ def _damaged(rng: random.Random, req: SearchRequest, index, result: ResultSet, p
         if "flag" in f:  # at proof 0 the exact flag no longer matches
             flipped = _with(proof, flag=1 - f["flag"])
             add("hit flag flipped", Verdict(False, LEAF if i else EXACT, i), ps=put(i, flipped))
+            for count in (f["count"] - 1, f["count"] + 1):  # the leaf tag binds the count
+                add("hit count moved", Verdict(False, LEAF, i), ps=put(i, _with(proof, count=count)))
     if exact:  # an exact hit hidden, everything else returned; or proof 0 a zero hit
         everything = [r for t in req.trapdoors for r in index.records(t)]
         add("exact hit hidden", Verdict(False, EXACT, 0), results=ResultSet(everything, False))
-        add("exact hit without flag 1", Verdict(False, EXACT, 0), ps=put(0, hit(0, bytes(32), bytes(32))))
+        add("exact hit without flag 1", Verdict(False, EXACT, 0), ps=put(0, hit(0, 1, bytes(32), bytes(32))))
     if not every_entry:
         return copies
     keys = index.ordered
     hits = [i for i, p in enumerate(proofs) if _is_hit(p)]
     misses = [i for i in range(n) if i not in hits]
-    forged = [hit(0, bytes(32), bytes(32)), hit(0, record_digest(index.records(keys[0])), index.tags[:TAG_BYTES])]
+    first = index.records(keys[0])
+    forged = [hit(0, 1, bytes(32), bytes(32)), hit(0, len(first), record_digest(first), index.tags[:TAG_BYTES])]
     for i in misses:
         p, m = proofs[i], fields(proofs[i])
         for lie in forged:
@@ -390,7 +386,7 @@ class TestVerify:
     def test_verify_gives_the_per_proof_verdict(self, km, small_world):
         """The tamper catalogue over 60 seeded transcripts, exact and fuzzy: each copy gets
         ``_verify_per_proof``'s verdict and the one its entry pins, so each but the honest
-        one, and a merge within one hit, is rejected."""
+        one is rejected."""
         corpus, index = small_world
         rng = random.Random(29)
         words, seen, fired = sorted(corpus), set(), Counter()
@@ -406,25 +402,78 @@ class TestVerify:
                 seen.add(verdict.reason)
                 fired[entry] += 1
         assert seen == set(VerdictReason)
-        assert len(fired) == 22 and fired["hit flag flipped"] > 50, fired  # every entry, and many flags
+        assert len(fired) == 23 and fired["hit flag flipped"] > 50, fired  # every entry, and many flags
         # an exact hit claimed on an empty request, which has no proof 0
         empty = SearchRequest(trapdoors=(), k=0)
         assert verify(empty, ResultSet(records=[], exact_hit=False), [], km) == ACCEPTED
         assert verify(empty, ResultSet(records=[], exact_hit=True), [], km) == Verdict(False, EXACT, 0)
 
-    def test_record_boundaries_are_the_documented_gap(self, km):
-        """The record digest hashes the blobs without length framing, so one
-        hit's records merged into one blob pass ``verify``; decrypting the
-        merged blob is what rejects it."""
+    def test_records_merged_into_one_blob_are_rejected(self, km):
+        """The record digest frames the count and each record's length, so one hit's
+        records merged into one blob fail ``verify`` itself, before any decryption."""
         index = build_auth_trie({"castle": [b"F1", b"F2", b"F3"]}, 1, km)
         req = make_request("castle", 1, km)
         result, proofs = search_with_proof(index, req)
         assert result.exact_hit and len(result.records) == 3
-        merged = b"".join(result.records)
-        forged = result._replace(records=[merged])
-        assert verify(req, forged, proofs, km) == Verdict(True, VerdictReason.OK)
-        with pytest.raises(AuthFailure):
-            decrypt_record(km, merged)
+        forged = result._replace(records=[b"".join(result.records)])
+        assert verify(req, forged, proofs, km) == Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, 0)
+
+    def test_every_merge_and_resplit_of_a_hits_records_is_rejected(self, km):
+        """Seeded hits of 2-5 records, exact and fuzzy: merging any run of adjacent
+        records of a hit, splitting any record in two, and moving any boundary
+        between two records by any number of bytes are each rejected at that hit."""
+        rng = random.Random(5297)
+        corpus = {word: [b"F%d" % i for i in range(rng.randint(2, 5))] for word in random_corpus(rng, size=30, lo=4, hi=6)}
+        index = build_auth_trie(corpus, 1, km)
+        checked, sizes = 0, Counter()
+        for word in sorted(corpus)[:12]:
+            for query in (word, mutate(word, rng)):
+                req = make_request(query, 1, km)
+                result, proofs = search_with_proof(index, req)
+                assert verify(req, result, proofs, km).accepted
+                records, pos = result.records, 0
+                for i, proof in enumerate(proofs):
+                    if not _is_hit(proof) or (result.exact_hit and i):
+                        continue
+                    n = fields(proof)["count"]
+                    own, before, after = records[pos : pos + n], records[:pos], records[pos + n :]
+                    pos += n
+                    if not 2 <= n <= 5:
+                        continue
+                    sizes[n] += 1
+                    forgeries = []
+                    for a in range(n):
+                        for b in range(a + 2, n + 1):  # records a..b-1 merged
+                            forgeries.append(own[:a] + [b"".join(own[a:b])] + own[b:])
+                        for cut in range(1, len(own[a])):  # record a split in two
+                            forgeries.append(own[:a] + [own[a][:cut], own[a][cut:]] + own[a + 1 :])
+                    for a in range(n - 1):  # the boundary between records a and a+1 moved
+                        pair = own[a] + own[a + 1]
+                        for cut in range(1, len(pair)):
+                            if cut != len(own[a]):
+                                forgeries.append(own[:a] + [pair[:cut], pair[cut:]] + own[a + 2 :])
+                    for forged in forgeries:
+                        sent = result._replace(records=before + forged + after)
+                        assert verify(req, sent, proofs, km) == Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
+                    checked += len(forgeries)
+        assert set(sizes) == {2, 3, 4, 5} and checked > 2000, (sizes, checked)
+
+    def test_a_second_verify_runs_no_import_statement(self, km, small_world, monkeypatch):
+        """``verify`` binds ``hmac.compare_digest`` on its first call; later calls import nothing."""
+        corpus, index = small_world
+        req = make_request(sorted(corpus)[0], 1, km)
+        transcript = (req, *search_with_proof(index, req), km)
+        assert verify(*transcript).accepted
+        imported, real_import = [], builtins.__import__
+
+        def spy(name, *args, **kwargs):
+            imported.append(name)
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", spy)
+        verdict = verify(*transcript)
+        monkeypatch.undo()
+        assert verdict.accepted and imported == []
 
 
     def test_rollback_to_an_older_build_is_the_documented_gap(self, km):
@@ -603,7 +652,7 @@ class TestProofWire:
                 check(rng.choice([None, "", "x", rng.choice(proofs).hex(), 0, 7, -1, True]))
             elif roll < 0.55:
                 extra = field() if rng.random() < 0.1 else b""  # a hit with an end after it
-                check(hit(rng.choice([0, 1, 1, 2, 3, 255]), field(), field()) + extra)
+                check(hit(rng.choice([0, 1, 1, 2, 3, 255]), rng.randrange(4), field(), field()) + extra)
             else:
                 digest = field() if rng.random() < 0.1 else b""  # a miss with a record digest
                 check(miss(field(), field(), digest + field()))
