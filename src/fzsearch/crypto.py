@@ -23,18 +23,19 @@ kernel: a list of messages under one key, with one lookup of those states.
 ``trapdoors`` (the owner's build and ``make_request``) and the authenticated
 trie's tags call it with many; ``prf_bytes`` and ``trapdoor`` are the
 one-item forms.  The records' AES-SIV key, ``2 * len(record_key)`` bytes,
-is two PRF outputs under the record key (``_SIV_KEY_LABELS``), so the
-record key itself keys HMAC alone.  ``encrypt_records`` seals a build's
-records with one bound ``encrypt`` and ``encrypt_record`` is its one-item
-form.  The pad states are cached per key, so they hold secret keys in
-process memory for as long as the process lives, unless the bounded cache
-evicts them.  The AES-SIV cipher of the records and the AES-GCM cipher of
-``multiuser``'s key wrap are cached per key the same way, and the AES-ECB
-encryptor of the blinding permutation per key and thread.  Each loads on
-first use, and only then is ``cryptography`` imported: this module names it
-inside functions alone, so a process that never builds a cipher (a server
-that is not blinded, or one that only derives trapdoors) never loads the
-library.
+is two PRF outputs under the record key (``_SIV_KEY_LABELS``), and the
+proof tags' key (``tag_key``) one more under ``_TAG_KEY_LABEL``, so the
+record key itself keys HMAC alone, and keys no tag.  ``encrypt_records``
+seals a build's records with one bound ``encrypt`` and ``encrypt_record``
+is its one-item form.  The pad states are cached per key, so they hold
+secret keys in process memory for as long as the process lives, unless the
+bounded cache evicts them.  The tag key, the AES-SIV cipher of the records
+and the AES-GCM cipher of ``multiuser``'s key wrap are cached per key the
+same way, and the AES-ECB encryptor of the blinding permutation per key and
+thread.  Each cipher loads on first use, and only then is ``cryptography``
+imported: this module names it inside functions alone, so a process that
+never builds a cipher (a server that is not blinded, or one that only
+derives trapdoors or tags) never loads the library.
 
 One SHA-256 runs under every PRF, ``record_digest`` (the proofs' and
 ``verifiable.verify``'s) and ``multiuser``'s wrap key: ``sha256``, CPython's built-in
@@ -109,9 +110,11 @@ _OPAD = bytes(b ^ 0x5C for b in range(256))
 _RECORD_COUNT = struct.Struct(">H").pack  # record_digest's framing: the count, as FZIX's entry head holds it
 _RECORD_LENGTH = struct.Struct(">I").pack  # and each record's length, as FZIX prefixes it
 _COUNTER = bytes(4)  # the block counter of HMAC counter mode's first block, ending every PRF input
-# The PRF inputs under the record key that give the records' AES-SIV key: its S2V half, then its CTR half.
-# No other input under that key begins "R:" (the user keys' begin "U:", the tags' "L:" and "G:").
+# The PRF inputs under the record key that give the records' AES-SIV key: its S2V half, then its CTR half,
+# and the proof tags' key.  No other input under that key begins "R:" (the user keys' begin "U:"), and
+# none of these is a prefix of another.
 _SIV_KEY_LABELS = (b"R:siv-s2v", b"R:siv-ctr")
+_TAG_KEY_LABEL = b"R:tag"
 
 
 def check_key_sizes(keys: Sequence[bytes], security_bits: int) -> None:
@@ -208,6 +211,14 @@ def record_cipher(record_key: bytes):
     """The records' AES-SIV cipher, cached per record key: its key is
     ``2 * len(record_key)`` bytes, one PRF output per ``_SIV_KEY_LABELS`` label."""
     return aes_siv(b"".join(prf_many(record_key, _SIV_KEY_LABELS, len(record_key))))
+
+
+@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
+def tag_key(record_key: bytes) -> bytes:
+    """The proof tags' HMAC key, cached per record key: the PRF output under
+    ``_TAG_KEY_LABEL``, ``len(record_key)`` bytes, so that no tag shares a key
+    with a personal key (``U:``) or the records' AES-SIV key."""
+    return prf_bytes(record_key, _TAG_KEY_LABEL, len(record_key))
 
 
 def encrypt_record(km: KeyMaterial, fid: bytes, keyword: str, copy: int) -> bytes:

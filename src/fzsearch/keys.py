@@ -29,10 +29,11 @@ class KeyMaterial:
     ``crypto``'s one geometry, 160-bit trapdoors of 4-bit symbols.
 
     ``trapdoor_key`` feeds the trapdoor PRF.  ``record_key`` keys HMAC only:
-    the proof tags, the personal keys (``commands.derive_user_key``) and the
-    derivation of the records' AES-SIV key (``crypto.record_cipher``), each
-    under its own label.  ``blind_key`` is the current request-blinding key
-    (rotated on revocation) and an AES key for ``prp``.  The security
+    the personal keys (``commands.derive_user_key``) and the derivations of
+    the records' AES-SIV key (``crypto.record_cipher``) and of the proof
+    tags' key (``crypto.tag_key``), each under its own label.
+    ``blind_key`` is the current request-blinding key (rotated on
+    revocation) and an AES key for ``prp``.  The security
     level is 128 or 256 and every key is ``security_bits // 8`` bytes, as
     ``persist.loads_keys`` reads them back; any other raises ``BadParameter``,
     so no key material is made that a key file could not hold.

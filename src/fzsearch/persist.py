@@ -18,7 +18,7 @@ All integers are big-endian.  Each header is one ``struct.Struct``, and
     files with the same error; a blinded server reads its key through the
     latter and never imports ``keys`` (nor ``dataclasses`` under it).
 
-``FZIX`` index file (version 4)
+``FZIX`` index file (version 5)
     Header ``INDEX_HEAD`` (``>4sBBBHBQ``, 18 bytes): magic "FZIX", version
     byte, flags byte (bit0: 1=trie 0=listing, bit1: verifiable, bit2:
     1=gram 0=wildcard), symbol bits (1), trapdoor bits (2), d (1), entry
@@ -34,17 +34,18 @@ All integers are big-endian.  Each header is one ``struct.Struct``, and
     ``index.pack_entries`` writes it at build time, ``index.read_entries``
     checks it at load time, and the index keeps the file's buffer, its
     ``table`` holding each entry's offset, not its records.
-    An authenticated trie appends its tags: ``TAG_BYTES`` per entry of leaf
-    tags in entry order, then ``TAG_BYTES`` per gap (entries + 1) of gap
-    tags, from the head gap to the tail gap (``verifiable.tags_bytes``).
+    An authenticated trie appends its tags: ``TAG_BYTES`` (16) per entry of
+    leaf tags in entry order, then ``TAG_BYTES`` per gap (entries + 1) of
+    gap tags, from the head gap to the tail gap (``verifiable.tags_bytes``).
     Nothing follows, and no other kind writes tags.
     The trie itself is not written: it is a view over the sorted trapdoors.
     ``dumps_index`` writes the header, the body and the tags; the reader
     accepts only what it writes, so a file that loads dumps back to the same
     bytes; builds are byte-deterministic.
     Versions 1 (a pre-order node stream for tries), 2 (an authenticated
-    trie's per-node chain digests) and 3 (AES-GCM records, each with its
-    12-byte nonce, and unframed record digests under the leaf tags) raise
+    trie's per-node chain digests), 3 (AES-GCM records, each with its
+    12-byte nonce, and unframed record digests under the leaf tags) and 4
+    (32-byte tags under the record key itself) raise
     ``VersionUnsupported``; rebuild such an index.
     Only the authenticated kind loads ``verifiable``, for its tag length:
     ``loads_index`` imports it after the header and before the body, so
@@ -85,7 +86,7 @@ if TYPE_CHECKING:
 KEY_MAGIC = b"FZKY"
 INDEX_MAGIC = b"FZIX"
 DIR_MAGIC = b"FZUD"
-INDEX_VERSION = 4  # FZIX
+INDEX_VERSION = 5  # FZIX
 VERSION = 1  # FZKY and FZUD
 KEY_HEAD = struct.Struct(">4sBHHB")
 INDEX_HEAD = struct.Struct(">4sBBBHBQ")

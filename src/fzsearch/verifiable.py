@@ -2,16 +2,20 @@
 
 Any index may hold one byte string of tags, and it proves its answers
 exactly when it does.  ``build_auth_trie`` builds the authenticated trie, a
-``TrieIndex`` born with tags keyed by ``sk0`` (the record key).  Over the
-sorted entries ``t_0 < ... < t_{n-1}`` the owner keys
+``TrieIndex`` born with tags keyed by ``sk_tag``, the tag key
+(``crypto.tag_key``), derived from the record key under its own label.
+Every tag is ``PRF(sk_tag, m)`` cut to ``TAG_BYTES`` (16): HMAC-SHA-256
+cut to 128 bits, as HMAC-SHA-256-128 is (RFC 4868), so a tag forged
+without the tag key passes with probability ``2^-128`` per try.  Over the sorted entries
+``t_0 < ... < t_{n-1}`` the owner keys
 
-* a leaf tag per entry, ``PRF(sk0, "L:" || t_i || exact_flag_i ||
-  count_i || digest(records_i))``, binding its exact flag, its record count
-  (2 bytes) and its record list: the digest (``crypto.record_digest``)
-  frames the records with their count and each one's length, so it binds
-  their boundaries too;
-* a gap tag per pair of adjacent entries, ``PRF(sk0, "G:" || len(left) ||
-  len(right) || left || right)`` for ``(t_i, t_{i+1})``.  The head gap has
+* a leaf tag per entry, ``m = "L:" || t_i || exact_flag_i || count_i ||
+  digest(records_i)``, binding its exact flag, its record count (2 bytes)
+  and its record list: the digest (``crypto.record_digest``,
+  ``DIGEST_BYTES`` long) frames the records with their count and each
+  one's length, so it binds their boundaries too;
+* a gap tag per pair of adjacent entries, ``m = "G:" || len(left) ||
+  len(right) || left || right`` for ``(t_i, t_{i+1})``.  The head gap has
   an empty left end and the tail gap an empty right end; an empty index has
   one gap with both ends empty.
 
@@ -24,9 +28,10 @@ NSEC records prove that a DNS name does not exist (RFC 4034 §4).  A proof is
 its wire bytes, from ``search_with_proof`` through ``verify``:
 
 * a hit is ``PROOF_TYPE || flag || record count (2) || record digest (32) ||
-  leaf tag (32)``, its form byte the exact flag, 0 or 1;
+  leaf tag (16)``, its form byte the exact flag, 0 or 1: 52 bytes;
 * a miss is ``PROOF_TYPE || 2 || len(left) || left || len(right) || right ||
-  gap tag (32)``, an end empty past either end of the list.
+  gap tag (16)``, an end empty past either end of the list: 60 bytes between
+  two entries.
 
 ``_parse_proof`` is the one reader of that layout.  The verifier checks the
 proof count, each proof's shape (its layout, and a miss's ends must enclose
@@ -49,14 +54,15 @@ from collections import namedtuple
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .crypto import TRAPDOOR_BYTES, prf_many, record_digest
+from .crypto import TRAPDOOR_BYTES, prf_many, record_digest, tag_key
 from .errors import BadParameter, Truncated
 from .index import Index, ResultSet, SearchRequest, TrieIndex, build_trie_index, search_by
 
 if TYPE_CHECKING:
     from .keys import KeyMaterial
 
-TAG_BYTES = 32
+TAG_BYTES = 16  # a leaf or gap tag: HMAC-SHA-256 cut to 128 bits
+DIGEST_BYTES = 32  # a hit's record digest: a whole SHA-256
 # The first byte of every proof encoding.  A v1 proof started with its
 # matched length, at most the trie depth of 40 symbols; so a v1 proof
 # fails to decode instead of being misread.
@@ -64,9 +70,9 @@ PROOF_TYPE = 0xFF
 _MISS = 2  # form byte of a miss; a hit's form byte is its exact flag, 0 or 1
 _HIT_HEADS = (bytes([PROOF_TYPE, 0]), bytes([PROOF_TYPE, 1]))  # a hit's first two bytes, by exact flag
 _MISS_HEAD = bytes([PROOF_TYPE, _MISS])
-# a hit is the type, its flag, the record count (2), then the record digest and the leaf tag, 32 bytes each
-_HIT_DIGEST, _HIT_TAG = slice(4, 4 + TAG_BYTES), slice(4 + TAG_BYTES, None)
-_HIT_BYTES = 4 + 2 * TAG_BYTES
+# a hit is the type, its flag, the record count (2), then the record digest and the leaf tag
+_HIT_DIGEST, _HIT_TAG = slice(4, 4 + DIGEST_BYTES), slice(4 + DIGEST_BYTES, None)
+_HIT_BYTES = 4 + DIGEST_BYTES + TAG_BYTES
 _BYTE = tuple(bytes([i]) for i in range(256))  # a lookup is cheaper than bytes([i]) on the hot paths
 
 
@@ -102,8 +108,9 @@ def build_auth_trie(
 ) -> TrieIndex:
     """The trie build with its ``tags``: a leaf tag per entry, then a gap tag per gap.
 
-    Every tag comes from one ``prf_many`` call over the leaf messages, then the
-    gap messages.  The tags go into a new index; the trie they key is left as built.
+    Every tag comes from one ``prf_many`` call under the tag key over the leaf
+    messages, then the gap messages.  The tags go into a new index; the trie
+    they key is left as built.
     """
     index = build_trie_index(corpus, d, km, method)
     exact, keys = index.exact, index.ordered
@@ -113,7 +120,7 @@ def build_auth_trie(
         records = index.records(t)
         msgs.append(_leaf_msg(t, t in exact, len(records).to_bytes(2, "big"), record_digest(records)))
     msgs += [_gap_msg(left, right) for left, right in zip(ends, ends[1:])]
-    tags = b"".join(prf_many(km.record_key, msgs, TAG_BYTES))
+    tags = b"".join(prf_many(tag_key(km.record_key), msgs, TAG_BYTES))
     return TrieIndex(index.table, index.body, index.d, index.method, exact, tags)
 
 
@@ -202,7 +209,7 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
 
     The verdict is the first failure in that order.  The shapes are read
     first, up to the first proof that fails one; every tag before it is then
-    keyed in one ``prf_many`` call and checked in proof order, so a tag or
+    keyed in one ``prf_many`` call under the tag key and checked in proof order, so a tag or
     record failure at proof ``i`` still comes before a shape failure at a
     later proof.  One ``compare_digest`` over all the tags at once passes
     every tag of an honest transcript; only when it fails is each tag
@@ -237,7 +244,7 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
             if not (exact_hit and i):
                 hits.append((i, first, second))
         tags.append(tag)
-    wants = prf_many(km.record_key, msgs, TAG_BYTES)
+    wants = prf_many(tag_key(km.record_key), msgs, TAG_BYTES)
     bad = None  # the first proof whose tag fails
     if not compare_digest(b"".join(wants), b"".join(tags)):
         bad = next(i for i, (want, tag) in enumerate(zip(wants, tags)) if not compare_digest(want, tag))

@@ -30,7 +30,6 @@ from fzsearch import (
 from fzsearch.crypto import SECURITY_BITS, prf_bytes
 from fzsearch.index import pack_entries
 from fzsearch.persist import save_keys
-from fzsearch.verifiable import TAG_BYTES
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -179,20 +178,28 @@ def mutate(word: str, rng: random.Random) -> str:
     return word[:i] + word[i + 1 :]
 
 
-def leaf_tag(record_key: bytes, t: bytes, flag: int, count: int, digest: bytes) -> bytes:
-    """A leaf tag from its definition: HMAC-SHA256 of ``L: || t || flag || count (2) || digest``
-    and a zero block counter."""
+def reference_tag_key(record_key: bytes) -> bytes:
+    """The proof tags' key from its definition: the HMAC-SHA256 of ``R:tag`` and a zero
+    block counter under the record key, cut to the record key's length."""
+    return hmac.new(record_key, b"R:tag" + bytes(4), "sha256").digest()[: len(record_key)]
+
+
+def leaf_tag(tag_key: bytes, t: bytes, flag: int, count: int, digest: bytes) -> bytes:
+    """A leaf tag from its definition: the first 16 bytes of HMAC-SHA256 under the tag key
+    of ``L: || t || flag || count (2) || digest`` and a zero block counter."""
     msg = b"L:" + t + bytes([flag]) + count.to_bytes(2, "big") + digest
-    return hmac.new(record_key, msg + bytes(4), "sha256").digest()
+    return hmac.new(tag_key, msg + bytes(4), "sha256").digest()[:16]
 
 
-def gap_tag(record_key: bytes, left: bytes, right: bytes) -> bytes:
-    """A gap tag from its definition: HMAC-SHA256 of ``G: || len(left) || len(right) || left || right``."""
-    return hmac.new(record_key, b"G:" + bytes([len(left), len(right)]) + left + right + bytes(4), "sha256").digest()
+def gap_tag(tag_key: bytes, left: bytes, right: bytes) -> bytes:
+    """A gap tag from its definition: the first 16 bytes of HMAC-SHA256 under the tag key
+    of ``G: || len(left) || len(right) || left || right`` and a zero block counter."""
+    msg = b"G:" + bytes([len(left), len(right)]) + left + right
+    return hmac.new(tag_key, msg + bytes(4), "sha256").digest()[:16]
 
 
 def hit(flag: int, count: int, digest: bytes, tag: bytes) -> bytes:
-    """A hit proof from the wire layout: ``ff || flag || record count (2) || record digest || leaf tag``."""
+    """A hit proof from the wire layout: ``ff || flag || record count (2) || record digest (32) || leaf tag (16)``."""
     return bytes([0xFF, flag]) + count.to_bytes(2, "big") + digest + tag
 
 
@@ -206,7 +213,7 @@ def framed_digest(records) -> bytes:
 
 
 def miss(left: bytes, right: bytes, tag: bytes) -> bytes:
-    """A miss proof from the wire layout: ``ff || 02 || len(left) || left || len(right) || right || gap tag``."""
+    """A miss proof from the wire layout: ``ff || 02 || len(left) || left || len(right) || right || gap tag (16)``."""
     return bytes([0xFF, 2, len(left)]) + left + bytes([len(right)]) + right + tag
 
 
@@ -374,7 +381,7 @@ _KINDS = {0x00: "listing", 0x01: "trie", 0x03: "auth_trie"}  # by the trie and v
 
 
 def reference_read_fzix(data: bytes) -> Fzix:
-    """FZIX v4 read one field at a time: the header, then each entry's head and
+    """FZIX v5 read one field at a time: the header, then each entry's head and
     each of its records, then the tags.  A record is reported as its span of the
     body, never copied.  A damaged file raises what ``persist.loads_index``
     raises, class and message: the first failed check in file order, except that
@@ -383,7 +390,7 @@ def reference_read_fzix(data: bytes) -> Fzix:
     data = bytes(data)
     r = _Reader(data)
     try:
-        _check_header(r, b"FZIX", 4)
+        _check_header(r, b"FZIX", 5)
         flags, symbol_bits, trapdoor_bits, d, count = r.u8(), r.u8(), r.u16(), r.u8(), r.u64()
     except Truncated:
         raise Truncated(f"the 18-byte FZIX header ends after {len(data)} bytes") from None
@@ -428,7 +435,7 @@ def reference_read_fzix(data: bytes) -> Fzix:
     if disorder is not None:
         raise BadParameter(f"entry {disorder}: trapdoors are not strictly ascending")
     tags = body[pos:]
-    tags_len = (2 * len(table) + 1) * TAG_BYTES if flags & 0x02 else 0
+    tags_len = (2 * len(table) + 1) * 16 if flags & 0x02 else 0  # 16-byte leaf and gap tags
     if len(tags) != tags_len:
         raise Truncated(f"{len(tags)} bytes follow the {_KINDS[flags & 0x03]} entries, not {tags_len}")
     return Fzix(flags, d, table, spans, exact, pos, tags)

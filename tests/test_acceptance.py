@@ -402,12 +402,12 @@ def _scripted_session(seed: bytes) -> bytes:
 
 
 # sha256 of _scripted_session(b"golden"): unblinded proof replies and two ErrorResps.
-GOLDEN_SCRIPTED_SESSION = "3cbe074172ec27d69f083f91f82084d47ea8065d8bd50c757f36f50d74c85019"
+GOLDEN_SCRIPTED_SESSION = "f998ce3af49b35547969d8f9a3a3b92c9331c53dc0dd7a343edf5ca58d98d465"
 
-# sha256 of _blinded_session(b"golden-blind"); pins the HelloAck (protocol 3),
+# sha256 of _blinded_session(b"golden-blind"); pins the HelloAck (protocol 4),
 # the AES Feistel bytes of blind_request on the wire and the server's
 # unblinded answers with their adjacent-pair proofs (proof type 0xFF).
-GOLDEN_BLINDED_SESSION = "364805b19dd05cd9222dc3f86fde277cff87da29a7e32b461f33795b10761043"
+GOLDEN_BLINDED_SESSION = "4ca1fd8d3265d33a1837303792f0fd3e1c1fe8be17b6a875be92906ab6b4442d"
 
 
 def _blinded_session(seed: bytes) -> bytes:
@@ -428,7 +428,7 @@ def _blinded_session(seed: bytes) -> bytes:
 # sha256 of _proofless_session(b"golden-plain"); pins SearchResp lines without a
 # "proofs" key, from a listing and a trie index, plain and blinded, with the
 # ErrorResp of every code a well-formed JSON request can earn.
-GOLDEN_PROOFLESS_SESSION = "65a46fbdb6b88e051dc3f3d189429f04a6ea367c8d5b2de91316c0cffe9805f9"
+GOLDEN_PROOFLESS_SESSION = "fc79548568cee02113d6d96bd32a3b9f4790aa0a51b0f7678f43df8ed0acafde"
 
 
 def _proofless_session(seed: bytes) -> tuple[bytes, list[dict]]:
@@ -544,7 +544,7 @@ def test_proofless_session_is_pinned():
             ("ErrorResp", "TOO_MANY_TRAPDOORS", 0, None),
         ]
     assert replies[16] == {  # the plain trie server's HelloAck
-        "type": "HelloAck", "protocol": 3, "epoch": 0, "kind": "trie", "method": "wildcard", "d": 1,
+        "type": "HelloAck", "protocol": 4, "epoch": 0, "kind": "trie", "method": "wildcard", "d": 1,
         "trapdoor_bits": 160, "symbol_bits": 4, "verifiable": False, "blinded": False, "max_trapdoors": 4096,
     }
     assert all("proofs" not in r for r in replies)

@@ -6,16 +6,23 @@ import threading
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from conftest import gap_tag, leaf_tag, random_corpus, reference_record_cipher
+
+import fzsearch.crypto as crypto
+import fzsearch.verifiable as verifiable
+from conftest import gap_tag, leaf_tag, random_corpus, reference_record_cipher, reference_tag_key
 from fzsearch import (
     AuthFailure,
     BadParameter,
     KeyMaterial,
+    build_auth_trie,
     decrypt_record,
     encrypt_record,
     keygen,
+    make_request,
     prp,
+    search_with_proof,
     trapdoor,
+    verify,
     wildcard_fuzzy_set,
 )
 from fzsearch.commands import derive_user_key
@@ -269,6 +276,43 @@ def test_prf_many_is_the_reference_per_message(key_len):
         assert prf_many(key, iter(msgs), n) == [_hmac_reference(key, m, n) for m in msgs]
 
 
+def test_each_use_of_the_record_key_has_its_own_label_and_the_tags_their_own_key(monkeypatch):
+    """Every PRF input under the record key is one of its labels: the two halves of
+    the records' AES-SIV key, the tag key, and ``U:`` and a user id for a personal
+    key; none is a prefix of another.  Every leaf (``L:``) and gap (``G:``) message,
+    the owner's build and the client's ``verify`` alike, is keyed by the tag key
+    alone, and the tag key keys nothing else."""
+    km, calls, real = keygen(128, seed=b"key-separation"), [], crypto.prf_many
+
+    def recording(key, msgs, n):
+        msgs = list(msgs)
+        calls.extend((key, msg) for msg in msgs)
+        return real(key, msgs, n)
+
+    monkeypatch.setattr(crypto, "prf_many", recording)
+    monkeypatch.setattr(verifiable, "prf_many", recording)
+    crypto.record_cipher.cache_clear()  # so the derivations run under the recorder
+    crypto.tag_key.cache_clear()
+    index = build_auth_trie({"castle": [b"F1", b"F2"], "cattle": [b"F3"]}, 1, km)
+    verdicts = []
+    for query in ("castle", "catle", "zebra"):
+        req = make_request(query, 1, km)
+        result, proofs = search_with_proof(index, req)
+        verdicts.append(verify(req, result, proofs, km).accepted)
+        for record in result.records:
+            decrypt_record(km, record)
+    for uid in ("alice", "bob"):
+        derive_user_key(km.record_key, uid)
+    labels = [b"R:siv-s2v", b"R:siv-ctr", b"R:tag", b"U:"]  # "U:" heads every personal key's input
+    assert not [(a, b) for a in labels for b in labels if a != b and b.startswith(a)]
+    assert {msg for key, msg in calls if key == km.record_key} == {*labels[:3], b"U:alice", b"U:bob"}
+    tag_key = reference_tag_key(km.record_key)
+    assert crypto.tag_key(km.record_key) == tag_key != km.record_key
+    assert {key for key, msg in calls if msg[:2] in (b"L:", b"G:")} == {tag_key}
+    assert {msg[:2] for key, msg in calls if key == tag_key} == {b"L:", b"G:"}
+    assert verdicts == [True] * 3
+
+
 def _prp_reference(key: bytes, block: bytes, direction: str) -> bytes:
     """The textbook Feistel network on one block: a fresh AES-ECB encryptor per
     round call, its output cut to the half, and byte-wise XOR."""
@@ -397,12 +441,13 @@ class TestKnownAnswers:
         assert trapdoor(km, "c*stle").hex() == "9628775b4a2e5f93aa53ffe821923a1fea87fa0b"
         copy = wildcard_fuzzy_set("castle", 1).index("c*stle")
         assert encrypt_record(km, b"file-1", "castle", copy).hex() == RECORD_KAT
-        key, t, u = km.record_key, trapdoor(km, "castle"), trapdoor(km, "c*stle")
-        assert leaf_tag(key, t, 1, 1, bytes(32)).hex() == "3da5af004043d96a7c00218a59bce93db5f5d134a0ffb5d0d7296d9a5efba9ff"
-        assert leaf_tag(key, t, 0, 3, bytes(32)).hex() == "fe8ad6c824bcac337d95f4d1c50580393fc55dd0a08ee6e73f3c4d47f7030a1c"
-        assert gap_tag(key, u, t).hex() == "cb29089711dd860d0baa4b0e7113a2fff9f8a7140407fe5c05e4957ea85848e6"
-        assert gap_tag(key, b"", t).hex() == "bc5f3f239c117c70d568d457af99024145d3722be0a4d684b91319d5ddfe0e9f"
-        assert gap_tag(key, t, b"").hex() == "91111dbd9fadb8ce193892ddf5280606f84c05c2162bd3a61e641a7e265b11ff"
-        assert gap_tag(key, b"", b"").hex() == "1e86d5848e6007114d97d67e8e71966680f4fddbb26e3c47bef36012ecf984f7"
+        key, t, u = reference_tag_key(km.record_key), trapdoor(km, "castle"), trapdoor(km, "c*stle")
+        assert key.hex() == "99c0c060533443f6bf37587241c8965c"
+        assert leaf_tag(key, t, 1, 1, bytes(32)).hex() == "fc54217df0f64e34ba77a666a899acf6"
+        assert leaf_tag(key, t, 0, 3, bytes(32)).hex() == "a28ba8f5fb98eabc622a9c66d6700158"
+        assert gap_tag(key, u, t).hex() == "a3d9b154ca0a667b66be2a06507de632"
+        assert gap_tag(key, b"", t).hex() == "2dd49a057e2d6f50b5548eacb4c5ee5e"
+        assert gap_tag(key, t, b"").hex() == "94717f8e2a34ba04363767e9e28b9025"
+        assert gap_tag(key, b"", b"").hex() == "fda8873699df56b0735d77bdf702b3cd"
         user_key = derive_user_key(km.record_key, "alice")
         assert user_key.hex() == "2fcdeb1944ba673595968ec6ed46cf5ece3e1ddb3deee0fdc0d3b07d433281a5"

@@ -462,21 +462,21 @@ class TestDecryptMatches:
                     assert {kw for _, kw in got} == {w for w in words if edit_distance(query, w) <= 1}, query
 
 
-# sha256 of dumps_index on the golden corpus; pins the FZIX v4 bytes of every kind.
+# sha256 of dumps_index on the golden corpus; pins the FZIX v5 bytes of every kind.
 GOLDEN_FZIX = {
-    ("auth", "wildcard"): "5c7ee678cfc74f1dece09c1088b40c7e3e9c1e9291e47b167d5e37b465d96194",
-    ("auth", "gram"): "0f8d47317df02ec9cde923baafe23fa54a828f94e03211101bd6277faca52bf4",
-    ("listing", "wildcard"): "135853134c38b133301b59cf755e1bc76919d7261ad00ba5c34b29245eda60c8",
-    ("listing", "gram"): "05da1fffdb939f203cc569b72513343c6e5a6dae46338d27af8e5f381e6043cb",
-    ("trie", "wildcard"): "2dcf4c9d3357dc5883b379921bd90d1ac6761297f6b1a182abd967455e6c1f87",
-    ("trie", "gram"): "56c106cc2b2fe62c3683607463078aba780d443fcb9478ff6e8d130d66c5bda1",
+    ("auth", "wildcard"): "f02b24ff213278a0222aa2765a5c2c8f1b2e713617d749a3ec6c14891dcf6465",
+    ("auth", "gram"): "ad4d6287b8a900ffa30ee6600d1e2973d01b387d4a33909b2ab972bdf3b5b3d2",
+    ("listing", "wildcard"): "d0b7c881f4b3ef6748fb877c85f6e99205b0837f220de1a22087b0e91f56b2ae",
+    ("listing", "gram"): "c7d20aae597bf0282f866d998132a44709650f22bcef4b04386467e700998e2c",
+    ("trie", "wildcard"): "ccb8a5a6f09b8bccc8bd2382c04cfd0bde657c82769b99419519628b4dbc6585",
+    ("trie", "gram"): "bf96bee0e074268da3fd3281d809a1a5443ee8ab8043e97d04f46ec71873db74",
 }
 
 # sha256 over the encoded proofs, exact flags and record blobs of the golden
 # requests against the authenticated trie.
 GOLDEN_PROOFS = {
-    "wildcard": "b32421453e0d58fc92f36de5071a976777a72df2aa9e1721d7e6edb2fd835748",
-    "gram": "ecf79b4e4410960adccf5b3b6b9dd318d5deb4016cbcae04bf6232c0f2a97ef0",
+    "wildcard": "cdcdbc3231d60a2d3b6f1add7bbf19d52e6b95dc58ec8ac88825a52cc05bb4f5",
+    "gram": "12f6e5c300971c8a8232eb9de61c3bb6c387cf257a76f6abd4f687e820936a7c",
 }
 
 # sha256 of dumps_keys(keygen(security_bits, seed=b"golden-fzky")); pins the FZKY v1 bytes.
@@ -746,12 +746,20 @@ def test_v3_auth_file_is_refused():
     """A file written by the FZIX v3 writer: AES-GCM records, each with its nonce, and unframed record digests."""
     blob = (DATA / "v3_auth.fzix").read_bytes()
     assert blob[:6] == b"FZIX\x03\x03"
-    with pytest.raises(VersionUnsupported, match=r"FZIX version 3 not supported \(expected 4\)"):
+    with pytest.raises(VersionUnsupported, match=r"FZIX version 3 not supported \(expected 5\)"):
+        loads_index(blob)
+
+
+def test_v4_auth_file_is_refused():
+    """A file written by the FZIX v4 writer: 32-byte leaf and gap tags keyed by the record key itself."""
+    blob = (DATA / "v4_auth.fzix").read_bytes()
+    assert blob[:6] == b"FZIX\x04\x03"
+    with pytest.raises(VersionUnsupported, match=r"FZIX version 4 not supported \(expected 5\)"):
         loads_index(blob)
 
 
 def test_only_the_index_version_moved(km):
-    assert dumps_index(build_listing_index({"cat": [b"F1"]}, 0, km))[4] == 4
+    assert dumps_index(build_listing_index({"cat": [b"F1"]}, 0, km))[4] == 5
     assert dumps_keys(km)[4] == 1
     assert dumps_directory(UserDirectory(current_xi=km.blind_key))[4] == 1
 

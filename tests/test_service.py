@@ -47,6 +47,7 @@ from fzsearch.index import pack_entries
 from fzsearch.multiuser import blind_request, unwrap_blind_key, wrap_blind_key
 from fzsearch.persist import (
     INDEX_HEAD,
+    INDEX_VERSION,
     KEY_HEAD,
     dumps_directory,
     dumps_index,
@@ -405,7 +406,7 @@ class TestPersistence:
         than 160-bit trapdoors of 4-bit symbols."""
         keys = bytearray(dumps_keys(km))
         keys[7:10] = trapdoor_bits.to_bytes(2, "big") + bytes([symbol_bits])
-        head = INDEX_HEAD.pack(b"FZIX", 4, 0, symbol_bits, trapdoor_bits, 1, 1)
+        head = INDEX_HEAD.pack(b"FZIX", INDEX_VERSION, 0, symbol_bits, trapdoor_bits, 1, 1)
         entry = bytes(trapdoor_bits // 8) + b"\0" + (1).to_bytes(2, "big") + (28).to_bytes(4, "big") + bytes(28)
         for loads, data in ((loads_keys, bytes(keys)), (loads_index, head + entry)):
             with pytest.raises(BadParameter, match=f"^{trapdoor_bits}-bit trapdoors of {symbol_bits}-bit symbols; only 160/4"):
@@ -1235,7 +1236,7 @@ class TestCli:
         path = os.path.join(os.path.dirname(__file__), "data", "v2_auth.fzix")
         assert cli_main(["serve", "--index", path, "--port", "0"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "FZIX version 2 not supported (expected 4)" in err
+        assert err.startswith("error: ") and "FZIX version 2 not supported (expected 5)" in err
         assert "rebuild it with `fzsearch build`" in err and "Traceback" not in err
 
     def test_serve_refuses_a_v3_auth_index(self, capsys):
@@ -1243,7 +1244,15 @@ class TestCli:
         path = os.path.join(os.path.dirname(__file__), "data", "v3_auth.fzix")
         assert cli_main(["serve", "--index", path, "--port", "0"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "FZIX version 3 not supported (expected 4)" in err
+        assert err.startswith("error: ") and "FZIX version 3 not supported (expected 5)" in err
+        assert "rebuild it with `fzsearch build`" in err and "Traceback" not in err
+
+    def test_serve_refuses_a_v4_auth_index(self, capsys):
+        """A file of 32-byte tags under the record key itself: ``serve`` stops with the rebuild hint."""
+        path = os.path.join(os.path.dirname(__file__), "data", "v4_auth.fzix")
+        assert cli_main(["serve", "--index", path, "--port", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "FZIX version 4 not supported (expected 5)" in err
         assert "rebuild it with `fzsearch build`" in err and "Traceback" not in err
 
     def test_serve_blinded_reads_the_key_file_before_the_index(self, tmp_path, capsys):
@@ -1431,7 +1440,7 @@ class TestHostileServer:
             ("verify", {"type": "SearchResp", "records": [], "proofs": ["28" + "ff" * 5 + ("20" + "00" * 32) * 3] * 14},
              "unknown proof type 0x28"),
             ("verify", {"type": "SearchResp", "records": [], "proofs": ["ff03" + "00" * 64]}, "unknown proof form 3"),
-            ("verify", {"type": "SearchResp", "records": [], "proofs": ["ff0200" + "00" * 33] * 14},
+            ("verify", {"type": "SearchResp", "records": [], "proofs": ["ff0200" + "00" * 17] * 14},
              "verification failed: GapTagMismatch at proof 0"),
             ("search", {"type": "SearchResp", "records": [], "exact": "no"}, "exact must be a boolean"),
             # a reply of any other type is no search result
@@ -1513,13 +1522,15 @@ class TestHostileServer:
             (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true}\n', "protocol None"),
             (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true,"protocol":1}\n', "protocol 1"),
             (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true,"protocol":2}\n', "protocol 2"),
+            (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true,"protocol":3}\n', "protocol 3"),
             (b'{"type":"ErrorResp","code":"MALFORMED","message":"?"}\n', "unexpected hello response"),
         ],
     )
     def test_hello_from_another_protocol(self, keyfile, capsys, line, message):
-        """A server without protocol 3 gets no request: the client stops at the
-        HelloAck.  A protocol 2 server sends AES-GCM records and unframed record
-        digests, and a protocol 1 server inverts HMAC Feistel rounds."""
+        """A server without protocol 4 gets no request: the client stops at the
+        HelloAck.  A protocol 3 server sends 32-byte tags under the record key,
+        a protocol 2 server AES-GCM records and unframed record digests, and a
+        protocol 1 server inverts HMAC Feistel rounds."""
         self._answer_hello_with(line, keyfile, capsys, "error: ", message)
 
     @pytest.mark.parametrize("line", [b"not json\n", b"[1, 2]\n", b"\xff\xfe\n"])

@@ -7,10 +7,17 @@ perfbench's ``_wrapped(module, "name", wrapper)``, which patches a function
 by its name and fails when the module lacks it.  Imports, ``__init__``'s
 re-exports and docstring mentions do not count, and neither do the tests:
 code that only the tests call belongs in the tests.
+
+The README and ``persist``'s docstring name the wire protocol and the FZIX
+version that the code speaks.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import fzsearch.persist as persist
+from fzsearch.service import PROTOCOL
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fzsearch"
@@ -42,3 +49,10 @@ def test_every_public_definition_has_a_caller():
         and stmt.name not in referenced
     ]
     assert not unused, "defined in src/fzsearch but used only by the tests or nowhere: " + ", ".join(unused)
+
+
+def test_the_docs_name_the_protocol_and_fzix_version_the_code_speaks():
+    readme = (ROOT / "README.md").read_text()
+    assert re.findall(r"`protocol` \(now (\d+)\)", readme) == [str(PROTOCOL)]
+    assert re.findall(r"`FZIX` index file, version (\d+)", readme) == [str(persist.INDEX_VERSION)]
+    assert re.findall(r"``FZIX`` index file \(version (\d+)\)", persist.__doc__) == [str(persist.INDEX_VERSION)]

@@ -6,7 +6,7 @@ from unittest.mock import ANY
 import pytest
 
 import fzsearch.verifiable as verifiable
-from conftest import fields, framed_digest, gap_tag, hit, leaf_tag, miss, mutate, random_corpus
+from conftest import fields, framed_digest, gap_tag, hit, leaf_tag, miss, mutate, random_corpus, reference_tag_key
 from fzsearch import (
     BadParameter,
     EditBoundExceeded,
@@ -64,7 +64,7 @@ def _with(proof: bytes, **changes) -> bytes:
 
 
 def _reference_tags(key: bytes, index) -> bytes:
-    """Leaf tags, then gap tags, computed straight from the definitions."""
+    """Leaf tags, then gap tags, under the tag key ``key``, computed straight from the definitions."""
     keys = sorted(index.table)
     leaves = [leaf_tag(key, t, t in index.exact, len(index.records(t)), framed_digest(index.records(t))) for t in keys]
     ends = [b""] + keys + [b""]
@@ -119,12 +119,12 @@ class TestChain:
             corpus = {word: [b"F1", b"F2"][: rng.randint(0, 2)] for word in random_corpus(rng, size=25, lo=3, hi=6)}
             built = build_auth_trie(corpus, d, km, method)
             for index in (built, loads_index(dumps_index(built))):
-                assert index.tags == _reference_tags(km.record_key, index)
+                assert index.tags == _reference_tags(reference_tag_key(km.record_key), index)
                 assert len(index.tags) == TAG_BYTES * (2 * len(index.table) + 1)
 
     def test_empty_index_answers_verifiable_proofs(self, km):
         built = build_auth_trie({}, 1, km)
-        assert built.tags == gap_tag(km.record_key, b"", b"")
+        assert built.tags == gap_tag(reference_tag_key(km.record_key), b"", b"")
         for index in (built, loads_index(dumps_index(built))):
             req = make_request("castle", 1, km)
             result, proofs = search_with_proof(index, req)
@@ -199,7 +199,7 @@ class TestSearchWithProof:
             trapdoors += make_request(mutate(rng.choice(sorted(corpus)), rng) or "aa", 1, km).trapdoors
         trapdoors = tuple(dict.fromkeys(trapdoors))
         _, proofs = search_with_proof(index, SearchRequest(trapdoors, 0))
-        tags = _reference_tags(km.record_key, index)
+        tags = _reference_tags(reference_tag_key(km.record_key), index)
         assert proofs == [_reference_proof(tags, index, t) for t in trapdoors]
         assert sum(map(_is_hit, proofs)) > 10
         for proof in proofs:
@@ -221,7 +221,7 @@ def _verify_per_proof(req: SearchRequest, results: ResultSet, proofs, km) -> Ver
     """The reference ``verify``: each proof's tag keyed by itself and checked as the proof is read."""
     if len(proofs) != len(req.trapdoors):
         return Verdict(False, VerdictReason.COUNT_MISMATCH)
-    key, records, exact_hit, pos = km.record_key, results.records, results.exact_hit, 0
+    key, records, exact_hit, pos = reference_tag_key(km.record_key), results.records, results.exact_hit, 0
     if exact_hit and not proofs:
         return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
     for i, (t, proof) in enumerate(zip(req.trapdoors, proofs)):
@@ -322,14 +322,14 @@ def _damaged(rng: random.Random, req: SearchRequest, index, result: ResultSet, p
     if exact:  # an exact hit hidden, everything else returned; or proof 0 a zero hit
         everything = [r for t in req.trapdoors for r in index.records(t)]
         add("exact hit hidden", Verdict(False, EXACT, 0), results=ResultSet(everything, False))
-        add("exact hit without flag 1", Verdict(False, EXACT, 0), ps=put(0, hit(0, 1, bytes(32), bytes(32))))
+        add("exact hit without flag 1", Verdict(False, EXACT, 0), ps=put(0, hit(0, 1, bytes(32), bytes(16))))
     if not every_entry:
         return copies
     keys = index.ordered
     hits = [i for i, p in enumerate(proofs) if _is_hit(p)]
     misses = [i for i in range(n) if i not in hits]
     first = index.records(keys[0])
-    forged = [hit(0, 1, bytes(32), bytes(32)), hit(0, len(first), record_digest(first), index.tags[:TAG_BYTES])]
+    forged = [hit(0, 1, bytes(32), bytes(16)), hit(0, len(first), record_digest(first), index.tags[:TAG_BYTES])]
     for i in misses:
         p, m = proofs[i], fields(proofs[i])
         for lie in forged:
@@ -384,23 +384,26 @@ def _damaged(rng: random.Random, req: SearchRequest, index, result: ResultSet, p
 
 class TestVerify:
     def test_verify_gives_the_per_proof_verdict(self, km, small_world):
-        """The tamper catalogue over 60 seeded transcripts, exact and fuzzy: each copy gets
-        ``_verify_per_proof``'s verdict and the one its entry pins, so each but the honest
-        one is rejected."""
+        """The tamper catalogue over 60 seeded transcripts, exact and fuzzy, and three fuzzy
+        ones of several records: each copy gets ``_verify_per_proof``'s verdict and the one
+        its entry pins, so each but the honest one is rejected."""
         corpus, index = small_world
         rng = random.Random(29)
         words, seen, fired = sorted(corpus), set(), Counter()
-        for _ in range(60):
-            query = rng.choice(words) if rng.random() < 0.3 else mutate(rng.choice(words), rng)
-            if not query:
-                continue
-            req = make_request(query, rng.choice((0, 1)), km)
-            every_entry = rng.random() < 0.25
+
+        def check(req, every_entry):
             for entry, result, proofs, want in _damaged(rng, req, index, *search_with_proof(index, req), every_entry):
                 verdict = verify(req, result, proofs, km)
-                assert verdict == _verify_per_proof(req, result, proofs, km) == want, (entry, query, proofs)
+                assert verdict == _verify_per_proof(req, result, proofs, km) == want, (entry, req, proofs)
                 seen.add(verdict.reason)
                 fired[entry] += 1
+
+        for _ in range(60):
+            query = rng.choice(words) if rng.random() < 0.3 else mutate(rng.choice(words), rng)
+            if query:
+                check(make_request(query, rng.choice((0, 1)), km), rng.random() < 0.25)
+        for _ in range(3):  # the entries that need several records, whatever the draws above gave
+            check(_fuzzy_transcript(km, index, corpus, rng)[0], True)
         assert seen == set(VerdictReason)
         assert len(fired) == 23 and fired["hit flag flipped"] > 50, fired  # every entry, and many flags
         # an exact hit claimed on an empty request, which has no proof 0
@@ -501,7 +504,7 @@ class TestVerify:
             req = SearchRequest((t,), 0)
             # the pair the gap would have if t were not stored, with a made-up or a neighbouring gap's tag
             skips = [miss(ends[j], ends[j + 2], fields(gap)["tag"]) for gap in (gaps[j], gaps[j + 1])]
-            skips.append(miss(ends[j], ends[j + 2], bytes(32)))
+            skips.append(miss(ends[j], ends[j + 2], bytes(16)))
             for lie in gaps + skips:
                 verdict = verify(req, empty, [lie], km)
                 assert not verdict.accepted and verdict.failing_index == 0, lie
