@@ -20,10 +20,10 @@ _EXPORTS = {
         "errors": "AuthFailure BadMagic BadParameter DuplicateUser EditBoundExceeded EmptyKeyword FzError"
         " Truncated UnknownUser VersionUnsupported",
         "fuzzyset": "edit_distance fuzzy_set gram_fuzzy_set normalize_keyword wildcard_fuzzy_set",
-        "index": "ListingIndex ResultSet SearchRequest TrieIndex build_listing_index build_trie_index"
-        " decrypt_matches make_request search_listing search_trie symbolize",
+        "index": "ListingIndex ResultSet SearchRequest TrieIndex blind_request build_listing_index build_trie_index"
+        " decrypt_matches make_request search_listing search_trie symbolize unblind_request",
         "keys": "KeyMaterial keygen",
-        "multiuser": "UserDirectory blind_request unblind_request",
+        "multiuser": "UserDirectory",
         "persist": "load_directory load_index load_keys save_directory save_index save_keys",
         "verifiable": "Verdict VerdictReason build_auth_trie search_with_proof verify",
     }.items()

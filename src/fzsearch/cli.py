@@ -87,9 +87,6 @@ def _user_id(text: str) -> str:
 def _cmd_serve(args) -> int:
     xi = None
     if args.blinded:
-        # before the index is read, so its compile stays below the index's peak; ``ServerState`` binds from it
-        from . import multiuser  # noqa: F401
-
         # the key file first: a bad one fails before a long index load, below its peak
         xi = load_blind_key(_keyfile(args))
     try:

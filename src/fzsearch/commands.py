@@ -14,7 +14,7 @@ import sys
 
 from .crypto import TRAPDOOR_BITS, prf_bytes
 from .errors import BadResponse, EmptyKeyword, FzError
-from .index import build_listing_index, build_trie_index, decrypt_matches, make_request
+from .index import blind_request, build_listing_index, build_trie_index, decrypt_matches, make_request
 from .persist import load_directory, load_keys, save_directory, save_index, save_keys
 
 
@@ -79,7 +79,6 @@ def run_search(args, keyfile: str) -> int:
     """``search``, or ``verify``, which also checks the proofs."""
     from .client import SearchClient, proofs_from_response, result_from_response  # a server never loads the client
     from .fuzzyset import normalize_keyword
-    from .multiuser import blind_request
     from .service import EDIT_BOUND
     from .verifiable import verify
 

@@ -37,8 +37,8 @@ imported: this module names it inside functions alone, so a process that
 never builds a cipher (a server that is not blinded, or one that only
 derives trapdoors or tags) never loads the library.
 
-One SHA-256 runs under every PRF, ``record_digest`` (the proofs' and
-``verifiable.verify``'s) and ``multiuser``'s wrap key: ``sha256``, CPython's built-in
+One SHA-256 runs under every PRF, the proofs' record digests (``verifiable``)
+and ``multiuser``'s wrap key: ``sha256``, CPython's built-in
 module (``_sha256`` up to 3.11, ``_sha2`` from 3.12), and ``hashlib.sha256``
 only on an interpreter built without both.  The bytes are the same either way;
 what differs is what a process maps.  ``hashlib`` loads OpenSSL's libcrypto
@@ -107,8 +107,6 @@ _PRP_CACHED_LENGTHS = 64
 _KEY_CACHE_SIZE = 256
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
-_RECORD_COUNT = struct.Struct(">H").pack  # record_digest's framing: the count, as FZIX's entry head holds it
-_RECORD_LENGTH = struct.Struct(">I").pack  # and each record's length, as FZIX prefixes it
 _COUNTER = bytes(4)  # the block counter of HMAC counter mode's first block, ending every PRF input
 # The PRF inputs under the record key that give the records' AES-SIV key: its S2V half, then its CTR half,
 # and the proof tags' key.  No other input under that key begins "R:" (the user keys' begin "U:"), and
@@ -350,15 +348,3 @@ def prp(key: bytes, blocks: Sequence[bytes], direction: str = "forward") -> tupl
         else:
             right ^= mask & int.from_bytes(update((left | tags[i]).to_bytes(size, "big")), "big")
     return unpack((left | right >> 8 * h).to_bytes(size, "big"))
-
-
-def record_digest(records: Sequence[bytes]) -> bytes:
-    """SHA-256 of a hit's records framed as FZIX frames an entry's: the record
-    count (2 bytes), then each record's length (4 bytes) before its bytes.
-    The framing binds the boundaries, so no merge or re-split of the records
-    has their digest.  Bound to a key via the leaf tag."""
-    h = sha256(_RECORD_COUNT(len(records)))
-    for record in records:
-        h.update(_RECORD_LENGTH(len(record)))
-        h.update(record)
-    return h.digest()

@@ -5,21 +5,20 @@ documents the layout), ``table``, each fuzzy variant's trapdoor mapped to
 the offset of its entry in ``body``, and ``exact``, the trapdoors of
 keywords' own zero-edit variants.  A built index writes its body in one
 sorted pass (``pack_entries``).  A loaded one keeps the file's bytes, checked
-by ``read_entries``: its body and its tags are views of them.  No record is
-an object until a search, a proof or a ``NodeView`` reaches its entry, and
-``records`` slices it out then.  The writer, the validating reader and that
-hit-time reader sit together below.  No index changes once built.
+by ``read_entries``: its body and its tags are views of them.  A search or a
+``NodeView`` slices records (``_records_at``) only out of the entries it
+reaches.  The writer, the validating reader and that hit-time reader sit
+together below.  No index changes once built.
 
-A record is the AES-SIV output (synthetic IV, then ciphertext) that
-``crypto.encrypt_record`` returns; nothing here looks inside one.  The
-listing index is the flat table; the trie files each trapdoor root-to-leaf
-as ``DEPTH`` symbols of ``SYMBOL_BITS`` each, its nodes derived from
-``Index.ordered``.  An index
-proves its answers exactly when it holds ``tags``, a tag per entry and per
-gap between entries; ``verifiable.build_auth_trie`` builds such a trie.
-The request and result types, ``SearchRequest`` and ``ResultSet``, are
-namedtuples, and the index kinds plain classes: no module on a server's
-path imports ``dataclasses``.
+A record is the AES-SIV output ``crypto.encrypt_record`` returns; nothing
+here looks inside one.  The listing index is the flat table; the trie files
+each trapdoor root-to-leaf as ``DEPTH`` symbols of ``SYMBOL_BITS`` each, its
+nodes derived from ``Index.ordered``.  An index proves its answers exactly
+when it holds ``tags``, a tag per entry and per gap between entries;
+``verifiable.build_auth_trie`` builds such a trie.  ``SearchRequest`` and
+``ResultSet`` are namedtuples, and the index kinds plain classes: no module
+on a server's path imports ``dataclasses``.  A blinded server searches
+``unblind_request`` of what ``blind_request`` sent.
 
 Requests put the exact word's trapdoor first; a search that matches it
 returns only that entry's records (the exact hit short-circuits the fuzzy
@@ -48,6 +47,7 @@ from .crypto import (
     TRAPDOOR_BYTES,
     decrypt_record,
     encrypt_records,
+    prp,
     trapdoors,
 )
 from .errors import AuthFailure, BadParameter, EditBoundExceeded, Truncated
@@ -193,6 +193,16 @@ def _check_keyword(word: str) -> None:
 SearchRequest = namedtuple("SearchRequest", ("trapdoors", "k"))
 # The records a search returns, and whether they are the exact hit's alone.
 ResultSet = namedtuple("ResultSet", ("records", "exact_hit"))
+
+
+def blind_request(req: SearchRequest, xi: bytes) -> SearchRequest:
+    """Permute every trapdoor forward under the blind key ``xi`` in one ``prp`` call; order and k preserved."""
+    return SearchRequest(prp(xi, req.trapdoors, "forward"), req.k)
+
+
+def unblind_request(req: SearchRequest, xi: bytes) -> SearchRequest:
+    """What a blinded server searches: ``req`` with the permutation inverted."""
+    return SearchRequest(prp(xi, req.trapdoors, "inverse"), req.k)
 
 
 def build_entries(
@@ -388,39 +398,31 @@ def walk_trie(root: NodeView, symbols: tuple[int, ...]) -> NodeView | None:
     return NodeView(index, depth, prefix) if lo < hi or not depth else None
 
 
-def search_by(index: Index, req: SearchRequest, records_of) -> ResultSet:
-    """The search rule, reading each hit's records through ``records_of(t)``.
+def search_listing(index: Index, req: SearchRequest) -> ResultSet:
+    """Look up each trapdoor and slice its entry's records out of ``body``.
 
     ``EditBoundExceeded`` when ``req.k`` exceeds the index's ``d``.  A hit on
     the request's first trapdoor that is exact returns its records alone (the
     exact-match short-circuit), and no other entry is read; otherwise every
-    hit's records, in request order.  ``records_of`` is called for trapdoors
-    that ``index.table`` holds only.
+    hit's records, in request order.  Serves every kind: a trie holds records
+    only at full depth, so walking a trapdoor's symbols reaches records
+    exactly when the map holds it.  A built index holds each record under
+    one trapdoor only, so the result repeats a record only where the request
+    repeats its trapdoor, as the proofs do.
     """
     trapdoors, k = req  # one unpacking: a namedtuple's field reads cost more on this path
     if k > index.d:
         raise EditBoundExceeded(f"request k={k} exceeds index d={index.d}")
-    table, exact, gathered = index.table, index.exact, []
+    table, exact, body, gathered = index.table, index.exact, index.body, []
     for i, t in enumerate(trapdoors):
-        if t not in table:
+        pos = table.get(t)
+        if pos is None:
             continue
-        records = records_of(t)
+        records = _records_at(body, pos + TRAPDOOR_BYTES + 1)
         if not i and t in exact:
             return ResultSet(list(records), True)
         gathered.extend(records)
     return ResultSet(gathered, False)
-
-
-def search_listing(index: Index, req: SearchRequest) -> ResultSet:
-    """Look up each trapdoor; ``search_by`` applies the rule, reading records out of ``body``.
-
-    Serves every kind: a trie holds records only at full depth, so walking a
-    trapdoor's symbols reaches records exactly when the map holds it.  A
-    built index holds each record under one trapdoor only, so the result
-    repeats a record only where the request repeats its trapdoor, as the
-    proofs do.
-    """
-    return search_by(index, req, index.records)
 
 
 search_trie = search_listing

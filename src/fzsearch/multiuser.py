@@ -1,8 +1,8 @@
-"""Multi-user authorization: wrapped blind keys, request blinding, revocation.
+"""Multi-user authorization: wrapped blind keys and revocation.
 
 The data owner hands each enrolled user the current blind key wrapped under
 that user's personal key.  Users blind every request trapdoor through the
-keyed permutation; the server unblinds with the same key before searching.
+keyed permutation (``index.blind_request``); the server unblinds with the same key.
 Revoking a user rotates the blind key and re-wraps it for everyone left, so
 requests blinded under the old key unblind to garbage trapdoors that hit
 nothing.  That locks out a revoked user only if they cannot get a remaining
@@ -10,18 +10,16 @@ user's personal key.  The CLI derives every personal key from the record key
 in the shared key file, so a revoked user who keeps that file can derive one,
 unwrap the new blind key and search on.
 
-The key wrap is ``crypto``'s AES-GCM and blinding its AES-ECB permutation;
-each cipher, and the cipher library under it, loads on first use, so
-importing this module loads neither.
+The key wrap is ``crypto``'s AES-GCM; the cipher, and the cipher library
+under it, loads on first use, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import os
 
-from .crypto import NONCE_BYTES, aes_gcm, blind_cipher, gcm_open, prp, sha256
+from .crypto import NONCE_BYTES, aes_gcm, blind_cipher, gcm_open, sha256
 from .errors import AuthFailure, BadParameter, DuplicateUser, UnknownUser
-from .index import SearchRequest
 
 MAX_USER_ID_BYTES = 0xFFFF  # an FZUD user id's 2-byte length field
 WRAPPED_MIN_BYTES = NONCE_BYTES + 16  # a wrapped blind key's random nonce, then at least the GCM tag
@@ -120,13 +118,3 @@ class UserDirectory:
         if user_id not in self.wrapped:
             raise UnknownUser(f"user {user_id!r} not enrolled")
         return unwrap_blind_key(user_key, user_id, self.wrapped[user_id])
-
-
-def blind_request(req: SearchRequest, xi: bytes) -> SearchRequest:
-    """Permute every trapdoor forward under ``xi`` in one ``prp`` call; order and k preserved."""
-    return SearchRequest(trapdoors=prp(xi, req.trapdoors, "forward"), k=req.k)
-
-
-def unblind_request(req: SearchRequest, xi: bytes) -> SearchRequest:
-    """Server side: invert the permutation before searching."""
-    return SearchRequest(trapdoors=prp(xi, req.trapdoors, "inverse"), k=req.k)

@@ -30,7 +30,7 @@ Message types:
 A blinded server (``ServerState.xi`` set) takes every trapdoor of a request
 as permuted under the blind key by ``crypto.prp``, a 4-round Feistel with
 AES rounds, and inverts the whole request in one call
-(``multiuser.unblind_request``) before searching.
+(``index.unblind_request``) before searching.
 Protocol 4 carries 16-byte proof tags under their own key (``verifiable``),
 so a protocol 3 peer, whose tags were 32 bytes under the record key, stops
 at ``hello``; README's wire section tells what each earlier bump changed.
@@ -56,11 +56,11 @@ it, so a client that stops reading holds up only itself.  Limits:
   descriptors) they wait until a close or the next idle check.
 
 A server loads only what it serves from.  This module imports ``index``
-(the search) and ``crypto`` (its constants and the blind cipher), never
-``fuzzyset``, which only owners and clients run.  ``ServerState`` imports
-``multiuser`` for a blinded state and ``verifiable`` for an index that
-holds tags, and binds the one function each serves, so a plain listing or
-trie server loads neither and no request runs an import statement.
+(the search and unblinding) and ``crypto`` (its constants and the blind
+cipher), never ``fuzzyset``, which only owners and clients run, nor
+``multiuser``, the owner's.  ``ServerState`` imports ``verifiable`` for an
+index that holds tags and binds its one function, so a plain listing or
+trie server never loads it and no request runs an import statement.
 ``SearchClient`` and its limits are in ``fzsearch.client``; this module
 answers its name.
 """
@@ -77,7 +77,7 @@ import threading
 import time
 
 from .crypto import MAX_VARIANTS, SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES, blind_cipher
-from .index import Index, ResultSet, SearchRequest, search_listing
+from .index import Index, ResultSet, SearchRequest, search_listing, unblind_request
 
 PROTOCOL = 4  # HelloAck's "protocol"; bumped when the wire meaning of a request or a reply changes
 DEFAULT_PORT = 7090
@@ -99,9 +99,8 @@ INTERNAL = "INTERNAL"
 class ServerState:
     """Immutable while serving.
 
-    ``unblind`` is ``multiuser.unblind_request`` on a blinded state and
     ``prove`` is ``verifiable.search_with_proof`` on an index that holds
-    tags; each is None otherwise, and its module is not imported.  A blinded
+    tags; it is None otherwise, and ``verifiable`` is not imported.  A blinded
     state builds its blind cipher when it is made, so a key that is not an
     AES key (16, 24 or 32 bytes) raises ``BadParameter`` here, not on every
     request, and ``serve --blinded`` loads the cipher library before it
@@ -109,12 +108,9 @@ class ServerState:
     """
 
     def __init__(self, index: Index, xi: bytes | None = None, epoch: int = 0):
-        self.unblind = self.prove = None
+        self.prove = None
         if xi is not None:
-            from .multiuser import unblind_request
-
             blind_cipher(xi)
-            self.unblind = unblind_request
         if index.tags:
             from .verifiable import search_with_proof
 
@@ -221,7 +217,7 @@ def handle_line(state: ServerState, line: bytes | str) -> str:
             return _error(state, STALE_EPOCH, f"server epoch is {state.epoch}")
         req = SearchRequest(trapdoors, k)
         if state.xi is not None:
-            req = state.unblind(req, state.xi)  # keeps k
+            req = unblind_request(req, state.xi)  # keeps k
         if k > state.index.d:
             return _error(state, EDIT_BOUND, f"k={k} exceeds index bound d={state.index.d}")
         if want_proof and state.prove:

@@ -10,10 +10,10 @@ without the tag key passes with probability ``2^-128`` per try.  Over the sorted
 ``t_0 < ... < t_{n-1}`` the owner keys
 
 * a leaf tag per entry, ``m = "L:" || t_i || exact_flag_i || count_i ||
-  digest(records_i)``, binding its exact flag, its record count (2 bytes)
-  and its record list: the digest (``crypto.record_digest``,
-  ``DIGEST_BYTES`` long) frames the records with their count and each
-  one's length, so it binds their boundaries too;
+  digest_i``, binding its exact flag, its record count (2 bytes) and its
+  records: the digest is SHA-256 of the entry's FZIX bytes after its
+  trapdoor and flag, the count and then each record after its length, so
+  it binds their boundaries too;
 * a gap tag per pair of adjacent entries, ``m = "G:" || len(left) ||
   len(right) || left || right`` for ``(t_i, t_{i+1})``.  The head gap has
   an empty left end and the tail gap an empty right end; an empty index has
@@ -36,7 +36,7 @@ its wire bytes, from ``search_with_proof`` through ``verify``:
 ``_parse_proof`` is the one reader of that layout.  The verifier checks the
 proof count, each proof's shape (its layout, and a miss's ends must enclose
 the trapdoor), one tag per trapdoor, and re-derives each hit's digest from
-exactly its record count of the records actually returned, so a merge or
+its count of the records returned (``record_digest``), so a merge or
 re-split of a hit's records fails its digest.  A present trapdoor has no
 gap around it, so a server can neither drop a match nor under-report one;
 the leaf tag binds the exact flag, so an exact hit is proof 0 with flag 1,
@@ -54,11 +54,13 @@ from collections import namedtuple
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .crypto import TRAPDOOR_BYTES, prf_many, record_digest, tag_key
+from .crypto import TRAPDOOR_BYTES, prf_many, sha256, tag_key
 from .errors import BadParameter, Truncated
-from .index import Index, ResultSet, SearchRequest, TrieIndex, build_trie_index, search_by
+from .index import Index, ResultSet, SearchRequest, TrieIndex, build_trie_index, search_listing
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .keys import KeyMaterial
 
 TAG_BYTES = 16  # a leaf or gap tag: HMAC-SHA-256 cut to 128 bits
@@ -68,8 +70,9 @@ DIGEST_BYTES = 32  # a hit's record digest: a whole SHA-256
 # fails to decode instead of being misread.
 PROOF_TYPE = 0xFF
 _MISS = 2  # form byte of a miss; a hit's form byte is its exact flag, 0 or 1
-_HIT_HEADS = (bytes([PROOF_TYPE, 0]), bytes([PROOF_TYPE, 1]))  # a hit's first two bytes, by exact flag
-_MISS_HEAD = bytes([PROOF_TYPE, _MISS])
+_TYPE, _MISS_HEAD = bytes([PROOF_TYPE]), bytes([PROOF_TYPE, _MISS])
+# offsets in an FZIX entry: its flag, after the trapdoor, and the end of its head (trapdoor, flag, record count)
+_FLAG, _HEAD = TRAPDOOR_BYTES, TRAPDOOR_BYTES + 3
 # a hit is the type, its flag, the record count (2), then the record digest and the leaf tag
 _HIT_DIGEST, _HIT_TAG = slice(4, 4 + DIGEST_BYTES), slice(4 + DIGEST_BYTES, None)
 _HIT_BYTES = 4 + DIGEST_BYTES + TAG_BYTES
@@ -88,6 +91,22 @@ def _leaf_msg(t: bytes, flag: int, count: bytes, digest: bytes) -> bytes:
 
 def _gap_msg(left: bytes, right: bytes) -> bytes:
     return b"".join((b"G:", _BYTE[len(left)], _BYTE[len(right)], left, right))
+
+
+def _digest(body: memoryview, start: int, end: int) -> bytes:
+    """The record digest of the entry at ``body[start:end]``: SHA-256 of its bytes after its trapdoor and flag."""
+    return sha256(body[start + _FLAG + 1 : end]).digest()
+
+
+def record_digest(records: Sequence[bytes]) -> bytes:
+    """The record digest of ``records``: SHA-256 of them framed as an FZIX entry frames them, the
+    count (2 bytes) and then each record's length (4 bytes) before its bytes, so that no merge
+    or re-split of the records has their digest."""
+    h = sha256(len(records).to_bytes(2, "big"))
+    for record in records:
+        h.update(len(record).to_bytes(4, "big"))
+        h.update(record)
+    return h.digest()
 
 
 class VerdictReason(enum.Enum):
@@ -109,50 +128,50 @@ def build_auth_trie(
     """The trie build with its ``tags``: a leaf tag per entry, then a gap tag per gap.
 
     Every tag comes from one ``prf_many`` call under the tag key over the leaf
-    messages, then the gap messages.  The tags go into a new index; the trie
-    they key is left as built.
+    messages, then the gap messages.  A leaf message takes the entry's head
+    and digest from ``body`` as they lie.  The tags go into a new index; the
+    trie they key is left as built.
     """
     index = build_trie_index(corpus, d, km, method)
-    exact, keys = index.exact, index.ordered
-    ends = [b"", *keys, b""]
-    msgs = []
-    for t in keys:
-        records = index.records(t)
-        msgs.append(_leaf_msg(t, t in exact, len(records).to_bytes(2, "big"), record_digest(records)))
-    msgs += [_gap_msg(left, right) for left, right in zip(ends, ends[1:])]
+    body, starts = index.body, list(index.table.values())
+    stops = [*starts[1:], len(body)]  # an entry ends where the next one starts
+    msgs = [b"".join((b"L:", body[s : s + _HEAD], _digest(body, s, e))) for s, e in zip(starts, stops)]
+    gaps = [b"", *index.ordered, b""]
+    msgs += [_gap_msg(left, right) for left, right in zip(gaps, gaps[1:])]
     tags = b"".join(prf_many(tag_key(km.record_key), msgs, TAG_BYTES))
-    return TrieIndex(index.table, index.body, index.d, index.method, exact, tags)
+    return TrieIndex(index.table, body, index.d, index.method, index.exact, tags)
 
 
 def search_with_proof(index: Index, req: SearchRequest) -> tuple[ResultSet, list[bytes]]:
     """Search plus one proof per trapdoor, each its encoding.
 
     Only an index that holds tags can prove; any other raises ``BadParameter``.
-    The records follow ``search_by``'s rule, as in the plain search, but
-    proofs are still produced for every trapdoor — the verifier's first
-    check is that none went missing.  One bisect places each trapdoor among
-    the sorted entries: at an entry it is a hit, whose records are read once
-    for the result, the count and the digest; otherwise it lies in the gap
-    before position ``pos``.
+    The records are ``search_listing``'s, but proofs are still produced for
+    every trapdoor — the verifier's first check is that none went missing.
+    One bisect places each trapdoor among the sorted entries: at an entry it
+    is a hit, whose flag, count and digest come from the entry's bytes, which
+    end where the next entry starts; otherwise it lies in the gap before
+    position ``pos``.
     """
     if not index.tags:
         raise BadParameter(f"a {index.kind} index holds no tags to prove with")
-    ordered, tags, exact, records_of = index.ordered, index.tags, index.exact, index.records
-    size, read, proofs = len(ordered), {}, []
+    result = search_listing(index, req)
+    ordered, table, body, tags = index.ordered, index.table, index.body, index.tags
+    size, proofs = len(ordered), []
     for t in req.trapdoors:
         pos = bisect_left(ordered, t)
         if pos < size and ordered[pos] == t:
-            read[t] = records = records_of(t)
-            at = pos * TAG_BYTES
-            head = _HIT_HEADS[t in exact] + len(records).to_bytes(2, "big")
-            proofs.append(b"".join((head, record_digest(records), tags[at : at + TAG_BYTES])))
+            s, at = table[t], pos * TAG_BYTES
+            e = table[ordered[pos + 1]] if pos + 1 < size else len(body)
+            head = body[s + _FLAG : s + _HEAD]  # the exact flag, the proof's form byte, then the record count
+            proofs.append(b"".join((_TYPE, head, _digest(body, s, e), tags[at : at + TAG_BYTES])))
         else:
             at = (size + pos) * TAG_BYTES
             left = ordered[pos - 1] if pos else b""
             right = ordered[pos] if pos < size else b""
             tag = tags[at : at + TAG_BYTES]
             proofs.append(b"".join((_MISS_HEAD, _BYTE[len(left)], left, _BYTE[len(right)], right, tag)))
-    return search_by(index, req, read.__getitem__), proofs
+    return result, proofs
 
 
 def _parse_proof(proof: bytes) -> tuple[int, bytes, bytes, bytes]:

@@ -45,8 +45,8 @@ from fzsearch import (
     wildcard_fuzzy_set,
 )
 from fzsearch.crypto import SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES
-from fzsearch.index import walk_trie
-from fzsearch.multiuser import UserDirectory, blind_request, unblind_request
+from fzsearch.index import blind_request, unblind_request, walk_trie
+from fzsearch.multiuser import UserDirectory
 from fzsearch.persist import dumps_index
 from fzsearch.service import MAX_TRAPDOORS, ServerState, encode_message, handle_line
 from fzsearch.verifiable import TAG_BYTES

@@ -28,9 +28,10 @@ import pytest
 import fzsearch
 from conftest import random_corpus, search_msg
 from fzsearch import blind_request, build_auth_trie, build_listing_index, build_trie_index, make_request
-from fzsearch.crypto import prf_bytes, record_digest
+from fzsearch.crypto import prf_bytes
 from fzsearch.persist import save_index, save_keys
 from fzsearch.service import encode_message
+from fzsearch.verifiable import record_digest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fzsearch"
 HASH_MODULES = ("_hashlib", "hashlib", "hmac", "secrets")
@@ -154,21 +155,20 @@ def test_no_server_loads_dataclasses(server_report):
 
 
 def test_each_server_loads_only_the_modules_it_serves_from(server_report):
-    """No server loads ``commands`` or ``fuzzyset``; an auth server ``verifiable`` and a blinded one ``multiuser`` too,
-    each before the index body is read.  The report's process serves the four in ``SERVED`` order,
-    so modules add up."""
+    """No server loads ``commands``, ``fuzzyset`` or ``multiuser``; an auth server, blinded or not, loads
+    ``verifiable`` before the index body is read.  The report's process serves the four in ``SERVED``
+    order, so modules add up."""
     assert server_report["bodies"] == {
         "listing": [],
         "trie": [],
         "auth": ["fzsearch.verifiable"],
-        "blinded": ["fzsearch.multiuser", "fzsearch.verifiable"],
+        "blinded": ["fzsearch.verifiable"],
     }
     assert _seen(server_report, "optional") == {
         "listing state": [], "listing": [],
         "trie state": [], "trie": [],
         "auth state": ["fzsearch.verifiable"], "auth": ["fzsearch.verifiable"],
-        "blinded state": ["fzsearch.multiuser", "fzsearch.verifiable"],
-        "blinded": ["fzsearch.multiuser", "fzsearch.verifiable"],
+        "blinded state": ["fzsearch.verifiable"], "blinded": ["fzsearch.verifiable"],
     }
 
 
@@ -186,12 +186,12 @@ def test_serve_blinded_loads_neither_dataclasses_nor_the_key_material_module(ser
 FALLBACK = """
 import hashlib, json, sys
 sys.modules["_sha256"] = sys.modules["_sha2"] = None
-from fzsearch import crypto
+from fzsearch import crypto, verifiable
 assert crypto.sha256 is hashlib.sha256, crypto.sha256
 cases = json.loads(sys.argv[1])
 print(json.dumps({
     "prf": [crypto.prf_bytes(bytes.fromhex(k), bytes.fromhex(m), n).hex() for k, m, n in cases["prf"]],
-    "digest": [crypto.record_digest([bytes.fromhex(r) for r in rs]).hex() for rs in cases["digest"]],
+    "digest": [verifiable.record_digest([bytes.fromhex(r) for r in rs]).hex() for rs in cases["digest"]],
 }))
 """
 
@@ -288,11 +288,12 @@ EXPORTS = {
     ),
     "fuzzyset": ("edit_distance", "fuzzy_set", "gram_fuzzy_set", "normalize_keyword", "wildcard_fuzzy_set"),
     "index": (
-        "ListingIndex", "ResultSet", "SearchRequest", "TrieIndex", "build_listing_index", "build_trie_index",
-        "decrypt_matches", "make_request", "search_listing", "search_trie", "symbolize",
+        "ListingIndex", "ResultSet", "SearchRequest", "TrieIndex", "blind_request", "build_listing_index",
+        "build_trie_index", "decrypt_matches", "make_request", "search_listing", "search_trie", "symbolize",
+        "unblind_request",
     ),
     "keys": ("KeyMaterial", "keygen"),
-    "multiuser": ("UserDirectory", "blind_request", "unblind_request"),
+    "multiuser": ("UserDirectory",),
     "persist": ("load_directory", "load_index", "load_keys", "save_directory", "save_index", "save_keys"),
     "verifiable": ("Verdict", "VerdictReason", "build_auth_trie", "search_with_proof", "verify"),
 }

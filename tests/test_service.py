@@ -43,8 +43,8 @@ from fzsearch.cli import main as cli_main
 from fzsearch.commands import read_corpus_dir
 from fzsearch.crypto import TRAPDOOR_BYTES
 from fzsearch.errors import BadResponse
-from fzsearch.index import pack_entries
-from fzsearch.multiuser import blind_request, unwrap_blind_key, wrap_blind_key
+from fzsearch.index import blind_request, pack_entries
+from fzsearch.multiuser import unwrap_blind_key, wrap_blind_key
 from fzsearch.persist import (
     INDEX_HEAD,
     INDEX_VERSION,

@@ -26,10 +26,10 @@ from fzsearch import (
     unblind_request,
     verify,
 )
-from fzsearch.crypto import DEPTH, TRAPDOOR_BYTES, record_digest
+from fzsearch.crypto import DEPTH, TRAPDOOR_BYTES
 from fzsearch.errors import Truncated
 from fzsearch.persist import dumps_index, loads_index
-from fzsearch.verifiable import TAG_BYTES, _parse_proof, decode_proof, encode_proof
+from fzsearch.verifiable import TAG_BYTES, _parse_proof, decode_proof, encode_proof, record_digest
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +185,9 @@ class TestSearchWithProof:
         assert exact_hits > 20 and fuzzy_hits > 20, (exact_hits, fuzzy_hits)
 
     def test_proofs_match_a_linear_scan(self, km, small_world):
-        """One proof per trapdoor, each the reference codec's bytes, which the wire codec leaves as they are."""
+        """One proof per trapdoor, each the reference codec's bytes, which the wire codec leaves as they are;
+        built and loaded alike.  A loaded index's tags follow its body in one buffer, so the last entry's
+        proof checks where that entry ends."""
         corpus, index = small_world
         rng = random.Random(114)
         keys = sorted(index.table)
@@ -198,9 +200,11 @@ class TestSearchWithProof:
         for _ in range(50):
             trapdoors += make_request(mutate(rng.choice(sorted(corpus)), rng) or "aa", 1, km).trapdoors
         trapdoors = tuple(dict.fromkeys(trapdoors))
-        _, proofs = search_with_proof(index, SearchRequest(trapdoors, 0))
         tags = _reference_tags(reference_tag_key(km.record_key), index)
-        assert proofs == [_reference_proof(tags, index, t) for t in trapdoors]
+        want = [_reference_proof(tags, index, t) for t in trapdoors]
+        for served in (index, loads_index(dumps_index(index))):
+            _, proofs = search_with_proof(served, SearchRequest(trapdoors, 0))
+            assert proofs == want
         assert sum(map(_is_hit, proofs)) > 10
         for proof in proofs:
             assert encode_proof(proof) == decode_proof(proof) == decode_proof(proof, DEPTH) == proof
