@@ -31,9 +31,9 @@ A blinded server (``ServerState.xi`` set) takes every trapdoor of a request
 as permuted under the blind key by ``crypto.prp``, a 4-round Feistel with
 AES rounds, and inverts the whole request in one call
 (``index.unblind_request``) before searching.
-Protocol 4 carries 16-byte proof tags under their own key (``verifiable``),
-so a protocol 3 peer, whose tags were 32 bytes under the record key, stops
-at ``hello``; README's wire section tells what each earlier bump changed.
+Protocol 5 proves an exact answer by proof 0 alone and sends no record
+digest in a hit proof (``verifiable``), so a protocol 4 peer stops at
+``hello``; README's wire section tells what each earlier bump changed.
 
 The handler never raises on any input line; anything unparseable or
 out of contract comes back as an ErrorResp.
@@ -79,7 +79,7 @@ import time
 from .crypto import MAX_VARIANTS, SYMBOL_BITS, TRAPDOOR_BITS, TRAPDOOR_BYTES, blind_cipher
 from .index import Index, ResultSet, SearchRequest, search_listing, unblind_request
 
-PROTOCOL = 4  # HelloAck's "protocol"; bumped when the wire meaning of a request or a reply changes
+PROTOCOL = 5  # HelloAck's "protocol"; bumped when the wire meaning of a request or a reply changes
 DEFAULT_PORT = 7090
 _RECV_BYTES = 1 << 16  # the most one recv reads: per connection and wake-up in the server, per read in the client
 # Server limits.  Each is read where it is used, so patching the module attribute takes effect.

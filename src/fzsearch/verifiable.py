@@ -1,4 +1,4 @@
-"""Verifiable search: an authenticated trie, per-trapdoor proofs, and Verify.
+"""Verifiable search: an authenticated trie, its proofs, and Verify.
 
 Any index may hold one byte string of tags, and it proves its answers
 exactly when it does.  ``build_auth_trie`` builds the authenticated trie, a
@@ -22,25 +22,25 @@ without the tag key passes with probability ``2^-128`` per try.  Over the sorted
 ``tags`` holds the ``n`` leaf tags, then the ``n + 1`` gap tags, ``TAG_BYTES``
 each (``tags_bytes(n)`` in all), in sorted-trapdoor order: as FZIX writes them.
 
-A proof per trapdoor is a hit (the entry's exact flag, record digest and leaf
-tag) or a miss (the adjacent pair around the trapdoor and their gap tag), as
-NSEC records prove that a DNS name does not exist (RFC 4034 §4).  A proof is
-its wire bytes, from ``search_with_proof`` through ``verify``:
+A proof is a hit (the entry's exact flag, record count and leaf tag) or a
+miss (the adjacent pair around the trapdoor and their gap tag), as NSEC
+records prove that a DNS name does not exist (RFC 4034 §4).  An exact answer
+has proof 0 alone, any other one per trapdoor.  A proof is its wire bytes,
+from ``search_with_proof`` through ``verify``:
 
-* a hit is ``PROOF_TYPE || flag || record count (2) || record digest (32) ||
-  leaf tag (16)``, its form byte the exact flag, 0 or 1: 52 bytes;
+* a hit is ``PROOF_TYPE || flag || record count (2) || leaf tag (16)``, its
+  form byte the exact flag, 0 or 1: 20 bytes;
 * a miss is ``PROOF_TYPE || 2 || len(left) || left || len(right) || right ||
   gap tag (16)``, an end empty past either end of the list: 60 bytes between
   two entries.
 
-``_parse_proof`` is the one reader of that layout.  The verifier checks the
-proof count, each proof's shape (its layout, and a miss's ends must enclose
-the trapdoor), one tag per trapdoor, and re-derives each hit's digest from
-its count of the records returned (``record_digest``), so a merge or
-re-split of a hit's records fails its digest.  A present trapdoor has no
-gap around it, so a server can neither drop a match nor under-report one;
-the leaf tag binds the exact flag, so an exact hit is proof 0 with flag 1,
-and only then.
+``_parse_proof`` reads that layout.  The verifier checks the proof count,
+each proof's shape (its layout, and a miss's ends must enclose the
+trapdoor) and its tag, keying a hit's over the digest it re-derives from its
+count of the records returned (``record_digest``), so a merge or re-split
+of a hit's records fails.  A present trapdoor has no gap around it,
+so a server can neither drop a match nor under-report one; the leaf tag
+binds the exact flag, so an exact hit is proof 0 with flag 1, and only then.
 
 A miss shows the client the two entries next to the trapdoor.  An authorized
 client could find these by searching anyway.
@@ -64,7 +64,6 @@ if TYPE_CHECKING:
     from .keys import KeyMaterial
 
 TAG_BYTES = 16  # a leaf or gap tag: HMAC-SHA-256 cut to 128 bits
-DIGEST_BYTES = 32  # a hit's record digest: a whole SHA-256
 # The first byte of every proof encoding.  A v1 proof started with its
 # matched length, at most the trie depth of 40 symbols; so a v1 proof
 # fails to decode instead of being misread.
@@ -73,9 +72,7 @@ _MISS = 2  # form byte of a miss; a hit's form byte is its exact flag, 0 or 1
 _TYPE, _MISS_HEAD = bytes([PROOF_TYPE]), bytes([PROOF_TYPE, _MISS])
 # offsets in an FZIX entry: its flag, after the trapdoor, and the end of its head (trapdoor, flag, record count)
 _FLAG, _HEAD = TRAPDOOR_BYTES, TRAPDOOR_BYTES + 3
-# a hit is the type, its flag, the record count (2), then the record digest and the leaf tag
-_HIT_DIGEST, _HIT_TAG = slice(4, 4 + DIGEST_BYTES), slice(4 + DIGEST_BYTES, None)
-_HIT_BYTES = 4 + DIGEST_BYTES + TAG_BYTES
+_HIT_BYTES = 4 + TAG_BYTES  # a hit is the type, its flag, the record count (2), then the leaf tag
 _BYTE = tuple(bytes([i]) for i in range(256))  # a lookup is cheaper than bytes([i]) on the hot paths
 
 
@@ -143,28 +140,25 @@ def build_auth_trie(
 
 
 def search_with_proof(index: Index, req: SearchRequest) -> tuple[ResultSet, list[bytes]]:
-    """Search plus one proof per trapdoor, each its encoding.
+    """Search plus its proofs, each its encoding: proof 0 alone for an exact answer, else one per trapdoor.
 
     Only an index that holds tags can prove; any other raises ``BadParameter``.
-    The records are ``search_listing``'s, but proofs are still produced for
-    every trapdoor — the verifier's first check is that none went missing.
-    One bisect places each trapdoor among the sorted entries: at an entry it
-    is a hit, whose flag, count and digest come from the entry's bytes, which
-    end where the next entry starts; otherwise it lies in the gap before
-    position ``pos``.
+    The records are ``search_listing``'s.  One bisect places each proved
+    trapdoor among the sorted entries: at an entry it is a hit, whose flag
+    and count are the entry's bytes after its trapdoor; otherwise it lies in
+    the gap before position ``pos``.  No record is read or hashed.
     """
     if not index.tags:
         raise BadParameter(f"a {index.kind} index holds no tags to prove with")
     result = search_listing(index, req)
     ordered, table, body, tags = index.ordered, index.table, index.body, index.tags
     size, proofs = len(ordered), []
-    for t in req.trapdoors:
+    for t in req.trapdoors[:1] if result.exact_hit else req.trapdoors:
         pos = bisect_left(ordered, t)
         if pos < size and ordered[pos] == t:
             s, at = table[t], pos * TAG_BYTES
-            e = table[ordered[pos + 1]] if pos + 1 < size else len(body)
-            head = body[s + _FLAG : s + _HEAD]  # the exact flag, the proof's form byte, then the record count
-            proofs.append(b"".join((_TYPE, head, _digest(body, s, e), tags[at : at + TAG_BYTES])))
+            # the exact flag, the proof's form byte, then the record count
+            proofs.append(b"".join((_TYPE, body[s + _FLAG : s + _HEAD], tags[at : at + TAG_BYTES])))
         else:
             at = (size + pos) * TAG_BYTES
             left = ordered[pos - 1] if pos else b""
@@ -177,8 +171,8 @@ def search_with_proof(index: Index, req: SearchRequest) -> tuple[ResultSet, list
 def _parse_proof(proof: bytes) -> tuple[int, bytes, bytes, bytes]:
     """Split a proof into its form, two fields and tag; raises ``Truncated`` on any other value.
 
-    A hit gives ``(flag, record digest, record count's two bytes, leaf tag)``,
-    a miss ``(2, left, right, gap tag)``.
+    A hit gives ``(flag, record count's two bytes, b"", leaf tag)``, a miss
+    ``(2, left, right, gap tag)``.
     """
     if not isinstance(proof, bytes):
         raise Truncated(f"a proof is bytes, not {type(proof).__name__}")
@@ -190,7 +184,7 @@ def _parse_proof(proof: bytes) -> tuple[int, bytes, bytes, bytes]:
     if form < _MISS:
         if len(proof) != _HIT_BYTES:
             raise Truncated("proof encoding ends early" if len(proof) < _HIT_BYTES else "trailing bytes after proof")
-        return form, proof[_HIT_DIGEST], proof[2:4], proof[_HIT_TAG]
+        return form, proof[2:4], b"", proof[4:]
     if form != _MISS:
         raise Truncated(f"unknown proof form {form}")
     try:
@@ -218,32 +212,31 @@ def _compare_digest():
 def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyMaterial) -> Verdict:
     """Check a search transcript; every failure is a Verdict, never an exception.
 
-    Checks, in order: the proof count; then per proof its shape (any item
-    that is no proof encoding is ``SHAPE_INVALID``), for proof 0 that the
-    exact flag is set exactly when it is a hit with flag 1, its one tag,
-    and for a hit whose records are returned the digest re-derived from as
-    many of those records as its count says (consumed in proof order).  With
-    an exact hit only proof 0's records are present; every other hit's tag
-    is still checked.
+    Checks, in order: the proof count, 1 for an exact answer and one per
+    trapdoor otherwise; then per proof its shape (any item that is no proof
+    encoding is ``SHAPE_INVALID``), for proof 0 that the exact flag is set
+    exactly when it is a hit with flag 1, and its one tag.  A hit's leaf
+    message takes the digest re-derived from as many of the records returned
+    as its count says, consumed in proof order; a count past the records left
+    fails that hit's tag.
 
     The verdict is the first failure in that order.  The shapes are read
     first, up to the first proof that fails one; every tag before it is then
-    keyed in one ``prf_many`` call under the tag key and checked in proof order, so a tag or
-    record failure at proof ``i`` still comes before a shape failure at a
-    later proof.  One ``compare_digest`` over all the tags at once passes
-    every tag of an honest transcript; only when it fails is each tag
-    compared on its own, to find the first at fault, and only the hits
-    before it have their records checked.
+    keyed in one ``prf_many`` call under the tag key and checked in proof
+    order, so a tag or record failure at proof ``i`` still comes before a
+    shape failure at a later proof.  One ``compare_digest`` over all the tags
+    at once passes every tag of an honest transcript; only when it fails is
+    each tag compared on its own, to find the first at fault.
     """
     compare_digest = _compare_digest()
-    if len(proofs) != len(req.trapdoors):
-        return Verdict(False, VerdictReason.COUNT_MISMATCH)
     records, exact_hit = results.records, results.exact_hit
+    trapdoors = req.trapdoors[:1] if exact_hit else req.trapdoors
+    if len(proofs) != len(trapdoors):
+        return Verdict(False, VerdictReason.COUNT_MISMATCH)
     if exact_hit and not proofs:
         return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
-    # per proof read: its tag message and tag; per hit whose records are returned: (index, digest, count)
-    msgs, tags, hits, failed = [], [], [], None
-    for i, (t, proof) in enumerate(zip(req.trapdoors, proofs)):
+    msgs, tags, pos, failed = [], [], 0, None  # per proof read: its tag message and tag
+    for i, (t, proof) in enumerate(zip(trapdoors, proofs)):
         try:
             form, first, second, tag = _parse_proof(proof)
         except Truncated:
@@ -259,23 +252,16 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
                 break
             msgs.append(_gap_msg(first, second))
         else:
-            msgs.append(_leaf_msg(t, form, second, first))
-            if not (exact_hit and i):
-                hits.append((i, first, second))
+            end = pos + int.from_bytes(first, "big")
+            if end > len(records):
+                failed = Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
+                break
+            msgs.append(_leaf_msg(t, form, first, record_digest(records[pos:end])))
+            pos = end
         tags.append(tag)
     wants = prf_many(tag_key(km.record_key), msgs, TAG_BYTES)
-    bad = None  # the first proof whose tag fails
     if not compare_digest(b"".join(wants), b"".join(tags)):
         bad = next(i for i, (want, tag) in enumerate(zip(wants, tags)) if not compare_digest(want, tag))
-    pos = 0
-    for i, first, count in hits:
-        if bad is not None and i >= bad:
-            break
-        end = pos + int.from_bytes(count, "big")
-        if end > len(records) or record_digest(records[pos:end]) != first:
-            return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
-        pos = end
-    if bad is not None:
         miss = proofs[bad][1] == _MISS
         return Verdict(False, VerdictReason.GAP_TAG_MISMATCH if miss else VerdictReason.LEAF_TAG_MISMATCH, bad)
     if failed is not None:

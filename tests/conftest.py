@@ -198,9 +198,9 @@ def gap_tag(tag_key: bytes, left: bytes, right: bytes) -> bytes:
     return hmac.new(tag_key, msg + bytes(4), "sha256").digest()[:16]
 
 
-def hit(flag: int, count: int, digest: bytes, tag: bytes) -> bytes:
-    """A hit proof from the wire layout: ``ff || flag || record count (2) || record digest (32) || leaf tag (16)``."""
-    return bytes([0xFF, flag]) + count.to_bytes(2, "big") + digest + tag
+def hit(flag: int, count: int, tag: bytes) -> bytes:
+    """A hit proof from the wire layout: ``ff || flag || record count (2) || leaf tag (16)``."""
+    return bytes([0xFF, flag]) + count.to_bytes(2, "big") + tag
 
 
 def framed_digest(records) -> bytes:
@@ -220,7 +220,7 @@ def miss(left: bytes, right: bytes, tag: bytes) -> bytes:
 def fields(proof: bytes) -> dict:
     """An honest proof's fields, keyed as ``hit`` or ``miss`` takes them, so one of the two rebuilds ``proof``."""
     if proof[1] != 2:
-        return {"flag": proof[1], "count": int.from_bytes(proof[2:4], "big"), "digest": proof[4:36], "tag": proof[36:]}
+        return {"flag": proof[1], "count": int.from_bytes(proof[2:4], "big"), "tag": proof[4:]}
     mid = 3 + proof[2]
     end = mid + 1 + proof[mid]
     return {"left": proof[3:mid], "right": proof[mid + 1 : end], "tag": proof[end:]}

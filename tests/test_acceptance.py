@@ -311,6 +311,15 @@ def test_criterion_11_verifiable_search_tamper_suite():
         trials += 1
         detected += verdict.reason is VerdictReason.COUNT_MISMATCH
 
+    # an exact answer carries proof 0 alone: without it, or with a second proof, it miscounts
+    exact_req = make_request(words[0], 1, km)
+    exact, (proof0,) = search_with_proof(index, exact_req)
+    assert exact.exact_hit and len(exact_req.trapdoors) > 1
+    for miscounted in ([], [proof0, proof0], [proof0, proofs[0]]):
+        verdict = verify(exact_req, exact, miscounted, km)
+        trials += 1
+        detected += verdict.reason is VerdictReason.COUNT_MISMATCH
+
     target = rng.randrange(len(result.records))
     blob = result.records[target]
     for i in range(len(blob)):
@@ -402,12 +411,12 @@ def _scripted_session(seed: bytes) -> bytes:
 
 
 # sha256 of _scripted_session(b"golden"): unblinded proof replies and two ErrorResps.
-GOLDEN_SCRIPTED_SESSION = "f998ce3af49b35547969d8f9a3a3b92c9331c53dc0dd7a343edf5ca58d98d465"
+GOLDEN_SCRIPTED_SESSION = "9b8f0b087ec502e35a3469ab8945610dea23f51b99de383be0e055b17cb6e566"
 
-# sha256 of _blinded_session(b"golden-blind"); pins the HelloAck (protocol 4),
+# sha256 of _blinded_session(b"golden-blind"); pins the HelloAck (protocol 5),
 # the AES Feistel bytes of blind_request on the wire and the server's
 # unblinded answers with their adjacent-pair proofs (proof type 0xFF).
-GOLDEN_BLINDED_SESSION = "4ca1fd8d3265d33a1837303792f0fd3e1c1fe8be17b6a875be92906ab6b4442d"
+GOLDEN_BLINDED_SESSION = "cee69765206f521fe87ac77ca805d5bc23eb185cd3793eee7d3c8497829b05de"
 
 
 def _blinded_session(seed: bytes) -> bytes:
@@ -428,7 +437,7 @@ def _blinded_session(seed: bytes) -> bytes:
 # sha256 of _proofless_session(b"golden-plain"); pins SearchResp lines without a
 # "proofs" key, from a listing and a trie index, plain and blinded, with the
 # ErrorResp of every code a well-formed JSON request can earn.
-GOLDEN_PROOFLESS_SESSION = "fc79548568cee02113d6d96bd32a3b9f4790aa0a51b0f7678f43df8ed0acafde"
+GOLDEN_PROOFLESS_SESSION = "63f07c037e659d7cfc300a9516f8f8801b2faee4349f1b6fd79dceba09793377"
 
 
 def _proofless_session(seed: bytes) -> tuple[bytes, list[dict]]:
@@ -511,7 +520,9 @@ def test_criterion_13_protocol_robustness():
         assert parsed["type"] in ("ErrorResp", "SearchResp", "HelloAck"), (i, line)
         assert parsed.get("code") != "INTERNAL", (i, line, parsed)
         assert "unhandled request error" not in parsed.get("message", ""), (i, line)
-        proofs += "proofs" in parsed
+        if "proofs" in parsed:  # proof 0 alone for an exact answer, else one per trapdoor
+            proofs += 1
+            assert len(parsed["proofs"]) == (1 if parsed["exact"] else len(json.loads(line)["trapdoors"])), (i, line)
     assert proofs > 1000
     fuzz_elapsed = time.perf_counter() - start
 
@@ -544,7 +555,7 @@ def test_proofless_session_is_pinned():
             ("ErrorResp", "TOO_MANY_TRAPDOORS", 0, None),
         ]
     assert replies[16] == {  # the plain trie server's HelloAck
-        "type": "HelloAck", "protocol": 4, "epoch": 0, "kind": "trie", "method": "wildcard", "d": 1,
+        "type": "HelloAck", "protocol": 5, "epoch": 0, "kind": "trie", "method": "wildcard", "d": 1,
         "trapdoor_bits": 160, "symbol_bits": 4, "verifiable": False, "blinded": False, "max_trapdoors": 4096,
     }
     assert all("proofs" not in r for r in replies)

@@ -472,11 +472,11 @@ GOLDEN_FZIX = {
     ("trie", "gram"): "bf96bee0e074268da3fd3281d809a1a5443ee8ab8043e97d04f46ec71873db74",
 }
 
-# sha256 over the encoded proofs, exact flags and record blobs of the golden
-# requests against the authenticated trie.
+# sha256 over the encoded proofs (protocol 5), exact flags and record blobs of
+# the golden requests against the authenticated trie.
 GOLDEN_PROOFS = {
-    "wildcard": "cdcdbc3231d60a2d3b6f1add7bbf19d52e6b95dc58ec8ac88825a52cc05bb4f5",
-    "gram": "12f6e5c300971c8a8232eb9de61c3bb6c387cf257a76f6abd4f687e820936a7c",
+    "wildcard": "79d84444e817bc2c018038610591edc840588c4e943ffb643bc7f776a52862b8",
+    "gram": "b43a47b1845eef0a0a7b66d6dc7f0f7acfeaee8df1cbb652efba1e28a431385e",
 }
 
 # sha256 of dumps_keys(keygen(security_bits, seed=b"golden-fzky")); pins the FZKY v1 bytes.
@@ -536,6 +536,7 @@ def test_proofs_and_records_match_golden(golden, method):
     digest = hashlib.sha256()
     for req in _golden_requests(km, corpus, method):
         result, proofs = search_with_proof(index, req)
+        assert len(proofs) == (1 if result.exact_hit else len(req.trapdoors))
         for proof in proofs:
             digest.update(encode_proof(proof))
         digest.update(bytes([result.exact_hit]))

@@ -21,7 +21,17 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 import fzsearch.client
 import fzsearch.fuzzyset
 import fzsearch.service as service
-from conftest import BUILDS, garbage_line, mutate, random_corpus, reference_parse_trapdoors, refusal, save_seeded_keys, search_msg
+from conftest import (
+    BUILDS,
+    garbage_line,
+    mutate,
+    random_corpus,
+    reference_edit_distance,
+    reference_parse_trapdoors,
+    refusal,
+    save_seeded_keys,
+    search_msg,
+)
 from fzsearch import (
     BadMagic,
     BadParameter,
@@ -33,6 +43,7 @@ from fzsearch import (
     build_auth_trie,
     build_listing_index,
     build_trie_index,
+    decrypt_matches,
     decrypt_record,
     keygen,
     make_request,
@@ -72,7 +83,7 @@ from fzsearch.service import (
     proofs_from_response,
     result_from_response,
 )
-from fzsearch.verifiable import decode_proof, search_with_proof, verify
+from fzsearch.verifiable import VerdictReason, decode_proof, search_with_proof, verify
 
 
 @pytest.fixture(scope="module")
@@ -198,11 +209,13 @@ class TestHandler:
         plain = ask(ServerState(index=index), search_msg(req, proof=True))
         assert plain["type"] == "SearchResp" and "proofs" not in plain
         auth = build_auth_trie(corpus, 1, km)
-        resp = ask(ServerState(index=auth), search_msg(req, proof=True))
-        assert len(resp["proofs"]) == len(req.trapdoors)
-        proofs = [decode_proof(bytes.fromhex(p)) for p in resp["proofs"]]
-        verdict = verify(req, result_from_response(resp), proofs, km)
-        assert verdict.accepted
+        # an exact answer carries proof 0 alone, any other answer a proof per trapdoor
+        for sent, exact in ((req, True), (make_request("qqqqqqq", 1, km), False)):
+            resp = ask(ServerState(index=auth), search_msg(sent, proof=True))
+            assert resp["exact"] is exact and len(resp["proofs"]) == (1 if exact else len(sent.trapdoors)) > 0
+            proofs = [decode_proof(bytes.fromhex(p)) for p in resp["proofs"]]
+            verdict = verify(sent, result_from_response(resp), proofs, km)
+            assert verdict.accepted
 
     def test_proofs_cross_the_wire_as_the_bytes_search_with_proof_returned(self, km, world):
         corpus, _ = world
@@ -225,6 +238,43 @@ class TestHandler:
         out = ask(ServerState(index=index), search_msg(make_request("cat", 1, km)))
         assert out["type"] == "ErrorResp" and out["code"] == "INTERNAL"
         assert out["message"] == "unhandled request error: RuntimeError"
+
+@pytest.mark.parametrize("method", ["wildcard", "gram"])
+def test_every_proved_reply_verifies_and_answers_as_the_plaintext_rule(km, method):
+    """Through ``handle_line`` on auth indexes at d = 0, 1 and 2, every k <= d, plain and blinded:
+    every reply verifies; an exact answer holds proof 0 alone and any other a proof per trapdoor;
+    and the decrypted answer is the plaintext rule's, the query's own records when it is a
+    keyword (the exact-match rule), else those of every keyword within k edits."""
+    rng = random.Random(f"proved-replies/{method}")
+    words = sorted({"".join(rng.choice("abcd") for _ in range(rng.randint(2, 5))) for _ in range(40)})
+    corpus = {w: sorted({b"F%d" % rng.randrange(8) for _ in range(rng.randint(1, 3))}) for w in words}
+    replies = {"exact": 0, "fuzzy": 0, "empty": 0}
+    for d in (0, 1, 2):
+        index = build_auth_trie(corpus, d, km, method)
+        states = (ServerState(index=index), ServerState(index=index, xi=km.blind_key, epoch=1))
+        for k in range(d + 1):
+            for _ in range(16):
+                roll = rng.random()
+                word = rng.choice(words)
+                if roll > 0.3:
+                    word = mutate(word, rng) or "a"
+                if roll > 0.7:
+                    word = mutate(word, rng) or "b"
+                req = make_request(word, k, km, method)
+                want = {(fid, word) for fid in corpus[word]} if word in corpus else {
+                    (fid, w) for w in words if reference_edit_distance(word, w) <= k for fid in corpus[w]}
+                for state in states:
+                    sent = req if state.xi is None else blind_request(req, state.xi)
+                    resp = ask(state, search_msg(sent, epoch=state.epoch, proof=True))
+                    result, proofs = result_from_response(resp), proofs_from_response(resp)
+                    assert verify(req, result, proofs, km) == (True, VerdictReason.OK, None), (word, k, d)
+                    assert result.exact_hit is (word in corpus)
+                    assert len(proofs) == (1 if result.exact_hit else len(req.trapdoors))
+                    # a keyword's records lie under each of its variants, so a fuzzy answer may repeat one
+                    assert set(decrypt_matches(km, word, k, result)) == want, (word, k, d)
+                    replies["exact" if result.exact_hit else "fuzzy" if want else "empty"] += 1
+    assert min(replies.values()) >= 40, replies
+
 
 # every character bytes.fromhex skips, and digits it must not read as hex
 _WHITESPACE = " \t\n\r\x0b\x0c"
@@ -1446,6 +1496,9 @@ class TestHostileServer:
             # a reply of any other type is no search result
             *[(command, reply, "unexpected search response")
               for reply in ({}, {"type": "Bogus"}, {"type": "HelloAck", "records": []}) for command in ("search", "verify")],
+            # a protocol 4 hit: flag, count, a 32-byte record digest, then the tag
+            ("verify", {"type": "SearchResp", "records": [_BLOB], "exact": True, "proofs": ["ff010001" + "00" * 48]},
+             "bad proof encoding: trailing bytes after proof"),
         ],
     )
     def test_bad_reply_is_a_clean_error(self, keyfile, capsys, command, reply, message):
@@ -1523,14 +1576,17 @@ class TestHostileServer:
             (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true,"protocol":1}\n', "protocol 1"),
             (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true,"protocol":2}\n', "protocol 2"),
             (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true,"protocol":3}\n', "protocol 3"),
+            (b'{"type":"HelloAck","method":"wildcard","epoch":0,"blinded":true,"protocol":4}\n', "protocol 4"),
             (b'{"type":"ErrorResp","code":"MALFORMED","message":"?"}\n', "unexpected hello response"),
         ],
     )
     def test_hello_from_another_protocol(self, keyfile, capsys, line, message):
-        """A server without protocol 4 gets no request: the client stops at the
-        HelloAck.  A protocol 3 server sends 32-byte tags under the record key,
-        a protocol 2 server AES-GCM records and unframed record digests, and a
-        protocol 1 server inverts HMAC Feistel rounds."""
+        """A server without protocol 5 gets no request: the client stops at the
+        HelloAck.  A protocol 4 server sends a proof per trapdoor on an exact
+        answer and a record digest in each hit proof, a protocol 3 server
+        32-byte tags under the record key, a protocol 2 server AES-GCM records
+        and unframed record digests, and a protocol 1 server inverts HMAC
+        Feistel rounds."""
         self._answer_hello_with(line, keyfile, capsys, "error: ", message)
 
     @pytest.mark.parametrize("line", [b"not json\n", b"[1, 2]\n", b"\xff\xfe\n"])

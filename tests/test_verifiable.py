@@ -29,7 +29,7 @@ from fzsearch import (
 from fzsearch.crypto import DEPTH, TRAPDOOR_BYTES
 from fzsearch.errors import Truncated
 from fzsearch.persist import dumps_index, loads_index
-from fzsearch.verifiable import TAG_BYTES, _parse_proof, decode_proof, encode_proof, record_digest
+from fzsearch.verifiable import TAG_BYTES, _parse_proof, decode_proof, encode_proof
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def small_world(km):
 def _fuzzy_transcript(km, index, corpus, rng):
     """An honest non-exact transcript with at least two hits."""
     words = sorted(corpus)
-    while True:
+    for _ in range(10_000):
         query = mutate(rng.choice(words), rng)
         if not query or query in corpus:
             continue
@@ -51,6 +51,7 @@ def _fuzzy_transcript(km, index, corpus, rng):
         full = sum(1 for p in proofs if _is_hit(p))
         if not result.exact_hit and full >= 2 and len(result.records) >= 2:
             return req, result, proofs
+    pytest.fail("no non-exact transcript with two hit proofs in 10,000 queries")
 
 
 def _is_hit(proof: bytes) -> bool:
@@ -78,8 +79,7 @@ def _reference_proof(tags: bytes, index, t: bytes) -> bytes:
     if t in index.table:
         i = keys.index(t)
         tag = tags[i * TAG_BYTES : (i + 1) * TAG_BYTES]
-        records = index.records(t)
-        return hit(int(t in index.exact), len(records), framed_digest(records), tag)
+        return hit(int(t in index.exact), len(index.records(t)), tag)
     gap = sum(1 for k in keys if k < t)
     at = (len(keys) + gap) * TAG_BYTES
     left = keys[gap - 1] if gap else b""
@@ -222,13 +222,15 @@ class TestSearchWithProof:
 
 
 def _verify_per_proof(req: SearchRequest, results: ResultSet, proofs, km) -> Verdict:
-    """The reference ``verify``: each proof's tag keyed by itself and checked as the proof is read."""
-    if len(proofs) != len(req.trapdoors):
-        return Verdict(False, VerdictReason.COUNT_MISMATCH)
+    """The reference ``verify``: each proof's tag keyed by itself and checked as the proof is read,
+    a hit's over the digest of its count of the records returned."""
     key, records, exact_hit, pos = reference_tag_key(km.record_key), results.records, results.exact_hit, 0
+    trapdoors = req.trapdoors[:1] if exact_hit else req.trapdoors  # an exact answer is proved by proof 0 alone
+    if len(proofs) != len(trapdoors):
+        return Verdict(False, VerdictReason.COUNT_MISMATCH)
     if exact_hit and not proofs:
         return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
-    for i, (t, proof) in enumerate(zip(req.trapdoors, proofs)):
+    for i, (t, proof) in enumerate(zip(trapdoors, proofs)):
         try:
             form, first, second, tag = _parse_proof(proof)
         except Truncated:
@@ -244,11 +246,7 @@ def _verify_per_proof(req: SearchRequest, results: ResultSet, proofs, km) -> Ver
                 return Verdict(False, VerdictReason.GAP_TAG_MISMATCH, i)
             continue
         count = int.from_bytes(proof[2:4], "big")
-        if leaf_tag(key, t, form, count, first) != tag:
-            return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
-        if exact_hit and i:
-            continue
-        if pos + count > len(records) or framed_digest(records[pos : pos + count]) != first:
+        if pos + count > len(records) or leaf_tag(key, t, form, count, framed_digest(records[pos : pos + count])) != tag:
             return Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
         pos += count
     if pos != len(records):
@@ -275,6 +273,8 @@ def _damaged(rng: random.Random, req: SearchRequest, index, result: ResultSet, p
     one is left out.  The per-miss and per-position entries run only when ``every_entry``.
     """
     n, records, exact = len(proofs), result.records, result.exact_hit
+    full = [_reference_proof(index.tags, index, t) for t in req.trapdoors]  # a proof per trapdoor
+    count_mismatch = Verdict(False, VerdictReason.COUNT_MISMATCH)
     copies = [("honest", result, proofs, ACCEPTED)]
 
     def add(entry, want=REJECTED, results=result, ps=proofs):
@@ -300,8 +300,11 @@ def _damaged(rng: random.Random, req: SearchRequest, index, result: ResultSet, p
         add("tag failure before a shape failure", ps=put(j, proofs[j][:1], put(i, flip(proofs[i]))))
         add("record failure before a shape failure", results=result._replace(records=records[1:]),
             ps=put(j, proofs[j][:1]))
-    add("proof dropped", Verdict(False, VerdictReason.COUNT_MISMATCH), ps=proofs[:-1])
-    add("exact flag toggled", Verdict(False, EXACT, 0), results=result._replace(exact_hit=not exact))
+    add("proof dropped", count_mismatch, ps=proofs[:-1])
+    # the flag alone, then with the proofs the toggled answer would carry
+    toggled = result._replace(exact_hit=not exact)
+    add("exact flag toggled", count_mismatch if len(full) > 1 else Verdict(False, EXACT, 0), results=toggled)
+    add("exact flag toggled", Verdict(False, EXACT, 0), results=toggled, ps=full if exact else proofs[:1])
     if records:
         at = rng.randrange(len(records))
         add("record dropped", results=result._replace(records=records[:at] + records[at + 1 :]))
@@ -323,17 +326,25 @@ def _damaged(rng: random.Random, req: SearchRequest, index, result: ResultSet, p
             add("hit flag flipped", Verdict(False, LEAF if i else EXACT, i), ps=put(i, flipped))
             for count in (f["count"] - 1, f["count"] + 1):  # the leaf tag binds the count
                 add("hit count moved", Verdict(False, LEAF, i), ps=put(i, _with(proof, count=count)))
+            # and a record added where the hit's records end, so its count matches what is returned
+            end = sum(fields(p).get("count", 0) for p in proofs[: i + 1])
+            extra = records[:end] + [encrypt_like(records[0]) if records else bytes(40)] + records[end:]
+            add("hit count raised by one", Verdict(False, LEAF, i), results=result._replace(records=extra),
+                ps=put(i, _with(proof, count=f["count"] + 1)))
     if exact:  # an exact hit hidden, everything else returned; or proof 0 a zero hit
         everything = [r for t in req.trapdoors for r in index.records(t)]
-        add("exact hit hidden", Verdict(False, EXACT, 0), results=ResultSet(everything, False))
-        add("exact hit without flag 1", Verdict(False, EXACT, 0), ps=put(0, hit(0, 1, bytes(32), bytes(16))))
+        add("exact hit hidden", Verdict(False, EXACT, 0), results=ResultSet(everything, False), ps=full)
+        add("exact hit without flag 1", Verdict(False, EXACT, 0), ps=put(0, hit(0, 1, bytes(16))))
+        add("exact answer with a second proof", count_mismatch, ps=proofs + full[1:2])
+    elif n > 1:
+        add("non-exact answer with proof 0 alone", count_mismatch, ps=proofs[:1])
     if not every_entry:
         return copies
     keys = index.ordered
     hits = [i for i, p in enumerate(proofs) if _is_hit(p)]
     misses = [i for i in range(n) if i not in hits]
     first = index.records(keys[0])
-    forged = [hit(0, 1, bytes(32), bytes(16)), hit(0, len(first), record_digest(first), index.tags[:TAG_BYTES])]
+    forged = [hit(0, 1, bytes(16)), hit(0, len(first), index.tags[:TAG_BYTES])]
     for i in misses:
         p, m = proofs[i], fields(proofs[i])
         for lie in forged:
@@ -359,8 +370,9 @@ def _damaged(rng: random.Random, req: SearchRequest, index, result: ResultSet, p
             _with(proofs[hi], flag=2),  # a hit's fields under the miss form
             _with(proofs[hi], flag=3),
             _with(proofs[hi], flag=255),  # the byte of a flag of -1
-            _with(proofs[hi], digest=h["digest"][:-1]),
+            _with(proofs[hi], tag=h["tag"][:-1]),
             _with(proofs[hi], tag=h["tag"] + b"\x00"),
+            _with(proofs[hi], tag=bytes(32) + h["tag"]),  # a protocol 4 hit: its record digest before its tag
             proofs[hi] + bytes([TRAPDOOR_BYTES]) + keys[0],  # a hit carrying an end
         ):
             add("malformed hit", Verdict(False, SHAPE, hi), ps=put(hi, lie))
@@ -388,7 +400,7 @@ def _damaged(rng: random.Random, req: SearchRequest, index, result: ResultSet, p
 
 class TestVerify:
     def test_verify_gives_the_per_proof_verdict(self, km, small_world):
-        """The tamper catalogue over 60 seeded transcripts, exact and fuzzy, and three fuzzy
+        """The tamper catalogue over 60 seeded transcripts, exact and fuzzy, and five fuzzy
         ones of several records: each copy gets ``_verify_per_proof``'s verdict and the one
         its entry pins, so each but the honest one is rejected."""
         corpus, index = small_world
@@ -406,10 +418,10 @@ class TestVerify:
             query = rng.choice(words) if rng.random() < 0.3 else mutate(rng.choice(words), rng)
             if query:
                 check(make_request(query, rng.choice((0, 1)), km), rng.random() < 0.25)
-        for _ in range(3):  # the entries that need several records, whatever the draws above gave
+        for _ in range(5):  # the entries that need several records, whatever the draws above gave
             check(_fuzzy_transcript(km, index, corpus, rng)[0], True)
         assert seen == set(VerdictReason)
-        assert len(fired) == 23 and fired["hit flag flipped"] > 50, fired  # every entry, and many flags
+        assert len(fired) == 26 and fired["hit flag flipped"] > 50, fired  # every entry, and many flags
         # an exact hit claimed on an empty request, which has no proof 0
         empty = SearchRequest(trapdoors=(), k=0)
         assert verify(empty, ResultSet(records=[], exact_hit=False), [], km) == ACCEPTED
@@ -440,7 +452,7 @@ class TestVerify:
                 assert verify(req, result, proofs, km).accepted
                 records, pos = result.records, 0
                 for i, proof in enumerate(proofs):
-                    if not _is_hit(proof) or (result.exact_hit and i):
+                    if not _is_hit(proof):
                         continue
                     n = fields(proof)["count"]
                     own, before, after = records[pos : pos + n], records[:pos], records[pos + n :]
@@ -531,9 +543,8 @@ class TestVerify:
         assert fields(proofs[0])["flag"] == 0
         assert {decrypt_record(km, r)[1] for r in result.records} == {"cart", "bat", "cut"}
         forged = ResultSet(records=list(index.records(req.trapdoors[0])), exact_hit=True)
-        verdict = verify(req, forged, proofs, km)
-        assert not verdict.accepted
-        assert verdict.reason is VerdictReason.EXACT_FLAG_MISMATCH and verdict.failing_index == 0
+        assert verify(req, forged, proofs[:1], km) == Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
+        assert verify(req, forged, proofs, km) == Verdict(False, VerdictReason.COUNT_MISMATCH)
 
 
     def test_exact_hit_on_an_entry_shared_with_a_variant_accepted(self, km):
@@ -545,14 +556,11 @@ class TestVerify:
         assert result.exact_hit
         assert [decrypt_record(km, r)[1] for r in result.records] == ["cart", "cat"]
         assert verify(req, result, proofs, km).accepted
-        # the hits whose records an exact hit leaves out keep their tags checked
-        later = [i for i, p in enumerate(proofs) if i and _is_hit(p)]
-        assert later
-        for i in later:
-            tampered = list(proofs)
-            tampered[i] = _with(proofs[i], digest=bytes(32))
-            verdict = verify(req, result, tampered, km)
-            assert verdict.reason is VerdictReason.LEAF_TAG_MISMATCH and verdict.failing_index == i
+        # one proof, though later trapdoors are hits whose records the exact answer leaves out
+        assert [t for t in req.trapdoors[1:] if t in index.table]
+        assert len(proofs) == 1 and fields(proofs[0])["flag"] == 1 and fields(proofs[0])["count"] == 2
+        full = [_reference_proof(index.tags, index, t) for t in req.trapdoors]
+        assert verify(req, result, full, km) == Verdict(False, VerdictReason.COUNT_MISMATCH)
 
 
     def test_a_request_that_repeats_a_hit_trapdoor_verifies(self, km):
@@ -596,6 +604,17 @@ class TestProofWire:
                     decode_proof(buf[:n])
             with pytest.raises(Truncated):
                 decode_proof(buf + b"\x00")
+
+    def test_a_protocol_4_hit_fails_to_decode(self, km, small_world):
+        """A protocol 4 hit carried its record digest between its count and its tag: 52 bytes."""
+        corpus, index = small_world
+        req = make_request(sorted(corpus)[0], 0, km)
+        result, (proof,) = search_with_proof(index, req)
+        assert result.exact_hit and len(proof) == 20
+        old = proof[:4] + framed_digest(result.records) + proof[4:]
+        assert len(old) == 52
+        with pytest.raises(Truncated, match="trailing bytes after proof"):
+            decode_proof(old)
 
     def test_v1_proofs_and_unknown_forms_fail_to_decode(self):
         for depth in (1, 40, 160, 254):
@@ -659,7 +678,8 @@ class TestProofWire:
                 check(rng.choice([None, "", "x", rng.choice(proofs).hex(), 0, 7, -1, True]))
             elif roll < 0.55:
                 extra = field() if rng.random() < 0.1 else b""  # a hit with an end after it
-                check(hit(rng.choice([0, 1, 1, 2, 3, 255]), rng.randrange(4), field(), field()) + extra)
+                digest = field() if rng.random() < 0.1 else b""  # a hit with a record digest, as protocol 4 sent
+                check(hit(rng.choice([0, 1, 1, 2, 3, 255]), rng.randrange(4), digest + field()) + extra)
             else:
                 digest = field() if rng.random() < 0.1 else b""  # a miss with a record digest
                 check(miss(field(), field(), digest + field()))
