@@ -10,6 +10,11 @@ where they are used, so patching the module attribute takes effect:
   for the next reply; a longer line raises ``BadResponse``;
 * ``SearchClient`` waits at most ``CLIENT_TIMEOUT_SECONDS`` to connect and
   for each read or write, then raises ``TimeoutError``.
+
+``SearchClient.search`` writes its SearchReq line once, from fixed fragments,
+as the server writes a SearchResp.  The line rides to ``roundtrip`` on the
+message dict it still passes (a ``_SearchReq``), and ``encode_message`` sends
+it as it is, the bytes the JSON encoder would write for that dict.
 """
 
 from __future__ import annotations
@@ -59,6 +64,12 @@ def proofs_from_response(resp: dict) -> list[bytes]:
         return [decode_proof(bytes.fromhex(item)) for item in items]
     except (TypeError, ValueError, Truncated) as exc:
         raise BadResponse(f"bad proof encoding: {exc}") from exc
+
+
+class _SearchReq(dict):
+    """A SearchReq message; ``line``, when set, is its wire line, which ``encode_message`` sends as it is."""
+
+    __slots__ = ("line",)
 
 
 class SearchClient:
@@ -125,12 +136,18 @@ class SearchClient:
         return ack
 
     def search(self, req: SearchRequest, epoch: int = 0, want_proof: bool = False) -> dict:
-        msg = {
-            "type": "SearchReq",
-            "epoch": epoch,
-            "k": req.k,
-            "trapdoors": [t.hex() for t in req.trapdoors],
-        }
+        """The reply to the SearchReq of ``req``.
+
+        Its line is written once from fixed fragments in the encoder's key order
+        (``epoch``, ``k``, ``proof``, ``trapdoors``, ``type``); lowercase hex
+        needs no escaping.
+        """
+        hexes = [t.hex() for t in req.trapdoors]
+        msg = _SearchReq(type="SearchReq", epoch=epoch, k=req.k, trapdoors=hexes)
         if want_proof:
             msg["proof"] = True
+        if type(epoch) is int and type(req.k) is int:  # a bool or float is the encoder's to write
+            listed = '["' + '","'.join(hexes) + '"]' if hexes else "[]"
+            proof = '"proof":true,' if want_proof else ""
+            msg.line = f'{{"epoch":{epoch},"k":{req.k},{proof}"trapdoors":{listed},"type":"SearchReq"}}\n'
         return self.roundtrip(msg)

@@ -10,6 +10,10 @@ of distinct variants.  Two constructions are served:
 * ``gram_fuzzy_set`` — deletion-only signatures, down to the empty word:
   complete at every distance for words of every length (an edit costs each
   side at most one deletion), with false positives within ``2d`` edits.
+  For distance 1 the set is the word and each single deletion.
+
+Both build their d = 1 sets directly; every other distance goes through the
+general level expansion, which the d = 1 sets are held to in the tests.
 
 Keywords are normalized lowercase a-z strings (``normalize_keyword``; the
 index build and ``make_request`` refuse any other); ``*`` (0x2A) is the
@@ -151,8 +155,18 @@ def wildcard_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
 
 
 def gram_fuzzy_set(word: str, d: int) -> tuple[str, ...]:
-    """Deletion variants of ``word`` up to ``d`` removed characters; ``""`` once ``d >= len(word)``."""
-    return _levels(word, d, _delete_once)
+    """Deletion variants of ``word`` up to ``d`` removed characters; ``""`` once ``d >= len(word)``.
+
+    At d = 1 the set is the word and each single deletion, built directly,
+    deduplicated (a run of one letter deletes to one variant) and sorted.
+    """
+    if d != 1:
+        return _levels(word, d, _delete_once)
+    variants = {word[:i] + word[i + 1 :] for i in range(len(word))}
+    variants.add(word)
+    if len(variants) > MAX_VARIANTS:
+        raise _too_many(word, d)
+    return tuple(sorted(variants))
 
 
 def fuzzy_set(word: str, d: int, method: str = "wildcard") -> tuple[str, ...]:

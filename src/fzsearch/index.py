@@ -367,8 +367,9 @@ def make_request(word: str, k: int, km: KeyMaterial, method: str = "wildcard") -
     """
     _check_keyword(word)
     variants = _fuzzyset().fuzzy_set(word, k, method)
-    ordered = [word] + [v for v in variants if v != word]
-    return SearchRequest(trapdoors=tuple(trapdoors(km, ordered)), k=k)
+    keyed = trapdoors(km, variants)
+    keyed.insert(0, keyed.pop(variants.index(word)))  # the word's own trapdoor, from its sorted place
+    return SearchRequest(tuple(keyed), k)
 
 
 def decrypt_matches(km: KeyMaterial, word: str, k: int, result: ResultSet) -> list[tuple[bytes, str]]:

@@ -125,7 +125,8 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=
 
 
 def encode_message(msg: dict) -> str:
-    return _dumps(msg) + "\n"
+    """The wire line of ``msg``: the line it carries (a client's SearchReq), else the encoder's."""
+    return getattr(msg, "line", None) or _dumps(msg) + "\n"
 
 
 def __getattr__(name: str):

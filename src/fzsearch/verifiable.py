@@ -34,13 +34,15 @@ from ``search_with_proof`` through ``verify``:
   gap tag (16)``, an end empty past either end of the list: 60 bytes between
   two entries.
 
-``_parse_proof`` reads that layout.  The verifier checks the proof count,
-each proof's shape (its layout, and a miss's ends must enclose the
-trapdoor) and its tag, keying a hit's over the digest it re-derives from its
-count of the records returned (``record_digest``), so a merge or re-split
-of a hit's records fails.  A present trapdoor has no gap around it,
-so a server can neither drop a match nor under-report one; the leaf tag
-binds the exact flag, so an exact hit is proof 0 with flag 1, and only then.
+``_parse_proof`` reads that layout into field offsets, slicing nothing;
+``decode_proof`` checks a proof with it, and ``verify`` reads each proof
+once.  The verifier checks the proof count, each proof's shape (its layout,
+and a miss's ends must enclose the trapdoor) and its tag, keying a hit's
+over the digest it re-derives from its count of the records returned
+(``record_digest``), so a merge or re-split of a hit's records fails.  A
+present trapdoor has no gap around it, so a server can neither drop a match
+nor under-report one; the leaf tag binds the exact flag, so an exact hit is
+proof 0 with flag 1, and only then.
 
 A miss shows the client the two entries next to the trapdoor.  An authorized
 client could find these by searching anyway.
@@ -79,11 +81,6 @@ _BYTE = tuple(bytes([i]) for i in range(256))  # a lookup is cheaper than bytes(
 def tags_bytes(entries: int) -> int:
     """The length of the tags of an index of ``entries`` entries: a leaf tag per entry, a gap tag per gap."""
     return (2 * entries + 1) * TAG_BYTES
-
-
-def _leaf_msg(t: bytes, flag: int, count: bytes, digest: bytes) -> bytes:
-    """The leaf tag's message; ``count`` is the record count's two bytes."""
-    return b"".join((b"L:", t, _BYTE[flag], count, digest))
 
 
 def _gap_msg(left: bytes, right: bytes) -> bytes:
@@ -168,11 +165,12 @@ def search_with_proof(index: Index, req: SearchRequest) -> tuple[ResultSet, list
     return result, proofs
 
 
-def _parse_proof(proof: bytes) -> tuple[int, bytes, bytes, bytes]:
-    """Split a proof into its form, two fields and tag; raises ``Truncated`` on any other value.
+def _parse_proof(proof: bytes) -> tuple[int, int, int]:
+    """A proof's form and field offsets ``(form, mid, end)``; raises ``Truncated`` on any other value.
 
-    A hit gives ``(flag, record count's two bytes, b"", leaf tag)``, a miss
-    ``(2, left, right, gap tag)``.
+    Every proof's tag is ``proof[end:]``.  A hit's record count is
+    ``proof[2:end]`` (``mid == end``); a miss's ends are ``proof[3:mid]`` and
+    ``proof[mid + 1 : end]``.  Nothing is sliced out.
     """
     if not isinstance(proof, bytes):
         raise Truncated(f"a proof is bytes, not {type(proof).__name__}")
@@ -184,7 +182,7 @@ def _parse_proof(proof: bytes) -> tuple[int, bytes, bytes, bytes]:
     if form < _MISS:
         if len(proof) != _HIT_BYTES:
             raise Truncated("proof encoding ends early" if len(proof) < _HIT_BYTES else "trailing bytes after proof")
-        return form, proof[2:4], b"", proof[4:]
+        return form, 4, 4
     if form != _MISS:
         raise Truncated(f"unknown proof form {form}")
     try:
@@ -192,10 +190,9 @@ def _parse_proof(proof: bytes) -> tuple[int, bytes, bytes, bytes]:
         end = mid + 1 + proof[mid]
     except IndexError:
         raise Truncated("proof encoding ends early") from None
-    tag = proof[end:]
-    if len(tag) != TAG_BYTES:
-        raise Truncated("proof encoding ends early" if len(tag) < TAG_BYTES else "trailing bytes after proof")
-    return form, proof[3:mid], proof[mid + 1 : end], tag
+    if len(proof) - end != TAG_BYTES:
+        raise Truncated("proof encoding ends early" if len(proof) - end < TAG_BYTES else "trailing bytes after proof")
+    return form, mid, end
 
 
 @cache
@@ -238,7 +235,7 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
     msgs, tags, pos, failed = [], [], 0, None  # per proof read: its tag message and tag
     for i, (t, proof) in enumerate(zip(trapdoors, proofs)):
         try:
-            form, first, second, tag = _parse_proof(proof)
+            form, mid, end = _parse_proof(proof)
         except Truncated:
             failed = Verdict(False, VerdictReason.SHAPE_INVALID, i)
             break
@@ -246,19 +243,21 @@ def verify(req: SearchRequest, results: ResultSet, proofs: list[bytes], km: KeyM
             failed = Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
             break
         if form == _MISS:
-            left_bad = first and (len(first) != TRAPDOOR_BYTES or first >= t)
-            if left_bad or (second and (len(second) != TRAPDOOR_BYTES or t >= second)):
+            left, right = proof[3:mid], proof[mid + 1 : end]
+            left_bad = left and (len(left) != TRAPDOOR_BYTES or left >= t)
+            if left_bad or (right and (len(right) != TRAPDOOR_BYTES or t >= right)):
                 failed = Verdict(False, VerdictReason.SHAPE_INVALID, i)
                 break
-            msgs.append(_gap_msg(first, second))
+            msgs.append(_gap_msg(left, right))
         else:
-            end = pos + int.from_bytes(first, "big")
-            if end > len(records):
+            stop = pos + (proof[2] << 8 | proof[3])
+            if stop > len(records):
                 failed = Verdict(False, VerdictReason.LEAF_TAG_MISMATCH, i)
                 break
-            msgs.append(_leaf_msg(t, form, first, record_digest(records[pos:end])))
-            pos = end
-        tags.append(tag)
+            # the leaf message: the trapdoor, then the flag and count as the proof carries them
+            msgs.append(b"".join((b"L:", t, proof[1:end], record_digest(records[pos:stop]))))
+            pos = stop
+        tags.append(proof[end:])
     wants = prf_many(tag_key(km.record_key), msgs, TAG_BYTES)
     if not compare_digest(b"".join(wants), b"".join(tags)):
         bad = next(i for i, (want, tag) in enumerate(zip(wants, tags)) if not compare_digest(want, tag))

@@ -27,6 +27,7 @@ from fzsearch import (
     fuzzy_set,
     keygen,
 )
+from fzsearch.client import SearchClient
 from fzsearch.crypto import SECURITY_BITS, prf_bytes
 from fzsearch.index import pack_entries
 from fzsearch.persist import save_keys
@@ -283,6 +284,16 @@ def search_msg(req, epoch=0, **extra) -> dict:
     msg = {"type": "SearchReq", "epoch": epoch, "k": req.k, "trapdoors": [t.hex() for t in req.trapdoors]}
     msg.update(extra)
     return msg
+
+
+class CaptureClient(SearchClient):
+    """A ``SearchClient`` with no socket: ``roundtrip`` returns the message it is given, as sent."""
+
+    def __init__(self):
+        pass
+
+    def roundtrip(self, msg: dict) -> dict:
+        return msg
 
 
 def garbage_line(rng: random.Random):

@@ -16,9 +16,11 @@ import json
 import random
 
 import fzsearch.crypto as crypto
+import fzsearch.fuzzyset as fuzzyset
 import fzsearch.index
+import fzsearch.service as service
 import fzsearch.verifiable as verifiable
-from conftest import mutate, random_corpus, reference_read_fzix, search_msg
+from conftest import CaptureClient, mutate, random_corpus, reference_read_fzix, search_msg
 from fzsearch import build_auth_trie, build_trie_index, make_request, search_listing, search_with_proof, verify
 from fzsearch.client import proofs_from_response, result_from_response
 from fzsearch.persist import dumps_index
@@ -27,6 +29,10 @@ from fzsearch.service import ServerState, encode_message, handle_line
 # FZIX v4 (32-byte tags) on the same corpus and query pool
 V4 = {"file_bytes": 74_714, "proof_bytes": 27_236, "reply_bytes": 61_958}
 ENTRIES, ENTRY_BYTES, TRAPDOORS = 580, 37_544, 375
+# The pool's k = 0 queries, its wildcard request lines (each proof asked: 65 bytes and 43 a trapdoor, less
+# one comma), and its gram trapdoors at k = 1 and their lines (no proof asked: 52 bytes and the same).
+K0_QUERIES, LINE_BYTES = 31, 19_965
+GRAM_TRAPDOORS, GRAM_LINE_BYTES = 363, 18_669
 # Over the same pool: the entries its trapdoors hit, and the hits whose records a search returns,
 # which on an exact hit is that entry alone.
 HITS, READS = 158, 39
@@ -47,6 +53,17 @@ BUILDS = {
     "auth": {"prf_messages": 1_746, "seals": 726, "entries": ENTRIES},
 }
 
+# The client's side of the pool: the wildcard requests as the pool asks them, and the gram requests of its
+# words at k = 1.  Each request line is written from fragments, with no call of the JSON encoder (60 per row
+# before); no d = 1 set goes through the general level expansion (60 gram calls before), so only the pool's
+# k = 0 sets do; and each trapdoor is one PRF message.
+CLIENT = {
+    "wildcard": {"requests": 60, "trapdoors": TRAPDOORS, "prf_messages": TRAPDOORS, "encoder_calls": 0,
+                 "levels_calls": K0_QUERIES, "line_bytes": LINE_BYTES},
+    "gram": {"requests": 60, "trapdoors": GRAM_TRAPDOORS, "prf_messages": GRAM_TRAPDOORS, "encoder_calls": 0,
+             "levels_calls": 0, "line_bytes": GRAM_LINE_BYTES},
+}
+
 
 def _corpus(rng: random.Random) -> dict[str, list[bytes]]:
     """50 seeded words of 3-7 letters, every fourth also under a shared fid."""
@@ -57,17 +74,23 @@ def _corpus(rng: random.Random) -> dict[str, list[bytes]]:
     return corpus
 
 
-def _auth_world(km):
-    """The seeded corpus's authenticated trie at d = 1, and a seeded pool of 60 requests at k = 0 or 1."""
+def _pool() -> tuple[dict[str, list[bytes]], list[tuple[str, int]]]:
+    """The seeded corpus, and a seeded pool of 60 queries at k = 0 or 1."""
     rng = random.Random(1801)
     corpus = _corpus(rng)
     words = sorted(corpus)
-    reqs = []
+    queries = []
     for _ in range(60):
         base = rng.choice(words)
         query = base if rng.random() < 0.3 else mutate(base, rng)
-        reqs.append(make_request(query, rng.choice((0, 1)), km))
-    return build_auth_trie(corpus, 1, km), reqs
+        queries.append((query, rng.choice((0, 1))))
+    return corpus, queries
+
+
+def _auth_world(km):
+    """The seeded corpus's authenticated trie at d = 1, and the pool's 60 requests."""
+    corpus, queries = _pool()
+    return build_auth_trie(corpus, 1, km), [make_request(query, k, km) for query, k in queries]
 
 
 def _ledger(km) -> dict:
@@ -196,3 +219,35 @@ def test_a_build_keys_each_variant_once_and_seals_each_record_once(km, monkeypat
         got[kind] = {**counts, "entries": len(index.table)}
     assert got == BUILDS
     assert got["auth"]["prf_messages"] == got["trie"]["prf_messages"] + 1 + 2 * ENTRIES + 1
+
+
+def test_the_client_writes_each_request_line_once_and_keys_each_variant_once(km, monkeypatch):
+    """Over the pool, as ``make_request`` and ``SearchClient.search`` build each request and its line:
+    the calls of the JSON encoder (``service._dumps``) and of the level expansion (``fuzzyset._levels``),
+    the PRF messages (``prf_many``), one per trapdoor of every request, and the request-line bytes."""
+    counts = {}
+
+    def counted(name, real, messages=lambda *args: 1):
+        def call(*args):
+            counts[name] += messages(*args)
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(service, "_dumps", counted("encoder_calls", service._dumps))
+    monkeypatch.setattr(fuzzyset, "_levels", counted("levels_calls", fuzzyset._levels))
+    monkeypatch.setattr(crypto, "prf_many", counted("prf_messages", crypto.prf_many, lambda key, msgs, n: len(msgs)))
+    _, queries, client, got = *_pool(), CaptureClient(), {}
+    for method, at in (("wildcard", None), ("gram", 1)):
+        counts.update(encoder_calls=0, levels_calls=0, prf_messages=0)
+        row = got[method] = {"requests": 0, "trapdoors": 0, "line_bytes": 0}
+        for query, k in queries:
+            before = counts["prf_messages"]
+            req = make_request(query, k if at is None else at, km, method)
+            assert counts["prf_messages"] - before == len(req.trapdoors)
+            row["requests"] += 1
+            row["trapdoors"] += len(req.trapdoors)
+            row["line_bytes"] += len(encode_message(client.search(req, 0, method == "wildcard")))
+        row.update(counts)
+    assert got == CLIENT
+    assert LINE_BYTES == 65 * 60 + 43 * TRAPDOORS - 60 and GRAM_LINE_BYTES == 52 * 60 + 43 * GRAM_TRAPDOORS - 60

@@ -20,7 +20,7 @@ from fzsearch import (
     normalize_keyword,
     wildcard_fuzzy_set,
 )
-from fzsearch.fuzzyset import MAX_VARIANTS, _expand_once, _levels, fuzzy_set, within_edits
+from fzsearch.fuzzyset import MAX_VARIANTS, _delete_once, _expand_once, _levels, fuzzy_set, within_edits
 
 
 class TestNormalize:
@@ -179,6 +179,16 @@ class TestGramSet:
 
     def test_duplicate_deletions_collapse(self):
         assert gram_fuzzy_set("aa", 1) == ("a", "aa")
+
+    def test_distance_one_is_one_level_of_the_deletions(self):
+        """The gram d = 1 set, built directly, is the general level expansion's; ``"ab"`` repeats letters,
+        whose deletions collapse."""
+        rng = random.Random(59)
+        for length in range(1, 21):
+            for letters in (ALPHABET, "ab"):
+                for _ in range(3):
+                    word = "".join(rng.choice(letters) for _ in range(length))
+                    assert gram_fuzzy_set(word, 1) == _levels(word, 1, _delete_once)
 
     def test_degenerate(self):
         assert gram_fuzzy_set("cat", 3) == ("", "a", "at", "c", "ca", "cat", "ct", "t")

@@ -23,6 +23,7 @@ import fzsearch.fuzzyset
 import fzsearch.service as service
 from conftest import (
     BUILDS,
+    CaptureClient,
     garbage_line,
     mutate,
     random_corpus,
@@ -239,18 +240,17 @@ class TestHandler:
         assert out["type"] == "ErrorResp" and out["code"] == "INTERNAL"
         assert out["message"] == "unhandled request error: RuntimeError"
 
-@pytest.mark.parametrize("method", ["wildcard", "gram"])
-def test_every_proved_reply_verifies_and_answers_as_the_plaintext_rule(km, method):
-    """Through ``handle_line`` on auth indexes at d = 0, 1 and 2, every k <= d, plain and blinded:
-    every reply verifies; an exact answer holds proof 0 alone and any other a proof per trapdoor;
-    and the decrypted answer is the plaintext rule's, the query's own records when it is a
-    keyword (the exact-match rule), else those of every keyword within k edits."""
+def _answers_as_the_plaintext_rule(km, kind: str, method: str) -> dict[str, int]:
+    """Through ``handle_line`` on ``kind`` indexes at d = 0, 1 and 2, every k <= d, plain and blinded, on
+    seeded queries: the decrypted answer is the plaintext rule's, the query's own records when it is a
+    keyword (the exact-match rule), else those of every keyword within k edits.  An auth reply also
+    verifies, and an exact one holds proof 0 alone and any other a proof per trapdoor.  The replies by class."""
     rng = random.Random(f"proved-replies/{method}")
     words = sorted({"".join(rng.choice("abcd") for _ in range(rng.randint(2, 5))) for _ in range(40)})
     corpus = {w: sorted({b"F%d" % rng.randrange(8) for _ in range(rng.randint(1, 3))}) for w in words}
-    replies = {"exact": 0, "fuzzy": 0, "empty": 0}
+    replies, proved = {"exact": 0, "fuzzy": 0, "empty": 0}, kind == "auth"
     for d in (0, 1, 2):
-        index = build_auth_trie(corpus, d, km, method)
+        index = BUILDS[kind](corpus, d, km, method)
         states = (ServerState(index=index), ServerState(index=index, xi=km.blind_key, epoch=1))
         for k in range(d + 1):
             for _ in range(16):
@@ -265,14 +265,32 @@ def test_every_proved_reply_verifies_and_answers_as_the_plaintext_rule(km, metho
                     (fid, w) for w in words if reference_edit_distance(word, w) <= k for fid in corpus[w]}
                 for state in states:
                     sent = req if state.xi is None else blind_request(req, state.xi)
-                    resp = ask(state, search_msg(sent, epoch=state.epoch, proof=True))
-                    result, proofs = result_from_response(resp), proofs_from_response(resp)
-                    assert verify(req, result, proofs, km) == (True, VerdictReason.OK, None), (word, k, d)
+                    resp = ask(state, search_msg(sent, epoch=state.epoch, proof=proved))
+                    result = result_from_response(resp)
+                    if proved:
+                        proofs = proofs_from_response(resp)
+                        assert verify(req, result, proofs, km) == (True, VerdictReason.OK, None), (word, k, d)
+                        assert len(proofs) == (1 if result.exact_hit else len(req.trapdoors))
+                    else:
+                        assert "proofs" not in resp
                     assert result.exact_hit is (word in corpus)
-                    assert len(proofs) == (1 if result.exact_hit else len(req.trapdoors))
                     # a keyword's records lie under each of its variants, so a fuzzy answer may repeat one
                     assert set(decrypt_matches(km, word, k, result)) == want, (word, k, d)
                     replies["exact" if result.exact_hit else "fuzzy" if want else "empty"] += 1
+    return replies
+
+
+@pytest.mark.parametrize("method", ["wildcard", "gram"])
+def test_every_proved_reply_verifies_and_answers_as_the_plaintext_rule(km, method):
+    replies = _answers_as_the_plaintext_rule(km, "auth", method)
+    assert min(replies.values()) >= 40, replies
+
+
+@pytest.mark.parametrize("kind", ["listing", "trie"])
+@pytest.mark.parametrize("method", ["wildcard", "gram"])
+def test_every_listing_and_trie_reply_answers_as_the_plaintext_rule(km, kind, method):
+    """The same seeded property on the kinds that prove nothing: the same queries get the same answers."""
+    replies = _answers_as_the_plaintext_rule(km, kind, method)
     assert min(replies.values()) >= 40, replies
 
 
@@ -360,6 +378,31 @@ class TestWireCodec:
             proofs = rng.choice([None, [], [rng.randbytes(rng.randrange(3, 80)) for _ in range(rng.randint(1, 20))]])
             state = ServerState(index=index, epoch=epoch)
             assert service._search_resp(state, result, proofs) == _reference_search_resp(epoch, result, proofs)
+
+    def test_search_request_line_is_the_canonical_encoding(self):
+        """The SearchReq line ``SearchClient.search`` writes from fragments is the JSON encoder's, at every k,
+        at small and large epochs, with and without a proof, from no trapdoor to ``MAX_TRAPDOORS`` of any width."""
+        rng, client, top = random.Random(196), CaptureClient(), service.MAX_TRAPDOORS
+        for i in range(2100):
+            epoch = [0, 2**40, rng.randrange(1 << rng.choice([8, 32, 70]))][i % 3]
+            count = top if i % 700 == 0 else 0 if i % 700 == 1 else rng.choice([1, 2, 5, 17, 40, rng.randrange(top)])
+            widths = [TRAPDOOR_BYTES] if rng.random() < 0.7 else [0, 1, 16, TRAPDOOR_BYTES, 32]
+            trapdoors = tuple(rng.randbytes(rng.choice(widths)) for _ in range(count))
+            msg = client.search(SearchRequest(trapdoors, i % 256), epoch=epoch, want_proof=rng.random() < 0.5)
+            assert msg.line == encode_message(msg) == json.dumps(dict(msg), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_a_bool_or_float_epoch_or_k_is_the_encoders_to_write(self):
+        client, req = CaptureClient(), SearchRequest((b"\x01" * TRAPDOOR_BYTES,), 1)
+        t = "01" * TRAPDOOR_BYTES
+        cases = {
+            (True, 1): f'{{"epoch":true,"k":1,"trapdoors":["{t}"],"type":"SearchReq"}}\n',
+            (0, False): f'{{"epoch":0,"k":false,"trapdoors":["{t}"],"type":"SearchReq"}}\n',
+            (1.5, 1): f'{{"epoch":1.5,"k":1,"trapdoors":["{t}"],"type":"SearchReq"}}\n',
+            (0, 2.0): f'{{"epoch":0,"k":2.0,"trapdoors":["{t}"],"type":"SearchReq"}}\n',
+        }
+        for (epoch, k), want in cases.items():
+            msg = client.search(req._replace(k=k), epoch=epoch)
+            assert not hasattr(msg, "line") and encode_message(msg) == want
 
 
 def _key_file(security_bits: int, keys, trapdoor_bits: int = 160, symbol_bits: int = 4) -> bytes:

@@ -232,13 +232,14 @@ def _verify_per_proof(req: SearchRequest, results: ResultSet, proofs, km) -> Ver
         return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
     for i, (t, proof) in enumerate(zip(trapdoors, proofs)):
         try:
-            form, first, second, tag = _parse_proof(proof)
+            form = _parse_proof(proof)[0]
         except Truncated:
             return Verdict(False, VerdictReason.SHAPE_INVALID, i)
         if not i and exact_hit != (form == 1):
             return Verdict(False, VerdictReason.EXACT_FLAG_MISMATCH, 0)
+        tag = proof[-TAG_BYTES:]
         if form == 2:
-            second = proof[3 + proof[2] + 1 : -TAG_BYTES]
+            first, second = proof[3 : 3 + proof[2]], proof[3 + proof[2] + 1 : -TAG_BYTES]
             width = len(t)
             if (first and (len(first) != width or first >= t)) or (second and (len(second) != width or t >= second)):
                 return Verdict(False, VerdictReason.SHAPE_INVALID, i)
